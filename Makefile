@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck check fuzz bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build test race flake vet staticcheck check fuzz bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -31,6 +31,14 @@ check: vet staticcheck
 # is the main concurrency gate.
 race:
 	$(GO) test -race ./...
+
+# flake is the robustness gate: the transport, protocol and daemon
+# tests repeated under the race detector on two cores, where scheduling
+# is tight enough to expose teardown, registration and closed-socket
+# races that a single quiet run hides.
+flake:
+	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/mpi ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -count=5 -timeout 30m -run 'TestDaemon' .
 
 # Short fuzz campaigns over the wire decoders; lengthen FUZZTIME for a
 # real hunt.
@@ -117,7 +125,7 @@ daemon-smoke:
 	DAEMON_SMOKE_OUT=$(CURDIR)/daemon-artifacts bash scripts/daemon_smoke.sh
 
 # churn-smoke drives the elastic server pool from separate processes:
-# two pandanode joiners against a live daemon, one SIGKILLed and
+# two pandad -join processes against a live daemon, one SIGKILLed and
 # declared lost by its lease, arrays rewritten around the corpse, the
 # survivor drained with migration, bit-exact readback at every step,
 # and a pandafsck gate over every directory — the CI membership gate.

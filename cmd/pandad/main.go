@@ -1,11 +1,13 @@
 // pandad runs the Panda service daemon: a resident pool of I/O nodes
 // with a persistent array catalog, serving dynamically attaching client
-// sessions over TCP. Unlike pandanode's fixed-shape deployment, clients
-// come and go while the daemon keeps running.
+// sessions over TCP — the one way to stand Panda up across processes
+// (the paper's "network of ordinary workstations"). Clients and extra
+// I/O nodes come and go while the daemon keeps running.
 //
-//	pandad -addr 127.0.0.1:7800 -dir /data/panda -slots 8 -ions 2 &
+//	pandad -addr 127.0.0.1:7800 -dir /data/panda -slots 8 -ions 2 -max-ions 4 &
 //	pandad -connect 127.0.0.1:7800 -smoke write -array X -nodes 2
 //	pandad -connect 127.0.0.1:7800 -smoke read  -array X -nodes 2
+//	pandad -join 127.0.0.1:7800 -dir /data/extra &   # one more I/O node, from any machine
 //	kill -HUP  $DAEMON_PID   # re-read -config, apply tuning live
 //	kill -USR1 $DAEMON_PID   # dump the flight recorder to the data dir
 //	kill -TERM $DAEMON_PID   # graceful drain: finish in-flight, flush,
@@ -14,8 +16,8 @@
 // The -config file is JSON matching the Tuning knobs:
 //
 //	{"max_inflight": 4, "queue_depth": 16, "quantum": 1048576,
-//	 "weights": {"viz": 1, "sim": 4}, "pipeline": 2, "read_ahead": 1,
-//	 "slo_ms": {"viz": 50}, "slo_default_ms": 500, "slo_stuck_mult": 4}
+//	 "weights": {"viz": 1, "sim": 4}, "pipeline": 2,
+//	 "slo_ms": {"viz": 50}, "slo_default_ms": 500}
 //
 // -http serves the telemetry plane (/metrics, /healthz, /readyz,
 // /sessions, /slo, /dump, /status, /debug/pprof); cmd/pandastat is the
@@ -67,8 +69,13 @@ func main() {
 	nodes := flag.Int("nodes", 2, "client mode session size (must match the array's memory chunking)")
 	tenant := flag.String("tenant", "", "client mode scheduler tenant")
 	seed := flag.Int64("seed", 42, "client mode data pattern seed (write and read must agree)")
+	joinAddr := flag.String("join", "", "join the daemon at this address as one more i/o node instead of serving (elastic pool; -dir names the node's storage)")
 	flag.Parse()
 
+	if *joinAddr != "" {
+		runJoiner(*joinAddr, *dir)
+		return
+	}
 	if *connect != "" {
 		if err := runClient(*connect, *smoke, *arrayName, *nodes, *tenant, *seed); err != nil {
 			log.Fatal(err)
@@ -139,6 +146,30 @@ func main() {
 		log.Printf("drained; all epochs committed")
 		return
 	}
+}
+
+// runJoiner attaches this process to a running daemon as an elastic
+// I/O node: it serves collectives until the operator drains the slot
+// out (pandastat drain-server) — a clean exit — or the process is
+// signalled, which severs the node and lets the daemon's lease expiry
+// declare it lost.
+func runJoiner(addr, dir string) {
+	n, err := panda.JoinIONode(panda.IONodeConfig{Addr: addr, Dir: dir, Logf: log.Printf})
+	if err != nil {
+		log.Fatalf("join %s: %v", addr, err)
+	}
+	fmt.Printf("i/o node: joined %s as pool slot %d\n", addr, n.Slot())
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		fmt.Println("i/o node: signalled; severing (daemon will expire the lease)")
+		n.Kill()
+	}()
+	if err := n.Wait(); err != nil {
+		log.Fatalf("joined node exited: %v", err)
+	}
+	fmt.Printf("i/o node: slot %d drained; exiting\n", n.Slot())
 }
 
 // readTuning parses the -config JSON; an empty path means defaults.

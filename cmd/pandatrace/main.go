@@ -1,5 +1,5 @@
-// pandatrace inspects Chrome trace-event JSON written by pandabench,
-// pandasim or pandanode (-trace): it validates the file, summarizes
+// pandatrace inspects Chrome trace-event JSON written by pandabench or
+// pandasim (-trace) or dumped by pandad: it validates the file, summarizes
 // each track, and reconstructs the per-operation phase breakdown.
 //
 //	go run ./cmd/pandatrace trace.json          # summarize

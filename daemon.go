@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"panda/internal/bufpool"
 	"panda/internal/core"
 	"panda/internal/mpi"
 	"panda/internal/obs"
@@ -50,22 +51,17 @@ type Tuning struct {
 	Weights map[string]int `json:"weights"`
 	// Pipeline is the write pipeline depth (0 or 1 = blocking).
 	Pipeline int `json:"pipeline"`
-	// ReadAhead is the read prefetch depth (0 = serial).
-	ReadAhead int `json:"read_ahead"`
 
 	// SLOms maps tenant name to a per-operation completion-latency
 	// objective in milliseconds. An operation that completes past its
 	// tenant's objective counts as an SLO violation; one still in
-	// flight past SLOStuckMult times it is flagged stuck. Violations
+	// flight past four times it is flagged stuck. Violations
 	// increment slo_violations, log a structured event, and trigger a
 	// flight-recorder dump.
 	SLOms map[string]int64 `json:"slo_ms"`
 	// SLODefaultMs is the objective for tenants not listed in SLOms
 	// (0 = no objective; those tenants are not watched).
 	SLODefaultMs int64 `json:"slo_default_ms"`
-	// SLOStuckMult is the in-flight multiple of the objective past
-	// which the watchdog flags an operation stuck (0 = 4).
-	SLOStuckMult int `json:"slo_stuck_mult"`
 }
 
 func (t Tuning) reconfig() core.Reconfig {
@@ -75,7 +71,6 @@ func (t Tuning) reconfig() core.Reconfig {
 		Quantum:     t.Quantum,
 		Weights:     t.Weights,
 		Pipeline:    t.Pipeline,
-		ReadAhead:   t.ReadAhead,
 	}
 }
 
@@ -95,7 +90,7 @@ type DaemonConfig struct {
 	// startup (0 = 2).
 	IONodes int
 	// MaxIONodes is the server pool's capacity: the most I/O nodes the
-	// deployment can ever hold, counting runtime joiners (pandanode
+	// deployment can ever hold, counting runtime joiners (pandad
 	// -join). Capacity fixes the communicator shape, so it cannot grow
 	// without a restart; slots above IONodes start vacant. 0 (or less
 	// than IONodes) means capacity == IONodes.
@@ -123,9 +118,6 @@ type DaemonConfig struct {
 	// /status and /debug/pprof. Use Daemon.HTTPAddr for the bound
 	// address (handy with ":0").
 	HTTPAddr string
-	// TraceCapacity sizes the always-on flight-recorder ring in events
-	// (0 = the obs default).
-	TraceCapacity int
 	// Logf, when non-nil, receives one line per notable daemon event.
 	Logf func(format string, args ...any)
 }
@@ -202,10 +194,11 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 
 	reg := obs.NewRegistry()
+	bufpool.RegisterMetrics(reg)
 	// The flight recorder is always on: recording a span is one mutexed
 	// slot store into a pre-allocated ring, so the daemon can afford to
 	// never fly blind. Dumps snapshot the ring on demand.
-	rec := obs.NewRecorder(cfg.TraceCapacity)
+	rec := obs.NewRecorder(0)
 	var events *obs.EventLog
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o777); err != nil {
@@ -228,7 +221,6 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 		NumServers:      cfg.MaxIONodes,
 		SubchunkBytes:   cfg.SubchunkBytes,
 		Pipeline:        cfg.Tuning.Pipeline,
-		ReadAhead:       cfg.Tuning.ReadAhead,
 		OpTimeout:       cfg.OpTimeout,
 		PullRetries:     cfg.PullRetries,
 		Metrics:         reg,
@@ -323,19 +315,6 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	// Registration is asynchronous behind the dial; wait until the hub
-	// sees every server rank so injected control frames (drain,
-	// reconfigure) can never race the mesh coming up.
-	for i := 0; i < cfg.IONodes; i++ {
-		rank := ccfg.ServerRank(i)
-		for wait := 0; !hub.Registered(rank); wait++ {
-			if wait > 500 {
-				hub.Close()
-				return nil, fmt.Errorf("panda: daemon: server rank %d never joined the mesh", rank)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	if err := svc.Start(comms, func(to, tag int, b []byte) { hub.Inject(to, tag, b) }, nil); err != nil {
 		hub.Close()
 		return nil, err
@@ -413,9 +392,9 @@ func (d *Daemon) Reload(t Tuning) {
 	d.tel.setSLO(t.sloPolicy())
 	cfg := d.svc.Config()
 	d.events.Emit("reconfigure", structFields(t))
-	d.logf("reloaded tuning: max_inflight=%d queue_depth=%d quantum=%d weights=%v pipeline=%d read_ahead=%d slo_ms=%v slo_default_ms=%d slo_stuck_mult=%d",
-		cfg.Sched.MaxInflight, cfg.Sched.QueueDepth, cfg.Sched.Quantum, cfg.Sched.Weights, cfg.Pipeline, cfg.ReadAhead,
-		t.SLOms, t.SLODefaultMs, t.SLOStuckMult)
+	d.logf("reloaded tuning: max_inflight=%d queue_depth=%d quantum=%d weights=%v pipeline=%d slo_ms=%v slo_default_ms=%d",
+		cfg.Sched.MaxInflight, cfg.Sched.QueueDepth, cfg.Sched.Quantum, cfg.Sched.Weights, cfg.Pipeline,
+		t.SLOms, t.SLODefaultMs)
 }
 
 // Drain shuts the daemon down gracefully: new sessions and operations
@@ -512,48 +491,49 @@ type ctlReply struct {
 	Weights    map[string]int  `json:"weights,omitempty"`
 	QueueDepth int             `json:"queue_depth,omitempty"`
 	Pipeline   int             `json:"pipeline,omitempty"`
-	ReadAhead  int             `json:"read_ahead,omitempty"`
 	Sessions   int             `json:"sessions,omitempty"`
 	Arrays     int             `json:"arrays,omitempty"`
 	Metrics    json.RawMessage `json:"metrics,omitempty"`
 }
 
-// codeFor maps a typed error to its wire code.
-func codeFor(err error) string {
-	switch {
-	case errors.Is(err, core.ErrSchemaMismatch):
-		return "schema_mismatch"
-	case errors.Is(err, core.ErrUnknownArray):
-		return "unknown_array"
-	case errors.Is(err, core.ErrDraining):
-		return "draining"
-	case errors.Is(err, core.ErrBusy):
-		return "busy"
-	default:
-		return ""
+// shapeReply is the successful reply to a rank-mesh newcomer (an
+// attaching session, a joining I/O node): the deployment shape it must
+// dial with and the tuning it shares.
+func shapeReply(cfg core.Config) ctlReply {
+	return ctlReply{
+		OK:          true,
+		Clients:     cfg.NumClients,
+		Servers:     cfg.NumServers,
+		Subchunk:    cfg.SubchunkBytes,
+		OpTimeoutNs: int64(cfg.OpTimeout),
+		PullRetries: cfg.PullRetries,
+		MaxInflight: cfg.Sched.MaxInflight,
+		Pipeline:    cfg.Pipeline,
 	}
 }
 
-// errFromCode is the client-side inverse of codeFor.
-func errFromCode(code, msg string) error {
-	var sentinel error
-	switch code {
-	case "schema_mismatch":
-		sentinel = core.ErrSchemaMismatch
-	case "unknown_array":
-		sentinel = core.ErrUnknownArray
-	case "draining":
-		sentinel = core.ErrDraining
-	case "busy":
-		sentinel = core.ErrBusy
-	default:
-		return errors.New(msg)
+// coreConfig rebuilds, on the newcomer's side, the deployment view
+// shapeReply advertised: the world shape (rank arithmetic and tags), the
+// transfer tuning, and a scheduler-enabled service flag so collectives
+// take the submit path the daemon requires. Membership stays nil: a
+// joined server plans purely from the Deads lists stamped on requests.
+func (rep ctlReply) coreConfig() core.Config {
+	return core.Config{
+		NumClients:    rep.Clients,
+		NumServers:    rep.Servers,
+		SubchunkBytes: rep.Subchunk,
+		OpTimeout:     time.Duration(rep.OpTimeoutNs),
+		PullRetries:   rep.PullRetries,
+		Pipeline:      rep.Pipeline,
+		Service:       true,
+		Sched:         core.SchedConfig{MaxInflight: rep.MaxInflight},
 	}
-	return fmt.Errorf("%s: %w", msg, sentinel)
 }
 
+// fail renders an error for the session channel; a typed sentinel
+// travels by its core.SentinelName so the client can rebuild it.
 func fail(err error) ctlReply {
-	return ctlReply{OK: false, Error: err.Error(), Code: codeFor(err)}
+	return ctlReply{OK: false, Error: err.Error(), Code: core.SentinelName(err)}
 }
 
 // handleSession runs one control connection: requests in, replies out,
@@ -595,19 +575,8 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			}
 			sid = info.ID
 			d.tel.attach(info, req.Nodes)
-			cfg := d.svc.Config()
-			rep = ctlReply{
-				OK:          true,
-				Session:     info.ID,
-				Ranks:       info.Ranks,
-				SeqBase:     info.SeqBase,
-				Clients:     cfg.NumClients,
-				Servers:     cfg.NumServers,
-				Subchunk:    cfg.SubchunkBytes,
-				OpTimeoutNs: int64(cfg.OpTimeout),
-				PullRetries: cfg.PullRetries,
-				MaxInflight: cfg.Sched.MaxInflight,
-			}
+			rep = shapeReply(d.svc.Config())
+			rep.Session, rep.Ranks, rep.SeqBase = info.ID, info.Ranks, info.SeqBase
 			d.logf("session %d attached: %d nodes at ranks %v, tenant %q", info.ID, req.Nodes, info.Ranks, req.Tenant)
 			crashPoint("post-attach")
 		case "open":
@@ -627,7 +596,6 @@ func (d *Daemon) handleSession(conn net.Conn) {
 				QueueDepth:  cfg.Sched.QueueDepth,
 				Weights:     cfg.Sched.Weights,
 				Pipeline:    cfg.Pipeline,
-				ReadAhead:   cfg.ReadAhead,
 				Sessions:    len(d.svc.Sessions()),
 				Arrays:      arrays,
 				Metrics:     json.RawMessage(buf.Bytes()),
@@ -642,20 +610,9 @@ func (d *Daemon) handleSession(conn net.Conn) {
 				break
 			}
 			cfg := d.svc.Config()
-			rep = ctlReply{
-				OK:          true,
-				Slot:        slot,
-				Clients:     cfg.NumClients,
-				Servers:     cfg.NumServers,
-				Subchunk:    cfg.SubchunkBytes,
-				OpTimeoutNs: int64(cfg.OpTimeout),
-				PullRetries: cfg.PullRetries,
-				MaxInflight: cfg.Sched.MaxInflight,
-				Pipeline:    cfg.Pipeline,
-				ReadAhead:   cfg.ReadAhead,
-				HeartbeatNs: int64(cfg.HeartbeatInterval()),
-				LeaseNs:     int64(cfg.EffectiveLeaseTTL()),
-			}
+			rep = shapeReply(cfg)
+			rep.Slot = slot
+			rep.HeartbeatNs, rep.LeaseNs = int64(cfg.HeartbeatInterval()), int64(cfg.EffectiveLeaseTTL())
 			d.logf("server joiner %q reserved slot %d", req.Addr, slot)
 		case "detach":
 			if sid != 0 {

@@ -394,3 +394,78 @@ func TestDialRetryEventualListener(t *testing.T) {
 		ln2.Close() //nolint:errcheck
 	}
 }
+
+// TestDaemonSurvivesIONodeKilledMidWrite severs a joined I/O node's
+// connection in the middle of a run of collective writes that move data
+// through it. The node's executors keep sending into the closed socket
+// for a moment; that must cost operations, never the process: every
+// rank sees its writes succeed (the master failed over) or fail typed,
+// and the daemon serves the next session bit-exact.
+func TestDaemonSurvivesIONodeKilledMidWrite(t *testing.T) {
+	d, err := StartDaemon(DaemonConfig{
+		ClientSlots:    8,
+		IONodes:        2,
+		MaxIONodes:     4,
+		LeaseTTL:       1200 * time.Millisecond,
+		HeartbeatEvery: 300 * time.Millisecond,
+		OpTimeout:      2 * time.Second,
+		// A deep pull window keeps replies queued at the victim, so its
+		// executor is still issuing pulls when the socket closes under it.
+		Tuning: Tuning{Pipeline: 8},
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("StartDaemon: %v", err)
+	}
+	defer d.Drain() //nolint:errcheck
+
+	const nodes, writes, killAt = 2, 6, 2
+	for round, into := range []time.Duration{3 * time.Millisecond, 12 * time.Millisecond} {
+		n, err := JoinIONode(IONodeConfig{Addr: d.Addr(), Name: fmt.Sprintf("victim%d", round), Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("round %d join: %v", round, err)
+		}
+		waitMemberState(t, d, n.Slot(), core.MemberActive, 5*time.Second)
+
+		// 8 MiB in 8 disk chunks: round-robin puts several on the victim,
+		// and one write lasts long enough to be interrupted.
+		a, err := NewArray(fmt.Sprintf("K%d", round), []int{nodes * 4096, 256}, 4,
+			NewLayout("mem", []int{nodes}), []Distribution{BLOCK, NONE},
+			NewLayout("disk", []int{8}), []Distribution{BLOCK, NONE})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: nodes, Tenant: "kill"})
+		if err != nil {
+			t.Fatalf("round %d dial: %v", round, err)
+		}
+		if err := s.Create(a); err != nil {
+			t.Fatalf("round %d create: %v", round, err)
+		}
+		errs := make([]error, nodes)
+		s.Run(func(nd *Node) error { //nolint:errcheck // judged per rank below
+			buf := make([]byte, nd.ChunkBytes(a))
+			if err := nd.Bind(a, buf); err != nil {
+				return err
+			}
+			for i := 0; i < writes && errs[nd.Rank()] == nil; i++ {
+				if i == killAt && nd.Rank() == 0 {
+					time.AfterFunc(into, n.Kill) // lands inside this write
+				}
+				errs[nd.Rank()] = nd.WriteArray(a)
+			}
+			return nil
+		})
+		for rank, werr := range errs {
+			if werr != nil && !core.IsTyped(werr) {
+				t.Errorf("round %d rank %d: untyped error %v", round, rank, werr)
+			}
+		}
+		s.Close() //nolint:errcheck
+		waitMemberState(t, d, n.Slot(), core.MemberLost, 15*time.Second)
+
+		names := []string{fmt.Sprintf("after%d", round)}
+		churnWrite(t, d.Addr(), names, nodes, int64(round))
+		churnVerify(t, d.Addr(), names, nodes, int64(round))
+	}
+}

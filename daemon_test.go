@@ -2,6 +2,7 @@ package panda
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"panda/internal/core"
 	"panda/internal/storage"
 )
 
@@ -329,5 +331,28 @@ func TestDaemonDrainRefusesAttach(t *testing.T) {
 	}
 	if _, err := Dial(SessionConfig{Addr: addr, Nodes: 1, DialBudget: -1}); err == nil {
 		t.Fatal("dial succeeded after drain")
+	}
+}
+
+// TestSessionChannelKeepsErrorsTyped: whichever sentinel a session
+// command fails with — including the four the control channel used to
+// flatten into plain strings — the client's error still satisfies
+// errors.Is after the JSON round trip.
+func TestSessionChannelKeepsErrorsTyped(t *testing.T) {
+	for _, sentinel := range []error{
+		core.ErrTimeout, core.ErrPeerLost, core.ErrNoCommittedEpoch, core.ErrCorrupt,
+		core.ErrBusy, core.ErrSchemaMismatch, core.ErrUnknownArray, core.ErrDraining,
+	} {
+		wire, err := json.Marshal(fail(fmt.Errorf("core: array %q: %w", "X", sentinel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep ctlReply
+		if err := json.Unmarshal(wire, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if got := core.SentinelError(rep.Code, rep.Error); rep.OK || !errors.Is(got, sentinel) {
+			t.Errorf("%v reached the client as %v (reply %s)", sentinel, got, wire)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // Elastic server-pool membership, daemon side.
 //
 // The daemon's pool has a fixed capacity (DaemonConfig.MaxIONodes) but
-// a dynamic population: I/O nodes join at runtime (pandanode -join),
+// a dynamic population: I/O nodes join at runtime (pandad -join),
 // leave through an operator drain (pandastat drain-server), or are
 // declared lost when their lease lapses. The core tracks who is live
 // (core.Membership) and stamps every dispatched operation with the

@@ -229,14 +229,6 @@ func SetPackWorkers(n int) {
 	atomic.StoreInt32(&packWorkers, int32(n))
 }
 
-// PackWorkers reports the configured parallelism (at least 1).
-func PackWorkers() int {
-	if n := int(atomic.LoadInt32(&packWorkers)); n > 1 {
-		return n
-	}
-	return 1
-}
-
 // strides returns row-major element strides for a buffer shaped like r.
 func strides(r Region) []int64 {
 	rank := r.Rank()

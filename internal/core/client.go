@@ -27,7 +27,7 @@ type Client struct {
 	tr   obs.Track
 	met  nodeMetrics
 
-	stats     *Stats
+	cnt       *counters // this node's counter block
 	elapsedNs *int64
 	opSeq     int // collective operations issued so far
 
@@ -61,7 +61,7 @@ func NewClient(cfg Config, comm mpi.Comm, clk clock.Clock) *Client {
 		clk:       clk,
 		tr:        cfg.Trace.Track(fmt.Sprintf("client%d", comm.Rank())),
 		met:       newNodeMetrics(cfg.Metrics),
-		stats:     &Stats{},
+		cnt:       newNodeCounters(cfg.Metrics),
 		elapsedNs: new(int64),
 		memIndex:  comm.Rank(),
 	}
@@ -125,7 +125,7 @@ func (c *Client) nclients() int {
 
 // Stats returns a race-clean snapshot of the client's traffic
 // counters; safe to call from any goroutine, even mid-operation.
-func (c *Client) Stats() Stats { return c.stats.snapshot() }
+func (c *Client) Stats() Stats { return c.cnt.snapshot() }
 
 // LastElapsed reports the time this client spent inside its most
 // recent collective call — the quantity the paper's elapsed-time
@@ -145,10 +145,8 @@ func (c *Client) ReadArrays(suffix string, specs []ArraySpec, bufs [][]byte) err
 }
 
 func (c *Client) send(to, tag int, data []byte) {
-	atomic.AddInt64(&c.stats.MsgsSent, 1)
-	atomic.AddInt64(&c.stats.BytesSent, int64(len(data)))
-	c.met.msgsSent.Add(1)
-	c.met.bytesSent.Add(int64(len(data)))
+	c.cnt[cMsgsSent].Add(1)
+	c.cnt[cBytesSent].Add(int64(len(data)))
 	c.comm.SendOwned(to, tag, data)
 }
 
@@ -158,22 +156,17 @@ func (c *Client) send(to, tag int, data []byte) {
 // payload is only borrowed for the duration of the call.
 func (c *Client) sendVec(to, tag int, hdr, payload []byte) {
 	n := int64(len(hdr) + len(payload))
-	atomic.AddInt64(&c.stats.MsgsSent, 1)
-	atomic.AddInt64(&c.stats.BytesSent, n)
-	c.met.msgsSent.Add(1)
-	c.met.bytesSent.Add(n)
+	c.cnt[cMsgsSent].Add(1)
+	c.cnt[cBytesSent].Add(n)
 	if mpi.SendSegments(c.comm, to, tag, hdr, payload) {
-		atomic.AddInt64(&c.stats.FramesCoalesced, 1)
-		c.met.framesCoalesced.Add(1)
+		c.cnt[cFramesCoalesced].Add(1)
 	}
 	bufpool.Put(hdr)
 }
 
 func (c *Client) countRecv(n int) {
-	atomic.AddInt64(&c.stats.MsgsRecv, 1)
-	atomic.AddInt64(&c.stats.BytesRecv, int64(n))
-	c.met.msgsRecv.Add(1)
-	c.met.bytesRecv.Add(int64(n))
+	c.cnt[cMsgsRecv].Add(1)
+	c.cnt[cBytesRecv].Add(int64(n))
 }
 
 func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]byte) error {
@@ -262,8 +255,7 @@ func (c *Client) collectiveSeq(op byte, suffix string, specs []ArraySpec, bufs [
 				}
 				pause = time.Duration(float64(pause) * (1 + c.cfg.Retry.Jitter*(2*rng.Float64()-1)))
 			}
-			atomic.AddInt64(&c.stats.Retries, 1)
-			c.met.retries.Add(1)
+			c.cnt[cRetries].Add(1)
 			c.tr.Instant(obs.CatRecover, fmt.Sprintf("retry attempt %d", attempt), seq, c.clk.Now(), 0)
 			if pause > 0 {
 				c.clk.Sleep(pause)
@@ -313,8 +305,7 @@ func (c *Client) runAttempt(op byte, suffix string, specs []ArraySpec, bufs [][]
 		}
 		m, err := recvBounded(c.comm, c.clk, mpi.AnySource, tagToClient(seq), deadline)
 		if err != nil {
-			atomic.AddInt64(&c.stats.Timeouts, 1)
-			c.met.timeouts.Add(1)
+			c.cnt[cTimeouts].Add(1)
 			return fmt.Errorf("core: client %d, operation %d: %w", c.Rank(), seq, err)
 		}
 		if c.met.recvWait != nil {
@@ -401,28 +392,13 @@ func (c *Client) peerRank(i int) int {
 }
 
 // completeDests lists the group members this client relays a completion
-// frame to: every other member when it leads a flat group (non-leaders
-// relay nothing), its children in the client broadcast tree when
-// topology schedules are on — interior members forward, so the outcome
-// reaches every rank in O(log n) hops instead of serializing at the
-// leader's egress port.
+// frame to: its children in the control tree over the group, rooted at
+// the leader — every other member when it leads a flat group, while on
+// topology schedules interior members forward, so the outcome reaches
+// every rank in O(log n) hops instead of serializing at the leader's
+// egress port.
 func (c *Client) completeDests() []int {
-	n := c.nclients()
-	if c.cfg.Topology == nil || c.cfg.FlatSchedules {
-		if !c.IsMaster() {
-			return nil
-		}
-		dests := make([]int, 0, n-1)
-		for i := 1; i < n; i++ {
-			dests = append(dests, c.peerRank(i))
-		}
-		return dests
-	}
-	members := make([]int, n)
-	for i := range members {
-		members[i] = c.peerRank(i)
-	}
-	return mpi.TreeChildren(members, members[0], c.comm.Rank(), c.cfg.Topology)
+	return controlChildren(c.cfg, c.nclients(), c.peerRank, nil, c.comm.Rank())
 }
 
 // pieceID identifies one piece of one array for duplicate detection. A
@@ -538,8 +514,7 @@ func (c *Client) absorbData(seq int, specs []ArraySpec, bufs [][]byte, d subData
 // rejectFrame drops an op-scoped frame whose operation ID contradicts
 // the op its tag routed it to, and recycles the frame.
 func (c *Client) rejectFrame(frame []byte) {
-	atomic.AddInt64(&c.stats.FramesRejected, 1)
-	c.met.framesRejected.Add(1)
+	c.cnt[cFramesRejected].Add(1)
 	bufpool.Put(frame)
 }
 
@@ -547,15 +522,13 @@ func (c *Client) rejectFrame(frame []byte) {
 // path — the complement of chargeReorg, so the contiguous-vs-strided
 // split of every byte moved is visible in metrics.
 func (c *Client) chargeContig(n int64) {
-	atomic.AddInt64(&c.stats.ContigBytes, n)
-	c.met.contigBytes.Add(n)
+	c.cnt[cContigBytes].Add(n)
 }
 
 // chargeReorg accounts for a strided copy of n bytes during operation
 // seq.
 func (c *Client) chargeReorg(seq int, n int64) {
-	atomic.AddInt64(&c.stats.ReorgBytes, n)
-	c.met.reorgBytes.Add(n)
+	c.cnt[cReorgBytes].Add(n)
 	if c.cfg.CopyRate > 0 {
 		t0 := c.clk.Now()
 		c.clk.Sleep(copyCost(n, c.cfg.CopyRate))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"panda/internal/bufpool"
@@ -341,8 +340,7 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 				continue // poll slice expired; the budget has not
 			}
 			// Anyone still silent is alive but late: the attempt times out.
-			atomic.AddInt64(&s.stats.Timeouts, 1)
-			s.met.timeouts.Add(1)
+			s.cnt[cTimeouts].Add(1)
 			status = fmt.Errorf("core: master server: waiting for prepares: %w", rerr)
 			break
 		}
@@ -370,8 +368,7 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 	if len(newDeads) > 0 && int(req.Round) < maxReassignRounds {
 		// Server failover: replan the dead servers' chunks across the
 		// survivors and restage this epoch under the next round number.
-		atomic.AddInt64(&s.stats.Reassigns, 1)
-		s.met.reassigns.Add(1)
+		s.cnt[cReassigns].Add(1)
 		next := req
 		next.Round++
 		next.Deads = append(append([]int{}, req.Deads...), newDeads...)
@@ -386,8 +383,7 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 	}
 
 	if status != nil {
-		atomic.AddInt64(&s.stats.Aborts, 1)
-		s.met.aborts.Add(1)
+		s.cnt[cAborts].Add(1)
 		s.tr.Instant(obs.CatCtl, "abort broadcast", s.opSeq, s.clk.Now(), 0)
 		s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, status))
 		s.removePrepared(prepared)
@@ -400,8 +396,7 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		if errors.Is(err, errOpCrashed) {
 			// Per-op crash before anything is decided: the operation
 			// aborts and rolls back cleanly; the server lives on.
-			atomic.AddInt64(&s.stats.Aborts, 1)
-			s.met.aborts.Add(1)
+			s.cnt[cAborts].Add(1)
 			s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, err))
 			s.removePrepared(prepared)
 			return err, nil, nil
@@ -454,8 +449,7 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		s.countRecv(len(m.Data))
 	}
 	if len(req.Deads) > 0 {
-		atomic.AddInt64(&s.stats.Degraded, 1)
-		s.met.degraded.Add(1)
+		s.cnt[cDegraded].Add(1)
 	}
 	return nil, nil, nil
 }
@@ -473,8 +467,7 @@ func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline ti
 	for {
 		m, rerr := recvBounded(s.comm, s.clk, mpi.AnySource, tagToServer(s.opSeq), waitBy)
 		if rerr != nil {
-			atomic.AddInt64(&s.stats.Timeouts, 1)
-			s.met.timeouts.Add(1)
+			s.cnt[cTimeouts].Add(1)
 			s.tr.Instant(obs.CatRecover, "commit verdict timeout (temps kept)", s.opSeq, s.clk.Now(), 0)
 			return fmt.Errorf("core: server %d: waiting for commit verdict: %w", s.index, rerr), nil, nil
 		}
@@ -512,8 +505,7 @@ func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline ti
 			if frame.Attempt < req.Attempt {
 				continue // abort of an attempt this server already left
 			}
-			atomic.AddInt64(&s.stats.Aborts, 1)
-			s.met.aborts.Add(1)
+			s.cnt[cAborts].Add(1)
 			s.removePrepared(prepared)
 			err := frame.Err
 			if err == nil {
@@ -563,8 +555,7 @@ func (s *Server) resolveRead(spec ArraySpec, base string, epoch uint64) (string,
 		if err != nil {
 			return "", nil, fmt.Errorf("core: server %d: %w (%v)", s.index, ErrCorrupt, err)
 		}
-		atomic.AddInt64(&s.stats.RollForwards, 1)
-		s.met.rollForwards.Add(1)
+		s.cnt[cRollForwards].Add(1)
 		s.tr.Instant(obs.CatRecover, "roll-forward "+base, s.opSeq, s.clk.Now(), rm.TotalBytes)
 		return base, rm, nil
 	}

@@ -126,13 +126,6 @@ type Config struct {
 	// bounded histograms (message traffic, sub-chunk latency, receive
 	// waits, staged-queue depth) into the registry. nil disables.
 	Metrics *obs.Registry
-	// PackWorkers sets the process-wide pack-copy worker pool: strided
-	// pack/unpack copies larger than ~1 MB are split across this many
-	// goroutines. 0 leaves the pool as it is (serial unless another
-	// deployment in the process raised it); 1 forces serial copies. The
-	// pool is pure CPU and never touches a clock, so raising it cannot
-	// perturb virtual-time results.
-	PackWorkers int
 	// PlanCacheSize bounds the per-server plan cache, in entries. Each
 	// entry memoizes one array's chunk assignment and sub-chunk schedule
 	// keyed by (schema fingerprint, array index, server count, sub-chunk
@@ -159,8 +152,8 @@ type Config struct {
 	FlatSchedules bool
 	// OpLog, when non-nil, receives a summary of every collective
 	// operation a server completes (success or failure), from the
-	// server's own goroutine. pandanode uses it for per-operation log
-	// lines; keep the callback cheap.
+	// server's own goroutine. The daemon feeds its telemetry plane from
+	// it; keep the callback cheap.
 	OpLog func(OpSummary)
 	// OpStart, when non-nil, is called as a server dispatches a
 	// collective operation under the scheduler — after any admission
@@ -347,25 +340,13 @@ type OpSummary struct {
 	Bytes int64
 	// Elapsed is the server's time inside the operation.
 	Elapsed time.Duration
-	// Retries and Timeouts are this operation's deltas of the
-	// corresponding Stats counters.
-	Retries, Timeouts int64
 	// Err is the operation's outcome on this server (nil = success).
 	Err error
 	// Tenant is the submitting tenant (scheduler deployments only).
 	Tenant string
-	// Stats, under the scheduler, is this operation's own counter
-	// snapshot — attributed exactly, even with other ops in flight.
-	// Zero on the legacy path.
+	// Stats is this operation's own counter snapshot on this server —
+	// attributed exactly, even with other ops in flight on the node.
 	Stats Stats
-}
-
-// MBs returns the summary's throughput in MB/s (2^20 bytes).
-func (s OpSummary) MBs() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Bytes) / (1 << 20) / s.Elapsed.Seconds()
 }
 
 // Validate checks the configuration.
@@ -399,9 +380,6 @@ func (c Config) Validate() error {
 	}
 	if c.Retry.Jitter < 0 || c.Retry.Jitter > 1 {
 		return fmt.Errorf("core: Retry.Jitter = %v, must be in [0,1]", c.Retry.Jitter)
-	}
-	if c.PackWorkers < 0 {
-		return fmt.Errorf("core: negative PackWorkers")
 	}
 	if c.Sched.MaxInflight < 0 {
 		return fmt.Errorf("core: negative Sched.MaxInflight")

@@ -1,0 +1,168 @@
+package core
+
+import "panda/internal/obs"
+
+// counters.go is the one place an event is counted. Each node owns one
+// block of counters; an instrumentation point does a single Add on the
+// block it runs under, and chaining carries the increment upward — from
+// an operation's private block to its node's block to the deployment's
+// obs.Registry counter of the same name — so "per-op sum == node total ==
+// registry total" holds by construction rather than by a merge step.
+
+// Stats is a snapshot of a counter block: a node's traffic during
+// collective operations (Client.Stats, Server.Stats) or one operation's
+// share of it (OpSummary.Stats). Every field is a row of counterTable.
+type Stats struct {
+	// MsgsSent and BytesSent count outgoing protocol messages.
+	MsgsSent, BytesSent int64
+	// MsgsRecv and BytesRecv count incoming protocol messages.
+	MsgsRecv, BytesRecv int64
+	// ReorgBytes counts bytes moved by non-contiguous
+	// (reorganization) copies; natural chunking keeps this at zero.
+	ReorgBytes int64
+	// Timeouts counts deadline expiries and peer losses this node hit
+	// locally (always zero when Config.OpTimeout is unset).
+	Timeouts int64
+	// Retries counts sub-chunk pull re-requests this server issued to
+	// mask lost messages during writes.
+	Retries int64
+	// Aborts counts operations this node abandoned — on the master
+	// server, abort broadcasts sent; elsewhere, aborts obeyed.
+	Aborts int64
+	// Reassigns counts replanning rounds: a participant died mid-write
+	// and the master rebroadcast the request with the dead server's
+	// chunks reassigned across the survivors.
+	Reassigns int64
+	// RollForwards counts interrupted commits this server finished at
+	// read time: a decided epoch whose rename never happened, completed
+	// from its durable temp files before serving.
+	RollForwards int64
+	// Degraded counts collective operations that completed with one or
+	// more participants dead (writes after reassignment, reads served
+	// entirely by survivors).
+	Degraded int64
+	// OverlapNanos is disk time the staged engine hid behind network
+	// activity: the storage stage's busy time minus the network stage's
+	// waits on it, clamped at zero. Zero when the engine runs serially
+	// (Pipeline <= 1 and ReadAhead == 0).
+	OverlapNanos int64
+	// StallNanos is time the network stage spent blocked on the storage
+	// stage — writes waiting for a full write-behind queue, reads
+	// waiting for a prefetch, and end-of-array joins. High stalls mean
+	// the disk, not the network, bounds the operation.
+	StallNanos int64
+	// ContigBytes counts bytes moved through contiguous fast paths —
+	// the complement of ReorgBytes, so the two together split every
+	// byte moved by data placement.
+	ContigBytes int64
+	// FramesCoalesced counts data frames shipped as header + payload
+	// segments with no intermediate flattening copy (scatter-gather
+	// transports only; in-process delivery always pays one copy).
+	FramesCoalesced int64
+	// PlanHits and PlanMisses count plan-cache consultations on this
+	// server: a hit reuses the chunk assignment and sub-chunk schedule
+	// of an identical earlier operation instead of recomputing them.
+	PlanHits, PlanMisses int64
+	// FramesRejected counts frames refused by op-ID screening under the
+	// scheduler: a frame whose explicit operation ID contradicts the op
+	// its tag routed it to (stale, duplicate, or misdirected traffic)
+	// is dropped rather than absorbed into the wrong op's state.
+	FramesRejected int64
+	// SchedBusy counts operations refused at admission because the
+	// scheduler's bounded queue was full (returned as ErrBusy).
+	SchedBusy int64
+	// DiskMerges counts adjacent disk requests the scheduler's batch
+	// queue coalesced into single larger transfers across (and within)
+	// concurrent operations.
+	DiskMerges int64
+}
+
+// counterID indexes one counter of a block.
+type counterID int
+
+const (
+	cMsgsSent counterID = iota
+	cBytesSent
+	cMsgsRecv
+	cBytesRecv
+	cReorgBytes
+	cTimeouts
+	cRetries
+	cAborts
+	cReassigns
+	cRollForwards
+	cDegraded
+	cOverlapNanos
+	cStallNanos
+	cContigBytes
+	cFramesCoalesced
+	cPlanHits
+	cPlanMisses
+	cFramesRejected
+	cSchedBusy
+	cDiskMerges
+	numCounters
+)
+
+// counterTable pairs every counter with its registry name and the Stats
+// field a snapshot reports it in.
+var counterTable = [numCounters]struct {
+	name  string
+	field func(*Stats) *int64
+}{
+	cMsgsSent:        {"msgs_sent", func(s *Stats) *int64 { return &s.MsgsSent }},
+	cBytesSent:       {"bytes_sent", func(s *Stats) *int64 { return &s.BytesSent }},
+	cMsgsRecv:        {"msgs_recv", func(s *Stats) *int64 { return &s.MsgsRecv }},
+	cBytesRecv:       {"bytes_recv", func(s *Stats) *int64 { return &s.BytesRecv }},
+	cReorgBytes:      {"reorg_bytes", func(s *Stats) *int64 { return &s.ReorgBytes }},
+	cTimeouts:        {"timeouts", func(s *Stats) *int64 { return &s.Timeouts }},
+	cRetries:         {"retries", func(s *Stats) *int64 { return &s.Retries }},
+	cAborts:          {"aborts", func(s *Stats) *int64 { return &s.Aborts }},
+	cReassigns:       {"reassigns", func(s *Stats) *int64 { return &s.Reassigns }},
+	cRollForwards:    {"roll_forwards", func(s *Stats) *int64 { return &s.RollForwards }},
+	cDegraded:        {"degraded_ops", func(s *Stats) *int64 { return &s.Degraded }},
+	cOverlapNanos:    {"overlap_ns", func(s *Stats) *int64 { return &s.OverlapNanos }},
+	cStallNanos:      {"stall_ns", func(s *Stats) *int64 { return &s.StallNanos }},
+	cContigBytes:     {"contig_bytes", func(s *Stats) *int64 { return &s.ContigBytes }},
+	cFramesCoalesced: {"frames_coalesced", func(s *Stats) *int64 { return &s.FramesCoalesced }},
+	cPlanHits:        {"plan_cache_hits", func(s *Stats) *int64 { return &s.PlanHits }},
+	cPlanMisses:      {"plan_cache_misses", func(s *Stats) *int64 { return &s.PlanMisses }},
+	cFramesRejected:  {"sched_frames_rejected", func(s *Stats) *int64 { return &s.FramesRejected }},
+	cSchedBusy:       {"sched_busy_rejects", func(s *Stats) *int64 { return &s.SchedBusy }},
+	cDiskMerges:      {"sched_disk_merges", func(s *Stats) *int64 { return &s.DiskMerges }},
+}
+
+// counters is one block: a node's totals, or one operation's share.
+type counters [numCounters]obs.Counter
+
+// newNodeCounters builds a node's block, chained to the registry's
+// counters of the same names (unchained when reg is nil).
+func newNodeCounters(reg *obs.Registry) *counters {
+	c := new(counters)
+	if reg != nil {
+		for i := range c {
+			c[i].ChainTo(reg.Counter(counterTable[i].name))
+		}
+	}
+	return c
+}
+
+// newOpCounters builds one operation's block, chained to its node's.
+func newOpCounters(node *counters) *counters {
+	c := new(counters)
+	for i := range c {
+		c[i].ChainTo(&node[i])
+	}
+	return c
+}
+
+// snapshot reads the block race-cleanly: counters are atomic, so a
+// block may be sampled from any goroutine at any time — mid-operation
+// and during aborts included.
+func (c *counters) snapshot() Stats {
+	var st Stats
+	for i := range c {
+		*counterTable[i].field(&st) = c[i].Value()
+	}
+	return st
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"panda/internal/bufpool"
@@ -180,9 +179,7 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr
 			}
 			_, err = f.WriteAt(merged, run[0].off)
 			bufpool.Put(merged)
-			m := int64(len(run) - 1)
-			atomic.AddInt64(&s.stats.DiskMerges, m)
-			s.met.diskMerges.Add(m)
+			s.node[cDiskMerges].Add(int64(len(run) - 1))
 		}
 		if tr.Enabled() {
 			tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, clk.Now(), total)

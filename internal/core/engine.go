@@ -105,9 +105,9 @@ type readSource interface {
 // stats: the disk time the pipeline hid is what the storage stage spent
 // on disk beyond the mover's waits for it.
 func (s *Server) mergeStage(diskNanos, stallNanos int64) {
-	atomic.AddInt64(&s.stats.StallNanos, stallNanos)
+	s.cnt[cStallNanos].Add(stallNanos)
 	if hidden := diskNanos - stallNanos; hidden > 0 {
-		atomic.AddInt64(&s.stats.OverlapNanos, hidden)
+		s.cnt[cOverlapNanos].Add(hidden)
 	}
 }
 

@@ -61,84 +61,106 @@ const (
 	statusBusy
 	statusSchemaMismatch
 	statusDraining
+	statusUnknownArray
 )
+
+type sentinel struct {
+	code byte
+	name string
+	err  error
+}
+
+// sentinels is the one list of typed errors a caller can see: the
+// binary status code each travels under in protocol frames, the name it
+// travels under on the daemon's JSON session channel, and the sentinel
+// it reconstructs to on the far side. Classification takes the first
+// match, so more specific sentinels come first.
+var sentinels = []sentinel{
+	{statusTimeout, "timeout", ErrTimeout},
+	{statusPeerLost, "peer_lost", ErrPeerLost},
+	{statusNoEpoch, "no_committed_epoch", ErrNoCommittedEpoch},
+	{statusCorrupt, "corrupt", ErrCorrupt},
+	{statusSchemaMismatch, "schema_mismatch", ErrSchemaMismatch},
+	{statusUnknownArray, "unknown_array", ErrUnknownArray},
+	{statusDraining, "draining", ErrDraining},
+	{statusBusy, "busy", ErrBusy},
+}
+
+// IsTyped reports whether err is (or wraps) one of the sentinels that
+// survive the wire — the contract every failure a caller can see must
+// meet.
+func IsTyped(err error) bool { return classify(err) != nil }
+
+// classify returns the table row of the sentinel err wraps, or nil for
+// an untyped (or nil) error.
+func classify(err error) *sentinel {
+	for i := range sentinels {
+		if errors.Is(err, sentinels[i].err) {
+			return &sentinels[i]
+		}
+	}
+	return nil
+}
+
+// SentinelName returns the session-channel name of the sentinel err
+// wraps, or "" for an untyped error.
+func SentinelName(err error) string {
+	if s := classify(err); s != nil {
+		return s.name
+	}
+	return ""
+}
+
+// SentinelError is the receiving side of SentinelName: it rebuilds a
+// typed error from a name and the remote message. An unknown name
+// yields a plain error carrying msg.
+func SentinelError(name, msg string) error {
+	for _, s := range sentinels {
+		if s.name == name {
+			return typedError(s.err, msg)
+		}
+	}
+	return errors.New(msg)
+}
 
 // statusCode classifies err for the wire.
 func statusCode(err error) byte {
-	switch {
-	case err == nil:
+	if err == nil {
 		return statusOK
-	case errors.Is(err, ErrTimeout):
-		return statusTimeout
-	case errors.Is(err, ErrPeerLost):
-		return statusPeerLost
-	case errors.Is(err, ErrNoCommittedEpoch):
-		return statusNoEpoch
-	case errors.Is(err, ErrCorrupt):
-		return statusCorrupt
-	case errors.Is(err, ErrSchemaMismatch):
-		return statusSchemaMismatch
-	case errors.Is(err, ErrDraining):
-		return statusDraining
-	case errors.Is(err, ErrBusy):
-		return statusBusy
-	default:
-		return statusFailed
 	}
+	if s := classify(err); s != nil {
+		return s.code
+	}
+	return statusFailed
 }
 
 // statusError reconstructs a typed error from a wire status. msg is
 // the human-readable detail; an empty msg with a non-OK code still
 // yields the sentinel.
 func statusError(code byte, msg string) error {
-	switch code {
-	case statusOK:
+	if code == statusOK {
 		return nil
-	case statusTimeout:
-		if msg == "" {
-			return ErrTimeout
-		}
-		return wrapped{msg: msg, sentinel: ErrTimeout}
-	case statusPeerLost:
-		if msg == "" {
-			return ErrPeerLost
-		}
-		return wrapped{msg: msg, sentinel: ErrPeerLost}
-	case statusNoEpoch:
-		if msg == "" {
-			return ErrNoCommittedEpoch
-		}
-		return wrapped{msg: msg, sentinel: ErrNoCommittedEpoch}
-	case statusCorrupt:
-		if msg == "" {
-			return ErrCorrupt
-		}
-		return wrapped{msg: msg, sentinel: ErrCorrupt}
-	case statusBusy:
-		if msg == "" {
-			return ErrBusy
-		}
-		return wrapped{msg: msg, sentinel: ErrBusy}
-	case statusSchemaMismatch:
-		if msg == "" {
-			return ErrSchemaMismatch
-		}
-		return wrapped{msg: msg, sentinel: ErrSchemaMismatch}
-	case statusDraining:
-		if msg == "" {
-			return ErrDraining
-		}
-		return wrapped{msg: msg, sentinel: ErrDraining}
-	default:
-		if msg == "" {
-			msg = "core: collective operation failed"
-		}
-		return errors.New(msg)
 	}
+	for _, s := range sentinels {
+		if s.code == code {
+			return typedError(s.err, msg)
+		}
+	}
+	if msg == "" {
+		msg = "core: collective operation failed"
+	}
+	return errors.New(msg)
 }
 
-// wrapped carries a remote error message while staying errors.Is-able
-// against the local sentinel.
+// typedError carries a remote message while staying errors.Is-able
+// against the local sentinel; with no message it is the sentinel.
+func typedError(sentinel error, msg string) error {
+	if msg == "" {
+		return sentinel
+	}
+	return wrapped{msg: msg, sentinel: sentinel}
+}
+
 type wrapped struct {
 	msg      string
 	sentinel error

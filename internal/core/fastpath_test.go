@@ -183,7 +183,7 @@ func TestPlanCacheInvalidatedOnFailover(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = RunClientNode(cfg, comms[r], func(cl *Client) error {
+			errs[r] = runClientNode(cfg, comms[r], func(cl *Client) error {
 				bufs := makeBufs(cl, specs, true)
 				if werr := cl.WriteArrays(".full", specs, bufs); werr != nil {
 					return fmt.Errorf("full-house write: %w", werr)

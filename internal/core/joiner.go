@@ -32,24 +32,11 @@ func RunJoinedServer(cfg Config, comm mpi.Comm, disk storage.Disk, slot int, eve
 	if every <= 0 {
 		every = cfg.HeartbeatInterval()
 	}
-	applyPackWorkers(cfg)
 	master := cfg.MasterServer()
-	// A send on a torn-down transport panics in the comm layer; for a
-	// joined server that just means the node is gone — exactly the
-	// condition the master's lease expiry handles — so both the serve
-	// loop and the heartbeats degrade to an error here instead.
-	send := func(b []byte) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		comm.Send(master, tagControl, b)
-		return true
-	}
-	if !send(encodeServerHello(slot)) {
-		return fmt.Errorf("core: joined server slot %d: transport closed before hello", slot)
-	}
+	// Sends on a torn-down transport are dropped by the comm layer; for
+	// a joined server that just means the node is gone — exactly the
+	// condition the master's lease expiry handles.
+	comm.Send(master, tagControl, encodeServerHello(slot))
 
 	done := make(chan struct{})
 	go func() {
@@ -65,9 +52,7 @@ func RunJoinedServer(cfg Config, comm mpi.Comm, disk storage.Disk, slot int, eve
 			case <-done:
 				return
 			case <-t.C:
-				if !send(encodeHeartbeat(slot)) {
-					return
-				}
+				comm.Send(master, tagControl, encodeHeartbeat(slot))
 			}
 		}
 	}()

@@ -623,7 +623,9 @@ func decodeStatus(r *rbuf) (statusFrame, error) {
 func encodeShutdown() []byte { return []byte{msgShutdown} }
 
 // Reconfig is a live update of the knobs a resident server may change
-// without restarting: the scheduler's shape and the pipeline depths.
+// without restarting: the scheduler's shape and the write pipeline
+// depth. (Read-ahead is not among them: a resident server always runs
+// the scheduler, whose reads go through the shared disk activity.)
 // Values follow SchedConfig/Config zero-value conventions (0 Quantum =
 // 1 MiB, 0 QueueDepth = 16, ...), except MaxInflight, where 0 means
 // "keep the current value" — a reconfig must never silently turn the
@@ -633,7 +635,6 @@ type Reconfig struct {
 	QueueDepth  int
 	Quantum     int64
 	Pipeline    int
-	ReadAhead   int
 	Weights     map[string]int
 }
 
@@ -644,7 +645,6 @@ func encodeReconfig(rc Reconfig) []byte {
 	w.u32(uint32(rc.QueueDepth))
 	w.u64(uint64(rc.Quantum))
 	w.u32(uint32(rc.Pipeline))
-	w.u32(uint32(rc.ReadAhead))
 	names := make([]string, 0, len(rc.Weights))
 	for t := range rc.Weights {
 		names = append(names, t)
@@ -668,7 +668,6 @@ func decodeReconfig(b []byte) (Reconfig, error) {
 	rc.QueueDepth = int(r.u32())
 	rc.Quantum = int64(r.u64())
 	rc.Pipeline = int(r.u32())
-	rc.ReadAhead = int(r.u32())
 	if n := int(r.u16()); n > 0 {
 		rc.Weights = make(map[string]int, n)
 		for i := 0; i < n; i++ {

@@ -265,7 +265,7 @@ func TestReassignmentCompletesDegraded(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = RunClientNode(cfg, comms[r], func(cl *Client) error {
+			errs[r] = runClientNode(cfg, comms[r], func(cl *Client) error {
 				barrier()
 				if cl.Rank() == 0 {
 					plan.CrashRank(victim)

@@ -5,22 +5,11 @@ import (
 	"sync"
 	"time"
 
-	"panda/internal/array"
 	"panda/internal/clock"
 	"panda/internal/mpi"
 	"panda/internal/storage"
 	"panda/internal/vtime"
 )
-
-// applyPackWorkers points the process-wide pack pool at the deployment's
-// PackWorkers knob. The pool only grows (array.SetPackWorkers ignores
-// shrinks of spawned workers but adopts the new width), and 0 means
-// "leave it alone", so concurrent deployments compose harmlessly.
-func applyPackWorkers(cfg Config) {
-	if cfg.PackWorkers > 0 {
-		array.SetPackWorkers(cfg.PackWorkers)
-	}
-}
 
 // tagAppDone carries the end-of-application handshake: every non-master
 // client tells the master client its application code has returned; the
@@ -32,42 +21,28 @@ const tagAppDone = 13
 // same collective calls in the same order on every rank (SPMD).
 type App func(cl *Client) error
 
-// clientMain wraps app with the shutdown handshake. With OpTimeout set
-// the handshake waits are bounded: a dead client cannot keep the
-// master from shutting the servers down (best-effort — the master
-// proceeds after one OpTimeout per missing peer).
+// clientMain wraps app with the shutdown handshake: every outstanding
+// submission is finished first (an op still on the wire must not race
+// the server drain), the non-masters tell the master their application
+// has returned, and the master then shuts the servers down. Off the
+// scheduler there are no handles to drain and no router to stop, and
+// collectAppDone receives directly. With OpTimeout set the handshake
+// waits are bounded: a dead client cannot keep the master from shutting
+// the servers down (best-effort — the master proceeds after one
+// OpTimeout per missing peer).
 func clientMain(cfg Config, comm mpi.Comm, clk clock.Clock, app App) error {
 	cl := NewClient(cfg, comm, clk)
 	err := app(cl)
-	if cfg.Sched.enabled() {
-		// Scheduler shutdown: finish every outstanding submission first
-		// (an op still on the wire must not race the server drain), then
-		// run the same handshake with the router relaying the master's
-		// appDone collection.
-		cl.drainHandles()
-		if cl.IsMaster() {
-			cl.collectAppDone()
-			for i := 0; i < cfg.NumServers; i++ {
-				comm.Send(cfg.ServerRank(i), tagControl, encodeShutdown())
-			}
-		} else {
-			comm.Send(cfg.MasterClient(), tagAppDone, nil)
-		}
-		cl.stopRouter()
-		return err
-	}
+	cl.drainHandles()
 	if cl.IsMaster() {
-		for i := 1; i < cfg.NumClients; i++ {
-			if _, herr := recvBounded(comm, clk, mpi.AnySource, tagAppDone, opDeadline(cfg, clk)); herr != nil {
-				break // a peer is gone or late; shut down anyway
-			}
-		}
+		cl.collectAppDone()
 		for i := 0; i < cfg.NumServers; i++ {
 			comm.Send(cfg.ServerRank(i), tagControl, encodeShutdown())
 		}
 	} else {
 		comm.Send(cfg.MasterClient(), tagAppDone, nil)
 	}
+	cl.stopRouter()
 	return err
 }
 
@@ -111,7 +86,6 @@ func RunWith(cfg Config, comms []mpi.Comm, disks []storage.Disk, app App) ([]err
 	if err != nil {
 		return nil, err
 	}
-	applyPackWorkers(cfg)
 	// One clock for the whole deployment: clients and servers compute
 	// OpTimeout deadlines relative to this clock's origin, so they must
 	// share it.
@@ -178,14 +152,6 @@ func SimDiskFactory(model storage.AIXModel) DiskFactory {
 	}
 }
 
-// FastDiskFactory builds the "infinitely fast disk" of the paper's
-// Figures 5, 6 and 9: writes and reads cost nothing.
-func FastDiskFactory() DiskFactory {
-	return func(i int, clk clock.Clock) storage.Disk {
-		return storage.NewNullDisk()
-	}
-}
-
 // SimHandle tracks one deployment spawned into a shared simulation.
 // Call Result only after the simulation's Run has returned.
 type SimHandle struct {
@@ -214,7 +180,6 @@ func SpawnSim(sim *vtime.Sim, prefix string, cfg Config, link mpi.LinkConfig, mk
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	applyPackWorkers(cfg)
 	world := mpi.NewSimWorld(sim, cfg.WorldSize(), link)
 	if cfg.Topology != nil {
 		world.SetTopology(cfg.Topology) // cfg.Validate checked it above
@@ -273,35 +238,4 @@ func RunSim(cfg Config, link mpi.LinkConfig, mkDisk DiskFactory, app App) (SimRe
 		return *h.res, err
 	}
 	return h.Result()
-}
-
-// RunClientNode runs one compute node against an arbitrary
-// communicator — the entry point for distributed deployments where
-// every node is its own process (e.g. over mpi.DialComm/TCP, the
-// paper's "network of ordinary workstations"). The communicator's rank
-// must be in [0, NumClients); app runs once and the shutdown handshake
-// follows, exactly as in RunReal.
-func RunClientNode(cfg Config, comm mpi.Comm, app App) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.IsServer(comm.Rank()) {
-		return fmt.Errorf("core: rank %d is a server rank", comm.Rank())
-	}
-	applyPackWorkers(cfg)
-	return clientMain(cfg, comm, clock.NewReal(), app)
-}
-
-// RunServerNode runs one I/O node against an arbitrary communicator
-// until the master client shuts the deployment down. The
-// communicator's rank must be in [NumClients, NumClients+NumServers).
-func RunServerNode(cfg Config, comm mpi.Comm, disk storage.Disk) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if !cfg.IsServer(comm.Rank()) {
-		return fmt.Errorf("core: rank %d is a client rank", comm.Rank())
-	}
-	applyPackWorkers(cfg)
-	return NewServer(cfg, comm, disk, clock.NewReal()).Serve()
 }

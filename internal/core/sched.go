@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"panda/internal/bufpool"
 	"panda/internal/clock"
@@ -35,9 +33,9 @@ import (
 //	executors — one per in-flight op: a shallow copy of the Server
 //	            running the unchanged single-op protocol (handleOp) on
 //	            its own concurrent activity, against a routedComm whose
-//	            receives come from the op's mailbox. Executors carry a
-//	            private Stats block the router merges into the node
-//	            totals at retirement, so per-op attribution is exact.
+//	            receives come from the op's mailbox. Each op counts into
+//	            a private block chained to the node totals (counters.go),
+//	            so per-op attribution is exact.
 //	disk      — executors route bulk data through the shared diskSched
 //	            (disksched.go), which batches and merges adjacent
 //	            requests across ops.
@@ -306,39 +304,15 @@ func (r *schedRouter) flushQueued() []*schedOp {
 }
 
 // recv is the router's single wait: every wake-up — protocol frames,
-// forwarded requests, executor completions — arrives here. With
-// OpTimeout set the wait is chopped so an idle router can notice the
-// master client's death, exactly like the legacy recvControl.
+// forwarded requests, executor completions — arrives here.
 func (r *schedRouter) recv() (mpi.Message, error) {
-	s := r.s
-	dc, bounded := s.comm.(mpi.DeadlineComm)
-	if s.cfg.OpTimeout <= 0 || !bounded {
-		return s.comm.Recv(mpi.AnySource, mpi.AnyTag), nil
-	}
-	for {
-		m, err := dc.RecvTimeout(mpi.AnySource, mpi.AnyTag, s.cfg.OpTimeout)
-		if err == nil {
-			return m, nil
-		}
-		if errors.Is(err, mpi.ErrTimeout) {
-			// A resident service idles between sessions by design; only
-			// fixed-shape deployments treat a vanished master client as
-			// the end of the world.
-			if !s.cfg.Service && r.inflight == 0 && r.queuedCount() == 0 {
-				if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.MasterClient()) {
-					return mpi.Message{}, fmt.Errorf("master client gone while idle: %w", ErrPeerLost)
-				}
-			}
-			continue
-		}
-		return mpi.Message{}, mapTransportErr(err)
-	}
+	return r.s.recvIdle(mpi.AnyTag, func() bool { return r.inflight > 0 || r.queuedCount() > 0 })
 }
 
 // route classifies one frame by tag and delivers it. The router never
-// counts routed frames into Stats — the executor that pops a frame
-// counts it, so the node totals stay exactly the sum of the per-op
-// blocks (plus the router-attributed FramesRejected/SchedBusy).
+// counts routed frames — the executor that pops a frame counts it, so
+// the node totals stay exactly the sum of the per-op blocks (plus the
+// router-attributed FramesRejected/SchedBusy).
 func (r *schedRouter) route(m mpi.Message) {
 	switch m.Tag {
 	case tagSchedDone:
@@ -391,8 +365,7 @@ func (r *schedRouter) route(m mpi.Message) {
 
 // reject drops a frame that must not reach any operation.
 func (r *schedRouter) reject(frame []byte) {
-	atomic.AddInt64(&r.s.stats.FramesRejected, 1)
-	r.s.met.framesRejected.Add(1)
+	r.s.node[cFramesRejected].Add(1)
 	bufpool.Put(frame)
 }
 
@@ -434,8 +407,7 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 		return
 	}
 	if !r.core.admit(op) {
-		atomic.AddInt64(&s.stats.SchedBusy, 1)
-		s.met.schedBusy.Add(1)
+		s.node[cSchedBusy].Add(1)
 		s.comm.Send(req.leader(s.cfg), tagToClient(seq), encodeStatus(msgComplete, req.Attempt, req.Round, ErrBusy))
 		bufpool.Put(op.raw)
 		return
@@ -552,7 +524,6 @@ func (r *schedRouter) applyReconfig(b []byte) {
 	s.cfg.Sched.Quantum = rc.Quantum
 	s.cfg.Sched.Weights = rc.Weights
 	s.cfg.Pipeline = rc.Pipeline
-	s.cfg.ReadAhead = rc.ReadAhead
 	if r.core != nil {
 		// The admission core keeps its own SchedConfig copy; re-tune it
 		// in place (the rng and queue state survive the reload).
@@ -584,8 +555,8 @@ func (r *schedRouter) dispatch() {
 }
 
 // start spawns the executor for one dispatched operation: a shallow
-// Server copy with a private Stats block, its own clock and trace lane,
-// a rebound disk for metadata, and a routedComm fed by the op mailbox.
+// Server copy with its own clock and trace lane, a rebound disk for
+// metadata, and a routedComm fed by the op mailbox.
 func (r *schedRouter) start(op *schedOp) {
 	s := r.s
 	r.stampMembership(op)
@@ -604,7 +575,8 @@ func (r *schedRouter) start(op *schedOp) {
 		cfg:         s.cfg,
 		index:       s.index,
 		met:         s.met,
-		stats:       &Stats{},
+		node:        s.node,
+		cnt:         s.node,
 		opFramed:    true,
 		tenant:      op.tenant,
 		dsched:      s.dsched,
@@ -630,9 +602,9 @@ func (r *schedRouter) start(op *schedOp) {
 	})
 }
 
-// retire folds a finished executor back into the node: merge its
-// private counters into the totals, release its conflict keys, expose
-// per-tenant accounting, and dispatch the next operation.
+// retire folds a finished executor back into the node: release its
+// conflict keys, expose per-tenant accounting, and dispatch the next
+// operation.
 func (r *schedRouter) retire(seq int, fatal bool) {
 	op, ok := r.ops[seq]
 	if !ok {
@@ -650,7 +622,6 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 	r.inflight--
 	s := r.s
 	s.met.schedInflight.Set(int64(r.inflight))
-	s.stats.merge(op.ex.stats)
 	if s.cfg.Metrics != nil {
 		label := op.tenant
 		if label == "" {

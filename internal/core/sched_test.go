@@ -637,14 +637,14 @@ func TestSchedServerCrashNoDeadlock(t *testing.T) {
 // operations must be rejected — counted, never delivered.
 func TestSchedFrameRoutingIsolation(t *testing.T) {
 	cfg := schedCfg(1, 1, 2)
-	s := &Server{cfg: cfg, stats: &Stats{}, met: newNodeMetrics(nil)}
+	s := &Server{cfg: cfg, node: newNodeCounters(nil), met: newNodeMetrics(nil)}
 	r := &schedRouter{
 		s:    s,
 		ops:  make(map[int]*schedOp),
 		done: map[int]bool{3: true},
 		core: newSchedCore(cfg.Sched),
 	}
-	rejected := func() int64 { return atomic.LoadInt64(&s.stats.FramesRejected) }
+	rejected := func() int64 { return s.Stats().FramesRejected }
 
 	// A data frame for a finished op.
 	r.route(mpi.Message{Tag: tagToServer(3), Data: []byte{msgSubData}})

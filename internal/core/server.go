@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"panda/internal/array"
@@ -30,12 +28,15 @@ type Server struct {
 	nextReqID uint32
 	opSeq     int   // sequence of the operation being handled
 	opBytes   int64 // payload bytes this server moved in the current operation
-	stats     *Stats
 
-	// Scheduler state. On the root server opFramed is false and stats
-	// is the node-global counter block. Executor copies (one per
-	// in-flight op, see sched.go) set opFramed, carry a private stats
-	// block that the router merges into the global at completion, and
+	// node is this node's counter block (what Stats reports); cnt is the
+	// block instrumentation points add to: the current operation's
+	// private block inside handleOp — chained to node — and node itself
+	// between operations.
+	node, cnt *counters
+
+	// Scheduler state. Executor copies (one per in-flight op, see
+	// sched.go) set opFramed, share the root server's node block, and
 	// route their disk traffic through dsched.
 	opFramed bool
 	tenant   string
@@ -91,78 +92,11 @@ type planEntry struct {
 	bytes int64
 }
 
-// Stats counts a node's traffic during collective operations. Fields
-// are mutated with atomic adds and snapshotted with atomic loads (via
-// the Stats accessors), so readers may sample a live node.
-type Stats struct {
-	// MsgsSent and BytesSent count outgoing protocol messages.
-	MsgsSent, BytesSent int64
-	// MsgsRecv and BytesRecv count incoming protocol messages.
-	MsgsRecv, BytesRecv int64
-	// ReorgBytes counts bytes moved by non-contiguous
-	// (reorganization) copies; natural chunking keeps this at zero.
-	ReorgBytes int64
-	// Timeouts counts deadline expiries and peer losses this node hit
-	// locally (always zero when Config.OpTimeout is unset).
-	Timeouts int64
-	// Retries counts sub-chunk pull re-requests this server issued to
-	// mask lost messages during writes.
-	Retries int64
-	// Aborts counts operations this node abandoned — on the master
-	// server, abort broadcasts sent; elsewhere, aborts obeyed.
-	Aborts int64
-	// Reassigns counts replanning rounds: a participant died mid-write
-	// and the master rebroadcast the request with the dead server's
-	// chunks reassigned across the survivors.
-	Reassigns int64
-	// RollForwards counts interrupted commits this server finished at
-	// read time: a decided epoch whose rename never happened, completed
-	// from its durable temp files before serving.
-	RollForwards int64
-	// Degraded counts collective operations that completed with one or
-	// more participants dead (writes after reassignment, reads served
-	// entirely by survivors).
-	Degraded int64
-	// OverlapNanos is disk time the staged engine hid behind network
-	// activity: the storage stage's busy time minus the network stage's
-	// waits on it, clamped at zero. Zero when the engine runs serially
-	// (Pipeline <= 1 and ReadAhead == 0).
-	OverlapNanos int64
-	// StallNanos is time the network stage spent blocked on the storage
-	// stage — writes waiting for a full write-behind queue, reads
-	// waiting for a prefetch, and end-of-array joins. High stalls mean
-	// the disk, not the network, bounds the operation.
-	StallNanos int64
-	// ContigBytes counts bytes moved through contiguous fast paths —
-	// the complement of ReorgBytes, so the two together split every
-	// byte moved by data placement.
-	ContigBytes int64
-	// FramesCoalesced counts data frames shipped as header + payload
-	// segments with no intermediate flattening copy (scatter-gather
-	// transports only; in-process delivery always pays one copy).
-	FramesCoalesced int64
-	// PlanHits and PlanMisses count plan-cache consultations on this
-	// server: a hit reuses the chunk assignment and sub-chunk schedule
-	// of an identical earlier operation instead of recomputing them.
-	PlanHits, PlanMisses int64
-	// FramesRejected counts frames refused by op-ID screening under the
-	// scheduler: a frame whose explicit operation ID contradicts the op
-	// its tag routed it to (stale, duplicate, or misdirected traffic)
-	// is dropped rather than absorbed into the wrong op's state.
-	FramesRejected int64
-	// SchedBusy counts operations refused at admission because the
-	// scheduler's bounded queue was full (returned as ErrBusy).
-	SchedBusy int64
-	// DiskMerges counts adjacent disk requests the scheduler's batch
-	// queue coalesced into single larger transfers across (and within)
-	// concurrent operations.
-	DiskMerges int64
-}
-
 // NewServer creates the server for one I/O node. disk is that node's
 // file system and clk its clock.
 func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *Server {
 	idx := cfg.ServerIndex(comm.Rank())
+	node := newNodeCounters(cfg.Metrics)
 	return &Server{
 		cfg:         cfg,
 		comm:        comm,
@@ -171,7 +105,8 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 		index:       idx,
 		tr:          cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
 		met:         newNodeMetrics(cfg.Metrics),
-		stats:       &Stats{},
+		node:        node,
+		cnt:         node,
 		lastSeq:     -1,
 		lastAttempt: -1,
 		lastRound:   -1,
@@ -180,7 +115,7 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 
 // Stats returns a race-clean snapshot of the server's traffic
 // counters; safe to call from any goroutine, even mid-operation.
-func (s *Server) Stats() Stats { return s.stats.snapshot() }
+func (s *Server) Stats() Stats { return s.node.snapshot() }
 
 // IsMaster reports whether this is the master server.
 func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() }
@@ -281,40 +216,46 @@ func (s *Server) nclients() int {
 }
 
 func (s *Server) countRecv(n int) {
-	atomic.AddInt64(&s.stats.MsgsRecv, 1)
-	atomic.AddInt64(&s.stats.BytesRecv, int64(n))
-	s.met.msgsRecv.Add(1)
-	s.met.bytesRecv.Add(int64(n))
+	s.cnt[cMsgsRecv].Add(1)
+	s.cnt[cBytesRecv].Add(int64(n))
 }
 
 // recvControl waits — idle, between operations — for the next request
-// or shutdown on the control tag. Without deadlines this is a plain
-// blocking receive. With deadlines it wakes every OpTimeout to check
-// whether the transport has declared the master client dead.
+// or shutdown on the control tag.
 func (s *Server) recvControl() (mpi.Message, error) {
+	m, err := s.recvIdle(tagControl, nil)
+	if err == nil {
+		s.countRecv(len(m.Data))
+	}
+	return m, err
+}
+
+// recvIdle is a serve loop's wait for its next frame. Without deadlines
+// it is a plain blocking receive. With deadlines it wakes every
+// OpTimeout: idle waits are unbounded and only failures end them, but a
+// fixed-shape deployment whose master client the transport has declared
+// dead can receive neither further work nor an orderly shutdown, so it
+// gives up — provided busy (nil = never) does not report work still in
+// hand. A resident service has no master client whose death could
+// orphan it; sessions come and go by design.
+func (s *Server) recvIdle(tag int, busy func() bool) (mpi.Message, error) {
 	dc, bounded := s.comm.(mpi.DeadlineComm)
 	if s.cfg.OpTimeout <= 0 || !bounded {
-		m := s.comm.Recv(mpi.AnySource, tagControl)
-		s.countRecv(len(m.Data))
-		return m, nil
+		return s.comm.Recv(mpi.AnySource, tag), nil
 	}
 	for {
-		m, err := dc.RecvTimeout(mpi.AnySource, tagControl, s.cfg.OpTimeout)
+		m, err := dc.RecvTimeout(mpi.AnySource, tag, s.cfg.OpTimeout)
 		if err == nil {
-			s.countRecv(len(m.Data))
 			return m, nil
 		}
-		if errors.Is(err, mpi.ErrTimeout) {
-			// A resident service has no master client whose death could
-			// orphan it; sessions come and go by design.
-			if !s.cfg.Service {
-				if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.MasterClient()) {
-					return mpi.Message{}, fmt.Errorf("master client gone while idle: %w", ErrPeerLost)
-				}
-			}
-			continue // idle waits are unbounded; only failures end them
+		if !errors.Is(err, mpi.ErrTimeout) {
+			return mpi.Message{}, mapTransportErr(err)
 		}
-		return mpi.Message{}, mapTransportErr(err)
+		if !s.cfg.Service && (busy == nil || !busy()) {
+			if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.MasterClient()) {
+				return mpi.Message{}, fmt.Errorf("master client gone while idle: %w", ErrPeerLost)
+			}
+		}
 	}
 }
 
@@ -351,10 +292,8 @@ func (s *Server) recvData(deadline, quiet time.Duration) (mpi.Message, error) {
 }
 
 func (s *Server) send(to, tag int, data []byte) {
-	atomic.AddInt64(&s.stats.MsgsSent, 1)
-	atomic.AddInt64(&s.stats.BytesSent, int64(len(data)))
-	s.met.msgsSent.Add(1)
-	s.met.bytesSent.Add(int64(len(data)))
+	s.cnt[cMsgsSent].Add(1)
+	s.cnt[cBytesSent].Add(int64(len(data)))
 	s.comm.SendOwned(to, tag, data)
 }
 
@@ -364,13 +303,10 @@ func (s *Server) send(to, tag int, data []byte) {
 // is borrowed only until the call returns.
 func (s *Server) sendVec(to, tag int, hdr, payload []byte) {
 	n := int64(len(hdr) + len(payload))
-	atomic.AddInt64(&s.stats.MsgsSent, 1)
-	atomic.AddInt64(&s.stats.BytesSent, n)
-	s.met.msgsSent.Add(1)
-	s.met.bytesSent.Add(n)
+	s.cnt[cMsgsSent].Add(1)
+	s.cnt[cBytesSent].Add(n)
 	if mpi.SendSegments(s.comm, to, tag, hdr, payload) {
-		atomic.AddInt64(&s.stats.FramesCoalesced, 1)
-		s.met.framesCoalesced.Add(1)
+		s.cnt[cFramesCoalesced].Add(1)
 	}
 	bufpool.Put(hdr)
 }
@@ -378,8 +314,7 @@ func (s *Server) sendVec(to, tag int, hdr, payload []byte) {
 // chargeContig accounts for n bytes moved through a contiguous fast
 // path — no reorganization copy, no CopyRate charge.
 func (s *Server) chargeContig(n int64) {
-	atomic.AddInt64(&s.stats.ContigBytes, n)
-	s.met.contigBytes.Add(n)
+	s.cnt[cContigBytes].Add(n)
 }
 
 // handleOp runs one collective operation end to end on this server.
@@ -389,8 +324,11 @@ func (s *Server) chargeContig(n int64) {
 func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal error) {
 	opStart := s.clk.Now()
 	s.opBytes = 0
-	retries0 := atomic.LoadInt64(&s.stats.Retries)
-	timeouts0 := atomic.LoadInt64(&s.stats.Timeouts)
+	// Everything this operation counts lands in its own block (and, by
+	// chaining, in the node's), so the summary attributes counters
+	// exactly even with other operations in flight on this node.
+	s.cnt = newOpCounters(s.node)
+	defer func() { s.cnt = s.node }()
 	finalErr := decodeErr
 	if s.tr.Enabled() || s.cfg.OpLog != nil {
 		defer func() {
@@ -399,26 +337,16 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 				s.tr.Span(obs.CatOp, opName(req.Op), s.opSeq, opStart, end, s.opBytes)
 			}
 			if s.cfg.OpLog != nil {
-				sum := OpSummary{
-					Server:   s.index,
-					Seq:      s.opSeq,
-					Op:       opName(req.Op),
-					Bytes:    s.opBytes,
-					Elapsed:  end - opStart,
-					Retries:  atomic.LoadInt64(&s.stats.Retries) - retries0,
-					Timeouts: atomic.LoadInt64(&s.stats.Timeouts) - timeouts0,
-					Err:      finalErr,
-					Tenant:   s.tenant,
-				}
-				if s.opFramed {
-					// Executor mode: stats is this op's private block, so
-					// the snapshot attributes counters exactly even with
-					// other ops in flight (the legacy delta would race).
-					sum.Stats = s.stats.snapshot()
-					sum.Retries = sum.Stats.Retries
-					sum.Timeouts = sum.Stats.Timeouts
-				}
-				s.cfg.OpLog(sum)
+				s.cfg.OpLog(OpSummary{
+					Server:  s.index,
+					Seq:     s.opSeq,
+					Op:      opName(req.Op),
+					Bytes:   s.opBytes,
+					Elapsed: end - opStart,
+					Err:     finalErr,
+					Tenant:  s.tenant,
+					Stats:   s.cnt.snapshot(),
+				})
 			}
 		}()
 	}
@@ -433,43 +361,20 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 		if s.cfg.StartupOverhead > 0 {
 			s.clk.Sleep(s.cfg.StartupOverhead)
 		}
-		if s.treeEnabled() && err == nil {
-			// Stamp already-known-dead servers into the request before it
-			// shapes the tree: round 0 then replans around them instead of
-			// routing a subtree through a corpse (see lostServers).
-			if lost := s.lostServers(deadSet(req.Deads)); len(lost) > 0 {
-				req.Deads = append(append([]int{}, req.Deads...), lost...)
-				sort.Ints(req.Deads)
-				s.curDeads = req.Deads
-				raw = encodeOpRequest(req)
-			}
+		if err == nil && s.stampLost(&req) {
+			raw = encodeOpRequest(req)
 		}
 		if err == nil && !s.cfg.PlainWrites {
 			s.resolveEpochs(&req)
 			raw = encodeOpRequest(req)
 		}
+	}
+	// Relay the request down the control tree before executing, so the
+	// broadcast completes in depth rounds without the master touching
+	// every rank (on flat schedules the tree is the master's star).
+	if kids := s.serverTreeChildren(deadSet(req.Deads)); s.IsMaster() || (err == nil && len(kids) > 0) {
 		s.tr.Instant(obs.CatCtl, "forward request", s.opSeq, s.clk.Now(), int64(len(raw)))
-		if s.treeEnabled() {
-			s.fanoutRaw(s.serverTreeChildren(deadSet(req.Deads)), tagControl, raw)
-		} else {
-			fwdDead := deadSet(req.Deads)
-			for i := 0; i < s.cfg.NumServers; i++ {
-				if fwdDead[i] {
-					continue // absent/lost/draining-for-writes slot: nobody there to serve it
-				}
-				if rank := s.cfg.ServerRank(i); rank != s.comm.Rank() {
-					cp := bufpool.GetRaw(len(raw))
-					copy(cp, raw)
-					s.send(rank, tagControl, cp)
-				}
-			}
-		}
-	} else if s.treeEnabled() && err == nil {
-		// Interior node of the request tree: forward to this node's
-		// children before executing, so the broadcast completes in
-		// depth rounds without the master touching every rank.
-		s.tr.Instant(obs.CatCtl, "forward request", s.opSeq, s.clk.Now(), int64(len(raw)))
-		s.fanoutRaw(s.serverTreeChildren(deadSet(req.Deads)), tagControl, raw)
+		s.fanoutRaw(kids, tagControl, raw)
 	}
 
 	if err == nil {
@@ -523,13 +428,11 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 			// data. When every missing participant is confirmed dead —
 			// not merely late — the collective completes without it.
 			if req.Op == opRead && status == nil && s.missingAllDead(participants, got) {
-				atomic.AddInt64(&s.stats.Degraded, 1)
-				s.met.degraded.Add(1)
+				s.cnt[cDegraded].Add(1)
 				s.tr.Instant(obs.CatRecover, "read completed degraded", s.opSeq, s.clk.Now(), 0)
 				break
 			}
-			atomic.AddInt64(&s.stats.Timeouts, 1)
-			s.met.timeouts.Add(1)
+			s.cnt[cTimeouts].Add(1)
 			if status == nil {
 				status = fmt.Errorf("core: master server: waiting for server completions: %w", rerr)
 			}
@@ -565,21 +468,9 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 		// Abort broadcast: unstick any server still waiting for pulls
 		// of this operation. Servers that already finished see the
 		// abort on a stale tag and never read it — harmless.
-		atomic.AddInt64(&s.stats.Aborts, 1)
-		s.met.aborts.Add(1)
+		s.cnt[cAborts].Add(1)
 		s.tr.Instant(obs.CatCtl, "abort broadcast", s.opSeq, s.clk.Now(), 0)
-		raw := encodeAbort(req.Attempt, req.Round, status)
-		if s.treeEnabled() {
-			s.fanoutRaw(s.serverTreeChildren(deadSet(req.Deads)), tagToServer(s.opSeq), raw)
-		} else {
-			for i := 0; i < s.cfg.NumServers; i++ {
-				if rank := s.cfg.ServerRank(i); rank != s.comm.Rank() {
-					cp := bufpool.GetRaw(len(raw))
-					copy(cp, raw)
-					s.send(rank, tagToServer(s.opSeq), cp)
-				}
-			}
-		}
+		s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, status))
 	}
 	finalErr = status
 	s.send(s.leaderRank(), tagToClient(s.opSeq), encodeStatus(msgComplete, req.Attempt, req.Round, status))
@@ -656,8 +547,7 @@ func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob,
 	key, cacheable := s.planKeyFor(ai, spec, dead)
 	if cacheable {
 		if e, ok := s.plans[key]; ok {
-			atomic.AddInt64(&s.stats.PlanHits, 1)
-			s.met.planHits.Add(1)
+			s.cnt[cPlanHits].Add(1)
 			return e.jobs, e.subs, e.bytes
 		}
 	}
@@ -668,8 +558,7 @@ func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob,
 		planned += sj.Bytes
 	}
 	if cacheable {
-		atomic.AddInt64(&s.stats.PlanMisses, 1)
-		s.met.planMisses.Add(1)
+		s.cnt[cPlanMisses].Add(1)
 		if len(s.plans) >= s.cfg.planCacheSize() {
 			s.plans = nil // cheap bound: restart rather than evict
 		}
@@ -872,16 +761,14 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 				for id, pend := range inflight {
 					for _, pc := range pend.job.Pieces {
 						if !pend.got[pieceKey(pend.job.ArrayIdx, pc.Region)] {
-							atomic.AddInt64(&s.stats.Retries, 1)
-							s.met.retries.Add(1)
+							s.cnt[cRetries].Add(1)
 							s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), s.encodeSubReqFrame(subReq{ArrayIdx: pend.job.ArrayIdx, ReqID: id, Region: pc.Region}))
 						}
 					}
 				}
 				continue
 			}
-			atomic.AddInt64(&s.stats.Timeouts, 1)
-			s.met.timeouts.Add(1)
+			s.cnt[cTimeouts].Add(1)
 			return rerr
 		}
 		r := rbuf{b: m.Data}
@@ -900,8 +787,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if frame.Attempt < s.curAttempt {
 				continue // abort of an attempt this server already left
 			}
-			atomic.AddInt64(&s.stats.Aborts, 1)
-			s.met.aborts.Add(1)
+			s.cnt[cAborts].Add(1)
 			status := frame.Err
 			if status == nil {
 				status = errors.New("core: operation aborted")
@@ -927,8 +813,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if t == msgSubDataOp && d.OpID != uint32(s.opSeq) {
 				// An op-scoped frame for some other operation: never
 				// deposit it into this op's state.
-				atomic.AddInt64(&s.stats.FramesRejected, 1)
-				s.met.framesRejected.Add(1)
+				s.cnt[cFramesRejected].Add(1)
 				bufpool.Put(m.Data)
 				continue
 			}
@@ -1037,8 +922,7 @@ func (s *Server) depositPiece(spec ArraySpec, pend *pending, d subData) (adopted
 
 // chargeReorg accounts for a strided copy of n bytes.
 func (s *Server) chargeReorg(n int64) {
-	atomic.AddInt64(&s.stats.ReorgBytes, n)
-	s.met.reorgBytes.Add(n)
+	s.cnt[cReorgBytes].Add(n)
 	if s.cfg.CopyRate > 0 {
 		t0 := s.clk.Now()
 		s.clk.Sleep(copyCost(n, s.cfg.CopyRate))
@@ -1140,8 +1024,7 @@ func (s *Server) checkReadInterrupt(deadline time.Duration) error {
 		return nil
 	}
 	if s.clk.Now() >= deadline {
-		atomic.AddInt64(&s.stats.Timeouts, 1)
-		s.met.timeouts.Add(1)
+		s.cnt[cTimeouts].Add(1)
 		return ErrTimeout
 	}
 	dc, ok := s.comm.(mpi.DeadlineComm)
@@ -1168,8 +1051,7 @@ func (s *Server) checkReadInterrupt(deadline time.Duration) error {
 	if frame.Attempt < s.curAttempt {
 		return nil // abort of an attempt this server already left
 	}
-	atomic.AddInt64(&s.stats.Aborts, 1)
-	s.met.aborts.Add(1)
+	s.cnt[cAborts].Add(1)
 	status := frame.Err
 	if status == nil {
 		status = errors.New("core: operation aborted")

@@ -56,9 +56,6 @@ type SessionInfo struct {
 	Tenant string
 }
 
-// Leader is the world rank of the session's coordinating member.
-func (si SessionInfo) Leader() int { return si.Ranks[0] }
-
 // Service is a resident Panda deployment: the server pool plus the
 // array catalog, accepting client sessions until drained.
 type Service struct {
@@ -158,7 +155,6 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 	if len(comms) != s.cfg.NumServers {
 		return fmt.Errorf("core: %d endpoints for %d servers", len(comms), s.cfg.NumServers)
 	}
-	applyPackWorkers(s.cfg)
 	s.send = send
 	if clk == nil {
 		clk = clock.NewReal()
@@ -179,7 +175,9 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 	}
 	if s.cfg.Members != nil {
 		s.watchStop = make(chan struct{})
-		go s.leaseWatchdog(clk)
+		// Lease settings are fixed at start; reading them here keeps the
+		// watchdog off s.cfg, which Reconfigure mutates under s.mu.
+		go s.leaseWatchdog(clk, s.cfg.Members, s.cfg.HeartbeatInterval())
 	}
 	return nil
 }
@@ -189,8 +187,7 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 // pool never sees it act; only remote joiners that stop heartbeating
 // are marked lost, which feeds the failover replanner exactly like a
 // transport-level death report.
-func (s *Service) leaseWatchdog(clk clock.Clock) {
-	every := s.cfg.HeartbeatInterval()
+func (s *Service) leaseWatchdog(clk clock.Clock, members *Membership, every time.Duration) {
 	for {
 		clk.Sleep(every)
 		select {
@@ -198,7 +195,7 @@ func (s *Service) leaseWatchdog(clk clock.Clock) {
 			return
 		default:
 		}
-		s.cfg.Members.ExpireLeases(clk.Now())
+		members.ExpireLeases(clk.Now())
 	}
 }
 
@@ -407,7 +404,6 @@ func (s *Service) Reconfigure(rc Reconfig) {
 	s.cfg.Sched.Quantum = rc.Quantum
 	s.cfg.Sched.Weights = rc.Weights
 	s.cfg.Pipeline = rc.Pipeline
-	s.cfg.ReadAhead = rc.ReadAhead
 	send := s.send
 	s.mu.Unlock()
 	if send == nil {

@@ -97,10 +97,6 @@ func (a ArraySpec) FileName(suffix string, server int) string {
 	return fmt.Sprintf("%s%s.%d", a.Name, suffix, server)
 }
 
-func validateSpecs(cfg Config, specs []ArraySpec) error {
-	return validateSpecsN(cfg, cfg.NumClients, specs)
-}
-
 // validateSpecsN validates specs against an explicit client-group size
 // (the session's member count under a service deployment).
 func validateSpecsN(cfg Config, nclients int, specs []ArraySpec) error {

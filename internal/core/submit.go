@@ -103,7 +103,7 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 			clk:       clk,
 			tr:        c.cfg.Trace.Track(fmt.Sprintf("client%d/op%d", c.Rank(), seq)),
 			met:       c.met,
-			stats:     &Stats{},
+			cnt:       c.cnt,
 			elapsedNs: c.elapsedNs,
 			opSeq:     seq + 1,
 			memIndex:  c.memIndex,
@@ -112,7 +112,6 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 		}
 		t0 := clk.Now()
 		operr := ec.collectiveSeq(op, suffix, specs, bufs, seq, chunkBytes, tenant)
-		c.stats.merge(ec.stats)
 		// Unregister before completing: late frames for this op must be
 		// rejected, not stashed forever.
 		under.Send(c.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(seq), false))
@@ -237,9 +236,10 @@ func (r *clientRouter) run(comm mpi.Comm) {
 	}
 }
 
-// collectAppDone is the master's end-of-application collection under
-// the scheduler: peers' tagAppDone frames arrive through the router.
-// Bounded per peer when OpTimeout is set, like the legacy handshake.
+// collectAppDone is the master's end-of-application collection: peers'
+// tagAppDone frames arrive through the router when one is running,
+// straight off the communicator otherwise. Bounded per peer when
+// OpTimeout is set.
 func (c *Client) collectAppDone() {
 	for i := 1; i < c.cfg.NumClients; i++ {
 		if c.router != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"panda/internal/array"
+	"panda/internal/clock"
 	"panda/internal/mpi"
 	"panda/internal/storage"
 )
@@ -39,7 +40,7 @@ func TestCollectiveIOOverTCP(t *testing.T) {
 				return
 			}
 			defer mpi.CloseComm(comm)
-			errs[r] = RunClientNode(cfg, comm, func(cl *Client) error {
+			errs[r] = runClientNode(cfg, comm, func(cl *Client) error {
 				bufs := makeBufs(cl, specs, true)
 				if err := cl.WriteArrays("", specs, bufs); err != nil {
 					return err
@@ -68,7 +69,7 @@ func TestCollectiveIOOverTCP(t *testing.T) {
 				return
 			}
 			defer mpi.CloseComm(comm)
-			errs[rank] = RunServerNode(cfg, comm, storage.NewMemDisk())
+			errs[rank] = runServerNode(cfg, comm, storage.NewMemDisk())
 		}(i)
 	}
 	wg.Wait()
@@ -82,15 +83,16 @@ func TestCollectiveIOOverTCP(t *testing.T) {
 	}
 }
 
-func TestRunNodeRankValidation(t *testing.T) {
-	cfg := Config{NumClients: 2, NumServers: 1}
-	w := mpi.NewWorld(cfg.WorldSize())
-	if err := RunClientNode(cfg, w.Comm(2), nil); err == nil {
-		t.Fatal("server rank accepted as client")
-	}
-	if err := RunServerNode(cfg, w.Comm(0), storage.NewMemDisk()); err == nil {
-		t.Fatal("client rank accepted as server")
-	}
+// runClientNode and runServerNode run one node of a fixed-shape
+// deployment against an arbitrary communicator, every node its own
+// goroutine — how the transport tests drive the protocol over real
+// sockets.
+func runClientNode(cfg Config, comm mpi.Comm, app App) error {
+	return clientMain(cfg, comm, clock.NewReal(), app)
+}
+
+func runServerNode(cfg Config, comm mpi.Comm, disk storage.Disk) error {
+	return NewServer(cfg, comm, disk, clock.NewReal()).Serve()
 }
 
 // TestCollectiveIOOverMesh runs the protocol over the direct-connection
@@ -122,10 +124,10 @@ func TestCollectiveIOOverMesh(t *testing.T) {
 			}
 			defer mpi.CloseMesh(comm)
 			if cfg.IsServer(r) {
-				errs[r] = RunServerNode(cfg, comm, storage.NewMemDisk())
+				errs[r] = runServerNode(cfg, comm, storage.NewMemDisk())
 				return
 			}
-			errs[r] = RunClientNode(cfg, comm, func(cl *Client) error {
+			errs[r] = runClientNode(cfg, comm, func(cl *Client) error {
 				bufs := makeBufs(cl, specs, true)
 				if err := cl.WriteArrays("", specs, bufs); err != nil {
 					return err
@@ -181,10 +183,10 @@ func TestBackToBackOpsOverTCPNoCrossTalk(t *testing.T) {
 			}
 			defer mpi.CloseComm(comm)
 			if cfg.IsServer(r) {
-				errs[r] = RunServerNode(cfg, comm, storage.NewMemDisk())
+				errs[r] = runServerNode(cfg, comm, storage.NewMemDisk())
 				return
 			}
-			errs[r] = RunClientNode(cfg, comm, func(cl *Client) error {
+			errs[r] = runClientNode(cfg, comm, func(cl *Client) error {
 				bufs := makeBufs(cl, specs, true)
 				for round := 0; round < 6; round++ {
 					if err := cl.WriteArrays("", specs, bufs); err != nil {

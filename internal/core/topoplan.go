@@ -7,41 +7,56 @@ import (
 	"panda/internal/mpi"
 )
 
-// Topology-aware communication schedules (Config.Topology != nil).
+// Communication schedules.
 //
 // Control plane: every master-originated broadcast — request relay,
 // abort, commit decision, reassignment rebroadcast (which doubles as
 // the membership-epoch announcement), and the client-side completion
-// relay — flows down a synthesized tree (mpi.TreeChildren: binomial,
-// rack-major two-level when the topology has racks) instead of a flat
-// O(N) fan-out at the master. Every receiver of such a frame forwards
-// it to its own children before acting on it, so a failure outcome
-// reaches the subtree even when the receiver then unwinds. The tree is
-// derived at each hop from frame content alone (the attempt's Deads
-// list), so no extra coordination state crosses the wire.
+// relay — flows down one tree, derived by controlChildren. With
+// Config.Topology set it is synthesized for the machine
+// (mpi.TreeChildren: binomial, rack-major two-level when the topology
+// has racks) instead of a flat O(N) fan-out at the master; with no
+// topology (or Config.FlatSchedules) it is the star — the root sends to
+// every member, leaves forward nothing — which is the paper's flat
+// schedule, frame for frame. Every receiver of such a frame forwards it
+// to its own children before acting on it, so a failure outcome reaches
+// the subtree even when the receiver then unwinds. The tree is derived
+// at each hop from frame content alone (the attempt's Deads list), so
+// no extra coordination state crosses the wire.
 //
-// Data plane: each server's pull schedule is reordered for the
-// topology (orderSubchunks below) — rack-affinity first, remaining
-// racks round-robin with a per-server stagger, and within each
-// sub-chunk the deepest links first.
-//
-// With Config.Topology nil none of this code runs and the protocol is
-// byte-identical to the flat paper schedule.
+// Data plane: with a topology each server's pull schedule is reordered
+// (orderSubchunks below) — rack-affinity first, remaining racks
+// round-robin with a per-server stagger, and within each sub-chunk the
+// deepest links first.
 
-// treeEnabled reports whether synthesized control schedules are on.
-func (s *Server) treeEnabled() bool { return s.cfg.Topology != nil && !s.cfg.FlatSchedules }
+// treeEnabled reports whether topology-synthesized schedules are on.
+func (c Config) treeEnabled() bool { return c.Topology != nil && !c.FlatSchedules }
+
+// controlChildren lists the world ranks self forwards a control frame
+// to, in a group of n members where member i has world rank rankOf(i),
+// member 0 is the root, and dead members are left out.
+func controlChildren(cfg Config, n int, rankOf func(int) int, dead map[int]bool, self int) []int {
+	star := !cfg.treeEnabled()
+	if star && self != rankOf(0) {
+		return nil // a star's leaves have no children
+	}
+	members := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if !dead[i] && !(star && i == 0) {
+			members = append(members, rankOf(i))
+		}
+	}
+	if star {
+		return members // the root reaches every other alive member, in index order
+	}
+	return mpi.TreeChildren(members, rankOf(0), self, cfg.Topology)
+}
 
 // serverTreeChildren returns the server world ranks this node forwards
 // a control frame to: its children in the broadcast tree over the
 // attempt's alive servers, rooted at the master server.
 func (s *Server) serverTreeChildren(dead map[int]bool) []int {
-	members := make([]int, 0, s.cfg.NumServers)
-	for i := 0; i < s.cfg.NumServers; i++ {
-		if !dead[i] {
-			members = append(members, s.cfg.ServerRank(i))
-		}
-	}
-	return mpi.TreeChildren(members, s.cfg.MasterServer(), s.comm.Rank(), s.cfg.Topology)
+	return controlChildren(s.cfg, s.cfg.NumServers, func(i int) int { return s.cfg.ServerRank(i) }, dead, s.comm.Rank())
 }
 
 // fanoutRaw delivers one already-encoded control frame to every rank
@@ -57,60 +72,51 @@ func (s *Server) fanoutRaw(dests []int, tag int, raw []byte) {
 	}
 }
 
-// lostServers lists server indexes, beyond those already in dead, that
-// the transport or the membership layer reports gone. The master stamps
-// these into a request before relaying it down the tree: a flat relay
-// tolerates a dead destination (nobody forwards through it), but a tree
-// must not route a subtree through a corpse, and stamping the frame
-// keeps every node's locally-derived tree identical.
-func (s *Server) lostServers(dead map[int]bool) []int {
+// stampLost adds to req.Deads the servers the transport or the
+// membership layer already reports gone, and reports whether it added
+// any. The master does this before relaying a request down a
+// synthesized tree: a tree must not route a subtree through a corpse,
+// and stamping the frame keeps every node's locally-derived tree
+// identical. A star tolerates a dead destination (nobody forwards
+// through it), so flat schedules leave the request alone and find the
+// dead the way the paper's protocol does.
+func (s *Server) stampLost(req *opRequest) bool {
 	pc, pok := s.comm.(mpi.PeerChecker)
 	mem := s.cfg.Members
-	if !pok && mem == nil {
-		return nil
+	if !s.cfg.treeEnabled() || (!pok && mem == nil) {
+		return false
 	}
-	var out []int
+	dead := deadSet(req.Deads)
+	var lost []int
 	for i := 0; i < s.cfg.NumServers; i++ {
 		if i == s.index || dead[i] {
 			continue
 		}
 		if (pok && pc.PeerLost(s.cfg.ServerRank(i))) || (mem != nil && mem.Gone(i)) {
-			out = append(out, i)
+			lost = append(lost, i)
 		}
 	}
-	return out
+	if len(lost) == 0 {
+		return false
+	}
+	req.Deads = append(append([]int{}, req.Deads...), lost...)
+	sort.Ints(req.Deads)
+	s.curDeads = req.Deads
+	return true
 }
 
-// forwardTree re-forwards a received control frame down the tree: the
-// interior-node half of a tree broadcast. No-op when schedules are
-// flat (the master reached everyone directly) or on the master itself
-// (it originated the frame).
+// forwardTree re-forwards a received control frame to this node's
+// children: the interior-node half of a broadcast.
 func (s *Server) forwardTree(raw []byte, tag int, deads []int) {
-	if !s.treeEnabled() || s.IsMaster() {
-		return
-	}
 	s.fanoutRaw(s.serverTreeChildren(deadSet(deads)), tag, raw)
 }
 
-// broadcastVerdict delivers a coordinator frame (commit decision,
+// broadcastVerdict originates a coordinator frame (commit decision,
 // abort, or reassignment request) to the attempt's participants on the
-// operation's server tag: this node's tree children when topology
-// schedules are on, every alive participant otherwise. The frame is
-// encoded exactly once by the caller.
+// operation's server tag. The frame is encoded exactly once by the
+// caller.
 func (s *Server) broadcastVerdict(deads []int, raw []byte) {
-	if s.treeEnabled() {
-		s.fanoutRaw(s.serverTreeChildren(deadSet(deads)), tagToServer(s.opSeq), raw)
-		return
-	}
-	dead := deadSet(deads)
-	for i := 0; i < s.cfg.NumServers; i++ {
-		if i == s.index || dead[i] {
-			continue
-		}
-		cp := bufpool.GetRaw(len(raw))
-		copy(cp, raw)
-		s.send(s.cfg.ServerRank(i), tagToServer(s.opSeq), cp)
-	}
+	s.forwardTree(raw, tagToServer(s.opSeq), deads)
 }
 
 // orderSubchunks reorders one server's pull schedule in place for the
@@ -175,8 +181,8 @@ func orderPieces(pieces []piece, topo *mpi.Topology, selfRank int, clientRank fu
 // schedules are on; pass-through otherwise. The subs slice must be
 // freshly built (the reorder is in place).
 func (s *Server) orderPlan(subs []subchunkJob) []subchunkJob {
-	if topo := s.cfg.Topology; topo != nil && !s.cfg.FlatSchedules {
-		orderSubchunks(subs, topo, s.comm.Rank(), s.index, s.cfg.WorldSize(), s.clientRank)
+	if s.cfg.treeEnabled() {
+		orderSubchunks(subs, s.cfg.Topology, s.comm.Rank(), s.index, s.cfg.WorldSize(), s.clientRank)
 	}
 	return subs
 }

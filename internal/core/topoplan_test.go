@@ -351,7 +351,7 @@ func TestChaosTopoInteriorServerCrash(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = RunClientNode(cfg, comms[r], func(cl *Client) error {
+			errs[r] = runClientNode(cfg, comms[r], func(cl *Client) error {
 				bufs := makeBufs(cl, specs, true)
 				barrier()
 				if cl.Rank() == 0 {

@@ -439,7 +439,7 @@ func runOverTCP(t *testing.T, cfg Config, wrap func(rank int, c mpi.Comm) mpi.Co
 				stats[i] = srv.Stats()
 				return
 			}
-			errs[r] = RunClientNode(cfg, wrapped, app)
+			errs[r] = runClientNode(cfg, wrapped, app)
 		}(r)
 	}
 	wg.Wait()
@@ -606,15 +606,13 @@ func TestOpSummaryCallback(t *testing.T) {
 	if want := specs[0].TotalBytes(); wrote != want || read != want {
 		t.Errorf("summaries account for %d written / %d read bytes, want %d", wrote, read, want)
 	}
-	if s := sums[0]; s.MBs() <= 0 {
-		t.Errorf("MBs() = %v for %+v", s.MBs(), s)
-	}
 }
 
-// TestOpSummaryJSONRoundTrips pins the OpSummary field set: a rename
-// breaks operator tooling that scrapes the log lines or status page.
+// TestOpSummaryJSONRoundTrips pins the OpSummary field set (the
+// per-operation counters travel inside Stats): a rename breaks operator
+// tooling that scrapes the daemon's events.
 func TestOpSummaryJSONRoundTrips(t *testing.T) {
-	s := OpSummary{Server: 1, Seq: 2, Op: "write", Bytes: 3 << 20, Elapsed: time.Second, Retries: 4, Timeouts: 5}
+	s := OpSummary{Server: 1, Seq: 2, Op: "write", Bytes: 3 << 20, Elapsed: time.Second, Stats: Stats{Retries: 4, Timeouts: 5}}
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -623,8 +621,5 @@ func TestOpSummaryJSONRoundTrips(t *testing.T) {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("OpSummary JSON lost field %s: %s", key, data)
 		}
-	}
-	if s.MBs() != 3.0 {
-		t.Errorf("MBs() = %v, want 3.0", s.MBs())
 	}
 }

@@ -337,21 +337,30 @@ func (c *meshComm) Send(to, tag int, data []byte) {
 	}
 	p, err := c.peerFor(to)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: mesh send to %d: %v", to, err))
+		c.markPeerDead(to) // cannot reach the peer: drop the frame, as linkDown does
+		return
 	}
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[0:], uint32(tag)+1)
 	binary.BigEndian.PutUint32(hdr[4:], uint32(len(data)))
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	if _, err := p.conn.Write(hdr[:]); err != nil {
-		panic(fmt.Sprintf("mpi: mesh send to %d: %v", to, err))
+	_, err = p.conn.Write(hdr[:])
+	if err == nil && len(data) > 0 {
+		_, err = p.conn.Write(data)
 	}
-	if len(data) > 0 {
-		if _, err := p.conn.Write(data); err != nil {
-			panic(fmt.Sprintf("mpi: mesh send to %d: %v", to, err))
-		}
+	if err != nil {
+		c.linkDown(to, p)
 	}
+}
+
+// linkDown handles a failed write to a peer: the frame is dropped, the
+// peer is marked dead so bounded receives waiting on it fail with
+// ErrPeerLost, and the connection is closed so a half-written frame can
+// never be followed by more bytes.
+func (c *meshComm) linkDown(to int, p *meshPeer) {
+	c.markPeerDead(to)
+	p.conn.Close()
 }
 
 func (c *meshComm) SendOwned(to, tag int, data []byte) { c.Send(to, tag, data) }
@@ -372,7 +381,8 @@ func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	}
 	p, err := c.peerFor(to)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: mesh send to %d: %v", to, err))
+		c.markPeerDead(to)
+		return false
 	}
 	var wire [8]byte
 	binary.BigEndian.PutUint32(wire[0:], uint32(tag)+1)
@@ -381,7 +391,7 @@ func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if _, err := bufs.WriteTo(p.conn); err != nil {
-		panic(fmt.Sprintf("mpi: mesh send to %d: %v", to, err))
+		c.linkDown(to, p)
 	}
 	return true
 }

@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // startMeshWorld spins up a registry and one mesh endpoint per rank.
@@ -172,5 +174,24 @@ func TestMeshRegistryRejectsWrongSize(t *testing.T) {
 func TestMeshJoinValidatesRank(t *testing.T) {
 	if _, err := JoinMesh("127.0.0.1:1", 7, 3); err == nil {
 		t.Fatal("out-of-range rank accepted")
+	}
+}
+
+// TestMeshSendToDeadPeerIsTypedNotFatal: once a peer is gone — its
+// listener closed, its sockets reset — sends to it are dropped and the
+// loss surfaces as ErrPeerLost on a bounded receive, never as a panic.
+func TestMeshSendToDeadPeerIsTypedNotFatal(t *testing.T) {
+	comms, cleanup := startMeshWorld(t, 2)
+	defer cleanup()
+	comms[0].Send(1, 1, []byte("hello")) // establishes the 0 -> 1 link
+	comms[1].Recv(0, 1)
+	CloseMesh(comms[1])
+	payload := make([]byte, 1<<20)
+	for i := 0; i < 16; i++ { // enough to overrun the socket buffer of a dead reader
+		comms[0].Send(1, 2, payload)
+		SendSegments(comms[0], 1, 2, payload[:16], payload)
+	}
+	if _, err := comms[0].(DeadlineComm).RecvTimeout(1, 3, 5*time.Second); !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("err = %v, want ErrPeerLost", err)
 	}
 }

@@ -3,10 +3,12 @@ package mpi
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"panda/internal/bufpool"
@@ -23,7 +25,13 @@ import (
 // Frame format (all big-endian):
 //
 //	hello:  u32 magic | u32 rank | u32 size
+//	ack:    u32 magic                       (hub → rank, once registered)
 //	data:   u32 to    | u32 source | u32 tag+1 | u32 len | payload
+//
+// The hub acknowledges a hello only after it has recorded the
+// connection, and DialComm returns only after reading the ack: a frame
+// sent to a rank whose DialComm has returned is never dropped for want
+// of a registration.
 //
 // A wire tag of zero (impossible for data, whose tags are stored +1)
 // marks a control frame. When a rank's connection drops, the hub
@@ -116,6 +124,9 @@ func (h *Hub) Serve() error {
 		}
 		h.conns[rank] = conn
 		h.mu.Unlock()
+		if err := writeAck(conn); err != nil {
+			return err
+		}
 	}
 	// Route phase: one goroutine per source. When a source's connection
 	// ends — orderly or not — the survivors are told so their pending
@@ -205,12 +216,16 @@ func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
 	}
 	// Register, waiting briefly for a live predecessor on the same rank
 	// to finish disconnecting (a freed rank can be re-issued while its
-	// old connection's FIN is still in flight).
+	// old connection's FIN is still in flight). The rank's write lock is
+	// held from registration through the ack, so no routed frame can
+	// reach the new connection ahead of it.
 	revived := false
 	for attempt := 0; ; attempt++ {
+		h.wmu[rank].Lock()
 		h.mu.Lock()
 		if h.closed {
 			h.mu.Unlock()
+			h.wmu[rank].Unlock()
 			conn.Close()
 			return
 		}
@@ -219,9 +234,12 @@ func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
 			delete(h.dead, rank)
 			h.conns[rank] = conn
 			h.mu.Unlock()
+			writeAck(conn) //nolint:errcheck // a broken conn fails its first routed read
+			h.wmu[rank].Unlock()
 			break
 		}
 		h.mu.Unlock()
+		h.wmu[rank].Unlock()
 		if attempt > 100 { // ~2 s: the predecessor is wedged, refuse
 			conn.Close()
 			return
@@ -239,45 +257,6 @@ func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
 	}
 	h.mu.Unlock()
 	conn.Close()
-}
-
-// announceRevival broadcasts a control frame with payload {1}: rank is
-// back, clear its death mark.
-func (h *Hub) announceRevival(rank int) {
-	h.mu.Lock()
-	type target struct {
-		rank int
-		conn net.Conn
-	}
-	var targets []target
-	for r, c := range h.conns {
-		if r != rank && !h.dead[r] {
-			targets = append(targets, target{r, c})
-		}
-	}
-	h.mu.Unlock()
-
-	var frame [17]byte
-	binary.BigEndian.PutUint32(frame[4:], uint32(rank))
-	binary.BigEndian.PutUint32(frame[8:], tagControlWire)
-	binary.BigEndian.PutUint32(frame[12:], 1)
-	frame[16] = 1
-	for _, t := range targets {
-		binary.BigEndian.PutUint32(frame[0:], uint32(t.rank))
-		h.wmu[t.rank].Lock()
-		t.conn.Write(frame[:]) //nolint:errcheck // best effort
-		h.wmu[t.rank].Unlock()
-	}
-}
-
-// Registered reports whether rank currently has a live mesh
-// connection. Registration happens asynchronously after a dial, so a
-// service injecting control frames at its own ranks must see them
-// registered first.
-func (h *Hub) Registered(rank int) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.conns[rank] != nil && !h.dead[rank]
 }
 
 // Inject delivers a frame to rank `to` as if sent by `to` itself — the
@@ -324,6 +303,15 @@ func (h *Hub) Close() error {
 	return err
 }
 
+// writeAck tells a freshly recorded rank connection that the hub will
+// now route to it.
+func writeAck(conn net.Conn) error {
+	var ack [4]byte
+	binary.BigEndian.PutUint32(ack[:], tcpMagic)
+	_, err := conn.Write(ack[:])
+	return err
+}
+
 func (h *Hub) handshake(conn net.Conn) (int, error) {
 	var buf [12]byte
 	if _, err := io.ReadFull(conn, buf[:]); err != nil {
@@ -343,16 +331,26 @@ func (h *Hub) handshake(conn net.Conn) (int, error) {
 	return rank, nil
 }
 
-// announceDeath marks a rank dead and broadcasts a peer-death control
-// frame to every surviving rank. Write failures are ignored: a survivor
-// that is itself dying needs no notification.
-func (h *Hub) announceDeath(rank int) {
+// announceDeath marks a rank dead and tells every surviving rank.
+func (h *Hub) announceDeath(rank int) { h.announce(rank, false) }
+
+// announceRevival tells every surviving rank that a freed rank is back
+// (its registration already cleared the death mark here).
+func (h *Hub) announceRevival(rank int) { h.announce(rank, true) }
+
+// announce broadcasts a hub control frame about rank to every other
+// live rank: payload-less for a death (recorded here first, announced
+// once), payload {1} for a revival. Write failures are ignored: a
+// survivor that is itself dying needs no notification.
+func (h *Hub) announce(rank int, revival bool) {
 	h.mu.Lock()
-	if h.dead[rank] {
-		h.mu.Unlock()
-		return
+	if !revival {
+		if h.dead[rank] {
+			h.mu.Unlock()
+			return
+		}
+		h.dead[rank] = true
 	}
-	h.dead[rank] = true
 	type target struct {
 		rank int
 		conn net.Conn
@@ -365,25 +363,37 @@ func (h *Hub) announceDeath(rank int) {
 	}
 	h.mu.Unlock()
 
-	var hdr [16]byte
-	binary.BigEndian.PutUint32(hdr[4:], uint32(rank))
-	binary.BigEndian.PutUint32(hdr[8:], tagControlWire)
+	frame := make([]byte, 16, 17)
+	binary.BigEndian.PutUint32(frame[4:], uint32(rank))
+	binary.BigEndian.PutUint32(frame[8:], tagControlWire)
+	if revival {
+		binary.BigEndian.PutUint32(frame[12:], 1)
+		frame = append(frame, 1)
+	}
 	for _, t := range targets {
-		binary.BigEndian.PutUint32(hdr[0:], uint32(t.rank))
+		binary.BigEndian.PutUint32(frame[0:], uint32(t.rank))
 		h.wmu[t.rank].Lock()
-		t.conn.Write(hdr[:]) //nolint:errcheck // best effort
+		t.conn.Write(frame) //nolint:errcheck // best effort
 		h.wmu[t.rank].Unlock()
 	}
 }
 
-// route forwards frames from one source connection until EOF.
+// isDisconnect reports whether a read error means the peer went away
+// rather than misbehaved: a clean EOF, or the reset the kernel sends for
+// a peer that closed with unread frames (death announcements, typically)
+// still in its socket buffer.
+func isDisconnect(err error) bool {
+	return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
+}
+
+// route forwards frames from one source connection until it disconnects.
 func (h *Hub) route(source int, conn net.Conn) error {
 	r := bufio.NewReaderSize(conn, 256<<10)
 	var hdr [16]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil // orderly disconnect
+			if isDisconnect(err) {
+				return nil
 			}
 			return fmt.Errorf("mpi: hub route from %d: %w", source, err)
 		}
@@ -392,6 +402,9 @@ func (h *Hub) route(source int, conn net.Conn) error {
 		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull; recycled after relay
 		if _, err := io.ReadFull(r, payload); err != nil {
 			bufpool.Put(payload)
+			if isDisconnect(err) {
+				return nil
+			}
 			return fmt.Errorf("mpi: hub route from %d: %w", source, err)
 		}
 		h.mu.Lock()
@@ -435,8 +448,9 @@ type tcpComm struct {
 }
 
 // DialComm connects rank to the hub at addr in a world of the given
-// size. The returned Comm is ready once every rank has dialed; Close
-// the underlying connection by calling CloseComm when done.
+// size, returning once the hub has acknowledged the registration. On a
+// static hub traffic flows once every rank has dialed; close the
+// underlying connection by calling CloseComm when done.
 func DialComm(addr string, rank, size int) (Comm, error) {
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, size)
@@ -452,6 +466,11 @@ func DialComm(addr string, rank, size int) (Comm, error) {
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
 		return nil, err
+	}
+	var ack [4]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil || binary.BigEndian.Uint32(ack[:]) != tcpMagic {
+		conn.Close()
+		return nil, fmt.Errorf("mpi: hub refused rank %d: %v", rank, err)
 	}
 	c := &tcpComm{rank: rank, size: size, conn: conn, box: &mailbox{}, peerDead: make(map[int]bool)}
 	c.box.cond.L = &c.box.mu
@@ -516,9 +535,10 @@ func (c *tcpComm) reader() {
 	}
 }
 
-// failReads records the connection error and wakes blocked receivers,
-// which then panic with the transport failure (Comm's interface has no
-// error returns; a dead link is unrecoverable for an SPMD run).
+// failReads records the connection error and wakes blocked receivers:
+// plain Recv then panics with the transport failure (Comm's interface
+// has no error returns; a dead link is unrecoverable for an SPMD run),
+// bounded receives fail with ErrPeerLost.
 func (c *tcpComm) failReads(err error) {
 	c.box.mu.Lock()
 	c.readErr = err
@@ -539,14 +559,23 @@ func (c *tcpComm) Send(to, tag int, data []byte) {
 	binary.BigEndian.PutUint32(hdr[12:], uint32(len(data)))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.conn.Write(hdr[:]); err != nil {
-		panic(fmt.Sprintf("mpi: tcp send: %v", err))
+	_, err := c.conn.Write(hdr[:])
+	if err == nil && len(data) > 0 {
+		_, err = c.conn.Write(data)
 	}
-	if len(data) > 0 {
-		if _, err := c.conn.Write(data); err != nil {
-			panic(fmt.Sprintf("mpi: tcp send: %v", err))
-		}
+	if err != nil {
+		c.linkDown(err)
 	}
+}
+
+// linkDown handles a failed write: the frame is dropped, the link is
+// marked down exactly as a failed read marks it, and the connection is
+// closed so a half-written frame can never be followed by more bytes.
+// The sender learns of the loss the way it learns of any other — its
+// bounded receives fail with ErrPeerLost.
+func (c *tcpComm) linkDown(err error) {
+	c.failReads(fmt.Errorf("send: %w", err))
+	c.conn.Close()
 }
 
 func (c *tcpComm) SendOwned(to, tag int, data []byte) { c.Send(to, tag, data) }
@@ -567,7 +596,7 @@ func (c *tcpComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if _, err := bufs.WriteTo(c.conn); err != nil {
-		panic(fmt.Sprintf("mpi: tcp send: %v", err))
+		c.linkDown(err)
 	}
 	return true
 }

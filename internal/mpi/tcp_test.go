@@ -350,3 +350,109 @@ func TestTCPStress(t *testing.T) {
 		}
 	})
 }
+
+// TestHubRegistrationIsSynchronous: a rank whose DialComm has returned
+// is registered at the hub, so ranks dialed back to back from one
+// goroutine can be addressed at once. A dynamic hub drops frames for an
+// unregistered rank, so without the hello ack the last rank loses the
+// first frame sent to it.
+func TestHubRegistrationIsSynchronous(t *testing.T) {
+	const size, rounds = 4, 200
+	for _, dynamic := range []bool{true, false} {
+		for round := 0; round < rounds; round++ {
+			hub, err := ListenHub("127.0.0.1:0", size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			if dynamic {
+				go func() { done <- hub.ServeDynamic(nil) }()
+			} else {
+				go func() { done <- hub.Serve() }()
+			}
+			comms := make([]Comm, size)
+			for r := range comms {
+				if comms[r], err = DialComm(hub.Addr(), r, size); err != nil {
+					t.Fatalf("dynamic=%v round %d rank %d: %v", dynamic, round, r, err)
+				}
+			}
+			comms[0].Send(size-1, 7, []byte{byte(round)})
+			m, err := comms[size-1].(DeadlineComm).RecvTimeout(0, 7, 10*time.Second)
+			if err != nil {
+				t.Fatalf("dynamic=%v round %d: first frame lost: %v", dynamic, round, err)
+			}
+			if m.Data[0] != byte(round) {
+				t.Fatalf("dynamic=%v round %d: got %v", dynamic, round, m.Data)
+			}
+			for _, c := range comms {
+				CloseComm(c)
+			}
+			if dynamic {
+				hub.Close()
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("dynamic=%v round %d: hub: %v", dynamic, round, err)
+			}
+		}
+	}
+}
+
+// TestTCPSendOnClosedLinkIsTypedNotFatal closes a rank's connection
+// under a stream of in-flight writes: the writer must not panic, and
+// both ends must see ErrPeerLost from their bounded receives.
+func TestTCPSendOnClosedLinkIsTypedNotFatal(t *testing.T) {
+	comms, _ := startTCPWorld(t, 2)
+	payload := make([]byte, 1<<20)
+	started := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < 64; i++ {
+			if i == 1 {
+				close(started)
+			}
+			comms[0].Send(1, 3, payload)
+			SendSegments(comms[0], 1, 3, payload[:16], payload)
+		}
+	}()
+	<-started
+	CloseComm(comms[0])
+	<-finished // a panic in the sender would have killed the test binary
+	if _, err := comms[0].(DeadlineComm).RecvTimeout(AnySource, 9, 5*time.Second); !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("sender: err = %v, want ErrPeerLost", err)
+	}
+	if _, err := comms[1].(DeadlineComm).RecvTimeout(0, 9, 5*time.Second); !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("receiver: err = %v, want ErrPeerLost", err)
+	}
+	CloseComm(comms[1])
+}
+
+// TestHubTeardownEveryOrder closes the ranks of a static world in every
+// order while each still has unread frames (data and, for all but the
+// first to close, death announcements) in its socket buffer. The kernel
+// answers such a close with a reset; the hub must treat it as the
+// disconnect it is, keep routing for the others, and exit cleanly.
+func TestHubTeardownEveryOrder(t *testing.T) {
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, order := range orders {
+		for round := 0; round < 10; round++ {
+			comms, cleanup := startTCPWorld(t, 3)
+			for _, c := range comms {
+				for peer := range comms {
+					if peer != c.Rank() {
+						for i := 0; i < 8; i++ {
+							c.Send(peer, i, bytes.Repeat([]byte{1}, 4096))
+						}
+					}
+				}
+			}
+			// One delivery proves the hub is routing before teardown starts;
+			// everything else stays unread.
+			comms[order[2]].Recv(order[0], 0)
+			for _, r := range order {
+				CloseComm(comms[r])
+			}
+			cleanup() // closes again (harmless) and fails the test on a hub error
+		}
+	}
+}

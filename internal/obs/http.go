@@ -20,9 +20,8 @@ import (
 // reg and rec may be nil (their sections render as disabled); status
 // may be nil. draining, when non-nil, reports whether the deployment
 // is refusing new work — a resident daemon passes its drain flag so
-// /status stops claiming "serving" while a drain runs; fixed-shape
-// nodes pass nil. pandanode mounts this behind its -http flag, and
-// pandad mounts it under the daemon telemetry plane.
+// /status stops claiming "serving" while a drain runs. pandad mounts
+// this under the daemon telemetry plane.
 func Handler(reg *Registry, rec *Recorder, status func(w io.Writer), draining func() bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -159,12 +159,23 @@ func LabelName(base string, kv ...string) string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing atomic counter. A counter may
+// chain to a parent: every Add then also lands on the parent, and on its
+// parent in turn, so a fine-grained counter and the totals it belongs to
+// are one event counted once at the source.
+type Counter struct {
+	v  atomic.Int64
+	up *Counter
+}
 
-// Add increments the counter; no-op on nil.
+// ChainTo makes parent receive every subsequent Add to c. Call it
+// before the counter is shared; nil unchains.
+func (c *Counter) ChainTo(parent *Counter) { c.up = parent }
+
+// Add increments the counter and every counter it chains to; no-op on
+// nil.
 func (c *Counter) Add(n int64) {
-	if c != nil {
+	for ; c != nil; c = c.up {
 		c.v.Add(n)
 	}
 }

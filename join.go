@@ -18,7 +18,7 @@ import (
 // control protocol, dials the daemon's rank mesh at that slot's server
 // rank, and serves collectives as a full member — heartbeating to keep
 // its lease — until the operator drains it out (pandastat drain-server)
-// or it dies and the lease lapses. cmd/pandanode -join wraps this in a
+// or it dies and the lease lapses. cmd/pandad -join wraps this in a
 // process.
 
 // IONodeConfig configures a joining I/O node.
@@ -82,24 +82,10 @@ func JoinIONode(cfg IONodeConfig) (*IONode, error) {
 	}
 	if !rep.OK {
 		conn.Close()
-		return nil, errFromCode(rep.Code, rep.Error)
+		return nil, core.SentinelError(rep.Code, rep.Error)
 	}
 
-	// The daemon's advertised deployment shape, reconstructed the same
-	// way a session member does it (plus the server-side pipeline
-	// tuning). Membership stays nil: the joiner plans purely from the
-	// Deads lists stamped on incoming requests.
-	ccfg := core.Config{
-		NumClients:    rep.Clients,
-		NumServers:    rep.Servers,
-		SubchunkBytes: rep.Subchunk,
-		OpTimeout:     time.Duration(rep.OpTimeoutNs),
-		PullRetries:   rep.PullRetries,
-		Pipeline:      rep.Pipeline,
-		ReadAhead:     rep.ReadAhead,
-		Service:       true,
-		Sched:         core.SchedConfig{MaxInflight: rep.MaxInflight},
-	}
+	ccfg := rep.coreConfig()
 
 	var disk storage.Disk
 	if cfg.Dir == "" {

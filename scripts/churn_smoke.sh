@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # churn_smoke.sh — black-box churn battery for the elastic server pool:
 # a pandad daemon with spare pool capacity takes two runtime joiners
-# (pandanode -join), one is SIGKILLed and must be declared lost by its
+# (pandad -join), one is SIGKILLed and must be declared lost by its
 # lease, the arrays are rewritten around the corpse and read back
 # bit-exact, the surviving joiner is drained out with its data migrated
 # off, and the daemon exits through a clean SIGTERM drain with every
@@ -20,7 +20,6 @@ ADDRFILE="$OUT/addr"
 HTTPADDRFILE="$OUT/http-addr"
 
 go build -o "$OUT/pandad" ./cmd/pandad
-go build -o "$OUT/pandanode" ./cmd/pandanode
 go build -o "$OUT/pandafsck" ./cmd/pandafsck
 go build -o "$OUT/pandastat" ./cmd/pandastat
 
@@ -49,7 +48,7 @@ wait_pool() { # wait_pool PATTERN DESCRIPTION
 "$OUT/pandad" -connect "$ADDR" -smoke write -array c2 -nodes 2 -seed 12
 
 # Joiner 1: the pool grows to 3 and pre-join data survives.
-"$OUT/pandanode" -join "$ADDR" -dir "$OUT/join1" >"$OUT/join1.log" 2>&1 &
+"$OUT/pandad" -join "$ADDR" -dir "$OUT/join1" >"$OUT/join1.log" 2>&1 &
 J1PID=$!
 wait_pool '"active": 3' "joiner 1 active"
 "$OUT/pandad" -connect "$ADDR" -smoke read -array c1 -nodes 2 -seed 11
@@ -57,7 +56,7 @@ wait_pool '"active": 3' "joiner 1 active"
 echo "join 1 OK (pool of 3)"
 
 # Joiner 2, then SIGKILL it: the lease must declare the slot lost.
-"$OUT/pandanode" -join "$ADDR" -dir "$OUT/join2" >"$OUT/join2.log" 2>&1 &
+"$OUT/pandad" -join "$ADDR" -dir "$OUT/join2" >"$OUT/join2.log" 2>&1 &
 J2PID=$!
 wait_pool '"active": 4' "joiner 2 active"
 kill -9 "$J2PID"

@@ -24,7 +24,6 @@ ADDRFILE="$OUT/addr"
 HTTPADDRFILE="$OUT/http-addr"
 
 go build -o "$OUT/pandad" ./cmd/pandad
-go build -o "$OUT/pandanode" ./cmd/pandanode
 go build -o "$OUT/pandafsck" ./cmd/pandafsck
 go build -o "$OUT/pandastat" ./cmd/pandastat
 go build -o "$OUT/pandatrace" ./cmd/pandatrace
@@ -95,7 +94,7 @@ echo "reload observed (max_inflight 2 -> 4)"
 # committed arrays rebalance onto it, and both still read back
 # bit-exact; then an operator drain migrates its chunks off and the
 # joined process exits 0.
-"$OUT/pandanode" -join "$ADDR" -dir "$OUT/join1" >"$OUT/join1.log" 2>&1 &
+"$OUT/pandad" -join "$ADDR" -dir "$OUT/join1" >"$OUT/join1.log" 2>&1 &
 JPID=$!
 for _ in $(seq 100); do
   curl -fsS "http://$HTTP/servers" | grep -q '"active": 3' && break

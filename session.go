@@ -109,19 +109,7 @@ func Dial(cfg SessionConfig) (*Session, error) {
 	s.id = rep.Session
 	s.ranks = rep.Ranks
 	s.seqBase = rep.SeqBase
-	// Reconstruct the deployment view a member needs: the world shape
-	// (rank arithmetic and tags), the transfer tuning, and a scheduler-
-	// enabled flag so collectives take the submit path the service
-	// requires.
-	s.ccfg = core.Config{
-		NumClients:    rep.Clients,
-		NumServers:    rep.Servers,
-		SubchunkBytes: rep.Subchunk,
-		OpTimeout:     time.Duration(rep.OpTimeoutNs),
-		PullRetries:   rep.PullRetries,
-		Service:       true,
-		Sched:         core.SchedConfig{MaxInflight: rep.MaxInflight},
-	}
+	s.ccfg = rep.coreConfig()
 	return s, nil
 }
 
@@ -170,7 +158,7 @@ func (s *Session) rpc(req ctlRequest) (ctlReply, error) {
 		return ctlReply{}, fmt.Errorf("panda: session control: %w", err)
 	}
 	if !rep.OK {
-		return rep, errFromCode(rep.Code, rep.Error)
+		return rep, core.SentinelError(rep.Code, rep.Error)
 	}
 	return rep, nil
 }
@@ -207,13 +195,12 @@ func (s *Session) Open(name string) (*Array, error) {
 
 // ServiceInfo is a daemon status snapshot.
 type ServiceInfo struct {
-	// MaxInflight, QueueDepth, Weights, Pipeline and ReadAhead mirror
-	// the daemon's current (possibly reloaded) tuning.
+	// MaxInflight, QueueDepth, Weights and Pipeline mirror the daemon's
+	// current (possibly reloaded) tuning.
 	MaxInflight int
 	QueueDepth  int
 	Weights     map[string]int
 	Pipeline    int
-	ReadAhead   int
 	// Sessions is the number of currently attached sessions; Arrays
 	// the catalog size.
 	Sessions int
@@ -235,7 +222,6 @@ func (s *Session) Info() (ServiceInfo, error) {
 		QueueDepth:  rep.QueueDepth,
 		Weights:     rep.Weights,
 		Pipeline:    rep.Pipeline,
-		ReadAhead:   rep.ReadAhead,
 		Sessions:    rep.Sessions,
 		Arrays:      rep.Arrays,
 	}

@@ -54,23 +54,19 @@ const autoDumpMinInterval = 5 * time.Second
 // recentViolations bounds the /slo endpoint's violation ring.
 const recentViolations = 32
 
-// defaultStuckMult is the in-flight multiple of the objective past
-// which an operation is flagged stuck.
-const defaultStuckMult = 4
+// stuckMult is the in-flight multiple of the objective past which an
+// operation is flagged stuck.
+const stuckMult = 4
 
 // sloPolicy is the resolved watchdog configuration.
 type sloPolicy struct {
 	objectives map[string]time.Duration // tenant -> completion objective
 	def        time.Duration            // objective for unlisted tenants (0 = none)
-	stuckMult  int
 }
 
 // sloPolicy resolves the tuning's SLO knobs.
 func (t Tuning) sloPolicy() sloPolicy {
-	p := sloPolicy{def: time.Duration(t.SLODefaultMs) * time.Millisecond, stuckMult: t.SLOStuckMult}
-	if p.stuckMult <= 0 {
-		p.stuckMult = defaultStuckMult
-	}
+	p := sloPolicy{def: time.Duration(t.SLODefaultMs) * time.Millisecond}
 	if len(t.SLOms) > 0 {
 		p.objectives = make(map[string]time.Duration, len(t.SLOms))
 		for tenant, ms := range t.SLOms {
@@ -427,7 +423,7 @@ func (t *telemetry) scanStuck() {
 		if obj <= 0 {
 			continue
 		}
-		if age := now.Sub(os.started); age > time.Duration(t.slo.stuckMult)*obj {
+		if age := now.Sub(os.started); age > stuckMult*obj {
 			os.flagged = true
 			v := SLOViolation{
 				Time: now, Kind: "stuck", SID: os.sid, Tenant: os.tenant, Seq: os.seq, Op: os.op,
@@ -465,7 +461,7 @@ func (t *telemetry) snapshotSLO() SLOStatus {
 	defer t.mu.Unlock()
 	st := SLOStatus{
 		DefaultMs:  t.slo.def.Milliseconds(),
-		StuckMult:  t.slo.stuckMult,
+		StuckMult:  stuckMult,
 		Violations: t.violations.Value(),
 		Recent:     append([]SLOViolation(nil), t.recent...),
 	}
