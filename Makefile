@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet staticcheck check fuzz bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build test race flake vet staticcheck check fuzz bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -99,6 +99,15 @@ topo-check:
 # and pooled-worker shapes, with allocation counts.
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkCopyRegion' -benchmem ./internal/array
+
+# bench-wall-quick builds and runs the wall-clock benchmark (bench/, its
+# own module, which BENCHMARK.json declares) at its smallest setting:
+# its unit tests, then a -quick pass over every workload. No number is
+# gated — the point is that an API change that breaks the benchmark
+# fails the PR that makes it.
+bench-wall-quick:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh -quick
 
 # trace-smoke records a small traced benchmark run and validates the
 # exported Chrome trace JSON — the CI observability gate.

@@ -304,18 +304,21 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	reg.Func("member_epoch", func() int64 { return int64(members.Epoch()) })
 	go func() { d.hubDone <- hub.ServeDynamic(d.handleSession) }()
 
-	// The daemon's own I/O-node goroutines join the mesh through the
-	// hub like any other rank, so remote session members reach them
-	// with no special casing. Vacant pool slots get no endpoint.
+	// The daemon's own I/O nodes attach to the hub in-process: a frame a
+	// session member sends them is read off its socket straight into
+	// their mailbox, and what they send it is written straight onto that
+	// socket — one socket crossing per byte, not the two a dialed rank
+	// pays. Remote members still reach them with no special casing.
+	// Vacant pool slots get no endpoint.
 	comms := make([]mpi.Comm, cfg.MaxIONodes)
 	for i := 0; i < cfg.IONodes; i++ {
-		comms[i], err = mpi.DialComm(hub.Addr(), ccfg.ServerRank(i), ccfg.WorldSize())
+		comms[i], err = hub.Local(ccfg.ServerRank(i))
 		if err != nil {
 			hub.Close()
 			return nil, err
 		}
 	}
-	if err := svc.Start(comms, func(to, tag int, b []byte) { hub.Inject(to, tag, b) }, nil); err != nil {
+	if err := svc.Start(comms, hub.Inject, nil); err != nil {
 		hub.Close()
 		return nil, err
 	}

@@ -6,6 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -354,5 +358,90 @@ func TestSessionChannelKeepsErrorsTyped(t *testing.T) {
 		if got := core.SentinelError(rep.Code, rep.Error); rep.OK || !errors.Is(got, sentinel) {
 			t.Errorf("%v reached the client as %v (reply %s)", sentinel, got, wire)
 		}
+	}
+}
+
+// procIOBytes returns rchar + wchar of /proc/self/io: every byte this
+// process has moved through a read- or write-like system call.
+func procIOBytes(t *testing.T) int64 {
+	t.Helper()
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, key := range []string{"rchar", "wchar"} {
+		var n int64
+		for _, line := range strings.Split(string(data), "\n") {
+			if val, ok := strings.CutPrefix(line, key+": "); ok {
+				n, err = strconv.ParseInt(val, 10, 64)
+				if err != nil {
+					t.Fatalf("/proc/self/io: %s: %v", key, err)
+				}
+			}
+		}
+		total += n
+	}
+	return total
+}
+
+// TestDaemonIOBytesPerUserByte guards the hub-local data path: a byte a
+// session writes crosses the kernel three times inside this process —
+// the client's socket write, the hub's socket read (which lands in the
+// I/O node's mailbox), the file write — and a byte it reads likewise.
+// I/O nodes that dialed their own hub would make it five. Not parallel:
+// /proc/self/io counts the whole process.
+func TestDaemonIOBytesPerUserByte(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("/proc/self/io is Linux-only")
+	}
+	d := startTestDaemon(t, t.TempDir(), Tuning{})
+	defer d.Drain()
+	const nodes = 2
+	a, err := NewArray("io", []int{1024, 1024}, 4, // 4 MiB
+		NewLayout("mem", []int{nodes}), []Distribution{BLOCK, NONE},
+		NewLayout("disk", []int{2}), []Distribution{BLOCK, NONE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Create(a); err != nil {
+		t.Fatal(err)
+	}
+	before := procIOBytes(t)
+	err = s.Run(func(n *Node) error {
+		buf := make([]byte, n.ChunkBytes(a))
+		fillPattern(buf, int64(n.Rank()))
+		want := append([]byte(nil), buf...)
+		if err := n.Bind(a, buf); err != nil {
+			return err
+		}
+		if err := n.WriteArray(a); err != nil {
+			return err
+		}
+		for i := range buf {
+			buf[i] = 0
+		}
+		if err := n.ReadArray(a); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, want) {
+			return fmt.Errorf("rank %d: read differs from written", n.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := procIOBytes(t) - before
+	user := int64(2 * 4 << 20) // written once, read once
+	if ratio := float64(moved) / float64(user); ratio > 3.1 {
+		t.Fatalf("%d syscall bytes for %d user bytes: %.3f per user byte, want at most 3.1", moved, user, ratio)
+	} else {
+		t.Logf("%.3f syscall bytes per user byte", ratio)
 	}
 }

@@ -255,7 +255,7 @@ func (d *Daemon) migrateInstance(inst arrayInstance) error {
 	}
 	defer d.svc.Detach(info.ID)
 
-	comm, err := mpi.DialComm(d.hub.Addr(), info.Ranks[0], d.ccfg.WorldSize())
+	comm, err := d.hub.Local(info.Ranks[0])
 	if err != nil {
 		return fmt.Errorf("panda: migrate %s: %w", inst.name, err)
 	}

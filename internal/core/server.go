@@ -330,25 +330,41 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 	s.cnt = newOpCounters(s.node)
 	defer func() { s.cnt = s.node }()
 	finalErr := decodeErr
-	if s.tr.Enabled() || s.cfg.OpLog != nil {
-		defer func() {
-			end := s.clk.Now()
-			if s.tr.Enabled() {
-				s.tr.Span(obs.CatOp, opName(req.Op), s.opSeq, opStart, end, s.opBytes)
-			}
-			if s.cfg.OpLog != nil {
-				s.cfg.OpLog(OpSummary{
-					Server:  s.index,
-					Seq:     s.opSeq,
-					Op:      opName(req.Op),
-					Bytes:   s.opBytes,
-					Elapsed: end - opStart,
-					Err:     finalErr,
-					Tenant:  s.tenant,
-					Stats:   s.cnt.snapshot(),
-				})
-			}
-		}()
+	logged := false
+	logOp := func() {
+		if logged || s.cfg.OpLog == nil {
+			return
+		}
+		logged = true
+		s.cfg.OpLog(OpSummary{
+			Server:  s.index,
+			Seq:     s.opSeq,
+			Op:      opName(req.Op),
+			Bytes:   s.opBytes,
+			Elapsed: s.clk.Now() - opStart,
+			Err:     finalErr,
+			Tenant:  s.tenant,
+			Stats:   s.cnt.snapshot(),
+		})
+	}
+	defer func() {
+		if s.tr.Enabled() {
+			s.tr.Span(obs.CatOp, opName(req.Op), s.opSeq, opStart, s.clk.Now(), s.opBytes)
+		}
+		logOp()
+	}()
+	// complete is the master's last act: the outcome goes to the master
+	// client. The summary is logged first, with the completion frame
+	// already counted in it — once that frame has left, the client's call
+	// can return and look the operation up (the daemon's /sessions)
+	// before a log deferred to this function's return has run.
+	complete := func(attempt, round uint16, opErr error) {
+		frame := encodeStatus(msgComplete, attempt, round, opErr)
+		s.cnt[cMsgsSent].Add(1)
+		s.cnt[cBytesSent].Add(int64(len(frame)))
+		finalErr = opErr
+		logOp()
+		s.comm.SendOwned(s.leaderRank(), tagToClient(s.opSeq), frame)
 	}
 
 	deadline := opDeadline(s.cfg, s.clk)
@@ -392,7 +408,7 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 			return fatal
 		}
 		if s.IsMaster() {
-			s.send(s.leaderRank(), tagToClient(s.opSeq), encodeStatus(msgComplete, s.curAttempt, s.curRound, opErr))
+			complete(s.curAttempt, s.curRound, opErr)
 		}
 		return nil
 	}
@@ -472,8 +488,7 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 		s.tr.Instant(obs.CatCtl, "abort broadcast", s.opSeq, s.clk.Now(), 0)
 		s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, status))
 	}
-	finalErr = status
-	s.send(s.leaderRank(), tagToClient(s.opSeq), encodeStatus(msgComplete, req.Attempt, req.Round, status))
+	complete(req.Attempt, req.Round, status)
 	return nil
 }
 

@@ -108,7 +108,7 @@ func matches(m Message, from, tag int) bool {
 	return true
 }
 
-func checkPeer(c Comm, to int) {
+func checkPeer(c interface{ Size() int }, to int) {
 	if to < 0 || to >= c.Size() {
 		panic("mpi: rank out of range")
 	}

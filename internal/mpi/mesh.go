@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"panda/internal/bufpool"
 )
 
 // Mesh TCP transport: unlike the Hub (tcp.go), which routes every frame
@@ -301,8 +303,9 @@ func (c *meshComm) readLoop(peer int, conn net.Conn) {
 		}
 		tag := int(binary.BigEndian.Uint32(hdr[0:])) - 1
 		n := int(binary.BigEndian.Uint32(hdr[4:]))
-		payload := make([]byte, n)
+		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull
 		if _, err := io.ReadFull(r, payload); err != nil {
+			bufpool.Put(payload)
 			c.markPeerDead(peer)
 			return
 		}
@@ -330,7 +333,7 @@ func (c *meshComm) Send(to, tag int, data []byte) {
 	checkPeer(c, to)
 	checkTag(tag)
 	if to == c.rank {
-		cp := make([]byte, len(data))
+		cp := bufpool.GetRaw(len(data))
 		copy(cp, data)
 		c.box.put(Message{Source: c.rank, Tag: tag, Data: cp})
 		return
@@ -373,7 +376,7 @@ func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	checkTag(tag)
 	n := len(hdr) + len(payload)
 	if to == c.rank {
-		frame := make([]byte, n)
+		frame := bufpool.GetRaw(n)
 		copy(frame, hdr)
 		copy(frame[len(hdr):], payload)
 		c.box.put(Message{Source: c.rank, Tag: tag, Data: frame})

@@ -65,9 +65,13 @@ func TestSendVecInproc(t *testing.T) {
 }
 
 func TestSendVecTCP(t *testing.T) {
-	comms, cleanup := startTCPWorld(t, 2)
-	defer cleanup()
-	exerciseSendVec(t, comms[0], comms[1])
+	// Local to local parks the message in a mailbox: it must be a copy,
+	// never a view of the borrowed segments.
+	forEachShape(t, 2, func(t *testing.T, shape worldShape) {
+		comms, cleanup := startHubWorld(t, shape)
+		defer cleanup()
+		exerciseSendVec(t, comms[0], comms[1])
+	})
 }
 
 func TestSendVecMesh(t *testing.T) {

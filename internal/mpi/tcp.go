@@ -48,6 +48,24 @@ import (
 // The hub validates that every hello agrees on the world size and that
 // ranks are unique. Sends are reliable and ordered per (source,
 // destination) pair, matching the in-process transports.
+//
+// Ranks that live in the hub's own process do not dial it: Hub.Local
+// attaches them as in-process endpoints (local.go). A frame the hub
+// reads for a local rank moves into that rank's mailbox as the pooled
+// buffer it was read into — no copy, no second socket; a local rank's
+// send to a dialed rank is one writev onto that rank's socket; local to
+// local is one pooled copy. Deaths and revivals reach local endpoints
+// as direct marks on their dead-peer sets, and a rank is held by one
+// endpoint of either kind at a time. The wire format is unchanged and
+// dialed peers cannot tell which kind of endpoint they talk to.
+//
+// A local mailbox is unbounded, where a dialed rank's socket buffer
+// pushed back on the sender. Panda does not need the push-back: writes
+// are pulled, so the data frames in a server's mailbox are the
+// sub-chunks it has asked for and not yet consumed (bounded by its
+// pipeline depth), and everything else is control traffic of a few
+// hundred bytes per operation. Reads leave through the client's socket
+// and block the serving rank in writev exactly as before.
 
 const tcpMagic = 0x50414e44 // "PAND"
 
@@ -77,11 +95,24 @@ type Hub struct {
 	ln      net.Listener
 	size    int
 	mu      sync.Mutex
-	conns   map[int]net.Conn
+	conns   map[int]net.Conn   // dialed ranks
+	locals  map[int]*localComm // in-process ranks (Local)
 	dead    map[int]bool
-	wmu     []sync.Mutex // per-rank write locks
-	dynamic bool         // ServeDynamic mode: ranks come and go
-	closed  bool         // Close was called; accept-loop exit is orderly
+	joined  int      // registrations so far; Serve's accept phase ends at size
+	out     []outbox // per-rank socket write state
+	dynamic bool     // ServeDynamic mode: ranks come and go
+	closed  bool     // Close was called; accept-loop exit is orderly
+}
+
+// outbox serializes the writes to one dialed rank's socket and holds
+// their scatter list, so a frame goes out as one writev and allocates
+// nothing, whoever sends it: a route goroutine relaying, a local
+// endpoint, or the hub announcing a death.
+type outbox struct {
+	sync.Mutex
+	wire [16]byte
+	segs [3][]byte
+	bufs net.Buffers
 }
 
 // ListenHub starts a hub for a world of the given size on addr (e.g.
@@ -94,37 +125,34 @@ func ListenHub(addr string, size int) (*Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hub{ln: ln, size: size, conns: make(map[int]net.Conn), dead: make(map[int]bool), wmu: make([]sync.Mutex, size)}, nil
+	return &Hub{
+		ln: ln, size: size,
+		conns: make(map[int]net.Conn), locals: make(map[int]*localComm),
+		dead: make(map[int]bool), out: make([]outbox, size),
+	}, nil
 }
 
 // Addr returns the hub's listen address.
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
 
 // Serve accepts all ranks, then routes frames until every connection
-// closes. It returns the first routing error, or nil on orderly
-// shutdown (all ranks disconnected).
+// closes. Ranks attached with Local before Serve is called count as
+// joined. It returns the first routing error, or nil on orderly
+// shutdown (all dialed ranks disconnected).
 func (h *Hub) Serve() error {
 	defer h.ln.Close()
-	// Accept phase: exactly size ranks.
-	for joined := 0; joined < h.size; joined++ {
+	// Accept phase: exactly size ranks, dialed or local.
+	for h.registrations() < h.size {
 		conn, err := h.ln.Accept()
 		if err != nil {
 			return err
 		}
 		rank, err := h.handshake(conn)
+		if err == nil {
+			_, err = h.register(rank, conn, nil)
+		}
 		if err != nil {
 			conn.Close()
-			return err
-		}
-		h.mu.Lock()
-		if _, dup := h.conns[rank]; dup {
-			h.mu.Unlock()
-			conn.Close()
-			return fmt.Errorf("mpi: duplicate rank %d", rank)
-		}
-		h.conns[rank] = conn
-		h.mu.Unlock()
-		if err := writeAck(conn); err != nil {
 			return err
 		}
 	}
@@ -150,6 +178,14 @@ func (h *Hub) Serve() error {
 		}
 	}
 	return nil
+}
+
+// registrations counts the ranks that have joined, whether or not they
+// have left since: a local rank may detach before Serve has started.
+func (h *Hub) registrations() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.joined
 }
 
 // ServeDynamic runs the hub in service mode: instead of waiting for
@@ -214,37 +250,10 @@ func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
 		conn.Close()
 		return
 	}
-	// Register, waiting briefly for a live predecessor on the same rank
-	// to finish disconnecting (a freed rank can be re-issued while its
-	// old connection's FIN is still in flight). The rank's write lock is
-	// held from registration through the ack, so no routed frame can
-	// reach the new connection ahead of it.
-	revived := false
-	for attempt := 0; ; attempt++ {
-		h.wmu[rank].Lock()
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			h.wmu[rank].Unlock()
-			conn.Close()
-			return
-		}
-		if _, live := h.conns[rank]; !live {
-			revived = h.dead[rank]
-			delete(h.dead, rank)
-			h.conns[rank] = conn
-			h.mu.Unlock()
-			writeAck(conn) //nolint:errcheck // a broken conn fails its first routed read
-			h.wmu[rank].Unlock()
-			break
-		}
-		h.mu.Unlock()
-		h.wmu[rank].Unlock()
-		if attempt > 100 { // ~2 s: the predecessor is wedged, refuse
-			conn.Close()
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	revived, err := h.register(rank, conn, nil)
+	if err != nil {
+		conn.Close()
+		return
 	}
 	if revived {
 		h.announceRevival(rank)
@@ -259,35 +268,86 @@ func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
 	conn.Close()
 }
 
+// register makes conn (a dialed rank, acknowledged here) or l (a local
+// one) the holder of rank, and reports whether the rank had been
+// announced dead — the caller then owes the survivors a revival. A rank
+// is held by one endpoint at a time. On a dynamic hub a dialed holder
+// gets a moment to finish disconnecting (a freed rank can be re-issued
+// while its old connection's FIN is still in flight); a local holder
+// detaches synchronously, so finding one is a true duplicate and is
+// refused at once, as every duplicate is on a static hub. The rank's
+// write lock is held from registration through the ack, so no routed
+// frame can reach a new connection ahead of it.
+func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err error) {
+	for attempt := 0; ; attempt++ {
+		h.out[rank].Lock()
+		h.mu.Lock()
+		_, dialed := h.conns[rank]
+		switch {
+		case h.closed:
+			err = fmt.Errorf("mpi: hub closed")
+		case h.locals[rank] != nil, dialed && (!h.dynamic || attempt > 100): // ~2 s: the predecessor is wedged
+			err = fmt.Errorf("mpi: duplicate rank %d", rank)
+		case !dialed:
+			revived = h.dead[rank]
+			delete(h.dead, rank)
+			h.joined++
+			if l != nil {
+				h.locals[rank] = l
+			} else {
+				h.conns[rank] = conn
+			}
+		}
+		h.mu.Unlock()
+		if err == nil && !dialed && conn != nil {
+			writeAck(conn) //nolint:errcheck // a broken conn fails its first routed read
+		}
+		h.out[rank].Unlock()
+		if err != nil || !dialed {
+			return revived, err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// Local attaches rank as an in-process endpoint: for ranks that live in
+// the hub's own process, which by dialing it would cross two loopback
+// sockets for every byte they exchange with a dialed peer. The endpoint
+// behaves as a DialComm one does (DeadlineComm, VectorComm and
+// PeerChecker included; CloseComm detaches it and announces the rank
+// dead). It may be attached before ServeDynamic is running; the local
+// ranks of a static world attach before Serve is called, and send only
+// once the world is complete — a frame for a rank that has not joined
+// is dropped, where a dialed sender's would wait in its socket.
+func (h *Hub) Local(rank int) (Comm, error) {
+	if rank < 0 || rank >= h.size {
+		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, h.size)
+	}
+	l := &localComm{endpoint: newEndpoint(rank, h.size), hub: h}
+	revived, err := h.register(rank, nil, l)
+	if err != nil {
+		return nil, err
+	}
+	if revived {
+		h.announceRevival(rank)
+	}
+	return l, nil
+}
+
 // Inject delivers a frame to rank `to` as if sent by `to` itself — the
 // service daemon's control path for shutdown and reconfigure frames,
 // which by protocol are loopback-safe (the receiver only looks at the
-// payload). Returns false when the rank is not connected.
-func (h *Hub) Inject(to, tag int, data []byte) bool {
-	if to < 0 || to >= h.size {
-		return false
+// payload). A frame for a rank that is not attached is dropped.
+func (h *Hub) Inject(to, tag int, data []byte) {
+	if to >= 0 && to < h.size {
+		h.deliver(to, to, uint32(tag)+1, data, nil, false)
 	}
-	h.mu.Lock()
-	dst := h.conns[to]
-	gone := h.dead[to]
-	h.mu.Unlock()
-	if dst == nil || gone {
-		return false
-	}
-	var hdr [16]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(to))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(to))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(tag)+1)
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(data)))
-	h.wmu[to].Lock()
-	defer h.wmu[to].Unlock()
-	bufs := net.Buffers{hdr[:], data}
-	_, err := bufs.WriteTo(dst)
-	return err == nil
 }
 
 // Close shuts the hub down: the listener closes (ending ServeDynamic's
-// accept loop) and every connection is torn down.
+// accept loop), every connection is torn down and every local
+// endpoint's receives fail as a dialed endpoint's do when its
+// connection drops.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	h.closed = true
@@ -295,10 +355,17 @@ func (h *Hub) Close() error {
 	for _, c := range h.conns {
 		conns = append(conns, c)
 	}
+	locals := make([]*localComm, 0, len(h.locals))
+	for _, l := range h.locals {
+		locals = append(locals, l)
+	}
 	h.mu.Unlock()
 	err := h.ln.Close()
 	for _, c := range conns {
 		c.Close()
+	}
+	for _, l := range locals {
+		l.failReads(errDetached)
 	}
 	return err
 }
@@ -338,10 +405,12 @@ func (h *Hub) announceDeath(rank int) { h.announce(rank, false) }
 // (its registration already cleared the death mark here).
 func (h *Hub) announceRevival(rank int) { h.announce(rank, true) }
 
-// announce broadcasts a hub control frame about rank to every other
-// live rank: payload-less for a death (recorded here first, announced
-// once), payload {1} for a revival. Write failures are ignored: a
-// survivor that is itself dying needs no notification.
+// announce tells every other live rank about rank: a death (recorded
+// here first, announced once) or a revival. Dialed ranks get a hub
+// control frame — payload-less for a death, payload {1} for a revival;
+// local endpoints have their dead-peer set marked directly. Write
+// failures are ignored: a survivor that is itself dying needs no
+// notification.
 func (h *Hub) announce(rank int, revival bool) {
 	h.mu.Lock()
 	if !revival {
@@ -361,21 +430,86 @@ func (h *Hub) announce(rank int, revival bool) {
 			targets = append(targets, target{r, c})
 		}
 	}
+	var locals []*localComm
+	for r, l := range h.locals {
+		if r != rank && !h.dead[r] {
+			locals = append(locals, l)
+		}
+	}
 	h.mu.Unlock()
 
-	frame := make([]byte, 16, 17)
-	binary.BigEndian.PutUint32(frame[4:], uint32(rank))
-	binary.BigEndian.PutUint32(frame[8:], tagControlWire)
+	for _, l := range locals {
+		l.markPeer(rank, revival)
+	}
+	var payload []byte
 	if revival {
-		binary.BigEndian.PutUint32(frame[12:], 1)
-		frame = append(frame, 1)
+		payload = []byte{1}
 	}
 	for _, t := range targets {
-		binary.BigEndian.PutUint32(frame[0:], uint32(t.rank))
-		h.wmu[t.rank].Lock()
-		t.conn.Write(frame) //nolint:errcheck // best effort
-		h.wmu[t.rank].Unlock()
+		h.writeFrame(t.conn, t.rank, rank, tagControlWire, payload, nil) //nolint:errcheck // best effort
 	}
+}
+
+// writeFrame sends one frame — the wire header, then a|b — to the
+// dialed rank `to` as a single writev under the rank's write lock.
+func (h *Hub) writeFrame(dst net.Conn, to, source int, wireTag uint32, a, b []byte) error {
+	o := &h.out[to]
+	o.Lock()
+	defer o.Unlock()
+	binary.BigEndian.PutUint32(o.wire[0:], uint32(to))
+	binary.BigEndian.PutUint32(o.wire[4:], uint32(source))
+	binary.BigEndian.PutUint32(o.wire[8:], wireTag)
+	binary.BigEndian.PutUint32(o.wire[12:], uint32(len(a)+len(b)))
+	o.segs = [3][]byte{o.wire[:], a, b}
+	o.bufs = o.segs[:]
+	_, err := o.bufs.WriteTo(dst)
+	o.segs = [3][]byte{} // the payload segments were only borrowed
+	return err
+}
+
+// fate is what deliver did with a frame.
+type fate int
+
+const (
+	dropped fate = iota // the destination is absent or dead
+	written             // one writev onto the destination's socket
+	queued              // parked in a local endpoint's mailbox
+)
+
+// deliver hands rank `to` (in range) one frame from source with payload
+// a|b. Every sender ends here: a route goroutine relaying off a socket,
+// a local endpoint, Inject. A dialed destination gets one writev. A
+// local destination gets a itself when owned (b is nil then) — a frame
+// read off a socket moves into the mailbox as the pooled buffer it was
+// read into — and one pooled copy otherwise, because a mailbox parks
+// messages indefinitely and a|b is only borrowed. The caller keeps a
+// unless the frame was queued with owned set. Frames for an absent or
+// dead rank are dropped; the sender learns via the death announcement.
+func (h *Hub) deliver(source, to int, wireTag uint32, a, b []byte, owned bool) fate {
+	h.mu.Lock()
+	l, dst, gone := h.locals[to], h.conns[to], h.dead[to]
+	h.mu.Unlock()
+	switch {
+	case gone:
+	case l != nil:
+		if !owned {
+			frame := bufpool.GetRaw(len(a) + len(b))
+			copy(frame, a)
+			copy(frame[len(a):], b)
+			a = frame
+		}
+		l.accept(source, wireTag, a)
+		return queued
+	case dst != nil:
+		if h.writeFrame(dst, to, source, wireTag, a, b) == nil {
+			return written
+		}
+		// The destination's connection broke mid-write: treat it as
+		// dead rather than failing the whole hub, so the remaining
+		// ranks keep communicating and learn of the loss.
+		h.announceDeath(to)
+	}
+	return dropped
 }
 
 // isDisconnect reports whether a read error means the peer went away
@@ -399,7 +533,7 @@ func (h *Hub) route(source int, conn net.Conn) error {
 		}
 		to := int(binary.BigEndian.Uint32(hdr[0:]))
 		n := int(binary.BigEndian.Uint32(hdr[12:]))
-		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull; recycled after relay
+		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull; recycled unless a local rank takes it
 		if _, err := io.ReadFull(r, payload); err != nil {
 			bufpool.Put(payload)
 			if isDisconnect(err) {
@@ -407,44 +541,128 @@ func (h *Hub) route(source int, conn net.Conn) error {
 			}
 			return fmt.Errorf("mpi: hub route from %d: %w", source, err)
 		}
-		h.mu.Lock()
-		dst := h.conns[to]
-		gone := h.dead[to]
-		dynamic := h.dynamic
-		h.mu.Unlock()
-		if dst == nil {
+		if to < 0 || to >= h.size {
 			bufpool.Put(payload)
+			h.mu.Lock()
+			dynamic := h.dynamic
+			h.mu.Unlock()
 			if dynamic {
-				continue // destination not (or no longer) attached; drop
+				continue // no such rank; drop
 			}
 			return fmt.Errorf("mpi: frame from %d for unknown rank %d", source, to)
 		}
-		if gone {
+		// The header's source field is relayed as the sender wrote it.
+		from := int(binary.BigEndian.Uint32(hdr[4:]))
+		if h.deliver(from, to, binary.BigEndian.Uint32(hdr[8:]), payload, nil, true) != queued {
 			bufpool.Put(payload)
-			continue // destination died; drop, sender learns via death frame
-		}
-		h.wmu[to].Lock()
-		bufs := net.Buffers{hdr[:], payload}
-		_, err := bufs.WriteTo(dst)
-		h.wmu[to].Unlock()
-		bufpool.Put(payload)
-		if err != nil {
-			// The destination's connection broke mid-write: treat it as
-			// dead rather than failing the whole hub, so the remaining
-			// ranks keep communicating and learn of the loss.
-			h.announceDeath(to)
 		}
 	}
 }
 
-// tcpComm is one rank's endpoint of a TCP world.
-type tcpComm struct {
+// endpoint is the receive half every hub endpoint has, dialed or local:
+// the mailbox, the link error that fails its receives, and the peers
+// the hub has announced dead.
+type endpoint struct {
 	rank, size int
-	conn       net.Conn
-	wmu        sync.Mutex
 	box        *mailbox
 	readErr    error        // guarded by box.mu
 	peerDead   map[int]bool // guarded by box.mu
+}
+
+func newEndpoint(rank, size int) endpoint {
+	e := endpoint{rank: rank, size: size, box: &mailbox{}, peerDead: make(map[int]bool)}
+	e.box.cond.L = &e.box.mu
+	return e
+}
+
+// accept takes one frame addressed to this endpoint, and ownership of
+// data. A hub control frame (wire tag zero) marks its source dead — or,
+// with payload {1}, revived: a dynamic hub re-issued the rank.
+func (e *endpoint) accept(source int, wireTag uint32, data []byte) {
+	if wireTag == tagControlWire {
+		e.markPeer(source, len(data) > 0 && data[0] == 1)
+		bufpool.Put(data)
+		return
+	}
+	e.box.put(Message{Source: source, Tag: int(wireTag) - 1, Data: data})
+}
+
+func (e *endpoint) markPeer(rank int, revived bool) {
+	e.box.mu.Lock()
+	if revived {
+		delete(e.peerDead, rank)
+	} else {
+		e.peerDead[rank] = true
+	}
+	e.box.mu.Unlock()
+	e.box.cond.Broadcast()
+}
+
+// failReads records the link error and wakes blocked receivers: plain
+// Recv then panics with the transport failure (Comm's interface has no
+// error returns; a dead link is unrecoverable for an SPMD run), bounded
+// receives fail with ErrPeerLost.
+func (e *endpoint) failReads(err error) {
+	e.box.mu.Lock()
+	e.readErr = err
+	e.box.mu.Unlock()
+	e.box.cond.Broadcast()
+}
+
+// down reports whether the endpoint's link has failed or been closed.
+func (e *endpoint) down() bool {
+	e.box.mu.Lock()
+	defer e.box.mu.Unlock()
+	return e.readErr != nil
+}
+
+func (e *endpoint) Rank() int { return e.rank }
+func (e *endpoint) Size() int { return e.size }
+
+// Recv panics when the link fails: Comm's interface has no error return.
+func (e *endpoint) Recv(from, tag int) Message {
+	if from != AnySource {
+		checkPeer(e, from)
+	}
+	m, err := e.box.getWait(from, tag, 0, func() error { return e.readErr })
+	if err != nil {
+		panic(fmt.Sprintf("mpi: hub recv on rank %d: %v", e.rank, err))
+	}
+	return m
+}
+
+// RecvTimeout implements DeadlineComm. It fails with ErrPeerLost when
+// this endpoint's own link is down, or when waiting on a specific rank
+// the hub has announced dead. AnySource waits do not fail on peer
+// deaths — another rank may still satisfy them — and rely on the
+// timeout bound instead.
+func (e *endpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
+	if from != AnySource {
+		checkPeer(e, from)
+	}
+	return e.box.getWait(from, tag, timeout, func() error {
+		if e.readErr != nil {
+			return fmt.Errorf("mpi: hub recv on rank %d: %v: %w", e.rank, e.readErr, ErrPeerLost)
+		}
+		if from != AnySource && e.peerDead[from] {
+			return fmt.Errorf("mpi: rank %d is gone: %w", from, ErrPeerLost)
+		}
+		return nil
+	})
+}
+
+// PeerLost implements PeerChecker using the hub's death notifications.
+func (e *endpoint) PeerLost(rank int) bool {
+	e.box.mu.Lock()
+	defer e.box.mu.Unlock()
+	return e.peerDead[rank]
+}
+
+// tcpComm is one rank's dialed endpoint of a TCP world.
+type tcpComm struct {
+	endpoint
+	conn net.Conn
+	wmu  sync.Mutex
 }
 
 // DialComm connects rank to the hub at addr in a world of the given
@@ -472,21 +690,24 @@ func DialComm(addr string, rank, size int) (Comm, error) {
 		conn.Close()
 		return nil, fmt.Errorf("mpi: hub refused rank %d: %v", rank, err)
 	}
-	c := &tcpComm{rank: rank, size: size, conn: conn, box: &mailbox{}, peerDead: make(map[int]bool)}
-	c.box.cond.L = &c.box.mu
+	c := &tcpComm{endpoint: newEndpoint(rank, size), conn: conn}
 	go c.reader()
 	return c, nil
 }
 
-// CloseComm tears down a TCP endpoint created by DialComm. Pending
-// receives fail by panicking on connection loss, so close only after
-// all communication is complete.
+// CloseComm tears down a hub endpoint: a DialComm one closes its
+// connection, a Hub.Local one detaches. Either way the hub announces
+// the rank dead and frees it. Pending receives fail by panicking on
+// connection loss, so close only after all communication is complete.
 func CloseComm(c Comm) error {
-	tc, ok := c.(*tcpComm)
-	if !ok {
-		return fmt.Errorf("mpi: not a TCP endpoint")
+	switch e := c.(type) {
+	case *tcpComm:
+		return e.conn.Close()
+	case *localComm:
+		e.detach()
+		return nil
 	}
-	return tc.conn.Close()
+	return fmt.Errorf("mpi: not a hub endpoint")
 }
 
 func (c *tcpComm) reader() {
@@ -497,57 +718,15 @@ func (c *tcpComm) reader() {
 			c.failReads(err)
 			return
 		}
-		source := int(binary.BigEndian.Uint32(hdr[4:]))
-		wireTag := binary.BigEndian.Uint32(hdr[8:])
-		n := int(binary.BigEndian.Uint32(hdr[12:]))
-		if wireTag == tagControlWire {
-			// Hub control frame: no payload (or payload 0) marks the peer
-			// dead; payload {1} revives it (a dynamic hub re-issued the
-			// rank to a new connection).
-			revive := false
-			if n > 0 {
-				ctl := bufpool.GetRaw(n)
-				if _, err := io.ReadFull(r, ctl); err != nil {
-					bufpool.Put(ctl)
-					c.failReads(err)
-					return
-				}
-				revive = ctl[0] == 1
-				bufpool.Put(ctl)
-			}
-			c.box.mu.Lock()
-			if revive {
-				delete(c.peerDead, source)
-			} else {
-				c.peerDead[source] = true
-			}
-			c.box.mu.Unlock()
-			c.box.cond.Broadcast()
-			continue
-		}
-		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull
+		payload := bufpool.GetRaw(int(binary.BigEndian.Uint32(hdr[12:]))) // fully overwritten by ReadFull
 		if _, err := io.ReadFull(r, payload); err != nil {
 			bufpool.Put(payload)
 			c.failReads(err)
 			return
 		}
-		c.box.put(Message{Source: source, Tag: int(wireTag) - 1, Data: payload})
+		c.accept(int(binary.BigEndian.Uint32(hdr[4:])), binary.BigEndian.Uint32(hdr[8:]), payload)
 	}
 }
-
-// failReads records the connection error and wakes blocked receivers:
-// plain Recv then panics with the transport failure (Comm's interface
-// has no error returns; a dead link is unrecoverable for an SPMD run),
-// bounded receives fail with ErrPeerLost.
-func (c *tcpComm) failReads(err error) {
-	c.box.mu.Lock()
-	c.readErr = err
-	c.box.mu.Unlock()
-	c.box.cond.Broadcast()
-}
-
-func (c *tcpComm) Rank() int { return c.rank }
-func (c *tcpComm) Size() int { return c.size }
 
 func (c *tcpComm) Send(to, tag int, data []byte) {
 	checkPeer(c, to)
@@ -604,52 +783,4 @@ func (c *tcpComm) SendVec(to, tag int, hdr, payload []byte) bool {
 func (c *tcpComm) Isend(to, tag int, data []byte) Request {
 	c.Send(to, tag, data)
 	return doneRequest{}
-}
-
-func (c *tcpComm) Recv(from, tag int) Message {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	b := c.box
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		for i, m := range b.msgs {
-			if matches(m, from, tag) {
-				b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
-				return m
-			}
-		}
-		if c.readErr != nil {
-			panic(fmt.Sprintf("mpi: tcp recv on rank %d: %v", c.rank, c.readErr))
-		}
-		b.cond.Wait()
-	}
-}
-
-// RecvTimeout implements DeadlineComm. It fails with ErrPeerLost when
-// this endpoint's own link is down, or when waiting on a specific rank
-// the hub has announced dead. AnySource waits do not fail on peer
-// deaths — another rank may still satisfy them — and rely on the
-// timeout bound instead.
-func (c *tcpComm) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	return c.box.getWait(from, tag, timeout, func() error {
-		if c.readErr != nil {
-			return fmt.Errorf("mpi: tcp recv on rank %d: %v: %w", c.rank, c.readErr, ErrPeerLost)
-		}
-		if from != AnySource && c.peerDead[from] {
-			return fmt.Errorf("mpi: rank %d is gone: %w", from, ErrPeerLost)
-		}
-		return nil
-	})
-}
-
-// PeerLost implements PeerChecker using the hub's death notifications.
-func (c *tcpComm) PeerLost(rank int) bool {
-	c.box.mu.Lock()
-	defer c.box.mu.Unlock()
-	return c.peerDead[rank]
 }

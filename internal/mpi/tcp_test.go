@@ -11,30 +11,84 @@ import (
 	"time"
 )
 
-// startTCPWorld spins up a hub and one endpoint per rank on localhost.
+// startTCPWorld spins up a hub and one dialed endpoint per rank on
+// localhost.
 func startTCPWorld(t *testing.T, size int) ([]Comm, func()) {
 	t.Helper()
+	return startHubWorld(t, make(worldShape, size))
+}
+
+// worldShape says, per rank of a hub world, whether the rank attaches
+// in-process (Hub.Local) rather than dialing. The hub's contract is the
+// same for every shape, so its conformance tests run over all of them:
+// every (source, destination) pairing of the two endpoint kinds.
+type worldShape []bool
+
+func (w worldShape) String() string {
+	b := make([]byte, len(w))
+	for r, local := range w {
+		b[r] = 'D'
+		if local {
+			b[r] = 'L'
+		}
+	}
+	return string(b)
+}
+
+// allShapes lists the 2^size shapes of a world, all-dialed first.
+func allShapes(size int) []worldShape {
+	shapes := make([]worldShape, 1<<size)
+	for mask := range shapes {
+		shapes[mask] = make(worldShape, size)
+		for r := range shapes[mask] {
+			shapes[mask][r] = mask&(1<<r) != 0
+		}
+	}
+	return shapes
+}
+
+// attach gives rank r of a size-rank world an endpoint of either kind.
+func attach(hub *Hub, local bool, r, size int) (Comm, error) {
+	if local {
+		return hub.Local(r)
+	}
+	return DialComm(hub.Addr(), r, size)
+}
+
+// startHubWorld spins up a static hub on localhost and one endpoint per
+// rank, of the kinds the shape names.
+func startHubWorld(t *testing.T, shape worldShape) ([]Comm, func()) {
+	t.Helper()
+	size := len(shape)
 	hub, err := ListenHub("127.0.0.1:0", size)
 	if err != nil {
 		t.Fatal(err)
 	}
+	comms := make([]Comm, size)
+	errs := make([]error, size)
+	for r, local := range shape { // local ranks count as joined once Serve runs
+		if local {
+			comms[r], errs[r] = attach(hub, shape[r], r, size)
+		}
+	}
 	hubErr := make(chan error, 1)
 	go func() { hubErr <- hub.Serve() }()
 
-	comms := make([]Comm, size)
 	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for r := 0; r < size; r++ {
+	for r, local := range shape {
+		if local {
+			continue
+		}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			comms[r], errs[r] = DialComm(hub.Addr(), r, size)
+			comms[r], errs[r] = attach(hub, shape[r], r, size)
 		}(r)
 	}
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d dial: %v", r, err)
+			t.Fatalf("rank %d attach: %v", r, err)
 		}
 	}
 	cleanup := func() {
@@ -50,9 +104,14 @@ func startTCPWorld(t *testing.T, size int) ([]Comm, func()) {
 
 func runTCPWorld(t *testing.T, size int, fn func(Comm)) {
 	t.Helper()
-	comms, cleanup := startTCPWorld(t, size)
+	runHubWorld(t, make(worldShape, size), fn)
+}
+
+func runHubWorld(t *testing.T, shape worldShape, fn func(Comm)) {
+	t.Helper()
+	comms, cleanup := startHubWorld(t, shape)
 	var wg sync.WaitGroup
-	for r := 0; r < size; r++ {
+	for r := range comms {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -61,6 +120,13 @@ func runTCPWorld(t *testing.T, size int, fn func(Comm)) {
 	}
 	wg.Wait()
 	cleanup()
+}
+
+// forEachShape runs fn as a subtest per shape of a size-rank world.
+func forEachShape(t *testing.T, size int, fn func(t *testing.T, shape worldShape)) {
+	for _, shape := range allShapes(size) {
+		t.Run(shape.String(), func(t *testing.T) { fn(t, shape) })
+	}
 }
 
 func TestTCPSendRecv(t *testing.T) {
@@ -79,15 +145,17 @@ func TestTCPSendRecv(t *testing.T) {
 func TestTCPZeroTagAndEmptyPayload(t *testing.T) {
 	// Tag 0 and nil payloads must survive the framing (tag is stored
 	// +1 on the wire).
-	runTCPWorld(t, 2, func(c Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, nil)
-		} else {
-			m := c.Recv(0, 0)
-			if m.Tag != 0 || len(m.Data) != 0 {
-				t.Errorf("got %+v", m)
+	forEachShape(t, 2, func(t *testing.T, shape worldShape) {
+		runHubWorld(t, shape, func(c Comm) {
+			if c.Rank() == 0 {
+				c.Send(1, 0, nil)
+			} else {
+				m := c.Recv(0, 0)
+				if m.Tag != 0 || len(m.Data) != 0 {
+					t.Errorf("got %+v", m)
+				}
 			}
-		}
+		})
 	})
 }
 
@@ -259,34 +327,46 @@ func TestTCPHubRejectsOutOfRangeRank(t *testing.T) {
 func TestTCPPeerDisconnectSurfacesErrPeerLost(t *testing.T) {
 	// Rank 2 dies mid-operation. A bounded receive on rank 0 waiting
 	// specifically for rank 2 must fail with ErrPeerLost — well before
-	// its generous bound — rather than hang.
-	comms, _ := startTCPWorld(t, 3)
-	if err := CloseComm(comms[2]); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err := comms[0].(DeadlineComm).RecvTimeout(2, 5, time.Minute)
-	if !errors.Is(err, ErrPeerLost) {
-		t.Fatalf("err = %v, want ErrPeerLost", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("took %v, death notification should be prompt", elapsed)
-	}
-	if !comms[0].(PeerChecker).PeerLost(2) {
-		t.Fatal("PeerLost(2) = false after disconnect")
-	}
-	// Survivors keep communicating.
-	comms[1].Send(0, 9, []byte("still here"))
-	m, err := comms[0].(DeadlineComm).RecvTimeout(1, 9, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(m.Data) != "still here" {
-		t.Fatalf("got %q", m.Data)
-	}
-	// Tear down the rest; the hub exits once every rank is gone.
-	CloseComm(comms[0])
-	CloseComm(comms[1])
+	// its generous bound — rather than hang. Whether the dead rank and
+	// the observer are dialed or local must not matter.
+	forEachShape(t, 3, func(t *testing.T, shape worldShape) {
+		comms, _ := startHubWorld(t, shape)
+		if err := CloseComm(comms[2]); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err := comms[0].(DeadlineComm).RecvTimeout(2, 5, time.Minute)
+		if !errors.Is(err, ErrPeerLost) {
+			t.Fatalf("err = %v, want ErrPeerLost", err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("took %v, death notification should be prompt", elapsed)
+		}
+		if !comms[0].(PeerChecker).PeerLost(2) {
+			t.Fatal("PeerLost(2) = false after disconnect")
+		}
+		// Survivors keep communicating.
+		comms[1].Send(0, 9, []byte("still here"))
+		m, err := comms[0].(DeadlineComm).RecvTimeout(1, 9, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(m.Data) != "still here" {
+			t.Fatalf("got %q", m.Data)
+		}
+		// The dead rank's own bounded receives fail too, and its sends
+		// are dropped rather than delivered in the rank's name.
+		if _, err := comms[2].(DeadlineComm).RecvTimeout(AnySource, 9, 5*time.Second); !errors.Is(err, ErrPeerLost) {
+			t.Fatalf("closed endpoint: err = %v, want ErrPeerLost", err)
+		}
+		comms[2].Send(0, 9, []byte("from the grave"))
+		if _, err := comms[0].(DeadlineComm).RecvTimeout(AnySource, 9, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("a closed endpoint's send was delivered (err = %v)", err)
+		}
+		// Tear down the rest; the hub exits once every rank is gone.
+		CloseComm(comms[0])
+		CloseComm(comms[1])
+	})
 }
 
 func TestTCPDeathNotificationDoesNotDropQueuedMessages(t *testing.T) {
@@ -326,28 +406,35 @@ func TestTCPDeathNotificationDoesNotDropQueuedMessages(t *testing.T) {
 }
 
 func TestTCPStress(t *testing.T) {
-	// All-pairs chatter with mixed tags and sizes.
+	// All-pairs chatter with mixed tags and sizes. Message i of a pair
+	// is i*100 bytes long, so a receive that matches out of order within
+	// its (source, tag) stream shows as a wrong length.
 	const size = 4
-	runTCPWorld(t, size, func(c Comm) {
-		for peer := 0; peer < size; peer++ {
-			if peer == c.Rank() {
-				continue
-			}
-			for i := 0; i < 20; i++ {
-				c.Send(peer, i%3, bytes.Repeat([]byte{byte(c.Rank())}, i*100))
-			}
-		}
-		for peer := 0; peer < size; peer++ {
-			if peer == c.Rank() {
-				continue
-			}
-			for i := 0; i < 20; i++ {
-				m := c.Recv(peer, i%3)
-				if len(m.Data) != 0 && m.Data[0] != byte(peer) {
-					t.Errorf("payload from %d carries %d", peer, m.Data[0])
+	forEachShape(t, size, func(t *testing.T, shape worldShape) {
+		runHubWorld(t, shape, func(c Comm) {
+			for peer := 0; peer < size; peer++ {
+				if peer == c.Rank() {
+					continue
+				}
+				for i := 0; i < 20; i++ {
+					c.Send(peer, i%3, bytes.Repeat([]byte{byte(c.Rank())}, i*100))
 				}
 			}
-		}
+			for peer := 0; peer < size; peer++ {
+				if peer == c.Rank() {
+					continue
+				}
+				for i := 0; i < 20; i++ {
+					m := c.Recv(peer, i%3)
+					if len(m.Data) != i*100 {
+						t.Errorf("message %d from %d is %d bytes: out of order", i, peer, len(m.Data))
+					}
+					if len(m.Data) != 0 && m.Data[0] != byte(peer) {
+						t.Errorf("payload from %d carries %d", peer, m.Data[0])
+					}
+				}
+			}
+		})
 	})
 }
 
@@ -434,25 +521,27 @@ func TestTCPSendOnClosedLinkIsTypedNotFatal(t *testing.T) {
 // disconnect it is, keep routing for the others, and exit cleanly.
 func TestHubTeardownEveryOrder(t *testing.T) {
 	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	for _, order := range orders {
-		for round := 0; round < 10; round++ {
-			comms, cleanup := startTCPWorld(t, 3)
-			for _, c := range comms {
-				for peer := range comms {
-					if peer != c.Rank() {
-						for i := 0; i < 8; i++ {
-							c.Send(peer, i, bytes.Repeat([]byte{1}, 4096))
+	forEachShape(t, 3, func(t *testing.T, shape worldShape) {
+		for _, order := range orders {
+			for round := 0; round < 10; round++ {
+				comms, cleanup := startHubWorld(t, shape)
+				for _, c := range comms {
+					for peer := range comms {
+						if peer != c.Rank() {
+							for i := 0; i < 8; i++ {
+								c.Send(peer, i, bytes.Repeat([]byte{1}, 4096))
+							}
 						}
 					}
 				}
+				// One delivery proves the hub is routing before teardown starts;
+				// everything else stays unread.
+				comms[order[2]].Recv(order[0], 0)
+				for _, r := range order {
+					CloseComm(comms[r])
+				}
+				cleanup() // closes again (harmless) and fails the test on a hub error
 			}
-			// One delivery proves the hub is routing before teardown starts;
-			// everything else stays unread.
-			comms[order[2]].Recv(order[0], 0)
-			for _, r := range order {
-				CloseComm(comms[r])
-			}
-			cleanup() // closes again (harmless) and fails the test on a hub error
 		}
-	}
+	})
 }
