@@ -33,12 +33,8 @@ func main() {
 	subchunk := flag.Int64("subchunk", 0, "sub-chunk size limit in bytes (0 = paper's 1 MB)")
 	pipeline := flag.Int("pipeline", 0, "server write pipeline depth (0 = paper's blocking behaviour; 2+ adds write-behind)")
 	readahead := flag.Int("readahead", 0, "server read prefetch depth (0 = paper's serial reads)")
-	engineJSON := flag.String("engine-json", "", "write the staged-engine baseline (Table 1 configs, serial vs staged) as JSON to this file and exit")
-	engineCheck := flag.String("engine-check", "", "re-run the staged-engine baseline at the committed file's scale and fail if any row's agg_mbs regresses more than 10%; the fresh run is written alongside as <file>.new")
-	schedJSON := flag.String("sched-json", "", "measure the mixed-workload scheduler bench and update the sched rows of this baseline file in place (other sections preserved)")
-	schedCheck := flag.String("sched-check", "", "re-run the mixed-workload scheduler bench at the committed file's scale and fail if aggregate MB/s regresses more than 10% or overlapped dispatch stops beating serialized")
-	topoJSON := flag.String("topo-json", "", "measure the topology experiment (flat vs synthesized schedules, 64..1024 nodes) and update the topo rows of this baseline file in place (other sections preserved)")
-	topoCheck := flag.String("topo-check", "", "re-run the topology experiment at the committed file's scale and fail if the synthesized schedule slows down more than 10%, loses to flat at >= 256 nodes, or its advantage stops growing with node count")
+	engineJSON := flag.String("engine-json", "", "write the baseline (engine grid, pack, plan cache, sched, topo) as JSON to this file and exit")
+	engineCheck := flag.String("engine-check", "", "re-run the baseline at the committed file's scale and fail unless every virtual-time row (rows, plan_cache, sched, topo) is identical and the structural checks hold; the fresh run is written alongside as <file>.new")
 	tracePath := flag.String("trace", "", "record every operation and write Chrome trace-event JSON here (load at ui.perfetto.dev); also prints a per-operation phase breakdown")
 	verbose := flag.Bool("v", false, "print each measurement as it completes")
 	flag.Parse()
@@ -63,22 +59,6 @@ func main() {
 	}
 	if *engineCheck != "" {
 		runEngineCheck(*engineCheck, opt)
-		return
-	}
-	if *schedJSON != "" {
-		runSchedBaseline(*schedJSON, opt)
-		return
-	}
-	if *schedCheck != "" {
-		runSchedCheck(*schedCheck, opt)
-		return
-	}
-	if *topoJSON != "" {
-		runTopoBaseline(*topoJSON, opt)
-		return
-	}
-	if *topoCheck != "" {
-		runTopoCheck(*topoCheck, opt)
 		return
 	}
 
@@ -451,34 +431,12 @@ func measureTopo(opt harness.Options) []topoRow {
 	return rows
 }
 
-// checkTopoRows gates fresh topology rows against committed ones:
-// per-row synthesized completion time within 10%, the structural
-// property that synthesized beats flat at every count >= 256 nodes,
-// and that each preset's advantage grows from its smallest to its
-// largest machine. Returns the number of failures.
-func checkTopoRows(base, fresh []topoRow) int {
-	key := func(r topoRow) string { return fmt.Sprintf("%s/n%d", r.Preset, r.Nodes) }
-	freshBy := make(map[string]topoRow, len(fresh))
-	for _, r := range fresh {
-		freshBy[key(r)] = r
-	}
+// checkTopoRows holds the topology rows to their structural claims:
+// synthesized beats flat at every count >= 256 nodes, and each preset's
+// advantage grows from its smallest to its largest machine. Returns the
+// number of failures.
+func checkTopoRows(fresh []topoRow) int {
 	failures := 0
-	for _, b := range base {
-		f, ok := freshBy[key(b)]
-		if !ok {
-			fmt.Printf("FAIL topo/%-22s missing from fresh run\n", key(b))
-			failures++
-			continue
-		}
-		verdict := "ok  "
-		if float64(f.TreeNs) > 1.1*float64(b.TreeNs) {
-			verdict = "FAIL"
-			failures++
-		}
-		fmt.Printf("%s topo/%-22s base tree %-12v now %-12v flat %-12v speedup %.2fx\n",
-			verdict, key(b), time.Duration(b.TreeNs), time.Duration(f.TreeNs),
-			time.Duration(f.FlatNs), f.Speedup)
-	}
 	first, last := map[string]topoRow{}, map[string]topoRow{}
 	for _, r := range fresh {
 		if r.Nodes >= 256 && r.TreeNs >= r.FlatNs {
@@ -503,48 +461,6 @@ func checkTopoRows(base, fresh []topoRow) int {
 	return failures
 }
 
-// runTopoBaseline refreshes the topo rows of an existing baseline file
-// in place (`make bench-topo`). Other sections are preserved; a missing
-// file gets a topo-only document at the requested scale.
-func runTopoBaseline(path string, opt harness.Options) {
-	var doc engineDoc
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		opt.Scale = doc.Scale
-	} else {
-		doc.Description = "topology experiment baseline (run `make bench-baseline` for the full grid)"
-		doc.Scale = opt.Scale
-	}
-	doc.Topo = measureTopo(opt)
-	writeEngineDoc(path, doc)
-	fmt.Printf("updated %d topology rows in %s (scale %d)\n", len(doc.Topo), path, doc.Scale)
-}
-
-// runTopoCheck is the CI topology gate: re-run the experiment at the
-// committed baseline's scale and fail on regression, on flat winning at
-// scale, or on the synthesized margin no longer growing with the
-// machine.
-func runTopoCheck(path string, opt harness.Options) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var base engineDoc
-	if err := json.Unmarshal(data, &base); err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	if len(base.Topo) == 0 {
-		log.Fatalf("%s has no topo rows; run `make bench-topo` (or `make bench-baseline`) and commit the result", path)
-	}
-	opt.Scale = base.Scale
-	if failures := checkTopoRows(base.Topo, measureTopo(opt)); failures > 0 {
-		log.Fatalf("topo check: %d regression(s) against %s", failures, path)
-	}
-	fmt.Printf("topo check passed: %d rows within 10%% of %s, synthesized ahead at scale\n", len(base.Topo), path)
-}
-
 // runTopo prints the human-readable topology comparison.
 func runTopo(opt harness.Options) {
 	opt.Verbose = true
@@ -556,80 +472,46 @@ func runTopo(opt harness.Options) {
 		len(points), harness.TopoIONodes, harness.TopoSizeMB>>opt.Scale)
 }
 
-// checkSchedRows gates fresh scheduler rows against committed ones:
-// per-row aggregate throughput within 10%, and the structural property
-// that overlapped dispatch beats the serialized baseline. Returns the
-// number of failures.
-func checkSchedRows(base, fresh []schedRow) int {
-	freshBy := make(map[int]schedRow, len(fresh))
+// checkSchedRows holds the scheduler rows to their structural claim:
+// overlapped dispatch beats the serialized baseline. Returns the number
+// of failures.
+func checkSchedRows(fresh []schedRow) int {
+	var over, serial schedRow
 	for _, r := range fresh {
-		freshBy[r.Inflight] = r
-	}
-	failures := 0
-	for _, b := range base {
-		f, ok := freshBy[b.Inflight]
-		if !ok {
-			fmt.Printf("FAIL sched/inflight%d       missing from fresh run\n", b.Inflight)
-			failures++
-			continue
+		switch r.Inflight {
+		case schedBenchInflight:
+			over = r
+		case 1:
+			serial = r
 		}
-		verdict := "ok  "
-		if f.AggMBs < 0.9*b.AggMBs {
-			verdict = "FAIL"
-			failures++
-		}
-		fmt.Printf("%s sched/inflight%-2d       base %8.2f MB/s  now %8.2f MB/s  p99 %v\n",
-			verdict, b.Inflight, b.AggMBs, f.AggMBs, time.Duration(f.P99Ns))
 	}
-	over, oOK := freshBy[schedBenchInflight]
-	serial, sOK := freshBy[1]
-	if oOK && sOK && over.AggMBs <= serial.AggMBs {
+	if over.AggMBs <= serial.AggMBs {
 		fmt.Printf("FAIL sched overlapped %.2f MB/s not above serialized %.2f MB/s\n",
 			over.AggMBs, serial.AggMBs)
-		failures++
+		return 1
 	}
-	return failures
+	return 0
 }
 
-// runSchedBaseline refreshes the sched rows of an existing baseline
-// file in place (`make bench-sched`). Other sections are preserved; a
-// missing file gets a sched-only document at the requested scale.
-func runSchedBaseline(path string, opt harness.Options) {
-	var doc engineDoc
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			log.Fatalf("%s: %v", path, err)
+// sameRows holds one virtual-time section to its committed rows
+// exactly: the rows are deterministic, so any difference is a model or
+// protocol change to explain, never noise. Returns the number of
+// failures (0 or 1), printing the first differing row.
+func sameRows[T comparable](section string, base, fresh []T) int {
+	for i := 0; i < len(base) || i < len(fresh); i++ {
+		if i >= len(base) || i >= len(fresh) || base[i] != fresh[i] {
+			fmt.Printf("FAIL %s row %d differs (of %d committed, %d fresh)\n", section, i, len(base), len(fresh))
+			if i < len(base) {
+				fmt.Printf("     committed %+v\n", base[i])
+			}
+			if i < len(fresh) {
+				fmt.Printf("     fresh     %+v\n", fresh[i])
+			}
+			return 1
 		}
-		opt.Scale = doc.Scale
-	} else {
-		doc.Description = "mixed-workload scheduler baseline (run `make bench-baseline` for the full grid)"
-		doc.Scale = opt.Scale
 	}
-	doc.Sched = measureSched(opt)
-	writeEngineDoc(path, doc)
-	fmt.Printf("updated %d scheduler rows in %s (scale %d)\n", len(doc.Sched), path, doc.Scale)
-}
-
-// runSchedCheck is the CI scheduler gate: re-run the mixed workload at
-// the committed baseline's scale and fail on regression or on the
-// overlapped run losing to the serialized one.
-func runSchedCheck(path string, opt harness.Options) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var base engineDoc
-	if err := json.Unmarshal(data, &base); err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	if len(base.Sched) == 0 {
-		log.Fatalf("%s has no sched rows; run `make bench-sched` (or `make bench-baseline`) and commit the result", path)
-	}
-	opt.Scale = base.Scale
-	if failures := checkSchedRows(base.Sched, measureSched(opt)); failures > 0 {
-		log.Fatalf("sched check: %d regression(s) against %s", failures, path)
-	}
-	fmt.Printf("sched check passed: %d rows within 10%% of %s\n", len(base.Sched), path)
+	fmt.Printf("ok   %-10s %d rows identical\n", section, len(base))
+	return 0
 }
 
 // runSched prints the human-readable scheduler comparison.
@@ -654,12 +536,10 @@ func writeEngineDoc(path string, doc engineDoc) {
 	}
 }
 
-// runEngineBaseline measures the engine grid plus the pack-kernel and
-// plan-cache rows and writes the results as JSON — the regression
-// baseline `make bench-baseline` tracks and `-engine-check` gates on.
-func runEngineBaseline(path string, opt harness.Options) {
-	doc := engineDoc{
-		Description: "staged server engine baseline: Table 1 AIX disk + SP2 link, serial vs staged (pipeline=4, readahead=2)",
+// measureDoc runs every baseline measurement at opt.Scale.
+func measureDoc(description string, opt harness.Options) engineDoc {
+	return engineDoc{
+		Description: description,
 		Scale:       opt.Scale,
 		Rows:        measureEngine(opt),
 		Pack:        measurePack(),
@@ -667,16 +547,21 @@ func runEngineBaseline(path string, opt harness.Options) {
 		Sched:       measureSched(opt),
 		Topo:        measureTopo(opt),
 	}
+}
+
+// runEngineBaseline writes the baseline as JSON — what `make
+// bench-baseline` tracks and `-engine-check` gates on.
+func runEngineBaseline(path string, opt harness.Options) {
+	doc := measureDoc("staged server engine baseline: Table 1 AIX disk + SP2 link, serial vs staged (pipeline=4, readahead=2)", opt)
 	writeEngineDoc(path, doc)
 	fmt.Printf("wrote %d measurements to %s\n", len(doc.Rows), path)
 }
 
-// runEngineCheck is the CI bench smoke: re-run the engine grid at the
-// committed baseline's scale and fail when any cell's aggregate MB/s
-// regresses more than 10%. The virtual-time rows are deterministic, so
-// the tolerance only absorbs deliberate model changes, not noise. The
-// fresh run lands at <path>.new for artifact upload; pack rows are
-// host-dependent and reported without gating.
+// runEngineCheck is the CI bench gate: re-run the baseline at the
+// committed file's scale and fail unless every virtual-time section is
+// identical to it and the structural claims still hold. The fresh run
+// lands at <path>.new for artifact upload; pack rows are host-dependent
+// and reported without gating.
 func runEngineCheck(path string, opt harness.Options) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -687,54 +572,26 @@ func runEngineCheck(path string, opt harness.Options) {
 		log.Fatalf("%s: %v", path, err)
 	}
 	opt.Scale = base.Scale
-	fresh := engineDoc{
-		Description: base.Description,
-		Scale:       base.Scale,
-		Rows:        measureEngine(opt),
-		Pack:        measurePack(),
-		PlanCache:   measurePlanCache(opt),
-		Sched:       measureSched(opt),
-		Topo:        measureTopo(opt),
-	}
+	fresh := measureDoc(base.Description, opt)
 	writeEngineDoc(path+".new", fresh)
 
-	key := func(r engineRow) string {
-		return fmt.Sprintf("%s/ion%d/pipe%d/ra%d", r.Figure, r.IONodes, r.Pipeline, r.ReadAhead)
-	}
-	freshBy := make(map[string]engineRow, len(fresh.Rows))
-	for _, r := range fresh.Rows {
-		freshBy[key(r)] = r
-	}
-	failures := 0
-	for _, b := range base.Rows {
-		f, ok := freshBy[key(b)]
-		if !ok {
-			fmt.Printf("FAIL %-22s missing from fresh run\n", key(b))
-			failures++
-			continue
-		}
-		verdict := "ok  "
-		if f.AggMBs < 0.9*b.AggMBs {
-			verdict = "FAIL"
-			failures++
-		}
-		fmt.Printf("%s %-22s base %8.2f MB/s  now %8.2f MB/s\n", verdict, key(b), b.AggMBs, f.AggMBs)
-	}
+	failures := sameRows("rows", base.Rows, fresh.Rows)
+	failures += sameRows("plan_cache", []planCacheRow{base.PlanCache}, []planCacheRow{fresh.PlanCache})
+	failures += sameRows("sched", base.Sched, fresh.Sched)
+	failures += sameRows("topo", base.Topo, fresh.Topo)
 	for _, p := range fresh.Pack {
 		fmt.Printf("info %-22s %8.2f MB/s (host-dependent, not gated)\n", p.Name, p.MBs)
 	}
-	fmt.Printf("info plan-cache            %d hits / %d misses over %d steps\n",
-		fresh.PlanCache.Hits, fresh.PlanCache.Misses, fresh.PlanCache.Steps)
 	if fresh.PlanCache.Hits == 0 {
 		fmt.Println("FAIL plan cache never hit on the multi-step probe")
 		failures++
 	}
-	failures += checkSchedRows(base.Sched, fresh.Sched)
-	failures += checkTopoRows(base.Topo, fresh.Topo)
+	failures += checkSchedRows(fresh.Sched)
+	failures += checkTopoRows(fresh.Topo)
 	if failures > 0 {
-		log.Fatalf("engine check: %d regression(s) against %s", failures, path)
+		log.Fatalf("engine check: %d failure(s) against %s; if the change is intended, re-run `make bench-baseline` and explain the diff", failures, path)
 	}
-	fmt.Printf("engine check passed: %d rows within 10%% of %s\n", len(base.Rows), path)
+	fmt.Printf("engine check passed: every virtual-time row identical to %s\n", path)
 }
 
 func runSharing(opt harness.Options) {

@@ -402,13 +402,14 @@ func TestDialRetryEventualListener(t *testing.T) {
 // rank sees its writes succeed (the master failed over) or fail typed,
 // and the daemon serves the next session bit-exact.
 func TestDaemonSurvivesIONodeKilledMidWrite(t *testing.T) {
+	const opTimeout = 2 * time.Second
 	d, err := StartDaemon(DaemonConfig{
 		ClientSlots:    8,
 		IONodes:        2,
 		MaxIONodes:     4,
 		LeaseTTL:       1200 * time.Millisecond,
 		HeartbeatEvery: 300 * time.Millisecond,
-		OpTimeout:      2 * time.Second,
+		OpTimeout:      opTimeout,
 		// A deep pull window keeps replies queued at the victim, so its
 		// executor is still issuing pulls when the socket closes under it.
 		Tuning: Tuning{Pipeline: 8},
@@ -443,6 +444,7 @@ func TestDaemonSurvivesIONodeKilledMidWrite(t *testing.T) {
 			t.Fatalf("round %d create: %v", round, err)
 		}
 		errs := make([]error, nodes)
+		slowest := make([]time.Duration, nodes)
 		s.Run(func(nd *Node) error { //nolint:errcheck // judged per rank below
 			buf := make([]byte, nd.ChunkBytes(a))
 			if err := nd.Bind(a, buf); err != nil {
@@ -452,11 +454,18 @@ func TestDaemonSurvivesIONodeKilledMidWrite(t *testing.T) {
 				if i == killAt && nd.Rank() == 0 {
 					time.AfterFunc(into, n.Kill) // lands inside this write
 				}
+				t0 := time.Now()
 				errs[nd.Rank()] = nd.WriteArray(a)
+				slowest[nd.Rank()] = max(slowest[nd.Rank()], time.Since(t0))
 			}
 			return nil
 		})
 		for rank, werr := range errs {
+			// Wherever the kill landed, the master stops waiting for the
+			// corpse once its socket closes — not when the budget runs out.
+			if slowest[rank] >= opTimeout {
+				t.Errorf("round %d rank %d: one write took %v, a whole OpTimeout (%v) or more", round, rank, slowest[rank], opTimeout)
+			}
 			if werr != nil && !core.IsTyped(werr) {
 				t.Errorf("round %d rank %d: untyped error %v", round, rank, werr)
 			}

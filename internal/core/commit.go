@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"panda/internal/bufpool"
 	"panda/internal/mpi"
 	"panda/internal/obs"
 	"panda/internal/storage"
@@ -144,19 +142,6 @@ func deadSet(deads []int) map[int]bool {
 	return set
 }
 
-// aliveOthers lists the server indexes participating in req other than
-// this server.
-func (s *Server) aliveOthers(req opRequest) []int {
-	dead := deadSet(req.Deads)
-	var out []int
-	for i := 0; i < s.cfg.NumServers; i++ {
-		if i != s.index && !dead[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // resolveEpochs fills req.Epochs from the master server's decision
 // records: for writes the next epoch of every array (decided+1), for
 // reads the decided epoch the whole deployment must serve (0 = nothing
@@ -229,54 +214,34 @@ func (s *Server) removePrepared(prepared []preparedArray) {
 
 // runCommitWrite drives a commit-mode write on this server, looping
 // over reassignment rounds. It returns the operation outcome (sent to
-// clients / the master) and a fatal error when the server must die
-// (injected crash).
-func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) (opErr, fatal error) {
+// clients / the master); one wrapping errServerCrashed is fatal — the
+// server must die on the spot (injected crash).
+func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) error {
 	for {
 		s.adoptRound(req)
 		prepared, err := s.stageEpochs(req, deadline)
 		var re *replanError
-		if errors.As(err, &re) {
-			s.plans = nil // the alive set changed; cached plans are stale
-			req = re.req
-			continue
-		}
-		if errors.Is(err, errServerCrashed) {
-			return err, err
-		}
 		var ab *abortedError
-		if errors.As(err, &ab) && !s.IsMaster() {
+		switch {
+		case errors.As(err, &re) || errors.Is(err, errServerCrashed):
+			// No exchange: a new round supersedes this one, or we are dead.
+		case s.IsMaster():
+			err = s.masterCommit(req, prepared, err, deadline)
+		case errors.As(err, &ab):
 			// The master resolved the operation against us while we were
 			// still pulling; it is not listening for our Prepared.
 			s.removePrepared(prepared)
-			return err, nil
-		}
-		if s.IsMaster() {
-			opErr, replan, fatal := s.masterCommit(req, prepared, err, deadline)
-			if fatal != nil {
-				return opErr, fatal
+		default:
+			s.send(s.cfg.MasterServer(), tagDoneFor(s.opSeq), encodeStatus(msgPrepared, req.Attempt, req.Round, err))
+			if verr := s.waitCommit(req, prepared, deadline); verr != nil {
+				err = verr
 			}
-			if replan != nil {
-				s.plans = nil
-				req = *replan
-				continue
-			}
-			return opErr, nil
 		}
-		s.send(s.cfg.MasterServer(), tagDoneFor(s.opSeq), encodeStatus(msgPrepared, req.Attempt, req.Round, err))
-		opErr, replan, fatal := s.waitCommit(req, prepared, deadline)
-		if fatal != nil {
-			return opErr, fatal
+		if !errors.As(err, &re) {
+			return err
 		}
-		if replan != nil {
-			s.plans = nil
-			req = *replan
-			continue
-		}
-		if opErr == nil && err != nil {
-			opErr = err
-		}
-		return opErr, nil
+		s.plans = nil // the alive set changed; cached plans are stale
+		req = re.req
 	}
 }
 
@@ -292,77 +257,14 @@ func (s *Server) adoptRound(req opRequest) {
 
 // masterCommit is the coordinator half of the two-phase commit: collect
 // Prepared from every live participant, then either decide+commit,
-// launch a reassignment round (some participant died), or abort.
-func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr error, deadline time.Duration) (opErr error, replan *opRequest, fatal error) {
-	collectBy := time.Duration(0)
-	if deadline > 0 {
-		collectBy = deadline + s.cfg.OpTimeout/2
-	}
-	participants := s.aliveOthers(req)
-	got := make(map[int]bool, len(participants))
-	status := ownErr
-	var newDeads []int
-
-	// A participant the transport already reports dead — or whose lease
-	// the membership layer has expired — will never prepare; spot it
-	// immediately (and re-check while waiting) instead of burning the
-	// whole collection budget before failing over.
-	checkDead := func() {
-		pc, pok := s.comm.(mpi.PeerChecker)
-		mem := s.cfg.Members
-		if !pok && mem == nil {
-			return
-		}
-		for _, i := range participants {
-			if got[i] {
-				continue
-			}
-			if (pok && pc.PeerLost(s.cfg.ServerRank(i))) || (mem != nil && mem.Gone(i)) {
-				newDeads = append(newDeads, i)
-			}
-		}
-	}
-	checkDead()
-	for len(got) < len(participants) && status == nil && len(newDeads) == 0 {
-		waitBy := collectBy
-		if deadline > 0 {
-			if poll := s.clk.Now() + s.cfg.OpTimeout/8; poll < waitBy {
-				waitBy = poll
-			}
-		}
-		m, rerr := recvBounded(s.comm, s.clk, mpi.AnySource, tagDoneFor(s.opSeq), waitBy)
-		if rerr != nil {
-			checkDead()
-			if len(newDeads) > 0 {
-				break // failover candidates found; reassign below
-			}
-			if errors.Is(rerr, ErrTimeout) && deadline > 0 && s.clk.Now() < collectBy {
-				continue // poll slice expired; the budget has not
-			}
-			// Anyone still silent is alive but late: the attempt times out.
-			s.cnt[cTimeouts].Add(1)
-			status = fmt.Errorf("core: master server: waiting for prepares: %w", rerr)
-			break
-		}
-		s.countRecv(len(m.Data))
-		r := rbuf{b: m.Data}
-		typ := r.u8()
-		frame, derr := decodeStatus(&r)
-		if derr != nil {
-			status = derr
-			break
-		}
-		if typ != msgPrepared || frame.Attempt != req.Attempt || frame.Round != req.Round {
-			continue // stale frame from an earlier attempt or round
-		}
-		idx := s.cfg.ServerIndex(m.Source)
-		if got[idx] {
-			continue
-		}
-		got[idx] = true
-		if frame.Err != nil && status == nil {
-			status = frame.Err
-		}
+// launch a reassignment round (some participant died; returned as a
+// *replanError), or abort. An error wrapping errServerCrashed is fatal.
+func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr error, deadline time.Duration) error {
+	// A participant that is gone will never prepare: the collection ends
+	// at the first death (or error) instead of burning its budget.
+	newDeads, late, status := s.collect(msgPrepared, req, deadline, ownErr, true)
+	if late {
+		s.cnt[cTimeouts].Add(1)
 	}
 
 	if len(newDeads) > 0 && int(req.Round) < maxReassignRounds {
@@ -371,23 +273,19 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		s.cnt[cReassigns].Add(1)
 		next := req
 		next.Round++
-		next.Deads = append(append([]int{}, req.Deads...), newDeads...)
-		sort.Ints(next.Deads)
+		next.Deads = mergeDeads(req.Deads, newDeads)
 		s.tr.Instant(obs.CatRecover, fmt.Sprintf("reassign round %d", next.Round), s.opSeq, s.clk.Now(), 0)
 		// The op's server tag reaches survivors wherever they block:
 		// mid-pull or waiting for the commit decision. This rebroadcast
 		// doubles as the membership-epoch announcement, so it rides the
 		// same tree as every other control broadcast.
 		s.broadcastVerdict(next.Deads, encodeOpRequest(next))
-		return nil, &next, nil
+		return &replanError{req: next}
 	}
 
 	if status != nil {
-		s.cnt[cAborts].Add(1)
-		s.tr.Instant(obs.CatCtl, "abort broadcast", s.opSeq, s.clk.Now(), 0)
-		s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, status))
-		s.removePrepared(prepared)
-		return status, nil, nil
+		s.abortOp(req, status, prepared)
+		return status
 	}
 
 	// Every participant is PREPARED: decide. The decision records on the
@@ -396,12 +294,9 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		if errors.Is(err, errOpCrashed) {
 			// Per-op crash before anything is decided: the operation
 			// aborts and rolls back cleanly; the server lives on.
-			s.cnt[cAborts].Add(1)
-			s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, err))
-			s.removePrepared(prepared)
-			return err, nil, nil
+			s.abortOp(req, err, prepared)
 		}
-		return err, nil, err
+		return err
 	}
 	var d0 time.Duration
 	if s.tr.Enabled() {
@@ -417,20 +312,16 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		s.tr.Span(obs.CatRecover, "commit decision", s.opSeq, d0, s.clk.Now(), 0)
 	}
 	if status != nil {
-		s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, status))
-		s.removePrepared(prepared)
-		return status, nil, nil
+		s.abortOp(req, status, prepared)
+		return status
 	}
 
 	s.broadcastVerdict(req.Deads, encodeStatus(msgCommit, req.Attempt, req.Round, nil))
 	if err := s.crashPoint("commit"); err != nil {
-		if errors.Is(err, errOpCrashed) {
-			// Per-op crash after the decision is durable: the temps stay
-			// and read-time roll-forward finishes the rename, exactly as
-			// for a process death here — old-or-new atomicity holds.
-			return err, nil, nil
-		}
-		return err, nil, err
+		// The decision is durable: whether the operation or the whole
+		// server dies here, the temps stay and read-time roll-forward
+		// finishes the rename — old-or-new atomicity holds.
+		return err
 	}
 	if err := s.commitPrepared(prepared); err != nil {
 		// The decision is durable: this server's own rename failure is
@@ -438,28 +329,25 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		s.tr.Instant(obs.CatRecover, "deferred commit: "+err.Error(), s.opSeq, s.clk.Now(), 0)
 	}
 
-	// Collect Committed acks. Stragglers are tolerated: the decision is
-	// durable, so an unacked server's epoch rolls forward at read time.
-	for range participants {
-		m, rerr := recvBounded(s.comm, s.clk, mpi.AnySource, tagDoneFor(s.opSeq), collectBy)
-		if rerr != nil {
-			s.tr.Instant(obs.CatRecover, "commit acks incomplete", s.opSeq, s.clk.Now(), 0)
-			break
-		}
-		s.countRecv(len(m.Data))
+	// Collect Committed acks. Stragglers, corpses and failed renames are
+	// tolerated: the decision is durable, so an unacked server's epoch
+	// rolls forward at read time.
+	if gone, late, _ := s.collect(msgCommitted, req, deadline, nil, false); late || len(gone) > 0 {
+		s.tr.Instant(obs.CatRecover, "commit acks incomplete", s.opSeq, s.clk.Now(), 0)
 	}
 	if len(req.Deads) > 0 {
 		s.cnt[cDegraded].Add(1)
 	}
-	return nil, nil, nil
+	return nil
 }
 
 // waitCommit is the participant half: PREPARED, waiting for the
 // coordinator's verdict. Commit and abort resolve the epoch; a
-// reassignment request restarts the round; a timeout keeps the temps —
-// never roll back on silence, because the decision may already be
-// durable on the master and read-time roll-forward will finish the job.
-func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline time.Duration) (opErr error, replan *opRequest, fatal error) {
+// reassignment request restarts the round (a *replanError); a timeout
+// keeps the temps — never roll back on silence, because the decision
+// may already be durable on the master and read-time roll-forward will
+// finish the job.
+func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline time.Duration) error {
 	waitBy := time.Duration(0)
 	if deadline > 0 {
 		waitBy = deadline + s.cfg.OpTimeout
@@ -469,62 +357,26 @@ func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline ti
 		if rerr != nil {
 			s.cnt[cTimeouts].Add(1)
 			s.tr.Instant(obs.CatRecover, "commit verdict timeout (temps kept)", s.opSeq, s.clk.Now(), 0)
-			return fmt.Errorf("core: server %d: waiting for commit verdict: %w", s.index, rerr), nil, nil
+			return fmt.Errorf("core: server %d: waiting for commit verdict: %w", s.index, rerr)
 		}
 		s.countRecv(len(m.Data))
-		r := rbuf{b: m.Data}
-		switch typ := r.u8(); typ {
-		case msgCommit:
-			frame, derr := decodeStatus(&r)
-			if derr != nil {
-				return derr, nil, nil
-			}
-			// Forward down the tree before acting, so the verdict reaches
-			// the subtree even if this node crashes at the commit point.
-			s.forwardTree(m.Data, tagToServer(s.opSeq), req.Deads)
-			if frame.Attempt != req.Attempt || frame.Round != req.Round {
-				continue
-			}
+		switch kind, verr := s.verdict(m); kind {
+		case vCommit:
 			if err := s.crashPoint("commit"); err != nil {
-				if errors.Is(err, errOpCrashed) {
-					// Per-op crash: keep the temps (the decision is durable
-					// on the master), skip the ack; roll-forward repairs.
-					return err, nil, nil
-				}
-				return err, nil, err
+				// Keep the temps (the decision is durable on the master),
+				// skip the ack; roll-forward repairs.
+				return err
 			}
 			cerr := s.commitPrepared(prepared)
 			s.send(s.cfg.MasterServer(), tagDoneFor(s.opSeq), encodeStatus(msgCommitted, req.Attempt, req.Round, cerr))
-			return cerr, nil, nil
-		case msgAbort:
-			frame, derr := decodeStatus(&r)
-			if derr != nil {
-				return derr, nil, nil
-			}
-			s.forwardTree(m.Data, tagToServer(s.opSeq), req.Deads)
-			if frame.Attempt < req.Attempt {
-				continue // abort of an attempt this server already left
-			}
-			s.cnt[cAborts].Add(1)
+			return cerr
+		case vAbort:
 			s.removePrepared(prepared)
-			err := frame.Err
-			if err == nil {
-				err = errors.New("core: operation aborted")
-			}
-			return &abortedError{cause: err}, nil, nil
-		case msgOpRequest:
-			nreq, derr := decodeOpRequest(m.Data)
-			if derr == nil {
-				// The reassignment round's tree is over the new alive set.
-				s.forwardTree(m.Data, tagToServer(s.opSeq), nreq.Deads)
-			}
-			bufpool.Put(m.Data) // decode copies everything out
-			if derr == nil && nreq.Seq == req.Seq && nreq.Attempt == req.Attempt && nreq.Round > req.Round {
-				return nil, &nreq, nil
-			}
-		default:
-			// Stale sub-chunk data from this round's pull retries.
+			return verr
+		case vReplan:
+			return verr
 		}
+		// vStale, or vData: sub-chunk data from this round's pull retries.
 	}
 }
 
@@ -541,7 +393,7 @@ func (s *Server) resolveRead(spec ArraySpec, base string, epoch uint64) (string,
 		if merr == nil {
 			return base, m, nil
 		}
-		if storageExists(s.disk, base) {
+		if storage.Exists(s.disk, base) {
 			return base, nil, nil // legacy file, pre-manifest
 		}
 		return "", nil, fmt.Errorf("core: server %d: array %s: %w", s.index, spec.Name, ErrNoCommittedEpoch)
@@ -550,7 +402,7 @@ func (s *Server) resolveRead(spec ArraySpec, base string, epoch uint64) (string,
 		return base, m, nil
 	}
 	// An interrupted commit of the decided epoch: finish it now.
-	if storageExists(s.disk, storage.EpochManifestName(base, epoch)) {
+	if storage.Exists(s.disk, storage.EpochManifestName(base, epoch)) {
 		rm, err := storage.RollForward(s.disk, base, epoch)
 		if err != nil {
 			return "", nil, fmt.Errorf("core: server %d: %w (%v)", s.index, ErrCorrupt, err)
@@ -572,18 +424,8 @@ func (s *Server) resolveRead(spec ArraySpec, base string, epoch uint64) (string,
 		s.tr.Instant(obs.CatRecover, fmt.Sprintf("stale epoch %d (decided %d): serving nothing", m.Epoch, epoch), s.opSeq, s.clk.Now(), 0)
 		return "", nil, nil
 	}
-	if storageExists(s.disk, base) {
+	if storage.Exists(s.disk, base) {
 		return base, nil, nil // legacy file despite a decision: serve it
 	}
 	return "", nil, nil // nothing at all (e.g. dead during the epoch's write)
-}
-
-// storageExists probes for a file on a Disk.
-func storageExists(d storage.Disk, name string) bool {
-	f, err := d.Open(name)
-	if err != nil {
-		return false
-	}
-	f.Close()
-	return true
 }

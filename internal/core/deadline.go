@@ -15,12 +15,8 @@ import (
 // sentinels: mpi.ErrTimeout → ErrTimeout, mpi.ErrPeerLost →
 // ErrPeerLost.
 func recvBounded(comm mpi.Comm, clk clock.Clock, from, tag int, deadline time.Duration) (mpi.Message, error) {
-	if deadline <= 0 {
-		return comm.Recv(from, tag), nil
-	}
 	dc, ok := comm.(mpi.DeadlineComm)
-	if !ok {
-		// No deadline support: degrade to the blocking protocol.
+	if deadline <= 0 || !ok { // no deadline, or no support for one: the blocking protocol
 		return comm.Recv(from, tag), nil
 	}
 	remaining := deadline - clk.Now()

@@ -240,10 +240,10 @@ func (m *Membership) downWhere(down func(MemberState) bool) []int {
 }
 
 // Gone reports whether a slot is dead for in-flight purposes (Lost or
-// Absent) — the lease layer's feed into the failover replanner's
-// checkDead and the master's Done collection. Draining members are NOT
-// gone: in-flight operations planned before the drain still complete
-// on them.
+// Absent) — the lease layer's feed into Server.serverGone, hence into
+// every collection the master runs. Draining members are NOT gone:
+// in-flight operations planned before the drain still complete on
+// them.
 func (m *Membership) Gone(slot int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -479,24 +479,15 @@ func (r *schedRouter) stampMembership(op *schedOp) {
 	mem.opStarted(op.req.MemberEpoch)
 }
 
-// mergeDeads unions two sorted dead-slot lists.
+// mergeDeads unions two dead-slot lists into one sorted list; a is
+// returned as is when b adds nothing, and never modified.
 func mergeDeads(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int(nil), b...)
-	}
-	seen := make(map[int]bool, len(a)+len(b))
-	for _, v := range a {
-		seen[v] = true
-	}
+	have := deadSet(a)
+	out := a[:len(a):len(a)]
 	for _, v := range b {
-		seen[v] = true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+		if !have[v] {
+			out = append(out, v)
+		}
 	}
 	sort.Ints(out)
 	return out

@@ -178,10 +178,8 @@ func (s *Server) acceptReq(req opRequest) bool {
 			return false
 		}
 	}
-	s.lastSeq, s.lastAttempt, s.lastRound = seq, att, rnd
+	s.adoptRound(req)
 	s.opSeq = seq
-	s.curAttempt, s.curRound = req.Attempt, req.Round
-	s.curDeads = req.Deads
 	s.ranks = req.Ranks
 	if req.MemberEpoch != 0 && req.MemberEpoch != s.lastMemberEpoch {
 		s.lastMemberEpoch = req.MemberEpoch
@@ -267,14 +265,6 @@ func (s *Server) recvData(deadline, quiet time.Duration) (mpi.Message, error) {
 	var w0 time.Duration
 	if s.met.recvWait != nil {
 		w0 = s.clk.Now()
-	}
-	if deadline <= 0 {
-		m := s.comm.Recv(mpi.AnySource, tagToServer(s.opSeq))
-		if s.met.recvWait != nil {
-			s.met.recvWait.Observe(int64(s.clk.Now() - w0))
-		}
-		s.countRecv(len(m.Data))
-		return m, nil
 	}
 	wait := deadline
 	if quiet > 0 && s.clk.Now()+quiet < deadline {
@@ -402,13 +392,12 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 	// Done). Reads, plain-mode writes and invalid requests take the
 	// legacy path below.
 	if err == nil && req.Op == opWrite && !s.cfg.PlainWrites {
-		opErr, fatal := s.runCommitWrite(req, deadline)
-		finalErr = opErr
-		if fatal != nil {
-			return fatal
+		finalErr = s.runCommitWrite(req, deadline)
+		if errors.Is(finalErr, errServerCrashed) {
+			return finalErr
 		}
 		if s.IsMaster() {
-			complete(s.curAttempt, s.curRound, opErr)
+			complete(s.curAttempt, s.curRound, finalErr)
 		}
 		return nil
 	}
@@ -424,95 +413,29 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 	}
 
 	// Master server: collect Done from every other server, aggregate
-	// the first failure, and inform the master client. With deadlines
-	// the collection gets half an extra OpTimeout of slack beyond the
-	// operation budget: a peer that hit its own deadline needs a
-	// moment for its Done to arrive before the master declares it
-	// lost.
-	collectBy := time.Duration(0)
-	if deadline > 0 {
-		collectBy = deadline + s.cfg.OpTimeout/2
-	}
-	status := err
-	participants := s.aliveOthers(req)
-	got := make(map[int]bool, len(participants))
-	for len(got) < len(participants) {
-		m, rerr := recvBounded(s.comm, s.clk, mpi.AnySource, tagDoneFor(s.opSeq), collectBy)
-		if rerr != nil {
-			// Reads of a degraded file set: the dead server's chunks were
-			// reassigned at write time, so the survivors serve all the
-			// data. When every missing participant is confirmed dead —
-			// not merely late — the collective completes without it.
-			if req.Op == opRead && status == nil && s.missingAllDead(participants, got) {
-				s.cnt[cDegraded].Add(1)
-				s.tr.Instant(obs.CatRecover, "read completed degraded", s.opSeq, s.clk.Now(), 0)
-				break
-			}
-			s.cnt[cTimeouts].Add(1)
-			if status == nil {
-				status = fmt.Errorf("core: master server: waiting for server completions: %w", rerr)
-			}
-			break
-		}
-		s.countRecv(len(m.Data))
-		r := rbuf{b: m.Data}
-		if t := r.u8(); t != msgDone {
-			if status == nil {
-				status = fmt.Errorf("core: master server: expected Done, got type %d", t)
-			}
-			continue
-		}
-		frame, derr := decodeStatus(&r)
-		if derr != nil {
-			status = derr
-			continue
-		}
-		if frame.Attempt != req.Attempt {
-			continue // Done from an abandoned attempt of this operation
-		}
-		idx := s.cfg.ServerIndex(m.Source)
-		if got[idx] {
-			continue
-		}
-		got[idx] = true
-		if frame.Err != nil && status == nil {
-			status = frame.Err
+	// the first failure, and inform the master client.
+	gone, late, status := s.collect(msgDone, req, deadline, err, false)
+	if late {
+		s.cnt[cTimeouts].Add(1)
+	} else if len(gone) > 0 && status == nil {
+		// Everyone silent is confirmed dead, not merely late. A read of a
+		// degraded file set completes without them: their chunks were
+		// reassigned at write time, so the survivors served all the data.
+		// A plain write has lost whatever they owned.
+		if req.Op == opRead {
+			s.cnt[cDegraded].Add(1)
+			s.tr.Instant(obs.CatRecover, "read completed degraded", s.opSeq, s.clk.Now(), 0)
+		} else {
+			status = fmt.Errorf("core: master server: servers %v died mid-write: %w", gone, ErrPeerLost)
 		}
 	}
-
 	if status != nil && deadline > 0 {
-		// Abort broadcast: unstick any server still waiting for pulls
-		// of this operation. Servers that already finished see the
-		// abort on a stale tag and never read it — harmless.
-		s.cnt[cAborts].Add(1)
-		s.tr.Instant(obs.CatCtl, "abort broadcast", s.opSeq, s.clk.Now(), 0)
-		s.broadcastVerdict(req.Deads, encodeAbort(req.Attempt, req.Round, status))
+		// Unstick any server still pulling; one that already finished
+		// never reads the abort's (by then stale) tag — harmless.
+		s.abortOp(req, status, nil)
 	}
 	complete(req.Attempt, req.Round, status)
 	return nil
-}
-
-// missingAllDead reports whether every participant yet to report is
-// confirmed dead — by the transport, or by the membership layer once a
-// member's lease has lapsed or it was administratively removed.
-func (s *Server) missingAllDead(participants []int, got map[int]bool) bool {
-	pc, ok := s.comm.(mpi.PeerChecker)
-	mem := s.cfg.Members
-	if !ok && mem == nil {
-		return false
-	}
-	for _, i := range participants {
-		if got[i] {
-			continue
-		}
-		if mem != nil && mem.Gone(i) {
-			continue
-		}
-		if !ok || !pc.PeerLost(s.cfg.ServerRank(i)) {
-			return false
-		}
-	}
-	return true
 }
 
 // execute performs this server's share of a legacy-path operation —
@@ -786,40 +709,16 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			s.cnt[cTimeouts].Add(1)
 			return rerr
 		}
+		switch kind, verr := s.verdict(m); kind {
+		case vStale:
+			continue
+		case vAbort, vReplan:
+			return verr
+		case vCommit:
+			return errors.New("commit verdict for a round still pulling")
+		}
 		r := rbuf{b: m.Data}
 		switch t := r.u8(); t {
-		case msgAbort:
-			frame, derr := decodeStatus(&r)
-			if derr == nil {
-				// Forward before unwinding: the subtree must learn the
-				// verdict even though this node stops pulling now.
-				s.forwardTree(m.Data, tagToServer(s.opSeq), s.curDeads)
-			}
-			bufpool.Put(m.Data)
-			if derr != nil {
-				return derr
-			}
-			if frame.Attempt < s.curAttempt {
-				continue // abort of an attempt this server already left
-			}
-			s.cnt[cAborts].Add(1)
-			status := frame.Err
-			if status == nil {
-				status = errors.New("core: operation aborted")
-			}
-			return &abortedError{cause: status}
-		case msgOpRequest:
-			// A replanning round: a participant died and the master
-			// rebroadcast the request on this operation's server tag.
-			nreq, derr := decodeOpRequest(m.Data)
-			if derr == nil {
-				s.forwardTree(m.Data, tagToServer(s.opSeq), nreq.Deads)
-			}
-			bufpool.Put(m.Data) // decode copies everything out
-			if derr == nil && nreq.Seq == uint32(s.opSeq) && nreq.Attempt == s.curAttempt && nreq.Round > s.curRound {
-				return &replanError{req: nreq}
-			}
-			continue // stale duplicate of an older round
 		case msgSubData, msgSubDataOp:
 			d, derr := decodeSubDataAny(t, &r)
 			if derr != nil {
@@ -1051,25 +950,12 @@ func (s *Server) checkReadInterrupt(deadline time.Duration) error {
 		return nil // nothing queued; transport failures surface elsewhere
 	}
 	s.countRecv(len(m.Data))
+	switch kind, verr := s.verdict(m); kind {
+	case vStale:
+		return nil
+	case vAbort:
+		return verr
+	}
 	r := rbuf{b: m.Data}
-	if t := r.u8(); t != msgAbort {
-		return fmt.Errorf("expected abort, got message type %d during read", t)
-	}
-	frame, derr := decodeStatus(&r)
-	if derr == nil {
-		s.forwardTree(m.Data, tagToServer(s.opSeq), s.curDeads)
-	}
-	bufpool.Put(m.Data)
-	if derr != nil {
-		return derr
-	}
-	if frame.Attempt < s.curAttempt {
-		return nil // abort of an attempt this server already left
-	}
-	s.cnt[cAborts].Add(1)
-	status := frame.Err
-	if status == nil {
-		status = errors.New("core: operation aborted")
-	}
-	return fmt.Errorf("aborted by master server: %w", status)
+	return fmt.Errorf("expected abort, got message type %d during read", r.u8())
 }

@@ -168,10 +168,10 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 			continue
 		}
 		s.wg.Add(1)
-		go func(i int) {
+		go func(i int, cfg Config) { // cfg copied here: Reconfigure may mutate s.cfg before this runs
 			defer s.wg.Done()
-			s.errs[i] = NewServer(s.cfg, comms[i], s.disks[i], clk).Serve()
-		}(i)
+			s.errs[i] = NewServer(cfg, comms[i], s.disks[i], clk).Serve()
+		}(i, s.cfg)
 	}
 	if s.cfg.Members != nil {
 		s.watchStop = make(chan struct{})

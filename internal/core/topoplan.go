@@ -81,42 +81,30 @@ func (s *Server) fanoutRaw(dests []int, tag int, raw []byte) {
 // through it), so flat schedules leave the request alone and find the
 // dead the way the paper's protocol does.
 func (s *Server) stampLost(req *opRequest) bool {
-	pc, pok := s.comm.(mpi.PeerChecker)
-	mem := s.cfg.Members
-	if !s.cfg.treeEnabled() || (!pok && mem == nil) {
+	if !s.cfg.treeEnabled() {
 		return false
 	}
-	dead := deadSet(req.Deads)
 	var lost []int
 	for i := 0; i < s.cfg.NumServers; i++ {
-		if i == s.index || dead[i] {
-			continue
-		}
-		if (pok && pc.PeerLost(s.cfg.ServerRank(i))) || (mem != nil && mem.Gone(i)) {
+		if i != s.index && s.serverGone(i) {
 			lost = append(lost, i)
 		}
 	}
-	if len(lost) == 0 {
+	merged := mergeDeads(req.Deads, lost)
+	if len(merged) == len(req.Deads) {
 		return false
 	}
-	req.Deads = append(append([]int{}, req.Deads...), lost...)
-	sort.Ints(req.Deads)
-	s.curDeads = req.Deads
+	req.Deads, s.curDeads = merged, merged
 	return true
 }
 
-// forwardTree re-forwards a received control frame to this node's
-// children: the interior-node half of a broadcast.
-func (s *Server) forwardTree(raw []byte, tag int, deads []int) {
-	s.fanoutRaw(s.serverTreeChildren(deadSet(deads)), tag, raw)
-}
-
-// broadcastVerdict originates a coordinator frame (commit decision,
-// abort, or reassignment request) to the attempt's participants on the
-// operation's server tag. The frame is encoded exactly once by the
-// caller.
+// broadcastVerdict sends a coordinator frame (commit decision, abort,
+// or reassignment request) on the operation's server tag to this
+// node's children in the control tree over the attempt's alive servers:
+// the master originates it, every receiver relays it. The frame is
+// encoded exactly once, by the master.
 func (s *Server) broadcastVerdict(deads []int, raw []byte) {
-	s.forwardTree(raw, tagToServer(s.opSeq), deads)
+	s.fanoutRaw(s.serverTreeChildren(deadSet(deads)), tagToServer(s.opSeq), raw)
 }
 
 // orderSubchunks reorders one server's pull schedule in place for the

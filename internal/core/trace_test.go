@@ -187,10 +187,14 @@ func TestTracedStagedReadVirtual(t *testing.T) {
 }
 
 // slowDisk wraps a Disk so every positioned I/O takes a fixed real
-// delay — enough width for real-time spans to overlap measurably.
+// delay — enough width for real-time spans to overlap measurably — and,
+// when first is set, holds its first WriteAt until first returns: the
+// storage stage is provably busy for as long as a test wants it to be.
 type slowDisk struct {
 	storage.Disk
 	delay time.Duration
+	first func()
+	once  sync.Once
 }
 
 func (d *slowDisk) Create(name string) (storage.File, error) {
@@ -198,7 +202,7 @@ func (d *slowDisk) Create(name string) (storage.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &slowFile{File: f, delay: d.delay}, nil
+	return &slowFile{File: f, d: d}, nil
 }
 
 func (d *slowDisk) Open(name string) (storage.File, error) {
@@ -206,21 +210,24 @@ func (d *slowDisk) Open(name string) (storage.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &slowFile{File: f, delay: d.delay}, nil
+	return &slowFile{File: f, d: d}, nil
 }
 
 type slowFile struct {
 	storage.File
-	delay time.Duration
+	d *slowDisk
 }
 
 func (f *slowFile) WriteAt(p []byte, off int64) (int, error) {
-	time.Sleep(f.delay)
+	if f.d.first != nil {
+		f.d.once.Do(f.d.first)
+	}
+	time.Sleep(f.d.delay)
 	return f.File.WriteAt(p, off)
 }
 
 func (f *slowFile) ReadAt(p []byte, off int64) (int, error) {
-	time.Sleep(f.delay)
+	time.Sleep(f.d.delay)
 	return f.File.ReadAt(p, off)
 }
 
@@ -534,16 +541,36 @@ func TestTimeoutsAndAbortsSurfaceOverTCP(t *testing.T) {
 }
 
 // TestOverlapAndStallSurfaceOverTCP runs the staged write engine over
-// the hub with a genuinely slow disk: OverlapNanos and StallNanos must
-// both surface through Stats on a real transport, not just under vtime.
+// the hub: OverlapNanos and StallNanos must both surface through Stats
+// on a real transport, not just under vtime. Neither is left to a race
+// between a sleeping disk and the network: the first WriteAt is held
+// until the mover has filled the write-behind queue behind it — disk
+// time the network stage demonstrably overlapped — and a moment longer,
+// so the mover's next hand-off finds the queue full and stalls.
 func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
-	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 32 << 10, Pipeline: 2}
+	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 32 << 10, Pipeline: 2, Metrics: obs.NewRegistry()}
 	specs := []ArraySpec{mustSpec1D(t, "ovl", 512<<10, cfg.NumClients, cfg.NumServers)}
 
+	depth := cfg.Metrics.Histogram("stage_queue_depth", obs.DepthBounds)
+	queueFull := func() {
+		for waited := time.Duration(0); ; waited += 200 * time.Microsecond {
+			// Depths 1 and 2 fit the queue; a deeper observation is the
+			// mover arriving with a sub-chunk there is no room for.
+			if snap := depth.Snapshot(); snap.Count-snap.Counts[0]-snap.Counts[1] > 0 {
+				break
+			}
+			if waited > 10*time.Second {
+				t.Error("the write-behind queue never filled behind a blocked disk")
+				return
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	errs, stats := runOverTCP(t, cfg, nil, func(cl *Client) error {
 		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
 	}, func(int) storage.Disk {
-		return &slowDisk{Disk: storage.NewMemDisk(), delay: 3 * time.Millisecond}
+		return &slowDisk{Disk: storage.NewMemDisk(), first: queueFull}
 	})
 
 	for r, err := range errs {
@@ -553,10 +580,10 @@ func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 	}
 	st := stats[0]
 	if st.OverlapNanos <= 0 {
-		t.Errorf("OverlapNanos = %d, want > 0 (16 slow writes behind a live network stage)", st.OverlapNanos)
+		t.Errorf("OverlapNanos = %d, want > 0 (three sub-chunks pulled while the disk was busy)", st.OverlapNanos)
 	}
 	if st.StallNanos <= 0 {
-		t.Errorf("StallNanos = %d, want > 0 (write-behind queue of 2 against a 3ms disk)", st.StallNanos)
+		t.Errorf("StallNanos = %d, want > 0 (a hand-off into a full write-behind queue)", st.StallNanos)
 	}
 }
 

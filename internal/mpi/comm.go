@@ -1,7 +1,7 @@
 // Package mpi provides the message-passing substrate Panda runs on: a
-// small subset of MPI semantics — ranked endpoints, tagged blocking
-// point-to-point messages with wildcard receives, and the collectives
-// Panda needs (barrier, broadcast, gather).
+// small subset of MPI semantics — ranked endpoints and tagged blocking
+// point-to-point messages with wildcard receives. Panda's own
+// broadcasts are forwarded hop by hop over TreeChildren (topology.go).
 //
 // Two interchangeable implementations exist:
 //
@@ -37,10 +37,6 @@ const AnySource = -1
 
 // AnyTag matches every tag when passed to Recv.
 const AnyTag = -1
-
-// Tags at or above tagInternal are reserved for the collectives in this
-// package; application code must use smaller tags.
-const tagInternal = 1 << 24
 
 // Message is a received point-to-point message.
 type Message struct {

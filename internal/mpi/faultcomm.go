@@ -235,15 +235,6 @@ func (c *FaultComm) Isend(to, tag int, data []byte) Request {
 	return doneRequest{}
 }
 
-// Flush emits any message held back for reordering. Call between
-// operations if a schedule must not leak messages across phases.
-func (c *FaultComm) Flush() {
-	if prev := c.held; prev != nil {
-		c.held = nil
-		c.inner.SendOwned(prev.to, prev.tag, prev.data)
-	}
-}
-
 // crashPollQuantum bounds how long a blocked receive can overlook a
 // freshly injected crash: unbounded and long waits are sliced into
 // quanta so the crash map is re-consulted between slices.

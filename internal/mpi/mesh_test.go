@@ -143,19 +143,6 @@ func TestMeshOrderingPerPair(t *testing.T) {
 	})
 }
 
-func TestMeshCollectives(t *testing.T) {
-	runMeshWorld(t, 5, func(c Comm) {
-		got := Bcast(c, 1, []byte("mesh"))
-		if string(got) != "mesh" {
-			t.Errorf("bcast got %q", got)
-		}
-		Barrier(c)
-		if m := AllreduceMax(c, int64(c.Rank()*7)); m != 28 {
-			t.Errorf("allreduce = %d", m)
-		}
-	})
-}
-
 func TestMeshRegistryRejectsWrongSize(t *testing.T) {
 	reg, err := ListenRegistry("127.0.0.1:0", 2)
 	if err != nil {

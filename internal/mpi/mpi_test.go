@@ -108,81 +108,6 @@ func TestTagSelectivity(t *testing.T) {
 	})
 }
 
-func TestBarrierInproc(t *testing.T) {
-	var mu sync.Mutex
-	phase := make(map[int]int)
-	runWorld(t, 8, func(c Comm) {
-		mu.Lock()
-		phase[c.Rank()] = 1
-		mu.Unlock()
-		Barrier(c)
-		mu.Lock()
-		for r, ph := range phase {
-			if ph != 1 {
-				t.Errorf("rank %d at phase %d after barrier", r, ph)
-			}
-		}
-		mu.Unlock()
-		Barrier(c)
-		mu.Lock()
-		phase[c.Rank()] = 2
-		mu.Unlock()
-	})
-}
-
-func TestBcast(t *testing.T) {
-	runWorld(t, 5, func(c Comm) {
-		var data []byte
-		if c.Rank() == 2 {
-			data = []byte("payload")
-		}
-		got := Bcast(c, 2, data)
-		if string(got) != "payload" {
-			t.Errorf("rank %d got %q", c.Rank(), got)
-		}
-	})
-}
-
-func TestGather(t *testing.T) {
-	runWorld(t, 6, func(c Comm) {
-		mine := []byte{byte(c.Rank() * 2)}
-		all := Gather(c, 0, mine)
-		if c.Rank() == 0 {
-			for r, d := range all {
-				if len(d) != 1 || d[0] != byte(r*2) {
-					t.Errorf("gather slot %d = %v", r, d)
-				}
-			}
-		} else if all != nil {
-			t.Errorf("non-root got non-nil gather result")
-		}
-	})
-}
-
-func TestScatter(t *testing.T) {
-	runWorld(t, 4, func(c Comm) {
-		var parts [][]byte
-		if c.Rank() == 0 {
-			for i := 0; i < 4; i++ {
-				parts = append(parts, []byte{byte(i + 100)})
-			}
-		}
-		got := Scatter(c, 0, parts)
-		if len(got) != 1 || got[0] != byte(c.Rank()+100) {
-			t.Errorf("rank %d scatter got %v", c.Rank(), got)
-		}
-	})
-}
-
-func TestAllreduceMax(t *testing.T) {
-	runWorld(t, 7, func(c Comm) {
-		got := AllreduceMax(c, int64(c.Rank()*3))
-		if got != 18 {
-			t.Errorf("rank %d AllreduceMax = %d, want 18", c.Rank(), got)
-		}
-	})
-}
-
 func TestSimSendRecvContent(t *testing.T) {
 	runSimWorld(t, 2, SP2Link(), func(c Comm) {
 		if c.Rank() == 0 {
@@ -311,39 +236,20 @@ func TestSimIsendOverlaps(t *testing.T) {
 	}
 }
 
-func TestSimCollectives(t *testing.T) {
-	runSimWorld(t, 8, SP2Link(), func(c Comm) {
-		got := Bcast(c, 0, []byte("x"))
-		if string(got) != "x" {
-			t.Errorf("bcast got %q", got)
-		}
-		Barrier(c)
-		all := Gather(c, 3, []byte{byte(c.Rank())})
-		if c.Rank() == 3 {
-			for r, d := range all {
-				if d[0] != byte(r) {
-					t.Errorf("gather slot %d = %v", r, d)
-				}
-			}
-		}
-		if m := AllreduceMax(c, int64(c.Rank())); m != 7 {
-			t.Errorf("allreduce = %d", m)
-		}
-	})
-}
-
 func TestSimDeterministicTiming(t *testing.T) {
 	run := func() time.Duration {
 		return runSimWorld(t, 6, SP2Link(), func(c Comm) {
-			Barrier(c)
 			if c.Rank() != 0 {
 				c.Send(0, 1, make([]byte, 100*1024))
+				c.Recv(0, 2)
 			} else {
 				for i := 1; i < 6; i++ {
 					c.Recv(AnySource, 1)
 				}
+				for i := 1; i < 6; i++ {
+					c.Send(i, 2, make([]byte, 10*1024))
+				}
 			}
-			Barrier(c)
 		})
 	}
 	if a, b := run(), run(); a != b {

@@ -191,27 +191,6 @@ func TestTCPOrderingPerPair(t *testing.T) {
 	})
 }
 
-func TestTCPCollectives(t *testing.T) {
-	runTCPWorld(t, 5, func(c Comm) {
-		got := Bcast(c, 2, []byte("tcp-bcast"))
-		if string(got) != "tcp-bcast" {
-			t.Errorf("rank %d bcast got %q", c.Rank(), got)
-		}
-		Barrier(c)
-		all := Gather(c, 0, []byte{byte(c.Rank() * 3)})
-		if c.Rank() == 0 {
-			for r, d := range all {
-				if d[0] != byte(r*3) {
-					t.Errorf("gather slot %d = %v", r, d)
-				}
-			}
-		}
-		if m := AllreduceMax(c, int64(100-c.Rank())); m != 100 {
-			t.Errorf("allreduce = %d", m)
-		}
-	})
-}
-
 func TestTCPManyToOne(t *testing.T) {
 	const size = 8
 	runTCPWorld(t, size, func(c Comm) {

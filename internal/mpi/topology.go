@@ -220,8 +220,8 @@ func ParseTopology(s string) (*Topology, error) {
 	return t, t.Validate()
 }
 
-// Broadcast trees. TreeChildren and TreeParent synthesize, at every
-// rank independently, the same broadcast schedule over an arbitrary
+// Broadcast trees. TreeChildren synthesizes, at every rank
+// independently, the same broadcast schedule over an arbitrary
 // participant list: a binomial tree on a flat network, and a rack-major
 // two-level tree (binomial over rack leaders, then binomial within each
 // rack) when a topology with racks is present — so at most one message
@@ -247,31 +247,6 @@ func TreeChildren(members []int, root, self int, topo *Topology) []int {
 		return binomialChildren(members, ri, si)
 	}
 	return rackChildren(members, ri, si, topo)
-}
-
-// TreeParent returns the world rank self receives from, or -1 for the
-// root (and for ranks not in members).
-func TreeParent(members []int, root, self int, topo *Topology) int {
-	n := len(members)
-	if n <= 1 || self == root {
-		return -1
-	}
-	ri, si := indexOf(members, root), indexOf(members, self)
-	if ri < 0 || si < 0 {
-		return -1
-	}
-	if topo == nil || topo.RackSize <= 1 {
-		return binomialParent(members, ri, si)
-	}
-	p := partitionRacks(members, ri, topo)
-	rk := topo.RackOf(self)
-	if si == p.leaderOf(rk) {
-		leaders := p.leaders(members)
-		return binomialParent(leaders, indexOf(leaders, members[ri]), indexOf(leaders, self))
-	}
-	local := p.rackMembers(members, rk)
-	lead := members[p.leaderOf(rk)]
-	return binomialParent(local, indexOf(local, lead), indexOf(local, self))
 }
 
 func indexOf(members []int, rank int) int {
@@ -307,21 +282,6 @@ func binomialChildren(members []int, ri, si int) []int {
 		out = append(out, members[(child+ri)%n])
 	}
 	return out
-}
-
-// binomialParent inverts binomialChildren: the parent of relative
-// position r clears r's lowest set bit.
-func binomialParent(members []int, ri, si int) int {
-	n := len(members)
-	r := si - ri
-	if r < 0 {
-		r += n
-	}
-	if r == 0 {
-		return -1
-	}
-	p := r - (r & -r)
-	return members[(p+ri)%n]
 }
 
 // rackPartition groups member positions by rack, preserving member

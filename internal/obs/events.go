@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -26,8 +25,7 @@ import (
 // unconditionally.
 type EventLog struct {
 	mu sync.Mutex
-	w  io.Writer
-	c  io.Closer
+	f  *os.File // nil once closed
 }
 
 // OpenEventLog opens (appending, creating if needed) a JSON-lines
@@ -37,16 +35,7 @@ func OpenEventLog(path string) (*EventLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: event log: %w", err)
 	}
-	return &EventLog{w: f, c: f}, nil
-}
-
-// NewEventLog wraps an arbitrary writer (tests, stderr mirrors).
-func NewEventLog(w io.Writer) *EventLog {
-	l := &EventLog{w: w}
-	if c, ok := w.(io.Closer); ok {
-		l.c = c
-	}
-	return l
+	return &EventLog{f: f}, nil
 }
 
 // Emit appends one event: the given fields plus "event" (the type) and
@@ -70,8 +59,8 @@ func (l *EventLog) Emit(typ string, fields map[string]any) {
 	b = append(b, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w != nil {
-		_, _ = l.w.Write(b)
+	if l.f != nil {
+		_, _ = l.f.Write(b)
 	}
 }
 
@@ -82,12 +71,11 @@ func (l *EventLog) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.w = nil
-	if l.c == nil {
+	if l.f == nil {
 		return nil
 	}
-	err := l.c.Close()
-	l.c = nil
+	err := l.f.Close()
+	l.f = nil
 	return err
 }
 

@@ -291,7 +291,7 @@ func scrubTempEpoch(rep *ScrubReport, d Disk, disk int, base string, epoch uint6
 		return
 	}
 	probe := EpochName(base, epoch)
-	if !exists(d, probe) {
+	if !Exists(d, probe) {
 		probe = base
 	}
 	if m.TotalBytes > 0 {

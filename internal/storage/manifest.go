@@ -18,8 +18,10 @@ import (
 // PREPARED; committing it is a pair of renames — data, then manifest —
 // so a crash at any instant leaves either the old committed epoch or
 // the new one, never a torn mix. The previously committed epoch is
-// retained one deep under a ".prev" suffix, giving Restart a fallback
-// when the newest epoch fails verification.
+// retained one deep under a ".prev" suffix for Scrub: when the newest
+// epoch fails verification on any disk, repair rolls the key's decision
+// back to it. A read never falls back on its own — it serves ".prev"
+// only once the decision names that epoch.
 //
 // On-disk naming, for a base file name like "state.ckpt.0":
 //
@@ -268,8 +270,8 @@ func VerifyData(d Disk, name string, m *Manifest) error {
 func CommitEpoch(d Disk, base string, epoch uint64) error {
 	tmpData := EpochName(base, epoch)
 	tmpMfst := EpochManifestName(base, epoch)
-	hasTmpData := exists(d, tmpData)
-	hasTmpMfst := exists(d, tmpMfst)
+	hasTmpData := Exists(d, tmpData)
+	hasTmpMfst := Exists(d, tmpMfst)
 	if !hasTmpData && !hasTmpMfst {
 		return fmt.Errorf("storage: commit %s epoch %d: nothing prepared", base, epoch)
 	}
@@ -278,7 +280,7 @@ func CommitEpoch(d Disk, base string, epoch uint64) error {
 	// bytes that are not there yet... a stale prev pair is debris the
 	// scrubber clears, not a correctness hazard. Only a fully committed
 	// pair is worth retaining.
-	if hasTmpData && exists(d, base) && exists(d, ManifestName(base)) {
+	if hasTmpData && Exists(d, base) && Exists(d, ManifestName(base)) {
 		_ = d.Rename(ManifestName(base), ManifestName(PrevName(base)))
 		_ = d.Rename(base, PrevName(base))
 	}
@@ -316,7 +318,7 @@ func RollForward(d Disk, base string, epoch uint64) (*Manifest, error) {
 		return nil, fmt.Errorf("storage: roll-forward %s epoch %d: no usable manifest: %w", base, epoch, err)
 	}
 	probe := EpochName(base, epoch)
-	if !exists(d, probe) {
+	if !Exists(d, probe) {
 		probe = base // data may already have its final name
 	}
 	if tm.TotalBytes > 0 {
@@ -348,8 +350,8 @@ func sweepEpochs(d Disk, base string, keep uint64) {
 	}
 }
 
-// exists probes for a file without the Open error ceremony.
-func exists(d Disk, name string) bool {
+// Exists probes for a file without the Open error ceremony.
+func Exists(d Disk, name string) bool {
 	f, err := d.Open(name)
 	if err != nil {
 		return false

@@ -198,7 +198,7 @@ func TestCommitEpochSweepsStaleTemps(t *testing.T) {
 	if err := CommitEpoch(d, base, 2); err != nil {
 		t.Fatal(err)
 	}
-	if exists(d, EpochName(base, 1)) || exists(d, EpochManifestName(base, 1)) {
+	if Exists(d, EpochName(base, 1)) || Exists(d, EpochManifestName(base, 1)) {
 		t.Fatal("stale epoch 1 temps not swept")
 	}
 }

@@ -130,10 +130,10 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 		f.size = end
 	}
 	if !f.disk.Discard {
-		if end > int64(len(f.data)) {
-			grown := make([]byte, end)
-			copy(grown, f.data)
-			f.data = grown
+		if grow := end - int64(len(f.data)); grow > 0 {
+			// append grows geometrically, so a file written front to back
+			// is copied O(1) times per byte, not once per extending write.
+			f.data = append(f.data, make([]byte, grow)...)
 		}
 		copy(f.data[off:end], p)
 	}

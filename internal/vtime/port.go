@@ -31,8 +31,5 @@ func (po *Port) Reserve(from, dur time.Duration) (done time.Duration) {
 	return po.free
 }
 
-// Free reports the earliest time a new reservation could start.
-func (po *Port) Free() time.Duration { return po.free }
-
 // Busy reports the cumulative time the port has been reserved for.
 func (po *Port) Busy() time.Duration { return po.busy }

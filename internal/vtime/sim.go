@@ -14,8 +14,9 @@
 //     other party calls Sim.Wake / Sim.WakeAt on it;
 //   - timed callbacks: Sim.At and Sim.After run a function in scheduler
 //     context at a virtual instant (the function must not block);
-//   - conveniences built on those: Proc.Sleep, Queue (a blocking FIFO),
-//     and Port (next-free-time bandwidth bookkeeping for links and disks).
+//   - conveniences built on those: Proc.Sleep, Pipe (a bounded blocking
+//     FIFO), and Port (next-free-time bandwidth bookkeeping for links
+//     and disks).
 //
 // Time is represented as time.Duration since the start of the simulation.
 package vtime

@@ -78,8 +78,7 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	s := New()
 	s.Spawn("stuck", func(p *Proc) {
-		q := NewQueue[int](s)
-		q.Pop(p) // nothing will ever push
+		p.Park() // nothing will ever wake it
 	})
 	err := s.Run()
 	var dl *DeadlockError
@@ -91,13 +90,13 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestQueueDeliversFIFO(t *testing.T) {
+func TestPipeDeliversFIFOAcrossProcesses(t *testing.T) {
 	s := New()
-	q := NewQueue[int](s)
+	q := NewPipe[int](s, 2)
 	var got []int
 	s.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Pop(p))
+		for v, ok := q.Pop(); ok; v, ok = q.Pop() {
+			got = append(got, v)
 		}
 	})
 	s.Spawn("producer", func(p *Proc) {
@@ -105,72 +104,18 @@ func TestQueueDeliversFIFO(t *testing.T) {
 			q.Push(i)
 			p.Sleep(time.Millisecond)
 		}
+		q.Close()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 5 {
+		t.Fatalf("got %v, want 0..4", got)
 	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("got %v, want 0..4 in order", got)
 		}
-	}
-}
-
-func TestQueuePushAtDelaysDelivery(t *testing.T) {
-	s := New()
-	q := NewQueue[string](s)
-	var at time.Duration
-	s.Spawn("consumer", func(p *Proc) {
-		q.Pop(p)
-		at = p.Now()
-	})
-	q.PushAt(7*time.Millisecond, "x")
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 7*time.Millisecond {
-		t.Fatalf("delivered at %v, want 7ms", at)
-	}
-}
-
-func TestQueueManyWaitersServedInOrder(t *testing.T) {
-	s := New()
-	q := NewQueue[int](s)
-	var served []string
-	for _, name := range []string{"w0", "w1", "w2"} {
-		name := name
-		s.Spawn(name, func(p *Proc) {
-			q.Pop(p)
-			served = append(served, name)
-		})
-	}
-	s.Spawn("producer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		for i := 0; i < 3; i++ {
-			q.Push(i)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"w0", "w1", "w2"}
-	for i := range want {
-		if served[i] != want[i] {
-			t.Fatalf("served = %v, want %v", served, want)
-		}
-	}
-}
-
-func TestQueueTryPop(t *testing.T) {
-	s := New()
-	q := NewQueue[int](s)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue returned ok")
-	}
-	q.Push(42)
-	v, ok := q.TryPop()
-	if !ok || v != 42 {
-		t.Fatalf("TryPop = %d,%v", v, ok)
 	}
 }
 
@@ -211,18 +156,17 @@ func TestSpawnFromProcess(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []time.Duration {
 		s := New()
-		q := NewQueue[int](s)
+		q := NewPipe[int](s, 1)
 		var stamps []time.Duration
-		for i := 0; i < 4; i++ {
-			i := i
-			s.Spawn("p", func(p *Proc) {
+		s.Spawn("p", func(p *Proc) {
+			for i := 0; i < 4; i++ {
 				p.Sleep(time.Duration(i) * time.Millisecond)
 				q.Push(i)
-			})
-		}
+			}
+			q.Close()
+		})
 		s.Spawn("c", func(p *Proc) {
-			for i := 0; i < 4; i++ {
-				q.Pop(p)
+			for _, ok := q.Pop(); ok; _, ok = q.Pop() {
 				stamps = append(stamps, p.Now())
 			}
 		})
@@ -290,37 +234,45 @@ func TestEventCount(t *testing.T) {
 }
 
 func TestStressManyProcessesMonotonicTime(t *testing.T) {
-	// Hundreds of processes doing pseudo-random sleeps and queue
-	// traffic: time must be monotone per process, every process must
-	// finish, and the run must be deterministic.
+	// Hundreds of processes doing pseudo-random sleeps and pipe traffic
+	// (producer/consumer pairs): time must be monotone per process,
+	// every process must finish, and the run must be deterministic.
 	run := func() (uint64, time.Duration) {
 		s := New()
-		q := NewQueue[int](s)
-		const procs = 200
-		for i := 0; i < procs; i++ {
+		const pairs = 100
+		nap := func(p *Proc, seed *uint64, last *time.Duration) {
+			*seed = *seed*6364136223846793005 + 1442695040888963407
+			p.Sleep(time.Duration(*seed%1000) * time.Microsecond)
+			if p.Now() < *last {
+				t.Errorf("time went backwards")
+			}
+			*last = p.Now()
+		}
+		for i := 0; i < pairs; i++ {
 			i := i
-			s.Spawn("worker", func(p *Proc) {
-				last := p.Now()
-				seed := uint64(i*2654435761 + 17)
+			q := NewPipe[int](s, 2)
+			s.Spawn("producer", func(p *Proc) {
+				last, seed := p.Now(), uint64(i*2654435761+17)
 				for step := 0; step < 20; step++ {
-					seed = seed*6364136223846793005 + 1442695040888963407
-					d := time.Duration(seed%1000) * time.Microsecond
-					p.Sleep(d)
-					if p.Now() < last {
-						t.Errorf("time went backwards")
-					}
-					last = p.Now()
+					nap(p, &seed, &last)
 					if step%3 == 0 {
-						q.Push(i)
+						q.Push(step)
 					}
+				}
+				q.Close()
+			})
+			s.Spawn("consumer", func(p *Proc) {
+				last, seed := p.Now(), uint64(i*40503+5)
+				n := 0
+				for _, ok := q.Pop(); ok; _, ok = q.Pop() {
+					n++
+					nap(p, &seed, &last)
+				}
+				if n != 7 {
+					t.Errorf("pair %d delivered %d of 7 values", i, n)
 				}
 			})
 		}
-		s.Spawn("drain", func(p *Proc) {
-			for n := 0; n < procs*7; n++ {
-				q.Pop(p)
-			}
-		})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -191,16 +191,3 @@ func (g *Group) specs() []core.ArraySpec {
 	}
 	return specs
 }
-
-// SetSubchunkBytes overrides the deployment's sub-chunk size limit for
-// this array (the paper's future-work "explicitly request sub-chunked
-// schemas"); the servers move and write this array in pieces of at
-// most n bytes. Zero restores the deployment default (1 MB in the
-// paper). Call before the array is used in a collective operation.
-func (a *Array) SetSubchunkBytes(n int64) {
-	a.spec.SubchunkBytes = n
-}
-
-// SubchunkBytes reports the per-array override; zero means the
-// deployment default applies.
-func (a *Array) SubchunkBytes() int64 { return a.spec.SubchunkBytes }
