@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build test race flake vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# cross builds for a platform without sync_file_range, so the no-op
+# writeback stub (internal/storage/osdisk_other.go) is compiled and
+# vetted by something. Needs no network: the module has no dependencies.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/storage/
 
 test:
 	$(GO) test ./...
@@ -32,12 +39,12 @@ check: vet staticcheck
 race:
 	$(GO) test -race ./...
 
-# flake is the robustness gate: the transport, protocol and daemon
-# tests repeated under the race detector on two cores, where scheduling
-# is tight enough to expose teardown, registration and closed-socket
-# races that a single quiet run hides.
+# flake is the robustness gate: the transport, protocol, storage and
+# daemon tests repeated under the race detector on two cores, where
+# scheduling is tight enough to expose teardown, registration and
+# closed-socket races that a single quiet run hides.
 flake:
-	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/mpi ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/mpi ./internal/core ./internal/storage
 	GOMAXPROCS=2 $(GO) test -race -count=5 -timeout 30m -run 'TestDaemon' .
 
 # loc counts what ROADMAP states its deliverables in: non-test Go lines

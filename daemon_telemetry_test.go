@@ -85,6 +85,10 @@ func TestDaemonSLOReloadUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The reload lands mid-load by handshake, not by sleeping: the writer
+	// reports once it is under way and holds its last five timesteps
+	// until the objective is in force, however fast the disk syncs.
+	underWay, reloaded := make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
 		done <- s.Run(func(n *Node) error {
@@ -95,6 +99,12 @@ func TestDaemonSLOReloadUnderLoad(t *testing.T) {
 			g := NewGroup("w")
 			g.Include(a)
 			for i := 0; i < 30; i++ {
+				switch i {
+				case 5:
+					close(underWay)
+				case 25:
+					<-reloaded
+				}
 				fillPattern(buf, int64(i))
 				if err := n.Timestep(g); err != nil {
 					return fmt.Errorf("timestep %d: %w", i, err)
@@ -103,10 +113,15 @@ func TestDaemonSLOReloadUnderLoad(t *testing.T) {
 			return nil
 		})
 	}()
-	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-underWay:
+	case err := <-done:
+		t.Fatalf("writes ended before the reload: %v", err)
+	}
 	// The reload that tightens the screw: a 1ms objective that a real
 	// disk write cannot meet.
 	d.Reload(Tuning{MaxInflight: 2, SLOms: map[string]int64{"sim": 1}})
+	close(reloaded)
 	if err := <-done; err != nil {
 		t.Fatalf("writes failed across SLO reload: %v", err)
 	}

@@ -31,7 +31,7 @@ const mergeCap = 8 << 20
 const (
 	dCreate = iota // name -> reply.f
 	dOpen          // name, want -> reply.f (size-checked)
-	dWrite         // f, buf, off, pooled -> reply.err
+	dWrite         // f, buf, off, recycle -> reply.err
 	dRead          // f, buf, off -> reply.err (buf filled in place)
 	dSync          // f -> reply.err
 	dClose         // f -> reply.err
@@ -39,15 +39,15 @@ const (
 )
 
 type diskReq struct {
-	kind   int
-	seq    int // operation sequence, for trace spans
-	name   string
-	want   int64
-	f      storage.File
-	buf    []byte
-	off    int64
-	pooled bool
-	reply  mbox[diskReply]
+	kind    int
+	seq     int // operation sequence, for trace spans
+	name    string
+	want    int64
+	f       storage.File
+	buf     []byte
+	off     int64
+	recycle []byte // dWrite: the pooled slice backing buf (wbItem)
+	reply   mbox[diskReply]
 }
 
 type diskReply struct {
@@ -185,9 +185,7 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr
 			tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, clk.Now(), total)
 		}
 		for _, req := range run {
-			if req.pooled {
-				bufpool.Put(req.buf)
-			}
+			bufpool.Put(req.recycle)
 			req.reply.put(diskReply{err: err})
 		}
 		i = j
@@ -242,17 +240,15 @@ func (k *schedWriteSink) reap() {
 	}
 }
 
-func (k *schedWriteSink) write(buf []byte, off int64, pooled bool) error {
+func (k *schedWriteSink) write(buf []byte, off int64, recycle []byte) error {
 	if k.err != nil {
-		if pooled {
-			bufpool.Put(buf)
-		}
+		bufpool.Put(recycle)
 		return k.err
 	}
 	for k.out >= k.window {
 		k.reap()
 	}
-	k.ds.box.put(diskReq{kind: dWrite, seq: k.seq, f: k.f, buf: buf, off: off, pooled: pooled, reply: k.replies})
+	k.ds.box.put(diskReq{kind: dWrite, seq: k.seq, f: k.f, buf: buf, off: off, recycle: recycle, reply: k.replies})
 	k.out++
 	return nil
 }

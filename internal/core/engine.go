@@ -64,12 +64,13 @@ type stageResult struct {
 }
 
 // wbItem is one completed sub-chunk travelling mover → storage during a
-// write. pooled marks buffers owned by bufpool (assembled sub-chunks);
-// adopted wire frames are not recyclable.
+// write. recycle is the pooled slice that backs buf — buf itself when
+// the sub-chunk was assembled, the wire frame when its payload was
+// adopted — returned to bufpool once the write is done with it.
 type wbItem struct {
-	buf    []byte
-	off    int64
-	pooled bool
+	buf     []byte
+	off     int64
+	recycle []byte
 }
 
 // rdItem is one prefetched sub-chunk travelling storage → mover during
@@ -82,11 +83,14 @@ type rdItem struct {
 // mover expected it to — it carries no cause; join for the real error.
 var errStorageStopped = errors.New("core: storage stage stopped early")
 
-// writeSink absorbs completed sub-chunks in plan order. Exactly one of
-// finish (success path: sync, close, surface storage errors) or abandon
-// (mover failed: discard queued work, still join) must be called.
+// writeSink absorbs completed sub-chunks in plan order; write owns
+// recycle (always a pooled slice: bufpool.Put counts anything else as a
+// drop) and hands it to bufpool.Put when buf is dead, written or not.
+// Exactly one of finish (success path: sync, close, surface storage
+// errors) or abandon (mover failed: discard queued work, still join)
+// must be called.
 type writeSink interface {
-	write(buf []byte, off int64, pooled bool) error
+	write(buf []byte, off int64, recycle []byte) error
 	finish() error
 	abandon()
 	report() (diskNanos, stallNanos int64)
@@ -147,7 +151,7 @@ type serialWriteSink struct {
 	seq int
 }
 
-func (k *serialWriteSink) write(buf []byte, off int64, pooled bool) error {
+func (k *serialWriteSink) write(buf []byte, off int64, recycle []byte) error {
 	var t0 time.Duration
 	if k.tr.Enabled() {
 		t0 = k.clk.Now()
@@ -156,9 +160,7 @@ func (k *serialWriteSink) write(buf []byte, off int64, pooled bool) error {
 	if k.tr.Enabled() {
 		k.tr.Span(obs.CatDisk, "WriteAt", k.seq, t0, k.clk.Now(), int64(len(buf)))
 	}
-	if pooled {
-		bufpool.Put(buf)
-	}
+	bufpool.Put(recycle)
 	return err
 }
 
@@ -227,9 +229,7 @@ func (s *Server) newStagedWriteSink(dom clock.Domain, name string) *stagedWriteS
 				diskNanos += int64(t1 - t0)
 				str.Span(obs.CatDisk, "WriteAt", seq, t0, t1, int64(len(it.buf)))
 			}
-			if it.pooled {
-				bufpool.Put(it.buf)
-			}
+			bufpool.Put(it.recycle)
 		}
 		if f != nil {
 			if err == nil && !k.stop.Load() {
@@ -264,13 +264,11 @@ func (k *stagedWriteSink) join() {
 	}
 }
 
-func (k *stagedWriteSink) write(buf []byte, off int64, pooled bool) error {
+func (k *stagedWriteSink) write(buf []byte, off int64, recycle []byte) error {
 	if k.stop.Load() {
 		// The storage stage failed; surface its error instead of
 		// queueing work it will discard.
-		if pooled {
-			bufpool.Put(buf)
-		}
+		bufpool.Put(recycle)
 		k.join()
 		if k.res.err != nil {
 			return k.res.err
@@ -279,7 +277,7 @@ func (k *stagedWriteSink) write(buf []byte, off int64, pooled bool) error {
 	}
 	k.met.Observe(k.depth.Add(1))
 	t0 := k.clk.Now()
-	k.pipe.Push(wbItem{buf: buf, off: off, pooled: pooled})
+	k.pipe.Push(wbItem{buf: buf, off: off, recycle: recycle})
 	t1 := k.clk.Now()
 	k.stall += int64(t1 - t0)
 	if t1-t0 >= stallSpanFloor {

@@ -20,15 +20,15 @@ import (
 // failure model (deadlines, aborts, storage errors) across the stage
 // boundary.
 
-// diskTrace records every positioned access a server's disk served, in
-// issue order, shared across every Rebind view of the disk.
+// diskTrace records every call a server's disk served, in issue order,
+// shared across every Rebind view of the disk.
 type diskTrace struct {
 	mu     sync.Mutex
 	events []traceEvent
 }
 
 type traceEvent struct {
-	op   byte // 'r' or 'w'
+	op   byte // 'r' ReadAt, 'w' WriteAt, 's' Sync, 'c' Create, 'o' Open, 'x' Remove, 'm' Rename, 'l' List
 	name string
 	off  int64
 	n    int
@@ -73,6 +73,7 @@ type traceDisk struct {
 }
 
 func (d *traceDisk) Create(name string) (storage.File, error) {
+	d.trace.add('c', name, 0, 0)
 	f, err := d.inner.Create(name)
 	if err != nil {
 		return nil, err
@@ -81,6 +82,7 @@ func (d *traceDisk) Create(name string) (storage.File, error) {
 }
 
 func (d *traceDisk) Open(name string) (storage.File, error) {
+	d.trace.add('o', name, 0, 0)
 	f, err := d.inner.Open(name)
 	if err != nil {
 		return nil, err
@@ -88,12 +90,19 @@ func (d *traceDisk) Open(name string) (storage.File, error) {
 	return &traceFile{disk: d, name: name, inner: f}, nil
 }
 
-func (d *traceDisk) Remove(name string) error { return d.inner.Remove(name) }
+func (d *traceDisk) Remove(name string) error {
+	d.trace.add('x', name, 0, 0)
+	return d.inner.Remove(name)
+}
 func (d *traceDisk) Rename(oldName, newName string) error {
+	d.trace.add('m', newName, 0, 0)
 	return d.inner.Rename(oldName, newName)
 }
-func (d *traceDisk) List() ([]string, error) { return d.inner.List() }
-func (d *traceDisk) FlushCache()             { d.inner.FlushCache() }
+func (d *traceDisk) List() ([]string, error) {
+	d.trace.add('l', "", 0, 0)
+	return d.inner.List()
+}
+func (d *traceDisk) FlushCache() { d.inner.FlushCache() }
 
 func (d *traceDisk) Rebind(clk clock.Clock) storage.Disk {
 	return &traceDisk{inner: storage.RebindClock(d.inner, clk), trace: d.trace}
@@ -115,7 +124,10 @@ func (f *traceFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.inner.WriteAt(p, off)
 }
 
-func (f *traceFile) Sync() error          { return f.inner.Sync() }
+func (f *traceFile) Sync() error {
+	f.disk.trace.add('s', f.name, 0, 0)
+	return f.inner.Sync()
+}
 func (f *traceFile) Size() (int64, error) { return f.inner.Size() }
 func (f *traceFile) Close() error         { return f.inner.Close() }
 

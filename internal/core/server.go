@@ -614,7 +614,7 @@ func (s *Server) readResolved(req opRequest, ai int, spec ArraySpec, deadline ti
 type pending struct {
 	job       subchunkJob
 	buf       []byte
-	pooled    bool // buf came from bufpool (assembled); adopted frames are not recyclable
+	recycle   []byte // pooled slice backing buf: buf itself (assembled) or the adopted wire frame
 	remaining int
 	got       map[pieceID]bool
 	start     time.Duration // when the first request went out (tracing/metrics only)
@@ -747,7 +747,9 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if want := d.Region.NumElems() * int64(spec.ElemSize); int64(len(d.Payload)) != want {
 				return fmt.Errorf("piece %v carries %d bytes, want %d", d.Region, len(d.Payload), want)
 			}
-			if adopted := s.depositPiece(spec, pend, d); !adopted {
+			if adopted := s.depositPiece(spec, pend, d); adopted {
+				pend.recycle = m.Data // the sink recycles the frame after the write
+			} else {
 				bufpool.Put(m.Data) // payload copied out; recycle the frame
 			}
 			pend.got[key] = true
@@ -768,7 +770,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if mb != nil {
 				mb.addSub(pend.job.FileOffset, pend.job.Bytes, storage.CRC32C(pend.buf))
 			}
-			if werr := sink.write(pend.buf, pend.job.FileOffset, pend.pooled); werr != nil {
+			if werr := sink.write(pend.buf, pend.job.FileOffset, pend.recycle); werr != nil {
 				return werr
 			}
 			delete(inflight, id)
@@ -808,7 +810,7 @@ func (s *Server) encodeSubDataFrameHeader(d subData) []byte {
 // depositPiece places one received piece into the sub-chunk under
 // assembly, charging reorganization cost for non-contiguous layouts.
 // It reports whether the piece's wire frame was adopted as the
-// sub-chunk buffer (in which case the caller must not recycle it).
+// sub-chunk buffer (in which case the frame lives until the write).
 func (s *Server) depositPiece(spec ArraySpec, pend *pending, d subData) (adopted bool) {
 	sub := pend.job.Region
 	if pend.buf == nil && len(pend.job.Pieces) == 1 && d.Region.Equal(sub) {
@@ -820,7 +822,7 @@ func (s *Server) depositPiece(spec ArraySpec, pend *pending, d subData) (adopted
 	}
 	if pend.buf == nil {
 		pend.buf = bufpool.Get(int(pend.job.Bytes))
-		pend.pooled = true
+		pend.recycle = pend.buf
 	}
 	_, contig := array.ContiguousIn(sub, d.Region)
 	t0 := s.met.packStart()

@@ -34,7 +34,8 @@ type Disk interface {
 	// transition from "old epoch" to "new epoch".
 	Rename(oldName, newName string) error
 	// List returns the names of every file on the disk, sorted; the
-	// scrubber and epoch garbage collection walk it.
+	// scrubber and the rebalance (elastic.go) walk it. No collective
+	// operation lists: the commit path removes what it supersedes by name.
 	List() ([]string, error)
 	// FlushCache drops whatever cache the implementation keeps, so the
 	// next reads hit the media. Mirrors the paper's methodology of

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"regexp"
 	"strconv"
-	"strings"
 )
 
 // Epoch manifests and atomic commit.
@@ -263,10 +262,11 @@ func VerifyData(d Disk, name string, m *Manifest) error {
 
 // CommitEpoch promotes a PREPARED epoch to committed: the current
 // committed data+manifest (if any) move one deep to ".prev", the epoch
-// temps rename onto the plain names, and older temps of the same base
-// are swept. Each rename is atomic; RollForward repairs any crash
-// between them. A zero-byte epoch (a server that owned no chunks) has
-// a manifest but may have no data file — only the manifest promotes.
+// temps rename onto the plain names, and whatever the epoch before it
+// left staged is removed by name. Each rename is atomic; RollForward
+// repairs any crash between them. A zero-byte epoch (a server that
+// owned no chunks) has a manifest but may have no data file — only the
+// manifest promotes.
 func CommitEpoch(d Disk, base string, epoch uint64) error {
 	tmpData := EpochName(base, epoch)
 	tmpMfst := EpochManifestName(base, epoch)
@@ -294,7 +294,11 @@ func CommitEpoch(d Disk, base string, epoch uint64) error {
 			return err
 		}
 	}
-	sweepEpochs(d, base, epoch)
+	// Epochs are decided+1 and an aborted epoch N is re-staged as N
+	// (Create truncates it), so the one temp this commit can supersede
+	// is epoch-1's, left by a server that missed that commit. Any other
+	// stray is Scrub's to find: the commit path lists nothing.
+	RemoveEpoch(d, base, epoch-1)
 	return nil
 }
 
@@ -330,24 +334,6 @@ func RollForward(d Disk, base string, epoch uint64) (*Manifest, error) {
 		return nil, err
 	}
 	return tm, nil
-}
-
-// sweepEpochs removes temp epoch files of base other than keep.
-func sweepEpochs(d Disk, base string, keep uint64) {
-	names, err := d.List()
-	if err != nil {
-		return
-	}
-	prefix := base + ".e"
-	for _, name := range names {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		b, e, ok := splitEpochName(strings.TrimSuffix(name, ".mfst"))
-		if ok && b == base && e != keep {
-			_ = d.Remove(name)
-		}
-	}
 }
 
 // Exists probes for a file without the Open error ceremony.

@@ -190,16 +190,32 @@ func TestCommitEpochPromotesAndRetainsPrev(t *testing.T) {
 	}
 }
 
+// A commit removes, by name, what the epoch before it left staged — the
+// one temp it can supersede — and leaves older strays to Scrub.
 func TestCommitEpochSweepsStaleTemps(t *testing.T) {
 	d := NewMemDisk()
 	base := "state.ckpt.0"
-	writeEpochFiles(t, d, base, 1, []byte("stale epoch "))
-	writeEpochFiles(t, d, base, 2, []byte("fresh epoch "))
-	if err := CommitEpoch(d, base, 2); err != nil {
+	writeEpochFiles(t, d, base, 1, []byte("older stray "))
+	writeEpochFiles(t, d, base, 2, []byte("stale epoch "))
+	writeEpochFiles(t, d, base, 3, []byte("fresh epoch "))
+	if err := WriteDecision(d, "state.ckpt", 3); err != nil {
 		t.Fatal(err)
 	}
+	if err := CommitEpoch(d, base, 3); err != nil {
+		t.Fatal(err)
+	}
+	if Exists(d, EpochName(base, 2)) || Exists(d, EpochManifestName(base, 2)) {
+		t.Fatal("stale epoch 2 temps not removed by the commit that superseded them")
+	}
+	if !Exists(d, EpochName(base, 1)) {
+		t.Fatal("commit removed a temp it has no name for: it must not list")
+	}
+	rep, err := Scrub([]Disk{d}, true)
+	if err != nil {
+		t.Fatalf("scrub over an older stray: %v\n%v", err, rep)
+	}
 	if Exists(d, EpochName(base, 1)) || Exists(d, EpochManifestName(base, 1)) {
-		t.Fatal("stale epoch 1 temps not swept")
+		t.Fatalf("scrub left the older stray:\n%v", rep)
 	}
 }
 

@@ -43,13 +43,52 @@ func (f osFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
+// osWriter is the handle Create returns: an osFile that starts the
+// kernel writing each range back as soon as the next one arrives. On a
+// host file system WriteAt is a copy into the page cache and the media
+// time sits in Sync; a server writing sub-chunks in file order would
+// otherwise leave the disk idle for the whole pull and then wait for
+// all of it at once (DESIGN §6c). The hint trails the writes by one, so
+// a file written once never issues it and a file's last range is left
+// to the Sync that follows — durability is Sync's alone, exactly as on
+// osFile. Like the sinks that use it, a handle takes one WriteAt at a
+// time.
+type osWriter struct {
+	osFile     // keeps the *os.File reachable, so fd cannot be finalised
+	fd     int // osFile's descriptor, fetched once
+	off    int64
+	n      int // range of the previous WriteAt; 0 before the first
+}
+
+// hintHook, when set by a test, observes every writeback hint.
+var hintHook func(off int64, n int)
+
+func (w *osWriter) WriteAt(p []byte, off int64) (int, error) {
+	if w.n > 0 {
+		if hintHook != nil {
+			hintHook(w.off, w.n)
+		}
+		_ = startWriteback(w.fd, w.off, w.n) // advisory: Sync is the barrier
+	}
+	n, err := w.File.WriteAt(p, off)
+	w.off, w.n = off, n
+	return n, err
+}
+
+// Close forgets the pending range: once the file is closed fd may name
+// another file, and a late WriteAt must fail without hinting it.
+func (w *osWriter) Close() error {
+	w.n = 0
+	return w.File.Close()
+}
+
 // Create implements Disk.
 func (d *OSDisk) Create(name string) (File, error) {
 	f, err := os.OpenFile(d.path(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
+	return &osWriter{osFile: osFile{f}, fd: int(f.Fd())}, nil
 }
 
 // Open implements Disk.
