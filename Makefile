@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build cross test race flake vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -17,6 +17,10 @@ cross:
 test:
 	$(GO) test ./...
 
+# fmt fails, listing the files, when gofmt would rewrite any.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
@@ -29,9 +33,9 @@ staticcheck:
 		echo "staticcheck not installed; skipping" ; \
 	fi
 
-# check is the static-analysis gate: vet always, staticcheck when
-# installed.
-check: vet staticcheck
+# check is the static-analysis gate: gofmt and vet always, staticcheck
+# when installed.
+check: fmt vet staticcheck
 
 # race runs the whole suite under the race detector — the chaos and
 # transport tests drive many goroutines through the protocol, so this

@@ -53,13 +53,15 @@ type Config struct {
 	SubchunkBytes int64
 	// Pipeline is the number of sub-chunks each I/O node keeps in
 	// flight during writes; 0 or 1 is the paper's blocking behaviour.
-	// 2 or more also engages the staged engine: a storage stage writes
-	// completed sub-chunks behind the network stage, overlapping disk
-	// and communication.
+	// At 2 or more the node also starts its storage stage and writes
+	// completed sub-chunks behind the network, up to Pipeline of them
+	// outstanding at the disk (so at most 2*Pipeline sub-chunk buffers
+	// per node), overlapping disk and communication.
 	Pipeline int
-	// ReadAhead is the number of sub-chunks each I/O node prefetches
-	// beyond the one it is scattering during reads; 0 is the paper's
-	// serial behaviour, 1 or more overlaps disk reads with scattering.
+	// ReadAhead is the number of sub-chunk reads each I/O node keeps
+	// outstanding at its storage stage beyond the sub-chunk it is
+	// scattering (at most ReadAhead+1 buffers per node); 0 is the
+	// paper's serial behaviour.
 	ReadAhead int
 	// OpTimeout bounds every collective operation. A node that cannot
 	// finish within the budget abandons the operation and returns an

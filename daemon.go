@@ -49,7 +49,9 @@ type Tuning struct {
 	Quantum int64 `json:"quantum"`
 	// Weights maps tenant name to scheduling weight.
 	Weights map[string]int `json:"weights"`
-	// Pipeline is the write pipeline depth (0 or 1 = blocking).
+	// Pipeline is the write pipeline depth: sub-chunks pulled at once,
+	// and — floored at 2, executors always write behind — sub-chunks
+	// outstanding at the node's storage stage per operation.
 	Pipeline int `json:"pipeline"`
 
 	// SLOms maps tenant name to a per-operation completion-latency

@@ -414,3 +414,93 @@ func TestDaemonDumpEndpoint(t *testing.T) {
 		t.Fatalf("dump events = %d, want 2", len(evs))
 	}
 }
+
+// TestDaemonStageTelemetry writes 16 MiB through a session and requires
+// the storage stage's accounting to show on the daemon's own surfaces:
+// overlap_ns, stall_ns and stage_queue_depth on /metrics (registered on
+// every daemon, and zero there for as long as only the legacy engine
+// fed them), and the flight recorder's Chrome trace carrying the disk
+// spans of the operation on each server's "storage" lane.
+func TestDaemonStageTelemetry(t *testing.T) {
+	d := startTelemetryDaemon(t, t.TempDir(), Tuning{})
+	defer d.Drain() //nolint:errcheck
+
+	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: 2, Tenant: "ckpt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	a, err := NewArray("stage", []int{2048, 2048}, 4,
+		NewLayout("mem", []int{2}), []Distribution{BLOCK, NONE},
+		NewLayout("disk", []int{2}), []Distribution{BLOCK, NONE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(func(n *Node) error {
+		buf := make([]byte, n.ChunkBytes(a))
+		fillPattern(buf, int64(n.Rank()))
+		if err := n.Bind(a, buf); err != nil {
+			return err
+		}
+		return n.WriteArray(a)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var metrics map[string]json.RawMessage
+	code, body := httpGet(t, "http://"+d.HTTPAddr()+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	if err := json.Unmarshal(body, &metrics); err != nil {
+		t.Fatalf("/metrics not JSON: %v", err)
+	}
+	for _, name := range []string{"overlap_ns", "stall_ns"} {
+		var v int64
+		if err := json.Unmarshal(metrics[name], &v); err != nil || v <= 0 {
+			t.Errorf("%s = %s after a 16 MiB write, want > 0 (err %v)", name, metrics[name], err)
+		}
+	}
+	var depth obs.HistSnapshot
+	if err := json.Unmarshal(metrics["stage_queue_depth"], &depth); err != nil || depth.Count == 0 {
+		t.Errorf("stage_queue_depth = %s after a 16 MiB write, want observations (err %v)", metrics["stage_queue_depth"], err)
+	}
+
+	path, err := d.DumpTrace("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.ParseChromeTrace(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := map[int]string{}     // pid -> process name
+	lanes := map[[2]int]string{}  // (pid, tid) -> thread name
+	diskSpans := map[string]int{} // "process/thread" -> disk spans
+	for _, e := range tr.TraceEvents {
+		name, _ := e.Args["name"].(string)
+		switch {
+		case e.Ph == "M" && e.Name == "process_name":
+			procs[e.Pid] = name
+		case e.Ph == "M" && e.Name == "thread_name":
+			lanes[[2]int{e.Pid, e.Tid}] = name
+		}
+	}
+	for _, e := range tr.TraceEvents {
+		if e.Ph == "X" && e.Cat == "disk" {
+			diskSpans[procs[e.Pid]+"/"+lanes[[2]int{e.Pid, e.Tid}]]++
+		}
+	}
+	for _, track := range []string{"server0/storage", "server1/storage"} {
+		if diskSpans[track] == 0 {
+			t.Errorf("no disk span on %s in the daemon's trace (disk spans by track: %v)", track, diskSpans)
+		}
+	}
+}

@@ -4,17 +4,6 @@ import (
 	"panda/internal/vtime"
 )
 
-// Pipe is a bounded single-producer single-consumer queue between two
-// concurrent activities of one Domain — the inter-stage buffer of a
-// pipeline. Push blocks while the pipe is full, Pop blocks while it is
-// empty, and Close (producer side) makes Pop return ok=false once the
-// buffered values drain.
-type Pipe interface {
-	Push(v any)
-	Pop() (any, bool)
-	Close()
-}
-
 // Domain is a Clock that can also host concurrent activities sharing its
 // notion of time: real clocks spawn goroutines, virtual clocks spawn
 // simulated processes. It is what lets one node run internal pipeline
@@ -26,9 +15,6 @@ type Domain interface {
 	// Clock, which it must use instead of the parent's (a virtual clock
 	// is bound to the process that owns it).
 	Go(name string, fn func(clk Clock))
-	// NewPipe returns a bounded SPSC pipe usable between this domain's
-	// activities.
-	NewPipe(capacity int) Pipe
 }
 
 // Go implements Domain: real-time activities are plain goroutines
@@ -37,27 +23,6 @@ func (c *Real) Go(name string, fn func(clk Clock)) {
 	go fn(c)
 }
 
-// NewPipe implements Domain with a channel-backed pipe.
-func (c *Real) NewPipe(capacity int) Pipe {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &realPipe{ch: make(chan any, capacity)}
-}
-
-type realPipe struct {
-	ch chan any
-}
-
-func (p *realPipe) Push(v any) { p.ch <- v }
-
-func (p *realPipe) Pop() (any, bool) {
-	v, ok := <-p.ch
-	return v, ok
-}
-
-func (p *realPipe) Close() { close(p.ch) }
-
 // Go implements Domain: virtual-time activities are simulated processes
 // of the same Sim, each with its own Virtual clock.
 func (c *Virtual) Go(name string, fn func(clk Clock)) {
@@ -65,16 +30,3 @@ func (c *Virtual) Go(name string, fn func(clk Clock)) {
 		fn(NewVirtual(p))
 	})
 }
-
-// NewPipe implements Domain over vtime.Pipe.
-func (c *Virtual) NewPipe(capacity int) Pipe {
-	return &virtualPipe{p: vtime.NewPipe[any](c.proc.Sim(), capacity)}
-}
-
-type virtualPipe struct {
-	p *vtime.Pipe[any]
-}
-
-func (p *virtualPipe) Push(v any)       { p.p.Push(v) }
-func (p *virtualPipe) Pop() (any, bool) { return p.p.Pop() }
-func (p *virtualPipe) Close()           { p.p.Close() }

@@ -54,18 +54,21 @@ type Config struct {
 	// during writes; 1 (or 0, meaning 1) reproduces the paper's
 	// blocking behaviour, larger values implement the non-blocking
 	// overlap the paper proposes as future work. At 2 or more the
-	// server also engages its staged engine: completed sub-chunks are
-	// handed to a storage stage that writes behind the network stage,
-	// overlapping disk and communication. The write-behind queue depth
-	// equals Pipeline, so a write holds at most 2*Pipeline+1 sub-chunk
-	// buffers.
+	// legacy serve loop also starts its storage stage (given a clock
+	// that can host one): completed sub-chunks are handed to the
+	// node's diskSched, which writes behind the network stage with at
+	// most Pipeline writes outstanding, so a write holds at most
+	// 2*Pipeline sub-chunk buffers. Scheduler executors always write
+	// behind, with a window of max(2, Pipeline).
 	Pipeline int
-	// ReadAhead is the number of sub-chunks the storage stage prefetches
-	// beyond the one currently being scattered during reads. 0 — the
+	// ReadAhead is the number of sub-chunk reads kept outstanding at
+	// the storage stage beyond the sub-chunk being scattered. 0 — the
 	// default — reproduces the paper's strictly serial read-then-scatter
-	// loop; 1 or more engages the staged engine, overlapping disk reads
-	// with piece scattering while keeping file access strictly
-	// sequential. A read holds at most ReadAhead+2 sub-chunk buffers.
+	// loop off the scheduler (an executor still reads through its
+	// node's stage, one sub-chunk at a time); 1 or more starts the
+	// legacy loop's stage too and overlaps disk reads with piece
+	// scattering while file access stays in plan order. A read holds at
+	// most ReadAhead+1 sub-chunk buffers.
 	ReadAhead int
 	// StartupOverhead is charged once per collective operation at the
 	// master server, modelling the measured ~13 ms fixed cost of a
@@ -124,7 +127,7 @@ type Config struct {
 	Trace *obs.Recorder
 	// Metrics, when non-nil, aggregates cluster-wide counters and
 	// bounded histograms (message traffic, sub-chunk latency, receive
-	// waits, staged-queue depth) into the registry. nil disables.
+	// waits, storage-stage window depth) into the registry. nil disables.
 	Metrics *obs.Registry
 	// PlanCacheSize bounds the per-server plan cache, in entries. Each
 	// entry memoizes one array's chunk assignment and sub-chunk schedule

@@ -41,15 +41,16 @@ type Stats struct {
 	// more participants dead (writes after reassignment, reads served
 	// entirely by survivors).
 	Degraded int64
-	// OverlapNanos is disk time the staged engine hid behind network
-	// activity: the storage stage's busy time minus the network stage's
-	// waits on it, clamped at zero. Zero when the engine runs serially
-	// (Pipeline <= 1 and ReadAhead == 0).
+	// OverlapNanos is disk time the storage stage hid behind network
+	// activity: what the stage spent serving an operation's requests
+	// minus the mover's waits on it, clamped at zero per array. Zero
+	// when the disk calls run inline on the mover (off the scheduler
+	// with Pipeline <= 1 and ReadAhead == 0).
 	OverlapNanos int64
 	// StallNanos is time the network stage spent blocked on the storage
-	// stage — writes waiting for a full write-behind queue, reads
-	// waiting for a prefetch, and end-of-array joins. High stalls mean
-	// the disk, not the network, bounds the operation.
+	// stage — writes waiting for a full window, reads waiting for a
+	// prefetch, the create/open call and the end-of-array join. High
+	// stalls mean the disk, not the network, bounds the operation.
 	StallNanos int64
 	// ContigBytes counts bytes moved through contiguous fast paths —
 	// the complement of ReorgBytes, so the two together split every

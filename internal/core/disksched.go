@@ -11,18 +11,22 @@ import (
 	"panda/internal/storage"
 )
 
-// diskSched serializes a node's bulk disk traffic onto one storage
-// activity shared by every in-flight operation. Requests arriving close
-// together — typically from different executors — are drained as one
-// batch; adjacent writes inside a batch are merged into a single
-// WriteAt, which is the scheduler's cross-op disk optimization: two
-// interleaved collectives touching neighbouring file ranges cost one
-// seek instead of two.
+// diskSched is a node's storage stage: one activity that serves the bulk
+// disk traffic of every operation in flight on the node — the
+// scheduler's executors, or the legacy mover when it is asked to write
+// behind or read ahead. Requests arriving close together are drained as
+// one batch; when a batch holds writes to more than one file, adjacent
+// writes to the same file are merged into a single WriteAt, which is the
+// cross-op disk optimization: two interleaved collectives cost one seek
+// per run instead of one per sub-chunk. A batch that writes a single
+// file is already sequential, so merging it would buy a memcpy and no
+// seek (and move a lone op's simulated time by the rounding of one
+// larger AIXModel request): its writes are issued as submitted.
 //
 // The activity owns its own rebound Disk and every data-path file
 // handle, so on the simulated clock all disk time is charged to one
-// proc — executor clocks never touch media. Metadata (manifests,
-// decision records, renames) stays on the executors' rebound disks.
+// proc — mover clocks never touch media. Metadata (manifests, decision
+// records, renames) stays on the movers' own disks.
 
 // mergeCap bounds a merged write: past this, batching gains nothing and
 // the copy cost dominates.
@@ -32,7 +36,7 @@ const (
 	dCreate = iota // name -> reply.f
 	dOpen          // name, want -> reply.f (size-checked)
 	dWrite         // f, buf, off, recycle -> reply.err
-	dRead          // f, buf, off -> reply.err (buf filled in place)
+	dRead          // f, buf, off -> reply.buf (filled in place), reply.err
 	dSync          // f -> reply.err
 	dClose         // f -> reply.err
 	dStop          // shut the activity down
@@ -46,13 +50,18 @@ type diskReq struct {
 	f       storage.File
 	buf     []byte
 	off     int64
-	recycle []byte // dWrite: the pooled slice backing buf (wbItem)
+	recycle []byte // dWrite: the pooled slice backing buf, Put once written
 	reply   mbox[diskReply]
 }
 
+// diskReply answers one request. nanos is the time the activity spent
+// serving it, on the activity's clock; a merged run charges its first
+// request and none of the others.
 type diskReply struct {
-	f   storage.File
-	err error
+	f     storage.File
+	buf   []byte // dRead: the request's buffer back, so the source keeps no list
+	err   error
+	nanos int64
 }
 
 type diskSched struct {
@@ -62,14 +71,11 @@ type diskSched struct {
 // newDiskSched starts the storage activity for one server node.
 func newDiskSched(dom clock.Domain, s *Server) *diskSched {
 	d := &diskSched{box: newMbox[diskReq](s.clk)}
-	tr := s.cfg.Trace.Track(fmt.Sprintf("server%d/disk", s.index))
-	dom.Go(fmt.Sprintf("server%d-disk", s.index), func(clk clock.Clock) {
+	tr := s.storageTrack()
+	dom.Go(fmt.Sprintf("server%d-storage", s.index), func(clk clock.Clock) {
 		dd := storage.RebindClock(s.disk, clk)
 		for {
-			first, err := d.box.pop(clk, nil, 0)
-			if err != nil {
-				return // closed
-			}
+			first, _ := d.box.pop(clk, nil, 0) // unbounded: cannot time out
 			batch := append([]diskReq{first}, d.box.drain()...)
 			if !s.runDiskBatch(dd, clk, tr, batch) {
 				return
@@ -82,23 +88,12 @@ func newDiskSched(dom clock.Domain, s *Server) *diskSched {
 // stop shuts the activity down after it finishes the current batch.
 func (d *diskSched) stop() { d.box.put(diskReq{kind: dStop}) }
 
-// rpc submits one request and waits for its reply.
-func (d *diskSched) rpc(clk clock.Clock, req diskReq) diskReply {
-	req.reply = newMbox[diskReply](clk)
-	d.box.put(req)
-	rep, err := req.reply.pop(clk, nil, 0)
-	if err != nil {
-		return diskReply{err: err}
-	}
-	return rep
-}
-
 // runDiskBatch executes one drained batch in three phases: opens (they
-// gate executors starting work), writes (grouped by file, sorted by
-// offset, adjacent runs merged), then reads/syncs/closes in arrival
-// order. A sink's Sync/Close is always issued after its writes'
-// replies, so it lands in a later batch than the writes it follows.
-// Returns false when the batch contained dStop.
+// gate movers starting work), writes (grouped by file, sorted by
+// offset), then reads/syncs/closes in arrival order. A sink's
+// Sync/Close is always issued after its writes' replies, so it lands in
+// a later batch than the writes it follows. Returns false when the
+// batch contained dStop.
 func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, batch []diskReq) bool {
 	alive := true
 	var files []storage.File
@@ -106,12 +101,8 @@ func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, ba
 	var rest []diskReq
 	for _, req := range batch {
 		switch req.kind {
-		case dCreate:
-			f, err := dd.Create(req.name)
-			req.reply.put(diskReply{f: f, err: err})
-		case dOpen:
-			f, err := s.openForRead(dd, req.name, req.want)
-			req.reply.put(diskReply{f: f, err: err})
+		case dCreate, dOpen:
+			s.serveDiskReq(dd, clk, tr, req)
 		case dWrite:
 			if len(writes[req.f]) == 0 {
 				files = append(files, req.f)
@@ -124,50 +115,55 @@ func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, ba
 		}
 	}
 	for _, f := range files {
-		s.flushWrites(f, writes[f], clk, tr)
+		s.flushWrites(f, writes[f], len(files) > 1, clk, tr)
 	}
 	for _, req := range rest {
-		var t0 time.Duration
-		if tr.Enabled() {
-			t0 = clk.Now()
-		}
-		var err error
-		switch req.kind {
-		case dRead:
-			_, err = req.f.ReadAt(req.buf, req.off)
-			if tr.Enabled() {
-				tr.Span(obs.CatDisk, "ReadAt", req.seq, t0, clk.Now(), int64(len(req.buf)))
-			}
-		case dSync:
-			err = req.f.Sync()
-		case dClose:
-			err = req.f.Close()
-		}
-		req.reply.put(diskReply{err: err})
+		s.serveDiskReq(dd, clk, tr, req)
 	}
 	return alive
 }
 
-// flushWrites issues one file's writes from a batch, merging adjacent
-// runs into single WriteAt calls.
-func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr obs.Track) {
+// serveDiskReq executes one non-write request and answers it.
+func (s *Server) serveDiskReq(dd storage.Disk, clk clock.Clock, tr obs.Track, req diskReq) {
+	rep := diskReply{buf: req.buf}
+	t0 := clk.Now()
+	switch req.kind {
+	case dCreate:
+		rep.f, rep.err = dd.Create(req.name)
+	case dOpen:
+		rep.f, rep.err = s.openForRead(dd, req.name, req.want)
+	case dRead:
+		_, rep.err = req.f.ReadAt(req.buf, req.off)
+	case dSync:
+		rep.err = req.f.Sync()
+	case dClose:
+		rep.err = req.f.Close()
+	}
+	t1 := clk.Now()
+	if req.kind == dRead {
+		tr.Span(obs.CatDisk, "ReadAt", req.seq, t0, t1, int64(len(req.buf)))
+	}
+	rep.nanos = int64(t1 - t0)
+	req.reply.put(rep)
+}
+
+// flushWrites issues one file's writes from a batch in offset order,
+// merging adjacent runs into single WriteAt calls when merge is set.
+func (s *Server) flushWrites(f storage.File, reqs []diskReq, merge bool, clk clock.Clock, tr obs.Track) {
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].off < reqs[j].off })
 	for i := 0; i < len(reqs); {
 		// Extend the run while the next write starts exactly where this
 		// one ends and the merged buffer stays under mergeCap.
 		j := i + 1
 		total := int64(len(reqs[i].buf))
-		for j < len(reqs) &&
+		for merge && j < len(reqs) &&
 			reqs[j].off == reqs[j-1].off+int64(len(reqs[j-1].buf)) &&
 			total+int64(len(reqs[j].buf)) <= mergeCap {
 			total += int64(len(reqs[j].buf))
 			j++
 		}
 		run := reqs[i:j]
-		var t0 time.Duration
-		if tr.Enabled() {
-			t0 = clk.Now()
-		}
+		t0 := clk.Now()
 		var err error
 		if len(run) == 1 {
 			_, err = f.WriteAt(run[0].buf, run[0].off)
@@ -181,46 +177,88 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, clk clock.Clock, tr
 			bufpool.Put(merged)
 			s.node[cDiskMerges].Add(int64(len(run) - 1))
 		}
-		if tr.Enabled() {
-			tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, clk.Now(), total)
-		}
+		t1 := clk.Now()
+		tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, t1, total)
+		rep := diskReply{err: err, nanos: int64(t1 - t0)}
 		for _, req := range run {
 			bufpool.Put(req.recycle)
-			req.reply.put(diskReply{err: err})
+			req.reply.put(rep)
+			rep.nanos = 0
 		}
 		i = j
 	}
 }
 
-// --- executor-facing sink/source -----------------------------------------
+// --- mover-facing sink/source ---------------------------------------------
 
-// schedWriteSink routes an executor's writes through the shared
-// diskSched with a bounded in-flight window, so concurrent ops batch at
-// the storage activity without any op running unboundedly ahead of the
-// disk.
-type schedWriteSink struct {
+// stagePort is one open file's view of the storage activity, from the
+// mover's side: a window of submitted requests whose replies come back
+// on one mailbox, and the two clocks' accounts of it — disk is what the
+// activity spent serving this port, stall what the mover spent waiting
+// for it. Synchronous requests (create, open, sync, close) use the same
+// mailbox, so the window must be drained before one is made.
+type stagePort struct {
 	ds      *diskSched
-	clk     clock.Clock
+	clk     clock.Clock    // the mover's clock: stalls are charged to it
+	tr      obs.Track      // the mover's track: stall spans land here
+	depth   *obs.Histogram // window occupancy at every hand-off
+	seq     int
 	f       storage.File
 	replies mbox[diskReply]
-	seq     int
-	out     int // outstanding writes
-	window  int
-	err     error // first write error; sticky
+	out     int // requests submitted and not yet reaped
+	disk    int64
+	stall   int64
+}
+
+func (s *Server) newStagePort() stagePort {
+	return stagePort{ds: s.dsched, clk: s.clk, tr: s.tr, depth: s.met.queueDepth, seq: s.opSeq, replies: newMbox[diskReply](s.clk)}
+}
+
+func (p *stagePort) submit(req diskReq) {
+	req.seq, req.f, req.reply = p.seq, p.f, p.replies
+	p.ds.box.put(req)
+	p.out++
+}
+
+// reap waits for the next reply. The caller times the wait (stalled).
+func (p *stagePort) reap() diskReply {
+	rep, _ := p.replies.pop(p.clk, nil, 0) // unbounded: cannot time out
+	p.out--
+	p.disk += rep.nanos
+	return rep
+}
+
+// call runs one request synchronously; nothing may be outstanding.
+func (p *stagePort) call(req diskReq) diskReply {
+	p.submit(req)
+	return p.reap()
+}
+
+// stalled charges the mover's wait since t0 to the port.
+func (p *stagePort) stalled(t0 time.Duration, what string, bytes int64) {
+	t1 := p.clk.Now()
+	p.stall += int64(t1 - t0)
+	if t1-t0 >= stallSpanFloor {
+		p.tr.Span(obs.CatStall, what, p.seq, t0, t1, bytes)
+	}
+}
+
+func (p *stagePort) report() (int64, int64) { return p.disk, p.stall }
+
+// schedWriteSink writes behind the mover through the storage activity
+// with a bounded window, so concurrent ops batch at the disk without any
+// op running unboundedly ahead of it.
+type schedWriteSink struct {
+	stagePort
+	window int
+	err    error // first write error; sticky
 }
 
 func (s *Server) newSchedWriteSink(name string) (writeSink, error) {
-	k := &schedWriteSink{
-		ds:      s.dsched,
-		clk:     s.clk,
-		replies: newMbox[diskReply](s.clk),
-		seq:     s.opSeq,
-		window:  s.cfg.pipeline(),
-	}
-	if k.window < 2 {
-		k.window = 2
-	}
-	rep := s.dsched.rpc(s.clk, diskReq{kind: dCreate, seq: s.opSeq, name: name})
+	k := &schedWriteSink{stagePort: s.newStagePort(), window: max(2, s.cfg.pipeline())}
+	t0 := k.clk.Now()
+	rep := k.call(diskReq{kind: dCreate, name: name})
+	k.stalled(t0, "create", 0)
 	if rep.err != nil {
 		return nil, rep.err
 	}
@@ -228,88 +266,99 @@ func (s *Server) newSchedWriteSink(name string) (writeSink, error) {
 	return k, nil
 }
 
-func (k *schedWriteSink) reap() {
-	rep, perr := k.replies.pop(k.clk, nil, 0)
-	k.out--
-	if k.err == nil {
-		if perr != nil {
-			k.err = perr
-		} else {
+// drain reaps replies until at most keep writes are outstanding.
+func (k *schedWriteSink) drain(keep int) {
+	for k.out > keep {
+		if rep := k.reap(); k.err == nil {
 			k.err = rep.err
 		}
 	}
 }
 
 func (k *schedWriteSink) write(buf []byte, off int64, recycle []byte) error {
+	k.depth.Observe(int64(k.out + 1))
+	if k.out >= k.window {
+		t0 := k.clk.Now()
+		k.drain(k.window - 1)
+		k.stalled(t0, "write-behind full", int64(len(buf)))
+	}
 	if k.err != nil {
 		bufpool.Put(recycle)
 		return k.err
 	}
-	for k.out >= k.window {
-		k.reap()
-	}
-	k.ds.box.put(diskReq{kind: dWrite, seq: k.seq, f: k.f, buf: buf, off: off, recycle: recycle, reply: k.replies})
-	k.out++
+	k.submit(diskReq{kind: dWrite, buf: buf, off: off, recycle: recycle})
 	return nil
+}
+
+// join waits out the window, then runs the closing calls.
+func (k *schedWriteSink) join(kinds ...int) {
+	t0 := k.clk.Now()
+	k.drain(0)
+	for _, kind := range kinds {
+		if rep := k.call(diskReq{kind: kind}); k.err == nil {
+			k.err = rep.err
+		}
+	}
+	k.stalled(t0, "join storage", 0)
 }
 
 func (k *schedWriteSink) finish() error {
-	for k.out > 0 {
-		k.reap()
-	}
-	if rep := k.ds.rpc(k.clk, diskReq{kind: dSync, seq: k.seq, f: k.f}); k.err == nil {
-		k.err = rep.err
-	}
-	if rep := k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f}); k.err == nil {
-		k.err = rep.err
-	}
+	k.join(dSync, dClose)
 	return k.err
 }
 
-func (k *schedWriteSink) abandon() {
-	for k.out > 0 {
-		k.reap()
-	}
-	k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f})
-}
+func (k *schedWriteSink) abandon() { k.join(dClose) }
 
-func (k *schedWriteSink) report() (int64, int64) { return 0, 0 }
-
-// schedReadSource reads through the shared diskSched, one sub-chunk at
-// a time: read-ahead across ops comes from the batch drain, not from
-// per-op prefetch depth.
+// schedReadSource reads through the storage activity, keeping ahead
+// reads outstanding beyond the sub-chunk the mover is about to scatter.
+// File access stays in plan order: reads are submitted in that order and
+// the activity serves a file's reads as they arrive.
 type schedReadSource struct {
-	ds  *diskSched
-	clk clock.Clock
-	f   storage.File
-	seq int
+	stagePort
+	subs   []subchunkJob
+	issued int // subs[:issued] have been submitted
+	ahead  int
 }
 
-func (s *Server) newSchedReadSource(name string, want int64) (readSource, error) {
-	rep := s.dsched.rpc(s.clk, diskReq{kind: dOpen, seq: s.opSeq, name: name, want: want})
+func (s *Server) newSchedReadSource(name string, subs []subchunkJob, want int64) (readSource, error) {
+	k := &schedReadSource{stagePort: s.newStagePort(), subs: subs, ahead: s.cfg.readAhead()}
+	t0 := k.clk.Now()
+	rep := k.call(diskReq{kind: dOpen, name: name, want: want})
+	k.stalled(t0, "open", 0)
 	if rep.err != nil {
 		return nil, rep.err
 	}
-	return &schedReadSource{ds: s.dsched, clk: s.clk, f: rep.f, seq: s.opSeq}, nil
+	k.f = rep.f
+	return k, nil
 }
 
 func (k *schedReadSource) next(sj subchunkJob) ([]byte, error) {
-	buf := bufpool.GetRaw(int(sj.Bytes))
-	rep := k.ds.rpc(k.clk, diskReq{kind: dRead, seq: k.seq, f: k.f, buf: buf, off: sj.FileOffset})
+	for k.issued < len(k.subs) && k.out <= k.ahead {
+		nx := k.subs[k.issued]
+		k.issued++
+		k.submit(diskReq{kind: dRead, buf: bufpool.GetRaw(int(nx.Bytes)), off: nx.FileOffset})
+	}
+	k.depth.Observe(int64(k.out))
+	t0 := k.clk.Now()
+	rep := k.reap()
+	k.stalled(t0, "prefetch wait", sj.Bytes)
 	if rep.err != nil {
-		bufpool.Put(buf)
+		bufpool.Put(rep.buf)
 		return nil, rep.err
 	}
-	return buf, nil
+	return rep.buf, nil
 }
 
+// finish returns every prefetched buffer the mover never took to the
+// pool and closes the file.
 func (k *schedReadSource) finish() error {
-	k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f})
+	t0 := k.clk.Now()
+	for k.out > 0 {
+		bufpool.Put(k.reap().buf)
+	}
+	k.call(diskReq{kind: dClose})
+	k.stalled(t0, "join storage", 0)
 	return nil
 }
 
-func (k *schedReadSource) abandon() {
-	k.ds.rpc(k.clk, diskReq{kind: dClose, seq: k.seq, f: k.f})
-}
-
-func (k *schedReadSource) report() (int64, int64) { return 0, 0 }
+func (k *schedReadSource) abandon() { k.finish() }

@@ -9,16 +9,18 @@ import (
 	"time"
 
 	"panda/internal/array"
+	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
 	"panda/internal/storage"
+	"panda/internal/vtime"
 )
 
-// engine_test.go covers the staged server engine: disk/network overlap
-// under virtual time, equality with the serial path when the overlap
-// knobs are off, strict file sequentiality in both modes, and the
-// failure model (deadlines, aborts, storage errors) across the stage
-// boundary.
+// engine_test.go covers the server engine's storage stage: disk/network
+// overlap under virtual time when the knobs ask for it, equality with
+// the inline path when they do not, strict file sequentiality in both
+// forms, and the failure model (deadlines, aborts, storage errors,
+// pooled buffers) across the stage boundary.
 
 // diskTrace records every call a server's disk served, in issue order,
 // shared across every Rebind view of the disk.
@@ -42,7 +44,7 @@ func (tr *diskTrace) add(op byte, name string, off int64, n int) {
 
 // assertSequential fails unless, per file and access kind, every access
 // starts exactly where the previous one ended — the paper's
-// strictly-sequential file access guarantee, which the staged engine
+// strictly-sequential file access guarantee, which the storage stage
 // must preserve.
 func (tr *diskTrace) assertSequential(t *testing.T, server int) {
 	t.Helper()
@@ -65,8 +67,8 @@ func (tr *diskTrace) assertSequential(t *testing.T, server int) {
 }
 
 // traceDisk wraps a Disk and logs accesses into a shared trace. It
-// implements storage.Rebinder so the staged engine's storage stage keeps
-// both the trace and the inner disk's clock accounting.
+// implements storage.Rebinder so the storage activity keeps both the
+// trace and the inner disk's clock accounting.
 type traceDisk struct {
 	inner storage.Disk
 	trace *diskTrace
@@ -282,7 +284,7 @@ func TestStagedReadOverlapsDiskAndNetwork(t *testing.T) {
 // TestSerialKnobsReproduceSerialTimings pins the gating contract: the
 // zero-value configuration and an explicit Pipeline=1/ReadAhead=0 both
 // take the inline serial path and produce identical virtual timings —
-// the staged engine changes nothing unless asked to.
+// no storage activity is started unless the knobs ask for one.
 func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 	base := Config{NumClients: 4, NumServers: 2, SubchunkBytes: 2 << 10}
 	shape := []int{64, 64}
@@ -328,24 +330,24 @@ func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 	}
 }
 
-// TestReadHonorsDeadline covers the PR's bugfix: a read whose disk is
-// too slow for the operation budget must stop between sub-chunks with a
-// typed timeout instead of grinding through its whole plan — in both
-// the serial and the read-ahead engine.
+// TestReadHonorsDeadline covers a read whose disk is too slow for the
+// operation budget: it must stop between sub-chunks with a typed timeout
+// instead of grinding through its whole plan — inline and with
+// read-ahead, where the mover gets as far as its first sub-chunk and the
+// window bounds what was issued on its behalf at that one plus
+// ReadAhead.
 func TestReadHonorsDeadline(t *testing.T) {
 	cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 1 << 10, OpTimeout: 50 * time.Millisecond}
-	shape := []int{64, 32} // 8 KB: 4 sub-chunks per server
+	shape := []int{128, 32} // 16 KB: 8 sub-chunks per server
 	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
 	disk := array.MustSchema(shape, []array.Dist{array.Star, array.Block}, []int{2})
 	specs := []ArraySpec{{Name: "slow", ElemSize: 4, Mem: mem, Disk: disk}}
 
-	var totalSubs int
 	for s := 0; s < cfg.NumServers; s++ {
 		jobs := assignChunks(specs[0].Disk, specs[0].ElemSize, cfg.NumServers, s)
-		totalSubs += len(planSubchunks(0, specs[0], jobs, specs[0].subchunkBytes(cfg)))
-	}
-	if totalSubs < 4 {
-		t.Fatalf("workload too small: %d sub-chunks", totalSubs)
+		if n := len(planSubchunks(0, specs[0], jobs, specs[0].subchunkBytes(cfg))); n < 8 {
+			t.Fatalf("workload too small: server %d plans %d sub-chunks", s, n)
+		}
 	}
 
 	// Seed the files with a fast deadline-free deployment over plain
@@ -367,8 +369,10 @@ func TestReadHonorsDeadline(t *testing.T) {
 		t.Run(fmt.Sprintf("readahead=%d", readAhead), func(t *testing.T) {
 			c := cfg
 			c.ReadAhead = readAhead
+			traces := make([]*diskTrace, c.NumServers)
 			res, err := RunSim(c, mpi.SP2Link(), func(i int, clk clock.Clock) storage.Disk {
-				return storage.NewSimDisk(inner[i], slow, clk)
+				traces[i] = &diskTrace{}
+				return &traceDisk{inner: storage.NewSimDisk(inner[i], slow, clk), trace: traces[i]}
 			}, func(cl *Client) error {
 				return cl.ReadArrays("", specs, makeBufs(cl, specs, false))
 			})
@@ -378,17 +382,24 @@ func TestReadHonorsDeadline(t *testing.T) {
 			if !errors.Is(err, ErrTimeout) {
 				t.Fatalf("err = %v, want ErrTimeout", err)
 			}
-			var timeouts, reads int64
-			for i, st := range res.ServerStats {
+			var timeouts int64
+			for _, st := range res.ServerStats {
 				timeouts += st.Timeouts
-				reads += res.DiskStats[i].Reads
 			}
 			if timeouts == 0 {
 				t.Error("no server recorded a timeout")
 			}
-			if reads >= int64(totalSubs) {
-				t.Errorf("servers issued %d reads for %d planned sub-chunks; the deadline did not stop the plan",
-					reads, totalSubs)
+			for i, tr := range traces {
+				reads := 0
+				for _, e := range tr.events {
+					if e.op == 'r' && e.name == specs[0].FileName("", i) {
+						reads++
+					}
+				}
+				if reads == 0 || reads > 1+readAhead {
+					t.Errorf("server %d issued %d data reads; a mover stopped after its first sub-chunk is owed 1 + ReadAhead = %d",
+						i, reads, 1+readAhead)
+				}
 			}
 		})
 	}
@@ -477,9 +488,10 @@ func TestReadAbortDrained(t *testing.T) {
 }
 
 // TestStagedStorageErrorsPropagate drives disk faults through the
-// staged engine: an error raised on the storage stage's own activity
-// must cross the pipe back to the mover, fail the collective with the
-// real cause, and leak no goroutine (the run returning is the proof).
+// storage stage: an error raised on the activity mid-window must come
+// back in a reply, fail the collective with the real cause through
+// Done/Complete, and leave nothing behind (the run returning — Serve
+// stops its activity on the way out — is the proof).
 func TestStagedStorageErrorsPropagate(t *testing.T) {
 	shape := []int{32, 32}
 	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
@@ -528,7 +540,7 @@ func TestStagedStorageErrorsPropagate(t *testing.T) {
 }
 
 // TestChaosLossyStagedEngine reruns the lossy-transport chaos scenario
-// with the staged engine fully engaged: PR 1's robustness contract —
+// with write-behind and read-ahead fully engaged: PR 1's robustness contract —
 // typed errors, no deadlock, post-heal recovery — must hold across the
 // stage boundary too.
 func TestChaosLossyStagedEngine(t *testing.T) {
@@ -591,4 +603,124 @@ func TestChaosLossyStagedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// onStage runs body as a mover holding a server with a storage activity
+// — twice: under the real clock over a genuinely sleeping disk, and as a
+// simulated process over the AIX model, where an activity the mover
+// failed to join (or one that never answers it) parks forever and
+// sim.Run reports the deadlock.
+func onStage(t *testing.T, cfg Config, body func(t *testing.T, s *Server)) {
+	comm := mpi.NewWorld(cfg.WorldSize()).Comm(cfg.ServerRank(0))
+	run := func(t *testing.T, clk clock.Clock, disk storage.Disk) {
+		s := NewServer(cfg, comm, disk, clk)
+		s.dsched = newDiskSched(clk.(clock.Domain), s)
+		body(t, s)
+		s.dsched.stop()
+	}
+	t.Run("real", func(t *testing.T) {
+		run(t, clock.NewReal(), &slowDisk{Disk: storage.NewMemDisk(), delay: time.Millisecond})
+	})
+	t.Run("vtime", func(t *testing.T) {
+		sim := vtime.New()
+		sim.Spawn("mover", func(p *vtime.Proc) {
+			clk := clock.NewVirtual(p)
+			run(t, clk, storage.NewSimDisk(storage.NewMemDisk(), storage.SP2AIX(), clk))
+		})
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// poolWatch returns a probe reporting how many buffers were taken from
+// bufpool and never put back, and how many Puts it dropped, since the
+// call.
+func poolWatch() func() (leaked, dropped int64) {
+	g0, p0, d0 := bufpool.Stats()
+	return func() (int64, int64) {
+		g, p, d := bufpool.Stats()
+		return (g - g0) - (p - p0), d - d0
+	}
+}
+
+// TestWriteAbandonWithFullWindow is a mover abort at the worst moment:
+// the write window is full and the disk is busy. abandon must wait out
+// every queued write — each pooled buffer goes back to bufpool exactly
+// once — and return with nothing outstanding.
+func TestWriteAbandonWithFullWindow(t *testing.T) {
+	cfg := Config{NumClients: 1, NumServers: 1, Pipeline: 3}
+	onStage(t, cfg, func(t *testing.T, s *Server) {
+		probe := poolWatch()
+		sink, err := s.newWriteSink("abandoned")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		k := sink.(*schedWriteSink)
+		const n = 64 << 10
+		for i := 0; i < k.window; i++ {
+			buf := bufpool.Get(n)
+			if err := sink.write(buf, int64(i)*n, buf); err != nil {
+				t.Error(err)
+			}
+		}
+		if k.out != cfg.Pipeline {
+			t.Errorf("%d writes outstanding before the abort, want a full window of %d", k.out, cfg.Pipeline)
+		}
+		sink.abandon()
+		if k.out != 0 {
+			t.Errorf("abandon returned with %d writes outstanding", k.out)
+		}
+		if leaked, dropped := probe(); leaked != 0 || dropped != 0 {
+			t.Errorf("abandon with a full window: %d buffers never returned to the pool, %d Puts dropped", leaked, dropped)
+		}
+		if disk, stall := sink.report(); disk <= 0 || stall <= 0 {
+			t.Errorf("report() = (%d, %d) after waiting out a busy disk, want both positive", disk, stall)
+		}
+	})
+}
+
+// TestReadAbandonReturnsOutstandingBuffers stops a read-ahead source
+// after its first sub-chunk: the reads submitted ahead of the mover own
+// pooled buffers, and abandon must hand every one of them back.
+func TestReadAbandonReturnsOutstandingBuffers(t *testing.T) {
+	cfg := Config{NumClients: 1, NumServers: 1, ReadAhead: 2}
+	const n = 64 << 10
+	subs := make([]subchunkJob, 6)
+	for i := range subs {
+		subs[i] = subchunkJob{FileOffset: int64(i) * n, Bytes: n}
+	}
+	onStage(t, cfg, func(t *testing.T, s *Server) {
+		f, err := s.disk.Create("ahead")
+		if err == nil {
+			_, err = f.WriteAt(make([]byte, len(subs)*n), 0)
+			f.Close()
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		probe := poolWatch()
+		src, err := s.newReadSource("ahead", subs, int64(len(subs))*n)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		k := src.(*schedReadSource)
+		buf, err := src.next(subs[0])
+		if err != nil {
+			t.Error(err)
+		}
+		bufpool.Put(buf) // the mover recycles what it scattered
+		if k.out != cfg.ReadAhead || k.issued != 1+cfg.ReadAhead {
+			t.Errorf("after the first sub-chunk %d reads are outstanding of %d issued, want %d of %d",
+				k.out, k.issued, cfg.ReadAhead, 1+cfg.ReadAhead)
+		}
+		src.abandon()
+		if leaked, dropped := probe(); leaked != 0 || dropped != 0 {
+			t.Errorf("abandon with %d reads ahead: %d buffers never returned to the pool, %d Puts dropped",
+				cfg.ReadAhead, leaked, dropped)
+		}
+	})
 }

@@ -9,31 +9,26 @@ import (
 	"panda/internal/vtime"
 )
 
-var (
-	errMboxTimeout = errors.New("core: mailbox wait timed out")
-	errMboxClosed  = errors.New("core: mailbox closed")
-)
+var errMboxTimeout = errors.New("core: mailbox wait timed out")
 
 // mbox is a clock-aware multi-producer queue with predicate-matched
-// receive: the scheduler's routers use one per operation to hand frames
-// to executors, and the cross-op disk stage uses one as its request
-// queue. Under a real clock it is a mutex+cond queue; under a virtual
-// clock it parks the consuming process on the simulation, keeping
-// vtime runs deterministic. At most one consumer may block at a time.
+// receive — the one queue between concurrent activities of a node: the
+// scheduler's routers use one per operation to hand frames to
+// executors, the storage stage uses one as its request queue, and every
+// sink and source one for its replies. Under a real clock it is a
+// mutex+cond queue; under a virtual clock it parks the consuming
+// process on the simulation, keeping vtime runs deterministic. At most
+// one consumer may block at a time.
 type mbox[T any] interface {
-	// put appends v; it is a silent no-op after close.
+	// put appends v.
 	put(v T)
 	// pop removes and returns the first element matching pred (nil
-	// matches everything). timeout <= 0 blocks until a match or close;
-	// otherwise the wait is bounded and expires with errMboxTimeout.
-	// clk must be the caller's own clock.
+	// matches everything). timeout <= 0 blocks until a match; otherwise
+	// the wait is bounded and expires with errMboxTimeout. clk must be
+	// the caller's own clock.
 	pop(clk clock.Clock, pred func(T) bool, timeout time.Duration) (T, error)
 	// drain removes and returns everything queued, without blocking.
 	drain() []T
-	// close wakes any blocked pop; further puts are dropped.
-	close()
-	// size reports how many elements are queued.
-	size() int
 }
 
 // newMbox picks the implementation matching clk.
@@ -49,18 +44,13 @@ func newMbox[T any](clk clock.Clock) mbox[T] {
 // rmbox is the real-time implementation: a mutex+cond queue with the
 // same AfterFunc wakeup discipline as the mpi inproc mailbox.
 type rmbox[T any] struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	items  []T
-	closed bool
+	mu    sync.Mutex
+	cond  sync.Cond
+	items []T
 }
 
 func (b *rmbox[T]) put(v T) {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.items = append(b.items, v)
 	b.mu.Unlock()
 	b.cond.Broadcast()
@@ -89,9 +79,6 @@ func (b *rmbox[T]) pop(_ clock.Clock, pred func(T) bool, timeout time.Duration) 
 				return v, nil
 			}
 		}
-		if b.closed {
-			return zero, errMboxClosed
-		}
 		if timeout > 0 && !time.Now().Before(deadline) {
 			return zero, errMboxTimeout
 		}
@@ -107,19 +94,6 @@ func (b *rmbox[T]) drain() []T {
 	return out
 }
 
-func (b *rmbox[T]) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-func (b *rmbox[T]) size() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.items)
-}
-
 // vmbox is the virtual-time implementation. Access needs no lock: the
 // simulation runs one process at a time, and its handoff channels order
 // every touch. The waiter/waitGen pair follows simnet's RecvTimeout: a
@@ -129,20 +103,11 @@ type vmbox[T any] struct {
 	items   []T
 	waiter  *vtime.Proc
 	waitGen uint64
-	closed  bool
 }
 
 func (b *vmbox[T]) put(v T) {
-	if b.closed {
-		return
-	}
 	b.items = append(b.items, v)
-	b.wake()
-}
-
-func (b *vmbox[T]) wake() {
-	if b.waiter != nil {
-		p := b.waiter
+	if p := b.waiter; p != nil {
 		b.waiter = nil
 		b.sim.Wake(p)
 	}
@@ -165,9 +130,6 @@ func (b *vmbox[T]) pop(clk clock.Clock, pred func(T) bool, timeout time.Duration
 				b.items = append(b.items[:i], b.items[i+1:]...)
 				return it, nil
 			}
-		}
-		if b.closed {
-			return zero, errMboxClosed
 		}
 		if timeout > 0 && p.Now() >= deadline {
 			return zero, errMboxTimeout
@@ -192,10 +154,3 @@ func (b *vmbox[T]) drain() []T {
 	b.items = nil
 	return out
 }
-
-func (b *vmbox[T]) close() {
-	b.closed = true
-	b.wake()
-}
-
-func (b *vmbox[T]) size() int { return len(b.items) }

@@ -26,8 +26,9 @@ type nodeMetrics struct {
 	// recvWait observes time blocked waiting for a protocol message —
 	// the node-local flavour of message latency.
 	recvWait *obs.Histogram
-	// queueDepth observes the staged engine's inter-stage queue
-	// occupancy at every hand-off.
+	// queueDepth observes the storage stage's window occupancy at every
+	// hand-off: a write arriving (itself included), or the reads
+	// outstanding when a read source is asked for the next sub-chunk.
 	queueDepth *obs.Histogram
 	// schedQueue and schedInflight are the live occupancy of the
 	// scheduler's admission queue and in-flight dispatch window.

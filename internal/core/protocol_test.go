@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"panda/internal/array"
+	"panda/internal/obs"
 )
 
 func TestOpRequestRoundTrip(t *testing.T) {
@@ -196,5 +197,37 @@ func BenchmarkSubDataEncode(b *testing.B) {
 		if got := encodeSubData(d); len(got) < 1<<20 {
 			b.Fatal("short encode")
 		}
+	}
+}
+
+// TestServeRejectsUndecodableRequest sends the legacy serve loop a
+// truncated request between two good operations. There is no operation
+// to answer — running it would put a Complete on the previous
+// operation's tag — so the frame is counted, dropped, and the next
+// collective proceeds as if it had never arrived.
+func TestServeRejectsUndecodableRequest(t *testing.T) {
+	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 1 << 10, Metrics: obs.NewRegistry()}
+	specs := []ArraySpec{naturalSpec("trunc", 16)}
+	barrier := newBarrier(cfg.NumClients)
+	err := RunReal(cfg, memDisks(cfg.NumServers), func(cl *Client) error {
+		if err := cl.WriteArrays("", specs, makeBufs(cl, specs, true)); err != nil {
+			return err
+		}
+		barrier()
+		if cl.IsMaster() {
+			cl.comm.Send(cfg.ServerRank(0), tagControl, []byte{msgOpRequest, 0x01})
+		}
+		barrier()
+		got := makeBufs(cl, specs, false)
+		if err := cl.ReadArrays("", specs, got); err != nil {
+			return fmt.Errorf("operation after the truncated request: %w", err)
+		}
+		return checkBufs(cl, specs, got)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Metrics.Counter("sched_frames_rejected").Value(); n != 1 {
+		t.Errorf("FramesRejected = %d after one undecodable request, want 1", n)
 	}
 }

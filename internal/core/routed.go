@@ -48,25 +48,17 @@ func match(from, tag int) func(mpi.Message) bool {
 }
 
 func (rc *routedComm) Recv(from, tag int) mpi.Message {
-	m, err := rc.box.pop(rc.clk, match(from, tag), 0)
-	if err != nil {
-		// Op mailboxes are never closed while their executor lives.
-		panic("core: receive on closed op mailbox: " + err.Error())
-	}
+	m, _ := rc.box.pop(rc.clk, match(from, tag), 0) // unbounded: cannot time out
 	return m
 }
 
 // RecvTimeout implements mpi.DeadlineComm.
 func (rc *routedComm) RecvTimeout(from, tag int, timeout time.Duration) (mpi.Message, error) {
 	m, err := rc.box.pop(rc.clk, match(from, tag), timeout)
-	switch err {
-	case nil:
-		return m, nil
-	case errMboxTimeout:
+	if err != nil {
 		return mpi.Message{}, mpi.ErrTimeout
-	default:
-		return mpi.Message{}, mpi.ErrPeerLost
 	}
+	return m, nil
 }
 
 // PeerLost implements mpi.PeerChecker by delegation.

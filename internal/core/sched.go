@@ -586,7 +586,7 @@ func (r *schedRouter) start(op *schedOp) {
 		ex.disk = storage.RebindClock(s.disk, clk)
 		ex.tr = s.cfg.Trace.Track(fmt.Sprintf("server%d/op%d", s.index, seq))
 		ex.acceptReq(op.req)
-		ferr := ex.handleOp(op.raw, op.req, nil)
+		ferr := ex.handleOp(op.raw, op.req)
 		bufpool.Put(op.raw)
 		// Loopback completion: the router's single wait retires the op.
 		under.Send(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(seq), ferr != nil))

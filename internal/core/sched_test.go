@@ -295,7 +295,8 @@ func TestSchedFairnessConvergesToWeights(t *testing.T) {
 // TestSchedStatsPerOpSumToGlobal runs two concurrent ops on real
 // goroutines (meaningful under -race) and checks each server's per-op
 // Stats blocks sum exactly to its global counters: attribution loses
-// nothing and double-counts nothing.
+// nothing and double-counts nothing — the storage stage's stall and
+// overlap accounts included, which every executor's summary carries.
 func TestSchedStatsPerOpSumToGlobal(t *testing.T) {
 	cfg := schedCfg(4, 2, 4)
 	var mu sync.Mutex
@@ -362,13 +363,20 @@ func TestSchedStatsPerOpSumToGlobal(t *testing.T) {
 			per.BytesRecv += s.Stats.BytesRecv
 			per.Retries += s.Stats.Retries
 			per.Timeouts += s.Stats.Timeouts
+			per.StallNanos += s.Stats.StallNanos
+			per.OverlapNanos += s.Stats.OverlapNanos
+			if s.Stats.StallNanos <= 0 {
+				t.Errorf("server %d op %d: summary carries StallNanos = %d; an executor waits on the storage stage at least to create and sync its file",
+					i, s.Seq, s.Stats.StallNanos)
+			}
 		}
 		if n != 2 {
 			t.Fatalf("server %d logged %d op summaries, want 2", i, n)
 		}
 		if per.MsgsSent != global.MsgsSent || per.BytesSent != global.BytesSent ||
 			per.MsgsRecv != global.MsgsRecv || per.BytesRecv != global.BytesRecv ||
-			per.Retries != global.Retries || per.Timeouts != global.Timeouts {
+			per.Retries != global.Retries || per.Timeouts != global.Timeouts ||
+			per.StallNanos != global.StallNanos || per.OverlapNanos != global.OverlapNanos {
 			t.Errorf("server %d: per-op sum %+v != global %+v", i, per, global)
 		}
 	}
@@ -726,6 +734,44 @@ func TestSchedDiskMergeCounted(t *testing.T) {
 		t.Fatal("no disk merges recorded for adjacent small writes")
 	}
 	t.Logf("disk merges: %d", merges)
+}
+
+// TestSingleFileBatchNotMerged is the other half of the merge rule: one
+// operation alone on the node, a window of 4 and a disk slow enough that
+// every batch holds several adjacent writes — to one file. That run is
+// already sequential, so each sub-chunk must reach the disk as its own
+// WriteAt and DiskMerges must stay zero.
+func TestSingleFileBatchNotMerged(t *testing.T) {
+	cfg := schedCfg(4, 1, 2)
+	cfg.SubchunkBytes = 256
+	cfg.Pipeline = 4
+	specs := []ArraySpec{schedSpec("solo", 4)}
+	trace := &diskTrace{}
+	res, err := RunSim(cfg, mpi.SP2Link(), func(i int, clk clock.Clock) storage.Disk {
+		return &traceDisk{inner: storage.NewSimDisk(storage.NewMemDisk(), storage.AIXModel{MediaRate: 1e4}, clk), trace: trace}
+	}, func(cl *Client) error {
+		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.ServerStats[0].DiskMerges; n != 0 {
+		t.Errorf("DiskMerges = %d for a lone op writing one file, want 0", n)
+	}
+	writes := 0
+	for _, e := range trace.events {
+		if e.op != 'w' || e.name != storage.EpochName(specs[0].FileName("", 0), 1) {
+			continue
+		}
+		writes++
+		if e.n != int(cfg.SubchunkBytes) {
+			t.Errorf("WriteAt of %d bytes at offset %d, want one %d-byte sub-chunk per call", e.n, e.off, cfg.SubchunkBytes)
+		}
+	}
+	if want := int(specs[0].TotalBytes() / cfg.SubchunkBytes); writes != want {
+		t.Errorf("%d data writes, want %d (one per sub-chunk)", writes, want)
+	}
+	trace.assertSequential(t, 0)
 }
 
 // TestSchedCoreConflictBlocksOnlyThatTenant: a conflict at one tenant's

@@ -36,11 +36,13 @@ type Server struct {
 	node, cnt *counters
 
 	// Scheduler state. Executor copies (one per in-flight op, see
-	// sched.go) set opFramed, share the root server's node block, and
-	// route their disk traffic through dsched.
+	// sched.go) set opFramed and share the root server's node block.
 	opFramed bool
 	tenant   string
-	dsched   *diskSched
+	// dsched is the node's storage stage (disksched.go): shared by every
+	// executor under the scheduler, started by the legacy Serve loop when
+	// the overlap knobs ask for one, nil otherwise.
+	dsched *diskSched
 
 	// ranks is the submitting session's membership (world rank per mem
 	// chunk), adopted from the request; nil for fixed-shape deployments
@@ -128,10 +130,15 @@ func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() 
 // reports the master client dead — the deployment cannot receive
 // further work or an orderly shutdown once its coordinator is gone.
 func (s *Server) Serve() error {
-	if s.cfg.Sched.enabled() {
-		if dom, ok := s.clk.(clock.Domain); ok {
-			return s.serveSched(dom)
-		}
+	dom, concurrent := s.clk.(clock.Domain)
+	if concurrent && s.cfg.Sched.enabled() {
+		return s.serveSched(dom)
+	}
+	if concurrent && (s.cfg.pipeline() >= 2 || s.cfg.readAhead() >= 1) {
+		// The knobs ask for overlap and the clock can host it: this loop
+		// gets a storage stage of its own (engine.go).
+		s.dsched = newDiskSched(dom, s)
+		defer s.dsched.stop()
 	}
 	for {
 		m, err := s.recvControl()
@@ -146,11 +153,18 @@ func (s *Server) Serve() error {
 			return nil
 		case msgOpRequest:
 			req, derr := decodeOpRequest(m.Data)
-			if derr == nil && !s.acceptReq(req) {
+			if derr != nil {
+				// Undecodable: there is no operation to answer. Running it
+				// would send a Complete on the previous operation's tag.
+				s.cnt[cFramesRejected].Add(1)
+				bufpool.Put(m.Data)
+				continue
+			}
+			if !s.acceptReq(req) {
 				bufpool.Put(m.Data)
 				continue // duplicate, stale retry, or already-served round
 			}
-			err := s.handleOp(m.Data, req, derr)
+			err := s.handleOp(m.Data, req)
 			bufpool.Put(m.Data) // fully decoded and forwarded by copy
 			if err != nil {
 				// Fatal: an injected crash killed this server mid-write,
@@ -308,10 +322,10 @@ func (s *Server) chargeContig(n int64) {
 }
 
 // handleOp runs one collective operation end to end on this server.
-// req/decodeErr are the already-decoded request (decoding happens in
-// Serve so the sequence can be adopted before any deadline starts).
-// A non-nil return is fatal: an injected crash killed the server.
-func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal error) {
+// req is raw already decoded (decoding happens in the serve loop so the
+// sequence can be adopted before any deadline starts). A non-nil return
+// is fatal: an injected crash killed the server.
+func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 	opStart := s.clk.Now()
 	s.opBytes = 0
 	// Everything this operation counts lands in its own block (and, by
@@ -319,7 +333,7 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 	// exactly even with other operations in flight on this node.
 	s.cnt = newOpCounters(s.node)
 	defer func() { s.cnt = s.node }()
-	finalErr := decodeErr
+	var finalErr error
 	logged := false
 	logOp := func() {
 		if logged || s.cfg.OpLog == nil {
@@ -358,7 +372,6 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 	}
 
 	deadline := opDeadline(s.cfg, s.clk)
-	err := decodeErr
 
 	if s.IsMaster() {
 		// Charge Panda's fixed startup cost (paper: ~13 ms measured
@@ -367,10 +380,10 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 		if s.cfg.StartupOverhead > 0 {
 			s.clk.Sleep(s.cfg.StartupOverhead)
 		}
-		if err == nil && s.stampLost(&req) {
+		if s.stampLost(&req) {
 			raw = encodeOpRequest(req)
 		}
-		if err == nil && !s.cfg.PlainWrites {
+		if !s.cfg.PlainWrites {
 			s.resolveEpochs(&req)
 			raw = encodeOpRequest(req)
 		}
@@ -378,14 +391,12 @@ func (s *Server) handleOp(raw []byte, req opRequest, decodeErr error) (fatal err
 	// Relay the request down the control tree before executing, so the
 	// broadcast completes in depth rounds without the master touching
 	// every rank (on flat schedules the tree is the master's star).
-	if kids := s.serverTreeChildren(deadSet(req.Deads)); s.IsMaster() || (err == nil && len(kids) > 0) {
+	if kids := s.serverTreeChildren(deadSet(req.Deads)); s.IsMaster() || len(kids) > 0 {
 		s.tr.Instant(obs.CatCtl, "forward request", s.opSeq, s.clk.Now(), int64(len(raw)))
 		s.fanoutRaw(kids, tagControl, raw)
 	}
 
-	if err == nil {
-		err = validateSpecsN(s.cfg, s.nclients(), req.Specs)
-	}
+	err := validateSpecsN(s.cfg, s.nclients(), req.Specs)
 
 	// Crash-consistent writes take the two-phase-commit path, which owns
 	// its own completion exchange (Prepared/Commit/Committed in place of
@@ -855,7 +866,7 @@ func (s *Server) readArray(spec ArraySpec, name string, subs []subchunkJob, dead
 	if len(subs) == 0 {
 		return nil
 	}
-	src, err := s.newReadSource(spec, name, subs, want)
+	src, err := s.newReadSource(name, subs, want)
 	if err != nil {
 		return err
 	}

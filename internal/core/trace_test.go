@@ -70,7 +70,7 @@ func indexTrace(t *testing.T, tr *obs.ChromeTrace) *traceIndex {
 
 // requireOverlap asserts that, for the given process, at least one disk
 // span on its storage thread runs concurrently with a network span on
-// its main thread — the staged engine's overlap, reconstructed purely
+// its main thread — the storage stage's overlap, reconstructed purely
 // from the exported trace file.
 func requireOverlap(t *testing.T, ix *traceIndex, proc string) {
 	t.Helper()
@@ -118,9 +118,9 @@ func exportAndParse(t *testing.T, rec *obs.Recorder) *obs.ChromeTrace {
 	return tr
 }
 
-// TestTracedStagedWriteVirtual runs a staged write under virtual time
-// with tracing on, exports Chrome trace JSON, and verifies that the
-// parsed file reconstructs the staged engine's disk/network overlap on
+// TestTracedStagedWriteVirtual runs a write-behind write under virtual
+// time with tracing on, exports Chrome trace JSON, and verifies that the
+// parsed file reconstructs the storage stage's disk/network overlap on
 // every server.
 func TestTracedStagedWriteVirtual(t *testing.T) {
 	cfg, specs := overlapSpecs()
@@ -141,7 +141,7 @@ func TestTracedStagedWriteVirtual(t *testing.T) {
 		overlap += st.OverlapNanos
 	}
 	if overlap <= 0 {
-		t.Fatal("staged write reported no overlap; trace assertion would be vacuous")
+		t.Fatal("write-behind reported no overlap; trace assertion would be vacuous")
 	}
 
 	ix := indexTrace(t, exportAndParse(t, rec))
@@ -231,7 +231,7 @@ func (f *slowFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestTracedStagedWriteReal runs the staged engine in real time (in-proc
+// TestTracedStagedWriteReal runs the storage stage in real time (in-proc
 // goroutine nodes, a genuinely sleeping disk) with tracing on and makes
 // the same overlap assertion on the exported file: storage-stage spans
 // concurrent with mover spans.
@@ -540,13 +540,13 @@ func TestTimeoutsAndAbortsSurfaceOverTCP(t *testing.T) {
 	}
 }
 
-// TestOverlapAndStallSurfaceOverTCP runs the staged write engine over
-// the hub: OverlapNanos and StallNanos must both surface through Stats
-// on a real transport, not just under vtime. Neither is left to a race
-// between a sleeping disk and the network: the first WriteAt is held
-// until the mover has filled the write-behind queue behind it — disk
-// time the network stage demonstrably overlapped — and a moment longer,
-// so the mover's next hand-off finds the queue full and stalls.
+// TestOverlapAndStallSurfaceOverTCP runs write-behind over the hub:
+// OverlapNanos and StallNanos must both surface through Stats on a real
+// transport, not just under vtime. Neither is left to a race between a
+// sleeping disk and the network: the first WriteAt is held until the
+// mover has filled the write window behind it — disk time the network
+// stage demonstrably overlapped — and a moment longer, so the hand-off
+// that found the window full stalls.
 func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 32 << 10, Pipeline: 2, Metrics: obs.NewRegistry()}
 	specs := []ArraySpec{mustSpec1D(t, "ovl", 512<<10, cfg.NumClients, cfg.NumServers)}
@@ -554,13 +554,13 @@ func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 	depth := cfg.Metrics.Histogram("stage_queue_depth", obs.DepthBounds)
 	queueFull := func() {
 		for waited := time.Duration(0); ; waited += 200 * time.Microsecond {
-			// Depths 1 and 2 fit the queue; a deeper observation is the
+			// Depths 1 and 2 fit the window; a deeper observation is the
 			// mover arriving with a sub-chunk there is no room for.
 			if snap := depth.Snapshot(); snap.Count-snap.Counts[0]-snap.Counts[1] > 0 {
 				break
 			}
 			if waited > 10*time.Second {
-				t.Error("the write-behind queue never filled behind a blocked disk")
+				t.Error("the write window never filled behind a blocked disk")
 				return
 			}
 			time.Sleep(200 * time.Microsecond)
@@ -580,10 +580,10 @@ func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 	}
 	st := stats[0]
 	if st.OverlapNanos <= 0 {
-		t.Errorf("OverlapNanos = %d, want > 0 (three sub-chunks pulled while the disk was busy)", st.OverlapNanos)
+		t.Errorf("OverlapNanos = %d, want > 0 (two sub-chunks pulled while the disk was busy)", st.OverlapNanos)
 	}
 	if st.StallNanos <= 0 {
-		t.Errorf("StallNanos = %d, want > 0 (a hand-off into a full write-behind queue)", st.StallNanos)
+		t.Errorf("StallNanos = %d, want > 0 (a hand-off into a full write window)", st.StallNanos)
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 
 // writebehind_test.go covers what the write path promises its disk and
 // its buffer pool: a commit lists nothing and costs the same at step 60
-// as at step 5, the barriers sit where they always sat, all three sink
-// families leave the same files on a host file system (whose Create
-// handle starts writeback early), and an adopted wire frame goes back
-// to the pool once its sub-chunk is written.
+// as at step 5, the barriers sit where they always sat, both sink
+// families — the scheduled one from the legacy loop and from an executor
+// — leave the same files on a host file system (whose Create handle
+// starts writeback early), and an adopted wire frame goes back to the
+// pool once its sub-chunk is written.
 
 // naturalSpec is one array whose memory and disk schemas agree, so every
 // sub-chunk is one client's contiguous piece and its frame is adopted.
@@ -121,9 +122,10 @@ func TestCommitPathBarriers(t *testing.T) {
 }
 
 // TestSinksWriteIdenticalFilesOverOSDisk runs one 2PC collective through
-// the serial, staged and scheduler sinks over real files and requires
-// byte-identical data files, manifests and decision records: starting
-// writeback early must not perturb an offset or an ordering.
+// the inline sink, the storage stage behind the legacy loop and the
+// storage stage behind a scheduler executor, over real files, and
+// requires byte-identical data files, manifests and decision records:
+// starting writeback early must not perturb an offset or an ordering.
 func TestSinksWriteIdenticalFilesOverOSDisk(t *testing.T) {
 	shape := []int{64, 64}
 	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block}, []int{2, 2})

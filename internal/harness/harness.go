@@ -156,10 +156,10 @@ type Options struct {
 	// value).
 	SubchunkBytes int64
 	// Pipeline overrides the write pipeline depth (0 = 1, the paper's
-	// blocking behaviour; 2+ engages the staged write-behind engine).
+	// blocking behaviour; 2+ writes behind through the storage stage).
 	Pipeline int
 	// ReadAhead sets the read prefetch depth (0 = the paper's serial
-	// reads; 1+ engages the staged read-ahead engine).
+	// reads; 1+ reads ahead through the storage stage).
 	ReadAhead int
 	// Verbose makes Run print each point as it completes.
 	Verbose bool
@@ -213,7 +213,7 @@ type Point struct {
 	// runs can report what the protocol absorbed.
 	Timeouts int64
 	Retries  int64
-	// OverlapNanos and StallNanos sum the staged-engine counters
+	// OverlapNanos and StallNanos sum the storage-stage counters
 	// across servers: disk time hidden behind the network, and mover
 	// time spent blocked on the storage stage. Zero in the paper's
 	// serial configuration.

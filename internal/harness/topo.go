@@ -39,7 +39,7 @@ func TopoPresets() []string { return []string{"fat-tree:16", "oversub:16:4"} }
 // TopoPoint is one cell of the topology experiment: one node count on
 // one preset, measured under both schedules.
 type TopoPoint struct {
-	Nodes   int    // compute nodes (servers add TopoIONodes more ranks)
+	Nodes   int // compute nodes (servers add TopoIONodes more ranks)
 	IONodes int
 	Preset  string
 	Flat    time.Duration // flat schedules on the racked network

@@ -13,7 +13,7 @@ import (
 // the remainder is the thread (a stage activity such as "storage";
 // plain tracks get thread "main"). The result loads directly in
 // ui.perfetto.dev or chrome://tracing, one lane per node/stage, which
-// makes the staged engine's disk/network overlap visible as concurrent
+// makes the storage stage's disk/network overlap visible as concurrent
 // slices on a server's "main" (mover) and "storage" lanes.
 
 // ChromeEvent is one entry of the trace-event JSON array. Phases used

@@ -1,10 +1,10 @@
 // Package obs is the observability layer of the reproduction: a
 // low-overhead tracing recorder and a small metrics registry threaded
-// through the Panda client, server, staged engine, transports and
+// through the Panda client, server, storage stage, transports and
 // disks.
 //
 // Tracing model: every node (client rank, server index) and every
-// staged-engine activity owns a Track; instrumented code emits spans
+// activity a node runs beside its main loop owns a Track; instrumented code emits spans
 // (start, duration) and instant events onto its track, timestamped by
 // the node's own clock.Clock. Under virtual time all clocks share the
 // simulation's timeline, so traces are exact; under the wall clock the

@@ -14,9 +14,8 @@
 //     other party calls Sim.Wake / Sim.WakeAt on it;
 //   - timed callbacks: Sim.At and Sim.After run a function in scheduler
 //     context at a virtual instant (the function must not block);
-//   - conveniences built on those: Proc.Sleep, Pipe (a bounded blocking
-//     FIFO), and Port (next-free-time bandwidth bookkeeping for links
-//     and disks).
+//   - conveniences built on those: Proc.Sleep and Port (next-free-time
+//     bandwidth bookkeeping for links and disks).
 //
 // Time is represented as time.Duration since the start of the simulation.
 package vtime
@@ -87,11 +86,6 @@ func New() *Sim {
 // Now reports the current virtual time. It may be called from scheduler
 // callbacks or from running processes.
 func (s *Sim) Now() time.Duration { return s.now }
-
-// Current returns the process currently holding control, or nil when the
-// scheduler (an event callback) is running. It lets primitives like Pipe
-// park the calling process without threading *Proc through every call.
-func (s *Sim) Current() *Proc { return s.running }
 
 // Events reports how many events have fired so far.
 func (s *Sim) Events() uint64 { return s.fired }

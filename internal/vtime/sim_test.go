@@ -90,33 +90,43 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestPipeDeliversFIFOAcrossProcesses(t *testing.T) {
-	s := New()
-	q := NewPipe[int](s, 2)
-	var got []int
-	s.Spawn("consumer", func(p *Proc) {
-		for v, ok := q.Pop(); ok; v, ok = q.Pop() {
-			got = append(got, v)
-		}
-	})
-	s.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			q.Push(i)
-			p.Sleep(time.Millisecond)
-		}
-		q.Close()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+// handoff is the prop the tests below pass values through: an unbounded
+// queue built directly on Park/Wake, with at most one parked consumer.
+type handoff struct {
+	s      *Sim
+	items  []int
+	closed bool
+	waiter *Proc
+}
+
+func (q *handoff) push(v int) {
+	q.items = append(q.items, v)
+	q.wake()
+}
+
+func (q *handoff) close() {
+	q.closed = true
+	q.wake()
+}
+
+func (q *handoff) wake() {
+	if w := q.waiter; w != nil {
+		q.waiter = nil
+		q.s.Wake(w)
 	}
-	if len(got) != 5 {
-		t.Fatalf("got %v, want 0..4", got)
+}
+
+func (q *handoff) pop(p *Proc) (int, bool) {
+	for len(q.items) == 0 && !q.closed {
+		q.waiter = p
+		p.Park()
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v, want 0..4 in order", got)
-		}
+	if len(q.items) == 0 {
+		return 0, false
 	}
+	v := q.items[0]
+	q.items = q.items[1:]
+	return v, true
 }
 
 func TestPortSerializesReservations(t *testing.T) {
@@ -156,17 +166,17 @@ func TestSpawnFromProcess(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []time.Duration {
 		s := New()
-		q := NewPipe[int](s, 1)
+		q := &handoff{s: s}
 		var stamps []time.Duration
 		s.Spawn("p", func(p *Proc) {
 			for i := 0; i < 4; i++ {
 				p.Sleep(time.Duration(i) * time.Millisecond)
-				q.Push(i)
+				q.push(i)
 			}
-			q.Close()
+			q.close()
 		})
 		s.Spawn("c", func(p *Proc) {
-			for _, ok := q.Pop(); ok; _, ok = q.Pop() {
+			for _, ok := q.pop(p); ok; _, ok = q.pop(p) {
 				stamps = append(stamps, p.Now())
 			}
 		})
@@ -234,8 +244,8 @@ func TestEventCount(t *testing.T) {
 }
 
 func TestStressManyProcessesMonotonicTime(t *testing.T) {
-	// Hundreds of processes doing pseudo-random sleeps and pipe traffic
-	// (producer/consumer pairs): time must be monotone per process,
+	// Hundreds of processes doing pseudo-random sleeps and Park/Wake
+	// hand-offs (producer/consumer pairs): time must be monotone per process,
 	// every process must finish, and the run must be deterministic.
 	run := func() (uint64, time.Duration) {
 		s := New()
@@ -250,21 +260,21 @@ func TestStressManyProcessesMonotonicTime(t *testing.T) {
 		}
 		for i := 0; i < pairs; i++ {
 			i := i
-			q := NewPipe[int](s, 2)
+			q := &handoff{s: s}
 			s.Spawn("producer", func(p *Proc) {
 				last, seed := p.Now(), uint64(i*2654435761+17)
 				for step := 0; step < 20; step++ {
 					nap(p, &seed, &last)
 					if step%3 == 0 {
-						q.Push(step)
+						q.push(step)
 					}
 				}
-				q.Close()
+				q.close()
 			})
 			s.Spawn("consumer", func(p *Proc) {
 				last, seed := p.Now(), uint64(i*40503+5)
 				n := 0
-				for _, ok := q.Pop(); ok; _, ok = q.Pop() {
+				for _, ok := q.pop(p); ok; _, ok = q.pop(p) {
 					n++
 					nap(p, &seed, &last)
 				}
