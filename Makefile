@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -96,8 +96,8 @@ bench-check sched-check topo-check:
 	$(GO) run ./cmd/pandabench -engine-check BENCH_engine.json
 
 # bench-pack measures the data-movement fast path on this host: the
-# coalescing CopyRegion kernel across strided, coalesced, contiguous
-# and pooled-worker shapes, with allocation counts.
+# coalescing CopyRegion kernel across strided, coalesced and contiguous
+# shapes, with allocation counts.
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkCopyRegion' -benchmem ./internal/array
 
@@ -115,6 +115,19 @@ bench-wall-quick:
 trace-smoke:
 	$(GO) run ./cmd/pandabench -fig fig4 -scale 5 -trace trace.json
 	$(GO) run ./cmd/pandatrace -check trace.json
+
+# cli-smoke starts the command-line tools no other gate starts, with
+# every flag off its default — the smoke column of the knob matrix
+# (TestKnobMatrix reads this file). Exit statuses are the gate, plus a
+# valid trace from the traced run.
+cli-smoke:
+	$(GO) run ./cmd/pandasim -op read -size 8 -cn 16 -ion 2 -schema trad -disk fast -subchunk 524288 -readahead 2 -arrays 2
+	$(GO) run ./cmd/pandasim -size 8 -pipeline 4 -topo fat-tree:4 -flat-schedules -trace cli-smoke-trace.json
+	$(GO) run ./cmd/pandatrace -check cli-smoke-trace.json
+	$(GO) run ./cmd/pandasim -size 8 -strategy two-phase
+	$(GO) run ./cmd/pandapredict -size 8 -cn 16 -ion 2 -op read -schema trad -fast -pipeline 4 -topo oversub:4:2
+	$(GO) run ./cmd/pandapredict -candidates
+	$(GO) run ./cmd/pandabench -fig fig5 -scale 6 -csv -subchunk 524288 -pipeline 2 -readahead 1 -v
 
 # recovery-smoke sweeps every crash point of the commit protocol plus a
 # server-failover round on a fixed seed, dumping the epoch manifests

@@ -56,7 +56,6 @@ func main() {
 	maxIons := flag.Int("max-ions", 0, "i/o node pool capacity, counting runtime joiners (0 = -ions; fixed for the daemon's lifetime)")
 	lease := flag.Duration("lease", 0, "joined i/o node lease TTL; a node missing heartbeats this long is declared lost (0 = 10s)")
 	heartbeat := flag.Duration("heartbeat", 0, "joiner heartbeat / lease-watchdog cadence (0 = lease/4)")
-	migratePar := flag.Int("migrate-parallel", 0, "arrays migrated concurrently during a membership rebalance (0 = 2)")
 	opTimeout := flag.Duration("optimeout", 30*time.Second, "per-operation deadline (0 = block forever)")
 	configPath := flag.String("config", "", "JSON tuning file, read at startup and on SIGHUP")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
@@ -88,18 +87,17 @@ func main() {
 		log.Fatal(err)
 	}
 	d, err := panda.StartDaemon(panda.DaemonConfig{
-		Addr:            *addr,
-		Dir:             *dir,
-		ClientSlots:     *slots,
-		IONodes:         *ions,
-		MaxIONodes:      *maxIons,
-		LeaseTTL:        *lease,
-		HeartbeatEvery:  *heartbeat,
-		MigrateParallel: *migratePar,
-		OpTimeout:       *opTimeout,
-		Tuning:          tuning,
-		HTTPAddr:        *httpAddr,
-		Logf:            log.Printf,
+		Addr:           *addr,
+		Dir:            *dir,
+		ClientSlots:    *slots,
+		IONodes:        *ions,
+		MaxIONodes:     *maxIons,
+		LeaseTTL:       *lease,
+		HeartbeatEvery: *heartbeat,
+		OpTimeout:      *opTimeout,
+		Tuning:         tuning,
+		HTTPAddr:       *httpAddr,
+		Logf:           log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -68,11 +68,13 @@ type Tuning struct {
 
 func (t Tuning) reconfig() core.Reconfig {
 	return core.Reconfig{
-		MaxInflight: t.MaxInflight,
-		QueueDepth:  t.QueueDepth,
-		Quantum:     t.Quantum,
-		Weights:     t.Weights,
-		Pipeline:    t.Pipeline,
+		Sched: core.SchedConfig{
+			MaxInflight: t.MaxInflight,
+			QueueDepth:  t.QueueDepth,
+			Quantum:     t.Quantum,
+			Weights:     t.Weights,
+		},
+		Pipeline: t.Pipeline,
 	}
 }
 
@@ -103,9 +105,6 @@ type DaemonConfig struct {
 	// HeartbeatEvery is the joiners' heartbeat (and the lease watchdog's
 	// sweep) cadence (0 = LeaseTTL/4). Must be shorter than LeaseTTL.
 	HeartbeatEvery time.Duration
-	// MigrateParallel bounds how many arrays a membership rebalance
-	// migrates concurrently (0 = 2).
-	MigrateParallel int
 	// SubchunkBytes bounds the transfer/IO unit (0 = 1 MB).
 	SubchunkBytes int64
 	// OpTimeout bounds every collective operation; 0 disables.
@@ -218,27 +217,22 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	// nodes occupy the first IONodes slots and the rest stay vacant for
 	// runtime joiners. Membership tracks which slots are live.
 	members := core.NewMembership(cfg.MaxIONodes, cfg.IONodes, cfg.LeaseTTL)
+	tuned := cfg.Tuning.reconfig()
 	ccfg := core.Config{
-		NumClients:      cfg.ClientSlots,
-		NumServers:      cfg.MaxIONodes,
-		SubchunkBytes:   cfg.SubchunkBytes,
-		Pipeline:        cfg.Tuning.Pipeline,
-		OpTimeout:       cfg.OpTimeout,
-		PullRetries:     cfg.PullRetries,
-		Metrics:         reg,
-		Trace:           rec,
-		Service:         true,
-		Members:         members,
-		LeaseTTL:        cfg.LeaseTTL,
-		HeartbeatEvery:  cfg.HeartbeatEvery,
-		MigrateParallel: cfg.MigrateParallel,
-		Sched: core.SchedConfig{
-			MaxInflight: cfg.Tuning.MaxInflight,
-			QueueDepth:  cfg.Tuning.QueueDepth,
-			Quantum:     cfg.Tuning.Quantum,
-			Weights:     cfg.Tuning.Weights,
-		},
-		OpStart: tel.opStart,
+		NumClients:     cfg.ClientSlots,
+		NumServers:     cfg.MaxIONodes,
+		SubchunkBytes:  cfg.SubchunkBytes,
+		Pipeline:       tuned.Pipeline,
+		OpTimeout:      cfg.OpTimeout,
+		PullRetries:    cfg.PullRetries,
+		Metrics:        reg,
+		Trace:          rec,
+		Service:        true,
+		Members:        members,
+		LeaseTTL:       cfg.LeaseTTL,
+		HeartbeatEvery: cfg.HeartbeatEvery,
+		Sched:          tuned.Sched,
+		OpStart:        tel.opStart,
 		OpLog: func(sum core.OpSummary) {
 			tel.opDone(sum)
 			if sum.Err == nil {

@@ -20,16 +20,15 @@ import (
 func startElasticDaemon(t *testing.T, dir string, maxIons int, lease, heartbeat time.Duration) *Daemon {
 	t.Helper()
 	d, err := StartDaemon(DaemonConfig{
-		Dir:             dir,
-		ClientSlots:     8,
-		IONodes:         2,
-		MaxIONodes:      maxIons,
-		LeaseTTL:        lease,
-		HeartbeatEvery:  heartbeat,
-		MigrateParallel: 2,
-		OpTimeout:       20 * time.Second,
-		HTTPAddr:        "127.0.0.1:0",
-		Logf:            t.Logf,
+		Dir:            dir,
+		ClientSlots:    8,
+		IONodes:        2,
+		MaxIONodes:     maxIons,
+		LeaseTTL:       lease,
+		HeartbeatEvery: heartbeat,
+		OpTimeout:      20 * time.Second,
+		HTTPAddr:       "127.0.0.1:0",
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("StartDaemon: %v", err)

@@ -186,6 +186,14 @@ func TestDaemonSLOReloadUnderLoad(t *testing.T) {
 	if err := json.Unmarshal(metrics["slo_violations"], &violations); err != nil || violations == 0 {
 		t.Fatalf("slo_violations not scrapeable: %s (err %v)", metrics["slo_violations"], err)
 	}
+	// Thirty identical timesteps plan once per I/O node: every executor
+	// after the first finds its node's plan cached, reload or no reload.
+	var hits, misses int64
+	json.Unmarshal(metrics["plan_cache_hits"], &hits)     //nolint:errcheck // zero fails below
+	json.Unmarshal(metrics["plan_cache_misses"], &misses) //nolint:errcheck
+	if hits != 2*29 || misses != 2 {
+		t.Fatalf("plan_cache_hits, plan_cache_misses = %d, %d after 30 timesteps on 2 I/O nodes, want 58 and 2", hits, misses)
+	}
 
 	// The violation triggered a flight-recorder dump, and the dump is a
 	// valid Chrome trace. The dump runs asynchronously; wait it out.
@@ -422,7 +430,13 @@ func TestDaemonDumpEndpoint(t *testing.T) {
 // fed them), and the flight recorder's Chrome trace carrying the disk
 // spans of the operation on each server's "storage" lane.
 func TestDaemonStageTelemetry(t *testing.T) {
-	d := startTelemetryDaemon(t, t.TempDir(), Tuning{})
+	d, err := StartDaemon(DaemonConfig{
+		Dir: t.TempDir(), ClientSlots: 8, IONodes: 2, OpTimeout: 30 * time.Second,
+		SubchunkBytes: 512 << 10, HTTPAddr: "127.0.0.1:0", Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer d.Drain() //nolint:errcheck
 
 	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: 2, Tenant: "ckpt"})
@@ -467,6 +481,11 @@ func TestDaemonStageTelemetry(t *testing.T) {
 	var depth obs.HistSnapshot
 	if err := json.Unmarshal(metrics["stage_queue_depth"], &depth); err != nil || depth.Count == 0 {
 		t.Errorf("stage_queue_depth = %s after a 16 MiB write, want observations (err %v)", metrics["stage_queue_depth"], err)
+	}
+	// The daemon's sub-chunk limit is the unit the write moved in.
+	var pulls obs.HistSnapshot
+	if err := json.Unmarshal(metrics["subchunk_latency_ns"], &pulls); err != nil || pulls.Count != 32 {
+		t.Errorf("subchunk_latency_ns = %s: want 32 sub-chunks of 512 KiB in a 16 MiB write (err %v)", metrics["subchunk_latency_ns"], err)
 	}
 
 	path, err := d.DumpTrace("test")

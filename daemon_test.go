@@ -222,7 +222,7 @@ func TestDaemonReloadUnderLoad(t *testing.T) {
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)
-	d.Reload(Tuning{MaxInflight: 4, Weights: map[string]int{"load": 7}, Pipeline: 2})
+	d.Reload(Tuning{MaxInflight: 4, QueueDepth: 32, Quantum: 2 << 20, Weights: map[string]int{"load": 7}, Pipeline: 2})
 	if err := <-done; err != nil {
 		t.Fatalf("writes failed across reload: %v", err)
 	}
@@ -231,8 +231,11 @@ func TestDaemonReloadUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Weights["load"] != 7 || info.MaxInflight != 4 || info.Pipeline != 2 {
+	if info.Weights["load"] != 7 || info.MaxInflight != 4 || info.QueueDepth != 32 || info.Pipeline != 2 {
 		t.Fatalf("reload not observable: %+v", info)
+	}
+	if q := d.Service().Config().Sched.Quantum; q != 2<<20 {
+		t.Fatalf("reloaded quantum = %d, want %d", q, 2<<20)
 	}
 	// Per-tenant attribution survived the reload.
 	if info.Metrics["tenant_ops_load"] == nil {

@@ -39,6 +39,10 @@ import (
 // under, visible in per-tenant metrics and the session table.
 const rebalanceTenant = "_rebalance"
 
+// migrateParallel bounds how many arrays a membership rebalance rewrites
+// concurrently.
+const migrateParallel = 2
+
 // onMemberEvent is the Membership notify hook: every membership change
 // lands in the event log, and a join triggers a background rebalance
 // that spreads committed data onto the new member. Runs on the master
@@ -106,7 +110,7 @@ func (d *Daemon) DrainServer(slot int) error {
 // Rebalance rewrites every committed array instance through a normal
 // collective read+write cycle, so its chunks land on the current member
 // set. Concurrent rebalances coalesce behind one mutex; per-array
-// migrations run MigrateParallel-wide.
+// migrations run migrateParallel-wide.
 func (d *Daemon) Rebalance(reason string) error {
 	d.rebalMu.Lock()
 	defer d.rebalMu.Unlock()
@@ -118,7 +122,7 @@ func (d *Daemon) Rebalance(reason string) error {
 	d.events.Emit("rebalance_start", map[string]any{"reason": reason, "instances": len(work)})
 	d.logf("rebalance (%s): %d committed array instances", reason, len(work))
 
-	sem := make(chan struct{}, d.ccfg.MigrateConcurrency())
+	sem := make(chan struct{}, migrateParallel)
 	errs := make([]error, len(work))
 	var wg sync.WaitGroup
 	for i, inst := range work {

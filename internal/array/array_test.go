@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -288,7 +287,7 @@ func TestCopyRegionExtractDeposit(t *testing.T) {
 
 	// Deposit into a zeroed buffer and extract again.
 	dst := make([]byte, len(src))
-	Deposit(dst, whole, piece, sect, 4)
+	CopyRegion(dst, whole, piece, sect, sect, 4)
 	again := Extract(dst, whole, sect, 4)
 	if !bytes.Equal(again, want) {
 		t.Fatal("Deposit/Extract round trip failed")
@@ -383,7 +382,7 @@ func TestRedistributionIsAPermutation(t *testing.T) {
 		// Reassemble and compare.
 		got := make([]byte, len(ref))
 		for j := range diskBufs {
-			Deposit(got, whole, diskBufs[j], diskS.Chunk(j), 4)
+			CopyRegion(got, whole, diskBufs[j], diskS.Chunk(j), diskS.Chunk(j), 4)
 		}
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("redistribution lost data: mem %v disk %v", memS, diskS)
@@ -498,16 +497,5 @@ func TestSameDecomposition(t *testing.T) {
 	}
 	if SameDecomposition(a, c) {
 		t.Fatal("different schemas matched")
-	}
-}
-
-func TestStridesAndOffsets(t *testing.T) {
-	r := NewRegion([]int{0, 0}, []int{3, 4})
-	st := strides(r)
-	if !reflect.DeepEqual(st, []int64{4, 1}) {
-		t.Fatalf("strides = %v", st)
-	}
-	if got := offsetOf([]int{2, 3}, r, st); got != 11 {
-		t.Fatalf("offset = %d", got)
 	}
 }

@@ -113,33 +113,6 @@ func FuzzCopyRegion(f *testing.F) {
 	})
 }
 
-// TestCopyRegionParallelMatchesReference runs the same property check
-// with the pack pool enabled and sections big enough to cross the
-// split threshold, under whatever -race setting the suite runs with.
-func TestCopyRegionParallelMatchesReference(t *testing.T) {
-	SetPackWorkers(4)
-	defer SetPackWorkers(1)
-	rnd := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 8; iter++ {
-		// ~4 MiB strided 3D copies: odometer dims 0 and 1 split across
-		// the pool.
-		srcR := Box([]int{64, 64, 96})
-		dstR := Box([]int{64, 96, 96})
-		sect := Region{Lo: []int{0, 0, 0}, Hi: []int{64, 64 - iter, 64}}
-		src := make([]byte, srcR.NumElems()*8)
-		rnd.Read(src)
-		fast := make([]byte, dstR.NumElems()*8)
-		slow := make([]byte, len(fast))
-		rnd.Read(fast)
-		copy(slow, fast)
-		CopyRegion(fast, dstR, src, srcR, sect, 8)
-		naiveCopyRegion(slow, dstR, src, srcR, sect, 8)
-		if !bytes.Equal(fast, slow) {
-			t.Fatalf("iter %d: parallel CopyRegion differs from reference", iter)
-		}
-	}
-}
-
 // TestCopyRegionNoAllocs pins the zero-allocation contract for every
 // rank the stack-stride fast path covers.
 func TestCopyRegionNoAllocs(t *testing.T) {
@@ -212,16 +185,4 @@ func BenchmarkCopyRegion3DCoalesced(b *testing.B) {
 func BenchmarkCopyRegionContig(b *testing.B) {
 	r := Box([]int{256, 1024})
 	benchCopy(b, r, r, r, 8)
-}
-
-// BenchmarkCopyRegion3DWorkers4: the 3D strided shape scaled up past
-// the parallel threshold, split across 4 pack workers.
-func BenchmarkCopyRegion3DWorkers4(b *testing.B) {
-	SetPackWorkers(4)
-	defer SetPackWorkers(1)
-	benchCopy(b,
-		Box([]int{128, 128, 128}),
-		Box([]int{128, 128, 64}),
-		Region{Lo: []int{0, 0, 0}, Hi: []int{128, 128, 64}},
-		8)
 }

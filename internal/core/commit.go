@@ -240,7 +240,7 @@ func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) error {
 		if !errors.As(err, &re) {
 			return err
 		}
-		s.plans = nil // the alive set changed; cached plans are stale
+		s.plans.reset() // the alive set changed; cached plans are stale
 		req = re.req
 	}
 }

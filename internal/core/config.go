@@ -54,12 +54,12 @@ type Config struct {
 	// during writes; 1 (or 0, meaning 1) reproduces the paper's
 	// blocking behaviour, larger values implement the non-blocking
 	// overlap the paper proposes as future work. At 2 or more the
-	// legacy serve loop also starts its storage stage (given a clock
-	// that can host one): completed sub-chunks are handed to the
-	// node's diskSched, which writes behind the network stage with at
-	// most Pipeline writes outstanding, so a write holds at most
-	// 2*Pipeline sub-chunk buffers. Scheduler executors always write
-	// behind, with a window of max(2, Pipeline).
+	// legacy serve loop also starts its storage stage: completed
+	// sub-chunks are handed to the node's diskSched, which writes
+	// behind the network stage with at most Pipeline writes
+	// outstanding, so a write holds at most 2*Pipeline sub-chunk
+	// buffers. Scheduler executors always write behind, with a window
+	// of max(2, Pipeline).
 	Pipeline int
 	// ReadAhead is the number of sub-chunk reads kept outstanding at
 	// the storage stage beyond the sub-chunk being scattered. 0 — the
@@ -129,15 +129,6 @@ type Config struct {
 	// bounded histograms (message traffic, sub-chunk latency, receive
 	// waits, storage-stage window depth) into the registry. nil disables.
 	Metrics *obs.Registry
-	// PlanCacheSize bounds the per-server plan cache, in entries. Each
-	// entry memoizes one array's chunk assignment and sub-chunk schedule
-	// keyed by (schema fingerprint, array index, server count, sub-chunk
-	// limit, alive set), so iterating workloads — a Timestep loop writing
-	// the same arrays every step — replan for free. 0 means the default
-	// (64 entries); negative disables caching. Manifest-derived read
-	// plans are never cached (they depend on file contents, not schemas),
-	// and a failover replan invalidates the cache outright.
-	PlanCacheSize int
 	// Topology, when non-nil, turns on topology-aware communication
 	// schedules: control broadcasts (request relay, abort, commit
 	// decision, reassignment/membership-epoch rebroadcast, completion
@@ -207,10 +198,6 @@ type Config struct {
 	// HeartbeatEvery is the interval a joined server renews its lease at
 	// (0 = LeaseTTL/4). It must comfortably undercut LeaseTTL.
 	HeartbeatEvery time.Duration
-	// MigrateParallel bounds how many arrays a membership rebalance
-	// rewrites concurrently (0 = 2). Consumed by the daemon's migration
-	// engine, carried here so one knob set configures the deployment.
-	MigrateParallel int
 }
 
 // DefaultLeaseTTL is the lease bound when LeaseTTL is zero.
@@ -231,15 +218,6 @@ func (c Config) HeartbeatInterval() time.Duration {
 		return c.HeartbeatEvery
 	}
 	return c.EffectiveLeaseTTL() / 4
-}
-
-// MigrateConcurrency returns the effective rebalance concurrency (the
-// daemon's migration engine consumes it).
-func (c Config) MigrateConcurrency() int {
-	if c.MigrateParallel <= 0 {
-		return 2
-	}
-	return c.MigrateParallel
 }
 
 // SchedConfig tunes the server-side operation scheduler that admits
@@ -303,9 +281,8 @@ type RetryPolicy struct {
 	// Max is the number of retries after the first attempt; 0 disables.
 	Max int
 	// Backoff is the pause before the first retry; each further retry
-	// doubles it, capped at MaxBackoff (0 = 10*Backoff).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// doubles it, capped at 10*Backoff.
+	Backoff time.Duration
 	// Jitter, in [0,1], randomizes each pause by ±Jitter of itself so
 	// the clients of a wedged cluster do not stampede in lockstep.
 	Jitter float64
@@ -313,21 +290,11 @@ type RetryPolicy struct {
 
 // pause returns the backoff before retry i (0-based), unjittered.
 func (p RetryPolicy) pause(i int) time.Duration {
-	d := p.Backoff
-	for ; i > 0 && d < p.maxBackoff(); i-- {
+	d, limit := p.Backoff, 10*p.Backoff
+	for ; i > 0 && d < limit; i-- {
 		d *= 2
 	}
-	if m := p.maxBackoff(); d > m {
-		d = m
-	}
-	return d
-}
-
-func (p RetryPolicy) maxBackoff() time.Duration {
-	if p.MaxBackoff > 0 {
-		return p.MaxBackoff
-	}
-	return 10 * p.Backoff
+	return min(d, limit)
 }
 
 // OpSummary describes one completed collective operation on one
@@ -378,7 +345,7 @@ func (c Config) Validate() error {
 	if c.Retry.Max < 0 {
 		return fmt.Errorf("core: negative Retry.Max")
 	}
-	if c.Retry.Backoff < 0 || c.Retry.MaxBackoff < 0 {
+	if c.Retry.Backoff < 0 {
 		return fmt.Errorf("core: negative Retry backoff")
 	}
 	if c.Retry.Jitter < 0 || c.Retry.Jitter > 1 {
@@ -406,9 +373,6 @@ func (c Config) Validate() error {
 	}
 	if c.HeartbeatEvery > 0 && c.HeartbeatEvery >= c.EffectiveLeaseTTL() {
 		return fmt.Errorf("core: HeartbeatEvery %v must undercut LeaseTTL %v", c.HeartbeatEvery, c.EffectiveLeaseTTL())
-	}
-	if c.MigrateParallel < 0 {
-		return fmt.Errorf("core: negative MigrateParallel")
 	}
 	if err := c.Topology.Validate(); err != nil {
 		return err
@@ -461,17 +425,4 @@ func (c Config) readAhead() int {
 		return 0
 	}
 	return c.ReadAhead
-}
-
-// defaultPlanCacheSize is the plan-cache bound when PlanCacheSize is 0.
-const defaultPlanCacheSize = 64
-
-func (c Config) planCacheSize() int {
-	if c.PlanCacheSize == 0 {
-		return defaultPlanCacheSize
-	}
-	if c.PlanCacheSize < 0 {
-		return 0
-	}
-	return c.PlanCacheSize
 }

@@ -69,10 +69,10 @@ type diskSched struct {
 }
 
 // newDiskSched starts the storage activity for one server node.
-func newDiskSched(dom clock.Domain, s *Server) *diskSched {
+func newDiskSched(s *Server) *diskSched {
 	d := &diskSched{box: newMbox[diskReq](s.clk)}
 	tr := s.storageTrack()
-	dom.Go(fmt.Sprintf("server%d-storage", s.index), func(clk clock.Clock) {
+	s.clk.Go(fmt.Sprintf("server%d-storage", s.index), func(clk clock.Clock) {
 		dd := storage.RebindClock(s.disk, clk)
 		for {
 			first, _ := d.box.pop(clk, nil, 0) // unbounded: cannot time out

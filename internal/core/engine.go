@@ -29,10 +29,9 @@ import (
 //	           overlapping disk time with network time while every file
 //	           is still accessed in plan order.
 //
-// Which form an operation gets is a function of the clock and two
-// knobs. Scheduler executors always share their node's diskSched. The
-// legacy Serve loop starts one of its own iff the clock is a
-// clock.Domain and Pipeline >= 2 or ReadAhead >= 1, and then routes
+// Which form an operation gets is a function of two knobs. Scheduler
+// executors always share their node's diskSched. The legacy Serve loop
+// starts one of its own iff Pipeline >= 2 or ReadAhead >= 1, and then routes
 // writes through it when Pipeline >= 2 and reads when ReadAhead >= 1.
 // Everything else — the paper's configuration included — runs inline.
 //

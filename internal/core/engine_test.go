@@ -614,7 +614,7 @@ func onStage(t *testing.T, cfg Config, body func(t *testing.T, s *Server)) {
 	comm := mpi.NewWorld(cfg.WorldSize()).Comm(cfg.ServerRank(0))
 	run := func(t *testing.T, clk clock.Clock, disk storage.Disk) {
 		s := NewServer(cfg, comm, disk, clk)
-		s.dsched = newDiskSched(clk.(clock.Domain), s)
+		s.dsched = newDiskSched(s)
 		body(t, s)
 		s.dsched.stop()
 	}

@@ -75,40 +75,26 @@ func TestPlanCacheHitsAndKeys(t *testing.T) {
 	}
 
 	// Replan adoption clears the map; the next plan recomputes.
-	s.plans = nil
+	s.plans.reset()
 	s.planFor(0, spec, nil)
 	if got := s.Stats(); got.PlanMisses != 4 {
 		t.Fatalf("cleared cache still hit: misses=%d", got.PlanMisses)
 	}
 }
 
-// TestPlanCacheDisabled pins the opt-out: PlanCacheSize < 0 must plan
-// from scratch every time and move neither counter.
-func TestPlanCacheDisabled(t *testing.T) {
-	cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 1 << 10, PlanCacheSize: -1}
-	s := fastpathServer(cfg)
-	spec := fastpathSpec("off", []int{2, 1})
-	for i := 0; i < 3; i++ {
-		s.planFor(0, spec, nil)
-	}
-	if got := s.Stats(); got.PlanHits != 0 || got.PlanMisses != 0 {
-		t.Fatalf("disabled cache counted hits=%d misses=%d", got.PlanHits, got.PlanMisses)
-	}
-	if s.plans != nil {
-		t.Error("disabled cache still stored plans")
-	}
-}
-
 // TestPlanCacheBounded fills the cache past its size bound and checks
 // it restarts instead of growing without limit.
 func TestPlanCacheBounded(t *testing.T) {
-	cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 1 << 10, PlanCacheSize: 4}
+	cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 1 << 10}
 	s := fastpathServer(cfg)
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 3*planCacheSize; i++ {
 		s.planFor(0, fastpathSpec(fmt.Sprintf("a%d", i), []int{2, 1}), nil)
+		if n := len(s.plans.entries); n > planCacheSize {
+			t.Fatalf("cache grew to %d entries past its bound of %d", n, planCacheSize)
+		}
 	}
-	if len(s.plans) > 4 {
-		t.Fatalf("cache grew to %d entries past its bound of 4", len(s.plans))
+	if n := len(s.plans.entries); n != planCacheSize {
+		t.Fatalf("cache holds %d entries after %d distinct plans, want %d (restart, then refill)", n, 3*planCacheSize, planCacheSize)
 	}
 }
 

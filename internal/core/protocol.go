@@ -476,26 +476,11 @@ type subData struct {
 	OpID uint32
 }
 
-// encodeSubData builds a data frame: header plus a copy of the payload.
-// The frame is drawn from bufpool sized exactly, so the consumer can
-// recycle it with bufpool.Put once the payload has been copied out (or
-// adopted). The payload itself is only read — callers keep ownership.
-func encodeSubData(d subData) []byte {
-	n := 8 + 1 + 8*d.Region.Rank() + len(d.Payload)
-	w := wbuf{b: bufpool.GetRaw(n)[:0]}
-	w.u8(msgSubData)
-	w.u16(uint16(d.ArrayIdx))
-	w.u32(d.ReqID)
-	w.region(d.Region)
-	w.b = append(w.b, d.Payload...)
-	return w.b
-}
-
 // encodeSubDataHeader builds only the header of a data frame, in a
 // pooled buffer. Paired with mpi.SendSegments it ships the payload
 // straight from the caller's buffer — the zero-copy fast path. The
 // caller recycles the header with bufpool.Put once the send returns;
-// receivers see a frame indistinguishable from encodeSubData's.
+// receivers see one frame: the header followed by the payload.
 func encodeSubDataHeader(d subData) []byte {
 	n := 8 + 1 + 8*d.Region.Rank()
 	w := wbuf{b: bufpool.GetRaw(n)[:0]}
@@ -627,33 +612,40 @@ func encodeShutdown() []byte { return []byte{msgShutdown} }
 // depth. (Read-ahead is not among them: a resident server always runs
 // the scheduler, whose reads go through the shared disk activity.)
 // Values follow SchedConfig/Config zero-value conventions (0 Quantum =
-// 1 MiB, 0 QueueDepth = 16, ...), except MaxInflight, where 0 means
-// "keep the current value" — a reconfig must never silently turn the
-// scheduler off under a running service.
+// 1 MiB, 0 QueueDepth = 16, ...), except Sched.MaxInflight, where 0
+// means "keep the current value" — a reconfig must never silently turn
+// the scheduler off under a running service. Sched.Seed does not travel.
 type Reconfig struct {
-	MaxInflight int
-	QueueDepth  int
-	Quantum     int64
-	Pipeline    int
-	Weights     map[string]int
+	Sched    SchedConfig
+	Pipeline int
+}
+
+// reconfigure installs rc; it is the one place a Reconfig is applied
+// (the service's own view, and every router's between operations).
+func (c *Config) reconfigure(rc Reconfig) {
+	if rc.Sched.MaxInflight <= 0 {
+		rc.Sched.MaxInflight = c.Sched.MaxInflight
+	}
+	rc.Sched.Seed = c.Sched.Seed
+	c.Sched, c.Pipeline = rc.Sched, rc.Pipeline
 }
 
 func encodeReconfig(rc Reconfig) []byte {
 	var w wbuf
 	w.u8(msgReconfig)
-	w.u32(uint32(rc.MaxInflight))
-	w.u32(uint32(rc.QueueDepth))
-	w.u64(uint64(rc.Quantum))
+	w.u32(uint32(rc.Sched.MaxInflight))
+	w.u32(uint32(rc.Sched.QueueDepth))
+	w.u64(uint64(rc.Sched.Quantum))
 	w.u32(uint32(rc.Pipeline))
-	names := make([]string, 0, len(rc.Weights))
-	for t := range rc.Weights {
+	names := make([]string, 0, len(rc.Sched.Weights))
+	for t := range rc.Sched.Weights {
 		names = append(names, t)
 	}
 	sort.Strings(names)
 	w.u16(uint16(len(names)))
 	for _, t := range names {
 		w.str(t)
-		w.u32(uint32(rc.Weights[t]))
+		w.u32(uint32(rc.Sched.Weights[t]))
 	}
 	return w.b
 }
@@ -664,15 +656,15 @@ func decodeReconfig(b []byte) (Reconfig, error) {
 		return Reconfig{}, fmt.Errorf("core: expected Reconfig, got message type %d", t)
 	}
 	var rc Reconfig
-	rc.MaxInflight = int(r.u32())
-	rc.QueueDepth = int(r.u32())
-	rc.Quantum = int64(r.u64())
+	rc.Sched.MaxInflight = int(r.u32())
+	rc.Sched.QueueDepth = int(r.u32())
+	rc.Sched.Quantum = int64(r.u64())
 	rc.Pipeline = int(r.u32())
 	if n := int(r.u16()); n > 0 {
-		rc.Weights = make(map[string]int, n)
+		rc.Sched.Weights = make(map[string]int, n)
 		for i := 0; i < n; i++ {
 			t := r.str()
-			rc.Weights[t] = int(r.u32())
+			rc.Sched.Weights[t] = int(r.u32())
 		}
 	}
 	if r.err != nil {

@@ -12,6 +12,12 @@ import (
 	"panda/internal/obs"
 )
 
+// encodeSubData builds a whole data frame — header plus a copy of the
+// payload — as receivers see it after a SendSegments.
+func encodeSubData(d subData) []byte {
+	return append(encodeSubDataHeader(d), d.Payload...)
+}
+
 func TestOpRequestRoundTrip(t *testing.T) {
 	req := opRequest{
 		Op:     opWrite,

@@ -92,8 +92,8 @@ func conflictKeys(req opRequest) []string {
 // cost, so long-run dispatched bytes converge to the weight vector
 // whenever every tenant stays backlogged.
 type schedCore struct {
-	cfg      SchedConfig
-	order    []string // sorted tenant names, the round-robin ring
+	cfg      *SchedConfig // the router's own: a reconfig re-tunes the core in place
+	order    []string     // sorted tenant names, the round-robin ring
 	known    map[string]bool
 	queues   map[string][]*schedOp
 	deficit  map[string]int64
@@ -104,7 +104,7 @@ type schedCore struct {
 	rng      *rand.Rand
 }
 
-func newSchedCore(cfg SchedConfig) *schedCore {
+func newSchedCore(cfg *SchedConfig) *schedCore {
 	sc := &schedCore{
 		cfg:     cfg,
 		known:   make(map[string]bool),
@@ -239,7 +239,6 @@ func (sc *schedCore) flush() []*schedOp {
 // op table, the drain machinery, and the metrics plumbing.
 type schedRouter struct {
 	s        *Server
-	dom      clock.Domain
 	core     *schedCore       // master server only; nil elsewhere
 	ops      map[int]*schedOp // admitted (queued or in flight), by seq
 	done     map[int]bool
@@ -249,17 +248,16 @@ type schedRouter struct {
 }
 
 // serveSched is the scheduler-mode Serve loop.
-func (s *Server) serveSched(dom clock.Domain) error {
+func (s *Server) serveSched() error {
 	r := &schedRouter{
 		s:    s,
-		dom:  dom,
 		ops:  make(map[int]*schedOp),
 		done: make(map[int]bool),
 	}
 	if s.IsMaster() {
-		r.core = newSchedCore(s.cfg.Sched)
+		r.core = newSchedCore(&s.cfg.Sched)
 	}
-	s.dsched = newDiskSched(dom, s)
+	s.dsched = newDiskSched(s)
 	defer s.dsched.stop()
 
 	for {
@@ -500,31 +498,15 @@ func mergeDeads(a, b []int) []int {
 // with, only subsequently dispatched ones see the new ones.
 // MaxInflight == 0 means "keep the current bound" (zero would disable
 // the scheduler mid-run); every other field is installed verbatim, with
-// zero values meaning the deployment defaults as usual.
+// zero values meaning the deployment defaults as usual; the admission
+// core's rng and queue state survive the reload.
 func (r *schedRouter) applyReconfig(b []byte) {
 	rc, err := decodeReconfig(b)
 	if err != nil {
 		r.reject(b)
 		return
 	}
-	s := r.s
-	if rc.MaxInflight > 0 {
-		s.cfg.Sched.MaxInflight = rc.MaxInflight
-	}
-	s.cfg.Sched.QueueDepth = rc.QueueDepth
-	s.cfg.Sched.Quantum = rc.Quantum
-	s.cfg.Sched.Weights = rc.Weights
-	s.cfg.Pipeline = rc.Pipeline
-	if r.core != nil {
-		// The admission core keeps its own SchedConfig copy; re-tune it
-		// in place (the rng and queue state survive the reload).
-		r.core.cfg.QueueDepth = rc.QueueDepth
-		r.core.cfg.Quantum = rc.Quantum
-		r.core.cfg.Weights = rc.Weights
-		if rc.MaxInflight > 0 {
-			r.core.cfg.MaxInflight = rc.MaxInflight
-		}
-	}
+	r.s.cfg.reconfigure(rc) // the admission core reads it through its pointer
 	bufpool.Put(b)
 	// A widened MaxInflight frees executor slots immediately.
 	r.dispatch()
@@ -562,22 +544,18 @@ func (r *schedRouter) start(op *schedOp) {
 	r.inflight++
 	s.met.schedInflight.Set(int64(r.inflight))
 
-	ex := &Server{
-		cfg:         s.cfg,
-		index:       s.index,
-		met:         s.met,
-		node:        s.node,
-		cnt:         s.node,
-		opFramed:    true,
-		tenant:      op.tenant,
-		dsched:      s.dsched,
-		lastSeq:     -1,
-		lastAttempt: -1,
-		lastRound:   -1,
-	}
+	// The executor is the node itself with the per-operation fields
+	// overridden: whatever the node shares (counters, metrics, storage
+	// stage, plan cache) reaches it without being listed here. s.cfg is
+	// copied with it — the snapshot applyReconfig relies on. comm, disk,
+	// clk and tr are rebound below, on the executor's own activity.
+	ex := new(Server)
+	*ex = *s
+	ex.opFramed = true
+	ex.tenant = op.tenant
 	op.ex = ex
 	seq := op.seq
-	r.dom.Go(fmt.Sprintf("server%d-op%d", s.index, seq), func(clk clock.Clock) {
+	s.clk.Go(fmt.Sprintf("server%d-op%d", s.index, seq), func(clk clock.Clock) {
 		under := mpi.RebindComm(s.comm, clk)
 		ex.clk = clk
 		ex.comm = &routedComm{under: under, box: op.box, clk: clk}

@@ -231,7 +231,7 @@ func TestSchedFairnessConvergesToWeights(t *testing.T) {
 			Weights:     weights,
 			Quantum:     64 << 10,
 		}
-		sc := newSchedCore(cfg)
+		sc := newSchedCore(&cfg)
 		nextName := 0
 		refill := func() {
 			for _, tn := range tenants {
@@ -650,7 +650,7 @@ func TestSchedFrameRoutingIsolation(t *testing.T) {
 		s:    s,
 		ops:  make(map[int]*schedOp),
 		done: map[int]bool{3: true},
-		core: newSchedCore(cfg.Sched),
+		core: newSchedCore(&cfg.Sched),
 	}
 	rejected := func() int64 { return s.Stats().FramesRejected }
 
@@ -777,7 +777,7 @@ func TestSingleFileBatchNotMerged(t *testing.T) {
 // TestSchedCoreConflictBlocksOnlyThatTenant: a conflict at one tenant's
 // head must not starve other tenants.
 func TestSchedCoreConflictBlocksOnlyThatTenant(t *testing.T) {
-	sc := newSchedCore(SchedConfig{MaxInflight: 4, QueueDepth: 16})
+	sc := newSchedCore(&SchedConfig{MaxInflight: 4, QueueDepth: 16})
 	mk := func(seq int, tenant, key string) *schedOp {
 		return &schedOp{seq: seq, tenant: tenant, cost: 100, keys: []string{key}}
 	}

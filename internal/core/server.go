@@ -54,11 +54,6 @@ type Server struct {
 	// newer, so duplicate deliveries and rebroadcast copies of replanning
 	// rounds are dropped while genuine retries get through.
 	lastSeq, lastAttempt, lastRound int
-	// lastMemberEpoch is the membership epoch of the newest request seen;
-	// when it moves the plan cache is invalidated outright (the alive set
-	// changed, so memoized chunk assignments are suspect even beyond what
-	// the per-key deads mask captures).
-	lastMemberEpoch uint32
 	// curAttempt and curRound identify the request currently executing,
 	// for stale-frame filtering inside the operation. curDeads is that
 	// request's dead-server list — the member-set complement every rank
@@ -66,32 +61,9 @@ type Server struct {
 	curAttempt, curRound uint16
 	curDeads             []int
 
-	// plans memoizes schema-derived sub-chunk plans (see planFor). Only
-	// the server goroutine touches it.
-	plans map[planKey]planEntry
-}
-
-// planKey identifies one array's schema-derived plan on this server.
-// Everything the plan depends on is in the key: the schemas and element
-// size (fingerprinted), the array's index in the request (baked into
-// each subchunkJob), the deployment shape, the sub-chunk limit, and the
-// set of dead servers (reassignment moves chunks between survivors).
-type planKey struct {
-	name          string
-	fp            uint32
-	arrayIdx      int
-	numServers    int
-	subchunkBytes int64
-	deads         uint64 // bitmask over server indexes
-	topo          uint32 // topology fingerprint: plans are ordered per topology
-}
-
-// planEntry is one cached plan. jobs and subs are shared across hits
-// and never mutated downstream.
-type planEntry struct {
-	jobs  []chunkJob
-	subs  []subchunkJob
-	bytes int64
+	// plans memoizes schema-derived sub-chunk plans (see planFor): one
+	// cache per node, shared with every executor built from this Server.
+	plans *planCache
 }
 
 // NewServer creates the server for one I/O node. disk is that node's
@@ -109,6 +81,7 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 		met:         newNodeMetrics(cfg.Metrics),
 		node:        node,
 		cnt:         node,
+		plans:       &planCache{},
 		lastSeq:     -1,
 		lastAttempt: -1,
 		lastRound:   -1,
@@ -130,14 +103,13 @@ func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() 
 // reports the master client dead — the deployment cannot receive
 // further work or an orderly shutdown once its coordinator is gone.
 func (s *Server) Serve() error {
-	dom, concurrent := s.clk.(clock.Domain)
-	if concurrent && s.cfg.Sched.enabled() {
-		return s.serveSched(dom)
+	if s.cfg.Sched.enabled() {
+		return s.serveSched()
 	}
-	if concurrent && (s.cfg.pipeline() >= 2 || s.cfg.readAhead() >= 1) {
-		// The knobs ask for overlap and the clock can host it: this loop
-		// gets a storage stage of its own (engine.go).
-		s.dsched = newDiskSched(dom, s)
+	if s.cfg.pipeline() >= 2 || s.cfg.readAhead() >= 1 {
+		// The knobs ask for overlap: this loop gets a storage stage of
+		// its own (engine.go).
+		s.dsched = newDiskSched(s)
 		defer s.dsched.stop()
 	}
 	for {
@@ -195,10 +167,7 @@ func (s *Server) acceptReq(req opRequest) bool {
 	s.adoptRound(req)
 	s.opSeq = seq
 	s.ranks = req.Ranks
-	if req.MemberEpoch != 0 && req.MemberEpoch != s.lastMemberEpoch {
-		s.lastMemberEpoch = req.MemberEpoch
-		s.plans = nil // membership moved: every memoized assignment is suspect
-	}
+	s.plans.seeEpoch(req.MemberEpoch)
 	return true
 }
 
@@ -486,59 +455,6 @@ func (s *Server) planArray(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJo
 		s.tr.Span(obs.CatPlan, "plan "+spec.Name, s.opSeq, p0, s.clk.Now(), planned)
 	}
 	return jobs, subs
-}
-
-// planFor resolves one array's plan, consulting the cache. A hit reuses
-// the chunk assignment and sub-chunk schedule of an identical earlier
-// operation; everything the plan depends on is in the key, so a reused
-// plan is byte-identical to a recomputed one.
-func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob, []subchunkJob, int64) {
-	key, cacheable := s.planKeyFor(ai, spec, dead)
-	if cacheable {
-		if e, ok := s.plans[key]; ok {
-			s.cnt[cPlanHits].Add(1)
-			return e.jobs, e.subs, e.bytes
-		}
-	}
-	jobs := assignChunksAlive(spec.Disk, spec.ElemSize, s.cfg.NumServers, s.index, dead)
-	subs := s.orderPlan(planSubchunks(ai, spec, jobs, spec.subchunkBytes(s.cfg)))
-	var planned int64
-	for _, sj := range subs {
-		planned += sj.Bytes
-	}
-	if cacheable {
-		s.cnt[cPlanMisses].Add(1)
-		if len(s.plans) >= s.cfg.planCacheSize() {
-			s.plans = nil // cheap bound: restart rather than evict
-		}
-		if s.plans == nil {
-			s.plans = make(map[planKey]planEntry)
-		}
-		s.plans[key] = planEntry{jobs: jobs, subs: subs, bytes: planned}
-	}
-	return jobs, subs, planned
-}
-
-// planKeyFor builds the cache key for one array, reporting false when
-// the plan is not cacheable (caching disabled, or the deployment is too
-// large for the alive-set bitmask).
-func (s *Server) planKeyFor(ai int, spec ArraySpec, dead map[int]bool) (planKey, bool) {
-	if s.cfg.planCacheSize() <= 0 || s.cfg.NumServers > 64 {
-		return planKey{}, false
-	}
-	var mask uint64
-	for d := range dead {
-		mask |= 1 << uint(d)
-	}
-	return planKey{
-		name:          spec.Name,
-		fp:            planFingerprint(spec),
-		arrayIdx:      ai,
-		numServers:    s.cfg.NumServers,
-		subchunkBytes: spec.subchunkBytes(s.cfg),
-		deads:         mask,
-		topo:          s.cfg.Topology.Fingerprint(),
-	}, true
 }
 
 // planManifest derives a read plan from a manifest's chunk list —

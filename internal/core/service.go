@@ -394,16 +394,10 @@ func (s *Service) refreshEpoch(e storage.CatalogEntry) (uint64, error) {
 // live service: the service's own view mutates immediately, and every
 // server receives a reconfig frame its router applies between
 // operations — in-flight operations keep the knobs they started with.
-// Reconfig.MaxInflight == 0 keeps the current concurrency bound.
+// Reconfig.Sched.MaxInflight == 0 keeps the current concurrency bound.
 func (s *Service) Reconfigure(rc Reconfig) {
 	s.mu.Lock()
-	if rc.MaxInflight > 0 {
-		s.cfg.Sched.MaxInflight = rc.MaxInflight
-	}
-	s.cfg.Sched.QueueDepth = rc.QueueDepth
-	s.cfg.Sched.Quantum = rc.Quantum
-	s.cfg.Sched.Weights = rc.Weights
-	s.cfg.Pipeline = rc.Pipeline
+	s.cfg.reconfigure(rc)
 	send := s.send
 	s.mu.Unlock()
 	if send == nil {

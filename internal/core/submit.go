@@ -71,10 +71,6 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 	if !c.cfg.Sched.enabled() {
 		return nil, errors.New("core: Submit requires Config.Sched.MaxInflight > 0")
 	}
-	dom, ok := c.clk.(clock.Domain)
-	if !ok {
-		return nil, errors.New("core: scheduler requires a clock.Domain (Real or Virtual)")
-	}
 	if tenant == "" {
 		tenant = c.tenant
 	}
@@ -83,7 +79,7 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 		return nil, err
 	}
 	if c.router == nil {
-		c.startRouter(dom)
+		c.startRouter()
 	}
 	seq := c.opSeq
 	c.opSeq++
@@ -95,21 +91,19 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 	box := newMbox[mpi.Message](c.clk)
 	c.router.register(seq, box)
 
-	dom.Go(fmt.Sprintf("client%d-op%d", c.Rank(), seq), func(clk clock.Clock) {
+	// The executor is this client with the per-operation fields
+	// overridden — copied here, on the submitting goroutine, which owns
+	// opSeq and handles. comm, clk and tr are rebound on its own activity.
+	ec := new(Client)
+	*ec = *c
+	ec.opSeq = seq + 1
+	ec.opFramed = true
+	ec.router, ec.handles = nil, nil
+	c.clk.Go(fmt.Sprintf("client%d-op%d", c.Rank(), seq), func(clk clock.Clock) {
 		under := mpi.RebindComm(c.comm, clk)
-		ec := &Client{
-			cfg:       c.cfg,
-			comm:      &routedComm{under: under, box: box, clk: clk},
-			clk:       clk,
-			tr:        c.cfg.Trace.Track(fmt.Sprintf("client%d/op%d", c.Rank(), seq)),
-			met:       c.met,
-			cnt:       c.cnt,
-			elapsedNs: c.elapsedNs,
-			opSeq:     seq + 1,
-			memIndex:  c.memIndex,
-			ranks:     c.ranks,
-			opFramed:  true,
-		}
+		ec.comm = &routedComm{under: under, box: box, clk: clk}
+		ec.clk = clk
+		ec.tr = c.cfg.Trace.Track(fmt.Sprintf("client%d/op%d", c.Rank(), seq))
 		t0 := clk.Now()
 		operr := ec.collectiveSeq(op, suffix, specs, bufs, seq, chunkBytes, tenant)
 		// Unregister before completing: late frames for this op must be
@@ -148,7 +142,7 @@ type clientRouter struct {
 	exited  mbox[struct{}]
 }
 
-func (c *Client) startRouter(dom clock.Domain) {
+func (c *Client) startRouter() {
 	r := &clientRouter{
 		c:       c,
 		boxes:   make(map[int]mbox[mpi.Message]),
@@ -158,7 +152,7 @@ func (c *Client) startRouter(dom clock.Domain) {
 		exited:  newMbox[struct{}](c.clk),
 	}
 	c.router = r
-	dom.Go(fmt.Sprintf("client%d-router", c.Rank()), func(clk clock.Clock) {
+	c.clk.Go(fmt.Sprintf("client%d-router", c.Rank()), func(clk clock.Clock) {
 		r.run(mpi.RebindComm(c.comm, clk))
 		r.exited.put(struct{}{})
 	})

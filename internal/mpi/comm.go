@@ -87,8 +87,8 @@ type DeadlineComm interface {
 
 // PeerChecker is implemented by communicators that can observe peer
 // death (TCP hub notifications, mesh connection loss, injected
-// crashes). Transports that cannot lose peers (inproc, simnet) do not
-// implement it.
+// crashes). The in-process World shares their receive half and always
+// answers false; simnet does not implement it.
 type PeerChecker interface {
 	// PeerLost reports whether the transport knows rank is gone.
 	PeerLost(rank int) bool

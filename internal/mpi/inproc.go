@@ -21,8 +21,7 @@ func NewWorld(size int) *World {
 	}
 	w := &World{size: size, boxes: make([]*mailbox, size)}
 	for i := range w.boxes {
-		w.boxes[i] = &mailbox{}
-		w.boxes[i].cond.L = &w.boxes[i].mu
+		w.boxes[i] = newMailbox()
 	}
 	return w
 }
@@ -33,7 +32,7 @@ func (w *World) Comm(rank int) Comm {
 	if rank < 0 || rank >= w.size {
 		panic("mpi: rank out of range")
 	}
-	return &inprocComm{world: w, rank: rank}
+	return &inprocComm{endpoint: endpoint{rank: rank, size: w.size, box: w.boxes[rank]}, world: w}
 }
 
 // mailbox is an unbounded store of delivered messages with matched
@@ -44,6 +43,12 @@ type mailbox struct {
 	msgs []Message
 }
 
+func newMailbox() *mailbox {
+	b := &mailbox{}
+	b.cond.L = &b.mu
+	return b
+}
+
 func (b *mailbox) put(m Message) {
 	b.mu.Lock()
 	b.msgs = append(b.msgs, m)
@@ -51,22 +56,8 @@ func (b *mailbox) put(m Message) {
 	b.cond.Broadcast()
 }
 
-func (b *mailbox) get(from, tag int) Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		for i, m := range b.msgs {
-			if matches(m, from, tag) {
-				b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
-				return m
-			}
-		}
-		b.cond.Wait()
-	}
-}
-
-// getWait is the wall-clock bounded variant of get, shared by the
-// real-time transports (inproc, tcp, mesh). timeout <= 0 waits forever.
+// getWait is the matched receive shared by the real-time transports
+// (inproc, tcp, mesh), bounded by the wall clock. timeout <= 0 waits forever.
 // check, when non-nil, runs under the mailbox lock on every pass and
 // aborts the wait by returning a non-nil error (used for dead links and
 // lost peers); it is consulted only after the queue has been scanned, so
@@ -105,13 +96,14 @@ func (b *mailbox) getWait(from, tag int, timeout time.Duration, check func() err
 	}
 }
 
+// inprocComm receives as every real-time endpoint does (tcp.go's
+// endpoint, over the rank's World mailbox); in-process ranks cannot die,
+// so its link error and dead-peer set stay empty: Recv never panics,
+// RecvTimeout fails only with ErrTimeout and PeerLost is always false.
 type inprocComm struct {
+	endpoint
 	world *World
-	rank  int
 }
-
-func (c *inprocComm) Rank() int { return c.rank }
-func (c *inprocComm) Size() int { return c.world.size }
 
 func (c *inprocComm) Send(to, tag int, data []byte) {
 	checkPeer(c, to)
@@ -149,20 +141,4 @@ func (doneRequest) Wait() {}
 func (c *inprocComm) Isend(to, tag int, data []byte) Request {
 	c.Send(to, tag, data)
 	return doneRequest{}
-}
-
-func (c *inprocComm) Recv(from, tag int) Message {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	return c.world.boxes[c.rank].get(from, tag)
-}
-
-// RecvTimeout implements DeadlineComm. In-process ranks cannot die, so
-// the only error it returns is ErrTimeout.
-func (c *inprocComm) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	return c.world.boxes[c.rank].getWait(from, tag, timeout, nil)
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"panda/internal/bufpool"
 )
@@ -127,17 +126,14 @@ func readRegistration(conn net.Conn, size int) (int, string, error) {
 // on connections the peer dialed, drained by acceptLoop. One socket
 // per ordered pair sidesteps simultaneous-connect races entirely.
 type meshComm struct {
-	rank, size int
-	ln         net.Listener
-	addrs      []string
-	box        *mailbox
+	endpoint // the receive half; peerDead holds the links that broke
+	ln       net.Listener
+	addrs    []string
 
-	mu      sync.Mutex  // guards peers and inbound
+	mu      sync.Mutex  // guards peers, inbound and closed
 	peers   []*meshPeer // outbound (write-only) connections, by rank
 	inbound []net.Conn  // accepted (read-only) connections
-
-	closed   bool         // set by CloseMesh, guarded by mu
-	peerDead map[int]bool // inbound links that broke, guarded by box.mu
+	closed  bool        // set by CloseMesh
 }
 
 type meshPeer struct {
@@ -155,8 +151,7 @@ func JoinMesh(addr string, rank, size int) (Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &meshComm{rank: rank, size: size, ln: ln, box: &mailbox{}, peers: make([]*meshPeer, size), peerDead: make(map[int]bool)}
-	c.box.cond.L = &c.box.mu
+	c := &meshComm{endpoint: newEndpoint(rank, size), ln: ln, peers: make([]*meshPeer, size)}
 
 	// Register and receive the table.
 	reg, err := net.Dial("tcp", addr)
@@ -292,7 +287,8 @@ func (c *meshComm) peerFor(rank int) (*meshPeer, error) {
 // readLoop feeds frames from one peer into the mailbox. When the link
 // breaks outside an orderly CloseMesh, the peer is marked dead so
 // bounded receives waiting on it fail with ErrPeerLost instead of
-// hanging (plain Recv still blocks — SPMD teardown closes everything).
+// hanging (plain Recv still blocks — SPMD teardown closes everything —
+// and, the endpoint's own link error never being set, never panics).
 func (c *meshComm) readLoop(peer int, conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 256<<10)
 	var hdr [8]byte
@@ -317,17 +313,10 @@ func (c *meshComm) markPeerDead(peer int) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
-	if closed {
-		return
+	if !closed {
+		c.markPeer(peer, false)
 	}
-	c.box.mu.Lock()
-	c.peerDead[peer] = true
-	c.box.mu.Unlock()
-	c.box.cond.Broadcast()
 }
-
-func (c *meshComm) Rank() int { return c.rank }
-func (c *meshComm) Size() int { return c.size }
 
 func (c *meshComm) Send(to, tag int, data []byte) {
 	checkPeer(c, to)
@@ -402,33 +391,4 @@ func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
 func (c *meshComm) Isend(to, tag int, data []byte) Request {
 	c.Send(to, tag, data)
 	return doneRequest{}
-}
-
-func (c *meshComm) Recv(from, tag int) Message {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	return c.box.get(from, tag)
-}
-
-// RecvTimeout implements DeadlineComm. A wait on a specific rank whose
-// inbound link has broken fails with ErrPeerLost; AnySource waits rely
-// on the timeout bound.
-func (c *meshComm) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	return c.box.getWait(from, tag, timeout, func() error {
-		if from != AnySource && c.peerDead[from] {
-			return fmt.Errorf("mpi: rank %d is gone: %w", from, ErrPeerLost)
-		}
-		return nil
-	})
-}
-
-// PeerLost implements PeerChecker from observed inbound link failures.
-func (c *meshComm) PeerLost(rank int) bool {
-	c.box.mu.Lock()
-	defer c.box.mu.Unlock()
-	return c.peerDead[rank]
 }

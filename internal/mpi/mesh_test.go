@@ -182,3 +182,34 @@ func TestMeshSendToDeadPeerIsTypedNotFatal(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPeerLost", err)
 	}
 }
+
+// TestMeshBrokenInboundLinkFailsOnlyWaitsOnThatPeer: when the link a
+// peer dialed breaks, a bounded wait on that peer fails with ErrPeerLost
+// at once; an AnySource wait does not — another rank may still satisfy
+// it — and relies on its timeout.
+func TestMeshBrokenInboundLinkFailsOnlyWaitsOnThatPeer(t *testing.T) {
+	comms, cleanup := startMeshWorld(t, 3)
+	defer cleanup()
+	comms[1].Send(0, 1, []byte("one")) // establishes the 1 -> 0 link
+	comms[0].Recv(1, 1)
+	CloseMesh(comms[1])
+
+	dc := comms[0].(DeadlineComm)
+	start := time.Now()
+	if _, err := dc.RecvTimeout(1, 2, 30*time.Second); !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("wait on the broken peer: err = %v, want ErrPeerLost", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("wait on the broken peer took %v: it sat out its timeout", waited)
+	}
+	if pc := comms[0].(PeerChecker); !pc.PeerLost(1) || pc.PeerLost(2) {
+		t.Fatalf("PeerLost(1), PeerLost(2) = %v, %v, want true, false", pc.PeerLost(1), pc.PeerLost(2))
+	}
+	if _, err := dc.RecvTimeout(AnySource, 2, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("AnySource wait: err = %v, want ErrTimeout", err)
+	}
+	comms[2].Send(0, 2, []byte("two"))
+	if m, err := dc.RecvTimeout(AnySource, 2, 30*time.Second); err != nil || m.Source != 2 {
+		t.Fatalf("AnySource wait with a live sender: %+v, %v", m, err)
+	}
+}

@@ -559,9 +559,10 @@ func (h *Hub) route(source int, conn net.Conn) error {
 	}
 }
 
-// endpoint is the receive half every hub endpoint has, dialed or local:
-// the mailbox, the link error that fails its receives, and the peers
-// the hub has announced dead.
+// endpoint is the receive half of every real-time endpoint — hub-dialed,
+// hub-local, mesh and in-process: the mailbox, the link error that fails
+// its receives, and the peers the transport knows are gone (announced by
+// the hub; on the mesh, those whose link broke; in process, never any).
 type endpoint struct {
 	rank, size int
 	box        *mailbox
@@ -570,9 +571,7 @@ type endpoint struct {
 }
 
 func newEndpoint(rank, size int) endpoint {
-	e := endpoint{rank: rank, size: size, box: &mailbox{}, peerDead: make(map[int]bool)}
-	e.box.cond.L = &e.box.mu
-	return e
+	return endpoint{rank: rank, size: size, box: newMailbox(), peerDead: make(map[int]bool)}
 }
 
 // accept takes one frame addressed to this endpoint, and ownership of
@@ -626,14 +625,14 @@ func (e *endpoint) Recv(from, tag int) Message {
 	}
 	m, err := e.box.getWait(from, tag, 0, func() error { return e.readErr })
 	if err != nil {
-		panic(fmt.Sprintf("mpi: hub recv on rank %d: %v", e.rank, err))
+		panic(fmt.Sprintf("mpi: recv on rank %d: %v", e.rank, err))
 	}
 	return m
 }
 
 // RecvTimeout implements DeadlineComm. It fails with ErrPeerLost when
 // this endpoint's own link is down, or when waiting on a specific rank
-// the hub has announced dead. AnySource waits do not fail on peer
+// the transport knows is gone. AnySource waits do not fail on peer
 // deaths — another rank may still satisfy them — and rely on the
 // timeout bound instead.
 func (e *endpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
@@ -642,7 +641,7 @@ func (e *endpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, e
 	}
 	return e.box.getWait(from, tag, timeout, func() error {
 		if e.readErr != nil {
-			return fmt.Errorf("mpi: hub recv on rank %d: %v: %w", e.rank, e.readErr, ErrPeerLost)
+			return fmt.Errorf("mpi: recv on rank %d: %v: %w", e.rank, e.readErr, ErrPeerLost)
 		}
 		if from != AnySource && e.peerDead[from] {
 			return fmt.Errorf("mpi: rank %d is gone: %w", from, ErrPeerLost)
@@ -651,7 +650,7 @@ func (e *endpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, e
 	})
 }
 
-// PeerLost implements PeerChecker using the hub's death notifications.
+// PeerLost implements PeerChecker from the recorded deaths.
 func (e *endpoint) PeerLost(rank int) bool {
 	e.box.mu.Lock()
 	defer e.box.mu.Unlock()

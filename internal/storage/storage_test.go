@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"panda/internal/clock"
 )
 
 // diskContract exercises the behaviour every Disk must share.
@@ -177,8 +179,9 @@ func TestMemDiskRoundTripProperty(t *testing.T) {
 // fakeClock records sleeps without waiting.
 type fakeClock struct{ elapsed time.Duration }
 
-func (c *fakeClock) Now() time.Duration    { return c.elapsed }
-func (c *fakeClock) Sleep(d time.Duration) { c.elapsed += d }
+func (c *fakeClock) Now() time.Duration           { return c.elapsed }
+func (c *fakeClock) Sleep(d time.Duration)        { c.elapsed += d }
+func (c *fakeClock) Go(string, func(clock.Clock)) { panic("fakeClock hosts no activities") }
 
 func almostEqual(a, b, tolFrac float64) bool {
 	return math.Abs(a-b) <= tolFrac*math.Abs(b)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // fillChunk writes a pattern keyed by (seed, position) into a chunk
@@ -110,6 +111,70 @@ func TestFigure2Workflow(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterKnobsRoundTrip checkpoints and restarts the Figure 2 group
+// under each Config knob off its default, one at a time: the facade
+// hands every one of them to the deployment, and none may cost a byte.
+func TestClusterKnobsRoundTrip(t *testing.T) {
+	for name, knob := range map[string]Config{
+		"SubchunkBytes": Config{SubchunkBytes: 1 << 10}, // the 16 KiB chunks split sixteen ways
+		"Pipeline":      Config{SubchunkBytes: 1 << 10, Pipeline: 4},
+		"ReadAhead":     Config{SubchunkBytes: 1 << 10, ReadAhead: 2},
+		"PlainWrites":   Config{PlainWrites: true},
+		"Retries": Config{OpTimeout: 30 * time.Second, PullRetries: 2,
+			Retry: RetryPolicy{Max: 1, Backoff: time.Millisecond, Jitter: 0.5}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, _, _, sim := figure2Arrays(t)
+			knob.ComputeNodes, knob.IONodes, knob.Dir = 4, 2, t.TempDir()
+			cluster, err := NewCluster(knob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bind := func(n *Node, fill bool) error {
+				for _, a := range sim.Arrays() {
+					buf := make([]byte, n.ChunkBytes(a))
+					if fill {
+						fillChunk(buf, uint32(n.Rank()*1000))
+					}
+					if err := n.Bind(a, buf); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if err := cluster.Run(func(n *Node) error {
+				if err := bind(n, true); err != nil {
+					return err
+				}
+				return n.Checkpoint(sim)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cluster.Run(func(n *Node) error {
+				if err := bind(n, false); err != nil {
+					return err
+				}
+				if err := n.Restart(sim); err != nil {
+					return err
+				}
+				for _, a := range sim.Arrays() {
+					got, _, _ := n.boundFor(a)
+					if err := checkChunk(got, uint32(n.Rank()*1000)); err != nil {
+						return fmt.Errorf("node %d, %s: %w", n.Rank(), a.Name(), err)
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			manifests, _ := filepath.Glob(filepath.Join(knob.Dir, "ion*", "*.mfst"))
+			if plain := len(manifests) == 0; plain != knob.PlainWrites {
+				t.Fatalf("PlainWrites=%v but %d manifests on disk", knob.PlainWrites, len(manifests))
+			}
+		})
 	}
 }
 

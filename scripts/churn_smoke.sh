@@ -94,6 +94,9 @@ trap - EXIT
 "$OUT/pandafsck" -v "$DATA"
 "$OUT/pandafsck" -v "$OUT/join1"
 "$OUT/pandafsck" -v "$OUT/join2"
+# Repair sweeps whatever the killed node left; its directory still scrubs.
+"$OUT/pandafsck" -repair "$OUT/join2"
+"$OUT/pandafsck" -v "$OUT/join2"
 
 EVENTS="$DATA/events.jsonl"
 cp "$EVENTS" "$OUT/events.jsonl"

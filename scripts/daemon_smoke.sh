@@ -30,7 +30,7 @@ go build -o "$OUT/pandatrace" ./cmd/pandatrace
 
 echo '{"max_inflight": 2, "pipeline": 2, "slo_default_ms": 30000}' >"$CFG"
 "$OUT/pandad" -addr 127.0.0.1:0 -dir "$DATA" -config "$CFG" -addr-file "$ADDRFILE" \
-  -max-ions 4 -http 127.0.0.1:0 -http-addr-file "$HTTPADDRFILE" >"$LOG" 2>&1 &
+  -slots 8 -ions 2 -max-ions 4 -optimeout 60s -http 127.0.0.1:0 -http-addr-file "$HTTPADDRFILE" >"$LOG" 2>&1 &
 PID=$!
 JPID=""
 trap 'kill -9 "$PID" $JPID 2>/dev/null || true' EXIT
@@ -72,6 +72,11 @@ echo "flight-recorder dump OK ($DUMP)"
 # The CLI agrees the daemon is healthy.
 "$OUT/pandastat" -addr "$HTTP" -check
 "$OUT/pandastat" -addr "$HTTP" >"$OUT/pandastat.txt"
+"$OUT/pandastat" -addr "$HTTP" -json | grep -q '"sessions"' || { echo "pandastat -json carries no session table"; exit 1; }
+# Watch mode never exits by itself; its second refresh is the first to
+# carry per-tenant throughput (a delta over the interval).
+timeout 2 "$OUT/pandastat" -addr "$HTTP" -watch -interval 300ms >"$OUT/pandastat-watch.txt" || [ $? -eq 124 ]
+grep -q 'MB/s' "$OUT/pandastat-watch.txt" || { echo "pandastat -watch never showed a rate"; cat "$OUT/pandastat-watch.txt"; exit 1; }
 
 # Live reload: rewrite the config, SIGHUP, and require the new knobs
 # to become observable through info.
