@@ -58,8 +58,9 @@ loc:
 		'$$2 ~ /^.\/internal\/core\// { core += $$1 } $$2 ~ /core\/server.go$$/ { srv = $$1 } $$2 == "total" { all = $$1 } \
 		END { printf "internal/core %d\nserver.go %d\nrepo outside bench/ %d\n", core, srv, all }'
 
-# Short fuzz campaigns over the wire decoders; lengthen FUZZTIME for a
-# real hunt.
+# Short fuzz campaigns over the wire decoders, the topology parser and
+# the pack kernel (against its per-element reference); lengthen FUZZTIME
+# for a real hunt.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeOpRequest$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSchedDone$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeStatus$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz 'FuzzCopyRegion$$' -fuzztime $(FUZZTIME) ./internal/array
 
 # bench-baseline snapshots every virtual-time measurement into
 # BENCH_engine.json: the staged-engine grid on the Table 1
@@ -97,7 +99,10 @@ bench-check sched-check topo-check:
 
 # bench-pack measures the data-movement fast path on this host: the
 # coalescing CopyRegion kernel across strided, coalesced and contiguous
-# shapes, with allocation counts.
+# shapes, with allocation counts. The Run16 row is the fixed-width arm
+# and Run24/32 the copy arm beside it, each 16 MiB per iteration in the
+# geometry of bench/'s probe, so they read against array.pack_run16_GBps.
+# No number is gated.
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkCopyRegion' -benchmem ./internal/array
 

@@ -16,7 +16,14 @@ const maxStackRank = 4
 //
 // src holds the elements of region srcR in row-major order; dst holds
 // region dstR likewise. sect must be contained in both. elemSize is the
-// byte size of one element.
+// byte size of one element. src and dst must not overlap: 16-byte runs
+// move by fixed-size assignment, which — unlike copy — makes no promise
+// about aliased memory. Every caller copies between two buffers of
+// different origin (a wire frame or a fresh pooled buffer on one side,
+// an application chunk or a sub-chunk under assembly on the other):
+// Extract, core's absorbData, depositPiece and packedFrame, baseline's
+// redistribute and deposit, and the pack probes of pandabench and
+// bench/.
 //
 // The kernel coalesces trailing dimensions: whenever sect spans the
 // full extent of a dimension in BOTH srcR and dstR, that dimension and
@@ -96,14 +103,30 @@ func CopyRegion(dst []byte, dstR Region, src []byte, srcR Region, sect Region, e
 	// Odometer over dims [0, k): offsets advance incrementally — add the
 	// dim's stride on increment, subtract the full span on wrap. The
 	// innermost odometer dim is hoisted into a counted loop so the
-	// per-run cost is two adds and a copy.
+	// per-run cost is two adds and a move. A 16-byte run — four 4-byte
+	// elements, the one strided width a benchmark workload produces —
+	// moves by fixed-size array assignment, a pair of register loads and
+	// stores, where copy's call into memmove costs more than the bytes it
+	// moves. The conversion is bounds-checked like the slice expression
+	// it replaces, but is not a memmove: hence the no-overlap clause of
+	// the contract. Another width joins only with an end-to-end workload
+	// that has such runs and a `make bench-pack` row at least 1.5x what
+	// copy makes of it (DESIGN §9).
 	inner := sect.Extent(k - 1)
 	sStep, dStep := srcStep[k-1], dstStep[k-1]
 	for {
-		for i := 0; i < inner; i++ {
-			copy(dst[do:do+runBytes], src[so:so+runBytes])
-			so += sStep
-			do += dStep
+		if runBytes == 16 {
+			for i := 0; i < inner; i++ {
+				*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[so:])
+				so += sStep
+				do += dStep
+			}
+		} else {
+			for i := 0; i < inner; i++ {
+				copy(dst[do:do+runBytes], src[so:so+runBytes])
+				so += sStep
+				do += dStep
+			}
 		}
 		so -= int64(inner) * sStep
 		do -= int64(inner) * dStep

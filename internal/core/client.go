@@ -446,40 +446,25 @@ func (c *Client) serveRequest(seq int, specs []ArraySpec, bufs [][]byte, server 
 	if c.tr.Enabled() {
 		t0 = c.clk.Now()
 	}
-	var payload, tmp []byte
+	d := subData{ArrayIdx: q.ArrayIdx, ReqID: q.ReqID, Region: q.Region, OpID: uint32(seq)}
+	n := q.Region.NumElems() * int64(spec.ElemSize)
 	if off, contig := array.ContiguousIn(chunk, q.Region); contig {
 		// Contiguous fast path: the payload is a view of the
 		// application's buffer; sendVec ships it without a frame copy on
 		// scatter-gather transports.
 		start := off * int64(spec.ElemSize)
-		n := q.Region.NumElems() * int64(spec.ElemSize)
-		payload = bufs[q.ArrayIdx][start : start+n]
 		c.chargeContig(n)
+		c.sendVec(server, tagToServer(seq), encodeSubDataHeader(d, c.opFramed, 0), bufs[q.ArrayIdx][start:start+n])
 	} else {
 		pk0 := c.met.packStart()
-		tmp = array.Extract(bufs[q.ArrayIdx], chunk, q.Region, spec.ElemSize)
+		frame := packedFrame(d, c.opFramed, bufs[q.ArrayIdx], chunk, spec.ElemSize)
 		c.met.packDone(pk0)
-		payload = tmp
-		c.chargeReorg(seq, int64(len(payload)))
-	}
-	d := subData{
-		ArrayIdx: q.ArrayIdx,
-		ReqID:    q.ReqID,
-		Region:   q.Region,
-	}
-	var hdr []byte
-	if c.opFramed {
-		d.OpID = uint32(seq)
-		hdr = encodeSubDataOpHeader(d)
-	} else {
-		hdr = encodeSubDataHeader(d)
-	}
-	c.sendVec(server, tagToServer(seq), hdr, payload)
-	if tmp != nil {
-		bufpool.Put(tmp) // the send is done with it; recycle the extract scratch
+		c.chargeReorg(seq, n)
+		c.cnt[cFramesCoalesced].Add(1)
+		c.send(server, tagToServer(seq), frame)
 	}
 	if c.tr.Enabled() {
-		c.tr.Span(obs.CatNet, "serve piece", seq, t0, c.clk.Now(), int64(len(payload)))
+		c.tr.Span(obs.CatNet, "serve piece", seq, t0, c.clk.Now(), n)
 	}
 	return nil
 }

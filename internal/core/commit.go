@@ -145,16 +145,23 @@ func deadSet(deads []int) map[int]bool {
 // resolveEpochs fills req.Epochs from the master server's decision
 // records: for writes the next epoch of every array (decided+1), for
 // reads the decided epoch the whole deployment must serve (0 = nothing
-// ever committed; readers fall back to legacy resolution).
-func (s *Server) resolveEpochs(req *opRequest) {
+// ever committed; readers fall back to legacy resolution). An absent
+// record is "no decision"; one that exists but does not parse fails the
+// operation as ErrCorrupt — read as epoch 0 it would restart the key's
+// epochs under the committed ones.
+func (s *Server) resolveEpochs(req *opRequest) error {
 	req.Epochs = make([]uint64, len(req.Specs))
 	for i, spec := range req.Specs {
-		e, _, _ := storage.ReadDecision(s.disk, spec.Name+req.Suffix)
+		e, _, err := storage.ReadDecision(s.disk, spec.Name+req.Suffix)
+		if err != nil {
+			return fmt.Errorf("core: master server, array %s: %w (%v)", spec.Name, ErrCorrupt, err)
+		}
 		if req.Op == opWrite {
 			e++
 		}
 		req.Epochs[i] = e
 	}
+	return nil
 }
 
 // stageEpochs performs the DIRTY→PREPARED half of a commit-mode write:

@@ -116,7 +116,10 @@ type Config struct {
 	// (false) stages every collective write as an epoch and commits it
 	// atomically. The simulation harness sets PlainWrites because the
 	// paper's machines had no such machinery and the virtual-time
-	// goldens are calibrated without it.
+	// goldens are calibrated without it. A disk that does not keep
+	// what it is given (storage.NewNullDisk) needs PlainWrites too: a
+	// decision record it returns as zeros fails the key's next
+	// operation as ErrCorrupt.
 	PlainWrites bool
 	// Trace, when non-nil, records a structured trace of every
 	// collective operation on every node sharing this configuration:

@@ -56,9 +56,13 @@ type Stats struct {
 	// the complement of ReorgBytes, so the two together split every
 	// byte moved by data placement.
 	ContigBytes int64
-	// FramesCoalesced counts data frames shipped as header + payload
-	// segments with no intermediate flattening copy (scatter-gather
-	// transports only; in-process delivery always pays one copy).
+	// FramesCoalesced counts data frames that left without a copy made
+	// only to frame them: a contiguous piece shipped as header + borrowed
+	// payload segments by a scatter-gather transport (in-process and
+	// simulated delivery park frames, so they flatten the two and do not
+	// count), and — on every transport — a strided piece, which is
+	// packed straight into its frame (packedFrame) where it used to be
+	// packed into a scratch buffer and framed from there.
 	FramesCoalesced int64
 	// PlanHits and PlanMisses count plan-cache consultations on this
 	// server: a hit reuses the chunk assignment and sub-chunk schedule

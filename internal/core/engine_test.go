@@ -145,6 +145,14 @@ func overlapSpecs() (Config, []ArraySpec) {
 	return cfg, []ArraySpec{{Name: "ovl", ElemSize: 4, Mem: mem, Disk: disk}}
 }
 
+// retainingAIXDisk is SimDiskFactory's disk over a MemDisk that keeps
+// what it is given. A commit-mode deployment that touches a key twice
+// needs one: the discarding disk reads a decision record back as zeros,
+// which fails the second operation as ErrCorrupt.
+func retainingAIXDisk(_ int, clk clock.Clock) storage.Disk {
+	return storage.NewSimDisk(storage.NewMemDisk(), storage.SP2AIX(), clk)
+}
+
 // tracedAIXFactory builds per-server traced SimDisks over the Table 1
 // AIX model, exposing both the traces and the SimDisks to the caller.
 func tracedAIXFactory(n int) ([]*diskTrace, []*storage.SimDisk, DiskFactory) {
@@ -293,7 +301,7 @@ func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 	specs := []ArraySpec{{Name: "ser", ElemSize: 4, Mem: mem, Disk: disk}}
 
 	run := func(c Config) SimResult {
-		res, err := RunSim(c, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+		res, err := RunSim(c, mpi.SP2Link(), retainingAIXDisk, func(cl *Client) error {
 			bufs := makeBufs(cl, specs, true)
 			if err := cl.WriteArrays("", specs, bufs); err != nil {
 				return err

@@ -22,7 +22,8 @@ var ErrNoCommittedEpoch = errors.New("core: no committed epoch")
 // VerifyOnRestart) returns when the bytes on disk contradict the
 // committed manifest — a torn sync or bit rot the commit protocol
 // cannot hide. pandafsck -repair can fall the file set back to the
-// retained previous epoch.
+// retained previous epoch. Any operation on a key whose commit decision
+// record exists but does not parse fails the same way.
 var ErrCorrupt = errors.New("core: committed data fails verification")
 
 // ErrBusy is the typed failure a submitted operation returns when the

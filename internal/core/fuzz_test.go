@@ -76,8 +76,8 @@ func FuzzDecodeSubDataOp(f *testing.F) {
 	// and filters by. Malformed, truncated, or OpID-corrupted frames
 	// must decode to an error or a frame whose OpID mismatch the
 	// receiver rejects — never panic, never silently alias another op.
-	valid := encodeSubDataOpHeader(subData{OpID: 5, ArrayIdx: 1, ReqID: 7,
-		Region: array.NewRegion([]int{0, 0}, []int{4, 4})})
+	valid := encodeSubDataHeader(subData{OpID: 5, ArrayIdx: 1, ReqID: 7,
+		Region: array.NewRegion([]int{0, 0}, []int{4, 4})}, true, 0)
 	f.Add(append(valid, 1, 2, 3))
 	f.Add(valid[:3])
 	f.Add(valid[:5]) // cut inside the OpID field

@@ -476,19 +476,44 @@ type subData struct {
 	OpID uint32
 }
 
-// encodeSubDataHeader builds only the header of a data frame, in a
-// pooled buffer. Paired with mpi.SendSegments it ships the payload
-// straight from the caller's buffer — the zero-copy fast path. The
-// caller recycles the header with bufpool.Put once the send returns;
+// encodeSubDataHeader builds only the header of a data frame — the
+// op-ID-scoped flavour when opFramed (scheduler deployments), which
+// alone carries d.OpID — in a pooled buffer with capacity for room
+// payload bytes behind it. A borrowed payload (room 0) travels beside
+// the header through mpi.SendSegments and the caller recycles the
+// header once the send returns; a strided piece is packed into the room
+// (packedFrame) and the whole buffer goes to the transport. Either way
 // receivers see one frame: the header followed by the payload.
-func encodeSubDataHeader(d subData) []byte {
+func encodeSubDataHeader(d subData, opFramed bool, room int) []byte {
 	n := 8 + 1 + 8*d.Region.Rank()
-	w := wbuf{b: bufpool.GetRaw(n)[:0]}
-	w.u8(msgSubData)
+	if opFramed {
+		n += 4
+	}
+	w := wbuf{b: bufpool.GetRaw(n + room)[:0]}
+	if opFramed {
+		w.u8(msgSubDataOp)
+		w.u32(d.OpID)
+	} else {
+		w.u8(msgSubData)
+	}
 	w.u16(uint16(d.ArrayIdx))
 	w.u32(d.ReqID)
 	w.region(d.Region)
 	return w.b
+}
+
+// packedFrame builds the data frame of a piece that is not contiguous
+// in src (a buffer holding srcR): the header goes into a pooled buffer
+// sized for the whole frame and the piece is gathered straight behind
+// it, so a strided byte is copied once between the buffer it lives in
+// and the frame that carries it. The caller owns the frame and sends it
+// with SendOwned.
+func packedFrame(d subData, opFramed bool, src []byte, srcR array.Region, elemSize int) []byte {
+	n := int(d.Region.NumElems()) * elemSize
+	hdr := encodeSubDataHeader(d, opFramed, n)
+	frame := hdr[:len(hdr)+n]
+	array.CopyRegion(frame[len(hdr):], d.Region, src, srcR, d.Region, elemSize)
+	return frame
 }
 
 func decodeSubData(r *rbuf) (subData, error) {
@@ -498,20 +523,6 @@ func decodeSubData(r *rbuf) (subData, error) {
 	d.Region = r.region()
 	d.Payload = r.rest()
 	return d, r.err
-}
-
-// encodeSubDataOpHeader builds the header of an op-ID-scoped data
-// frame (the scheduler's counterpart of encodeSubDataHeader), in a
-// pooled buffer sized exactly.
-func encodeSubDataOpHeader(d subData) []byte {
-	n := 12 + 1 + 8*d.Region.Rank()
-	w := wbuf{b: bufpool.GetRaw(n)[:0]}
-	w.u8(msgSubDataOp)
-	w.u32(d.OpID)
-	w.u16(uint16(d.ArrayIdx))
-	w.u32(d.ReqID)
-	w.region(d.Region)
-	return w.b
 }
 
 func decodeSubDataOp(r *rbuf) (subData, error) {

@@ -15,7 +15,7 @@ import (
 // encodeSubData builds a whole data frame — header plus a copy of the
 // payload — as receivers see it after a SendSegments.
 func encodeSubData(d subData) []byte {
-	return append(encodeSubDataHeader(d), d.Payload...)
+	return append(encodeSubDataHeader(d, false, 0), d.Payload...)
 }
 
 func TestOpRequestRoundTrip(t *testing.T) {

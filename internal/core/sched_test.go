@@ -821,7 +821,7 @@ func TestOpFramedProtocolRoundTrip(t *testing.T) {
 	}
 
 	d := subData{OpID: 12, ArrayIdx: 1, ReqID: 3, Region: array.NewRegion([]int{0}, []int{4})}
-	hdr := encodeSubDataOpHeader(d)
+	hdr := encodeSubDataHeader(d, true, 0)
 	rb2 := rbuf{b: hdr, off: 1}
 	got2, err := decodeSubDataAny(hdr[0], &rb2)
 	if err != nil {

@@ -353,7 +353,12 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 			raw = encodeOpRequest(req)
 		}
 		if !s.cfg.PlainWrites {
-			s.resolveEpochs(&req)
+			if err := s.resolveEpochs(&req); err != nil {
+				// No other server has seen the request: the operation ends
+				// here, with nothing planned, staged or renamed anywhere.
+				complete(req.Attempt, req.Round, err)
+				return nil
+			}
 			raw = encodeOpRequest(req)
 		}
 	}
@@ -724,16 +729,6 @@ func (s *Server) encodeSubReqFrame(q subReq) []byte {
 	return encodeSubReq(q)
 }
 
-// encodeSubDataFrameHeader builds a data frame header, op-ID-scoped
-// when this server runs as a scheduler executor.
-func (s *Server) encodeSubDataFrameHeader(d subData) []byte {
-	if s.opFramed {
-		d.OpID = uint32(s.opSeq)
-		return encodeSubDataOpHeader(d)
-	}
-	return encodeSubDataHeader(d)
-}
-
 // depositPiece places one received piece into the sub-chunk under
 // assembly, charging reorganization cost for non-contiguous layouts.
 // It reports whether the piece's wire frame was adopted as the
@@ -818,33 +813,25 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 			n0 = s.clk.Now()
 		}
 		for _, pc := range sj.Pieces {
-			var payload, tmp []byte
 			n := pc.Region.NumElems() * int64(spec.ElemSize)
-			if pc.Region.Equal(sj.Region) {
-				payload = buf
-				s.chargeContig(n)
-			} else {
-				off, contig := array.ContiguousIn(sj.Region, pc.Region)
-				if contig {
-					start := off * int64(spec.ElemSize)
-					payload = buf[start : start+n]
-					s.chargeContig(n)
-				} else {
-					t0 := s.met.packStart()
-					tmp = array.Extract(buf, sj.Region, pc.Region, spec.ElemSize)
-					s.met.packDone(t0)
-					payload = tmp
-					s.chargeReorg(n)
-				}
+			d := subData{ArrayIdx: sj.ArrayIdx, Region: pc.Region, OpID: uint32(s.opSeq)}
+			to, tag := s.clientRank(pc.Client), tagToClient(s.opSeq)
+			off, contig := array.ContiguousIn(sj.Region, pc.Region)
+			if !contig {
+				t0 := s.met.packStart()
+				frame := packedFrame(d, s.opFramed, buf, sj.Region, spec.ElemSize)
+				s.met.packDone(t0)
+				s.chargeReorg(n)
+				s.cnt[cFramesCoalesced].Add(1)
+				s.send(to, tag, frame)
+				continue
 			}
 			// Scatter-gather send: the header is built alone and the
 			// payload travels as a borrowed segment — no flattening copy
 			// on transports with a vector path.
-			hdr := s.encodeSubDataFrameHeader(subData{ArrayIdx: sj.ArrayIdx, Region: pc.Region})
-			s.sendVec(s.clientRank(pc.Client), tagToClient(s.opSeq), hdr, payload)
-			if tmp != nil {
-				bufpool.Put(tmp) // sendVec is done with it; recycle the scratch
-			}
+			start := off * int64(spec.ElemSize)
+			s.chargeContig(n)
+			s.sendVec(to, tag, encodeSubDataHeader(d, s.opFramed, 0), buf[start:start+n])
 		}
 		if measured {
 			end := s.clk.Now()

@@ -169,8 +169,7 @@ func TestTracedStagedReadVirtual(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	cfg.Trace = rec
 
-	mkDisk := SimDiskFactory(storage.SP2AIX())
-	_, err := RunSim(cfg, mpi.SP2Link(), mkDisk, func(cl *Client) error {
+	_, err := RunSim(cfg, mpi.SP2Link(), retainingAIXDisk, func(cl *Client) error {
 		bufs := makeBufs(cl, specs, true)
 		if err := cl.WriteArrays("", specs, bufs); err != nil {
 			return err

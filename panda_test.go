@@ -3,11 +3,15 @@ package panda
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"panda/internal/core"
+	"panda/internal/storage"
 )
 
 // fillChunk writes a pattern keyed by (seed, position) into a chunk
@@ -434,5 +438,95 @@ func TestSchemaFileAndAssemble(t *testing.T) {
 func TestLoadSchemaErrors(t *testing.T) {
 	if _, err := LoadSchema(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing schema accepted")
+	}
+}
+
+// dirState maps every file under root to its contents.
+func dirState(t *testing.T, root string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		state[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// TestGarbledDecisionRecordFailsTyped corrupts a key's commit decision
+// record between two checkpoints. Read as "no decision" it would restart
+// the key at epoch 1 under the committed epoch; instead the next
+// Checkpoint and a Restart must both fail as ErrCorrupt on every node,
+// leave the disks as they were, and leave the record for fsck to report.
+func TestGarbledDecisionRecordFailsTyped(t *testing.T) {
+	dir := t.TempDir()
+	_, _, _, sim := figure2Arrays(t)
+	cluster, err := NewCluster(Config{ComputeNodes: 4, IONodes: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := filepath.Join(cluster.IONodeDir(0), "temperature.ckpt.decision")
+	var before map[string]string
+	if err := cluster.Run(func(n *Node) error {
+		for _, a := range sim.arrays {
+			buf := make([]byte, n.ChunkBytes(a))
+			fillChunk(buf, uint32(n.Rank()))
+			if err := n.Bind(a, buf); err != nil {
+				return err
+			}
+		}
+		if err := n.Checkpoint(sim); err != nil {
+			return err
+		}
+		if n.Rank() == 0 {
+			// Rank 0's Checkpoint has returned, so the operation is
+			// complete on every server and the disks are quiet.
+			if err := os.WriteFile(record, []byte("{not json"), 0o644); err != nil {
+				return err
+			}
+			before = dirState(t, dir)
+		}
+		if err := n.Checkpoint(sim); !errors.Is(err, ErrCorrupt) || !core.IsTyped(err) {
+			return fmt.Errorf("node %d: Checkpoint over a garbled decision record: %v, want ErrCorrupt", n.Rank(), err)
+		}
+		if err := n.Restart(sim); !errors.Is(err, ErrCorrupt) || !core.IsTyped(err) {
+			return fmt.Errorf("node %d: Restart over a garbled decision record: %v, want ErrCorrupt", n.Rank(), err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after := dirState(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("%d files on disk after the failed operations, %d before", len(after), len(before))
+	}
+	for path, data := range before {
+		if after[path] != data {
+			t.Errorf("%s changed under an operation that failed", path)
+		}
+	}
+
+	disks := make([]storage.Disk, 2)
+	for i := range disks {
+		if disks[i], err = storage.NewOSDisk(cluster.IONodeDir(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := storage.Scrub(disks, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := false
+	for _, is := range rep.Issues {
+		reported = reported || (is.Name == "temperature.ckpt.decision" && is.Severity == storage.SevError)
+	}
+	if !reported || rep.OK() {
+		t.Errorf("scrub does not report the garbled record: %+v", rep.Issues)
 	}
 }
