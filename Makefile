@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-routed bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -43,12 +43,12 @@ check: fmt vet staticcheck
 race:
 	$(GO) test -race ./...
 
-# flake is the robustness gate: the transport, protocol, storage and
-# daemon tests repeated under the race detector on two cores, where
+# flake is the robustness gate: the queue, transport, protocol, storage
+# and daemon tests repeated under the race detector on two cores, where
 # scheduling is tight enough to expose teardown, registration and
 # closed-socket races that a single quiet run hides.
 flake:
-	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/mpi ./internal/core ./internal/storage
+	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/queue ./internal/mpi ./internal/core ./internal/storage
 	GOMAXPROCS=2 $(GO) test -race -count=5 -timeout 30m -run 'TestDaemon' .
 
 # loc counts what ROADMAP states its deliverables in: non-test Go lines
@@ -105,6 +105,13 @@ bench-check sched-check topo-check:
 # No number is gated.
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkCopyRegion' -benchmem ./internal/array
+
+# bench-routed is ROADMAP item 4(1)'s gap as one command: the same 16 MiB
+# reorganising collective (bench/'s inproc_reorg array, over MemDisk,
+# 20 write+read pairs) served inline and routed through the scheduler
+# with MaxInflight 1. allocs/op is the column to read; no number is gated.
+bench-routed:
+	$(GO) test -run '^$$' -bench 'BenchmarkCollectiveInlineVsRouted' -benchtime 40x -benchmem ./internal/core
 
 # bench-wall-quick builds and runs the wall-clock benchmark (bench/, its
 # own module, which BENCHMARK.json declares) at its smallest setting:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"panda/internal/array"
 	"panda/internal/bufpool"
@@ -54,5 +55,55 @@ func BenchmarkExtractPooled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tmp := array.Extract(src, outer, sect, 8)
 		bufpool.Put(tmp) // the scatter/gather paths recycle the scratch
+	}
+}
+
+// BenchmarkCollectiveInlineVsRouted is ROADMAP item 4(1) as one command
+// (make bench-routed): what routing a collective through the scheduler
+// costs over serving it inline, on the array of bench/'s inproc_reorg
+// workload — 16 MiB from *,*,BLOCK memory to BLOCK,*,* disk, two clients
+// and two servers in process — over MemDisk. One iteration is one
+// collective, writes and reads alternating, so allocs/op reads against
+// the wall-clock benchmark's allocs_per_op; "routed" is the same
+// deployment with Sched.MaxInflight 1, which serves one operation at a
+// time as "inline" does. Nothing is gated.
+func BenchmarkCollectiveInlineVsRouted(b *testing.B) {
+	shape := []int{512, 1024, 8}
+	specs := []ArraySpec{{Name: "grid", ElemSize: 4,
+		Mem:  array.MustSchema(shape, []array.Dist{array.Star, array.Star, array.Block}, []int{2}),
+		Disk: array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{2})}}
+	for _, arm := range []struct {
+		name  string
+		sched SchedConfig
+	}{{"inline", SchedConfig{}}, {"routed", SchedConfig{MaxInflight: 1}}} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := Config{NumClients: 2, NumServers: 2, OpTimeout: 10 * time.Second, Sched: arm.sched}
+			b.SetBytes(specs[0].TotalBytes())
+			b.ReportAllocs()
+			err := RunReal(cfg, memDisks(cfg.NumServers), func(cl *Client) error {
+				bufs := makeBufs(cl, specs, true)
+				// Collectives keep the ranks in step, so rank 0 alone
+				// starts and stops the measurement.
+				for i := -4; i < b.N; i++ {
+					if i == 0 && cl.Rank() == 0 {
+						b.ResetTimer()
+					}
+					op := cl.WriteArrays
+					if i&1 == 1 {
+						op = cl.ReadArrays
+					}
+					if err := op(".ckpt", specs, bufs); err != nil {
+						return err
+					}
+				}
+				if cl.Rank() == 0 {
+					b.StopTimer()
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -51,6 +51,7 @@ type Client struct {
 	opFramed bool
 	router   *clientRouter
 	handles  map[int]*OpHandle // outstanding submissions, application goroutine only
+	lanes    traceLanes        // their executors' trace tracks, application goroutine only
 }
 
 // NewClient creates the client endpoint for one compute node.

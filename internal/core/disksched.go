@@ -8,6 +8,7 @@ import (
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/obs"
+	"panda/internal/queue"
 	"panda/internal/storage"
 )
 
@@ -51,7 +52,7 @@ type diskReq struct {
 	buf     []byte
 	off     int64
 	recycle []byte // dWrite: the pooled slice backing buf, Put once written
-	reply   mbox[diskReply]
+	reply   *queue.Q[diskReply]
 }
 
 // diskReply answers one request. nanos is the time the activity spent
@@ -65,18 +66,18 @@ type diskReply struct {
 }
 
 type diskSched struct {
-	box mbox[diskReq]
+	box *queue.Q[diskReq]
 }
 
 // newDiskSched starts the storage activity for one server node.
 func newDiskSched(s *Server) *diskSched {
-	d := &diskSched{box: newMbox[diskReq](s.clk)}
+	d := &diskSched{box: queue.New[diskReq](s.clk)}
 	tr := s.storageTrack()
 	s.clk.Go(fmt.Sprintf("server%d-storage", s.index), func(clk clock.Clock) {
 		dd := storage.RebindClock(s.disk, clk)
 		for {
-			first, _ := d.box.pop(clk, nil, 0) // unbounded: cannot time out
-			batch := append([]diskReq{first}, d.box.drain()...)
+			first, _ := d.box.Pop(clk, nil, nil, 0) // unbounded: cannot time out
+			batch := append([]diskReq{first}, d.box.Drain()...)
 			if !s.runDiskBatch(dd, clk, tr, batch) {
 				return
 			}
@@ -86,7 +87,7 @@ func newDiskSched(s *Server) *diskSched {
 }
 
 // stop shuts the activity down after it finishes the current batch.
-func (d *diskSched) stop() { d.box.put(diskReq{kind: dStop}) }
+func (d *diskSched) stop() { d.box.Put(diskReq{kind: dStop}) }
 
 // runDiskBatch executes one drained batch in three phases: opens (they
 // gate movers starting work), writes (grouped by file, sorted by
@@ -144,7 +145,7 @@ func (s *Server) serveDiskReq(dd storage.Disk, clk clock.Clock, tr obs.Track, re
 		tr.Span(obs.CatDisk, "ReadAt", req.seq, t0, t1, int64(len(req.buf)))
 	}
 	rep.nanos = int64(t1 - t0)
-	req.reply.put(rep)
+	req.reply.Put(rep)
 }
 
 // flushWrites issues one file's writes from a batch in offset order,
@@ -182,7 +183,7 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, merge bool, clk clo
 		rep := diskReply{err: err, nanos: int64(t1 - t0)}
 		for _, req := range run {
 			bufpool.Put(req.recycle)
-			req.reply.put(rep)
+			req.reply.Put(rep)
 			rep.nanos = 0
 		}
 		i = j
@@ -204,25 +205,25 @@ type stagePort struct {
 	depth   *obs.Histogram // window occupancy at every hand-off
 	seq     int
 	f       storage.File
-	replies mbox[diskReply]
+	replies *queue.Q[diskReply]
 	out     int // requests submitted and not yet reaped
 	disk    int64
 	stall   int64
 }
 
 func (s *Server) newStagePort() stagePort {
-	return stagePort{ds: s.dsched, clk: s.clk, tr: s.tr, depth: s.met.queueDepth, seq: s.opSeq, replies: newMbox[diskReply](s.clk)}
+	return stagePort{ds: s.dsched, clk: s.clk, tr: s.tr, depth: s.met.queueDepth, seq: s.opSeq, replies: queue.New[diskReply](s.clk)}
 }
 
 func (p *stagePort) submit(req diskReq) {
 	req.seq, req.f, req.reply = p.seq, p.f, p.replies
-	p.ds.box.put(req)
+	p.ds.box.Put(req)
 	p.out++
 }
 
 // reap waits for the next reply. The caller times the wait (stalled).
 func (p *stagePort) reap() diskReply {
-	rep, _ := p.replies.pop(p.clk, nil, 0) // unbounded: cannot time out
+	rep, _ := p.replies.Pop(p.clk, nil, nil, 0) // unbounded: cannot time out
 	p.out--
 	p.disk += rep.nanos
 	return rep

@@ -58,7 +58,7 @@ func FuzzDecodeSubData(f *testing.F) {
 
 func FuzzDecodeSubReq(f *testing.F) {
 	valid := encodeSubReq(subReq{ArrayIdx: 2, ReqID: 9,
-		Region: array.NewRegion([]int{1}, []int{5})})
+		Region: array.NewRegion([]int{1}, []int{5})}, false)
 	f.Add(valid)
 	f.Add([]byte{msgSubReq})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -103,8 +103,8 @@ func FuzzDecodeSubDataOp(f *testing.F) {
 }
 
 func FuzzDecodeSubReqOp(f *testing.F) {
-	valid := encodeSubReqOp(subReq{OpID: 3, ArrayIdx: 2, ReqID: 9,
-		Region: array.NewRegion([]int{1}, []int{5})})
+	valid := encodeSubReq(subReq{OpID: 3, ArrayIdx: 2, ReqID: 9,
+		Region: array.NewRegion([]int{1}, []int{5})}, true)
 	f.Add(valid)
 	f.Add(valid[:2])
 	f.Add([]byte{msgSubReqOp})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"panda/internal/obs"
@@ -49,6 +50,34 @@ func newNodeMetrics(r *obs.Registry) nodeMetrics {
 		schedInflight: r.Gauge("sched_inflight_ops"),
 	}
 }
+
+// traceLanes hands a node's executors a bounded set of reusable trace
+// tracks, "<node>/lane<K>": an executor records on the lowest lane free
+// when it starts and gives it back when it retires, so the recorder's
+// track table grows to the node's peak concurrency and stops — a track
+// per operation would grow it for as long as the node runs, and the
+// span's Seq already names the operation. The zero value is ready; a
+// node's lanes are used from one goroutine (the server's router, the
+// client's application).
+type traceLanes struct {
+	tracks []obs.Track
+	busy   []bool
+}
+
+func (l *traceLanes) take(rec *obs.Recorder, role string, node int) (int, obs.Track) {
+	k := 0
+	for k < len(l.busy) && l.busy[k] {
+		k++
+	}
+	if k == len(l.busy) {
+		l.busy = append(l.busy, false)
+		l.tracks = append(l.tracks, rec.Track(fmt.Sprintf("%s%d/lane%d", role, node, k)))
+	}
+	l.busy[k] = true
+	return k, l.tracks[k]
+}
+
+func (l *traceLanes) free(k int) { l.busy[k] = false }
 
 // opName renders an operation kind for traces and summaries.
 func opName(op byte) string {

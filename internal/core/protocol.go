@@ -428,9 +428,17 @@ type subReq struct {
 	OpID uint32
 }
 
-func encodeSubReq(q subReq) []byte {
+// encodeSubReq builds a pull request — the op-ID-scoped flavour when
+// opFramed (scheduler deployments), which alone carries q.OpID right
+// after the type byte.
+func encodeSubReq(q subReq, opFramed bool) []byte {
 	var w wbuf
-	w.u8(msgSubReq)
+	if opFramed {
+		w.u8(msgSubReqOp)
+		w.u32(q.OpID)
+	} else {
+		w.u8(msgSubReq)
+	}
 	w.u16(uint16(q.ArrayIdx))
 	w.u32(q.ReqID)
 	w.region(q.Region)
@@ -443,18 +451,6 @@ func decodeSubReq(r *rbuf) (subReq, error) {
 	q.ReqID = r.u32()
 	q.Region = r.region()
 	return q, r.err
-}
-
-// encodeSubReqOp is the op-ID-scoped variant: same body as
-// encodeSubReq with the operation sequence right after the type byte.
-func encodeSubReqOp(q subReq) []byte {
-	var w wbuf
-	w.u8(msgSubReqOp)
-	w.u32(q.OpID)
-	w.u16(uint16(q.ArrayIdx))
-	w.u32(q.ReqID)
-	w.region(q.Region)
-	return w.b
 }
 
 func decodeSubReqOp(r *rbuf) (subReq, error) {

@@ -51,7 +51,7 @@ func TestOpRequestRoundTrip(t *testing.T) {
 
 func TestSubReqRoundTrip(t *testing.T) {
 	q := subReq{ArrayIdx: 3, ReqID: 9999, Region: array.NewRegion([]int{1, 2, 3}, []int{4, 5, 6})}
-	b := encodeSubReq(q)
+	b := encodeSubReq(q, false)
 	r := rbuf{b: b}
 	if typ := r.u8(); typ != msgSubReq {
 		t.Fatalf("type = %d", typ)

@@ -8,6 +8,7 @@ import (
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
+	"panda/internal/queue"
 	"panda/internal/storage"
 )
 
@@ -56,8 +57,9 @@ type schedOp struct {
 	cost   int64    // payload bytes, the DRR currency
 	keys   []string // conflict keys: one per array file set
 	stash  []mpi.Message
-	box    mbox[mpi.Message]
+	box    *queue.Q[mpi.Message]
 	ex     *Server
+	lane   int // the trace lane ex records on, held from start to retire
 }
 
 // reqCost prices an operation for the DRR dispatcher: the total payload
@@ -134,21 +136,19 @@ func (sc *schedCore) admit(op *schedOp) bool {
 	return true
 }
 
-// visitOrder is the tenant order for one dispatch scan: a rotation of
-// the ring by default, a seeded shuffle when SchedConfig.Seed asks the
-// conformance suite's randomized interleaves for.
-func (sc *schedCore) visitOrder() []string {
+// visitOrder is the tenant order for one dispatch scan, as a ring and
+// the index to start walking it from: the tenant ring itself from the
+// rotation point by default, a seeded shuffle of it when
+// SchedConfig.Seed asks the conformance suite's randomized interleaves
+// for.
+func (sc *schedCore) visitOrder() (ring []string, from int) {
+	if sc.rng == nil {
+		return sc.order, sc.rr
+	}
 	out := make([]string, len(sc.order))
 	copy(out, sc.order)
-	if sc.rng != nil {
-		sc.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
-	if n := len(out); n > 1 {
-		rot := sc.rr % n
-		out = append(out[rot:], out[:rot]...)
-	}
-	return out
+	sc.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out, 0
 }
 
 // conflicted reports whether any of op's file sets is held by an
@@ -170,7 +170,9 @@ func (sc *schedCore) next() *schedOp {
 		return nil
 	}
 	for {
-		for _, t := range sc.visitOrder() {
+		ring, from := sc.visitOrder()
+		for i := range ring {
+			t := ring[(from+i)%len(ring)]
 			q := sc.queues[t]
 			if len(q) == 0 {
 				continue
@@ -242,6 +244,7 @@ type schedRouter struct {
 	core     *schedCore       // master server only; nil elsewhere
 	ops      map[int]*schedOp // admitted (queued or in flight), by seq
 	done     map[int]bool
+	lanes    traceLanes
 	inflight int
 	draining bool
 	fatal    error
@@ -349,7 +352,7 @@ func (r *schedRouter) route(m mpi.Message) {
 		op, live := r.ops[seq]
 		switch {
 		case live && op.box != nil:
-			op.box.put(m)
+			op.box.Put(m)
 		case live:
 			op.stash = append(op.stash, m) // admitted, not yet dispatched
 		default:
@@ -536,9 +539,9 @@ func (r *schedRouter) start(op *schedOp) {
 	if s.cfg.OpStart != nil {
 		s.cfg.OpStart(s.index, op.seq, op.tenant, opName(op.req.Op))
 	}
-	op.box = newMbox[mpi.Message](s.clk)
+	op.box = queue.New[mpi.Message](s.clk)
 	for _, sm := range op.stash {
-		op.box.put(sm)
+		op.box.Put(sm)
 	}
 	op.stash = nil
 	r.inflight++
@@ -547,22 +550,22 @@ func (r *schedRouter) start(op *schedOp) {
 	// The executor is the node itself with the per-operation fields
 	// overridden: whatever the node shares (counters, metrics, storage
 	// stage, plan cache) reaches it without being listed here. s.cfg is
-	// copied with it — the snapshot applyReconfig relies on. comm, disk,
-	// clk and tr are rebound below, on the executor's own activity.
+	// copied with it — the snapshot applyReconfig relies on. comm, disk
+	// and clk are rebound below, on the executor's own activity.
 	ex := new(Server)
 	*ex = *s
 	ex.opFramed = true
 	ex.tenant = op.tenant
+	op.lane, ex.tr = r.lanes.take(s.cfg.Trace, "server", s.index)
 	op.ex = ex
 	seq := op.seq
 	s.clk.Go(fmt.Sprintf("server%d-op%d", s.index, seq), func(clk clock.Clock) {
 		under := mpi.RebindComm(s.comm, clk)
 		ex.clk = clk
-		ex.comm = &routedComm{under: under, box: op.box, clk: clk}
+		ex.comm = newRoutedComm(under, op.box, clk)
 		// Metadata I/O (manifests, decision records, renames) runs on
 		// the executor's own clock; bulk data goes through dsched.
 		ex.disk = storage.RebindClock(s.disk, clk)
-		ex.tr = s.cfg.Trace.Track(fmt.Sprintf("server%d/op%d", s.index, seq))
 		ex.acceptReq(op.req)
 		ferr := ex.handleOp(op.raw, op.req)
 		bufpool.Put(op.raw)
@@ -588,6 +591,7 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 		r.done = make(map[int]bool)
 	}
 	r.done[seq] = true
+	r.lanes.free(op.lane)
 	r.inflight--
 	s := r.s
 	s.met.schedInflight.Set(int64(r.inflight))

@@ -802,12 +802,29 @@ func TestSchedCoreConflictBlocksOnlyThatTenant(t *testing.T) {
 	}
 }
 
+// TestSchedCoreDispatchCostIndependentOfCreditRounds: an op sixteen
+// quanta large takes seventeen scans of the ring to afford, and a scan
+// must not copy the ring.
+func TestSchedCoreDispatchCostIndependentOfCreditRounds(t *testing.T) {
+	sc := newSchedCore(&SchedConfig{MaxInflight: 1, Quantum: 1 << 20})
+	op := &schedOp{tenant: "a", cost: 16 << 20, keys: []string{"k"}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !sc.admit(op) || sc.next() != op {
+			t.Fatal("lone op not dispatched")
+		}
+		sc.complete(op)
+	})
+	if allocs > 2 { // the tenant queue's append; was one more per credited round
+		t.Fatalf("admit+next+complete = %v allocs", allocs)
+	}
+}
+
 // TestOpFramedProtocolRoundTrip pins the op-scoped wire format: OpID
 // survives encode/decode on both frame kinds, and the tenant tail on
 // the request frame.
 func TestOpFramedProtocolRoundTrip(t *testing.T) {
 	q := subReq{OpID: 7, ArrayIdx: 2, ReqID: 9, Region: array.NewRegion([]int{1}, []int{5})}
-	enc := encodeSubReqOp(q)
+	enc := encodeSubReq(q, true)
 	if enc[0] != msgSubReqOp {
 		t.Fatal("wrong type byte")
 	}

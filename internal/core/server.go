@@ -618,7 +618,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			ring[(head+live)%window] = id
 			live++
 			for _, pc := range sj.Pieces {
-				s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), s.encodeSubReqFrame(subReq{ArrayIdx: sj.ArrayIdx, ReqID: id, Region: pc.Region}))
+				s.pull(sj.ArrayIdx, id, pc)
 			}
 		}
 
@@ -632,7 +632,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 					for _, pc := range pend.job.Pieces {
 						if !pend.got[pieceKey(pend.job.ArrayIdx, pc.Region)] {
 							s.cnt[cRetries].Add(1)
-							s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), s.encodeSubReqFrame(subReq{ArrayIdx: pend.job.ArrayIdx, ReqID: id, Region: pc.Region}))
+							s.pull(pend.job.ArrayIdx, id, pc)
 						}
 					}
 				}
@@ -719,14 +719,10 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 	return nil
 }
 
-// encodeSubReqFrame builds a pull request, op-ID-scoped when this
-// server runs as a scheduler executor.
-func (s *Server) encodeSubReqFrame(q subReq) []byte {
-	if s.opFramed {
-		q.OpID = uint32(s.opSeq)
-		return encodeSubReqOp(q)
-	}
-	return encodeSubReq(q)
+// pull asks the client holding pc for it, as part of request id.
+func (s *Server) pull(arrayIdx int, id uint32, pc piece) {
+	q := subReq{OpID: uint32(s.opSeq), ArrayIdx: arrayIdx, ReqID: id, Region: pc.Region}
+	s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), encodeSubReq(q, s.opFramed))
 }
 
 // depositPiece places one received piece into the sub-chunk under

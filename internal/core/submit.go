@@ -9,6 +9,7 @@ import (
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
+	"panda/internal/queue"
 )
 
 // The client half of the concurrent scheduler: asynchronous submission.
@@ -24,7 +25,8 @@ import (
 type OpHandle struct {
 	c       *Client
 	seq     int
-	res     mbox[opResult]
+	lane    int // the trace lane the executor records on, freed by Await
+	res     *queue.Q[opResult]
 	elapsed time.Duration
 }
 
@@ -40,11 +42,12 @@ func (h *OpHandle) Seq() int { return h.seq }
 // Await blocks until the operation completes and returns its error.
 // Await must be called exactly once, from the application goroutine.
 func (h *OpHandle) Await() error {
-	r, perr := h.res.pop(h.c.clk, nil, 0)
+	r, perr := h.res.Pop(h.c.clk, nil, nil, 0)
 	if perr != nil {
 		return fmt.Errorf("core: operation %d abandoned: %w", h.seq, perr)
 	}
 	delete(h.c.handles, h.seq)
+	h.c.lanes.free(h.lane)
 	h.elapsed = r.elapsed
 	return r.err
 }
@@ -83,33 +86,33 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 	}
 	seq := c.opSeq
 	c.opSeq++
-	h := &OpHandle{c: c, seq: seq, res: newMbox[opResult](c.clk)}
+	h := &OpHandle{c: c, seq: seq, res: queue.New[opResult](c.clk)}
 	if c.handles == nil {
 		c.handles = make(map[int]*OpHandle)
 	}
 	c.handles[seq] = h
-	box := newMbox[mpi.Message](c.clk)
+	box := queue.New[mpi.Message](c.clk)
 	c.router.register(seq, box)
 
 	// The executor is this client with the per-operation fields
 	// overridden — copied here, on the submitting goroutine, which owns
-	// opSeq and handles. comm, clk and tr are rebound on its own activity.
+	// opSeq, handles and lanes. comm and clk are rebound on its own activity.
 	ec := new(Client)
 	*ec = *c
 	ec.opSeq = seq + 1
 	ec.opFramed = true
-	ec.router, ec.handles = nil, nil
+	ec.router, ec.handles, ec.lanes = nil, nil, traceLanes{}
+	h.lane, ec.tr = c.lanes.take(c.cfg.Trace, "client", c.Rank())
 	c.clk.Go(fmt.Sprintf("client%d-op%d", c.Rank(), seq), func(clk clock.Clock) {
 		under := mpi.RebindComm(c.comm, clk)
-		ec.comm = &routedComm{under: under, box: box, clk: clk}
+		ec.comm = newRoutedComm(under, box, clk)
 		ec.clk = clk
-		ec.tr = c.cfg.Trace.Track(fmt.Sprintf("client%d/op%d", c.Rank(), seq))
 		t0 := clk.Now()
 		operr := ec.collectiveSeq(op, suffix, specs, bufs, seq, chunkBytes, tenant)
 		// Unregister before completing: late frames for this op must be
 		// rejected, not stashed forever.
 		under.Send(c.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(seq), false))
-		h.res.put(opResult{err: operr, elapsed: clk.Now() - t0})
+		h.res.Put(opResult{err: operr, elapsed: clk.Now() - t0})
 	})
 	return h, nil
 }
@@ -134,27 +137,27 @@ type clientRouter struct {
 	c  *Client
 	mu sync.Mutex
 
-	boxes map[int]mbox[mpi.Message]
+	boxes map[int]*queue.Q[mpi.Message]
 	stash map[int][]mpi.Message // frames for submitted-elsewhere, not-yet-registered ops
 	done  map[int]bool
 
-	appDone mbox[mpi.Message] // master: peers' end-of-app notices
-	exited  mbox[struct{}]
+	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices
+	exited  *queue.Q[struct{}]
 }
 
 func (c *Client) startRouter() {
 	r := &clientRouter{
 		c:       c,
-		boxes:   make(map[int]mbox[mpi.Message]),
+		boxes:   make(map[int]*queue.Q[mpi.Message]),
 		stash:   make(map[int][]mpi.Message),
 		done:    make(map[int]bool),
-		appDone: newMbox[mpi.Message](c.clk),
-		exited:  newMbox[struct{}](c.clk),
+		appDone: queue.New[mpi.Message](c.clk),
+		exited:  queue.New[struct{}](c.clk),
 	}
 	c.router = r
 	c.clk.Go(fmt.Sprintf("client%d-router", c.Rank()), func(clk clock.Clock) {
 		r.run(mpi.RebindComm(c.comm, clk))
-		r.exited.put(struct{}{})
+		r.exited.Put(struct{}{})
 	})
 }
 
@@ -165,19 +168,19 @@ func (c *Client) stopRouter() {
 		return
 	}
 	c.comm.Send(c.comm.Rank(), tagRouterStop, nil)
-	c.router.exited.pop(c.clk, nil, 0)
+	c.router.exited.Pop(c.clk, nil, nil, 0)
 	c.router = nil
 }
 
 // register binds seq's mailbox and replays any frames that raced ahead
 // of the local submission (a faster rank's op can reach our servers —
 // and their replies us — before our application submits it).
-func (r *clientRouter) register(seq int, box mbox[mpi.Message]) {
+func (r *clientRouter) register(seq int, box *queue.Q[mpi.Message]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.boxes[seq] = box
 	for _, m := range r.stash[seq] {
-		box.put(m)
+		box.Put(m)
 	}
 	delete(r.stash, seq)
 }
@@ -208,7 +211,7 @@ func (r *clientRouter) run(comm mpi.Comm) {
 			}
 			bufpool.Put(m.Data)
 		case tagAppDone:
-			r.appDone.put(m)
+			r.appDone.Put(m)
 		default:
 			seq, family, ok := tagOpSeq(m.Tag)
 			if !ok || family != 1 {
@@ -218,7 +221,7 @@ func (r *clientRouter) run(comm mpi.Comm) {
 			r.mu.Lock()
 			if box := r.boxes[seq]; box != nil {
 				r.mu.Unlock()
-				box.put(m)
+				box.Put(m)
 			} else if r.done[seq] {
 				r.mu.Unlock()
 				r.c.rejectFrame(m.Data)
@@ -237,7 +240,7 @@ func (r *clientRouter) run(comm mpi.Comm) {
 func (c *Client) collectAppDone() {
 	for i := 1; i < c.cfg.NumClients; i++ {
 		if c.router != nil {
-			if _, err := c.router.appDone.pop(c.clk, nil, c.cfg.OpTimeout); err != nil {
+			if _, err := c.router.appDone.Pop(c.clk, nil, nil, c.cfg.OpTimeout); err != nil {
 				break // a peer is gone or late; shut down anyway
 			}
 		} else {

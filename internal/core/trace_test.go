@@ -649,3 +649,63 @@ func TestOpSummaryJSONRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackTableBoundedByConcurrency: a resident node's flight recorder
+// must not grow with the operations it has served. Executors record on
+// reusable lanes, so 2,000 operations leave the track table — and the
+// metadata a dump opens with — exactly where the first 20 left it.
+func TestTrackTableBoundedByConcurrency(t *testing.T) {
+	cfg := schedCfg(2, 2, 2)
+	rec := obs.NewRecorder(1 << 10)
+	cfg.Trace = rec
+	specs := [][]ArraySpec{{schedSpec("la", 2)}, {schedSpec("lb", 2)}}
+	metadata := func() (n int) {
+		tracks, events, _ := rec.Snapshot()
+		for _, e := range obs.ChromeTraceFromSnapshot(tracks, events).TraceEvents {
+			if e.Ph == "M" {
+				n++
+			}
+		}
+		return n
+	}
+
+	var tracks20, meta20 int
+	_, err := RunSim(cfg, mpi.SP2Link(), func(i int, clk clock.Clock) storage.Disk {
+		return storage.NewSimDisk(storage.NewMemDisk(), storage.SP2AIX(), clk) // overwrites read manifests back
+	}, func(cl *Client) error {
+		bufs := [][][]byte{makeBufs(cl, specs[0], true), makeBufs(cl, specs[1], true)}
+		for round := 0; round < 1000; round++ {
+			var hs [2]*OpHandle
+			for i := range hs {
+				h, err := cl.SubmitWrite("", "", specs[i], bufs[i])
+				if err != nil {
+					return err
+				}
+				hs[i] = h
+			}
+			for _, h := range hs {
+				if err := h.Await(); err != nil {
+					return fmt.Errorf("round %d: %w", round, err)
+				}
+			}
+			if round == 9 && cl.Rank() == 0 {
+				tracks20, meta20 = len(rec.TrackNames()), metadata()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rec.TrackNames()); got != tracks20 {
+		t.Errorf("track table grew from %d entries after 20 ops to %d after 2,000: %v", tracks20, got, rec.TrackNames()[tracks20:min(got, tracks20+4)])
+	}
+	if got := metadata(); got != meta20 {
+		t.Errorf("a dump opens with %d metadata records after 2,000 ops, %d after 20", got, meta20)
+	}
+	// Two clients and two servers, each with a main track and two lanes,
+	// plus a storage track per server.
+	if want := 2*3 + 2*4; tracks20 != want {
+		t.Errorf("%d tracks after 20 ops, want %d: %v ...", tracks20, want, rec.TrackNames()[:min(tracks20, 16)])
+	}
+}

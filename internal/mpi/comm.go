@@ -6,7 +6,7 @@
 // Two interchangeable implementations exist:
 //
 //   - World (inproc.go): every rank is a goroutine in this process and
-//     messages move through in-memory mailboxes in real time. Used for
+//     messages move through in-memory queues in real time. Used for
 //     functional tests and the runnable examples.
 //   - SimWorld (simnet.go): every rank is a vtime process and each
 //     message is charged latency and bandwidth according to a LinkConfig
@@ -87,8 +87,8 @@ type DeadlineComm interface {
 
 // PeerChecker is implemented by communicators that can observe peer
 // death (TCP hub notifications, mesh connection loss, injected
-// crashes). The in-process World shares their receive half and always
-// answers false; simnet does not implement it.
+// crashes). The in-process World and simnet share their receive half
+// (Endpoint), whose ranks cannot die, and always answer false.
 type PeerChecker interface {
 	// PeerLost reports whether the transport knows rank is gone.
 	PeerLost(rank int) bool

@@ -14,7 +14,7 @@ var errDetached = errors.New("detached from hub")
 // through Hub.deliver; tcp.go's header comment describes the data path
 // and why the unbounded mailbox needs no flow control.
 type localComm struct {
-	endpoint
+	Endpoint
 	hub    *Hub
 	closed sync.Once
 }
@@ -25,7 +25,7 @@ type localComm struct {
 func (c *localComm) emit(to, tag int, a, b []byte, owned bool) fate {
 	checkPeer(c, to)
 	checkTag(tag)
-	if c.down() {
+	if c.linkErr() != nil {
 		return dropped
 	}
 	return c.hub.deliver(c.rank, to, uint32(tag)+1, a, b, owned)

@@ -126,7 +126,7 @@ func readRegistration(conn net.Conn, size int) (int, string, error) {
 // on connections the peer dialed, drained by acceptLoop. One socket
 // per ordered pair sidesteps simultaneous-connect races entirely.
 type meshComm struct {
-	endpoint // the receive half; peerDead holds the links that broke
+	Endpoint // the receive half; its dead-peer set holds the links that broke
 	ln       net.Listener
 	addrs    []string
 
@@ -151,7 +151,7 @@ func JoinMesh(addr string, rank, size int) (Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &meshComm{endpoint: newEndpoint(rank, size), ln: ln, peers: make([]*meshPeer, size)}
+	c := &meshComm{Endpoint: newEndpoint(rank, size), ln: ln, peers: make([]*meshPeer, size)}
 
 	// Register and receive the table.
 	reg, err := net.Dial("tcp", addr)
@@ -305,7 +305,7 @@ func (c *meshComm) readLoop(peer int, conn net.Conn) {
 			c.markPeerDead(peer)
 			return
 		}
-		c.box.put(Message{Source: peer, Tag: tag, Data: payload})
+		c.box.Put(Message{Source: peer, Tag: tag, Data: payload})
 	}
 }
 
@@ -324,7 +324,7 @@ func (c *meshComm) Send(to, tag int, data []byte) {
 	if to == c.rank {
 		cp := bufpool.GetRaw(len(data))
 		copy(cp, data)
-		c.box.put(Message{Source: c.rank, Tag: tag, Data: cp})
+		c.box.Put(Message{Source: c.rank, Tag: tag, Data: cp})
 		return
 	}
 	p, err := c.peerFor(to)
@@ -368,7 +368,7 @@ func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
 		frame := bufpool.GetRaw(n)
 		copy(frame, hdr)
 		copy(frame[len(hdr):], payload)
-		c.box.put(Message{Source: c.rank, Tag: tag, Data: frame})
+		c.box.Put(Message{Source: c.rank, Tag: tag, Data: frame})
 		return false
 	}
 	p, err := c.peerFor(to)

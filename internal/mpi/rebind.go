@@ -1,42 +1,19 @@
 package mpi
 
-import (
-	"panda/internal/clock"
-	"panda/internal/vtime"
-)
+import "panda/internal/clock"
 
-// ProcBinder is implemented by communicators whose send/receive timing
-// is charged to a specific simulated process. Rebinding produces a view
-// of the same endpoint driven by another process of the same
-// simulation, so a helper goroutine (a scheduler executor, a router)
-// can use the node's rank without tripping the one-proc-per-endpoint
-// rule.
-type ProcBinder interface {
-	BindProc(p *vtime.Proc) Comm
-}
-
-// BindProc implements ProcBinder: the view shares the world and rank
-// but charges its sends and sleeps to p.
-func (c *simComm) BindProc(p *vtime.Proc) Comm {
-	return &simComm{world: c.world, rank: c.rank, proc: p}
-}
-
-// RebindComm returns a view of c usable from the goroutine driven by
-// clk. Under a virtual clock the endpoint is rebound to that clock's
-// process; real-time endpoints (inproc, tcp) are safe to share between
-// goroutines on the send side and are returned unchanged.
+// RebindComm returns a view of c usable from the activity driven by
+// clk. A simulated endpoint charges its sends and sleeps to one process
+// and parks that process to receive, so under a virtual clock the view
+// is the same rank bound to clk's process: a helper activity (a
+// scheduler executor, a router) can use the node's rank without
+// tripping the one-process-per-endpoint rule. Real-time endpoints
+// (inproc, tcp) are safe to share between goroutines on the send side
+// and are returned unchanged.
 func RebindComm(c Comm, clk clock.Clock) Comm {
-	v, ok := clk.(*clock.Virtual)
-	if !ok {
-		return c
-	}
-	if b, ok := c.(ProcBinder); ok {
-		return b.BindProc(v.Proc())
+	v, virtual := clk.(*clock.Virtual)
+	if sc, ok := c.(*simComm); ok && virtual {
+		return sc.world.Bind(sc.rank, v.Proc())
 	}
 	return c
 }
-
-// Matches reports whether m satisfies a (source, tag) receive filter,
-// with AnySource/AnyTag wildcards. It is the matching rule every
-// transport's Recv uses, exported for message routers layered on top.
-func Matches(m Message, from, tag int) bool { return matches(m, from, tag) }

@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"panda/internal/bufpool"
+	"panda/internal/clock"
+	"panda/internal/queue"
 	"panda/internal/vtime"
 )
 
@@ -73,12 +75,7 @@ type rackPorts struct {
 
 type simNode struct {
 	in, out vtime.Port
-	msgs    []Message
-	waiter  *vtime.Proc
-	// waitGen invalidates pending timeout events: each park bumps it,
-	// so a timeout scheduled for an earlier wait never fires a wake for
-	// a later one.
-	waitGen uint64
+	box     *queue.Q[Message]
 }
 
 // NewSimWorld creates a simulated communicator of the given size on sim.
@@ -88,18 +85,23 @@ func NewSimWorld(sim *vtime.Sim, size int, cfg LinkConfig) *SimWorld {
 	}
 	w := &SimWorld{sim: sim, cfg: cfg, nodes: make([]*simNode, size)}
 	for i := range w.nodes {
-		w.nodes[i] = &simNode{}
+		w.nodes[i] = &simNode{box: queue.NewSim[Message](sim)}
 	}
 	return w
 }
 
-// Bind returns the endpoint for rank driven by the vtime process p.
-// It must be called from inside p (the process spawned for this rank).
+// Bind returns the endpoint for rank driven by the vtime process p:
+// sends and sleeps are charged to p, and a receive parks it on the
+// rank's queue. It must be used from inside p (the process spawned for
+// this rank, or a helper activity of its node — see RebindComm).
 func (w *SimWorld) Bind(rank int, p *vtime.Proc) Comm {
 	if rank < 0 || rank >= len(w.nodes) {
 		panic("mpi: rank out of range")
 	}
-	return &simComm{world: w, rank: rank, proc: p}
+	return &simComm{
+		Endpoint: Endpoint{rank: rank, size: len(w.nodes), box: w.nodes[rank].box, clk: clock.NewVirtual(p)},
+		world:    w, proc: p,
+	}
 }
 
 // BytesMoved reports the total payload bytes delivered so far, for
@@ -128,14 +130,15 @@ func (w *SimWorld) SetTopology(t *Topology) {
 // Topology returns the installed topology, nil when flat.
 func (w *SimWorld) Topology() *Topology { return w.topo }
 
+// simComm receives as every endpoint does (endpoint.go): the bound is
+// charged on the simulation clock, so a timeout advances the rank to
+// exactly now+timeout. Simulated ranks cannot die: Recv never panics,
+// RecvTimeout fails only with ErrTimeout and PeerLost is always false.
 type simComm struct {
+	Endpoint
 	world *SimWorld
-	rank  int
 	proc  *vtime.Proc
 }
-
-func (c *simComm) Rank() int { return c.rank }
-func (c *simComm) Size() int { return len(c.world.nodes) }
 
 // transmit books the ports, schedules delivery, and returns the time at
 // which the sender's buffer is free (egress transmission complete).
@@ -161,13 +164,8 @@ func (c *simComm) transmit(to, tag int, data []byte) time.Duration {
 
 	m := Message{Source: c.rank, Tag: tag, Data: data}
 	w.sim.At(inDone, func() {
-		dst.msgs = append(dst.msgs, m)
+		dst.box.Put(m)
 		w.bytes += int64(len(m.Data))
-		if dst.waiter != nil {
-			p := dst.waiter
-			dst.waiter = nil
-			w.sim.Wake(p)
-		}
 	})
 	return outDone
 }
@@ -242,67 +240,4 @@ func (c *simComm) Isend(to, tag int, data []byte) Request {
 	copy(cp, data)
 	done := c.transmit(to, tag, cp)
 	return &simRequest{proc: c.proc, done: done}
-}
-
-func (c *simComm) Recv(from, tag int) Message {
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	n := c.world.nodes[c.rank]
-	for {
-		for i, m := range n.msgs {
-			if matches(m, from, tag) {
-				n.msgs = append(n.msgs[:i], n.msgs[i+1:]...)
-				return m
-			}
-		}
-		if n.waiter != nil {
-			panic("mpi: concurrent Recv on one simulated rank")
-		}
-		n.waiter = c.proc
-		n.waitGen++
-		c.proc.Park()
-	}
-}
-
-// RecvTimeout implements DeadlineComm under virtual time: the wait
-// bound is charged on the simulation clock, so a timeout advances this
-// rank to exactly now+timeout. Simulated ranks cannot die, so the only
-// error is ErrTimeout.
-func (c *simComm) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
-	if timeout <= 0 {
-		return c.Recv(from, tag), nil
-	}
-	if from != AnySource {
-		checkPeer(c, from)
-	}
-	w := c.world
-	n := w.nodes[c.rank]
-	deadline := c.proc.Now() + timeout
-	for {
-		for i, m := range n.msgs {
-			if matches(m, from, tag) {
-				n.msgs = append(n.msgs[:i], n.msgs[i+1:]...)
-				return m, nil
-			}
-		}
-		if c.proc.Now() >= deadline {
-			return Message{}, ErrTimeout
-		}
-		if n.waiter != nil {
-			panic("mpi: concurrent Recv on one simulated rank")
-		}
-		n.waiter = c.proc
-		n.waitGen++
-		gen := n.waitGen
-		w.sim.At(deadline, func() {
-			// Fire only if this exact wait is still parked: message
-			// delivery clears waiter, and a later wait bumps waitGen.
-			if n.waiter == c.proc && n.waitGen == gen {
-				n.waiter = nil
-				w.sim.Wake(c.proc)
-			}
-		})
-		c.proc.Park()
-	}
 }

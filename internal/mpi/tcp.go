@@ -323,7 +323,7 @@ func (h *Hub) Local(rank int) (Comm, error) {
 	if rank < 0 || rank >= h.size {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, h.size)
 	}
-	l := &localComm{endpoint: newEndpoint(rank, h.size), hub: h}
+	l := &localComm{Endpoint: newEndpoint(rank, h.size), hub: h}
 	revived, err := h.register(rank, nil, l)
 	if err != nil {
 		return nil, err
@@ -559,107 +559,9 @@ func (h *Hub) route(source int, conn net.Conn) error {
 	}
 }
 
-// endpoint is the receive half of every real-time endpoint — hub-dialed,
-// hub-local, mesh and in-process: the mailbox, the link error that fails
-// its receives, and the peers the transport knows are gone (announced by
-// the hub; on the mesh, those whose link broke; in process, never any).
-type endpoint struct {
-	rank, size int
-	box        *mailbox
-	readErr    error        // guarded by box.mu
-	peerDead   map[int]bool // guarded by box.mu
-}
-
-func newEndpoint(rank, size int) endpoint {
-	return endpoint{rank: rank, size: size, box: newMailbox(), peerDead: make(map[int]bool)}
-}
-
-// accept takes one frame addressed to this endpoint, and ownership of
-// data. A hub control frame (wire tag zero) marks its source dead — or,
-// with payload {1}, revived: a dynamic hub re-issued the rank.
-func (e *endpoint) accept(source int, wireTag uint32, data []byte) {
-	if wireTag == tagControlWire {
-		e.markPeer(source, len(data) > 0 && data[0] == 1)
-		bufpool.Put(data)
-		return
-	}
-	e.box.put(Message{Source: source, Tag: int(wireTag) - 1, Data: data})
-}
-
-func (e *endpoint) markPeer(rank int, revived bool) {
-	e.box.mu.Lock()
-	if revived {
-		delete(e.peerDead, rank)
-	} else {
-		e.peerDead[rank] = true
-	}
-	e.box.mu.Unlock()
-	e.box.cond.Broadcast()
-}
-
-// failReads records the link error and wakes blocked receivers: plain
-// Recv then panics with the transport failure (Comm's interface has no
-// error returns; a dead link is unrecoverable for an SPMD run), bounded
-// receives fail with ErrPeerLost.
-func (e *endpoint) failReads(err error) {
-	e.box.mu.Lock()
-	e.readErr = err
-	e.box.mu.Unlock()
-	e.box.cond.Broadcast()
-}
-
-// down reports whether the endpoint's link has failed or been closed.
-func (e *endpoint) down() bool {
-	e.box.mu.Lock()
-	defer e.box.mu.Unlock()
-	return e.readErr != nil
-}
-
-func (e *endpoint) Rank() int { return e.rank }
-func (e *endpoint) Size() int { return e.size }
-
-// Recv panics when the link fails: Comm's interface has no error return.
-func (e *endpoint) Recv(from, tag int) Message {
-	if from != AnySource {
-		checkPeer(e, from)
-	}
-	m, err := e.box.getWait(from, tag, 0, func() error { return e.readErr })
-	if err != nil {
-		panic(fmt.Sprintf("mpi: recv on rank %d: %v", e.rank, err))
-	}
-	return m
-}
-
-// RecvTimeout implements DeadlineComm. It fails with ErrPeerLost when
-// this endpoint's own link is down, or when waiting on a specific rank
-// the transport knows is gone. AnySource waits do not fail on peer
-// deaths — another rank may still satisfy them — and rely on the
-// timeout bound instead.
-func (e *endpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
-	if from != AnySource {
-		checkPeer(e, from)
-	}
-	return e.box.getWait(from, tag, timeout, func() error {
-		if e.readErr != nil {
-			return fmt.Errorf("mpi: recv on rank %d: %v: %w", e.rank, e.readErr, ErrPeerLost)
-		}
-		if from != AnySource && e.peerDead[from] {
-			return fmt.Errorf("mpi: rank %d is gone: %w", from, ErrPeerLost)
-		}
-		return nil
-	})
-}
-
-// PeerLost implements PeerChecker from the recorded deaths.
-func (e *endpoint) PeerLost(rank int) bool {
-	e.box.mu.Lock()
-	defer e.box.mu.Unlock()
-	return e.peerDead[rank]
-}
-
 // tcpComm is one rank's dialed endpoint of a TCP world.
 type tcpComm struct {
-	endpoint
+	Endpoint
 	conn net.Conn
 	wmu  sync.Mutex
 }
@@ -689,7 +591,7 @@ func DialComm(addr string, rank, size int) (Comm, error) {
 		conn.Close()
 		return nil, fmt.Errorf("mpi: hub refused rank %d: %v", rank, err)
 	}
-	c := &tcpComm{endpoint: newEndpoint(rank, size), conn: conn}
+	c := &tcpComm{Endpoint: newEndpoint(rank, size), conn: conn}
 	go c.reader()
 	return c, nil
 }

@@ -24,8 +24,8 @@ func (p *Proc) Now() time.Duration { return p.sim.now }
 
 // Park blocks the calling process until another party calls Sim.Wake or
 // Sim.WakeAt on it. A process parks for exactly one wake; pairing is the
-// caller's responsibility (higher-level primitives such as simnet's
-// receive and core's mailbox manage this for you).
+// caller's responsibility (internal/queue, the one waiter built on it,
+// manages this for you).
 func (p *Proc) Park() {
 	s := p.sim
 	if s.running != p {
