@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check bench-pack bench-routed bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check figures-check bench-pack bench-routed bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -58,18 +58,17 @@ loc:
 		'$$2 ~ /^.\/internal\/core\// { core += $$1 } $$2 ~ /core\/server.go$$/ { srv = $$1 } $$2 == "total" { all = $$1 } \
 		END { printf "internal/core %d\nserver.go %d\nrepo outside bench/ %d\n", core, srv, all }'
 
-# Short fuzz campaigns over the wire decoders, the topology parser and
-# the pack kernel (against its per-element reference); lengthen FUZZTIME
-# for a real hunt.
+# Short fuzz campaigns over the wire decoders, the TCP frame reader, the
+# topology parser and the pack kernel (against its per-element
+# reference); lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeOpRequest$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubData$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubReq$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubDataOp$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubReqOp$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSchedDone$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeStatus$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzCopyRegion$$' -fuzztime $(FUZZTIME) ./internal/array
 
@@ -96,6 +95,14 @@ bench-baseline bench-sched bench-topo:
 # gate.
 bench-check sched-check topo-check:
 	$(GO) run ./cmd/pandabench -engine-check BENCH_engine.json
+
+# figures-check is the second virtual-time oracle: the paper-sized
+# figures, every one (about half a minute), byte for byte against the
+# committed results_full.txt. A difference is a change to the simulated
+# protocol's timing: explain it and regenerate the file
+# (`$(GO) run ./cmd/pandabench > results_full.txt`), or fix the change.
+figures-check:
+	$(GO) run ./cmd/pandabench | diff results_full.txt -
 
 # bench-pack measures the data-movement fast path on this host: the
 # coalescing CopyRegion kernel across strided, coalesced and contiguous

@@ -29,7 +29,8 @@ type Client struct {
 
 	cnt       *counters // this node's counter block
 	elapsedNs *int64
-	opSeq     int // collective operations issued so far
+	opSeq     int // sequence number of the next collective
+	seqEnd    int // end of this client's sequence window (exclusive); see admit
 
 	// Session identity. memIndex is the memory-chunk index this client
 	// holds of every array — equal to the communicator rank on fixed-
@@ -45,13 +46,11 @@ type Client struct {
 	// explicit tenant wins when non-empty.
 	tenant string
 
-	// Scheduler state: opFramed marks a per-op executor copy (see
-	// submit.go), router demultiplexes incoming frames by op when
-	// operations overlap.
-	opFramed bool
-	router   *clientRouter
-	handles  map[int]*OpHandle // outstanding submissions, application goroutine only
-	lanes    traceLanes        // their executors' trace tracks, application goroutine only
+	// Scheduler state: router demultiplexes incoming frames by op when
+	// operations overlap (submit.go).
+	router  *clientRouter
+	handles map[int]*OpHandle // outstanding submissions, application goroutine only
+	lanes   traceLanes        // their executors' trace tracks, application goroutine only
 }
 
 // NewClient creates the client endpoint for one compute node.
@@ -65,6 +64,7 @@ func NewClient(cfg Config, comm mpi.Comm, clk clock.Clock) *Client {
 		cnt:       newNodeCounters(cfg.Metrics),
 		elapsedNs: new(int64),
 		memIndex:  comm.Rank(),
+		seqEnd:    maxSeq + 1,
 	}
 }
 
@@ -86,7 +86,7 @@ func NewSessionClient(cfg Config, comm mpi.Comm, clk clock.Clock, ranks []int, m
 	c := NewClient(cfg, comm, clk)
 	c.memIndex = memIndex
 	c.ranks = append([]int(nil), ranks...)
-	c.opSeq = seqBase
+	c.opSeq, c.seqEnd = seqBase, seqBase+1<<sessionSeqBits
 	return c, nil
 }
 
@@ -181,41 +181,44 @@ func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]
 		}
 		return h.Await()
 	}
-	chunkBytes, err := c.checkCollective(specs, bufs)
-	if err != nil {
-		return err
-	}
-
 	// The master client sends the high-level request to the master
 	// server; everyone then serves until completion. The request goes
 	// on the fixed control tag and carries the sequence explicitly so
 	// servers stay synchronized even if earlier requests were lost;
 	// all other traffic of this operation carries its sequence number
 	// in the tag.
-	seq := c.opSeq
-	c.opSeq++
+	seq, chunkBytes, err := c.admit(specs, bufs)
+	if err != nil {
+		return err
+	}
 	return c.collectiveSeq(op, suffix, specs, bufs, seq, chunkBytes, "")
 }
 
-// checkCollective validates a collective call's arguments and returns
-// this client's total chunk bytes across the arrays.
-func (c *Client) checkCollective(specs []ArraySpec, bufs [][]byte) (int64, error) {
-	if err := validateSpecsN(c.cfg, c.nclients(), specs); err != nil {
-		return 0, err
+// admit validates a collective call's arguments and assigns it its
+// sequence number — the operation's identity on the wire (protocol.go)
+// — returning that and this client's total chunk bytes across the
+// arrays. A client whose window is spent is refused here, before
+// anything is sent: the next number is the next session's first.
+func (c *Client) admit(specs []ArraySpec, bufs [][]byte) (seq int, chunkBytes int64, err error) {
+	if err = validateSpecsN(c.cfg, c.nclients(), specs); err != nil {
+		return 0, 0, err
 	}
 	if len(bufs) != len(specs) {
-		return 0, fmt.Errorf("core: %d buffers for %d arrays", len(bufs), len(specs))
+		return 0, 0, fmt.Errorf("core: %d buffers for %d arrays", len(bufs), len(specs))
 	}
-	var chunkBytes int64
 	for i, spec := range specs {
 		want := spec.MemChunkBytes(c.Rank())
 		if int64(len(bufs[i])) != want {
-			return 0, fmt.Errorf("core: client %d: buffer for array %s holds %d bytes, chunk needs %d",
+			return 0, 0, fmt.Errorf("core: client %d: buffer for array %s holds %d bytes, chunk needs %d",
 				c.Rank(), spec.Name, len(bufs[i]), want)
 		}
 		chunkBytes += want
 	}
-	return chunkBytes, nil
+	if c.opSeq >= c.seqEnd {
+		return 0, 0, fmt.Errorf("core: client %d ran every collective up to sequence %d: %w", c.Rank(), c.seqEnd-1, ErrSeqWindow)
+	}
+	c.opSeq++
+	return c.opSeq - 1, chunkBytes, nil
 }
 
 // collectiveSeq runs one collective operation under an already-assigned
@@ -318,27 +321,19 @@ func (c *Client) runAttempt(op byte, suffix string, specs []ArraySpec, bufs [][]
 		}
 		r := rbuf{b: m.Data}
 		switch t := r.u8(); t {
-		case msgSubReq, msgSubReqOp:
-			q, err := decodeSubReqAny(t, &r)
+		case msgSubReq:
+			q, err := decodeSubReq(&r)
 			if err != nil {
 				return err
-			}
-			if t == msgSubReqOp && q.OpID != uint32(seq) {
-				c.rejectFrame(m.Data)
-				continue
 			}
 			if err := c.serveRequest(seq, specs, bufs, m.Source, q); err != nil {
 				return err
 			}
 			bufpool.Put(m.Data) // the request is fully decoded; recycle the frame
-		case msgSubData, msgSubDataOp:
-			d, err := decodeSubDataAny(t, &r)
+		case msgSubData:
+			d, err := decodeSubData(&r)
 			if err != nil {
 				return err
-			}
-			if t == msgSubDataOp && d.OpID != uint32(seq) {
-				c.rejectFrame(m.Data)
-				continue
 			}
 			key := pieceKey(d.ArrayIdx, d.Region)
 			if seen != nil && seen[key] {
@@ -447,7 +442,7 @@ func (c *Client) serveRequest(seq int, specs []ArraySpec, bufs [][]byte, server 
 	if c.tr.Enabled() {
 		t0 = c.clk.Now()
 	}
-	d := subData{ArrayIdx: q.ArrayIdx, ReqID: q.ReqID, Region: q.Region, OpID: uint32(seq)}
+	d := subData{ArrayIdx: q.ArrayIdx, ReqID: q.ReqID, Region: q.Region}
 	n := q.Region.NumElems() * int64(spec.ElemSize)
 	if off, contig := array.ContiguousIn(chunk, q.Region); contig {
 		// Contiguous fast path: the payload is a view of the
@@ -455,10 +450,10 @@ func (c *Client) serveRequest(seq int, specs []ArraySpec, bufs [][]byte, server 
 		// scatter-gather transports.
 		start := off * int64(spec.ElemSize)
 		c.chargeContig(n)
-		c.sendVec(server, tagToServer(seq), encodeSubDataHeader(d, c.opFramed, 0), bufs[q.ArrayIdx][start:start+n])
+		c.sendVec(server, tagToServer(seq), encodeSubDataHeader(d, 0), bufs[q.ArrayIdx][start:start+n])
 	} else {
 		pk0 := c.met.packStart()
-		frame := packedFrame(d, c.opFramed, bufs[q.ArrayIdx], chunk, spec.ElemSize)
+		frame := packedFrame(d, bufs[q.ArrayIdx], chunk, spec.ElemSize)
 		c.met.packDone(pk0)
 		c.chargeReorg(seq, n)
 		c.cnt[cFramesCoalesced].Add(1)
@@ -497,8 +492,8 @@ func (c *Client) absorbData(seq int, specs []ArraySpec, bufs [][]byte, d subData
 	return nil
 }
 
-// rejectFrame drops an op-scoped frame whose operation ID contradicts
-// the op its tag routed it to, and recycles the frame.
+// rejectFrame drops a frame whose tag names no operation the router
+// may hand it to, and recycles the frame.
 func (c *Client) rejectFrame(frame []byte) {
 	c.cnt[cFramesRejected].Add(1)
 	bufpool.Put(frame)

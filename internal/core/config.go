@@ -330,8 +330,8 @@ func (c Config) Validate() error {
 	if c.NumServers <= 0 {
 		return fmt.Errorf("core: NumServers = %d, must be positive", c.NumServers)
 	}
-	if c.SubchunkBytes < 0 {
-		return fmt.Errorf("core: negative SubchunkBytes")
+	if c.SubchunkBytes < 0 || c.SubchunkBytes > maxSubchunkBytes {
+		return fmt.Errorf("core: SubchunkBytes = %d, must be in [0, %d] (one transport frame)", c.SubchunkBytes, maxSubchunkBytes)
 	}
 	if c.Pipeline < 0 {
 		return fmt.Errorf("core: negative Pipeline")
@@ -356,6 +356,11 @@ func (c Config) Validate() error {
 	}
 	if c.Sched.MaxInflight < 0 {
 		return fmt.Errorf("core: negative Sched.MaxInflight")
+	}
+	if c.Sched.enabled() && c.Retry.Max > 0 {
+		// The scheduler drops a retried attempt's request as a duplicate
+		// of its Seq: each retry would only wait out another OpTimeout.
+		return fmt.Errorf("core: Retry.Max = %d with the scheduler on: whole-operation retries need Sched.MaxInflight = 0", c.Retry.Max)
 	}
 	if c.Sched.QueueDepth < 0 {
 		return fmt.Errorf("core: negative Sched.QueueDepth")

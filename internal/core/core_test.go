@@ -572,6 +572,10 @@ func TestConfigValidate(t *testing.T) {
 		{NumClients: 1, NumServers: 0},
 		{NumClients: 1, NumServers: 1, SubchunkBytes: -1},
 		{NumClients: 1, NumServers: 1, Pipeline: -2},
+		// a data frame of one such sub-chunk would exceed the transport's frame
+		{NumClients: 1, NumServers: 1, SubchunkBytes: mpi.MaxFrameBytes},
+		// the scheduler answers a retried Seq as a duplicate: a retry only waits
+		{NumClients: 1, NumServers: 1, OpTimeout: time.Second, Retry: RetryPolicy{Max: 1}, Sched: SchedConfig{MaxInflight: 1}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -68,10 +68,10 @@ type Stats struct {
 	// server: a hit reuses the chunk assignment and sub-chunk schedule
 	// of an identical earlier operation instead of recomputing them.
 	PlanHits, PlanMisses int64
-	// FramesRejected counts frames refused by op-ID screening under the
-	// scheduler: a frame whose explicit operation ID contradicts the op
-	// its tag routed it to (stale, duplicate, or misdirected traffic)
-	// is dropped rather than absorbed into the wrong op's state.
+	// FramesRejected counts frames a scheduler router refused: one whose
+	// tag names a finished or unknown operation, or no operation at all
+	// (stale, duplicate, or misdirected traffic), is dropped rather than
+	// absorbed into another op's state.
 	FramesRejected int64
 	// SchedBusy counts operations refused at admission because the
 	// scheduler's bounded queue was full (returned as ErrBusy).

@@ -98,7 +98,7 @@ func (s *Server) storageTrack() obs.Track {
 // executor, whose concurrent ops batch and merge at the disk — and
 // through the paper's inline writer otherwise.
 func (s *Server) newWriteSink(name string) (writeSink, error) {
-	if s.dsched != nil && (s.opFramed || s.cfg.pipeline() >= 2) {
+	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2) {
 		return s.newSchedWriteSink(name)
 	}
 	f, err := s.disk.Create(name)
@@ -147,7 +147,7 @@ func (k *serialWriteSink) report() (int64, int64) { return 0, 0 }
 // for executors and for a legacy mover asked to read ahead, the paper's
 // inline reader otherwise.
 func (s *Server) newReadSource(name string, subs []subchunkJob, want int64) (readSource, error) {
-	if s.dsched != nil && (s.opFramed || s.cfg.readAhead() >= 1) {
+	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.readAhead() >= 1) {
 		return s.newSchedReadSource(name, subs, want)
 	}
 	f, err := s.openForRead(s.disk, name, want)

@@ -48,6 +48,12 @@ var ErrUnknownArray = errors.New("core: array not in catalog")
 // admitted while in-flight work runs to completion.
 var ErrDraining = errors.New("core: service is draining")
 
+// ErrSeqWindow is the typed failure a collective returns when its
+// client has used every operation sequence number it was given (a
+// session's 1<<sessionSeqBits; a fixed-shape deployment's whole tag
+// space): raised before anything is sent, on every member alike.
+var ErrSeqWindow = errors.New("core: operation sequence window exhausted")
+
 // Status codes carried by Done and Complete messages so typed errors
 // survive the wire: a client that receives a Complete with
 // statusTimeout returns an error wrapping ErrTimeout, exactly as if it
@@ -63,6 +69,7 @@ const (
 	statusSchemaMismatch
 	statusDraining
 	statusUnknownArray
+	statusSeqWindow
 )
 
 type sentinel struct {
@@ -85,6 +92,7 @@ var sentinels = []sentinel{
 	{statusUnknownArray, "unknown_array", ErrUnknownArray},
 	{statusDraining, "draining", ErrDraining},
 	{statusBusy, "busy", ErrBusy},
+	{statusSeqWindow, "seq_window", ErrSeqWindow},
 }
 
 // IsTyped reports whether err is (or wraps) one of the sentinels that

@@ -58,7 +58,7 @@ func FuzzDecodeSubData(f *testing.F) {
 
 func FuzzDecodeSubReq(f *testing.F) {
 	valid := encodeSubReq(subReq{ArrayIdx: 2, ReqID: 9,
-		Region: array.NewRegion([]int{1}, []int{5})}, false)
+		Region: array.NewRegion([]int{1}, []int{5})})
 	f.Add(valid)
 	f.Add([]byte{msgSubReq})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -68,62 +68,6 @@ func FuzzDecodeSubReq(f *testing.F) {
 		r := rbuf{b: data}
 		r.u8()
 		_, _ = decodeSubReq(&r)
-	})
-}
-
-func FuzzDecodeSubDataOp(f *testing.F) {
-	// Op-scoped data frames carry the operation ID the scheduler routes
-	// and filters by. Malformed, truncated, or OpID-corrupted frames
-	// must decode to an error or a frame whose OpID mismatch the
-	// receiver rejects — never panic, never silently alias another op.
-	valid := encodeSubDataHeader(subData{OpID: 5, ArrayIdx: 1, ReqID: 7,
-		Region: array.NewRegion([]int{0, 0}, []int{4, 4})}, true, 0)
-	f.Add(append(valid, 1, 2, 3))
-	f.Add(valid[:3])
-	f.Add(valid[:5]) // cut inside the OpID field
-	f.Add([]byte{msgSubDataOp})
-	f.Add([]byte{msgSubDataOp, 0xFF, 0xFF, 0xFF, 0xFF, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		r := rbuf{b: data}
-		typ := r.u8()
-		if typ != msgSubDataOp && typ != msgSubData {
-			return
-		}
-		d, err := decodeSubDataAny(typ, &r)
-		if err != nil {
-			return
-		}
-		if typ == msgSubData && d.OpID != 0 {
-			t.Fatal("legacy frame decoded with a non-zero OpID")
-		}
-	})
-}
-
-func FuzzDecodeSubReqOp(f *testing.F) {
-	valid := encodeSubReq(subReq{OpID: 3, ArrayIdx: 2, ReqID: 9,
-		Region: array.NewRegion([]int{1}, []int{5})}, true)
-	f.Add(valid)
-	f.Add(valid[:2])
-	f.Add([]byte{msgSubReqOp})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		r := rbuf{b: data}
-		typ := r.u8()
-		if typ != msgSubReqOp && typ != msgSubReq {
-			return
-		}
-		q, err := decodeSubReqAny(typ, &r)
-		if err != nil {
-			return
-		}
-		if typ == msgSubReq && q.OpID != 0 {
-			t.Fatal("legacy frame decoded with a non-zero OpID")
-		}
 	})
 }
 

@@ -54,13 +54,11 @@ func (d *dyingComm) Isend(to, tag int, data []byte) mpi.Request {
 	return d.FaultComm.Isend(to, tag, data)
 }
 
-// nthFrame matches the n-th outgoing frame of one of the given types.
-func nthFrame(n int, types ...byte) func([]byte) bool {
+// nthFrame matches the n-th outgoing frame of the given type.
+func nthFrame(n int, typ byte) func([]byte) bool {
 	return func(frame []byte) bool {
-		for _, t := range types {
-			if frame[0] == t {
-				n--
-			}
+		if frame[0] == typ {
+			n--
 		}
 		return n == 0
 	}
@@ -190,7 +188,7 @@ func TestKilledMidReadCompletesDegradedPromptly(t *testing.T) {
 func TestKilledMidPlainWriteFailsTypedPromptly(t *testing.T) {
 	cfg, specs := killCfg()
 	cfg.PlainWrites = true
-	errs, died, left, master := killSim(t, cfg, memDisks(cfg.NumServers), nthFrame(3, msgSubReq, msgSubReqOp), func(cl *Client) error {
+	errs, died, left, master := killSim(t, cfg, memDisks(cfg.NumServers), nthFrame(3, msgSubReq), func(cl *Client) error {
 		return cl.WriteArrays(".ckpt", specs, makeBufs(cl, specs, true))
 	})
 	for r, err := range errs {

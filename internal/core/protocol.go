@@ -7,6 +7,7 @@ import (
 
 	"panda/internal/array"
 	"panda/internal/bufpool"
+	"panda/internal/mpi"
 )
 
 // Wire protocol. Every Panda message is one mpi message whose payload
@@ -41,6 +42,31 @@ import (
 //
 // The strides keep the three sequenced families and the fixed tags
 // (tagControl, tagAppDone) disjoint for every sequence number.
+//
+// The tag is the operation's only identity on the wire: every receive
+// screens by tag match, the routers (schedRouter.route,
+// clientRouter.run) by tagOpSeq. The sequence space is sized so it fits:
+// seq = session ID << sessionSeqBits | op index, wire tag = tag+1 as a
+// u32 (0 marks a hub control frame), so the largest, tagDoneFor(maxSeq)+1,
+// is 2^32-3. Client.admit refuses the collective whose seq would leave
+// its window — the next one is the next session's.
+const (
+	// sessionSeqBits sizes each session's operation-sequence window: a
+	// session may run up to 1<<sessionSeqBits collectives. Sequence
+	// bases are monotonic and never reused, so a retired session's late
+	// frames can never alias a live operation.
+	sessionSeqBits = 13
+	// maxSessionID bounds session IDs so that maxSeq's tags fit the wire.
+	maxSessionID = 1<<15 - 1
+	// maxSeq is the last sequence number an operation may carry.
+	maxSeq = (maxSessionID+1)<<sessionSeqBits - 1
+)
+
+// SessionIDOfSeq recovers the owning session's ID from an operation
+// sequence number (the inverse of SessionInfo.SeqBase). Fixed-shape
+// deployments run in the sid-0 window.
+func SessionIDOfSeq(seq int) int { return seq >> sessionSeqBits }
+
 func tagToServer(seq int) int { return 10 + 16*seq }
 
 func tagToClient(seq int) int { return 11 + 16*seq }
@@ -99,14 +125,6 @@ const (
 	msgCommitted
 	// msgSchedDone is the executor→router loopback on tagSchedDone.
 	msgSchedDone
-	// msgSubReqOp and msgSubDataOp are the op-ID-scoped variants of
-	// msgSubReq/msgSubData used when a scheduler multiplexes several
-	// operations over one deployment: the frame names its operation
-	// explicitly, so a receiver can reject a frame that the tag alone
-	// would have routed into another op's state. The legacy frames stay
-	// byte-identical for single-op deployments.
-	msgSubReqOp
-	msgSubDataOp
 	// msgReconfig carries a live reconfiguration of the scheduler and
 	// pipeline knobs to a resident server (service deployments): the
 	// router adopts the new values for subsequently dispatched
@@ -423,22 +441,11 @@ type subReq struct {
 	ArrayIdx int
 	ReqID    uint32
 	Region   array.Region // already intersected with the client's chunk
-	// OpID is the operation sequence the request belongs to; carried on
-	// the wire only by the msgSubReqOp variant (scheduler deployments).
-	OpID uint32
 }
 
-// encodeSubReq builds a pull request — the op-ID-scoped flavour when
-// opFramed (scheduler deployments), which alone carries q.OpID right
-// after the type byte.
-func encodeSubReq(q subReq, opFramed bool) []byte {
+func encodeSubReq(q subReq) []byte {
 	var w wbuf
-	if opFramed {
-		w.u8(msgSubReqOp)
-		w.u32(q.OpID)
-	} else {
-		w.u8(msgSubReq)
-	}
+	w.u8(msgSubReq)
 	w.u16(uint16(q.ArrayIdx))
 	w.u32(q.ReqID)
 	w.region(q.Region)
@@ -453,13 +460,6 @@ func decodeSubReq(r *rbuf) (subReq, error) {
 	return q, r.err
 }
 
-func decodeSubReqOp(r *rbuf) (subReq, error) {
-	opID := r.u32()
-	q, err := decodeSubReq(r)
-	q.OpID = opID
-	return q, err
-}
-
 // subData carries one piece of array data, client→server on writes and
 // server→client on reads. Payload bytes follow the header directly.
 type subData struct {
@@ -467,31 +467,24 @@ type subData struct {
 	ReqID    uint32
 	Region   array.Region
 	Payload  []byte
-	// OpID is the operation sequence the data belongs to; carried on
-	// the wire only by the msgSubDataOp variant (scheduler deployments).
-	OpID uint32
 }
 
-// encodeSubDataHeader builds only the header of a data frame — the
-// op-ID-scoped flavour when opFramed (scheduler deployments), which
-// alone carries d.OpID — in a pooled buffer with capacity for room
-// payload bytes behind it. A borrowed payload (room 0) travels beside
-// the header through mpi.SendSegments and the caller recycles the
-// header once the send returns; a strided piece is packed into the room
-// (packedFrame) and the whole buffer goes to the transport. Either way
-// receivers see one frame: the header followed by the payload.
-func encodeSubDataHeader(d subData, opFramed bool, room int) []byte {
-	n := 8 + 1 + 8*d.Region.Rank()
-	if opFramed {
-		n += 4
-	}
-	w := wbuf{b: bufpool.GetRaw(n + room)[:0]}
-	if opFramed {
-		w.u8(msgSubDataOp)
-		w.u32(d.OpID)
-	} else {
-		w.u8(msgSubData)
-	}
+// maxSubchunkBytes is the largest sub-chunk limit a deployment or an
+// array may set: a data frame — at most one sub-chunk behind a header
+// of 8 bytes plus a region of at most 255 dimensions — must fit the
+// transport's frame.
+const maxSubchunkBytes = mpi.MaxFrameBytes - (8 + 8*255)
+
+// encodeSubDataHeader builds only the header of a data frame, in a
+// pooled buffer with capacity for room payload bytes behind it. A
+// borrowed payload (room 0) travels beside the header through
+// mpi.SendSegments and the caller recycles the header once the send
+// returns; a strided piece is packed into the room (packedFrame) and
+// the whole buffer goes to the transport. Either way receivers see one
+// frame: the header followed by the payload.
+func encodeSubDataHeader(d subData, room int) []byte {
+	w := wbuf{b: bufpool.GetRaw(8 + 8*d.Region.Rank() + room)[:0]}
+	w.u8(msgSubData)
 	w.u16(uint16(d.ArrayIdx))
 	w.u32(d.ReqID)
 	w.region(d.Region)
@@ -504,9 +497,9 @@ func encodeSubDataHeader(d subData, opFramed bool, room int) []byte {
 // it, so a strided byte is copied once between the buffer it lives in
 // and the frame that carries it. The caller owns the frame and sends it
 // with SendOwned.
-func packedFrame(d subData, opFramed bool, src []byte, srcR array.Region, elemSize int) []byte {
+func packedFrame(d subData, src []byte, srcR array.Region, elemSize int) []byte {
 	n := int(d.Region.NumElems()) * elemSize
-	hdr := encodeSubDataHeader(d, opFramed, n)
+	hdr := encodeSubDataHeader(d, n)
 	frame := hdr[:len(hdr)+n]
 	array.CopyRegion(frame[len(hdr):], d.Region, src, srcR, d.Region, elemSize)
 	return frame
@@ -519,31 +512,6 @@ func decodeSubData(r *rbuf) (subData, error) {
 	d.Region = r.region()
 	d.Payload = r.rest()
 	return d, r.err
-}
-
-func decodeSubDataOp(r *rbuf) (subData, error) {
-	opID := r.u32()
-	d, err := decodeSubData(r)
-	d.OpID = opID
-	return d, err
-}
-
-// decodeSubDataAny decodes either data-frame flavour, selected by the
-// already-consumed type byte.
-func decodeSubDataAny(typ byte, r *rbuf) (subData, error) {
-	if typ == msgSubDataOp {
-		return decodeSubDataOp(r)
-	}
-	return decodeSubData(r)
-}
-
-// decodeSubReqAny decodes either request-frame flavour, selected by the
-// already-consumed type byte.
-func decodeSubReqAny(typ byte, r *rbuf) (subReq, error) {
-	if typ == msgSubReqOp {
-		return decodeSubReqOp(r)
-	}
-	return decodeSubReq(r)
 }
 
 // encodeSchedDone builds the executor→router completion loopback:

@@ -15,7 +15,7 @@ import (
 // encodeSubData builds a whole data frame — header plus a copy of the
 // payload — as receivers see it after a SendSegments.
 func encodeSubData(d subData) []byte {
-	return append(encodeSubDataHeader(d, false, 0), d.Payload...)
+	return append(encodeSubDataHeader(d, 0), d.Payload...)
 }
 
 func TestOpRequestRoundTrip(t *testing.T) {
@@ -51,7 +51,7 @@ func TestOpRequestRoundTrip(t *testing.T) {
 
 func TestSubReqRoundTrip(t *testing.T) {
 	q := subReq{ArrayIdx: 3, ReqID: 9999, Region: array.NewRegion([]int{1, 2, 3}, []int{4, 5, 6})}
-	b := encodeSubReq(q, false)
+	b := encodeSubReq(q)
 	r := rbuf{b: b}
 	if typ := r.u8(); typ != msgSubReq {
 		t.Fatalf("type = %d", typ)

@@ -554,7 +554,6 @@ func (r *schedRouter) start(op *schedOp) {
 	// and clk are rebound below, on the executor's own activity.
 	ex := new(Server)
 	*ex = *s
-	ex.opFramed = true
 	ex.tenant = op.tenant
 	op.lane, ex.tr = r.lanes.take(s.cfg.Trace, "server", s.index)
 	op.ex = ex

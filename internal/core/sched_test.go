@@ -819,35 +819,11 @@ func TestSchedCoreDispatchCostIndependentOfCreditRounds(t *testing.T) {
 	}
 }
 
-// TestOpFramedProtocolRoundTrip pins the op-scoped wire format: OpID
-// survives encode/decode on both frame kinds, and the tenant tail on
-// the request frame.
+// TestOpFramedProtocolRoundTrip pins what the scheduler adds to the
+// wire: the tenant tail on the request frame. (Pull and data frames
+// carry nothing of their own under the scheduler — the tag names the
+// operation, TestTagSpace.)
 func TestOpFramedProtocolRoundTrip(t *testing.T) {
-	q := subReq{OpID: 7, ArrayIdx: 2, ReqID: 9, Region: array.NewRegion([]int{1}, []int{5})}
-	enc := encodeSubReq(q, true)
-	if enc[0] != msgSubReqOp {
-		t.Fatal("wrong type byte")
-	}
-	rb := rbuf{b: enc, off: 1}
-	got, err := decodeSubReqAny(enc[0], &rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.OpID != 7 || got.ArrayIdx != 2 || got.ReqID != 9 {
-		t.Fatalf("subReqOp roundtrip: %+v", got)
-	}
-
-	d := subData{OpID: 12, ArrayIdx: 1, ReqID: 3, Region: array.NewRegion([]int{0}, []int{4})}
-	hdr := encodeSubDataHeader(d, true, 0)
-	rb2 := rbuf{b: hdr, off: 1}
-	got2, err := decodeSubDataAny(hdr[0], &rb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.OpID != 12 || got2.ArrayIdx != 1 || got2.ReqID != 3 {
-		t.Fatalf("subDataOp roundtrip: %+v", got2)
-	}
-
 	sch := array.MustSchema([]int{8}, []array.Dist{array.Block}, []int{2})
 	req := opRequest{Op: opWrite, Seq: 4, Tenant: "acme", Specs: []ArraySpec{
 		{Name: "t", ElemSize: 4, Mem: sch, Disk: sch},

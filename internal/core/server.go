@@ -35,10 +35,9 @@ type Server struct {
 	// between operations.
 	node, cnt *counters
 
-	// Scheduler state. Executor copies (one per in-flight op, see
-	// sched.go) set opFramed and share the root server's node block.
-	opFramed bool
-	tenant   string
+	// tenant is the scheduler tenant of the operation an executor copy
+	// (one per in-flight op, see sched.go) is running.
+	tenant string
 	// dsched is the node's storage stage (disksched.go): shared by every
 	// executor under the scheduler, started by the legacy Serve loop when
 	// the overlap knobs ask for one, nil otherwise.
@@ -651,17 +650,10 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 		}
 		r := rbuf{b: m.Data}
 		switch t := r.u8(); t {
-		case msgSubData, msgSubDataOp:
-			d, derr := decodeSubDataAny(t, &r)
+		case msgSubData:
+			d, derr := decodeSubData(&r)
 			if derr != nil {
 				return derr
-			}
-			if t == msgSubDataOp && d.OpID != uint32(s.opSeq) {
-				// An op-scoped frame for some other operation: never
-				// deposit it into this op's state.
-				s.cnt[cFramesRejected].Add(1)
-				bufpool.Put(m.Data)
-				continue
 			}
 			pend, ok := inflight[d.ReqID]
 			if !ok {
@@ -721,8 +713,8 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 
 // pull asks the client holding pc for it, as part of request id.
 func (s *Server) pull(arrayIdx int, id uint32, pc piece) {
-	q := subReq{OpID: uint32(s.opSeq), ArrayIdx: arrayIdx, ReqID: id, Region: pc.Region}
-	s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), encodeSubReq(q, s.opFramed))
+	q := subReq{ArrayIdx: arrayIdx, ReqID: id, Region: pc.Region}
+	s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), encodeSubReq(q))
 }
 
 // depositPiece places one received piece into the sub-chunk under
@@ -810,12 +802,12 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 		}
 		for _, pc := range sj.Pieces {
 			n := pc.Region.NumElems() * int64(spec.ElemSize)
-			d := subData{ArrayIdx: sj.ArrayIdx, Region: pc.Region, OpID: uint32(s.opSeq)}
+			d := subData{ArrayIdx: sj.ArrayIdx, Region: pc.Region}
 			to, tag := s.clientRank(pc.Client), tagToClient(s.opSeq)
 			off, contig := array.ContiguousIn(sj.Region, pc.Region)
 			if !contig {
 				t0 := s.met.packStart()
-				frame := packedFrame(d, s.opFramed, buf, sj.Region, spec.ElemSize)
+				frame := packedFrame(d, buf, sj.Region, spec.ElemSize)
 				s.met.packDone(t0)
 				s.chargeReorg(n)
 				s.cnt[cFramesCoalesced].Add(1)
@@ -827,7 +819,7 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 			// on transports with a vector path.
 			start := off * int64(spec.ElemSize)
 			s.chargeContig(n)
-			s.sendVec(to, tag, encodeSubDataHeader(d, s.opFramed, 0), buf[start:start+n])
+			s.sendVec(to, tag, encodeSubDataHeader(d, 0), buf[start:start+n])
 		}
 		if measured {
 			end := s.clk.Now()

@@ -24,21 +24,6 @@ import (
 // private in-process Service for the duration of the call), and a
 // pandad daemon builds a Service over a dynamic TCP hub.
 
-// sessionSeqBits sizes each session's operation-sequence window: a
-// session may run up to 1<<sessionSeqBits collectives. Sequence bases
-// are monotonic and never reused, so a retired session's late frames
-// can never alias a live operation.
-const sessionSeqBits = 13
-
-// maxSessionID bounds session IDs so the largest possible sequence
-// number still fits the wire tag encoding (tag = 11+16*seq as u32).
-const maxSessionID = 1<<15 - 1
-
-// SessionIDOfSeq recovers the owning session's ID from an operation
-// sequence number (the inverse of SessionInfo.SeqBase). Fixed-shape
-// deployments run in the sid-0 window.
-func SessionIDOfSeq(seq int) int { return seq >> sessionSeqBits }
-
 // SessionInfo describes one attached client session.
 type SessionInfo struct {
 	// ID is the session's identifier, monotonic per service, never

@@ -56,8 +56,8 @@ func (a ArraySpec) validateN(cfg Config, nclients int) error {
 		return fmt.Errorf("core: array %s: memory schema has %d chunks for %d clients",
 			a.Name, a.Mem.NumChunks(), nclients)
 	}
-	if a.SubchunkBytes < 0 {
-		return fmt.Errorf("core: array %s: negative SubchunkBytes", a.Name)
+	if a.SubchunkBytes < 0 || a.SubchunkBytes > maxSubchunkBytes {
+		return fmt.Errorf("core: array %s: SubchunkBytes = %d, must be in [0, %d] (one transport frame)", a.Name, a.SubchunkBytes, maxSubchunkBytes)
 	}
 	if int64(a.ElemSize) > a.subchunkBytes(cfg) {
 		return fmt.Errorf("core: array %s: element size %d exceeds sub-chunk limit %d",

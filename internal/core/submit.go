@@ -77,15 +77,13 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 	if tenant == "" {
 		tenant = c.tenant
 	}
-	chunkBytes, err := c.checkCollective(specs, bufs)
+	seq, chunkBytes, err := c.admit(specs, bufs)
 	if err != nil {
 		return nil, err
 	}
 	if c.router == nil {
 		c.startRouter()
 	}
-	seq := c.opSeq
-	c.opSeq++
 	h := &OpHandle{c: c, seq: seq, res: queue.New[opResult](c.clk)}
 	if c.handles == nil {
 		c.handles = make(map[int]*OpHandle)
@@ -99,8 +97,6 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 	// opSeq, handles and lanes. comm and clk are rebound on its own activity.
 	ec := new(Client)
 	*ec = *c
-	ec.opSeq = seq + 1
-	ec.opFramed = true
 	ec.router, ec.handles, ec.lanes = nil, nil, traceLanes{}
 	h.lane, ec.tr = c.lanes.take(c.cfg.Trace, "client", c.Rank())
 	c.clk.Go(fmt.Sprintf("client%d-op%d", c.Rank(), seq), func(clk clock.Clock) {

@@ -1,0 +1,105 @@
+package mpi
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+
+	"panda/internal/bufpool"
+)
+
+// The one TCP data frame, spoken by the hub, by dialed and hub-local
+// endpoints and by the mesh (all big-endian):
+//
+//	u32 to | u32 source | u32 tag+1 | u32 len | payload (len bytes)
+//
+// frameWriter.write alone builds this header and writes a data frame to
+// a socket; frameReader.next alone parses it and sizes the payload
+// buffer. len is at most MaxFrameBytes: senders check it as they check
+// the tag (core.Config.Validate refuses a SubchunkBytes whose data frame
+// could reach it), and the reader refuses a longer header before it
+// allocates — sixteen bytes from a connection that knows the magic must
+// not cost the process 4 GiB. Such a header, like a short read, ends
+// that connection. Who uses to and source is the caller's business: the
+// hub routes on to and relays the rank the connection registered as,
+// whatever source says; a dialed endpoint trusts its hub; the mesh takes
+// the source from the peer handshake. Wire tag 0 marks a hub control
+// frame (tcp.go).
+
+// MaxFrameBytes bounds the payload of one TCP frame: sixteen of the
+// default 1 MiB sub-chunks.
+const MaxFrameBytes = 16 << 20
+
+const frameHeaderBytes = 16
+
+// checkFrame panics on a send no caller may make: a rank outside the
+// world, a negative tag, a frame past MaxFrameBytes.
+func checkFrame(c interface{ Size() int }, to, tag, n int) {
+	checkPeer(c, to)
+	checkTag(tag)
+	if n > MaxFrameBytes {
+		panic("mpi: frame exceeds MaxFrameBytes")
+	}
+}
+
+// frameWriter serializes the writes to one socket and holds their
+// header and scatter list, so a frame goes out as one writev and
+// allocates nothing, whoever sends it: a hub route goroutine relaying,
+// a local endpoint, the hub announcing a death, a dialed or mesh
+// endpoint's owner. The zero value is ready.
+type frameWriter struct {
+	mu   sync.Mutex
+	wire [frameHeaderBytes]byte
+	segs [3][]byte
+	bufs net.Buffers
+}
+
+// write sends one frame — the wire header, then a|b — on dst as a
+// single writev. After an error the frame may be half-written: the
+// caller takes the link down.
+func (w *frameWriter) write(dst net.Conn, to, source int, wireTag uint32, a, b []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	binary.BigEndian.PutUint32(w.wire[0:], uint32(to))
+	binary.BigEndian.PutUint32(w.wire[4:], uint32(source))
+	binary.BigEndian.PutUint32(w.wire[8:], wireTag)
+	binary.BigEndian.PutUint32(w.wire[12:], uint32(len(a)+len(b)))
+	w.segs = [3][]byte{w.wire[:], a, b}
+	w.bufs = w.segs[:]
+	_, err := w.bufs.WriteTo(dst)
+	w.segs = [3][]byte{} // the payload segments were only borrowed
+	return err
+}
+
+// frameReader reads the frames of one connection.
+type frameReader struct {
+	r   *bufio.Reader
+	hdr [frameHeaderBytes]byte
+}
+
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(conn, 256<<10)}
+}
+
+// next reads one frame into a pooled buffer the caller owns. After any
+// error — a disconnect, a short read, a length past MaxFrameBytes — the
+// stream is unusable and there is nothing to recycle.
+func (fr *frameReader) next() (to, source int, wireTag uint32, payload []byte, err error) {
+	if _, err = io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return 0, 0, 0, nil, err
+	}
+	n := binary.BigEndian.Uint32(fr.hdr[12:])
+	if n > MaxFrameBytes {
+		return 0, 0, 0, nil, fmt.Errorf("mpi: frame header announces %d bytes, limit %d", n, MaxFrameBytes)
+	}
+	payload = bufpool.GetRaw(int(n)) // fully overwritten by ReadFull
+	if _, err = io.ReadFull(fr.r, payload); err != nil {
+		bufpool.Put(payload)
+		return 0, 0, 0, nil, err
+	}
+	return int(binary.BigEndian.Uint32(fr.hdr[0:])), int(binary.BigEndian.Uint32(fr.hdr[4:])),
+		binary.BigEndian.Uint32(fr.hdr[8:]), payload, nil
+}

@@ -1,0 +1,232 @@
+package mpi
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"panda/internal/bufpool"
+)
+
+// rawRank registers a bare socket with hub as rank (hello, ack): a peer
+// that knows the magic and nothing obliges to follow the protocol.
+func rawRank(t *testing.T, hub *Hub, rank, size int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	var hello [12]byte
+	binary.BigEndian.PutUint32(hello[0:], tcpMagic)
+	binary.BigEndian.PutUint32(hello[4:], uint32(rank))
+	binary.BigEndian.PutUint32(hello[8:], uint32(size))
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	var ack [4]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+func rawHeader(to, source int, wireTag, n uint32) []byte {
+	var hdr [frameHeaderBytes]byte
+	binary.BigEndian.PutUint32(hdr[0:], uint32(to))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(source))
+	binary.BigEndian.PutUint32(hdr[8:], wireTag)
+	binary.BigEndian.PutUint32(hdr[12:], n)
+	return hdr[:]
+}
+
+// allocatedDuring reports the bytes the process allocated while fn ran.
+func allocatedDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOversizeFrameEndsTheConnection: sixteen bytes announcing a 4 GiB
+// payload cost the reader nothing and end that connection the way a
+// short read does — on the hub the rank is announced dead and the
+// survivors keep running; on an endpoint the link goes down and bounded
+// receives fail with ErrPeerLost.
+func TestOversizeFrameEndsTheConnection(t *testing.T) {
+	const budget = 4 << 20 // two readers' 256 KiB buffers and change; the lie is 4 GiB
+
+	for _, local := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hub/observer local=%v", local), func(t *testing.T) {
+			hub := startDynamicHub(t, 3)
+			observer, err := attach(hub, local, 0, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer CloseComm(observer)
+			other, err := attach(hub, false, 2, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer CloseComm(other)
+			liar := rawRank(t, hub, 1, 3)
+			got := allocatedDuring(func() {
+				if _, err := liar.Write(rawHeader(0, 1, 6, 0xFFFFFFFF)); err != nil {
+					t.Fatal(err)
+				}
+				waitPeerLost(t, observer, 1, true)
+			})
+			if got > budget {
+				t.Errorf("a lying header made the process allocate %d bytes", got)
+			}
+			// The hub closed the liar's socket...
+			liar.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.Copy(io.Discard, liar); err != nil && !isDisconnect(err) {
+				t.Errorf("the liar's connection was not closed: %v", err)
+			}
+			// ...and the survivors keep talking.
+			other.Send(0, 9, []byte("still here"))
+			if m, err := observer.(DeadlineComm).RecvTimeout(2, 9, 5*time.Second); err != nil || string(m.Data) != "still here" {
+				t.Fatalf("after the liar left: %q, %v", m.Data, err)
+			}
+		})
+	}
+
+	t.Run("endpoint", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() { // a hub that acknowledges, then lies
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var hello [12]byte
+			if _, err := io.ReadFull(conn, hello[:]); err != nil {
+				return
+			}
+			writeAck(conn)                             //nolint:errcheck
+			conn.Write(rawHeader(0, 1, 6, 0xFFFFFFFF)) //nolint:errcheck
+			io.Copy(io.Discard, conn)                  //nolint:errcheck // until the endpoint hangs up
+		}()
+		var c Comm
+		got := allocatedDuring(func() {
+			if c, err = DialComm(ln.Addr().String(), 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.(DeadlineComm).RecvTimeout(1, 5, time.Minute); !errors.Is(err, ErrPeerLost) {
+				t.Fatalf("receive behind a lying header: %v, want ErrPeerLost", err)
+			}
+		})
+		CloseComm(c)
+		if got > budget {
+			t.Errorf("a lying header made the endpoint allocate %d bytes", got)
+		}
+	})
+}
+
+// TestHubRelaysTheRegisteredSource: a frame arrives as sent by the rank
+// its connection registered as, whatever its header claims.
+func TestHubRelaysTheRegisteredSource(t *testing.T) {
+	for _, local := range []bool{false, true} {
+		hub := startDynamicHub(t, 3)
+		victim, err := attach(hub, local, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forger := rawRank(t, hub, 1, 3)
+		frame := append(rawHeader(0, 2, 6, 5), "hello"...) // "from rank 2"
+		if _, err := forger.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		m, err := victim.(DeadlineComm).RecvTimeout(AnySource, 5, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Source != 1 || string(m.Data) != "hello" {
+			t.Errorf("local=%v: frame arrived as from rank %d (%q), want the registered rank 1", local, m.Source, m.Data)
+		}
+		CloseComm(victim)
+	}
+}
+
+// TestWriterZeroAlloc: a frame written by a dialed endpoint — plain and
+// scatter-gather — allocates nothing: the header and the scatter list
+// live in the connection's frameWriter.
+func TestWriterZeroAlloc(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &tcpComm{Endpoint: newEndpoint(0, 2), conn: conn}
+	hdr, payload := make([]byte, 25), make([]byte, 4<<10)
+	if n := testing.AllocsPerRun(200, func() { c.Send(1, 7, payload) }); n != 0 {
+		t.Errorf("Send allocates %v per frame", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.SendVec(1, 7, hdr, payload) }); n != 0 {
+		t.Errorf("SendVec allocates %v per frame", n)
+	}
+	if err := c.linkErr(); err != nil {
+		t.Fatalf("the link went down mid-test: %v", err)
+	}
+	conn.Close()
+	<-drained
+}
+
+// FuzzReadFrame feeds the one frame reader arbitrary bytes: it never
+// panics, never returns (or sizes a buffer for) more than MaxFrameBytes,
+// and a frame it accepts is exactly the bytes the header announced.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(append(rawHeader(1, 0, 6, 3), 1, 2, 3))
+	f.Add(rawHeader(0, 1, 0, 0))                    // a death announcement
+	f.Add(rawHeader(0, 1, 6, 0xFFFFFFFF))           // the 4 GiB lie
+	f.Add(rawHeader(0, 1, 6, MaxFrameBytes+1))      // one past the bound
+	f.Add(append(rawHeader(0, 1, 6, 100), 1, 2, 3)) // short payload
+	f.Add([]byte{0x50, 0x41, 0x4e})                 // short header
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := newFrameReader(bytes.NewReader(data))
+		for off := 0; ; {
+			_, _, _, payload, err := fr.next()
+			if err != nil {
+				return
+			}
+			want := int(binary.BigEndian.Uint32(data[off+12:]))
+			if want > MaxFrameBytes || len(payload) != want ||
+				!bytes.Equal(payload, data[off+frameHeaderBytes:off+frameHeaderBytes+want]) {
+				t.Fatalf("frame at %d: %d payload bytes, header announced %d", off, len(payload), want)
+			}
+			off += frameHeaderBytes + want
+			bufpool.Put(payload)
+		}
+	})
+}

@@ -23,8 +23,7 @@ type localComm struct {
 // closed) drops the frame, as a dialed endpoint's closed socket does: it
 // must not speak for a rank that may since have been re-issued.
 func (c *localComm) emit(to, tag int, a, b []byte, owned bool) fate {
-	checkPeer(c, to)
-	checkTag(tag)
+	checkFrame(c, to, tag, len(a)+len(b))
 	if c.linkErr() != nil {
 		return dropped
 	}

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,8 +18,8 @@ import (
 // out of the data path entirely. Connections are directed and created
 // lazily: a rank's first send to a peer dials a write-only connection;
 // the reverse direction gets its own socket when the peer first sends
-// back. Frames on a connection carry (tag, len); the source is fixed
-// by the handshake.
+// back. Frames are frame.go's; the receiver takes the source from the
+// connection's handshake, not from the frame.
 //
 // Registry wire format (big-endian):
 //
@@ -138,7 +137,7 @@ type meshComm struct {
 
 type meshPeer struct {
 	conn net.Conn
-	wmu  sync.Mutex
+	out  frameWriter
 }
 
 // JoinMesh registers rank with the registry at addr and returns its
@@ -290,22 +289,14 @@ func (c *meshComm) peerFor(rank int) (*meshPeer, error) {
 // hanging (plain Recv still blocks — SPMD teardown closes everything —
 // and, the endpoint's own link error never being set, never panics).
 func (c *meshComm) readLoop(peer int, conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 256<<10)
-	var hdr [8]byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		_, _, wireTag, payload, err := fr.next()
+		if err != nil {
 			c.markPeerDead(peer)
 			return
 		}
-		tag := int(binary.BigEndian.Uint32(hdr[0:])) - 1
-		n := int(binary.BigEndian.Uint32(hdr[4:]))
-		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull
-		if _, err := io.ReadFull(r, payload); err != nil {
-			bufpool.Put(payload)
-			c.markPeerDead(peer)
-			return
-		}
-		c.box.Put(Message{Source: peer, Tag: tag, Data: payload})
+		c.box.Put(Message{Source: peer, Tag: int(wireTag) - 1, Data: payload})
 	}
 }
 
@@ -318,56 +309,18 @@ func (c *meshComm) markPeerDead(peer int) {
 	}
 }
 
-func (c *meshComm) Send(to, tag int, data []byte) {
-	checkPeer(c, to)
-	checkTag(tag)
+// emit sends a|b to rank `to` and reports whether it went out as one
+// writev. A self-send parks in the mailbox, which must not alias
+// borrowed segments, so it copies. A peer that cannot be reached, or
+// whose write fails, is marked dead so bounded receives waiting on it
+// fail with ErrPeerLost; the frame is dropped and a broken connection
+// closed, so a half-written frame can never be followed by more bytes.
+func (c *meshComm) emit(to, tag int, a, b []byte) bool {
+	checkFrame(c, to, tag, len(a)+len(b))
 	if to == c.rank {
-		cp := bufpool.GetRaw(len(data))
-		copy(cp, data)
-		c.box.Put(Message{Source: c.rank, Tag: tag, Data: cp})
-		return
-	}
-	p, err := c.peerFor(to)
-	if err != nil {
-		c.markPeerDead(to) // cannot reach the peer: drop the frame, as linkDown does
-		return
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(tag)+1)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(data)))
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	_, err = p.conn.Write(hdr[:])
-	if err == nil && len(data) > 0 {
-		_, err = p.conn.Write(data)
-	}
-	if err != nil {
-		c.linkDown(to, p)
-	}
-}
-
-// linkDown handles a failed write to a peer: the frame is dropped, the
-// peer is marked dead so bounded receives waiting on it fail with
-// ErrPeerLost, and the connection is closed so a half-written frame can
-// never be followed by more bytes.
-func (c *meshComm) linkDown(to int, p *meshPeer) {
-	c.markPeerDead(to)
-	p.conn.Close()
-}
-
-func (c *meshComm) SendOwned(to, tag int, data []byte) { c.Send(to, tag, data) }
-
-// SendVec implements VectorComm: one writev ships wire header, protocol
-// header and payload without an intermediate frame. Self-sends park in
-// the mailbox and must not alias the borrowed payload, so they copy.
-func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
-	checkPeer(c, to)
-	checkTag(tag)
-	n := len(hdr) + len(payload)
-	if to == c.rank {
-		frame := bufpool.GetRaw(n)
-		copy(frame, hdr)
-		copy(frame[len(hdr):], payload)
+		frame := bufpool.GetRaw(len(a) + len(b))
+		copy(frame, a)
+		copy(frame[len(a):], b)
 		c.box.Put(Message{Source: c.rank, Tag: tag, Data: frame})
 		return false
 	}
@@ -376,16 +329,21 @@ func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
 		c.markPeerDead(to)
 		return false
 	}
-	var wire [8]byte
-	binary.BigEndian.PutUint32(wire[0:], uint32(tag)+1)
-	binary.BigEndian.PutUint32(wire[4:], uint32(n))
-	bufs := net.Buffers{wire[:], hdr, payload}
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if _, err := bufs.WriteTo(p.conn); err != nil {
-		c.linkDown(to, p)
+	if err := p.out.write(p.conn, to, c.rank, uint32(tag)+1, a, b); err != nil {
+		c.markPeerDead(to)
+		p.conn.Close()
 	}
 	return true
+}
+
+func (c *meshComm) Send(to, tag int, data []byte) { c.emit(to, tag, data, nil) }
+
+func (c *meshComm) SendOwned(to, tag int, data []byte) { c.emit(to, tag, data, nil) }
+
+// SendVec implements VectorComm: one writev ships wire header, protocol
+// header and payload without an intermediate frame.
+func (c *meshComm) SendVec(to, tag int, hdr, payload []byte) bool {
+	return c.emit(to, tag, hdr, payload)
 }
 
 func (c *meshComm) Isend(to, tag int, data []byte) Request {

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,11 +21,10 @@ import (
 // — the simplest thing that works across workstations behind the usual
 // 1995-grade networking.
 //
-// Frame format (all big-endian):
+// Handshake (all big-endian); data frames are frame.go's:
 //
 //	hello:  u32 magic | u32 rank | u32 size
 //	ack:    u32 magic                       (hub → rank, once registered)
-//	data:   u32 to    | u32 source | u32 tag+1 | u32 len | payload
 //
 // The hub acknowledges a hello only after it has recorded the
 // connection, and DialComm returns only after reading the ack: a frame
@@ -98,21 +96,10 @@ type Hub struct {
 	conns   map[int]net.Conn   // dialed ranks
 	locals  map[int]*localComm // in-process ranks (Local)
 	dead    map[int]bool
-	joined  int      // registrations so far; Serve's accept phase ends at size
-	out     []outbox // per-rank socket write state
-	dynamic bool     // ServeDynamic mode: ranks come and go
-	closed  bool     // Close was called; accept-loop exit is orderly
-}
-
-// outbox serializes the writes to one dialed rank's socket and holds
-// their scatter list, so a frame goes out as one writev and allocates
-// nothing, whoever sends it: a route goroutine relaying, a local
-// endpoint, or the hub announcing a death.
-type outbox struct {
-	sync.Mutex
-	wire [16]byte
-	segs [3][]byte
-	bufs net.Buffers
+	joined  int           // registrations so far; Serve's accept phase ends at size
+	out     []frameWriter // per-rank socket write state
+	dynamic bool          // ServeDynamic mode: ranks come and go
+	closed  bool          // Close was called; accept-loop exit is orderly
 }
 
 // ListenHub starts a hub for a world of the given size on addr (e.g.
@@ -128,7 +115,7 @@ func ListenHub(addr string, size int) (*Hub, error) {
 	return &Hub{
 		ln: ln, size: size,
 		conns: make(map[int]net.Conn), locals: make(map[int]*localComm),
-		dead: make(map[int]bool), out: make([]outbox, size),
+		dead: make(map[int]bool), out: make([]frameWriter, size),
 	}, nil
 }
 
@@ -280,7 +267,7 @@ func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
 // frame can reach a new connection ahead of it.
 func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err error) {
 	for attempt := 0; ; attempt++ {
-		h.out[rank].Lock()
+		h.out[rank].mu.Lock()
 		h.mu.Lock()
 		_, dialed := h.conns[rank]
 		switch {
@@ -302,7 +289,7 @@ func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err
 		if err == nil && !dialed && conn != nil {
 			writeAck(conn) //nolint:errcheck // a broken conn fails its first routed read
 		}
-		h.out[rank].Unlock()
+		h.out[rank].mu.Unlock()
 		if err != nil || !dialed {
 			return revived, err
 		}
@@ -446,25 +433,8 @@ func (h *Hub) announce(rank int, revival bool) {
 		payload = []byte{1}
 	}
 	for _, t := range targets {
-		h.writeFrame(t.conn, t.rank, rank, tagControlWire, payload, nil) //nolint:errcheck // best effort
+		h.out[t.rank].write(t.conn, t.rank, rank, tagControlWire, payload, nil) //nolint:errcheck // best effort
 	}
-}
-
-// writeFrame sends one frame — the wire header, then a|b — to the
-// dialed rank `to` as a single writev under the rank's write lock.
-func (h *Hub) writeFrame(dst net.Conn, to, source int, wireTag uint32, a, b []byte) error {
-	o := &h.out[to]
-	o.Lock()
-	defer o.Unlock()
-	binary.BigEndian.PutUint32(o.wire[0:], uint32(to))
-	binary.BigEndian.PutUint32(o.wire[4:], uint32(source))
-	binary.BigEndian.PutUint32(o.wire[8:], wireTag)
-	binary.BigEndian.PutUint32(o.wire[12:], uint32(len(a)+len(b)))
-	o.segs = [3][]byte{o.wire[:], a, b}
-	o.bufs = o.segs[:]
-	_, err := o.bufs.WriteTo(dst)
-	o.segs = [3][]byte{} // the payload segments were only borrowed
-	return err
 }
 
 // fate is what deliver did with a frame.
@@ -501,7 +471,7 @@ func (h *Hub) deliver(source, to int, wireTag uint32, a, b []byte, owned bool) f
 		l.accept(source, wireTag, a)
 		return queued
 	case dst != nil:
-		if h.writeFrame(dst, to, source, wireTag, a, b) == nil {
+		if h.out[to].write(dst, to, source, wireTag, a, b) == nil {
 			return written
 		}
 		// The destination's connection broke mid-write: treat it as
@@ -520,22 +490,14 @@ func isDisconnect(err error) bool {
 	return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
 }
 
-// route forwards frames from one source connection until it disconnects.
+// route forwards frames from one source connection until it disconnects
+// or breaks the protocol. Frames are relayed as coming from the rank the
+// connection registered as, whatever their header's source field says.
 func (h *Hub) route(source int, conn net.Conn) error {
-	r := bufio.NewReaderSize(conn, 256<<10)
-	var hdr [16]byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if isDisconnect(err) {
-				return nil
-			}
-			return fmt.Errorf("mpi: hub route from %d: %w", source, err)
-		}
-		to := int(binary.BigEndian.Uint32(hdr[0:]))
-		n := int(binary.BigEndian.Uint32(hdr[12:]))
-		payload := bufpool.GetRaw(n) // fully overwritten by ReadFull; recycled unless a local rank takes it
-		if _, err := io.ReadFull(r, payload); err != nil {
-			bufpool.Put(payload)
+		to, _, wireTag, payload, err := fr.next()
+		if err != nil {
 			if isDisconnect(err) {
 				return nil
 			}
@@ -551,9 +513,8 @@ func (h *Hub) route(source int, conn net.Conn) error {
 			}
 			return fmt.Errorf("mpi: frame from %d for unknown rank %d", source, to)
 		}
-		// The header's source field is relayed as the sender wrote it.
-		from := int(binary.BigEndian.Uint32(hdr[4:]))
-		if h.deliver(from, to, binary.BigEndian.Uint32(hdr[8:]), payload, nil, true) != queued {
+		// payload is recycled unless a local rank takes it
+		if h.deliver(source, to, wireTag, payload, nil, true) != queued {
 			bufpool.Put(payload)
 		}
 	}
@@ -563,7 +524,7 @@ func (h *Hub) route(source int, conn net.Conn) error {
 type tcpComm struct {
 	Endpoint
 	conn net.Conn
-	wmu  sync.Mutex
+	out  frameWriter
 }
 
 // DialComm connects rank to the hub at addr in a world of the given
@@ -612,72 +573,40 @@ func CloseComm(c Comm) error {
 }
 
 func (c *tcpComm) reader() {
-	r := bufio.NewReaderSize(c.conn, 256<<10)
-	var hdr [16]byte
+	fr := newFrameReader(c.conn)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		_, source, wireTag, payload, err := fr.next()
+		if err != nil {
 			c.failReads(err)
 			return
 		}
-		payload := bufpool.GetRaw(int(binary.BigEndian.Uint32(hdr[12:]))) // fully overwritten by ReadFull
-		if _, err := io.ReadFull(r, payload); err != nil {
-			bufpool.Put(payload)
-			c.failReads(err)
-			return
-		}
-		c.accept(int(binary.BigEndian.Uint32(hdr[4:])), binary.BigEndian.Uint32(hdr[8:]), payload)
+		c.accept(source, wireTag, payload)
 	}
 }
 
-func (c *tcpComm) Send(to, tag int, data []byte) {
-	checkPeer(c, to)
-	checkTag(tag)
-	var hdr [16]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(to))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(c.rank))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(tag)+1)
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(data)))
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	_, err := c.conn.Write(hdr[:])
-	if err == nil && len(data) > 0 {
-		_, err = c.conn.Write(data)
-	}
-	if err != nil {
-		c.linkDown(err)
+// emit writes one frame, a|b, to the hub. A failed write drops the
+// frame, marks the link down exactly as a failed read marks it, and
+// closes the connection so a half-written frame can never be followed
+// by more bytes. The sender learns of the loss the way it learns of any
+// other — its bounded receives fail with ErrPeerLost.
+func (c *tcpComm) emit(to, tag int, a, b []byte) {
+	checkFrame(c, to, tag, len(a)+len(b))
+	if err := c.out.write(c.conn, to, c.rank, uint32(tag)+1, a, b); err != nil {
+		c.failReads(fmt.Errorf("send: %w", err))
+		c.conn.Close()
 	}
 }
 
-// linkDown handles a failed write: the frame is dropped, the link is
-// marked down exactly as a failed read marks it, and the connection is
-// closed so a half-written frame can never be followed by more bytes.
-// The sender learns of the loss the way it learns of any other — its
-// bounded receives fail with ErrPeerLost.
-func (c *tcpComm) linkDown(err error) {
-	c.failReads(fmt.Errorf("send: %w", err))
-	c.conn.Close()
-}
+func (c *tcpComm) Send(to, tag int, data []byte) { c.emit(to, tag, data, nil) }
 
-func (c *tcpComm) SendOwned(to, tag int, data []byte) { c.Send(to, tag, data) }
+func (c *tcpComm) SendOwned(to, tag int, data []byte) { c.emit(to, tag, data, nil) }
 
 // SendVec implements VectorComm: the wire header, protocol header and
 // payload go out in one writev, so the payload is read straight from
 // the caller's buffer by the kernel — no intermediate frame. The write
 // completes before SendVec returns, honoring the borrow contract.
 func (c *tcpComm) SendVec(to, tag int, hdr, payload []byte) bool {
-	checkPeer(c, to)
-	checkTag(tag)
-	var wire [16]byte
-	binary.BigEndian.PutUint32(wire[0:], uint32(to))
-	binary.BigEndian.PutUint32(wire[4:], uint32(c.rank))
-	binary.BigEndian.PutUint32(wire[8:], uint32(tag)+1)
-	binary.BigEndian.PutUint32(wire[12:], uint32(len(hdr)+len(payload)))
-	bufs := net.Buffers{wire[:], hdr, payload}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := bufs.WriteTo(c.conn); err != nil {
-		c.linkDown(err)
-	}
+	c.emit(to, tag, hdr, payload)
 	return true
 }
 

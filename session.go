@@ -31,6 +31,10 @@ var ErrDraining = core.ErrDraining
 // refused because too few client slots are free).
 var ErrBusy = core.ErrBusy
 
+// ErrSeqWindow reports a collective refused because the session has
+// used every operation sequence number the daemon gave it (see Session).
+var ErrSeqWindow = core.ErrSeqWindow
+
 // ErrDaemonUnavailable reports a Dial that exhausted its connect budget
 // without ever reaching a daemon. Match with errors.Is; the wrapped
 // chain carries the last underlying dial error.
@@ -58,7 +62,9 @@ type SessionConfig struct {
 // Session is a live attachment to a Panda service daemon: a group of
 // compute nodes with assigned ranks, running collectives through the
 // daemon's scheduler. Sessions come and go freely; the daemon, its
-// catalog, and other tenants' sessions are undisturbed.
+// catalog, and other tenants' sessions are undisturbed. A session may
+// run 8,192 collectives; the next one fails with ErrSeqWindow, at once
+// and with nothing sent, and the application Dials a new session.
 type Session struct {
 	cfg     SessionConfig
 	ccfg    core.Config
