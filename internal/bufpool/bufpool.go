@@ -11,6 +11,11 @@
 // of a pooled buffer (or a buffer that never came from the pool) cannot
 // poison a class with short capacities; it merely forfeits reuse.
 //
+// A sync.Pool stores pointers, so each class holds *[]byte boxes. The
+// boxes are recycled too: Get empties the box it took a buffer out of
+// and parks it, and Put fills a parked box instead of making one — a
+// steady-state Get/Put pair allocates nothing, not even a slice header.
+//
 // All operations are lock-free (sync.Pool plus atomic counters), so the
 // pool is safe to use from vtime simulated processes: nothing parks.
 package bufpool
@@ -41,16 +46,13 @@ var classSizes = func() []int {
 	return s
 }()
 
-// Each pool stores *[]byte so a Put costs one slice-header box rather
-// than re-boxing megabytes of payload into the interface.
-var pools = func() []*sync.Pool {
-	ps := make([]*sync.Pool, len(classSizes))
-	for i, size := range classSizes {
-		size := size
-		ps[i] = &sync.Pool{New: func() any { b := make([]byte, size); return &b }}
-	}
-	return ps
-}()
+// pools holds each class's idle buffers, boxed as *[]byte; boxes holds
+// the empty boxes of buffers currently checked out, shared by every
+// class.
+var (
+	pools = make([]sync.Pool, len(classSizes))
+	boxes = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // Counters for tests and benchmarks.
 var gets, puts, drops atomic.Int64
@@ -88,7 +90,14 @@ func GetRaw(n int) []byte {
 	if i < 0 {
 		return make([]byte, n)
 	}
-	return (*pools[i].Get().(*[]byte))[:n]
+	box, _ := pools[i].Get().(*[]byte)
+	if box == nil {
+		return make([]byte, n, classSizes[i])
+	}
+	b := *box
+	*box = nil
+	boxes.Put(box)
+	return b[:n]
 }
 
 // Get returns a zeroed buffer of length n. Use it when the caller may
@@ -112,8 +121,9 @@ func Put(b []byte) {
 		return
 	}
 	puts.Add(1)
-	s := b[:cap(b)]
-	pools[i].Put(&s)
+	box := boxes.Get().(*[]byte)
+	*box = b[:cap(b)]
+	pools[i].Put(box)
 }
 
 // Stats reports cumulative Get (both flavours), Put, and dropped-Put

@@ -79,3 +79,37 @@ func TestReuse(t *testing.T) {
 		t.Skip("sync.Pool declined to recycle; nothing to assert")
 	}
 }
+
+// TestBufpoolPutAllocatesNothing: a steady-state GetRaw/Put pair
+// allocates nothing in any class — the *[]byte box a sync.Pool needs is
+// recycled with the buffer, where it used to be made by every Put.
+func TestBufpoolPutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for _, size := range classSizes {
+		if n := testing.AllocsPerRun(100, func() { Put(GetRaw(size)) }); n != 0 {
+			t.Errorf("class %d: GetRaw+Put allocates %v per pair, want 0", size, n)
+		}
+	}
+}
+
+// TestForeignPutIsNeverParked: a sub-slice or a buffer of no class is
+// dropped by Put — counted, and never handed out by a later Get.
+func TestForeignPutIsNeverParked(t *testing.T) {
+	pooled := GetRaw(4096)
+	foreign := make([]byte, 1000)
+	_, _, droppedBefore := Stats()
+	Put(pooled[1:]) // capacity 4095
+	Put(foreign)
+	if _, _, dropped := Stats(); dropped != droppedBefore+2 {
+		t.Fatalf("dropped %d of 2 foreign Puts", dropped-droppedBefore)
+	}
+	for i := 0; i < 100; i++ {
+		b := GetRaw(1000)
+		if &b[0] == &foreign[0] || &b[0] == &pooled[1] {
+			t.Fatal("a dropped buffer came back out of the pool")
+		}
+		defer Put(b)
+	}
+}

@@ -49,8 +49,10 @@ type Client struct {
 	// Scheduler state: router demultiplexes incoming frames by op when
 	// operations overlap (submit.go).
 	router  *clientRouter
-	handles map[int]*OpHandle // outstanding submissions, application goroutine only
-	lanes   traceLanes        // their executors' trace tracks, application goroutine only
+	running map[int]*clientExecutor // outstanding submissions by seq, application goroutine only
+	lanes   traceLanes              // their executors' trace tracks, application goroutine only
+	execs   []*clientExecutor       // every executor made
+	idle    []*clientExecutor       // those with nothing to run
 }
 
 // NewClient creates the client endpoint for one compute node.
@@ -170,16 +172,38 @@ func (c *Client) countRecv(n int) {
 	c.cnt[cBytesRecv].Add(int64(n))
 }
 
+// collectiveOp is one collective operation on this client: what the call
+// was given, and what follows from it — worked out once, when the call
+// is admitted, and used by every message of the operation.
+type collectiveOp struct {
+	op     byte
+	suffix string
+	specs  []ArraySpec
+	bufs   [][]byte
+	tenant string
+	seq    int // the operation's identity on the wire (protocol.go)
+
+	chunks     []array.Region // this client's memory chunk of each array
+	chunkBytes int64          // their bytes in all
+
+	// Read progress, kept across attempts: a piece absorbed stays absorbed.
+	seen     map[pieceID]bool
+	gotBytes int64
+
+	space regionSpace // the bounds of the region in the frame in hand
+}
+
 func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]byte) error {
 	if c.cfg.Sched.enabled() {
 		// Scheduler deployments run every collective through the async
 		// submit path, so the blocking API composes with concurrent
 		// submissions from the same application.
-		h, err := c.submit(op, suffix, specs, bufs, "")
+		e, err := c.start(op, suffix, specs, bufs, "")
 		if err != nil {
 			return err
 		}
-		return h.Await()
+		_, err = c.finish(e)
+		return err
 	}
 	// The master client sends the high-level request to the master
 	// server; everyone then serves until completion. The request goes
@@ -187,49 +211,51 @@ func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]
 	// servers stay synchronized even if earlier requests were lost;
 	// all other traffic of this operation carries its sequence number
 	// in the tag.
-	seq, chunkBytes, err := c.admit(specs, bufs)
+	o, err := c.admit(op, suffix, specs, bufs, "")
 	if err != nil {
 		return err
 	}
-	return c.collectiveSeq(op, suffix, specs, bufs, seq, chunkBytes, "")
+	return c.collectiveSeq(o)
 }
 
-// admit validates a collective call's arguments and assigns it its
-// sequence number — the operation's identity on the wire (protocol.go)
-// — returning that and this client's total chunk bytes across the
-// arrays. A client whose window is spent is refused here, before
+// admit validates a collective call's arguments, works out this
+// client's chunk of every array, and assigns the call its sequence
+// number. A client whose window is spent is refused here, before
 // anything is sent: the next number is the next session's first.
-func (c *Client) admit(specs []ArraySpec, bufs [][]byte) (seq int, chunkBytes int64, err error) {
-	if err = validateSpecsN(c.cfg, c.nclients(), specs); err != nil {
-		return 0, 0, err
+func (c *Client) admit(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*collectiveOp, error) {
+	if err := validateSpecsN(c.cfg, c.nclients(), specs); err != nil {
+		return nil, err
 	}
 	if len(bufs) != len(specs) {
-		return 0, 0, fmt.Errorf("core: %d buffers for %d arrays", len(bufs), len(specs))
+		return nil, fmt.Errorf("core: %d buffers for %d arrays", len(bufs), len(specs))
 	}
+	o := &collectiveOp{op: op, suffix: suffix, specs: specs, bufs: bufs, tenant: tenant, chunks: make([]array.Region, len(specs))}
 	for i, spec := range specs {
-		want := spec.MemChunkBytes(c.Rank())
+		o.chunks[i] = spec.MemChunk(c.Rank())
+		want := o.chunks[i].NumElems() * int64(spec.ElemSize)
 		if int64(len(bufs[i])) != want {
-			return 0, 0, fmt.Errorf("core: client %d: buffer for array %s holds %d bytes, chunk needs %d",
+			return nil, fmt.Errorf("core: client %d: buffer for array %s holds %d bytes, chunk needs %d",
 				c.Rank(), spec.Name, len(bufs[i]), want)
 		}
-		chunkBytes += want
+		o.chunkBytes += want
 	}
 	if c.opSeq >= c.seqEnd {
-		return 0, 0, fmt.Errorf("core: client %d ran every collective up to sequence %d: %w", c.Rank(), c.seqEnd-1, ErrSeqWindow)
+		return nil, fmt.Errorf("core: client %d ran every collective up to sequence %d: %w", c.Rank(), c.seqEnd-1, ErrSeqWindow)
 	}
+	o.seq = c.opSeq
 	c.opSeq++
-	return c.opSeq - 1, chunkBytes, nil
+	return o, nil
 }
 
-// collectiveSeq runs one collective operation under an already-assigned
-// sequence number: the retry loop around runAttempt. On the legacy path
-// the calling goroutine is the client; under the scheduler it is a
-// per-op executor working on a routed copy of the client.
-func (c *Client) collectiveSeq(op byte, suffix string, specs []ArraySpec, bufs [][]byte, seq int, chunkBytes int64, tenant string) error {
+// collectiveSeq runs one admitted collective: the retry loop around
+// runAttempt. On the legacy path the calling goroutine is the client;
+// under the scheduler it is a per-op executor working on a routed copy
+// of the client.
+func (c *Client) collectiveSeq(o *collectiveOp) error {
 	start := c.clk.Now()
 	defer func() { atomic.StoreInt64(c.elapsedNs, int64(c.clk.Now()-start)) }()
 	if c.tr.Enabled() {
-		defer func() { c.tr.Span(obs.CatOp, opName(op), seq, start, c.clk.Now(), chunkBytes) }()
+		defer func() { c.tr.Span(obs.CatOp, opName(o.op), o.seq, start, c.clk.Now(), o.chunkBytes) }()
 	}
 
 	// The retry loop: a collective that fails with ErrTimeout or
@@ -241,10 +267,8 @@ func (c *Client) collectiveSeq(op byte, suffix string, specs []ArraySpec, bufs [
 	if c.cfg.OpTimeout > 0 && c.cfg.Retry.Max > 0 {
 		maxAttempts = c.cfg.Retry.Max + 1
 	}
-	var seen map[pieceID]bool
-	var gotBytes int64
-	if op == opRead {
-		seen = make(map[pieceID]bool)
+	if o.op == opRead {
+		o.seen = make(map[pieceID]bool)
 	}
 	var rng *rand.Rand
 	var lastErr error
@@ -255,17 +279,17 @@ func (c *Client) collectiveSeq(op byte, suffix string, specs []ArraySpec, bufs [
 				if rng == nil {
 					// Deterministic per rank and operation, so simulated
 					// retries replay exactly while real ranks desynchronize.
-					rng = rand.New(rand.NewSource(int64(c.Rank())*2654435761 + int64(seq) + 1))
+					rng = rand.New(rand.NewSource(int64(c.Rank())*2654435761 + int64(o.seq) + 1))
 				}
 				pause = time.Duration(float64(pause) * (1 + c.cfg.Retry.Jitter*(2*rng.Float64()-1)))
 			}
 			c.cnt[cRetries].Add(1)
-			c.tr.Instant(obs.CatRecover, fmt.Sprintf("retry attempt %d", attempt), seq, c.clk.Now(), 0)
+			c.tr.Instant(obs.CatRecover, fmt.Sprintf("retry attempt %d", attempt), o.seq, c.clk.Now(), 0)
 			if pause > 0 {
 				c.clk.Sleep(pause)
 			}
 		}
-		err := c.runAttempt(op, suffix, specs, bufs, seq, uint16(attempt), seen, &gotBytes, chunkBytes, tenant)
+		err := c.runAttempt(o, uint16(attempt))
 		if err == nil {
 			return nil
 		}
@@ -279,12 +303,12 @@ func (c *Client) collectiveSeq(op byte, suffix string, specs []ArraySpec, bufs [
 
 // runAttempt submits (on the master) and serves one attempt of a
 // collective operation until its Complete arrives or the attempt's
-// deadline expires. seen and gotBytes persist across attempts: pieces
-// already absorbed stay absorbed.
-func (c *Client) runAttempt(op byte, suffix string, specs []ArraySpec, bufs [][]byte, seq int, attempt uint16, seen map[pieceID]bool, gotBytes *int64, chunkBytes int64, tenant string) error {
+// deadline expires.
+func (c *Client) runAttempt(o *collectiveOp, attempt uint16) error {
+	seq := o.seq
 	deadline := clientOpDeadline(c.cfg, c.clk)
 	if c.IsMaster() {
-		req := encodeOpRequest(opRequest{Op: op, Seq: uint32(seq), Attempt: attempt, Suffix: suffix, Specs: specs, Tenant: tenant, Ranks: c.ranks})
+		req := encodeOpRequest(opRequest{Op: o.op, Seq: uint32(seq), Attempt: attempt, Suffix: o.suffix, Specs: o.specs, Tenant: o.tenant, Ranks: c.ranks})
 		c.tr.Instant(obs.CatCtl, "op request", seq, c.clk.Now(), int64(len(req)))
 		c.send(c.cfg.MasterServer(), tagControl, req)
 	}
@@ -294,13 +318,13 @@ func (c *Client) runAttempt(op byte, suffix string, specs []ArraySpec, bufs [][]
 	// twice and (b) keep waiting when a Complete overtakes in-flight
 	// data on a transport with no cross-pair ordering.
 	var wantBytes int64
-	if op == opRead {
-		wantBytes = chunkBytes
+	if o.op == opRead {
+		wantBytes = o.chunkBytes
 	}
 	completed := false
 
 	for {
-		if completed && *gotBytes >= wantBytes {
+		if completed && o.gotBytes >= wantBytes {
 			return nil
 		}
 		var w0 time.Duration
@@ -322,30 +346,30 @@ func (c *Client) runAttempt(op byte, suffix string, specs []ArraySpec, bufs [][]
 		r := rbuf{b: m.Data}
 		switch t := r.u8(); t {
 		case msgSubReq:
-			q, err := decodeSubReq(&r)
+			q, err := decodeSubReq(&r, &o.space)
 			if err != nil {
 				return err
 			}
-			if err := c.serveRequest(seq, specs, bufs, m.Source, q); err != nil {
+			if err := c.serveRequest(o, m.Source, q); err != nil {
 				return err
 			}
 			bufpool.Put(m.Data) // the request is fully decoded; recycle the frame
 		case msgSubData:
-			d, err := decodeSubData(&r)
+			d, err := decodeSubData(&r, &o.space)
 			if err != nil {
 				return err
 			}
 			key := pieceKey(d.ArrayIdx, d.Region)
-			if seen != nil && seen[key] {
+			if o.seen != nil && o.seen[key] {
 				bufpool.Put(m.Data)
 				continue // duplicate delivery of a piece already absorbed
 			}
-			if err := c.absorbData(seq, specs, bufs, d); err != nil {
+			if err := c.absorbData(o, d); err != nil {
 				return err
 			}
-			if seen != nil {
-				seen[key] = true
-				*gotBytes += int64(len(d.Payload))
+			if o.seen != nil {
+				o.seen[key] = true
+				o.gotBytes += int64(len(d.Payload))
 			}
 			bufpool.Put(m.Data) // payload copied into the user buffer; recycle the frame
 		case msgComplete:
@@ -428,12 +452,11 @@ func pieceKey(arrayIdx int, reg array.Region) pieceID {
 // natural chunking the region is contiguous in the local buffer and the
 // extraction is free; otherwise the strided gather is charged as
 // reorganization.
-func (c *Client) serveRequest(seq int, specs []ArraySpec, bufs [][]byte, server int, q subReq) error {
-	if q.ArrayIdx < 0 || q.ArrayIdx >= len(specs) {
-		return fmt.Errorf("core: client %d: request for array %d of %d", c.Rank(), q.ArrayIdx, len(specs))
+func (c *Client) serveRequest(o *collectiveOp, server int, q subReq) error {
+	if q.ArrayIdx < 0 || q.ArrayIdx >= len(o.specs) {
+		return fmt.Errorf("core: client %d: request for array %d of %d", c.Rank(), q.ArrayIdx, len(o.specs))
 	}
-	spec := specs[q.ArrayIdx]
-	chunk := spec.MemChunk(c.Rank())
+	seq, spec, chunk, buf := o.seq, o.specs[q.ArrayIdx], o.chunks[q.ArrayIdx], o.bufs[q.ArrayIdx]
 	if !chunk.Contains(q.Region) {
 		return fmt.Errorf("core: client %d: request %v outside chunk %v", c.Rank(), q.Region, chunk)
 	}
@@ -450,10 +473,10 @@ func (c *Client) serveRequest(seq int, specs []ArraySpec, bufs [][]byte, server 
 		// scatter-gather transports.
 		start := off * int64(spec.ElemSize)
 		c.chargeContig(n)
-		c.sendVec(server, tagToServer(seq), encodeSubDataHeader(d, 0), bufs[q.ArrayIdx][start:start+n])
+		c.sendVec(server, tagToServer(seq), encodeSubDataHeader(d, 0), buf[start:start+n])
 	} else {
 		pk0 := c.met.packStart()
-		frame := packedFrame(d, bufs[q.ArrayIdx], chunk, spec.ElemSize)
+		frame := packedFrame(d, buf, chunk, spec.ElemSize)
 		c.met.packDone(pk0)
 		c.chargeReorg(seq, n)
 		c.cnt[cFramesCoalesced].Add(1)
@@ -467,12 +490,11 @@ func (c *Client) serveRequest(seq int, specs []ArraySpec, bufs [][]byte, server 
 
 // absorbData deposits one received piece into the local chunk during a
 // read.
-func (c *Client) absorbData(seq int, specs []ArraySpec, bufs [][]byte, d subData) error {
-	if d.ArrayIdx < 0 || d.ArrayIdx >= len(specs) {
-		return fmt.Errorf("core: client %d: data for array %d of %d", c.Rank(), d.ArrayIdx, len(specs))
+func (c *Client) absorbData(o *collectiveOp, d subData) error {
+	if d.ArrayIdx < 0 || d.ArrayIdx >= len(o.specs) {
+		return fmt.Errorf("core: client %d: data for array %d of %d", c.Rank(), d.ArrayIdx, len(o.specs))
 	}
-	spec := specs[d.ArrayIdx]
-	chunk := spec.MemChunk(c.Rank())
+	spec, chunk := o.specs[d.ArrayIdx], o.chunks[d.ArrayIdx]
 	if !chunk.Contains(d.Region) {
 		return fmt.Errorf("core: client %d: data %v outside chunk %v", c.Rank(), d.Region, chunk)
 	}
@@ -482,12 +504,12 @@ func (c *Client) absorbData(seq int, specs []ArraySpec, bufs [][]byte, d subData
 	}
 	_, contig := array.ContiguousIn(chunk, d.Region)
 	pk0 := c.met.packStart()
-	array.CopyRegion(bufs[d.ArrayIdx], chunk, d.Payload, d.Region, d.Region, spec.ElemSize)
+	array.CopyRegion(o.bufs[d.ArrayIdx], chunk, d.Payload, d.Region, d.Region, spec.ElemSize)
 	c.met.packDone(pk0)
 	if contig {
 		c.chargeContig(want)
 	} else {
-		c.chargeReorg(seq, want)
+		c.chargeReorg(o.seq, want)
 	}
 	return nil
 }

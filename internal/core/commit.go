@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"panda/internal/bufpool"
 	"panda/internal/mpi"
 	"panda/internal/obs"
 	"panda/internal/storage"
@@ -286,7 +287,9 @@ func (s *Server) masterCommit(req opRequest, prepared []preparedArray, ownErr er
 		// mid-pull or waiting for the commit decision. This rebroadcast
 		// doubles as the membership-epoch announcement, so it rides the
 		// same tree as every other control broadcast.
-		s.broadcastVerdict(next.Deads, encodeOpRequest(next))
+		raw := encodeOpRequest(next)
+		s.broadcastVerdict(next.Deads, raw)
+		bufpool.Put(raw) // relayed by copy
 		return &replanError{req: next}
 	}
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"panda/internal/bufpool"
@@ -67,6 +68,15 @@ type diskReply struct {
 
 type diskSched struct {
 	box *queue.Q[diskReq]
+
+	// The activity's batch scratch, kept from batch to batch so a
+	// steady-state batch allocates nothing: the drained requests, the
+	// files the batch writes (in first-write order) with each one's
+	// writes, and the requests served after the writes.
+	batch []diskReq
+	files []storage.File
+	runs  [][]diskReq // runs[i] holds files[i]'s writes
+	rest  []diskReq
 }
 
 // newDiskSched starts the storage activity for one server node.
@@ -77,8 +87,10 @@ func newDiskSched(s *Server) *diskSched {
 		dd := storage.RebindClock(s.disk, clk)
 		for {
 			first, _ := d.box.Pop(clk, nil, nil, 0) // unbounded: cannot time out
-			batch := append([]diskReq{first}, d.box.Drain()...)
-			if !s.runDiskBatch(dd, clk, tr, batch) {
+			d.batch = d.box.Drain(append(d.batch[:0], first))
+			alive := s.runDiskBatch(d, dd, clk, tr)
+			clear(d.batch) // served: the scratch must not pin buffers or files
+			if !alive {
 				return
 			}
 		}
@@ -89,38 +101,45 @@ func newDiskSched(s *Server) *diskSched {
 // stop shuts the activity down after it finishes the current batch.
 func (d *diskSched) stop() { d.box.Put(diskReq{kind: dStop}) }
 
-// runDiskBatch executes one drained batch in three phases: opens (they
-// gate movers starting work), writes (grouped by file, sorted by
+// runDiskBatch executes the drained batch d.batch in three phases: opens
+// (they gate movers starting work), writes (grouped by file, sorted by
 // offset), then reads/syncs/closes in arrival order. A sink's
 // Sync/Close is always issued after its writes' replies, so it lands in
 // a later batch than the writes it follows. Returns false when the
 // batch contained dStop.
-func (s *Server) runDiskBatch(dd storage.Disk, clk clock.Clock, tr obs.Track, batch []diskReq) bool {
+func (s *Server) runDiskBatch(d *diskSched, dd storage.Disk, clk clock.Clock, tr obs.Track) bool {
 	alive := true
-	var files []storage.File
-	writes := make(map[storage.File][]diskReq)
-	var rest []diskReq
-	for _, req := range batch {
+	d.files, d.rest = d.files[:0], d.rest[:0]
+	for _, req := range d.batch {
 		switch req.kind {
 		case dCreate, dOpen:
 			s.serveDiskReq(dd, clk, tr, req)
 		case dWrite:
-			if len(writes[req.f]) == 0 {
-				files = append(files, req.f)
+			i := slices.Index(d.files, req.f)
+			if i < 0 {
+				i = len(d.files)
+				d.files = append(d.files, req.f)
+				if i == len(d.runs) {
+					d.runs = append(d.runs, nil)
+				}
+				d.runs[i] = d.runs[i][:0]
 			}
-			writes[req.f] = append(writes[req.f], req)
+			d.runs[i] = append(d.runs[i], req)
 		case dStop:
 			alive = false
 		default:
-			rest = append(rest, req)
+			d.rest = append(d.rest, req)
 		}
 	}
-	for _, f := range files {
-		s.flushWrites(f, writes[f], len(files) > 1, clk, tr)
+	for i, f := range d.files {
+		s.flushWrites(f, d.runs[i], len(d.files) > 1, clk, tr)
+		clear(d.runs[i])
 	}
-	for _, req := range rest {
+	for _, req := range d.rest {
 		s.serveDiskReq(dd, clk, tr, req)
 	}
+	clear(d.files)
+	clear(d.rest)
 	return alive
 }
 
@@ -151,7 +170,7 @@ func (s *Server) serveDiskReq(dd storage.Disk, clk clock.Clock, tr obs.Track, re
 // flushWrites issues one file's writes from a batch in offset order,
 // merging adjacent runs into single WriteAt calls when merge is set.
 func (s *Server) flushWrites(f storage.File, reqs []diskReq, merge bool, clk clock.Clock, tr obs.Track) {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].off < reqs[j].off })
+	slices.SortStableFunc(reqs, func(a, b diskReq) int { return cmp.Compare(a.off, b.off) })
 	for i := 0; i < len(reqs); {
 		// Extend the run while the next write starts exactly where this
 		// one ends and the merged buffer stays under mergeCap.
@@ -211,8 +230,14 @@ type stagePort struct {
 	stall   int64
 }
 
+// newStagePort opens the mover's port. A mover has one port open at a
+// time and a port is drained before it closes, so every port of a mover
+// uses the same reply mailbox.
 func (s *Server) newStagePort() stagePort {
-	return stagePort{ds: s.dsched, clk: s.clk, tr: s.tr, depth: s.met.queueDepth, seq: s.opSeq, replies: queue.New[diskReply](s.clk)}
+	if s.replies == nil {
+		s.replies = queue.New[diskReply](s.clk)
+	}
+	return stagePort{ds: s.dsched, clk: s.clk, tr: s.tr, depth: s.met.queueDepth, seq: s.opSeq, replies: s.replies}
 }
 
 func (p *stagePort) submit(req diskReq) {

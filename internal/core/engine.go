@@ -90,6 +90,9 @@ func (s *Server) mergeStage(diskNanos, stallNanos int64) {
 // storageTrack resolves the disk-stage trace track for this server:
 // same Chrome process as the mover, its own thread.
 func (s *Server) storageTrack() obs.Track {
+	if s.cfg.Trace == nil {
+		return obs.Track{} // every sink and source asks: spare them the name
+	}
 	return s.cfg.Trace.Track(fmt.Sprintf("server%d/storage", s.index))
 }
 

@@ -52,7 +52,7 @@ func FuzzDecodeSubData(f *testing.F) {
 		}
 		r := rbuf{b: data}
 		r.u8()
-		_, _ = decodeSubData(&r)
+		_, _ = decodeSubData(&r, nil)
 	})
 }
 
@@ -67,7 +67,7 @@ func FuzzDecodeSubReq(f *testing.F) {
 		}
 		r := rbuf{b: data}
 		r.u8()
-		_, _ = decodeSubReq(&r)
+		_, _ = decodeSubReq(&r, nil)
 	})
 }
 

@@ -108,10 +108,10 @@ func TestSeqWindowRefusedBeforeTheWire(t *testing.T) {
 	fixed := NewClient(Config{NumClients: 1, NumServers: 1}, mpi.NewWorld(2).Comm(0), clk)
 	fixed.opSeq = maxSeq
 	one := []ArraySpec{schedSpec("f", 1)}
-	if seq, _, err := fixed.admit(one, makeBufs(fixed, one, true)); err != nil || seq != maxSeq {
-		t.Fatalf("admit at maxSeq = (%d, %v)", seq, err)
+	if o, err := fixed.admit(opWrite, "", one, makeBufs(fixed, one, true), ""); err != nil || o.seq != maxSeq {
+		t.Fatalf("admit at maxSeq = (%+v, %v)", o, err)
 	}
-	if _, _, err := fixed.admit(one, makeBufs(fixed, one, true)); !errors.Is(err, ErrSeqWindow) {
+	if _, err := fixed.admit(opWrite, "", one, makeBufs(fixed, one, true), ""); !errors.Is(err, ErrSeqWindow) {
 		t.Fatalf("admit past maxSeq: %v, want ErrSeqWindow", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestClientRouterFrameIsolation(t *testing.T) {
 	if got := c.Stats().FramesRejected; got != 4 {
 		t.Errorf("FramesRejected = %d, want 4 (finished op, two wrong families, bogus tag)", got)
 	}
-	got := live.Drain()
+	got := live.Drain(nil)
 	if len(got) != 1 || got[0].Tag != tagToClient(5) {
 		t.Errorf("op 5's queue holds %v, want exactly its own frame", got)
 	}
@@ -162,7 +162,7 @@ func TestClientRouterFrameIsolation(t *testing.T) {
 	}
 	late := queue.New[mpi.Message](clk)
 	r.register(7, late)
-	if replayed := late.Drain(); len(replayed) != 1 || replayed[0].Tag != tagToClient(7) || len(r.stash) != 0 {
+	if replayed := late.Drain(nil); len(replayed) != 1 || replayed[0].Tag != tagToClient(7) || len(r.stash) != 0 {
 		t.Errorf("register(7) replayed %v, stash left %v", replayed, r.stash)
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+
 	"panda/internal/array"
+	"panda/internal/bufpool"
 	"panda/internal/storage"
 )
 
@@ -97,35 +100,72 @@ func assignChunksAlive(disk array.Schema, elemSize, numServers, s int, dead map[
 // chunkJobsFromManifest rebuilds the chunk list a committed file
 // actually contains from its manifest — which may differ from the
 // schema-derived assignment when the epoch was written degraded (this
-// file then carries chunks adopted from dead servers).
-func chunkJobsFromManifest(disk array.Schema, m *storage.Manifest) []chunkJob {
+// file then carries chunks adopted from dead servers). The list comes
+// off the disk, so it is checked against the spec before anything is
+// planned from it: every index names a chunk of the disk schema, every
+// entry is as long as that chunk, and the entries lie in file order
+// without overlap inside TotalBytes. A list that fails is ErrCorrupt —
+// the read fails, typed, and the files stay for pandafsck.
+func chunkJobsFromManifest(spec ArraySpec, m *storage.Manifest) ([]chunkJob, error) {
 	jobs := make([]chunkJob, 0, len(m.Chunks))
+	end := int64(0)
 	for _, c := range m.Chunks {
-		jobs = append(jobs, chunkJob{ChunkIdx: c.ChunkIdx, Region: disk.Chunk(c.ChunkIdx), FileOffset: c.Offset})
+		if c.ChunkIdx < 0 || c.ChunkIdx >= spec.Disk.NumChunks() {
+			return nil, fmt.Errorf("manifest lists chunk %d of %d: %w", c.ChunkIdx, spec.Disk.NumChunks(), ErrCorrupt)
+		}
+		reg := spec.Disk.Chunk(c.ChunkIdx)
+		if want := reg.NumElems() * int64(spec.ElemSize); c.Bytes != want {
+			return nil, fmt.Errorf("manifest gives chunk %d %d bytes, the schema %d: %w", c.ChunkIdx, c.Bytes, want, ErrCorrupt)
+		}
+		if c.Offset < end || c.Offset+c.Bytes > m.TotalBytes {
+			return nil, fmt.Errorf("manifest puts chunk %d at [%d, %d) of %d bytes, after one ending at %d: %w",
+				c.ChunkIdx, c.Offset, c.Offset+c.Bytes, m.TotalBytes, end, ErrCorrupt)
+		}
+		end = c.Offset + c.Bytes
+		jobs = append(jobs, chunkJob{ChunkIdx: c.ChunkIdx, Region: reg, FileOffset: c.Offset})
 	}
-	return jobs
+	return jobs, nil
+}
+
+// sameChunkList reports whether a manifest lists exactly the chunk jobs
+// — same chunks, same order, same offsets and lengths, planned bytes in
+// all — so that a plan derived from the jobs is the plan for the file.
+func sameChunkList(m *storage.Manifest, jobs []chunkJob, elemSize int, planned int64) bool {
+	if len(m.Chunks) != len(jobs) || m.TotalBytes != planned {
+		return false
+	}
+	for i, c := range m.Chunks {
+		job := jobs[i]
+		if c.ChunkIdx != job.ChunkIdx || c.Offset != job.FileOffset || c.Bytes != job.Region.NumElems()*int64(elemSize) {
+			return false
+		}
+	}
+	return true
 }
 
 // specFingerprint hashes the parts of a spec that determine the layout
 // of the server files: element size and the disk schema. A manifest
 // records it so a reader with a different schema cannot misinterpret
 // the chunk list.
-func specFingerprint(a ArraySpec) uint32 {
-	var w wbuf
-	w.u32(uint32(a.ElemSize))
-	w.schema(a.Disk)
-	return storage.CRC32C(w.b)
-}
+func specFingerprint(a ArraySpec) uint32 { return fingerprint(a, false) }
 
 // planFingerprint extends specFingerprint with the memory schema: a
 // sub-chunk plan depends on where the clients hold the data (the piece
 // lists), not just on the file layout, so the plan cache keys on both.
-func planFingerprint(a ArraySpec) uint32 {
-	var w wbuf
+func planFingerprint(a ArraySpec) uint32 { return fingerprint(a, true) }
+
+// fingerprint encodes into a pooled buffer: every operation takes a
+// fingerprint per array, and the checksum's argument escapes.
+func fingerprint(a ArraySpec, withMem bool) uint32 {
+	w := wbuf{b: bufpool.GetRaw(256)[:0]}
 	w.u32(uint32(a.ElemSize))
 	w.schema(a.Disk)
-	w.schema(a.Mem)
-	return storage.CRC32C(w.b)
+	if withMem {
+		w.schema(a.Mem)
+	}
+	sum := storage.CRC32C(w.b)
+	bufpool.Put(w.b)
+	return sum
 }
 
 // serverFileBytes is the total size of the file array a stores on

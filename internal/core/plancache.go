@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"panda/internal/storage"
+)
 
 // planKey identifies one array's schema-derived plan on this server.
 // Everything the plan depends on is in the key: the schemas and element
@@ -32,9 +36,10 @@ const planCacheSize = 64
 // planCache is one node's memo of schema-derived plans. Each entry holds
 // one array's chunk assignment and sub-chunk schedule, so an iterating
 // workload — a Timestep loop writing the same arrays every step — plans
-// once. Executors of concurrent operations share it, hence the mutex.
-// Manifest-derived read plans never enter it (they depend on file
-// contents, not schemas).
+// once, for both directions: a read of a file whose manifest lists
+// exactly the schema-derived assignment uses the entry its write made
+// (planForManifest). Executors of concurrent operations share it, hence
+// the mutex.
 type planCache struct {
 	mu sync.Mutex
 	// epoch is the membership epoch of the newest request seen; when it
@@ -93,15 +98,44 @@ func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob,
 	}
 	jobs := assignChunksAlive(spec.Disk, spec.ElemSize, s.cfg.NumServers, s.index, dead)
 	subs := s.orderPlan(planSubchunks(ai, spec, jobs, spec.subchunkBytes(s.cfg)))
-	var planned int64
-	for _, sj := range subs {
-		planned += sj.Bytes
-	}
+	planned := planBytes(subs)
 	if cacheable {
 		s.cnt[cPlanMisses].Add(1)
 		s.plans.put(key, planEntry{jobs: jobs, subs: subs, bytes: planned})
 	}
 	return jobs, subs, planned
+}
+
+// planForManifest resolves the plan for reading the committed file
+// manifest m describes. A file written by a full house holds exactly
+// the chunks planFor(ai, spec, nil) assigns this server — buildManifest
+// wrote the list from those very jobs — so when the list equals the
+// assignment the read is served from the write's cache entry: an
+// iterating checkpoint/restart loop plans once for both directions. A
+// list that differs — a degraded epoch, whose file carries chunks
+// adopted from dead servers, or a file written under another deployment
+// shape — is validated against the schema and planned from the list,
+// uncached: it describes one file's contents, not the schemas.
+func (s *Server) planForManifest(ai int, spec ArraySpec, m *storage.Manifest) ([]subchunkJob, int64, error) {
+	if !m.Degraded {
+		if jobs, subs, planned := s.planFor(ai, spec, nil); sameChunkList(m, jobs, spec.ElemSize, planned) {
+			return subs, planned, nil
+		}
+	}
+	jobs, err := chunkJobsFromManifest(spec, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	subs := s.orderPlan(planSubchunks(ai, spec, jobs, spec.subchunkBytes(s.cfg)))
+	return subs, planBytes(subs), nil
+}
+
+// planBytes is the payload a plan moves.
+func planBytes(subs []subchunkJob) (n int64) {
+	for _, sj := range subs {
+		n += sj.Bytes
+	}
+	return n
 }
 
 // planKeyFor builds the cache key for one array, reporting false when

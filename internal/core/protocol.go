@@ -243,12 +243,23 @@ func (w *wbuf) region(reg array.Region) {
 	}
 }
 
-func (r *rbuf) region() array.Region {
+// regionSpace is the scratch a caller hands region for the bounds of
+// regions of up to eight dimensions; a longer one is allocated.
+type regionSpace [16]int
+
+// region decodes a region whose bounds live in space, which the caller
+// owns: the region is good until space is decoded into again. Region
+// decode is on the per-piece hot path, and every piece is consumed
+// before the next frame is looked at.
+func (r *rbuf) region(space *regionSpace) array.Region {
 	rank := int(r.u8())
-	// One backing array for both bounds: region decode is on the
-	// per-piece hot path, so halving its allocations matters.
-	lohi := make([]int, 2*rank)
-	lo, hi := lohi[:rank:rank], lohi[rank:]
+	var lohi []int
+	if space != nil && 2*rank <= len(space) {
+		lohi = space[:]
+	} else {
+		lohi = make([]int, 2*rank)
+	}
+	lo, hi := lohi[:rank:rank], lohi[rank:2*rank:2*rank]
 	for d := 0; d < rank; d++ {
 		lo[d] = int(r.u32())
 		hi[d] = int(r.u32())
@@ -339,7 +350,9 @@ type opRequest struct {
 }
 
 func encodeOpRequest(req opRequest) []byte {
-	var w wbuf
+	// A pooled buffer, recycled by whoever decodes the frame. One array's
+	// request is ~110 bytes; a longer one outgrows the buffer.
+	w := wbuf{b: bufpool.GetRaw(256)[:0]}
 	w.u8(msgOpRequest)
 	w.u8(req.Op)
 	w.u32(req.Seq)
@@ -443,8 +456,10 @@ type subReq struct {
 	Region   array.Region // already intersected with the client's chunk
 }
 
+// encodeSubReq builds a pull request in a pooled buffer, which the
+// client recycles once it has decoded it.
 func encodeSubReq(q subReq) []byte {
-	var w wbuf
+	w := wbuf{b: bufpool.GetRaw(8 + 8*q.Region.Rank())[:0]}
 	w.u8(msgSubReq)
 	w.u16(uint16(q.ArrayIdx))
 	w.u32(q.ReqID)
@@ -452,11 +467,13 @@ func encodeSubReq(q subReq) []byte {
 	return w.b
 }
 
-func decodeSubReq(r *rbuf) (subReq, error) {
+// decodeSubReq decodes a pull request; its region lives in space (see
+// rbuf.region).
+func decodeSubReq(r *rbuf, space *regionSpace) (subReq, error) {
 	var q subReq
 	q.ArrayIdx = int(r.u16())
 	q.ReqID = r.u32()
-	q.Region = r.region()
+	q.Region = r.region(space)
 	return q, r.err
 }
 
@@ -505,11 +522,13 @@ func packedFrame(d subData, src []byte, srcR array.Region, elemSize int) []byte 
 	return frame
 }
 
-func decodeSubData(r *rbuf) (subData, error) {
+// decodeSubData decodes a data frame's header; its region lives in
+// space (see rbuf.region) and its payload is a view of the frame.
+func decodeSubData(r *rbuf, space *regionSpace) (subData, error) {
 	var d subData
 	d.ArrayIdx = int(r.u16())
 	d.ReqID = r.u32()
-	d.Region = r.region()
+	d.Region = r.region(space)
 	d.Payload = r.rest()
 	return d, r.err
 }
@@ -518,7 +537,7 @@ func decodeSubData(r *rbuf) (subData, error) {
 // which operation finished, and whether the failure it hit is fatal to
 // the whole server (a crashed storage stack) rather than to the op.
 func encodeSchedDone(seq uint32, fatal bool) []byte {
-	var w wbuf
+	w := wbuf{b: bufpool.GetRaw(6)[:0]} // the router recycles it
 	w.u8(msgSchedDone)
 	w.u32(seq)
 	f := byte(0)
@@ -551,15 +570,15 @@ type statusFrame struct {
 // classifies the outcome so typed errors survive the wire, then the
 // human-readable detail.
 func encodeStatus(typ byte, attempt, round uint16, opErr error) []byte {
-	var w wbuf
-	w.u8(typ)
-	w.u16(attempt)
-	w.u16(round)
-	w.u8(statusCode(opErr))
 	msg := ""
 	if opErr != nil {
 		msg = opErr.Error()
 	}
+	w := wbuf{b: make([]byte, 0, 8+len(msg))}
+	w.u8(typ)
+	w.u16(attempt)
+	w.u16(round)
+	w.u8(statusCode(opErr))
 	w.str(msg)
 	return w.b
 }

@@ -56,7 +56,7 @@ func TestSubReqRoundTrip(t *testing.T) {
 	if typ := r.u8(); typ != msgSubReq {
 		t.Fatalf("type = %d", typ)
 	}
-	got, err := decodeSubReq(&r)
+	got, err := decodeSubReq(&r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSubDataRoundTrip(t *testing.T) {
 	if typ := r.u8(); typ != msgSubData {
 		t.Fatalf("type = %d", typ)
 	}
-	got, err := decodeSubData(&r)
+	got, err := decodeSubData(&r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,12 @@ func TestRegionEncodingProperty(t *testing.T) {
 		)
 		var w wbuf
 		w.region(reg)
-		r := rbuf{b: w.b}
-		return r.region().Equal(reg) && r.err == nil
+		// Decoded into space the caller owns, and into none.
+		var space regionSpace
+		r, r2 := rbuf{b: w.b}, rbuf{b: w.b}
+		got := r.region(&space)
+		return got.Equal(reg) && &got.Lo[0] == &space[0] && r.err == nil &&
+			r2.region(nil).Equal(reg) && r2.err == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"sort"
 
@@ -34,9 +35,12 @@ import (
 //	executors — one per in-flight op: a shallow copy of the Server
 //	            running the unchanged single-op protocol (handleOp) on
 //	            its own concurrent activity, against a routedComm whose
-//	            receives come from the op's mailbox. Each op counts into
-//	            a private block chained to the node totals (counters.go),
-//	            so per-op attribution is exact.
+//	            receives come from the op's mailbox. An executor outlives
+//	            its operation — the router keeps the idle ones and makes
+//	            another only when concurrency exceeds them all — so a
+//	            dispatch allocates nothing. Each op counts into a private
+//	            block chained to the node totals (counters.go), so per-op
+//	            attribution is exact.
 //	disk      — executors route bulk data through the shared diskSched
 //	            (disksched.go), which batches and merges adjacent
 //	            requests across ops.
@@ -55,11 +59,10 @@ type schedOp struct {
 	req    opRequest
 	tenant string
 	cost   int64    // payload bytes, the DRR currency
-	keys   []string // conflict keys: one per array file set
+	keys   []uint64 // conflict keys: one per array file set
 	stash  []mpi.Message
-	box    *queue.Q[mpi.Message]
-	ex     *Server
-	lane   int // the trace lane ex records on, held from start to retire
+	ex     *executor // running it, from start to retire
+	lane   int       // the trace lane ex records on, held as long
 }
 
 // reqCost prices an operation for the DRR dispatcher: the total payload
@@ -75,17 +78,24 @@ func reqCost(req opRequest) int64 {
 	return n
 }
 
-// conflictKeys lists the file sets an operation touches. Two ops
-// sharing a key are serialized by the dispatcher: concurrent collectives
-// on the same array have no defined order, and overlapping epoch
-// resolution would corrupt the commit protocol.
-func conflictKeys(req opRequest) []string {
-	keys := make([]string, 0, len(req.Specs))
+// conflictKeys appends to keys the file sets an operation touches, each
+// as a hash of the name its files start with (array name, then suffix).
+// Two ops sharing a key are serialized by the dispatcher: concurrent
+// collectives on the same array have no defined order, and overlapping
+// epoch resolution would corrupt the commit protocol. (Two file sets
+// whose hashes collide are serialized too — once in 2^64, harmlessly.)
+func conflictKeys(keys []uint64, req opRequest) []uint64 {
 	for _, spec := range req.Specs {
-		keys = append(keys, spec.Name+req.Suffix)
+		var h maphash.Hash
+		h.SetSeed(conflictSeed)
+		h.WriteString(spec.Name)
+		h.WriteString(req.Suffix)
+		keys = append(keys, h.Sum64())
 	}
 	return keys
 }
+
+var conflictSeed = maphash.MakeSeed()
 
 // schedCore is the admission queue + deficit-round-robin dispatcher,
 // kept free of any I/O so the fairness property tests can drive it
@@ -99,7 +109,7 @@ type schedCore struct {
 	known    map[string]bool
 	queues   map[string][]*schedOp
 	deficit  map[string]int64
-	busy     map[string]int // conflict key -> in-flight ops holding it
+	busy     map[uint64]int // conflict key -> in-flight ops holding it
 	queued   int
 	inflight int
 	rr       int // rotation point of the visit order
@@ -112,7 +122,7 @@ func newSchedCore(cfg *SchedConfig) *schedCore {
 		known:   make(map[string]bool),
 		queues:  make(map[string][]*schedOp),
 		deficit: make(map[string]int64),
-		busy:    make(map[string]int),
+		busy:    make(map[uint64]int),
 	}
 	if cfg.Seed != 0 {
 		sc.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -182,13 +192,16 @@ func (sc *schedCore) next() *schedOp {
 				continue
 			}
 			if sc.deficit[t] >= head.cost {
+				q[0] = nil
 				sc.queues[t] = q[1:]
 				sc.queued--
 				sc.deficit[t] -= head.cost
-				if len(sc.queues[t]) == 0 {
+				if len(q) == 1 {
 					// Classic DRR: an idle tenant keeps no credit, so a
-					// returning tenant cannot burst past its share.
+					// returning tenant cannot burst past its share. (And
+					// its queue keeps its array.)
 					sc.deficit[t] = 0
+					sc.queues[t] = q[:0]
 				}
 				sc.inflight++
 				for _, k := range head.keys {
@@ -248,6 +261,22 @@ type schedRouter struct {
 	inflight int
 	draining bool
 	fatal    error
+
+	// What an operation needs and a later one can use again: retired
+	// schedOps, every executor made, and the ones with nothing to run.
+	freeOps []*schedOp
+	execs   []*executor
+	idle    []*executor
+}
+
+// executor is one of a node's operation executors: the activity a
+// dispatched operation runs on, with what it needs that outlives the
+// operation — the Server it runs as, the queue dispatches arrive on and
+// the mailbox the router fills for the operation in hand.
+type executor struct {
+	srv  Server
+	jobs *queue.Q[*schedOp] // nil stops the activity
+	box  *queue.Q[mpi.Message]
 }
 
 // serveSched is the scheduler-mode Serve loop.
@@ -262,6 +291,7 @@ func (s *Server) serveSched() error {
 	}
 	s.dsched = newDiskSched(s)
 	defer s.dsched.stop()
+	defer r.stopExecutors()
 
 	for {
 		if r.fatal != nil && r.inflight == 0 {
@@ -351,8 +381,8 @@ func (r *schedRouter) route(m mpi.Message) {
 		}
 		op, live := r.ops[seq]
 		switch {
-		case live && op.box != nil:
-			op.box.Put(m)
+		case live && op.ex != nil:
+			op.ex.box.Put(m)
 		case live:
 			op.stash = append(op.stash, m) // admitted, not yet dispatched
 		default:
@@ -394,23 +424,19 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 		bufpool.Put(m.Data)
 		return
 	}
-	op := &schedOp{
-		seq:    seq,
-		raw:    m.Data,
-		req:    req,
-		tenant: req.Tenant,
-		cost:   reqCost(req),
-		keys:   conflictKeys(req),
-	}
+	op := r.newOp()
+	op.seq, op.raw, op.req, op.tenant = seq, m.Data, req, req.Tenant
 	if r.core == nil {
 		r.ops[seq] = op
 		r.start(op)
 		return
 	}
+	op.cost, op.keys = reqCost(req), conflictKeys(op.keys, req)
 	if !r.core.admit(op) {
 		s.node[cSchedBusy].Add(1)
 		s.comm.Send(req.leader(s.cfg), tagToClient(seq), encodeStatus(msgComplete, req.Attempt, req.Round, ErrBusy))
 		bufpool.Put(op.raw)
+		r.recycleOp(op)
 		return
 	}
 	r.ops[seq] = op
@@ -530,47 +556,100 @@ func (r *schedRouter) dispatch() {
 	r.s.met.schedQueue.Set(int64(r.core.queued))
 }
 
-// start spawns the executor for one dispatched operation: a shallow
-// Server copy with its own clock and trace lane, a rebound disk for
-// metadata, and a routedComm fed by the op mailbox.
+// newOp returns a blank schedOp, a retired one when there is one.
+func (r *schedRouter) newOp() *schedOp {
+	if n := len(r.freeOps); n > 0 {
+		op := r.freeOps[n-1]
+		r.freeOps = r.freeOps[:n-1]
+		return op
+	}
+	return new(schedOp)
+}
+
+// recycleOp takes back an operation nothing refers to any more (its
+// stash went to the mailbox, or never held anything).
+func (r *schedRouter) recycleOp(op *schedOp) {
+	*op = schedOp{keys: op.keys[:0], stash: op.stash[:0]}
+	r.freeOps = append(r.freeOps, op)
+}
+
+// start hands one dispatched operation to an executor: a shallow Server
+// copy on its own activity, with its own clock and trace lane, a rebound
+// disk for metadata, and a routedComm fed by the op mailbox.
 func (r *schedRouter) start(op *schedOp) {
 	s := r.s
 	r.stampMembership(op)
 	if s.cfg.OpStart != nil {
 		s.cfg.OpStart(s.index, op.seq, op.tenant, opName(op.req.Op))
 	}
-	op.box = queue.New[mpi.Message](s.clk)
-	for _, sm := range op.stash {
-		op.box.Put(sm)
+	e := r.idleExecutor()
+	for _, m := range e.box.Drain(nil) {
+		bufpool.Put(m.Data) // outlived the mailbox's last operation: nobody's
 	}
-	op.stash = nil
+	for _, sm := range op.stash {
+		e.box.Put(sm)
+	}
+	clear(op.stash)
+	op.stash = op.stash[:0]
+	op.ex = e
 	r.inflight++
 	s.met.schedInflight.Set(int64(r.inflight))
 
 	// The executor is the node itself with the per-operation fields
 	// overridden: whatever the node shares (counters, metrics, storage
 	// stage, plan cache) reaches it without being listed here. s.cfg is
-	// copied with it — the snapshot applyReconfig relies on. comm, disk
-	// and clk are rebound below, on the executor's own activity.
-	ex := new(Server)
-	*ex = *s
-	ex.tenant = op.tenant
-	op.lane, ex.tr = r.lanes.take(s.cfg.Trace, "server", s.index)
-	op.ex = ex
-	seq := op.seq
-	s.clk.Go(fmt.Sprintf("server%d-op%d", s.index, seq), func(clk clock.Clock) {
+	// copied with it — the snapshot applyReconfig relies on. The
+	// activity puts its own clock, transport and disk in when it takes
+	// the operation.
+	e.srv = *s
+	e.srv.tenant = op.tenant
+	op.lane, e.srv.tr = r.lanes.take(s.cfg.Trace, "server", s.index)
+	e.jobs.Put(op)
+}
+
+// idleExecutor returns an executor with nothing to run, starting one
+// more activity when every one made so far is busy.
+func (r *schedRouter) idleExecutor() *executor {
+	if n := len(r.idle); n > 0 {
+		e := r.idle[n-1]
+		r.idle = r.idle[:n-1]
+		return e
+	}
+	s := r.s
+	e := &executor{jobs: queue.New[*schedOp](s.clk), box: queue.New[mpi.Message](s.clk)}
+	r.execs = append(r.execs, e)
+	s.clk.Go(fmt.Sprintf("server%d-exec%d", s.index, len(r.execs)-1), func(clk clock.Clock) {
+		// The activity's own views of what the node shares: sends on
+		// its clock and receives from the mailbox, metadata I/O
+		// (manifests, decision records, renames) on its clock — bulk
+		// data goes through dsched, whose replies come back here.
 		under := mpi.RebindComm(s.comm, clk)
-		ex.clk = clk
-		ex.comm = newRoutedComm(under, op.box, clk)
-		// Metadata I/O (manifests, decision records, renames) runs on
-		// the executor's own clock; bulk data goes through dsched.
-		ex.disk = storage.RebindClock(s.disk, clk)
-		ex.acceptReq(op.req)
-		ferr := ex.handleOp(op.raw, op.req)
-		bufpool.Put(op.raw)
-		// Loopback completion: the router's single wait retires the op.
-		under.Send(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(seq), ferr != nil))
+		comm := newRoutedComm(under, e.box, clk)
+		disk := storage.RebindClock(s.disk, clk)
+		replies := queue.New[diskReply](clk)
+		for {
+			op, _ := e.jobs.Pop(clk, nil, nil, 0) // unbounded: cannot time out
+			if op == nil {
+				return
+			}
+			ex := &e.srv
+			ex.clk, ex.comm, ex.disk, ex.replies = clk, comm, disk, replies
+			ex.acceptReq(op.req)
+			ferr := ex.handleOp(op.raw, op.req)
+			bufpool.Put(op.raw)
+			// Loopback completion: the router's single wait retires the op.
+			under.SendOwned(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(op.seq), ferr != nil))
+		}
 	})
+	return e
+}
+
+// stopExecutors ends every executor's activity, each once it has
+// finished what it is running.
+func (r *schedRouter) stopExecutors() {
+	for _, e := range r.execs {
+		e.jobs.Put(nil)
+	}
 }
 
 // retire folds a finished executor back into the node: release its
@@ -591,6 +670,7 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 	}
 	r.done[seq] = true
 	r.lanes.free(op.lane)
+	r.idle = append(r.idle, op.ex)
 	r.inflight--
 	s := r.s
 	s.met.schedInflight.Set(int64(r.inflight))
@@ -600,7 +680,7 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 			label = "default"
 		}
 		s.cfg.Metrics.Counter("tenant_ops_" + label).Add(1)
-		s.cfg.Metrics.Counter("tenant_bytes_" + label).Add(op.ex.opBytes)
+		s.cfg.Metrics.Counter("tenant_bytes_" + label).Add(op.ex.srv.opBytes)
 	}
 	if r.core != nil {
 		r.core.complete(op)
@@ -608,6 +688,7 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 			s.cfg.Members.opRetired(op.req.MemberEpoch)
 		}
 	}
+	r.recycleOp(op)
 	if fatal && r.fatal == nil {
 		r.fatal = fmt.Errorf("fatal failure in operation %d", seq)
 	}

@@ -32,6 +32,11 @@ func schedCfg(clients, servers, inflight int) Config {
 	}
 }
 
+// keyOf is the conflict key of the file set named name.
+func keyOf(name string) []uint64 {
+	return conflictKeys(nil, opRequest{Specs: []ArraySpec{{Name: name}}})
+}
+
 // schedSpec builds one block-distributed 2D array spec named name.
 func schedSpec(name string, clients int) ArraySpec {
 	mesh := []int{clients, 1}
@@ -241,7 +246,7 @@ func TestSchedFairnessConvergesToWeights(t *testing.T) {
 						seq:    nextName,
 						tenant: tn,
 						cost:   cost,
-						keys:   []string{fmt.Sprintf("%s-a%d", tn, nextName)},
+						keys:   keyOf(fmt.Sprintf("%s-a%d", tn, nextName)),
 					}
 					nextName++
 					if !sc.admit(op) {
@@ -779,7 +784,7 @@ func TestSingleFileBatchNotMerged(t *testing.T) {
 func TestSchedCoreConflictBlocksOnlyThatTenant(t *testing.T) {
 	sc := newSchedCore(&SchedConfig{MaxInflight: 4, QueueDepth: 16})
 	mk := func(seq int, tenant, key string) *schedOp {
-		return &schedOp{seq: seq, tenant: tenant, cost: 100, keys: []string{key}}
+		return &schedOp{seq: seq, tenant: tenant, cost: 100, keys: keyOf(key)}
 	}
 	if !sc.admit(mk(0, "a", "shared")) || !sc.admit(mk(1, "a", "shared")) || !sc.admit(mk(2, "b", "other")) {
 		t.Fatal("admission refused")
@@ -807,7 +812,7 @@ func TestSchedCoreConflictBlocksOnlyThatTenant(t *testing.T) {
 // must not copy the ring.
 func TestSchedCoreDispatchCostIndependentOfCreditRounds(t *testing.T) {
 	sc := newSchedCore(&SchedConfig{MaxInflight: 1, Quantum: 1 << 20})
-	op := &schedOp{tenant: "a", cost: 16 << 20, keys: []string{"k"}}
+	op := &schedOp{tenant: "a", cost: 16 << 20, keys: keyOf("k")}
 	allocs := testing.AllocsPerRun(100, func() {
 		if !sc.admit(op) || sc.next() != op {
 			t.Fatal("lone op not dispatched")

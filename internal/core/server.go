@@ -10,6 +10,7 @@ import (
 	"panda/internal/clock"
 	"panda/internal/mpi"
 	"panda/internal/obs"
+	"panda/internal/queue"
 	"panda/internal/storage"
 )
 
@@ -42,6 +43,10 @@ type Server struct {
 	// executor under the scheduler, started by the legacy Serve loop when
 	// the overlap knobs ask for one, nil otherwise.
 	dsched *diskSched
+	// replies is where dsched answers this mover (one stagePort open at
+	// a time, see disksched.go): an executor's own, made on first use by
+	// a legacy loop that has a stage.
+	replies *queue.Q[diskReply]
 
 	// ranks is the submitting session's membership (world rank per mem
 	// chunk), adopted from the request; nil for fixed-shape deployments
@@ -348,9 +353,7 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 		if s.cfg.StartupOverhead > 0 {
 			s.clk.Sleep(s.cfg.StartupOverhead)
 		}
-		if s.stampLost(&req) {
-			raw = encodeOpRequest(req)
-		}
+		restamped := s.stampLost(&req)
 		if !s.cfg.PlainWrites {
 			if err := s.resolveEpochs(&req); err != nil {
 				// No other server has seen the request: the operation ends
@@ -358,7 +361,11 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 				complete(req.Attempt, req.Round, err)
 				return nil
 			}
+			restamped = true
+		}
+		if restamped {
 			raw = encodeOpRequest(req)
+			defer bufpool.Put(raw) // forwarded by copy
 		}
 	}
 	// Relay the request down the control tree before executing, so the
@@ -461,24 +468,23 @@ func (s *Server) planArray(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJo
 	return jobs, subs
 }
 
-// planManifest derives a read plan from a manifest's chunk list —
-// never cached: the list reflects what the committed file actually
-// contains, not what the schemas imply.
-func (s *Server) planManifest(ai int, spec ArraySpec, jobs []chunkJob) []subchunkJob {
+// planManifest resolves the plan for reading the file manifest m
+// describes (planForManifest), charging the plan span and the
+// operation's byte account as planArray does.
+func (s *Server) planManifest(ai int, spec ArraySpec, m *storage.Manifest) ([]subchunkJob, error) {
 	var p0 time.Duration
 	if s.tr.Enabled() {
 		p0 = s.clk.Now()
 	}
-	subs := s.orderPlan(planSubchunks(ai, spec, jobs, spec.subchunkBytes(s.cfg)))
-	var planned int64
-	for _, sj := range subs {
-		planned += sj.Bytes
+	subs, planned, err := s.planForManifest(ai, spec, m)
+	if err != nil {
+		return nil, err
 	}
 	s.opBytes += planned
 	if s.tr.Enabled() {
 		s.tr.Span(obs.CatPlan, "plan "+spec.Name, s.opSeq, p0, s.clk.Now(), planned)
 	}
-	return subs
+	return subs, nil
 }
 
 // plainWriteArray is the pre-manifest write path (Config.PlainWrites):
@@ -530,7 +536,9 @@ func (s *Server) readResolved(req opRequest, ai int, spec ArraySpec, deadline ti
 				s.tr.Span(obs.CatRecover, "verify "+name, s.opSeq, v0, s.clk.Now(), m.TotalBytes)
 			}
 		}
-		subs = s.planManifest(ai, spec, chunkJobsFromManifest(spec.Disk, m))
+		if subs, err = s.planManifest(ai, spec, m); err != nil {
+			return fmt.Errorf("manifest of %s: %w", name, err)
+		}
 	} else {
 		_, subs = s.planArray(ai, spec, nil)
 		want = serverFileBytes(spec, s.cfg.NumServers, s.index)
@@ -538,18 +546,37 @@ func (s *Server) readResolved(req opRequest, ai int, spec ArraySpec, deadline ti
 	return s.readArray(spec, name, subs, deadline, want)
 }
 
-// pending is a sub-chunk being assembled from client pieces. got
-// records which pieces have arrived so duplicate deliveries (a faulty
-// transport, or a retried pull whose original reply was merely slow)
-// are deposited exactly once.
+// pending is one slot of the pull window: a sub-chunk being assembled
+// from client pieces. got has a bit per entry of job.Pieces, set when
+// that piece is deposited, so duplicate deliveries (a faulty transport,
+// or a retried pull whose original reply was merely slow) are deposited
+// exactly once.
 type pending struct {
+	id        uint32 // the request ID its pulls carry
 	job       subchunkJob
 	buf       []byte
 	recycle   []byte // pooled slice backing buf: buf itself (assembled) or the adopted wire frame
 	remaining int
-	got       map[pieceID]bool
+	got       []uint64
+	hint      int           // where find starts: replies tend to arrive in request order
 	start     time.Duration // when the first request went out (tracing/metrics only)
 }
+
+// find returns the index in job.Pieces of the piece covering exactly
+// reg, or -1.
+func (p *pending) find(reg array.Region) int {
+	n := len(p.job.Pieces)
+	for k := 0; k < n; k++ {
+		if i := (p.hint + k) % n; p.job.Pieces[i].Region.Equal(reg) {
+			p.hint = i + 1
+			return i
+		}
+	}
+	return -1
+}
+
+func (p *pending) has(i int) bool { return p.got[i/64]&(1<<(i%64)) != 0 }
+func (p *pending) mark(i int)     { p.got[i/64] |= 1 << (i % 64) }
 
 // writeArray gathers this server's sub-chunks of one array from the
 // clients and writes them with strictly sequential file writes. Up to
@@ -587,15 +614,20 @@ func (s *Server) writeArray(spec ArraySpec, name string, subs []subchunkJob, dea
 // sink strictly in plan order. mb, when non-nil, collects each retired
 // sub-chunk's extent and CRC32C for the epoch manifest.
 func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, sink writeSink, mb *manifestBuilder) error {
+	// The window is a ring of slots made once per array: sub-chunk k
+	// (in plan order) is pulled under request ID first+k into slot
+	// k%window, so subs[written:next] are in flight, the oldest first.
 	window := s.cfg.pipeline()
-	inflight := make(map[uint32]*pending, window)
-	// In-flight request IDs in plan order, a fixed ring so a long
-	// operation never pins retired IDs live (at most window are in
-	// flight at once).
-	ring := make([]uint32, window)
-	head, live := 0, 0
+	words := 1
+	for _, sj := range subs {
+		words = max(words, (len(sj.Pieces)+63)/64)
+	}
+	slots, bits := make([]pending, window), make([]uint64, window*words)
+	first := s.nextReqID + 1
+	s.nextReqID += uint32(len(subs))
 	next, written := 0, 0
 	measured := s.tr.Enabled() || s.met.subLatency != nil
+	var space regionSpace
 
 	quiet := time.Duration(0)
 	if deadline > 0 {
@@ -604,20 +636,18 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 	retriesLeft := s.cfg.PullRetries
 
 	for written < len(subs) {
-		for next < len(subs) && live < window {
+		for next < len(subs) && next-written < window {
+			k := next % window
 			sj := subs[next]
+			pend := &slots[k]
+			*pend = pending{id: first + uint32(next), job: sj, remaining: len(sj.Pieces), got: bits[k*words : (k+1)*words]}
+			clear(pend.got)
 			next++
-			s.nextReqID++
-			id := s.nextReqID
-			pend := &pending{job: sj, remaining: len(sj.Pieces), got: make(map[pieceID]bool, len(sj.Pieces))}
 			if measured {
 				pend.start = s.clk.Now()
 			}
-			inflight[id] = pend
-			ring[(head+live)%window] = id
-			live++
 			for _, pc := range sj.Pieces {
-				s.pull(sj.ArrayIdx, id, pc)
+				s.pull(sj.ArrayIdx, pend.id, pc)
 			}
 		}
 
@@ -627,11 +657,12 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 				// Quiet period expired with budget to spare: re-request
 				// every piece not yet received.
 				retriesLeft--
-				for id, pend := range inflight {
-					for _, pc := range pend.job.Pieces {
-						if !pend.got[pieceKey(pend.job.ArrayIdx, pc.Region)] {
+				for k := written; k < next; k++ {
+					pend := &slots[k%window]
+					for i, pc := range pend.job.Pieces {
+						if !pend.has(i) {
 							s.cnt[cRetries].Add(1)
-							s.pull(pend.job.ArrayIdx, id, pc)
+							s.pull(pend.job.ArrayIdx, pend.id, pc)
 						}
 					}
 				}
@@ -651,22 +682,23 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 		r := rbuf{b: m.Data}
 		switch t := r.u8(); t {
 		case msgSubData:
-			d, derr := decodeSubData(&r)
+			d, derr := decodeSubData(&r, &space)
 			if derr != nil {
 				return derr
 			}
-			pend, ok := inflight[d.ReqID]
-			if !ok {
+			k := int(d.ReqID - first)
+			if k < written || k >= next {
 				bufpool.Put(m.Data)
 				continue // reply for a retired sub-chunk: stale duplicate
 			}
-			key := pieceKey(pend.job.ArrayIdx, d.Region)
-			if pend.got[key] {
+			pend := &slots[k%window]
+			i := pend.find(d.Region)
+			if i < 0 {
+				return fmt.Errorf("piece %v is no piece of sub-chunk %v", d.Region, pend.job.Region)
+			}
+			if pend.has(i) {
 				bufpool.Put(m.Data)
 				continue // duplicate delivery of a piece already deposited
-			}
-			if !pend.job.Region.Contains(d.Region) {
-				return fmt.Errorf("piece %v outside sub-chunk %v", d.Region, pend.job.Region)
 			}
 			if want := d.Region.NumElems() * int64(spec.ElemSize); int64(len(d.Payload)) != want {
 				return fmt.Errorf("piece %v carries %d bytes, want %d", d.Region, len(d.Payload), want)
@@ -676,16 +708,15 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			} else {
 				bufpool.Put(m.Data) // payload copied out; recycle the frame
 			}
-			pend.got[key] = true
+			pend.mark(i)
 			pend.remaining--
 		default:
 			return fmt.Errorf("expected sub-chunk data, got message type %d", t)
 		}
 
 		// Retire completed sub-chunks strictly in plan order.
-		for live > 0 && inflight[ring[head]].remaining == 0 {
-			id := ring[head]
-			pend := inflight[id]
+		for written < next && slots[written%window].remaining == 0 {
+			pend := &slots[written%window]
 			if measured {
 				end := s.clk.Now()
 				s.tr.Span(obs.CatNet, "pull sub-chunk", s.opSeq, pend.start, end, pend.job.Bytes)
@@ -697,9 +728,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if werr := sink.write(pend.buf, pend.job.FileOffset, pend.recycle); werr != nil {
 				return werr
 			}
-			delete(inflight, id)
-			head = (head + 1) % window
-			live--
+			pend.buf, pend.recycle = nil, nil // the sink's now
 			written++
 			if written == 1 {
 				if cerr := s.crashPoint("pull"); cerr != nil {

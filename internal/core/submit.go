@@ -19,15 +19,29 @@ import (
 // (collectiveSeq) against a routedComm. A per-client router owns the
 // real receive and routes each tagToClient frame to the op it belongs
 // to by the sequence number carried in the tag, mirroring the server
-// router in sched.go.
+// router in sched.go. As there, an executor outlives its operation: the
+// client keeps the idle ones, so a steady-state submission allocates
+// only the handle the application is given.
 
 // OpHandle is an in-flight asynchronous collective.
 type OpHandle struct {
 	c       *Client
 	seq     int
-	lane    int // the trace lane the executor records on, freed by Await
-	res     *queue.Q[opResult]
+	ex      *clientExecutor // running it, until Await
 	elapsed time.Duration
+}
+
+// clientExecutor is one of a client's operation executors: the activity
+// a submitted collective runs on, with what it needs that outlives the
+// collective — the Client it runs as, the queue submissions arrive on,
+// the mailbox the router fills and the one the result comes back on.
+type clientExecutor struct {
+	cl   Client
+	jobs *queue.Q[*collectiveOp] // nil stops the activity
+	box  *queue.Q[mpi.Message]
+	res  *queue.Q[opResult]
+	seq  int // of the collective in hand
+	lane int // the trace lane it records on, held from start to finish
 }
 
 type opResult struct {
@@ -42,14 +56,10 @@ func (h *OpHandle) Seq() int { return h.seq }
 // Await blocks until the operation completes and returns its error.
 // Await must be called exactly once, from the application goroutine.
 func (h *OpHandle) Await() error {
-	r, perr := h.res.Pop(h.c.clk, nil, nil, 0)
-	if perr != nil {
-		return fmt.Errorf("core: operation %d abandoned: %w", h.seq, perr)
-	}
-	delete(h.c.handles, h.seq)
-	h.c.lanes.free(h.lane)
-	h.elapsed = r.elapsed
-	return r.err
+	var err error
+	h.elapsed, err = h.c.finish(h.ex)
+	h.ex = nil
+	return err
 }
 
 // Elapsed is the operation's client-perceived latency — submission to
@@ -71,55 +81,103 @@ func (c *Client) SubmitRead(tenant, suffix string, specs []ArraySpec, bufs [][]b
 }
 
 func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*OpHandle, error) {
+	e, err := c.start(op, suffix, specs, bufs, tenant)
+	if err != nil {
+		return nil, err
+	}
+	return &OpHandle{c: c, seq: e.seq, ex: e}, nil
+}
+
+// start admits one collective and hands it to an executor; finish waits
+// for it. Both run on the application goroutine, which owns opSeq,
+// running, idle and lanes.
+func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*clientExecutor, error) {
 	if !c.cfg.Sched.enabled() {
 		return nil, errors.New("core: Submit requires Config.Sched.MaxInflight > 0")
 	}
 	if tenant == "" {
 		tenant = c.tenant
 	}
-	seq, chunkBytes, err := c.admit(specs, bufs)
+	o, err := c.admit(op, suffix, specs, bufs, tenant)
 	if err != nil {
 		return nil, err
 	}
 	if c.router == nil {
 		c.startRouter()
 	}
-	h := &OpHandle{c: c, seq: seq, res: queue.New[opResult](c.clk)}
-	if c.handles == nil {
-		c.handles = make(map[int]*OpHandle)
+	e := c.idleExecutor()
+	e.seq = o.seq
+	if c.running == nil {
+		c.running = make(map[int]*clientExecutor)
 	}
-	c.handles[seq] = h
-	box := queue.New[mpi.Message](c.clk)
-	c.router.register(seq, box)
+	c.running[o.seq] = e
+	for _, m := range e.box.Drain(nil) {
+		bufpool.Put(m.Data) // outlived the mailbox's last collective: nobody's
+	}
+	c.router.register(o.seq, e.box)
 
 	// The executor is this client with the per-operation fields
-	// overridden — copied here, on the submitting goroutine, which owns
-	// opSeq, handles and lanes. comm and clk are rebound on its own activity.
-	ec := new(Client)
-	*ec = *c
-	ec.router, ec.handles, ec.lanes = nil, nil, traceLanes{}
-	h.lane, ec.tr = c.lanes.take(c.cfg.Trace, "client", c.Rank())
-	c.clk.Go(fmt.Sprintf("client%d-op%d", c.Rank(), seq), func(clk clock.Clock) {
-		under := mpi.RebindComm(c.comm, clk)
-		ec.comm = newRoutedComm(under, box, clk)
-		ec.clk = clk
-		t0 := clk.Now()
-		operr := ec.collectiveSeq(op, suffix, specs, bufs, seq, chunkBytes, tenant)
-		// Unregister before completing: late frames for this op must be
-		// rejected, not stashed forever.
-		under.Send(c.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(seq), false))
-		h.res.Put(opResult{err: operr, elapsed: clk.Now() - t0})
-	})
-	return h, nil
+	// overridden; its activity puts its own clock and transport in when
+	// it takes the collective.
+	e.cl = *c
+	e.cl.router, e.cl.running, e.cl.execs, e.cl.idle, e.cl.lanes = nil, nil, nil, nil, traceLanes{}
+	e.lane, e.cl.tr = c.lanes.take(c.cfg.Trace, "client", c.Rank())
+	e.jobs.Put(o)
+	return e, nil
 }
 
-// drainHandles awaits every handle the application abandoned, so the
-// shutdown handshake never races an op still on the wire.
+func (c *Client) finish(e *clientExecutor) (time.Duration, error) {
+	r, perr := e.res.Pop(c.clk, nil, nil, 0)
+	if perr != nil {
+		return 0, fmt.Errorf("core: operation %d abandoned: %w", e.seq, perr)
+	}
+	delete(c.running, e.seq)
+	c.lanes.free(e.lane)
+	c.idle = append(c.idle, e)
+	return r.elapsed, r.err
+}
+
+// idleExecutor returns an executor with nothing to run, starting one
+// more activity when every one made so far is busy.
+func (c *Client) idleExecutor() *clientExecutor {
+	if n := len(c.idle); n > 0 {
+		e := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return e
+	}
+	e := &clientExecutor{
+		jobs: queue.New[*collectiveOp](c.clk),
+		box:  queue.New[mpi.Message](c.clk),
+		res:  queue.New[opResult](c.clk),
+	}
+	c.execs = append(c.execs, e)
+	node := c.comm
+	c.clk.Go(fmt.Sprintf("client%d-exec%d", c.Rank(), len(c.execs)-1), func(clk clock.Clock) {
+		under := mpi.RebindComm(node, clk)
+		comm := newRoutedComm(under, e.box, clk)
+		for {
+			o, _ := e.jobs.Pop(clk, nil, nil, 0) // unbounded: cannot time out
+			if o == nil {
+				return
+			}
+			e.cl.comm, e.cl.clk = comm, clk
+			t0 := clk.Now()
+			operr := e.cl.collectiveSeq(o)
+			// Unregister before completing: late frames for this op must be
+			// rejected, not stashed forever.
+			under.SendOwned(node.Rank(), tagSchedDone, encodeSchedDone(uint32(o.seq), false))
+			e.res.Put(opResult{err: operr, elapsed: clk.Now() - t0})
+		}
+	})
+	return e
+}
+
+// drainHandles awaits every collective the application abandoned, so
+// the shutdown handshake never races an op still on the wire.
 func (c *Client) drainHandles() {
-	for len(c.handles) > 0 {
-		for seq, h := range c.handles {
-			_ = h.Await()
-			delete(c.handles, seq) // Await deletes; belt and braces
+	for len(c.running) > 0 {
+		for _, e := range c.running {
+			c.finish(e) //nolint:errcheck // abandoned: nobody is left to tell
 			break
 		}
 	}
@@ -135,6 +193,7 @@ type clientRouter struct {
 
 	boxes map[int]*queue.Q[mpi.Message]
 	stash map[int][]mpi.Message // frames for submitted-elsewhere, not-yet-registered ops
+	spare [][]mpi.Message       // replayed stashes, emptied, for the next op that needs one
 	done  map[int]bool
 
 	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices
@@ -158,7 +217,8 @@ func (c *Client) startRouter() {
 }
 
 // stopRouter tells the router to exit via a loopback frame and joins
-// it, returning receive ownership of the communicator to the caller.
+// it, returning receive ownership of the communicator to the caller,
+// and ends the executors' activities.
 func (c *Client) stopRouter() {
 	if c.router == nil {
 		return
@@ -166,6 +226,10 @@ func (c *Client) stopRouter() {
 	c.comm.Send(c.comm.Rank(), tagRouterStop, nil)
 	c.router.exited.Pop(c.clk, nil, nil, 0)
 	c.router = nil
+	for _, e := range c.execs {
+		e.jobs.Put(nil)
+	}
+	c.execs, c.idle = nil, nil
 }
 
 // register binds seq's mailbox and replays any frames that raced ahead
@@ -175,10 +239,14 @@ func (r *clientRouter) register(seq int, box *queue.Q[mpi.Message]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.boxes[seq] = box
-	for _, m := range r.stash[seq] {
-		box.Put(m)
+	if st, ok := r.stash[seq]; ok {
+		for _, m := range st {
+			box.Put(m)
+		}
+		delete(r.stash, seq)
+		clear(st)
+		r.spare = append(r.spare, st[:0])
 	}
-	delete(r.stash, seq)
 }
 
 func (r *clientRouter) unregister(seq int) {
@@ -222,7 +290,11 @@ func (r *clientRouter) run(comm mpi.Comm) {
 				r.mu.Unlock()
 				r.c.rejectFrame(m.Data)
 			} else {
-				r.stash[seq] = append(r.stash[seq], m)
+				st, ok := r.stash[seq]
+				if n := len(r.spare); !ok && n > 0 {
+					st, r.spare = r.spare[n-1], r.spare[:n-1]
+				}
+				r.stash[seq] = append(st, m)
 				r.mu.Unlock()
 			}
 		}

@@ -357,6 +357,24 @@ func TestStatsSnapshotDuringOperation(t *testing.T) {
 
 // --- failure counters over the TCP hub transport ------------------------
 
+// lagComm holds every outgoing sub-chunk data frame back for lag: a
+// network on which pulling a sub-chunk takes a known minimum.
+type lagComm struct {
+	mpi.Comm
+	lag time.Duration
+}
+
+func (c *lagComm) SendOwned(to, tag int, data []byte) {
+	if len(data) > 0 && data[0] == msgSubData {
+		time.Sleep(c.lag)
+	}
+	c.Comm.SendOwned(to, tag, data)
+}
+
+func (c *lagComm) RecvTimeout(from, tag int, timeout time.Duration) (mpi.Message, error) {
+	return c.Comm.(mpi.DeadlineComm).RecvTimeout(from, tag, timeout)
+}
+
 // dropComm drops outgoing sub-chunk data frames: the first `first` per
 // source client when healAfter is positive, or all of them forever when
 // healAfter is zero. Everything else passes through.
@@ -548,7 +566,7 @@ func TestTimeoutsAndAbortsSurfaceOverTCP(t *testing.T) {
 // that found the window full stalls.
 func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 32 << 10, Pipeline: 2, Metrics: obs.NewRegistry()}
-	specs := []ArraySpec{mustSpec1D(t, "ovl", 512<<10, cfg.NumClients, cfg.NumServers)}
+	specs := []ArraySpec{mustSpec1D(t, "ovl", 256<<10, cfg.NumClients, cfg.NumServers)}
 
 	depth := cfg.Metrics.Histogram("stage_queue_depth", obs.DepthBounds)
 	queueFull := func() {
@@ -566,7 +584,17 @@ func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	errs, stats := runOverTCP(t, cfg, nil, func(cl *Client) error {
+	// The clients' data frames leave 5 ms late, so the two sub-chunks
+	// pulled behind the held WriteAt are 10 ms of disk time overlapped:
+	// the per-array sum (disk time less every stall, hand-off latencies
+	// included) stays positive on a host that hiccups for a millisecond.
+	slowNet := func(rank int, c mpi.Comm) mpi.Comm {
+		if rank < cfg.NumClients {
+			return &lagComm{Comm: c, lag: 5 * time.Millisecond}
+		}
+		return c
+	}
+	errs, stats := runOverTCP(t, cfg, slowNet, func(cl *Client) error {
 		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
 	}, func(int) storage.Disk {
 		return &slowDisk{Disk: storage.NewMemDisk(), first: queueFull}

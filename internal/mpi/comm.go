@@ -63,7 +63,11 @@ type Comm interface {
 	Send(to, tag int, data []byte)
 	// SendOwned is Send but transfers ownership of data to the
 	// communicator: the caller must not touch data afterwards. It
-	// avoids a copy for freshly allocated buffers.
+	// avoids a copy for freshly allocated buffers. data must be a whole
+	// buffer nobody else references — not a view of a larger one, not a
+	// buffer the caller keeps a second slice of: the receiver hands it
+	// to bufpool.Put, which adopts any slice whose capacity is a class
+	// size and will give it out again.
 	SendOwned(to, tag int, data []byte)
 	// Isend starts a send and returns immediately; the buffer is
 	// owned by the communicator until Wait returns.

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"panda/internal/bufpool"
 )
@@ -201,6 +202,73 @@ func TestWriterZeroAlloc(t *testing.T) {
 	}
 	conn.Close()
 	<-drained
+}
+
+// socketReader hands out a byte stream the way a socket does — at most
+// chunk bytes a call — and records every call's destination.
+type socketReader struct {
+	data  []byte
+	chunk int
+	calls int
+	dsts  [][]byte // dsts[i] is the part of call i's buffer that was filled
+}
+
+func (s *socketReader) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), s.chunk)], s.data)
+	s.data = s.data[n:]
+	s.calls++
+	s.dsts = append(s.dsts, p[:n])
+	return n, nil
+}
+
+// TestReaderCopiesPayloadOnce: a large payload is read from the
+// connection straight into the pooled buffer it is returned in — all of
+// it but what the header's fill brought along — while small frames still
+// share read calls through the buffered reader.
+func TestReaderCopiesPayloadOnce(t *testing.T) {
+	const n = 1 << 20
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	src := &socketReader{data: append(rawHeader(1, 0, 6, n), body...), chunk: 64 << 10}
+	_, _, _, payload, err := newFrameReader(src).next()
+	if err != nil || !bytes.Equal(payload, body) {
+		t.Fatalf("1 MiB frame: %d bytes, %v", len(payload), err)
+	}
+	direct := 0
+	lo, hi := uintptr(unsafe.Pointer(&payload[0])), uintptr(unsafe.Pointer(&payload[n-1]))
+	for _, dst := range src.dsts {
+		if p := uintptr(unsafe.Pointer(&dst[0])); p >= lo && p <= hi {
+			direct += len(dst)
+		}
+	}
+	if direct < n*99/100 {
+		t.Errorf("%d of %d payload bytes were read into the returned buffer, want >= 99%%", direct, n)
+	}
+	bufpool.Put(payload)
+
+	const frames = 200
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		stream = append(stream, rawHeader(1, 0, 6, 64)...)
+		stream = append(stream, body[i:i+64]...)
+	}
+	src = &socketReader{data: stream, chunk: 64 << 10}
+	fr := newFrameReader(src)
+	for i := 0; i < frames; i++ {
+		_, _, _, payload, err := fr.next()
+		if err != nil || !bytes.Equal(payload, body[i:i+64]) {
+			t.Fatalf("small frame %d: %d bytes, %v", i, len(payload), err)
+		}
+		bufpool.Put(payload)
+	}
+	if src.calls >= frames {
+		t.Errorf("%d small frames cost %d read calls, want fewer than one each", frames, src.calls)
+	}
 }
 
 // FuzzReadFrame feeds the one frame reader arbitrary bytes: it never

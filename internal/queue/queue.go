@@ -117,7 +117,10 @@ func (q *Q[T]) Pop(clk clock.Clock, match func(T) bool, check func() error, time
 	for {
 		for i, v := range q.items {
 			if match == nil || match(v) {
-				q.items = append(q.items[:i], q.items[i+1:]...)
+				last := len(q.items) - 1
+				copy(q.items[i:], q.items[i+1:])
+				q.items[last] = zero // the array outlives the element
+				q.items = q.items[:last]
 				return v, nil
 			}
 		}
@@ -175,13 +178,18 @@ func (q *Q[T]) now(p *vtime.Proc) time.Duration {
 	return time.Since(q.origin)
 }
 
-// Drain removes and returns everything queued, without blocking.
-func (q *Q[T]) Drain() []T {
+// Drain removes everything queued, without blocking, and returns it
+// appended to dst. The queue keeps its backing array — emptied, so it
+// pins nothing — and a consumer that passes the same dst[:0] every time
+// keeps its own: a Put/Drain cycle allocates nothing once both have
+// grown to the largest batch.
+func (q *Q[T]) Drain(dst []T) []T {
 	if q.sim == nil {
 		q.mu.Lock()
 		defer q.mu.Unlock()
 	}
-	out := q.items
-	q.items = nil
-	return out
+	dst = append(dst, q.items...)
+	clear(q.items)
+	q.items = q.items[:0]
+	return dst
 }

@@ -80,10 +80,10 @@ func TestBoundedWaitExpiresAtDeadlineAndLeavesQueueIntact(t *testing.T) {
 		if waited < timeout || (virtual(clk) && waited != timeout) {
 			t.Fatalf("waited %v for a %v bound", waited, timeout)
 		}
-		if got, want := q.Drain(), []int{1, 3, 5}; !reflect.DeepEqual(got, want) {
+		if got, want := q.Drain(nil), []int{1, 3, 5}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("queue after the timeout holds %v, want %v", got, want)
 		}
-		if got := q.Drain(); len(got) != 0 {
+		if got := q.Drain(nil); len(got) != 0 {
 			t.Fatalf("second drain returned %v", got)
 		}
 	})
@@ -192,7 +192,7 @@ func TestSecondBlockedConsumerPanics(t *testing.T) {
 		if err != nil || winner == loser {
 			t.Fatalf("after %q panicked: %q returned, err %v", loser, winner, err)
 		}
-		if extra := panicked.Drain(); len(extra) != 0 {
+		if extra := panicked.Drain(nil); len(extra) != 0 {
 			t.Fatalf("both consumers panicked")
 		}
 	})

@@ -3,6 +3,7 @@ package panda
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -438,6 +439,104 @@ func TestSchemaFileAndAssemble(t *testing.T) {
 func TestLoadSchemaErrors(t *testing.T) {
 	if _, err := LoadSchema(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing schema accepted")
+	}
+}
+
+// TestManifestChunkListFailsTyped corrupts the chunk list of a committed
+// manifest three ways — an index outside the disk schema, a length that
+// is not the chunk's, an offset past the file — and restarts over each.
+// The list is checked against the schema before anything is planned
+// from it, so every Restart fails as ErrCorrupt on every node with the
+// disks untouched, and the servers go on to serve the repaired epoch.
+// (At the parent commit the first case panicked in Schema.Chunk under
+// Server.Serve and took the process down.)
+func TestManifestChunkListFailsTyped(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewArray("state", []int{64, 16}, 8,
+		NewLayout("mem", []int{2}), []Distribution{BLOCK, NONE},
+		NewLayout("disk", []int{2}), []Distribution{BLOCK, NONE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup("ckpt")
+	g.Include(a)
+	cluster, err := NewCluster(Config{ComputeNodes: 2, IONodes: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptions := []struct {
+		what string
+		edit func(m *storage.Manifest)
+	}{
+		{"chunk index out of range", func(m *storage.Manifest) { m.Chunks[0].ChunkIdx = 9999 }},
+		{"wrong chunk length", func(m *storage.Manifest) { m.Chunks[0].Bytes += 8 }},
+		{"offset past the file", func(m *storage.Manifest) { m.Chunks[0].Offset = m.TotalBytes + 1 }},
+	}
+	if err := cluster.Run(func(n *Node) error {
+		buf := make([]byte, n.ChunkBytes(a))
+		fillChunk(buf, uint32(n.Rank()))
+		if err := n.Bind(a, buf); err != nil {
+			return err
+		}
+		if err := n.Checkpoint(g); err != nil {
+			return err
+		}
+		// Rank 0 leads: an operation starts when its request leaves, so
+		// what it does between two collectives is done before the second
+		// starts on any server.
+		var path string
+		var good []byte
+		if n.Rank() == 0 {
+			paths, err := filepath.Glob(filepath.Join(cluster.IONodeDir(0), "*.mfst"))
+			if err != nil || len(paths) != 1 {
+				return fmt.Errorf("manifests on ion0: %v, %v", paths, err)
+			}
+			path = paths[0]
+			if good, err = os.ReadFile(path); err != nil {
+				return err
+			}
+		}
+		for _, c := range corruptions {
+			var before map[string]string
+			if n.Rank() == 0 {
+				var m storage.Manifest
+				if err := json.Unmarshal(good, &m); err != nil {
+					return err
+				}
+				c.edit(&m)
+				bad, err := json.Marshal(&m)
+				if err != nil {
+					return err
+				}
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					return err
+				}
+				before = dirState(t, dir)
+			}
+			if err := n.Restart(g); !errors.Is(err, ErrCorrupt) || !core.IsTyped(err) {
+				return fmt.Errorf("node %d, %s: Restart: %v, want ErrCorrupt", n.Rank(), c.what, err)
+			}
+			if n.Rank() == 0 {
+				for p, data := range dirState(t, dir) {
+					if before[p] != data {
+						return fmt.Errorf("%s: %s changed under a Restart that failed", c.what, p)
+					}
+				}
+				if err := os.WriteFile(path, good, 0o644); err != nil {
+					return err
+				}
+			}
+			clear(buf)
+			if err := n.Restart(g); err != nil {
+				return fmt.Errorf("node %d: Restart of the repaired epoch after %s: %w", n.Rank(), c.what, err)
+			}
+			if err := checkChunk(buf, uint32(n.Rank())); err != nil {
+				return fmt.Errorf("node %d: after %s: %w", n.Rank(), c.what, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
