@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check figures-check bench-pack bench-routed alloc-check bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check figures-check bench-pack alloc-check bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -113,16 +113,9 @@ figures-check:
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkCopyRegion' -benchmem ./internal/array
 
-# bench-routed is ROADMAP item 4(1)'s gap as one command: the same 16 MiB
-# reorganising collective (bench/'s inproc_reorg array, over MemDisk,
-# 20 write+read pairs) served inline and routed through the scheduler
-# with MaxInflight 1. allocs/op is the column to read, and the line after
-# the two rows is their ratio; no number is gated here (alloc-check does).
-bench-routed:
-	$(GO) test -run '^$$' -bench 'BenchmarkCollectiveInlineVsRouted' -benchtime 40x -benchmem ./internal/core
-
 # alloc-check is the allocation gate: a write+read pair within its
-# budget inline and routed, and routed within 2 % of inline; a pooled
+# budget with either storage arm (MaxInflight 0: inline WriteAt/ReadAt;
+# 1: the storage stage), and the stage within 2 % of inline; a pooled
 # buffer's round trip, a bounded receive of a waiting message and a
 # frame written to a socket allocate nothing.
 alloc-check:

@@ -513,9 +513,9 @@ func shapeReply(cfg core.Config) ctlReply {
 
 // coreConfig rebuilds, on the newcomer's side, the deployment view
 // shapeReply advertised: the world shape (rank arithmetic and tags), the
-// transfer tuning, and a scheduler-enabled service flag so collectives
-// take the submit path the daemon requires. Membership stays nil: a
-// joined server plans purely from the Deads lists stamped on requests.
+// transfer tuning (MaxInflight included: it picks a joined server's
+// storage arm), and the service flag. Membership stays nil: a joined
+// server plans purely from the Deads lists stamped on requests.
 func (rep ctlReply) coreConfig() core.Config {
 	return core.Config{
 		NumClients:    rep.Clients,

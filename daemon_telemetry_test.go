@@ -80,7 +80,16 @@ func TestDaemonSLOReloadUnderLoad(t *testing.T) {
 	}
 	defer s.Close() //nolint:errcheck
 	sid := s.ID()
-	a := sessionArray(t, "SLO", 1)
+	// 4 MiB a timestep: moving it through the hub outlasts the 1ms
+	// objective below however fast the disk syncs (sessionArray's 512
+	// bytes could commit in half a millisecond, and then no completion
+	// was a violation).
+	a, err := NewArray("SLO", []int{1024, 1024}, 4,
+		NewLayout("mem", []int{1}), []Distribution{BLOCK, NONE},
+		NewLayout("disk", []int{2}), []Distribution{BLOCK, NONE})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Create(a); err != nil {
 		t.Fatal(err)
 	}

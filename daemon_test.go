@@ -341,6 +341,52 @@ func TestDaemonDrainRefusesAttach(t *testing.T) {
 	}
 }
 
+// TestSessionSurvivesDaemonDeath: an application attached with Dial
+// outlives its daemon. The daemon's hub goes away while the session is
+// idle between Runs; the session's frame routers find their links down
+// without taking the process with them, and the next Run fails typed,
+// with ErrPeerLost, inside one OpTimeout.
+func TestSessionSurvivesDaemonDeath(t *testing.T) {
+	const opTimeout = 2 * time.Second
+	d, err := StartDaemon(DaemonConfig{Dir: t.TempDir(), ClientSlots: 4, IONodes: 2, OpTimeout: opTimeout, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("StartDaemon: %v", err)
+	}
+	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: 2})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	a := sessionArray(t, "orphan", 2)
+	if err := s.Create(a); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := s.Run(func(n *Node) error {
+		buf := make([]byte, n.ChunkBytes(a))
+		fillPattern(buf, int64(n.Rank()))
+		if err := n.Bind(a, buf); err != nil {
+			return err
+		}
+		return n.WriteArray(a)
+	}); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+
+	d.hub.Close()
+	time.Sleep(100 * time.Millisecond) // idle while the links go down
+	t0 := time.Now()
+	err = s.Run(func(n *Node) error { return n.WriteArray(a) })
+	if took := time.Since(t0); took > opTimeout {
+		t.Errorf("the Run after the daemon died took %v, more than OpTimeout %v", took, opTimeout)
+	}
+	if !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("Run after the daemon died: %v, want ErrPeerLost", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Logf("close: %v", err) // the control connection died with the daemon
+	}
+	d.Drain() //nolint:errcheck // its I/O nodes lost their hub: they fail, and say so
+}
+
 // TestSessionChannelKeepsErrorsTyped: whichever sentinel a session
 // command fails with — including the four the control channel used to
 // flatten into plain strings — the client's error still satisfies

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -61,30 +60,31 @@ func BenchmarkExtractPooled(b *testing.B) {
 	}
 }
 
-// routedBenchSpecs is the array of bench/'s inproc_reorg workload: 16 MiB
+// reorgSpecs is the array of bench/'s inproc_reorg workload: 16 MiB
 // from *,*,BLOCK memory to BLOCK,*,* disk, two clients and two servers.
-func routedBenchSpecs() []ArraySpec {
+func reorgSpecs() []ArraySpec {
 	shape := []int{512, 1024, 8}
 	return []ArraySpec{{Name: "grid", ElemSize: 4,
 		Mem:  array.MustSchema(shape, []array.Dist{array.Star, array.Star, array.Block}, []int{2}),
 		Disk: array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{2})}}
 }
 
-// routedArms are the two deployments compared: "routed" is "inline" with
-// Sched.MaxInflight 1, which serves one operation at a time as inline
-// does.
-var routedArms = []struct {
+// storageArms are the two deployments compared. Both serve one operation
+// at a time through the same router and executors; they differ in the
+// storage arm: MaxInflight 0 keeps the paper's inline WriteAt/ReadAt,
+// MaxInflight 1 moves data through the node's storage stage.
+var storageArms = []struct {
 	name  string
 	sched SchedConfig
-}{{"inline", SchedConfig{}}, {"routed", SchedConfig{MaxInflight: 1}}}
+}{{"inline-storage", SchedConfig{}}, {"storage-stage", SchedConfig{MaxInflight: 1}}}
 
-// runRoutedArm runs warm+n collectives of specs, writes and reads
-// alternating, on two clients and two servers in process over MemDisk.
-// Callers warm up for twelve: the queues the scheduler path reuses are
-// still growing to their working size after four.
-// Collectives keep the ranks in step, so rank 0 alone calls start when
-// the warm-up is done and stop after the last one.
-func runRoutedArm(sched SchedConfig, specs []ArraySpec, warm, n int, start, stop func()) error {
+// runArm runs warm+n collectives of specs, writes and reads alternating,
+// on two clients and two servers in process over MemDisk. Callers warm
+// up for twelve: the queues the executors reuse are still growing to
+// their working size after four. Collectives keep the ranks in step, so
+// rank 0 alone calls start when the warm-up is done and stop after the
+// last one.
+func runArm(sched SchedConfig, specs []ArraySpec, warm, n int, start, stop func()) error {
 	cfg := Config{NumClients: 2, NumServers: 2, OpTimeout: 10 * time.Second, Sched: sched}
 	return RunReal(cfg, memDisks(cfg.NumServers), func(cl *Client) error {
 		bufs := makeBufs(cl, specs, true)
@@ -107,56 +107,28 @@ func runRoutedArm(sched SchedConfig, specs []ArraySpec, warm, n int, start, stop
 	})
 }
 
-// BenchmarkCollectiveInlineVsRouted is ROADMAP item 4(1) as one command
-// (make bench-routed): what routing a collective through the scheduler
-// costs over serving it inline, on the array of bench/'s inproc_reorg
-// workload over MemDisk. One iteration is one collective, so allocs/op
-// reads against the wall-clock benchmark's allocs_per_op; the ratio of
-// the two rows is printed after them. Nothing is gated here:
-// TestCollectiveAllocBudget gates the counts.
-func BenchmarkCollectiveInlineVsRouted(b *testing.B) {
-	specs := routedBenchSpecs()
-	perOp := make(map[string]float64)
-	for _, arm := range routedArms {
-		b.Run(arm.name, func(b *testing.B) {
-			b.SetBytes(specs[0].TotalBytes())
-			b.ReportAllocs()
-			var m0, m1 runtime.MemStats
-			err := runRoutedArm(arm.sched, specs, 12, b.N,
-				func() { runtime.ReadMemStats(&m0); b.ResetTimer() }, func() { b.StopTimer(); runtime.ReadMemStats(&m1) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			perOp[arm.name] = float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
-		})
-	}
-	if in := perOp["inline"]; in > 0 {
-		fmt.Printf("routed / inline allocs/op: %.3f\n", perOp["routed"]/in)
-	}
-}
-
 // TestCollectiveAllocBudget holds what "plan once, then move bytes"
-// bought: a write+read pair of the bench-routed array allocates at most
+// bought: a write+read pair of the inproc_reorg array allocates at most
 // pairBudget objects in the whole process — four nodes, their storage
-// stages and MemDisk included — served inline or through the scheduler,
-// and the scheduler costs at most 2 % over inline. The collector is held
-// off while the pairs are counted, as the little garbage a file-backed
+// stages and MemDisk included — with either storage arm, and the storage
+// stage costs at most 2 % over inline storage. The collector is held off
+// while the pairs are counted, as the little garbage a file-backed
 // deployment makes holds it off there: a collection empties every
 // sync.Pool, and the refills (some 40 a pair here, where MemDisk makes
 // 30 MB of garbage an operation) are the collector's timing, not the
-// program's doing. Measured: 269 inline and 271 routed, so the budget
-// leaves a tenth; the parent commit read 1113 and 1357.
+// program's doing. Measured: 270–274 with inline storage and 274–276
+// through the stage, so the budget leaves a tenth.
 func TestCollectiveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	const pairs, pairBudget = 10, 300
-	specs := routedBenchSpecs()
+	specs := reorgSpecs()
 	perPair := make(map[string]float64)
-	for _, arm := range routedArms {
+	for _, arm := range storageArms {
 		var m0, m1 runtime.MemStats
 		gc := 100
-		err := runRoutedArm(arm.sched, specs, 12, 2*pairs,
+		err := runArm(arm.sched, specs, 12, 2*pairs,
 			func() { runtime.GC(); gc = debug.SetGCPercent(-1); runtime.ReadMemStats(&m0) },
 			func() { runtime.ReadMemStats(&m1); debug.SetGCPercent(gc) })
 		if err != nil {
@@ -168,8 +140,8 @@ func TestCollectiveAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per write+read pair, budget %d", arm.name, got, pairBudget)
 		}
 	}
-	if in, ro := perPair["inline"], perPair["routed"]; ro > 1.02*in {
-		t.Errorf("routed %.0f allocations per pair, inline %.0f: the scheduler costs %.1f %%, more than 2 %%", ro, in, 100*(ro/in-1))
+	if in, st := perPair["inline-storage"], perPair["storage-stage"]; st > 1.02*in {
+		t.Errorf("storage stage %.0f allocations per pair, inline storage %.0f: the stage costs %.1f %%, more than 2 %%", st, in, 100*(st/in-1))
 	}
-	t.Logf("allocations per write+read pair: inline %.0f, routed %.0f", perPair["inline"], perPair["routed"])
+	t.Logf("allocations per write+read pair: inline storage %.0f, storage stage %.0f", perPair["inline-storage"], perPair["storage-stage"])
 }

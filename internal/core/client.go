@@ -46,8 +46,8 @@ type Client struct {
 	// explicit tenant wins when non-empty.
 	tenant string
 
-	// Scheduler state: router demultiplexes incoming frames by op when
-	// operations overlap (submit.go).
+	// Collective state (submit.go): router demultiplexes incoming frames
+	// by op to the executors running them.
 	router  *clientRouter
 	running map[int]*clientExecutor // outstanding submissions by seq, application goroutine only
 	lanes   traceLanes              // their executors' trace tracks, application goroutine only
@@ -193,29 +193,16 @@ type collectiveOp struct {
 	space regionSpace // the bounds of the region in the frame in hand
 }
 
+// collective is a submission awaited at once (submit.go), so the
+// blocking API composes with concurrent submissions from the same
+// application.
 func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]byte) error {
-	if c.cfg.Sched.enabled() {
-		// Scheduler deployments run every collective through the async
-		// submit path, so the blocking API composes with concurrent
-		// submissions from the same application.
-		e, err := c.start(op, suffix, specs, bufs, "")
-		if err != nil {
-			return err
-		}
-		_, err = c.finish(e)
-		return err
-	}
-	// The master client sends the high-level request to the master
-	// server; everyone then serves until completion. The request goes
-	// on the fixed control tag and carries the sequence explicitly so
-	// servers stay synchronized even if earlier requests were lost;
-	// all other traffic of this operation carries its sequence number
-	// in the tag.
-	o, err := c.admit(op, suffix, specs, bufs, "")
+	e, err := c.start(op, suffix, specs, bufs, "")
 	if err != nil {
 		return err
 	}
-	return c.collectiveSeq(o)
+	_, err = c.finish(e)
+	return err
 }
 
 // admit validates a collective call's arguments, works out this
@@ -248,9 +235,10 @@ func (c *Client) admit(op byte, suffix string, specs []ArraySpec, bufs [][]byte,
 }
 
 // collectiveSeq runs one admitted collective: the retry loop around
-// runAttempt. On the legacy path the calling goroutine is the client;
-// under the scheduler it is a per-op executor working on a routed copy
-// of the client.
+// runAttempt, on a per-op executor working on a routed copy of the
+// client. The master client sends the high-level request to the master
+// server on the fixed control tag, carrying the sequence explicitly;
+// all other traffic of the operation carries its sequence in the tag.
 func (c *Client) collectiveSeq(o *collectiveOp) error {
 	start := c.clk.Now()
 	defer func() { atomic.StoreInt64(c.elapsedNs, int64(c.clk.Now()-start)) }()

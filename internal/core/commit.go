@@ -254,13 +254,10 @@ func (s *Server) runCommitWrite(req opRequest, deadline time.Duration) error {
 }
 
 // adoptRound records the attempt/round the server is now executing, for
-// stale-frame filtering and for the Serve-loop dedup (a duplicate of
-// this round's rebroadcast arriving later on the control tag must not
-// re-trigger the operation).
+// stale-frame filtering.
 func (s *Server) adoptRound(req opRequest) {
 	s.curAttempt, s.curRound = req.Attempt, req.Round
 	s.curDeads = req.Deads
-	s.lastSeq, s.lastAttempt, s.lastRound = int(req.Seq), int(req.Attempt), int(req.Round)
 }
 
 // masterCommit is the coordinator half of the two-phase commit: collect

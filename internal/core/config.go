@@ -53,22 +53,20 @@ type Config struct {
 	// Pipeline is the number of sub-chunks a server keeps in flight
 	// during writes; 1 (or 0, meaning 1) reproduces the paper's
 	// blocking behaviour, larger values implement the non-blocking
-	// overlap the paper proposes as future work. At 2 or more the
-	// legacy serve loop also starts its storage stage: completed
-	// sub-chunks are handed to the node's diskSched, which writes
-	// behind the network stage with at most Pipeline writes
-	// outstanding, so a write holds at most 2*Pipeline sub-chunk
-	// buffers. Scheduler executors always write behind, with a window
-	// of max(2, Pipeline).
+	// overlap the paper proposes as future work. At 2 or more writes go
+	// through the node's storage stage (diskSched), which writes behind
+	// the network stage with at most Pipeline writes outstanding, so a
+	// write holds at most 2*Pipeline sub-chunk buffers. (With
+	// Sched.MaxInflight > 0 they always do, in a window of
+	// max(2, Pipeline).)
 	Pipeline int
 	// ReadAhead is the number of sub-chunk reads kept outstanding at
 	// the storage stage beyond the sub-chunk being scattered. 0 — the
 	// default — reproduces the paper's strictly serial read-then-scatter
-	// loop off the scheduler (an executor still reads through its
-	// node's stage, one sub-chunk at a time); 1 or more starts the
-	// legacy loop's stage too and overlaps disk reads with piece
-	// scattering while file access stays in plan order. A read holds at
-	// most ReadAhead+1 sub-chunk buffers.
+	// loop at Sched.MaxInflight 0 (above it reads still go through the
+	// node's stage, one sub-chunk at a time); 1 or more overlaps disk
+	// reads with piece scattering while file access stays in plan
+	// order. A read holds at most ReadAhead+1 sub-chunk buffers.
 	ReadAhead int
 	// StartupOverhead is charged once per collective operation at the
 	// master server, modelling the measured ~13 ms fixed cost of a
@@ -153,8 +151,8 @@ type Config struct {
 	// it; keep the callback cheap.
 	OpLog func(OpSummary)
 	// OpStart, when non-nil, is called as a server dispatches a
-	// collective operation under the scheduler — after any admission
-	// queueing, just before the executor spawns. Together with OpLog it
+	// collective operation — after any admission queueing, just before
+	// its executor takes it. Together with OpLog it
 	// brackets every operation's in-flight window, which is what the
 	// daemon's SLO watchdog needs to spot ops that are stuck rather
 	// than merely slow. Called from the router goroutine; keep it
@@ -183,8 +181,9 @@ type Config struct {
 	// the master client's handshake.
 	Service bool
 
-	// Sched configures the concurrent operation scheduler. The zero
-	// value (MaxInflight == 0) keeps the legacy one-op-at-a-time path.
+	// Sched configures the operation scheduler every server runs. The
+	// zero value (MaxInflight == 0) serves one operation at a time with
+	// the paper's inline storage.
 	Sched SchedConfig
 
 	// Members, when non-nil, makes server membership elastic: NumServers
@@ -192,7 +191,7 @@ type Config struct {
 	// are live. The master's scheduler stamps every operation with the
 	// slots currently down (as its Deads list) and the membership epoch
 	// it dispatched under. nil — the default — is the fixed membership
-	// of the paper. Requires Service mode and the scheduler.
+	// of the paper. Requires Service mode and Sched.MaxInflight > 0.
 	Members *Membership
 	// LeaseTTL bounds how long a remote (joined) server may go without a
 	// heartbeat before its lease expires and it is declared lost; 0
@@ -229,10 +228,10 @@ func (c Config) HeartbeatInterval() time.Duration {
 // fairness across tenants, and per-array conflict serialization.
 type SchedConfig struct {
 	// MaxInflight is the number of operations the master server
-	// dispatches concurrently. 0 disables the scheduler entirely
-	// (legacy path); 1 admits through the queue but serializes
-	// execution — the baseline the mixed-workload bench compares
-	// against.
+	// dispatches concurrently. 0 is one at a time with the paper's inline
+	// WriteAt/ReadAt (unless Pipeline or ReadAhead ask for the storage
+	// stage); 1 is one at a time through the storage stage — the
+	// baseline the mixed-workload bench compares against.
 	MaxInflight int
 	// QueueDepth bounds the admission queue (0 = 16). A request
 	// arriving with the queue full is refused with ErrBusy.
@@ -252,7 +251,8 @@ type SchedConfig struct {
 	Seed int64
 }
 
-// enabled reports whether the scheduler path is active.
+// enabled reports whether operations may overlap, which puts their data
+// through the node's storage stage.
 func (sc SchedConfig) enabled() bool { return sc.MaxInflight > 0 }
 
 // queueDepth returns the admission queue bound.
@@ -315,7 +315,7 @@ type OpSummary struct {
 	Elapsed time.Duration
 	// Err is the operation's outcome on this server (nil = success).
 	Err error
-	// Tenant is the submitting tenant (scheduler deployments only).
+	// Tenant is the submitting tenant.
 	Tenant string
 	// Stats is this operation's own counter snapshot on this server —
 	// attributed exactly, even with other ops in flight on the node.
@@ -356,11 +356,6 @@ func (c Config) Validate() error {
 	}
 	if c.Sched.MaxInflight < 0 {
 		return fmt.Errorf("core: negative Sched.MaxInflight")
-	}
-	if c.Sched.enabled() && c.Retry.Max > 0 {
-		// The scheduler drops a retried attempt's request as a duplicate
-		// of its Seq: each retry would only wait out another OpTimeout.
-		return fmt.Errorf("core: Retry.Max = %d with the scheduler on: whole-operation retries need Sched.MaxInflight = 0", c.Retry.Max)
 	}
 	if c.Sched.QueueDepth < 0 {
 		return fmt.Errorf("core: negative Sched.QueueDepth")

@@ -574,8 +574,6 @@ func TestConfigValidate(t *testing.T) {
 		{NumClients: 1, NumServers: 1, Pipeline: -2},
 		// a data frame of one such sub-chunk would exceed the transport's frame
 		{NumClients: 1, NumServers: 1, SubchunkBytes: mpi.MaxFrameBytes},
-		// the scheduler answers a retried Seq as a duplicate: a retry only waits
-		{NumClients: 1, NumServers: 1, OpTimeout: time.Second, Retry: RetryPolicy{Max: 1}, Sched: SchedConfig{MaxInflight: 1}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -583,8 +581,16 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	good := Config{NumClients: 8, NumServers: 2}
-	if err := good.Validate(); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	for i, c := range []Config{
+		good,
+		// Whole-op retries compose with any MaxInflight: every router holds
+		// a retried Seq's higher attempt, or admits it anew once the old
+		// one retired (TestWholeOpRetryThroughRouter).
+		{NumClients: 1, NumServers: 1, OpTimeout: time.Second, Retry: RetryPolicy{Max: 1}, Sched: SchedConfig{MaxInflight: 1}},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("good config %d rejected: %v", i, err)
+		}
 	}
 	if good.MasterServer() != 8 || good.ServerRank(1) != 9 || good.ServerIndex(9) != 1 || !good.IsServer(8) || good.IsServer(7) {
 		t.Error("rank helpers inconsistent")

@@ -14,9 +14,8 @@ import (
 )
 
 // diskSched is a node's storage stage: one activity that serves the bulk
-// disk traffic of every operation in flight on the node — the
-// scheduler's executors, or the legacy mover when it is asked to write
-// behind or read ahead. Requests arriving close together are drained as
+// disk traffic of every operation on the node whose storage arm is the
+// stage (engine.go). Requests arriving close together are drained as
 // one batch; when a batch holds writes to more than one file, adjacent
 // writes to the same file are merged into a single WriteAt, which is the
 // cross-op disk optimization: two interleaved collectives cost one seek
@@ -232,11 +231,8 @@ type stagePort struct {
 
 // newStagePort opens the mover's port. A mover has one port open at a
 // time and a port is drained before it closes, so every port of a mover
-// uses the same reply mailbox.
+// uses the same reply mailbox, its executor's.
 func (s *Server) newStagePort() stagePort {
-	if s.replies == nil {
-		s.replies = queue.New[diskReply](s.clk)
-	}
 	return stagePort{ds: s.dsched, clk: s.clk, tr: s.tr, depth: s.met.queueDepth, seq: s.opSeq, replies: s.replies}
 }
 

@@ -18,9 +18,7 @@ import (
 //	planner  — assignChunks/planSubchunks (pure math, runs inline);
 //	mover    — the network stage: pulls pieces from clients (writes) or
 //	           scatters them (reads), and owns all deadline, retry and
-//	           abort handling. The mover runs on the process the
-//	           communicator endpoint is bound to: the server's main
-//	           process, or a scheduler executor.
+//	           abort handling: the operation's executor (sched.go).
 //	storage  — the disk stage, in one of two forms. Inline (this file):
 //	           the mover issues WriteAt/ReadAt itself — the paper's
 //	           strictly serial loop, byte-for-byte reproducing its
@@ -29,11 +27,10 @@ import (
 //	           overlapping disk time with network time while every file
 //	           is still accessed in plan order.
 //
-// Which form an operation gets is a function of two knobs. Scheduler
-// executors always share their node's diskSched. The legacy Serve loop
-// starts one of its own iff Pipeline >= 2 or ReadAhead >= 1, and then routes
-// writes through it when Pipeline >= 2 and reads when ReadAhead >= 1.
-// Everything else — the paper's configuration included — runs inline.
+// The storage arm follows from the knobs alone: with Sched.MaxInflight
+// > 0 every operation shares its node's diskSched; at 0 writes use it
+// when Pipeline >= 2 and reads when ReadAhead >= 1. Everything else —
+// the paper's configuration included — runs inline.
 //
 // Failure model across the stage boundary: the mover keeps exclusive
 // ownership of deadlines, retries and aborts. A storage error comes back
@@ -97,9 +94,9 @@ func (s *Server) storageTrack() obs.Track {
 }
 
 // newWriteSink routes writes through the node's storage activity when
-// there is one and this mover may write behind — always as a scheduler
-// executor, whose concurrent ops batch and merge at the disk — and
-// through the paper's inline writer otherwise.
+// operations may overlap (so they batch and merge at the disk) or the
+// mover may write behind, and through the paper's inline writer
+// otherwise.
 func (s *Server) newWriteSink(name string) (writeSink, error) {
 	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2) {
 		return s.newSchedWriteSink(name)
@@ -147,8 +144,8 @@ func (k *serialWriteSink) abandon() { k.f.Close() }
 func (k *serialWriteSink) report() (int64, int64) { return 0, 0 }
 
 // newReadSource is newWriteSink's read-side twin: the storage activity
-// for executors and for a legacy mover asked to read ahead, the paper's
-// inline reader otherwise.
+// when operations may overlap or the mover is asked to read ahead, the
+// paper's inline reader otherwise.
 func (s *Server) newReadSource(name string, subs []subchunkJob, want int64) (readSource, error) {
 	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.readAhead() >= 1) {
 		return s.newSchedReadSource(name, subs, want)

@@ -12,6 +12,7 @@ import (
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
+	"panda/internal/queue"
 	"panda/internal/storage"
 	"panda/internal/vtime"
 )
@@ -414,9 +415,12 @@ func TestReadHonorsDeadline(t *testing.T) {
 }
 
 // TestReadAbortDrained forges an abort broadcast onto a read
-// operation's server tag and checks the server actually consumes it —
-// the read stops with the abort's typed status, and the deployment
-// stays healthy for the next collective.
+// operation's server tag once the read is admitted and checks the
+// server actually consumes it — the read stops with the abort's typed
+// status, and the deployment stays healthy for the next collective. A
+// copy forged before the read was admitted names an operation the
+// router does not know yet: it is dropped and counted, never delivered
+// to the read — the router's isolation rule, stronger than "drained".
 func TestReadAbortDrained(t *testing.T) {
 	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 64,
 		OpTimeout: 5 * time.Second, PullRetries: 1}
@@ -431,6 +435,12 @@ func TestReadAbortDrained(t *testing.T) {
 		comms[r] = world.Comm(r)
 	}
 	serverRank := cfg.ServerRank(0)
+	forge := func() { comms[1].SendOwned(serverRank, tagToServer(1), encodeAbort(0, 0, ErrTimeout)) }
+	cfg.OpStart = func(_, seq int, _, _ string) {
+		if seq == 1 {
+			forge() // the read (seq 1) is admitted: this copy reaches it
+		}
+	}
 	barrier := newBarrier(cfg.NumClients)
 
 	var srv *Server
@@ -448,10 +458,7 @@ func TestReadAbortDrained(t *testing.T) {
 				}
 				barrier()
 				if cl.Rank() == 1 {
-					// Forge the master server's abort broadcast for the
-					// *next* operation (the read, seq 1). It sits queued
-					// on tagToServer(1) until the read drains it.
-					comms[1].SendOwned(serverRank, tagToServer(1), encodeAbort(0, 0, ErrTimeout))
+					forge() // the read is not admitted yet: this copy is dropped
 				}
 				barrier()
 				got := makeBufs(cl, specs, false)
@@ -470,7 +477,10 @@ func TestReadAbortDrained(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv = NewServer(cfg, comms[serverRank], storage.NewMemDisk(), clock.NewReal())
+		// Every sub-chunk read takes 2 ms: the read is still scattering
+		// when its router hands it the late copy.
+		disk := &slowDisk{Disk: storage.NewMemDisk(), delay: 2 * time.Millisecond}
+		srv = NewServer(cfg, comms[serverRank], disk, clock.NewReal())
 		errs[serverRank] = srv.Serve()
 	}()
 	wg.Wait()
@@ -492,6 +502,9 @@ func TestReadAbortDrained(t *testing.T) {
 	}
 	if srv.Stats().Aborts == 0 {
 		t.Error("server never recorded obeying the abort")
+	}
+	if got := srv.Stats().FramesRejected; got != 1 {
+		t.Errorf("FramesRejected = %d, want 1: the copy forged before the read was admitted", got)
 	}
 }
 
@@ -622,7 +635,7 @@ func onStage(t *testing.T, cfg Config, body func(t *testing.T, s *Server)) {
 	comm := mpi.NewWorld(cfg.WorldSize()).Comm(cfg.ServerRank(0))
 	run := func(t *testing.T, clk clock.Clock, disk storage.Disk) {
 		s := NewServer(cfg, comm, disk, clk)
-		s.dsched = newDiskSched(s)
+		s.dsched, s.replies = newDiskSched(s), queue.New[diskReply](clk)
 		body(t, s)
 		s.dsched.stop()
 	}

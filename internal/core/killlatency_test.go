@@ -20,16 +20,27 @@ import (
 // fast death is *reported* (the transport, the lease), not by how long
 // the operation was allowed to run.
 
-// dyingComm is the victim's endpoint. The first outgoing frame `last`
-// accepts never leaves: the rank dies through the fault plan at that
-// exact protocol point — every other rank's PeerLost reports it from
-// that instant — and the time is recorded.
+// dyingComm is the victim's endpoint, or the view of it one of the
+// victim's activities took (RebindComm). The first outgoing frame
+// `last` accepts, whichever activity sends it, never leaves: the rank
+// dies through the fault plan at that exact protocol point — every
+// other rank's PeerLost reports it from that instant — and the time is
+// recorded.
 type dyingComm struct {
 	*mpi.FaultComm
+	*fate
+}
+
+// fate is what every view of the victim shares.
+type fate struct {
 	plan *mpi.FaultPlan
 	clk  clock.Clock
 	last func(frame []byte) bool
 	died time.Duration // 0 while alive
+}
+
+func (d *dyingComm) Rebind(clk clock.Clock) mpi.Comm {
+	return &dyingComm{FaultComm: d.FaultComm.Rebind(clk).(*mpi.FaultComm), fate: d.fate}
 }
 
 func (d *dyingComm) dieIf(frame []byte) {
@@ -94,7 +105,7 @@ func killSim(t *testing.T, cfg Config, disks []storage.Disk, last func([]byte) b
 			clk := clock.NewVirtual(p)
 			var comm mpi.Comm = mpi.WrapFault(world.Bind(cfg.ServerRank(i), p), plan, clk)
 			if i == 1 {
-				victim = &dyingComm{FaultComm: comm.(*mpi.FaultComm), plan: plan, clk: clk, last: last}
+				victim = &dyingComm{FaultComm: comm.(*mpi.FaultComm), fate: &fate{plan: plan, clk: clk, last: last}}
 				comm = victim
 			}
 			srv := NewServer(cfg, comm, disks[i], clk)

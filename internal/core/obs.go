@@ -52,13 +52,15 @@ func newNodeMetrics(r *obs.Registry) nodeMetrics {
 }
 
 // traceLanes hands a node's executors a bounded set of reusable trace
-// tracks, "<node>/lane<K>": an executor records on the lowest lane free
-// when it starts and gives it back when it retires, so the recorder's
-// track table grows to the node's peak concurrency and stops — a track
-// per operation would grow it for as long as the node runs, and the
-// span's Seq already names the operation. The zero value is ready; a
-// node's lanes are used from one goroutine (the server's router, the
-// client's application).
+// tracks: lane 0 is the node's own track ("<node>"), so a node serving
+// one operation at a time traces on it alone; lane K ≥ 1 is
+// "<node>/lane<K>". An executor records on the lowest lane free when it
+// starts and gives it back when it retires, so the recorder's track
+// table grows to the node's peak concurrency and stops — a track per
+// operation would grow it for as long as the node runs, and the span's
+// Seq already names the operation. The zero value is ready; a node's
+// lanes are used from one goroutine (the server's router, the client's
+// application).
 type traceLanes struct {
 	tracks []obs.Track
 	busy   []bool
@@ -70,8 +72,12 @@ func (l *traceLanes) take(rec *obs.Recorder, role string, node int) (int, obs.Tr
 		k++
 	}
 	if k == len(l.busy) {
+		name := fmt.Sprintf("%s%d", role, node)
+		if k > 0 {
+			name += fmt.Sprintf("/lane%d", k)
+		}
 		l.busy = append(l.busy, false)
-		l.tracks = append(l.tracks, rec.Track(fmt.Sprintf("%s%d/lane%d", role, node, k)))
+		l.tracks = append(l.tracks, rec.Track(name))
 	}
 	l.busy[k] = true
 	return k, l.tracks[k]

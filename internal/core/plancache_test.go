@@ -55,7 +55,7 @@ func (l *opLog) wantPlans(t *testing.T, what string, seq, servers int, hits, mis
 }
 
 // TestPlanCacheHitsUnderScheduler: the second of two identical
-// collectives through serveSched plans nothing on any server — under the
+// collectives through the scheduler plans nothing on any server — under the
 // real clock, under virtual time, and with two executors per node
 // filling and reading the cache at once (the -race case).
 func TestPlanCacheHitsUnderScheduler(t *testing.T) {

@@ -79,7 +79,7 @@ func tagDoneFor(seq int) int { return 12 + 16*seq }
 // tagControl carries OpRequest and Shutdown; see the tag table above.
 const tagControl = 14
 
-// tagSchedDone is a node-local loopback: a scheduler executor reports
+// tagSchedDone is a node-local loopback: an operation executor reports
 // its operation finished by sending a SchedDone frame to its own rank,
 // where the router loop — the sole receiver — retires the op and
 // dispatches the next. Fixed tag; the frame carries the Seq.
@@ -603,12 +603,13 @@ func encodeShutdown() []byte { return []byte{msgShutdown} }
 
 // Reconfig is a live update of the knobs a resident server may change
 // without restarting: the scheduler's shape and the write pipeline
-// depth. (Read-ahead is not among them: a resident server always runs
-// the scheduler, whose reads go through the shared disk activity.)
+// depth. (Read-ahead is not among them: a resident server overlaps
+// operations, so its reads go through the shared disk activity.)
 // Values follow SchedConfig/Config zero-value conventions (0 Quantum =
 // 1 MiB, 0 QueueDepth = 16, ...), except Sched.MaxInflight, where 0
-// means "keep the current value" — a reconfig must never silently turn
-// the scheduler off under a running service. Sched.Seed does not travel.
+// means "keep the current value" — a reconfig must never silently
+// serialize a running service onto inline storage. Sched.Seed does not
+// travel.
 type Reconfig struct {
 	Sched    SchedConfig
 	Pipeline int

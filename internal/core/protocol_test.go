@@ -210,7 +210,7 @@ func BenchmarkSubDataEncode(b *testing.B) {
 	}
 }
 
-// TestServeRejectsUndecodableRequest sends the legacy serve loop a
+// TestServeRejectsUndecodableRequest sends a one-at-a-time serve loop a
 // truncated request between two good operations. There is no operation
 // to answer — running it would put a Complete on the previous
 // operation's tag — so the frame is counted, dropped, and the next

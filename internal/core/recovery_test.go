@@ -332,6 +332,146 @@ func TestReassignmentCompletesDegraded(t *testing.T) {
 	t.Logf("reassigns=%d degraded=%d recover-spans=%d", reassigns, degraded, recoverSpans)
 }
 
+// requestTap is the master client's endpoint in the whole-op retry
+// tests: copies says how many copies of the n-th operation request it
+// sends (from 1) go out — 0 loses it.
+type requestTap struct {
+	mpi.DeadlineComm
+	n      atomic.Int32
+	copies func(n int32) int
+}
+
+func (c *requestTap) SendOwned(to, tag int, data []byte) {
+	if tag != tagControl || len(data) == 0 || data[0] != msgOpRequest {
+		c.DeadlineComm.SendOwned(to, tag, data)
+		return
+	}
+	for k := c.copies(c.n.Add(1)); k > 0; k-- {
+		c.DeadlineComm.Send(to, tag, data)
+	}
+}
+
+// runRetried runs app on a fixed-shape deployment over one in-process
+// world whose master client sends through tap, every node its own
+// goroutine, and returns the servers.
+func runRetried(t *testing.T, cfg Config, tap *requestTap, disks []storage.Disk, app App) []*Server {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	comms := plainComms(cfg)
+	tap.DeadlineComm = comms[0].(mpi.DeadlineComm)
+	comms[0] = tap
+	clk := clock.NewReal()
+	servers := make([]*Server, cfg.NumServers)
+	errs := make([]error, cfg.WorldSize())
+	var wg sync.WaitGroup
+	for i := range servers {
+		rank := cfg.ServerRank(i)
+		servers[i] = NewServer(cfg, comms[rank], disks[i], clk)
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[rank] = servers[i].Serve() }()
+	}
+	for r := 0; r < cfg.NumClients; r++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[r] = clientMain(cfg, comms[r], clk, app) }()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return servers
+}
+
+// writeReadBack is the retry tests' application: one write, read back
+// bit-exact.
+func writeReadBack(specs []ArraySpec) App {
+	return func(cl *Client) error {
+		if err := cl.WriteArrays(".ckpt", specs, makeBufs(cl, specs, true)); err != nil {
+			return fmt.Errorf("write: %w", err)
+		}
+		got := makeBufs(cl, specs, false)
+		if err := cl.ReadArrays(".ckpt", specs, got); err != nil {
+			return fmt.Errorf("read: %w", err)
+		}
+		return checkBufs(cl, specs, got)
+	}
+}
+
+// TestWholeOpRetryThroughRouter: whole-op retries compose with any
+// MaxInflight. The master client's first request is lost; every client
+// times out and retries the same seq as attempt 1, which the routers
+// admit and complete, bit-exact; a second delivery of attempt 1 is a
+// duplicate, rejected and counted.
+func TestWholeOpRetryThroughRouter(t *testing.T) {
+	for _, inflight := range []int{0, 2} {
+		t.Run(fmt.Sprintf("MaxInflight=%d", inflight), func(t *testing.T) {
+			t.Parallel()
+			cfg, specs := recoverySpecs(2, 2)
+			cfg.OpTimeout = 300 * time.Millisecond
+			cfg.Retry = RetryPolicy{Max: 1, Backoff: 10 * time.Millisecond}
+			cfg.Sched.MaxInflight = inflight
+			tap := &requestTap{copies: func(n int32) int { return []int{1, 0, 2, 1}[n] }}
+			servers := runRetried(t, cfg, tap, memDisks(cfg.NumServers), writeReadBack(specs))
+			if n := tap.n.Load(); n != 3 {
+				t.Errorf("the master client sent %d requests, want 3: the write twice, the read once", n)
+			}
+			if got := servers[0].Stats().FramesRejected; got != 1 {
+				t.Errorf("master server FramesRejected = %d, want 1: the duplicate of attempt 1", got)
+			}
+		})
+	}
+}
+
+// gatedDisk holds its first Create until gate closes.
+type gatedDisk struct {
+	storage.Disk
+	gate chan struct{}
+	once sync.Once
+}
+
+func (d *gatedDisk) Create(name string) (storage.File, error) {
+	d.once.Do(func() { <-d.gate })
+	return d.Disk.Create(name)
+}
+
+// TestRetryWaitsForLiveAttempt: a retry that reaches a server still
+// running the attempt it replaces waits for that attempt to retire —
+// the old attempt runs out its deadline first — and then runs. Attempt
+// 0's write is held at its first Create until well after attempt 1's
+// request is in; the operation still completes, on attempt 1, after
+// attempt 0.
+func TestRetryWaitsForLiveAttempt(t *testing.T) {
+	cfg, specs := recoverySpecs(2, 1)
+	cfg.OpTimeout = 200 * time.Millisecond
+	cfg.Retry = RetryPolicy{Max: 1, Backoff: 10 * time.Millisecond}
+	disk := &gatedDisk{Disk: storage.NewMemDisk(), gate: make(chan struct{})}
+	var mu sync.Mutex
+	var dispatched []int
+	cfg.OpStart = func(_, seq int, _, _ string) {
+		mu.Lock()
+		dispatched = append(dispatched, seq)
+		mu.Unlock()
+	}
+	tap := &requestTap{copies: func(n int32) int {
+		if n == 2 {
+			// Attempt 1 leaves now; attempt 0 is stuck at the disk until
+			// the router has long had it.
+			time.AfterFunc(100*time.Millisecond, func() { close(disk.gate) })
+		}
+		return 1
+	}}
+	servers := runRetried(t, cfg, tap, []storage.Disk{disk}, writeReadBack(specs))
+	if want := []int{0, 0, 1}; fmt.Sprint(dispatched) != fmt.Sprint(want) {
+		t.Errorf("dispatched seqs %v, want %v: the write's two attempts, then the read", dispatched, want)
+	}
+	if got := servers[0].Stats().FramesRejected; got != 0 {
+		t.Errorf("FramesRejected = %d: the retry was dropped, not held", got)
+	}
+}
+
 // TestVerifyOnRestartDetectsTornSync arms a disk that lies about one
 // Sync — data silently lost after a reported flush, a real power-cut
 // failure mode. The commit protocol cannot see the lie, so the epoch

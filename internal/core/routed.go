@@ -6,13 +6,11 @@ import (
 	"panda/internal/queue"
 )
 
-// routedComm is the endpoint a scheduler executor sees. Sends go
+// routedComm is the endpoint an operation executor sees. Sends go
 // straight to the underlying transport (rebound to the executor's own
 // clock); the receive half is the one every Comm has (mpi.Endpoint),
-// over a per-op queue fed by the node's router, which owns the real
-// receive path and sorts incoming frames by op. The scheduler's
-// protocol code is thereby identical to the legacy single-op path — it
-// still calls Recv/RecvTimeout on "the network".
+// over a per-op queue fed by the node's router, so the single-op
+// protocol still calls Recv/RecvTimeout on "the network".
 type routedComm struct {
 	mpi.Endpoint
 	under mpi.Comm

@@ -24,12 +24,10 @@ type App func(cl *Client) error
 // clientMain wraps app with the shutdown handshake: every outstanding
 // submission is finished first (an op still on the wire must not race
 // the server drain), the non-masters tell the master their application
-// has returned, and the master then shuts the servers down. Off the
-// scheduler there are no handles to drain and no router to stop, and
-// collectAppDone receives directly. With OpTimeout set the handshake
-// waits are bounded: a dead client cannot keep the master from shutting
-// the servers down (best-effort — the master proceeds after one
-// OpTimeout per missing peer).
+// has returned, and the master then shuts the servers down. With
+// OpTimeout set the handshake waits are bounded: a dead client cannot
+// keep the master from shutting the servers down (best-effort — the
+// master proceeds after one OpTimeout per missing peer).
 func clientMain(cfg Config, comm mpi.Comm, clk clock.Clock, app App) error {
 	cl := NewClient(cfg, comm, clk)
 	err := app(cl)

@@ -13,15 +13,14 @@ import (
 	"panda/internal/storage"
 )
 
-// The concurrent operation scheduler.
+// The serve loop: every server is a router + executor pool, and
+// Config.Sched.MaxInflight only bounds how many operations the master
+// dispatches at once (0 serves one at a time, as the paper does):
 //
-// With Config.Sched.MaxInflight > 0 a server stops handling collectives
-// one at a time and becomes a router + executor pool:
-//
-//	router    — the server's main loop. It owns the only real receive
-//	            on the communicator (AnySource/AnyTag), classifies each
-//	            frame by tag, and hands it to the operation it belongs
-//	            to through a per-op mailbox. Frames for an op that is
+//	router    — Serve. It owns the only real receive on the
+//	            communicator (AnySource/AnyTag), classifies each frame
+//	            by tag, and hands it to the operation it belongs to
+//	            through a per-op mailbox. Frames for an op that is
 //	            admitted but not yet dispatched are stashed; frames for
 //	            a finished op are rejected, never absorbed into another
 //	            op's state.
@@ -31,7 +30,10 @@ import (
 //	            backpressure when the queue is full. Non-master servers
 //	            dispatch forwarded requests immediately — the master
 //	            already made the scheduling decision for the
-//	            deployment.
+//	            deployment. A whole-op retry (the same seq, a higher
+//	            attempt) of a live operation waits for that attempt to
+//	            retire; of a retired one it is admitted anew; any other
+//	            repeat of a seq is a duplicate, rejected.
 //	executors — one per in-flight op: a shallow copy of the Server
 //	            running the unchanged single-op protocol (handleOp) on
 //	            its own concurrent activity, against a routedComm whose
@@ -41,9 +43,10 @@ import (
 //	            dispatch allocates nothing. Each op counts into a private
 //	            block chained to the node totals (counters.go), so per-op
 //	            attribution is exact.
-//	disk      — executors route bulk data through the shared diskSched
-//	            (disksched.go), which batches and merges adjacent
-//	            requests across ops.
+//	disk      — the storage arm (engine.go): the paper's inline
+//	            WriteAt/ReadAt at MaxInflight 0 with no overlap knob set,
+//	            otherwise the shared diskSched (disksched.go), which
+//	            batches and merges adjacent requests across ops.
 //
 // An executor announces completion by sending a SchedDone frame to its
 // own rank — a node-local loopback that works identically on the
@@ -63,6 +66,8 @@ type schedOp struct {
 	stash  []mpi.Message
 	ex     *executor // running it, from start to retire
 	lane   int       // the trace lane ex records on, held as long
+	held   []byte    // a later attempt's request, admitted when this one retires
+	heldAt uint16    // its attempt (0 while none is held)
 }
 
 // reqCost prices an operation for the DRR dispatcher: the total payload
@@ -256,7 +261,7 @@ type schedRouter struct {
 	s        *Server
 	core     *schedCore       // master server only; nil elsewhere
 	ops      map[int]*schedOp // admitted (queued or in flight), by seq
-	done     map[int]bool
+	done     map[int]uint16   // retired seqs, with the attempt that ran
 	lanes    traceLanes
 	inflight int
 	draining bool
@@ -277,30 +282,45 @@ type executor struct {
 	srv  Server
 	jobs *queue.Q[*schedOp] // nil stops the activity
 	box  *queue.Q[mpi.Message]
+	err  error // the last operation's fatal error, read by retire
 }
 
-// serveSched is the scheduler-mode Serve loop.
-func (s *Server) serveSched() error {
+// Serve handles collective operations until a shutdown message
+// arrives. It returns nil on orderly shutdown; protocol-level failures
+// inside an operation are reported to the clients through the
+// completion status, not returned here. An injected crash kills the
+// server: Serve returns it once nothing else is in flight. With
+// OpTimeout set, Serve also returns (with an error wrapping ErrPeerLost)
+// when the transport reports the master client dead.
+func (s *Server) Serve() error {
 	r := &schedRouter{
 		s:    s,
 		ops:  make(map[int]*schedOp),
-		done: make(map[int]bool),
+		done: make(map[int]uint16),
 	}
 	if s.IsMaster() {
 		r.core = newSchedCore(&s.cfg.Sched)
 	}
-	s.dsched = newDiskSched(s)
-	defer s.dsched.stop()
-	defer r.stopExecutors()
+	if s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2 || s.cfg.readAhead() >= 1 {
+		s.dsched = newDiskSched(s) // a storage arm uses it (engine.go)
+		defer s.dsched.stop()
+	}
+	defer func() { // end every executor's activity once it has finished what it runs
+		for _, e := range r.execs {
+			e.jobs.Put(nil)
+		}
+	}()
 
 	for {
 		if r.fatal != nil && r.inflight == 0 {
-			for _, op := range r.flushQueued() {
-				bufpool.Put(op.raw)
+			if r.core != nil {
+				for _, op := range r.core.flush() {
+					bufpool.Put(op.raw)
+				}
 			}
 			return fmt.Errorf("core: server %d: %w", s.index, r.fatal)
 		}
-		if r.draining && r.inflight == 0 && r.queuedCount() == 0 {
+		if r.draining && len(r.ops) == 0 {
 			if s.cfg.Service && r.core != nil {
 				// Service drain cascade: the shutdown frame reaches only
 				// the master, which forwards it once every distributed
@@ -312,32 +332,14 @@ func (s *Server) serveSched() error {
 			}
 			return nil
 		}
-		m, err := r.recv()
+		// The router's single wait: every wake-up — protocol frames,
+		// forwarded requests, executor completions — arrives here.
+		m, err := s.recvIdle(func() bool { return len(r.ops) > 0 })
 		if err != nil {
 			return fmt.Errorf("core: server %d: %w", s.index, err)
 		}
 		r.route(m)
 	}
-}
-
-func (r *schedRouter) queuedCount() int {
-	if r.core == nil {
-		return 0
-	}
-	return r.core.queued
-}
-
-func (r *schedRouter) flushQueued() []*schedOp {
-	if r.core == nil {
-		return nil
-	}
-	return r.core.flush()
-}
-
-// recv is the router's single wait: every wake-up — protocol frames,
-// forwarded requests, executor completions — arrives here.
-func (r *schedRouter) recv() (mpi.Message, error) {
-	return r.s.recvIdle(mpi.AnyTag, func() bool { return r.inflight > 0 || r.queuedCount() > 0 })
 }
 
 // route classifies one frame by tag and delivers it. The router never
@@ -366,10 +368,8 @@ func (r *schedRouter) route(m mpi.Message) {
 			r.handleRequest(m)
 		case msgReconfig:
 			r.applyReconfig(m.Data)
-		case msgServerHello:
-			r.handleHello(m.Data)
-		case msgHeartbeat:
-			r.handleHeartbeat(m.Data)
+		case msgServerHello, msgHeartbeat:
+			r.handleMember(m.Data)
 		default:
 			r.reject(m.Data)
 		}
@@ -402,18 +402,28 @@ func (r *schedRouter) reject(frame []byte) {
 
 // handleRequest admits one operation. On the master that means the
 // bounded queue and the DRR dispatcher; elsewhere the master's
-// forwarded request dispatches immediately.
+// forwarded request dispatches immediately. A retry of a live operation
+// is held until the attempt in hand has run out its deadline and retired.
 func (r *schedRouter) handleRequest(m mpi.Message) {
 	s := r.s
 	req, derr := decodeOpRequest(m.Data)
-	if derr != nil {
+	if derr != nil || r.fatal != nil {
 		r.reject(m.Data)
 		return
 	}
 	seq := int(req.Seq)
-	if r.ops[seq] != nil || r.done[seq] {
-		// Duplicate delivery (whole-op retries are a legacy-path
-		// feature; the scheduler's admission answer is authoritative).
+	if op := r.ops[seq]; op != nil {
+		if req.Attempt <= max(op.req.Attempt, op.heldAt) {
+			r.reject(m.Data)
+			return
+		}
+		if op.held != nil {
+			r.reject(op.held)
+		}
+		op.held, op.heldAt = m.Data, req.Attempt
+		return
+	}
+	if ran, retired := r.done[seq]; retired && req.Attempt <= ran {
 		r.reject(m.Data)
 		return
 	}
@@ -444,42 +454,29 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 	r.dispatch()
 }
 
-// handleHello admits a joined I/O node announced on the control plane.
-// Only the master carries the membership authority; elsewhere (or on a
-// static deployment) the frame is stale traffic.
-func (r *schedRouter) handleHello(b []byte) {
+// handleMember applies a joined I/O node's control-plane frame: a hello
+// admits it, a heartbeat renews its lease. Only the master carries the
+// membership authority; elsewhere (or on a static deployment) the frame
+// is stale traffic. Admit fires the membership notify callback (the
+// daemon's event emitter and rebalance trigger) from this goroutine; the
+// daemon hands the heavy lifting to its own goroutine, so the router's
+// single-wait loop is not held up.
+func (r *schedRouter) handleMember(b []byte) {
 	s := r.s
 	if r.core == nil || s.cfg.Members == nil {
 		r.reject(b)
 		return
 	}
-	rb := rbuf{b: b[1:]}
+	hello, rb := b[0] == msgServerHello, rbuf{b: b[1:]}
 	slot, err := decodeSlotFrame(&rb)
 	bufpool.Put(b)
-	if err != nil {
-		return
+	switch {
+	case err != nil:
+	case hello:
+		_ = s.cfg.Members.Admit(slot, s.clk.Now())
+	default:
+		s.cfg.Members.Heartbeat(slot, s.clk.Now())
 	}
-	// Admit fires the membership notify callback (the daemon's event
-	// emitter and rebalance trigger) from this goroutine; the daemon
-	// hands the heavy lifting to its own goroutine, so the router's
-	// single-wait loop is not held up.
-	_ = s.cfg.Members.Admit(slot, s.clk.Now())
-}
-
-// handleHeartbeat renews a remote member's lease.
-func (r *schedRouter) handleHeartbeat(b []byte) {
-	s := r.s
-	if r.core == nil || s.cfg.Members == nil {
-		r.reject(b)
-		return
-	}
-	rb := rbuf{b: b[1:]}
-	slot, err := decodeSlotFrame(&rb)
-	bufpool.Put(b)
-	if err != nil {
-		return
-	}
-	s.cfg.Members.Heartbeat(slot, s.clk.Now())
 }
 
 // stampMembership pins one dispatched operation to the membership view
@@ -525,8 +522,8 @@ func mergeDeads(a, b []int) []int {
 // on the router goroutine, and executors snapshot the configuration
 // when they start — in-flight operations keep the knobs they began
 // with, only subsequently dispatched ones see the new ones.
-// MaxInflight == 0 means "keep the current bound" (zero would disable
-// the scheduler mid-run); every other field is installed verbatim, with
+// MaxInflight == 0 means "keep the current bound" (zero would switch
+// storage arms mid-run); every other field is installed verbatim, with
 // zero values meaning the deployment defaults as usual; the admission
 // core's rng and queue state survive the reload.
 func (r *schedRouter) applyReconfig(b []byte) {
@@ -546,7 +543,7 @@ func (r *schedRouter) dispatch() {
 	if r.core == nil || r.fatal != nil {
 		return
 	}
-	for r.inflight < r.s.cfg.Sched.MaxInflight {
+	for r.inflight < max(1, r.s.cfg.Sched.MaxInflight) {
 		op := r.core.next()
 		if op == nil {
 			break
@@ -567,7 +564,8 @@ func (r *schedRouter) newOp() *schedOp {
 }
 
 // recycleOp takes back an operation nothing refers to any more (its
-// stash went to the mailbox, or never held anything).
+// stash went to the mailbox, or never held anything; a held request was
+// taken).
 func (r *schedRouter) recycleOp(op *schedOp) {
 	*op = schedOp{keys: op.keys[:0], stash: op.stash[:0]}
 	r.freeOps = append(r.freeOps, op)
@@ -634,22 +632,16 @@ func (r *schedRouter) idleExecutor() *executor {
 			}
 			ex := &e.srv
 			ex.clk, ex.comm, ex.disk, ex.replies = clk, comm, disk, replies
-			ex.acceptReq(op.req)
-			ferr := ex.handleOp(op.raw, op.req)
+			ex.adoptRound(op.req)
+			ex.opSeq, ex.ranks = op.seq, op.req.Ranks
+			ex.plans.seeEpoch(op.req.MemberEpoch)
+			e.err = ex.handleOp(op.raw, op.req)
 			bufpool.Put(op.raw)
 			// Loopback completion: the router's single wait retires the op.
-			under.SendOwned(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(op.seq), ferr != nil))
+			under.SendOwned(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(op.seq), e.err != nil))
 		}
 	})
 	return e
-}
-
-// stopExecutors ends every executor's activity, each once it has
-// finished what it is running.
-func (r *schedRouter) stopExecutors() {
-	for _, e := range r.execs {
-		e.jobs.Put(nil)
-	}
 }
 
 // retire folds a finished executor back into the node: release its
@@ -657,7 +649,7 @@ func (r *schedRouter) stopExecutors() {
 // operation.
 func (r *schedRouter) retire(seq int, fatal bool) {
 	op, ok := r.ops[seq]
-	if !ok {
+	if !ok || op.ex == nil {
 		return // duplicate loopback; harmless
 	}
 	delete(r.ops, seq)
@@ -666,13 +658,16 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 		// retires ops forever, and session sequence bases are monotonic
 		// (never reused), so forgetting ancient seqs cannot admit a
 		// replay of a live one.
-		r.done = make(map[int]bool)
+		r.done = make(map[int]uint16)
 	}
-	r.done[seq] = true
+	r.done[seq] = op.req.Attempt
 	r.lanes.free(op.lane)
 	r.idle = append(r.idle, op.ex)
 	r.inflight--
 	s := r.s
+	// A retry of this seq pulls under request IDs the retired attempt
+	// never used, so its late replies read as stale.
+	s.nextReqID = max(s.nextReqID, op.ex.srv.nextReqID)
 	s.met.schedInflight.Set(int64(r.inflight))
 	if s.cfg.Metrics != nil {
 		label := op.tenant
@@ -688,9 +683,13 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 			s.cfg.Members.opRetired(op.req.MemberEpoch)
 		}
 	}
-	r.recycleOp(op)
 	if fatal && r.fatal == nil {
-		r.fatal = fmt.Errorf("fatal failure in operation %d", seq)
+		r.fatal = fmt.Errorf("operation %d: %w", seq, op.ex.err)
+	}
+	held := op.held
+	r.recycleOp(op)
+	if held != nil {
+		r.handleRequest(mpi.Message{Tag: tagControl, Data: held})
 	}
 	r.dispatch()
 }

@@ -45,8 +45,8 @@ func schedSpec(name string, clients int) ArraySpec {
 }
 
 // TestSchedRoundTripBlockingAPI runs the ordinary blocking collective
-// API through the scheduler path: every WriteArrays/ReadArrays becomes
-// a submit+await pair, and the data must round-trip bit-exact.
+// API with two operations allowed in flight: every WriteArrays/ReadArrays
+// is a submit+await pair, and the data must round-trip bit-exact.
 func TestSchedRoundTripBlockingAPI(t *testing.T) {
 	cfg := schedCfg(4, 2, 2)
 	sch := array.MustSchema([]int{16, 16}, []array.Dist{array.Block, array.Block}, []int{2, 2})
@@ -55,9 +55,17 @@ func TestSchedRoundTripBlockingAPI(t *testing.T) {
 
 // TestSchedTwoOpsConcurrentBitExact keeps two independent collectives
 // from different tenants in flight on a shared deployment and checks
-// both land bit-exact.
+// both land bit-exact. At MaxInflight 0 the submissions are the same,
+// and the master serves them one at a time.
 func TestSchedTwoOpsConcurrentBitExact(t *testing.T) {
-	cfg := schedCfg(4, 2, 4)
+	for _, inflight := range []int{0, 4} {
+		t.Run(fmt.Sprintf("MaxInflight=%d", inflight), func(t *testing.T) {
+			twoOpsBitExact(t, schedCfg(4, 2, inflight))
+		})
+	}
+}
+
+func twoOpsBitExact(t *testing.T, cfg Config) {
 	specA := []ArraySpec{schedSpec("ta", 4)}
 	specB := []ArraySpec{schedSpec("tb", 4)}
 	disks := memDisks(cfg.NumServers)
@@ -654,7 +662,7 @@ func TestSchedFrameRoutingIsolation(t *testing.T) {
 	r := &schedRouter{
 		s:    s,
 		ops:  make(map[int]*schedOp),
-		done: map[int]bool{3: true},
+		done: map[int]uint16{3: 0},
 		core: newSchedCore(&cfg.Sched),
 	}
 	rejected := func() int64 { return s.Stats().FramesRejected }
@@ -826,7 +834,7 @@ func TestSchedCoreDispatchCostIndependentOfCreditRounds(t *testing.T) {
 
 // TestOpFramedProtocolRoundTrip pins what the scheduler adds to the
 // wire: the tenant tail on the request frame. (Pull and data frames
-// carry nothing of their own under the scheduler — the tag names the
+// carry nothing of their own — the tag names the
 // operation, TestTagSpace.)
 func TestOpFramedProtocolRoundTrip(t *testing.T) {
 	sch := array.MustSchema([]int{8}, []array.Dist{array.Block}, []int{2})

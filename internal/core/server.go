@@ -39,13 +39,11 @@ type Server struct {
 	// tenant is the scheduler tenant of the operation an executor copy
 	// (one per in-flight op, see sched.go) is running.
 	tenant string
-	// dsched is the node's storage stage (disksched.go): shared by every
-	// executor under the scheduler, started by the legacy Serve loop when
-	// the overlap knobs ask for one, nil otherwise.
+	// dsched is the node's storage stage (disksched.go), shared by every
+	// executor: started by Serve when the knobs ask for one, nil otherwise.
 	dsched *diskSched
-	// replies is where dsched answers this mover (one stagePort open at
-	// a time, see disksched.go): an executor's own, made on first use by
-	// a legacy loop that has a stage.
+	// replies is where dsched answers this executor (one stagePort open
+	// at a time, see disksched.go).
 	replies *queue.Q[diskReply]
 
 	// ranks is the submitting session's membership (world rank per mem
@@ -53,11 +51,6 @@ type Server struct {
 	// where chunk index == client rank.
 	ranks []int
 
-	// Dedup watermark: the newest (seq, attempt, round) this server has
-	// started executing. A request is accepted only when lexicographically
-	// newer, so duplicate deliveries and rebroadcast copies of replanning
-	// rounds are dropped while genuine retries get through.
-	lastSeq, lastAttempt, lastRound int
 	// curAttempt and curRound identify the request currently executing,
 	// for stale-frame filtering inside the operation. curDeads is that
 	// request's dead-server list — the member-set complement every rank
@@ -76,19 +69,16 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 	idx := cfg.ServerIndex(comm.Rank())
 	node := newNodeCounters(cfg.Metrics)
 	return &Server{
-		cfg:         cfg,
-		comm:        comm,
-		disk:        disk,
-		clk:         clk,
-		index:       idx,
-		tr:          cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
-		met:         newNodeMetrics(cfg.Metrics),
-		node:        node,
-		cnt:         node,
-		plans:       &planCache{},
-		lastSeq:     -1,
-		lastAttempt: -1,
-		lastRound:   -1,
+		cfg:   cfg,
+		comm:  comm,
+		disk:  disk,
+		clk:   clk,
+		index: idx,
+		tr:    cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
+		met:   newNodeMetrics(cfg.Metrics),
+		node:  node,
+		cnt:   node,
+		plans: &planCache{},
 	}
 }
 
@@ -98,82 +88,6 @@ func (s *Server) Stats() Stats { return s.node.snapshot() }
 
 // IsMaster reports whether this is the master server.
 func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() }
-
-// Serve handles collective operations until a shutdown message
-// arrives. It returns nil on orderly shutdown; protocol-level failures
-// inside an operation are reported to the clients through the
-// completion status, not returned here. With OpTimeout set, Serve also
-// returns (with an error wrapping ErrPeerLost) when the transport
-// reports the master client dead — the deployment cannot receive
-// further work or an orderly shutdown once its coordinator is gone.
-func (s *Server) Serve() error {
-	if s.cfg.Sched.enabled() {
-		return s.serveSched()
-	}
-	if s.cfg.pipeline() >= 2 || s.cfg.readAhead() >= 1 {
-		// The knobs ask for overlap: this loop gets a storage stage of
-		// its own (engine.go).
-		s.dsched = newDiskSched(s)
-		defer s.dsched.stop()
-	}
-	for {
-		m, err := s.recvControl()
-		if err != nil {
-			return fmt.Errorf("core: server %d: %w", s.index, err)
-		}
-		if len(m.Data) == 0 {
-			return fmt.Errorf("core: server %d: empty message from %d", s.index, m.Source)
-		}
-		switch m.Data[0] {
-		case msgShutdown:
-			return nil
-		case msgOpRequest:
-			req, derr := decodeOpRequest(m.Data)
-			if derr != nil {
-				// Undecodable: there is no operation to answer. Running it
-				// would send a Complete on the previous operation's tag.
-				s.cnt[cFramesRejected].Add(1)
-				bufpool.Put(m.Data)
-				continue
-			}
-			if !s.acceptReq(req) {
-				bufpool.Put(m.Data)
-				continue // duplicate, stale retry, or already-served round
-			}
-			err := s.handleOp(m.Data, req)
-			bufpool.Put(m.Data) // fully decoded and forwarded by copy
-			if err != nil {
-				// Fatal: an injected crash killed this server mid-write,
-				// exactly as a process death would.
-				return fmt.Errorf("core: server %d: %w", s.index, err)
-			}
-		default:
-			return fmt.Errorf("core: server %d: unexpected message type %d outside operation", s.index, m.Data[0])
-		}
-	}
-}
-
-// acceptReq applies the (seq, attempt, round) dedup watermark and, on
-// acceptance, adopts the request's identity as the current operation.
-func (s *Server) acceptReq(req opRequest) bool {
-	seq, att, rnd := int(req.Seq), int(req.Attempt), int(req.Round)
-	if seq < s.lastSeq {
-		return false
-	}
-	if seq == s.lastSeq {
-		if att < s.lastAttempt {
-			return false
-		}
-		if att == s.lastAttempt && rnd <= s.lastRound {
-			return false
-		}
-	}
-	s.adoptRound(req)
-	s.opSeq = seq
-	s.ranks = req.Ranks
-	s.plans.seeEpoch(req.MemberEpoch)
-	return true
-}
 
 // clientRank maps a memory-chunk index (the Client field of planned
 // pieces) to the world rank holding it.
@@ -205,38 +119,26 @@ func (s *Server) countRecv(n int) {
 	s.cnt[cBytesRecv].Add(int64(n))
 }
 
-// recvControl waits — idle, between operations — for the next request
-// or shutdown on the control tag.
-func (s *Server) recvControl() (mpi.Message, error) {
-	m, err := s.recvIdle(tagControl, nil)
-	if err == nil {
-		s.countRecv(len(m.Data))
-	}
-	return m, err
-}
-
-// recvIdle is a serve loop's wait for its next frame. Without deadlines
-// it is a plain blocking receive. With deadlines it wakes every
-// OpTimeout: idle waits are unbounded and only failures end them, but a
+// recvIdle is the router's wait for its next frame: a plain blocking
+// receive without deadlines, a wake-up every OpTimeout with them. A
 // fixed-shape deployment whose master client the transport has declared
-// dead can receive neither further work nor an orderly shutdown, so it
-// gives up — provided busy (nil = never) does not report work still in
-// hand. A resident service has no master client whose death could
-// orphan it; sessions come and go by design.
-func (s *Server) recvIdle(tag int, busy func() bool) (mpi.Message, error) {
+// dead can receive neither work nor an orderly shutdown, so it gives up
+// once busy reports nothing in hand. (A resident service has no master
+// client whose death could orphan it; sessions come and go by design.)
+func (s *Server) recvIdle(busy func() bool) (mpi.Message, error) {
 	dc, bounded := s.comm.(mpi.DeadlineComm)
 	if s.cfg.OpTimeout <= 0 || !bounded {
-		return s.comm.Recv(mpi.AnySource, tag), nil
+		return s.comm.Recv(mpi.AnySource, mpi.AnyTag), nil
 	}
 	for {
-		m, err := dc.RecvTimeout(mpi.AnySource, tag, s.cfg.OpTimeout)
+		m, err := dc.RecvTimeout(mpi.AnySource, mpi.AnyTag, s.cfg.OpTimeout)
 		if err == nil {
 			return m, nil
 		}
 		if !errors.Is(err, mpi.ErrTimeout) {
 			return mpi.Message{}, mapTransportErr(err)
 		}
-		if !s.cfg.Service && (busy == nil || !busy()) {
+		if !s.cfg.Service && !busy() {
 			if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.MasterClient()) {
 				return mpi.Message{}, fmt.Errorf("master client gone while idle: %w", ErrPeerLost)
 			}
@@ -295,9 +197,8 @@ func (s *Server) chargeContig(n int64) {
 }
 
 // handleOp runs one collective operation end to end on this server.
-// req is raw already decoded (decoding happens in the serve loop so the
-// sequence can be adopted before any deadline starts). A non-nil return
-// is fatal: an injected crash killed the server.
+// req is raw already decoded (the router decodes it to admit it). A
+// non-nil return is fatal: an injected crash killed the server.
 func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 	opStart := s.clk.Now()
 	s.opBytes = 0
@@ -381,7 +282,7 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 	// Crash-consistent writes take the two-phase-commit path, which owns
 	// its own completion exchange (Prepared/Commit/Committed in place of
 	// Done). Reads, plain-mode writes and invalid requests take the
-	// legacy path below.
+	// path below.
 	if err == nil && req.Op == opWrite && !s.cfg.PlainWrites {
 		finalErr = s.runCommitWrite(req, deadline)
 		if errors.Is(finalErr, errServerCrashed) {
@@ -429,7 +330,7 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 	return nil
 }
 
-// execute performs this server's share of a legacy-path operation —
+// execute performs this server's share of a Done-path operation —
 // reads and plain-mode writes — every array in order, every chunk in
 // file order, every sub-chunk sequentially. deadline (0 = none) bounds
 // the whole operation.

@@ -401,11 +401,11 @@ func (s *Service) Reconfigure(rc Reconfig) {
 // commit, then the servers exit. Drain blocks until the pool is down
 // and returns the first server error.
 //
-// Under the scheduler in service mode the shutdown frame goes to the
-// master only; the master forwards it to the other servers once its
-// last operation retires (see serveSched), so no server is told to
-// exit while work it must serve is still arriving. On the legacy path
-// the frame is broadcast, matching the fixed-shape handshake.
+// In service mode the shutdown frame goes to the master only; the
+// master forwards it to the other servers once its last operation
+// retires (see Serve), so no server is told to exit while work it must
+// serve is still arriving. A fixed-shape deployment's frame is
+// broadcast, matching its handshake.
 func (s *Service) Drain() error {
 	s.mu.Lock()
 	already := s.draining
@@ -416,7 +416,7 @@ func (s *Service) Drain() error {
 		close(s.watchStop)
 	}
 	if !already && send != nil {
-		if s.cfg.Sched.enabled() && s.cfg.Service {
+		if s.cfg.Service {
 			send(s.cfg.MasterServer(), tagControl, encodeShutdown())
 		} else {
 			for i := 0; i < s.cfg.NumServers; i++ {

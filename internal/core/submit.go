@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"panda/internal/bufpool"
@@ -12,16 +12,18 @@ import (
 	"panda/internal/queue"
 )
 
-// The client half of the concurrent scheduler: asynchronous submission.
+// The client's one collective path. Every collective — a blocking call
+// is a submission awaited at once — runs on its own concurrent activity,
+// a shallow Client copy executing the single-op protocol (collectiveSeq)
+// against a routedComm. A per-client router owns the real receive and
+// routes each tagToClient frame to the op it belongs to by the sequence
+// number carried in the tag, mirroring the server router in sched.go.
+// As there, an executor outlives its operation, so a steady-state
+// submission allocates only the handle the application is given.
 //
-// Each submitted collective runs on its own concurrent activity — a
-// shallow Client copy executing the unchanged single-op protocol
-// (collectiveSeq) against a routedComm. A per-client router owns the
-// real receive and routes each tagToClient frame to the op it belongs
-// to by the sequence number carried in the tag, mirroring the server
-// router in sched.go. As there, an executor outlives its operation: the
-// client keeps the idle ones, so a steady-state submission allocates
-// only the handle the application is given.
+// A failed link ends the router and fails the collectives waiting on it
+// with ErrPeerLost; the next collective starts another router, which
+// meets the failure again if it persists.
 
 // OpHandle is an in-flight asynchronous collective.
 type OpHandle struct {
@@ -92,9 +94,6 @@ func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte
 // for it. Both run on the application goroutine, which owns opSeq,
 // running, idle and lanes.
 func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*clientExecutor, error) {
-	if !c.cfg.Sched.enabled() {
-		return nil, errors.New("core: Submit requires Config.Sched.MaxInflight > 0")
-	}
 	if tenant == "" {
 		tenant = c.tenant
 	}
@@ -102,9 +101,7 @@ func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte,
 	if err != nil {
 		return nil, err
 	}
-	if c.router == nil {
-		c.startRouter()
-	}
+	c.routeFrames()
 	e := c.idleExecutor()
 	e.seq = o.seq
 	if c.running == nil {
@@ -121,7 +118,7 @@ func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte,
 	// it takes the collective.
 	e.cl = *c
 	e.cl.router, e.cl.running, e.cl.execs, e.cl.idle, e.cl.lanes = nil, nil, nil, nil, traceLanes{}
-	e.lane, e.cl.tr = c.lanes.take(c.cfg.Trace, "client", c.Rank())
+	e.lane, e.cl.tr = c.lanes.take(c.cfg.Trace, "client", c.comm.Rank())
 	e.jobs.Put(o)
 	return e, nil
 }
@@ -183,10 +180,10 @@ func (c *Client) drainHandles() {
 	}
 }
 
-// clientRouter owns the client's receive while the scheduler is active
-// and fans frames out to per-op mailboxes. Registration is mutex-
-// guarded: executors on other activities finish (unregister) while the
-// application goroutine submits (registers).
+// clientRouter owns the client's receive and fans frames out to per-op
+// mailboxes. Registration is mutex-guarded: executors on other
+// activities finish (unregister) while the application goroutine
+// submits (registers).
 type clientRouter struct {
 	c  *Client
 	mu sync.Mutex
@@ -198,22 +195,36 @@ type clientRouter struct {
 
 	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices
 	exited  *queue.Q[struct{}]
+	lost    atomic.Bool // the loop ended on a link failure
 }
 
-func (c *Client) startRouter() {
-	r := &clientRouter{
-		c:       c,
-		boxes:   make(map[int]*queue.Q[mpi.Message]),
-		stash:   make(map[int][]mpi.Message),
-		done:    make(map[int]bool),
-		appDone: queue.New[mpi.Message](c.clk),
-		exited:  queue.New[struct{}](c.clk),
+// routeFrames makes sure a router loop is receiving for this client: the
+// first collective starts one, and so does the first after a link
+// failure ended the last. Application goroutine only.
+func (c *Client) routeFrames() *clientRouter {
+	r := c.router
+	switch {
+	case r == nil:
+		r = &clientRouter{
+			c:       c,
+			boxes:   make(map[int]*queue.Q[mpi.Message]),
+			stash:   make(map[int][]mpi.Message),
+			done:    make(map[int]bool),
+			appDone: queue.New[mpi.Message](c.clk),
+			exited:  queue.New[struct{}](c.clk),
+		}
+		c.router = r
+	case r.lost.Load():
+		r.exited.Pop(c.clk, nil, nil, 0) //nolint:errcheck // unbounded: cannot time out
+		r.lost.Store(false)
+	default:
+		return r
 	}
-	c.router = r
 	c.clk.Go(fmt.Sprintf("client%d-router", c.Rank()), func(clk clock.Clock) {
 		r.run(mpi.RebindComm(c.comm, clk))
 		r.exited.Put(struct{}{})
 	})
+	return r
 }
 
 // stopRouter tells the router to exit via a loopback frame and joins
@@ -221,10 +232,12 @@ func (c *Client) startRouter() {
 // and ends the executors' activities.
 func (c *Client) stopRouter() {
 	if c.router == nil {
-		return
+		return // no collective ever ran here
 	}
-	c.comm.Send(c.comm.Rank(), tagRouterStop, nil)
-	c.router.exited.Pop(c.clk, nil, nil, 0)
+	if !c.router.lost.Load() {
+		c.comm.Send(c.comm.Rank(), tagRouterStop, nil)
+	}
+	c.router.exited.Pop(c.clk, nil, nil, 0) //nolint:errcheck // unbounded: cannot time out
 	c.router = nil
 	for _, e := range c.execs {
 		e.jobs.Put(nil)
@@ -253,6 +266,9 @@ func (r *clientRouter) unregister(seq int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.boxes, seq)
+	if len(r.done) >= 1<<17 {
+		r.done = make(map[int]bool) // bounded as the server router's is (sched.go)
+	}
 	r.done[seq] = true
 	for _, m := range r.stash[seq] {
 		bufpool.Put(m.Data)
@@ -260,9 +276,29 @@ func (r *clientRouter) unregister(seq int) {
 	delete(r.stash, seq)
 }
 
+// fail ends the loop on a link failure: every collective waiting on a
+// mailbox, and the end-of-application collection, is woken to find it.
+func (r *clientRouter) fail() {
+	r.lost.Store(true)
+	r.mu.Lock()
+	for _, box := range r.boxes {
+		box.Wake()
+	}
+	r.mu.Unlock()
+	r.appDone.Wake()
+}
+
 func (r *clientRouter) run(comm mpi.Comm) {
+	recv := func() (mpi.Message, error) { return comm.Recv(mpi.AnySource, mpi.AnyTag), nil }
+	if dc, ok := comm.(mpi.DeadlineComm); ok { // a link failure comes back, not as a panic
+		recv = func() (mpi.Message, error) { return dc.RecvTimeout(mpi.AnySource, mpi.AnyTag, 0) }
+	}
 	for {
-		m := comm.Recv(mpi.AnySource, mpi.AnyTag)
+		m, err := recv()
+		if err != nil {
+			r.fail()
+			return
+		}
 		switch m.Tag {
 		case tagRouterStop:
 			return
@@ -302,19 +338,19 @@ func (r *clientRouter) run(comm mpi.Comm) {
 }
 
 // collectAppDone is the master's end-of-application collection: peers'
-// tagAppDone frames arrive through the router when one is running,
-// straight off the communicator otherwise. Bounded per peer when
-// OpTimeout is set.
+// tagAppDone frames arrive through the router. Bounded per peer when
+// OpTimeout is set, and cut short when the link fails.
 func (c *Client) collectAppDone() {
+	r := c.routeFrames()
+	linkDown := func() error {
+		if r.lost.Load() {
+			return ErrPeerLost
+		}
+		return nil
+	}
 	for i := 1; i < c.cfg.NumClients; i++ {
-		if c.router != nil {
-			if _, err := c.router.appDone.Pop(c.clk, nil, nil, c.cfg.OpTimeout); err != nil {
-				break // a peer is gone or late; shut down anyway
-			}
-		} else {
-			if _, err := recvBounded(c.comm, c.clk, mpi.AnySource, tagAppDone, opDeadline(c.cfg, c.clk)); err != nil {
-				break
-			}
+		if _, err := r.appDone.Pop(c.clk, nil, linkDown, c.cfg.OpTimeout); err != nil {
+			break // a peer is gone or late; shut down anyway
 		}
 	}
 }

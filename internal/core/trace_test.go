@@ -731,9 +731,9 @@ func TestTrackTableBoundedByConcurrency(t *testing.T) {
 	if got := metadata(); got != meta20 {
 		t.Errorf("a dump opens with %d metadata records after 2,000 ops, %d after 20", got, meta20)
 	}
-	// Two clients and two servers, each with a main track and two lanes,
-	// plus a storage track per server.
-	if want := 2*3 + 2*4; tracks20 != want {
+	// Two clients and two servers, each with its main track (lane 0) and
+	// a second lane, plus a storage track per server.
+	if want := 2*2 + 2*3; tracks20 != want {
 		t.Errorf("%d tracks after 20 ops, want %d: %v ...", tracks20, want, rec.TrackNames()[:min(tracks20, 16)])
 	}
 }

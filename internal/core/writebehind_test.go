@@ -14,8 +14,8 @@ import (
 // writebehind_test.go covers what the write path promises its disk and
 // its buffer pool: a commit lists nothing and costs the same at step 60
 // as at step 5, the barriers sit where they always sat, both sink
-// families — the scheduled one from the legacy loop and from an executor
-// — leave the same files on a host file system (whose Create handle
+// families — the inline one and the storage stage, asked for by Pipeline
+// or by MaxInflight — leave the same files on a host file system (whose Create handle
 // starts writeback early), and an adopted wire frame goes back to the
 // pool once its sub-chunk is written.
 
@@ -122,8 +122,8 @@ func TestCommitPathBarriers(t *testing.T) {
 }
 
 // TestSinksWriteIdenticalFilesOverOSDisk runs one 2PC collective through
-// the inline sink, the storage stage behind the legacy loop and the
-// storage stage behind a scheduler executor, over real files, and
+// the inline sink, the storage stage asked for by Pipeline and the
+// storage stage asked for by MaxInflight, over real files, and
 // requires byte-identical data files, manifests and decision records:
 // starting writeback early must not perturb an offset or an ordering.
 func TestSinksWriteIdenticalFilesOverOSDisk(t *testing.T) {

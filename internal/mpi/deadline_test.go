@@ -260,6 +260,106 @@ func TestFaultCommCrashWakesBlockedReceive(t *testing.T) {
 	}
 }
 
+// TestFaultCommSelfSendSkipsThePlan: a message a rank sends itself is a
+// loopback, not a link — it arrives under total loss, while the same
+// send to a peer does not.
+func TestFaultCommSelfSendSkipsThePlan(t *testing.T) {
+	plan := NewFaultPlan(8)
+	plan.DropProb = 1.0
+	a, b := faultPair(t, plan)
+	a.Send(0, 4, []byte("loopback"))
+	a.SendOwned(0, 5, []byte("owned loopback"))
+	a.Send(1, 4, []byte("to a peer"))
+	for _, tag := range []int{4, 5} {
+		if _, err := a.RecvTimeout(0, tag, time.Second); err != nil {
+			t.Fatalf("self-send on tag %d: %v", tag, err)
+		}
+	}
+	if _, err := b.RecvTimeout(0, 4, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("peer send under DropProb 1: %v, want ErrTimeout", err)
+	}
+	if st := plan.Stats(); st.Dropped != 1 {
+		t.Fatalf("stats = %+v, want the one peer send dropped", st)
+	}
+}
+
+// TestFaultCommViewSendsOnItsOwnProcess: on simnet the view another
+// activity of a rank takes (RebindComm) sends on that activity's
+// process — the node's own process has already returned, so a view
+// still bound to it could not park — under the same shared plan.
+func TestFaultCommViewSendsOnItsOwnProcess(t *testing.T) {
+	sim := vtime.New()
+	w := NewSimWorld(sim, 2, SP2Link())
+	plan := NewFaultPlan(9)
+	plan.DupProb = 1.0
+	var took time.Duration
+	sim.Spawn("node", func(p *vtime.Proc) {
+		clk := clock.NewVirtual(p)
+		node := WrapFault(w.Bind(0, p), plan, clk)
+		clk.Go("helper", func(hclk clock.Clock) {
+			view := RebindComm(node, hclk)
+			if _, ok := view.(*FaultComm); !ok || view == Comm(node) {
+				t.Errorf("RebindComm returned %T %p for node %p: want a view of its own", view, view, node)
+			}
+			t0 := hclk.Now()
+			view.Send(1, 4, make([]byte, 64<<10))
+			took = hclk.Now() - t0
+		})
+	})
+	got := 0
+	sim.Spawn("peer", func(p *vtime.Proc) {
+		c := w.Bind(1, p).(DeadlineComm)
+		for {
+			if _, err := c.RecvTimeout(0, 4, time.Second); err != nil {
+				return
+			}
+			got++
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := SP2Link().txTime(64 << 10); took < want {
+		t.Errorf("the view's send took %v of its process's time, want at least the %v on the wire", took, want)
+	}
+	if got != 2 || plan.Stats().Duplicated != 1 {
+		t.Errorf("peer got %d copies, plan %+v: the view must roll the shared plan", got, plan.Stats())
+	}
+}
+
+// TestFaultCommViewsSendConcurrently: two activities of one rank send
+// at once, each through its own view, with reordering on — clean under
+// -race (a shared held-back send would not be), and every message but
+// at most one held back per view arrives.
+func TestFaultCommViewsSendConcurrently(t *testing.T) {
+	plan := NewFaultPlan(10)
+	plan.ReorderProb = 0.5
+	a, b := faultPair(t, plan)
+	const each = 200
+	var wg sync.WaitGroup
+	for v := 0; v < 2; v++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			view := RebindComm(a, clock.NewReal())
+			for i := 0; i < each; i++ {
+				view.Send(1, 4, []byte{byte(i)})
+			}
+		}()
+	}
+	wg.Wait()
+	got := 0
+	for {
+		if _, err := b.RecvTimeout(0, 4, 30*time.Millisecond); err != nil {
+			break
+		}
+		got++
+	}
+	if got < 2*each-2 || got > 2*each {
+		t.Fatalf("received %d of %d messages", got, 2*each)
+	}
+}
+
 func TestFaultCommSeededSchedulesReproduce(t *testing.T) {
 	run := func() FaultStats {
 		plan := NewFaultPlan(99)

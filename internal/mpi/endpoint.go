@@ -20,7 +20,7 @@ type Endpoint struct {
 	rank, size int
 	box        *queue.Q[Message]
 	clk        clock.Clock // the consumer's own clock: a simulated rank parks its process
-	under      PeerChecker // a routed endpoint's peers are its transport's; nil on a transport's own
+	under      Comm        // a routed endpoint's transport, whose link and peers it shares; nil on a transport's own
 	link       linkState
 }
 
@@ -36,10 +36,11 @@ func newEndpoint(rank, size int) Endpoint {
 
 // NewEndpoint returns the receive half a message router layers on
 // under: it receives from box, which the router fills, on the clock of
-// the activity that consumes it, and answers PeerLost as under does.
+// the activity that consumes it, and answers PeerLost — and fails its
+// receives when the link goes down — as under does. The router wakes
+// box when it finds the link down, so a blocked receive sees it.
 func NewEndpoint(under Comm, box *queue.Q[Message], clk clock.Clock) Endpoint {
-	pc, _ := under.(PeerChecker)
-	return Endpoint{rank: under.Rank(), size: under.Size(), box: box, clk: clk, under: pc}
+	return Endpoint{rank: under.Rank(), size: under.Size(), box: box, clk: clk, under: under}
 }
 
 // accept takes one frame addressed to this endpoint, and ownership of
@@ -79,9 +80,21 @@ func (e *Endpoint) failReads(err error) {
 // linkErr is the error that took the endpoint's link down, nil while it
 // is up.
 func (e *Endpoint) linkErr() error {
+	if e.under != nil {
+		return linkErrOf(e.under)
+	}
 	e.link.Lock()
 	defer e.link.Unlock()
 	return e.link.err
+}
+
+// linkErrOf is c's link failure, nil for a link that is up or for an
+// endpoint that cannot tell.
+func linkErrOf(c Comm) error {
+	if l, ok := c.(interface{ linkErr() error }); ok {
+		return l.linkErr()
+	}
+	return nil
 }
 
 func (e *Endpoint) Rank() int { return e.rank }
@@ -130,7 +143,8 @@ func (e *Endpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, e
 // PeerLost implements PeerChecker from the recorded deaths.
 func (e *Endpoint) PeerLost(rank int) bool {
 	if e.under != nil {
-		return e.under.PeerLost(rank)
+		pc, ok := e.under.(PeerChecker)
+		return ok && pc.PeerLost(rank)
 	}
 	e.link.Lock()
 	defer e.link.Unlock()

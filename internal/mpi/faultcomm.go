@@ -146,8 +146,11 @@ type sendVerdict struct {
 }
 
 // FaultComm wraps one rank's endpoint and applies its plan's faults to
-// outgoing messages. The inner endpoint must support deadlines; like
-// every Comm, a FaultComm is driven by its rank's single goroutine.
+// outgoing messages between ranks; a message a rank sends itself is a
+// loopback, not a link, and is delivered untouched. The inner endpoint
+// must support deadlines. Like every Comm, a FaultComm is driven by one
+// activity: another activity of the same rank takes its own view
+// (RebindComm), which shares the plan and holds back its own reorders.
 type FaultComm struct {
 	inner DeadlineComm
 	plan  *FaultPlan
@@ -174,8 +177,32 @@ func WrapFault(inner Comm, plan *FaultPlan, clk clock.Clock) *FaultComm {
 func (c *FaultComm) Rank() int { return c.inner.Rank() }
 func (c *FaultComm) Size() int { return c.inner.Size() }
 
+// Rebind returns the view of this endpoint for the activity driven by
+// clk: the inner endpoint rebound to it (RebindComm), the same plan, its
+// own clock for injected delays and its own held-back send.
+func (c *FaultComm) Rebind(clk clock.Clock) Comm {
+	return &FaultComm{inner: RebindComm(c.inner, clk).(DeadlineComm), plan: c.plan, clk: clk}
+}
+
+// linkErr reports this rank crashed, else the inner link's failure: what
+// a routed view over the endpoint fails its receives with.
+func (c *FaultComm) linkErr() error {
+	if c.plan.Crashed(c.Rank()) {
+		return fmt.Errorf("rank %d crashed", c.Rank())
+	}
+	return linkErrOf(c.inner)
+}
+
 // deliver pushes one message through the fault pipeline.
 func (c *FaultComm) deliver(to, tag int, data []byte, owned bool) {
+	if to == c.Rank() {
+		if owned {
+			c.inner.SendOwned(to, tag, data)
+		} else {
+			c.inner.Send(to, tag, data)
+		}
+		return
+	}
 	v := c.plan.roll(c.Rank(), to)
 	if v.drop {
 		return
