@@ -7,12 +7,14 @@ all: build
 build:
 	$(GO) build ./...
 
-# cross builds for a platform without sync_file_range, so the no-op
-# writeback stub (internal/storage/osdisk_other.go) is compiled and
-# vetted by something. Needs no network: the module has no dependencies.
+# cross builds for a platform without sync_file_range or Linux's
+# sendfile, so the no-op writeback stub (internal/storage/osdisk_other.go)
+# and the no-zero-copy transport stub (internal/mpi/sendfile_other.go,
+# whose servers take the buffered read arm) are compiled and vetted by
+# something. Needs no network: the module has no dependencies.
 cross:
 	GOOS=darwin $(GO) build ./...
-	GOOS=darwin $(GO) vet ./internal/storage/
+	GOOS=darwin $(GO) vet ./internal/storage/ ./internal/mpi/ ./internal/core/
 
 test:
 	$(GO) test ./...
@@ -116,10 +118,10 @@ bench-pack:
 # alloc-check is the allocation gate: a write+read pair within its
 # budget with either storage arm (MaxInflight 0: inline WriteAt/ReadAt;
 # 1: the storage stage), and the stage within 2 % of inline; a pooled
-# buffer's round trip, a bounded receive of a waiting message and a
-# frame written to a socket allocate nothing.
+# buffer's round trip, a bounded receive of a waiting message, a frame
+# written to a socket and a file range sent to one allocate nothing.
 alloc-check:
-	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc' -count=3 ./internal/...
+	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc' -count=3 ./internal/...
 
 # bench-wall-quick builds and runs the wall-clock benchmark (bench/, its
 # own module, which BENCHMARK.json declares) at its smallest setting:

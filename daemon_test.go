@@ -437,9 +437,12 @@ func procIOBytes(t *testing.T) int64 {
 // TestDaemonIOBytesPerUserByte guards the hub-local data path: a byte a
 // session writes crosses the kernel three times inside this process —
 // the client's socket write, the hub's socket read (which lands in the
-// I/O node's mailbox), the file write — and a byte it reads likewise.
-// I/O nodes that dialed their own hub would make it five. Not parallel:
-// /proc/self/io counts the whole process.
+// I/O node's mailbox), the file write — and a byte it reads likewise:
+// the I/O node's sendfile from the file onto the client's socket (which
+// the kernel counts as a read and a write, as it would the pread and
+// writev it replaces), the client's socket read. Every byte read takes
+// that zero-copy route. I/O nodes that dialed their own hub would make
+// it five. Not parallel: /proc/self/io counts the whole process.
 func TestDaemonIOBytesPerUserByte(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("/proc/self/io is Linux-only")
@@ -461,7 +464,7 @@ func TestDaemonIOBytesPerUserByte(t *testing.T) {
 	if err := s.Create(a); err != nil {
 		t.Fatal(err)
 	}
-	before := procIOBytes(t)
+	before, zc0 := procIOBytes(t), d.reg.Counter("zero_copy_bytes").Value()
 	err = s.Run(func(n *Node) error {
 		buf := make([]byte, n.ChunkBytes(a))
 		fillPattern(buf, int64(n.Rank()))
@@ -492,5 +495,8 @@ func TestDaemonIOBytesPerUserByte(t *testing.T) {
 		t.Fatalf("%d syscall bytes for %d user bytes: %.3f per user byte, want at most 3.1", moved, user, ratio)
 	} else {
 		t.Logf("%.3f syscall bytes per user byte", ratio)
+	}
+	if zc := d.reg.Counter("zero_copy_bytes").Value() - zc0; zc != user/2 {
+		t.Errorf("zero_copy_bytes = %d for a %d-byte natural read, want every byte", zc, user/2)
 	}
 }

@@ -60,10 +60,16 @@ type Stats struct {
 	// only to frame them: a contiguous piece shipped as header + borrowed
 	// payload segments by a scatter-gather transport (in-process and
 	// simulated delivery park frames, so they flatten the two and do not
-	// count), and — on every transport — a strided piece, which is
-	// packed straight into its frame (packedFrame) where it used to be
+	// count), a piece whose file range went to a socket by sendfile
+	// (ZeroCopyBytes), and — on every transport — a strided piece, which
+	// is packed straight into its frame (packedFrame) where it used to be
 	// packed into a scratch buffer and framed from there.
 	FramesCoalesced int64
+	// ZeroCopyBytes counts read payload bytes a server sent from the page
+	// cache straight to a socket (sendfile), never read into its memory:
+	// every byte of a natural read served from host files over a socket
+	// transport, zero on every other path.
+	ZeroCopyBytes int64
 	// PlanHits and PlanMisses count plan-cache consultations on this
 	// server: a hit reuses the chunk assignment and sub-chunk schedule
 	// of an identical earlier operation instead of recomputing them.
@@ -101,6 +107,7 @@ const (
 	cStallNanos
 	cContigBytes
 	cFramesCoalesced
+	cZeroCopyBytes
 	cPlanHits
 	cPlanMisses
 	cFramesRejected
@@ -130,6 +137,7 @@ var counterTable = [numCounters]struct {
 	cStallNanos:      {"stall_ns", func(s *Stats) *int64 { return &s.StallNanos }},
 	cContigBytes:     {"contig_bytes", func(s *Stats) *int64 { return &s.ContigBytes }},
 	cFramesCoalesced: {"frames_coalesced", func(s *Stats) *int64 { return &s.FramesCoalesced }},
+	cZeroCopyBytes:   {"zero_copy_bytes", func(s *Stats) *int64 { return &s.ZeroCopyBytes }},
 	cPlanHits:        {"plan_cache_hits", func(s *Stats) *int64 { return &s.PlanHits }},
 	cPlanMisses:      {"plan_cache_misses", func(s *Stats) *int64 { return &s.PlanMisses }},
 	cFramesRejected:  {"sched_frames_rejected", func(s *Stats) *int64 { return &s.FramesRejected }},

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"time"
 
+	"panda/internal/array"
 	"panda/internal/bufpool"
 	"panda/internal/clock"
+	"panda/internal/mpi"
 	"panda/internal/obs"
 	"panda/internal/storage"
 )
@@ -31,6 +34,24 @@ import (
 // > 0 every operation shares its node's diskSched; at 0 writes use it
 // when Pipeline >= 2 and reads when ReadAhead >= 1. Everything else —
 // the paper's configuration included — runs inline.
+//
+// One read skips the storage stage altogether: an array whose every
+// piece is contiguous in its sub-chunk — so a contiguous range of the
+// server's file — read from a host file (storage.HostFile) over a
+// transport that can send a file range itself (mpi.FileRoute: the
+// socket transports, on Linux). The mover opens and size-checks the file
+// as the inline arm does, then hands the transport each piece's file
+// range behind its header (fileSource, Server.sendFile); sendfile moves
+// it from the page cache to the client's socket with no copy through
+// this process, where the other arms pread it into a pooled buffer and
+// writev it back out. Plan order holds: the mover still walks the plan
+// sub-chunk by sub-chunk and piece by piece, so the file is read front
+// to back. Handle ownership holds: the file is the mover's, opened and
+// closed by it like the inline arm's, and the transport borrows it only
+// for the duration of one SendFile. Strided pieces (they need a gather),
+// simulated and in-memory disks (there is no host file, so no
+// virtual-time measurement can change), wrapped disks and FaultComm
+// (whose plan must see every frame) keep their buffered arm.
 //
 // Failure model across the stage boundary: the mover keeps exclusive
 // ownership of deadlines, retries and aborts. A storage error comes back
@@ -143,10 +164,24 @@ func (k *serialWriteSink) abandon() { k.f.Close() }
 
 func (k *serialWriteSink) report() (int64, int64) { return 0, 0 }
 
-// newReadSource is newWriteSink's read-side twin: the storage activity
-// when operations may overlap or the mover is asked to read ahead, the
-// paper's inline reader otherwise.
+// newReadSource is newWriteSink's read-side twin: the zero-copy arm
+// when the whole array can go from the file to the transport (see the
+// header), else the storage activity when operations may overlap or the
+// mover is asked to read ahead, the paper's inline reader otherwise.
 func (s *Server) newReadSource(name string, subs []subchunkJob, want int64) (readSource, error) {
+	if fc := s.fileRoute(subs); fc != nil {
+		f, err := s.openForRead(s.disk, name, want)
+		if err != nil {
+			return nil, err
+		}
+		if hf := storage.HostFile(f); hf != nil {
+			if fileSourceHook != nil {
+				fileSourceHook(hf)
+			}
+			return &fileSource{f: f, hf: hf, fc: fc}, nil
+		}
+		f.Close() // no host file behind the handle: a buffered arm opens its own
+	}
 	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.readAhead() >= 1) {
 		return s.newSchedReadSource(name, subs, want)
 	}
@@ -205,3 +240,41 @@ func (k *serialReadSource) finish() error { k.f.Close(); return nil }
 func (k *serialReadSource) abandon() { k.f.Close() }
 
 func (k *serialReadSource) report() (int64, int64) { return 0, 0 }
+
+// fileRoute returns the transport's file-range path when every piece of
+// subs is contiguous in its sub-chunk, nil otherwise.
+func (s *Server) fileRoute(subs []subchunkJob) mpi.FileComm {
+	fc := mpi.FileRoute(s.comm)
+	if fc == nil {
+		return nil
+	}
+	for _, sj := range subs {
+		for _, pc := range sj.Pieces {
+			if _, contig := array.ContiguousIn(sj.Region, pc.Region); !contig {
+				return nil
+			}
+		}
+	}
+	return fc
+}
+
+// fileSourceHook, when set by a test, sees the host file of every
+// zero-copy read right after its size check.
+var fileSourceHook func(*os.File)
+
+// fileSource is the zero-copy arm: it reads nothing. The mover sends
+// each piece's range of hf through fc (Server.sendFile) and the
+// transport reads it, so next hands out no buffer.
+type fileSource struct {
+	f  storage.File
+	hf *os.File
+	fc mpi.FileComm
+}
+
+func (k *fileSource) next(subchunkJob) ([]byte, error) { return nil, nil }
+
+func (k *fileSource) finish() error { k.f.Close(); return nil }
+
+func (k *fileSource) abandon() { k.f.Close() }
+
+func (k *fileSource) report() (int64, int64) { return 0, 0 }

@@ -87,33 +87,7 @@ func TestStridedPiecesPackedOnce(t *testing.T) {
 	inproc := func(cfg Config, app App) error { return RunReal(cfg, memDisks(cfg.NumServers), app) }
 	// Servers attached to the hub in process, clients dialed: a packed
 	// frame crosses local → socket on reads and socket → local on writes.
-	hub := func(cfg Config, app App) error {
-		h, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
-		if err != nil {
-			return err
-		}
-		comms := make([]mpi.Comm, cfg.WorldSize())
-		for i := 0; i < cfg.NumServers; i++ {
-			if comms[cfg.ServerRank(i)], err = h.Local(cfg.ServerRank(i)); err != nil {
-				return err
-			}
-		}
-		served := make(chan error, 1)
-		go func() { served <- h.Serve() }()
-		for r := 0; r < cfg.NumClients; r++ {
-			if comms[r], err = mpi.DialComm(h.Addr(), r, cfg.WorldSize()); err != nil {
-				return err
-			}
-		}
-		_, err = RunWith(cfg, comms, memDisks(cfg.NumServers), app)
-		for r := 0; r < cfg.NumClients; r++ {
-			mpi.CloseComm(comms[r])
-		}
-		if herr := <-served; err == nil {
-			err = herr
-		}
-		return err
-	}
+	hub := func(cfg Config, app App) error { return runHubLocal(cfg, memDisks(cfg.NumServers), nil, app) }
 	simnet := func(cfg Config, app App) error {
 		_, err := RunSim(cfg, mpi.SP2Link(), func(int, clock.Clock) storage.Disk { return storage.NewMemDisk() }, app)
 		return err

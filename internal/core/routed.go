@@ -32,3 +32,8 @@ func (rc *routedComm) Isend(to, tag int, data []byte) mpi.Request {
 func (rc *routedComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	return mpi.SendSegments(rc.under, to, tag, hdr, payload)
 }
+
+// FileRoute offers the transport's file-range path (mpi.FileRoute), nil
+// when the transport has none: a file frame goes straight to under, as
+// every send does.
+func (rc *routedComm) FileRoute() mpi.FileComm { return mpi.FileRoute(rc.under) }

@@ -190,6 +190,28 @@ func (s *Server) sendVec(to, tag int, hdr, payload []byte) {
 	bufpool.Put(hdr)
 }
 
+// sendFile ships hdr followed by n bytes of the array file from off as
+// one message, through the zero-copy arm's transport: from the page
+// cache straight to a socket, or one pooled copy into a mailbox in this
+// process. hdr must come from bufpool and is recycled here. A file that
+// ended inside the range — truncated or replaced under the server after
+// its size was checked — fails the operation as ErrCorrupt; the frame
+// itself went out whole, so the link is fine.
+func (s *Server) sendFile(src *fileSource, to, tag int, hdr []byte, off, n int64) error {
+	s.cnt[cMsgsSent].Add(1)
+	s.cnt[cBytesSent].Add(int64(len(hdr)) + n)
+	zc, err := src.fc.SendFile(to, tag, hdr, src.hf, off, int(n))
+	bufpool.Put(hdr)
+	if zc {
+		s.cnt[cFramesCoalesced].Add(1)
+		s.cnt[cZeroCopyBytes].Add(n)
+	}
+	if errors.Is(err, mpi.ErrShortFile) {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return err
+}
+
 // chargeContig accounts for n bytes moved through a contiguous fast
 // path — no reorganization copy, no CopyRate charge.
 func (s *Server) chargeContig(n int64) {
@@ -711,8 +733,9 @@ func (s *Server) readArray(spec ArraySpec, name string, subs []subchunkJob, dead
 
 // scatterSubchunks is the read mover: it takes sub-chunks from the
 // source in plan order and scatters each piece to the client that
-// needs it.
+// needs it — from the file itself when the source is the zero-copy arm.
 func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, src readSource) error {
+	fs, _ := src.(*fileSource)
 	measured := s.tr.Enabled() || s.met.subLatency != nil
 	for _, sj := range subs {
 		if err := s.checkReadInterrupt(deadline); err != nil {
@@ -746,17 +769,26 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 			}
 			// Scatter-gather send: the header is built alone and the
 			// payload travels as a borrowed segment — no flattening copy
-			// on transports with a vector path.
+			// on transports with a vector path — or as a file range.
 			start := off * int64(spec.ElemSize)
 			s.chargeContig(n)
-			s.sendVec(to, tag, encodeSubDataHeader(d, 0), buf[start:start+n])
+			hdr := encodeSubDataHeader(d, 0)
+			if fs != nil {
+				if err := s.sendFile(fs, to, tag, hdr, sj.FileOffset+start, n); err != nil {
+					return err
+				}
+				continue
+			}
+			s.sendVec(to, tag, hdr, buf[start:start+n])
 		}
 		if measured {
 			end := s.clk.Now()
 			s.tr.Span(obs.CatNet, "scatter sub-chunk", s.opSeq, n0, end, sj.Bytes)
 			s.met.subLatency.Observe(int64(end - t0))
 		}
-		bufpool.Put(buf)
+		if buf != nil {
+			bufpool.Put(buf)
+		}
 	}
 	return nil
 }

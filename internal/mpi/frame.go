@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"sync"
+	"syscall"
 
 	"panda/internal/bufpool"
 )
@@ -16,8 +19,8 @@ import (
 //
 //	u32 to | u32 source | u32 tag+1 | u32 len | payload (len bytes)
 //
-// frameWriter.write alone builds this header and writes a data frame to
-// a socket; frameReader.next alone parses it and sizes the payload
+// frameWriter alone builds this header and writes a data frame to a
+// socket; frameReader.next alone parses it and sizes the payload
 // buffer. len is at most MaxFrameBytes: senders check it as they check
 // the tag (core.Config.Validate refuses a SubchunkBytes whose data frame
 // could reach it), and the reader refuses a longer header before it
@@ -49,12 +52,24 @@ func checkFrame(c interface{ Size() int }, to, tag, n int) {
 // header and scatter list, so a frame goes out as one writev and
 // allocates nothing, whoever sends it: a hub route goroutine relaying,
 // a local endpoint, the hub announcing a death, a dialed or mesh
-// endpoint's owner. The zero value is ready.
+// endpoint's owner. A file frame (writeFile) also keeps its raw socket
+// and sendfile state here. The zero value is ready.
 type frameWriter struct {
 	mu   sync.Mutex
 	wire [frameHeaderBytes]byte
 	segs [3][]byte
 	bufs net.Buffers
+
+	// File frames: the raw socket of rawOf, and sendStep bound once, so a
+	// frame allocates nothing; then the range in flight and the error
+	// that ended it early.
+	rawOf  net.Conn
+	raw    syscall.RawConn
+	step   func(uintptr) bool
+	src    int
+	off    int64
+	left   int
+	srcErr error
 }
 
 // write sends one frame — the wire header, then a|b — on dst as a
@@ -63,15 +78,82 @@ type frameWriter struct {
 func (w *frameWriter) write(dst net.Conn, to, source int, wireTag uint32, a, b []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.writev(dst, to, source, wireTag, a, b, 0)
+}
+
+// writev writes a wire header announcing a|b and more bytes behind them,
+// then a|b, as one writev. w.mu is held.
+func (w *frameWriter) writev(dst net.Conn, to, source int, wireTag uint32, a, b []byte, more int) error {
 	binary.BigEndian.PutUint32(w.wire[0:], uint32(to))
 	binary.BigEndian.PutUint32(w.wire[4:], uint32(source))
 	binary.BigEndian.PutUint32(w.wire[8:], wireTag)
-	binary.BigEndian.PutUint32(w.wire[12:], uint32(len(a)+len(b)))
+	binary.BigEndian.PutUint32(w.wire[12:], uint32(len(a)+len(b)+more))
 	w.segs = [3][]byte{w.wire[:], a, b}
 	w.bufs = w.segs[:]
 	_, err := w.bufs.WriteTo(dst)
 	w.segs = [3][]byte{} // the payload segments were only borrowed
 	return err
+}
+
+// writeFile sends one frame whose payload is hdr followed by n bytes of
+// f from off: the wire header and hdr as one writev, then the range
+// handed to the kernel — page cache to socket, no user-space copy —
+// waiting on the poller whenever the socket is full. Where dst has no
+// raw socket (or the system no sendfile) the range is read into a pooled
+// buffer and written as write does. A range the file does not hold is
+// completed with zeros, so the link is never left mid-frame, and comes
+// back as fileErr; only a failed socket write is linkErr, after which
+// the frame may be half-written and the caller takes the link down, as
+// after write. zc reports that the range went by sendfile.
+func (w *frameWriter) writeFile(dst net.Conn, to, source int, wireTag uint32, hdr []byte, f *os.File, off int64, n int) (zc bool, fileErr, linkErr error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	raw := w.rawConn(dst)
+	if raw == nil {
+		buf := bufpool.GetRaw(n)
+		fileErr = readFileRange(f, buf, off)
+		linkErr = w.writev(dst, to, source, wireTag, hdr, buf, 0)
+		bufpool.Put(buf)
+		return false, fileErr, linkErr
+	}
+	if linkErr = w.writev(dst, to, source, wireTag, hdr, nil, n); linkErr != nil {
+		return false, nil, linkErr
+	}
+	w.src, w.off, w.left, w.srcErr = int(f.Fd()), off, n, nil
+	linkErr = raw.Write(w.step)
+	runtime.KeepAlive(f)
+	if linkErr == nil && w.left > 0 {
+		// The range ended early. Zeros keep the frame whole; if they cannot
+		// be written either, what ended it was the socket.
+		if linkErr = writeZeros(dst, w.left); w.srcErr != nil {
+			fileErr = fmt.Errorf("mpi: sendfile: %w", w.srcErr)
+		} else {
+			fileErr = shortFile(n-w.left, n, off)
+		}
+	}
+	if linkErr != nil {
+		return false, nil, linkErr
+	}
+	return true, fileErr, nil
+}
+
+// rawConn returns dst's raw socket for sendfile, nil when there is none
+// to be had. It is fetched once per connection; sendStep is bound once
+// per writer.
+func (w *frameWriter) rawConn(dst net.Conn) syscall.RawConn {
+	if !zeroCopyFiles {
+		return nil
+	}
+	if dst != w.rawOf {
+		w.rawOf, w.raw = dst, nil
+		if sc, ok := dst.(syscall.Conn); ok {
+			w.raw, _ = sc.SyscallConn() // none to be had: the buffered path
+		}
+	}
+	if w.step == nil {
+		w.step = w.sendStep
+	}
+	return w.raw
 }
 
 // frameReader reads the frames of one connection. Headers and small

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"os"
 	"sync"
 )
 
@@ -40,6 +41,16 @@ func (c *localComm) SendOwned(to, tag int, data []byte) { c.emit(to, tag, data, 
 // mailbox gets a pooled copy, never a view of the borrowed payload.
 func (c *localComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	return c.emit(to, tag, hdr, payload, false) == written
+}
+
+// SendFile implements FileComm through Hub.deliverFile: sendfile onto a
+// dialed destination's socket, one pooled copy into a local mailbox.
+func (c *localComm) SendFile(to, tag int, hdr []byte, f *os.File, off int64, n int) (bool, error) {
+	checkFrame(c, to, tag, len(hdr)+n)
+	if c.linkErr() != nil {
+		return false, nil
+	}
+	return c.hub.deliverFile(c.rank, to, uint32(tag)+1, hdr, f, off, n)
 }
 
 func (c *localComm) Isend(to, tag int, data []byte) Request {

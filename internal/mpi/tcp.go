@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"syscall"
 	"time"
@@ -51,11 +52,14 @@ import (
 // attaches them as in-process endpoints (local.go). A frame the hub
 // reads for a local rank moves into that rank's mailbox as the pooled
 // buffer it was read into — no copy, no second socket; a local rank's
-// send to a dialed rank is one writev onto that rank's socket; local to
-// local is one pooled copy. Deaths and revivals reach local endpoints
-// as direct marks on their dead-peer sets, and a rank is held by one
-// endpoint of either kind at a time. The wire format is unchanged and
-// dialed peers cannot tell which kind of endpoint they talk to.
+// send to a dialed rank is one writev onto that rank's socket, and a
+// file range it sends (FileComm) one writev of the headers and a
+// sendfile from the page cache onto that socket; local to local is one
+// pooled copy, and a file range one ReadAt into a pooled frame. Deaths
+// and revivals reach local endpoints as direct marks on their dead-peer
+// sets, and a rank is held by one endpoint of either kind at a time. The
+// wire format is unchanged and dialed peers cannot tell which kind of
+// endpoint they talk to.
 //
 // A local mailbox is unbounded, where a dialed rank's socket buffer
 // pushed back on the sender. Panda does not need the push-back: writes
@@ -63,7 +67,9 @@ import (
 // sub-chunks it has asked for and not yet consumed (bounded by its
 // pipeline depth), and everything else is control traffic of a few
 // hundred bytes per operation. Reads leave through the client's socket
-// and block the serving rank in writev exactly as before.
+// — a natural read's file ranges by sendfile, everything else by writev
+// — and a slow client blocks the serving rank in that socket write,
+// waiting on the poller, exactly as it blocked the relay before.
 
 const tcpMagic = 0x50414e44 // "PAND"
 
@@ -456,9 +462,7 @@ const (
 // unless the frame was queued with owned set. Frames for an absent or
 // dead rank are dropped; the sender learns via the death announcement.
 func (h *Hub) deliver(source, to int, wireTag uint32, a, b []byte, owned bool) fate {
-	h.mu.Lock()
-	l, dst, gone := h.locals[to], h.conns[to], h.dead[to]
-	h.mu.Unlock()
+	l, dst, gone := h.holder(to)
 	switch {
 	case gone:
 	case l != nil:
@@ -480,6 +484,39 @@ func (h *Hub) deliver(source, to int, wireTag uint32, a, b []byte, owned bool) f
 		h.announceDeath(to)
 	}
 	return dropped
+}
+
+// holder is who holds rank `to`: a local endpoint, a dialed
+// connection, or neither — and whether the rank was announced dead.
+func (h *Hub) holder(to int) (*localComm, net.Conn, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.locals[to], h.conns[to], h.dead[to]
+}
+
+// deliverFile is deliver for a local endpoint's file frame: hdr followed
+// by n bytes of f from off. A dialed destination gets the headers in one
+// writev and the range by sendfile (frameWriter.writeFile); a local one
+// gets one ReadAt into a pooled frame, which its mailbox owns. It
+// reports whether the range went by sendfile, and the file's error — the
+// frame went out whole regardless. A frame for an absent or dead rank is
+// dropped unread.
+func (h *Hub) deliverFile(source, to int, wireTag uint32, hdr []byte, f *os.File, off int64, n int) (bool, error) {
+	l, dst, gone := h.holder(to)
+	switch {
+	case gone:
+	case l != nil:
+		frame, err := fileFrame(hdr, f, off, n)
+		l.accept(source, wireTag, frame)
+		return false, err
+	case dst != nil:
+		zc, fileErr, linkErr := h.out[to].writeFile(dst, to, source, wireTag, hdr, f, off, n)
+		if linkErr != nil {
+			h.announceDeath(to) // as deliver does: the destination, not the hub, is lost
+		}
+		return zc, fileErr
+	}
+	return false, nil
 }
 
 // isDisconnect reports whether a read error means the peer went away
@@ -592,9 +629,25 @@ func (c *tcpComm) reader() {
 func (c *tcpComm) emit(to, tag int, a, b []byte) {
 	checkFrame(c, to, tag, len(a)+len(b))
 	if err := c.out.write(c.conn, to, c.rank, uint32(tag)+1, a, b); err != nil {
-		c.failReads(fmt.Errorf("send: %w", err))
-		c.conn.Close()
+		c.sendFailed(err)
 	}
+}
+
+func (c *tcpComm) sendFailed(err error) {
+	c.failReads(fmt.Errorf("send: %w", err))
+	c.conn.Close()
+}
+
+// SendFile implements FileComm: the wire header and hdr in one writev,
+// then the range by sendfile onto the hub socket. A failed socket write
+// takes the link down as emit's does.
+func (c *tcpComm) SendFile(to, tag int, hdr []byte, f *os.File, off int64, n int) (bool, error) {
+	checkFrame(c, to, tag, len(hdr)+n)
+	zc, fileErr, linkErr := c.out.writeFile(c.conn, to, c.rank, uint32(tag)+1, hdr, f, off, n)
+	if linkErr != nil {
+		c.sendFailed(linkErr)
+	}
+	return zc, fileErr
 }
 
 func (c *tcpComm) Send(to, tag int, data []byte) { c.emit(to, tag, data, nil) }

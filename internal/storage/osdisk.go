@@ -35,6 +35,20 @@ func (d *OSDisk) path(name string) string {
 
 type osFile struct{ *os.File }
 
+// HostFile returns the host file behind a handle OSDisk opened, and nil
+// for every other handle — MemDisk's, SimDisk's, FaultDisk's or any
+// wrapper's — which has no file the kernel could send from itself. A
+// caller borrows the file only while it holds the handle open.
+func HostFile(f File) *os.File {
+	switch h := f.(type) {
+	case osFile:
+		return h.File
+	case *osWriter:
+		return h.File
+	}
+	return nil
+}
+
 func (f osFile) Size() (int64, error) {
 	st, err := f.Stat()
 	if err != nil {
