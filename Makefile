@@ -116,8 +116,9 @@ bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkCopyRegion' -benchmem ./internal/array
 
 # alloc-check is the allocation gate: a write+read pair within its
-# budget with either storage arm (MaxInflight 0: inline WriteAt/ReadAt;
-# 1: the storage stage), and the stage within 2 % of inline; a pooled
+# budget at either write window of the storage stage (MaxInflight 0:
+# zero, the paper's loop; 1: write-behind), and write-behind within 2 %
+# of zero; a pooled
 # buffer's round trip, a bounded receive of a waiting message, a frame
 # written to a socket and a file range sent to one allocate nothing.
 alloc-check:

@@ -513,8 +513,8 @@ func shapeReply(cfg core.Config) ctlReply {
 
 // coreConfig rebuilds, on the newcomer's side, the deployment view
 // shapeReply advertised: the world shape (rank arithmetic and tags), the
-// transfer tuning (MaxInflight included: it picks a joined server's
-// storage arm), and the service flag. Membership stays nil: a joined
+// transfer tuning (MaxInflight included: it sizes a joined server's
+// write window), and the service flag. Membership stays nil: a joined
 // server plans purely from the Deads lists stamped on requests.
 func (rep ctlReply) coreConfig() core.Config {
 	return core.Config{

@@ -53,20 +53,19 @@ type Config struct {
 	// Pipeline is the number of sub-chunks a server keeps in flight
 	// during writes; 1 (or 0, meaning 1) reproduces the paper's
 	// blocking behaviour, larger values implement the non-blocking
-	// overlap the paper proposes as future work. At 2 or more writes go
-	// through the node's storage stage (diskSched), which writes behind
-	// the network stage with at most Pipeline writes outstanding, so a
-	// write holds at most 2*Pipeline sub-chunk buffers. (With
-	// Sched.MaxInflight > 0 they always do, in a window of
-	// max(2, Pipeline).)
+	// overlap the paper proposes as future work. At 2 or more the node's
+	// storage stage (diskSched) writes behind the network stage with at
+	// most Pipeline writes outstanding, so a write holds at most
+	// 2*Pipeline sub-chunk buffers; below it each write is done before
+	// the next pull goes out. (With Sched.MaxInflight > 0 the window is
+	// always max(2, Pipeline).)
 	Pipeline int
 	// ReadAhead is the number of sub-chunk reads kept outstanding at
 	// the storage stage beyond the sub-chunk being scattered. 0 — the
 	// default — reproduces the paper's strictly serial read-then-scatter
-	// loop at Sched.MaxInflight 0 (above it reads still go through the
-	// node's stage, one sub-chunk at a time); 1 or more overlaps disk
-	// reads with piece scattering while file access stays in plan
-	// order. A read holds at most ReadAhead+1 sub-chunk buffers.
+	// loop; 1 or more overlaps disk reads with piece scattering while
+	// file access stays in plan order. A read holds at most ReadAhead+1
+	// sub-chunk buffers.
 	ReadAhead int
 	// StartupOverhead is charged once per collective operation at the
 	// master server, modelling the measured ~13 ms fixed cost of a
@@ -183,7 +182,7 @@ type Config struct {
 
 	// Sched configures the operation scheduler every server runs. The
 	// zero value (MaxInflight == 0) serves one operation at a time with
-	// the paper's inline storage.
+	// the paper's serial storage loop.
 	Sched SchedConfig
 
 	// Members, when non-nil, makes server membership elastic: NumServers
@@ -228,10 +227,11 @@ func (c Config) HeartbeatInterval() time.Duration {
 // fairness across tenants, and per-array conflict serialization.
 type SchedConfig struct {
 	// MaxInflight is the number of operations the master server
-	// dispatches concurrently. 0 is one at a time with the paper's inline
-	// WriteAt/ReadAt (unless Pipeline or ReadAhead ask for the storage
-	// stage); 1 is one at a time through the storage stage — the
-	// baseline the mixed-workload bench compares against.
+	// dispatches concurrently. 0 is one at a time with the paper's
+	// serial WriteAt/ReadAt loop (unless Pipeline or ReadAhead widen the
+	// storage stage's window); 1 is one at a time with a write-behind
+	// window of max(2, Pipeline) — the baseline the mixed-workload bench
+	// compares against.
 	MaxInflight int
 	// QueueDepth bounds the admission queue (0 = 16). A request
 	// arriving with the queue full is refused with ErrBusy.
@@ -251,8 +251,8 @@ type SchedConfig struct {
 	Seed int64
 }
 
-// enabled reports whether operations may overlap, which puts their data
-// through the node's storage stage.
+// enabled reports whether operations may overlap, which opens their
+// writes' window at the node's storage stage.
 func (sc SchedConfig) enabled() bool { return sc.MaxInflight > 0 }
 
 // queueDepth returns the admission queue bound.

@@ -43,7 +43,7 @@ func (s *Server) serverGone(i int) bool {
 // arrive — and is cut into OpTimeout/8 slices: liveness is checked up
 // front and whenever a slice comes back empty, so a death ends the wait
 // within a slice of its report, not when the budget runs out. Without
-// one each wait is a blocking receive and the clock is never read.
+// one each wait is unbounded and the clock is never read.
 func (s *Server) collect(typ byte, req opRequest, deadline time.Duration, status error, eager bool) (gone []int, late bool, _ error) {
 	var collectBy, waitBy time.Duration
 	if deadline > 0 {

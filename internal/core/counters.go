@@ -44,8 +44,8 @@ type Stats struct {
 	// OverlapNanos is disk time the storage stage hid behind network
 	// activity: what the stage spent serving an operation's requests
 	// minus the mover's waits on it, clamped at zero per array. Zero
-	// when the disk calls run inline on the mover (off the scheduler
-	// with Pipeline <= 1 and ReadAhead == 0).
+	// with a window of zero (off the scheduler with Pipeline <= 1 and
+	// ReadAhead == 0), where the mover waits out every disk call.
 	OverlapNanos int64
 	// StallNanos is time the network stage spent blocked on the storage
 	// stage — writes waiting for a full window, reads waiting for a

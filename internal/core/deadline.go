@@ -10,18 +10,21 @@ import (
 )
 
 // recvBounded is Recv bounded by an absolute deadline on clk (0 = no
-// deadline, block forever exactly as the original protocol did).
-// Transport-level failures are translated to this package's typed
-// sentinels: mpi.ErrTimeout → ErrTimeout, mpi.ErrPeerLost →
-// ErrPeerLost.
+// deadline: wait as long as the original protocol did, and read no
+// clock). Transport-level failures are translated to this package's
+// typed sentinels: mpi.ErrTimeout → ErrTimeout, mpi.ErrPeerLost →
+// ErrPeerLost — with or without a deadline, so a dead link fails the
+// wait instead of panicking.
 func recvBounded(comm mpi.Comm, clk clock.Clock, from, tag int, deadline time.Duration) (mpi.Message, error) {
 	dc, ok := comm.(mpi.DeadlineComm)
-	if deadline <= 0 || !ok { // no deadline, or no support for one: the blocking protocol
+	if !ok { // no support for a bound or a failure report: the blocking protocol
 		return comm.Recv(from, tag), nil
 	}
-	remaining := deadline - clk.Now()
-	if remaining <= 0 {
-		return mpi.Message{}, ErrTimeout
+	var remaining time.Duration // 0: unbounded
+	if deadline > 0 {
+		if remaining = deadline - clk.Now(); remaining <= 0 {
+			return mpi.Message{}, ErrTimeout
+		}
 	}
 	m, err := dc.RecvTimeout(from, tag, remaining)
 	if err != nil {

@@ -14,15 +14,16 @@ import (
 )
 
 // diskSched is a node's storage stage: one activity that serves the bulk
-// disk traffic of every operation on the node whose storage arm is the
-// stage (engine.go). Requests arriving close together are drained as
-// one batch; when a batch holds writes to more than one file, adjacent
-// writes to the same file are merged into a single WriteAt, which is the
-// cross-op disk optimization: two interleaved collectives cost one seek
-// per run instead of one per sub-chunk. A batch that writes a single
-// file is already sequential, so merging it would buy a memcpy and no
-// seek (and move a lone op's simulated time by the rounding of one
-// larger AIXModel request): its writes are issued as submitted.
+// disk traffic of every operation on the node (engine.go; only a
+// zero-copy read bypasses it). Requests arriving close together are
+// drained as one batch; when a batch holds writes to more than one file,
+// adjacent writes to the same file are merged into a single WriteAt,
+// which is the cross-op disk optimization: two interleaved collectives
+// cost one seek per run instead of one per sub-chunk. A batch that
+// writes a single file is already sequential, so merging it would buy a
+// memcpy and no seek (and move a lone op's simulated time by the
+// rounding of one larger AIXModel request): its writes are issued as
+// submitted.
 //
 // The activity owns its own rebound Disk and every data-path file
 // handle, so on the simulated clock all disk time is charged to one
@@ -81,7 +82,9 @@ type diskSched struct {
 // newDiskSched starts the storage activity for one server node.
 func newDiskSched(s *Server) *diskSched {
 	d := &diskSched{box: queue.New[diskReq](s.clk)}
-	tr := s.storageTrack()
+	// Disk spans get a track of their own: same Chrome process as the
+	// movers, its own thread.
+	tr := s.cfg.Trace.Track(fmt.Sprintf("server%d/storage", s.index))
 	s.clk.Go(fmt.Sprintf("server%d-storage", s.index), func(clk clock.Clock) {
 		dd := storage.RebindClock(s.disk, clk)
 		for {
@@ -267,17 +270,29 @@ func (p *stagePort) stalled(t0 time.Duration, what string, bytes int64) {
 
 func (p *stagePort) report() (int64, int64) { return p.disk, p.stall }
 
-// schedWriteSink writes behind the mover through the storage activity
-// with a bounded window, so concurrent ops batch at the disk without any
-// op running unboundedly ahead of it.
+// schedWriteSink absorbs completed sub-chunks in plan order through the
+// storage activity, with at most window writes outstanding: 0 waits for
+// each write before the mover pulls on (the paper's loop), 2 or more
+// write behind the mover, so concurrent ops batch at the disk without
+// any op running unboundedly ahead of it. write owns recycle (always a
+// pooled slice: bufpool.Put counts anything else as a drop) and the
+// activity puts it back once buf is written. Exactly one of finish
+// (success path: sync, close, surface storage errors) or abandon (mover
+// failed: still wait out queued work) must be called.
 type schedWriteSink struct {
 	stagePort
 	window int
 	err    error // first write error; sticky
 }
 
-func (s *Server) newSchedWriteSink(name string) (writeSink, error) {
-	k := &schedWriteSink{stagePort: s.newStagePort(), window: max(2, s.cfg.pipeline())}
+// newWriteSink opens name through the storage stage. The window is zero
+// unless operations may overlap (so they batch and merge at the disk) or
+// the mover is asked to write behind.
+func (s *Server) newWriteSink(name string) (*schedWriteSink, error) {
+	k := &schedWriteSink{stagePort: s.newStagePort()}
+	if s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2 {
+		k.window = max(2, s.cfg.pipeline())
+	}
 	t0 := k.clk.Now()
 	rep := k.call(diskReq{kind: dCreate, name: name})
 	k.stalled(t0, "create", 0)
@@ -299,7 +314,7 @@ func (k *schedWriteSink) drain(keep int) {
 
 func (k *schedWriteSink) write(buf []byte, off int64, recycle []byte) error {
 	k.depth.Observe(int64(k.out + 1))
-	if k.out >= k.window {
+	if k.window > 0 && k.out >= k.window {
 		t0 := k.clk.Now()
 		k.drain(k.window - 1)
 		k.stalled(t0, "write-behind full", int64(len(buf)))
@@ -309,7 +324,12 @@ func (k *schedWriteSink) write(buf []byte, off int64, recycle []byte) error {
 		return k.err
 	}
 	k.submit(diskReq{kind: dWrite, buf: buf, off: off, recycle: recycle})
-	return nil
+	if k.window == 0 {
+		t0 := k.clk.Now()
+		k.drain(0)
+		k.stalled(t0, "write", int64(len(buf)))
+	}
+	return k.err
 }
 
 // join waits out the window, then runs the closing calls.

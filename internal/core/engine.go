@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"panda/internal/array"
-	"panda/internal/bufpool"
-	"panda/internal/clock"
 	"panda/internal/mpi"
-	"panda/internal/obs"
 	"panda/internal/storage"
 )
 
@@ -22,36 +19,35 @@ import (
 //	mover    — the network stage: pulls pieces from clients (writes) or
 //	           scatters them (reads), and owns all deadline, retry and
 //	           abort handling: the operation's executor (sched.go).
-//	storage  — the disk stage, in one of two forms. Inline (this file):
-//	           the mover issues WriteAt/ReadAt itself — the paper's
-//	           strictly serial loop, byte-for-byte reproducing its
-//	           timings. Scheduled (disksched.go): the node's diskSched
-//	           activity serves a bounded window of outstanding requests,
-//	           overlapping disk time with network time while every file
-//	           is still accessed in plan order.
+//	storage  — the disk stage (disksched.go): the node's diskSched
+//	           activity, which serves a window of outstanding requests
+//	           per operation while every file is still accessed in plan
+//	           order. A window of zero — submit one request, wait for it —
+//	           is the paper's strictly serial loop, byte-for-byte
+//	           reproducing its timings; a wider one overlaps disk time
+//	           with network time.
 //
-// The storage arm follows from the knobs alone: with Sched.MaxInflight
-// > 0 every operation shares its node's diskSched; at 0 writes use it
-// when Pipeline >= 2 and reads when ReadAhead >= 1. Everything else —
-// the paper's configuration included — runs inline.
+// The window follows from the knobs: writes keep max(2, Pipeline)
+// outstanding when Sched.MaxInflight > 0 or Pipeline >= 2 and none
+// otherwise; reads keep ReadAhead beyond the sub-chunk in hand.
 //
 // One read skips the storage stage altogether: an array whose every
 // piece is contiguous in its sub-chunk — so a contiguous range of the
 // server's file — read from a host file (storage.HostFile) over a
 // transport that can send a file range itself (mpi.FileRoute: the
 // socket transports, on Linux). The mover opens and size-checks the file
-// as the inline arm does, then hands the transport each piece's file
-// range behind its header (fileSource, Server.sendFile); sendfile moves
-// it from the page cache to the client's socket with no copy through
-// this process, where the other arms pread it into a pooled buffer and
-// writev it back out. Plan order holds: the mover still walks the plan
-// sub-chunk by sub-chunk and piece by piece, so the file is read front
-// to back. Handle ownership holds: the file is the mover's, opened and
-// closed by it like the inline arm's, and the transport borrows it only
-// for the duration of one SendFile. Strided pieces (they need a gather),
-// simulated and in-memory disks (there is no host file, so no
-// virtual-time measurement can change), wrapped disks and FaultComm
-// (whose plan must see every frame) keep their buffered arm.
+// itself, then hands the transport each piece's file range behind its
+// header (fileSource, Server.sendFile); sendfile moves it from the page
+// cache to the client's socket with no copy through this process, where
+// the stage preads it into a pooled buffer and the mover writevs it back
+// out. Plan order holds: the mover still walks the plan sub-chunk by
+// sub-chunk and piece by piece, so the file is read front to back.
+// Handle ownership holds: the file is the mover's, opened and closed by
+// it, and the transport borrows it only for the duration of one
+// SendFile. Strided pieces (they need a gather), simulated and in-memory
+// disks (there is no host file, so no virtual-time measurement can
+// change), wrapped disks and FaultComm (whose plan must see every frame)
+// read through the stage.
 //
 // Failure model across the stage boundary: the mover keeps exclusive
 // ownership of deadlines, retries and aborts. A storage error comes back
@@ -63,31 +59,18 @@ import (
 // operation never leaves work behind in the shared activity.
 //
 // Observability: disk spans land on the "serverN/storage" track (a
-// separate Chrome thread under the server's process) on every path,
-// stall spans on the mover's own track, so a trace viewer shows overlap
-// directly as concurrent disk and network spans. Stall spans shorter
-// than 1µs are suppressed — a hand-off that finds its reply waiting
-// costs nanoseconds and is not a stall.
+// separate Chrome thread under the server's process), stall spans on the
+// mover's own track, so a trace viewer shows overlap directly as
+// concurrent disk and network spans. Stall spans shorter than 1µs are
+// suppressed — a hand-off that finds its reply waiting costs nanoseconds
+// and is not a stall.
 
 // stallSpanFloor filters hand-off noise out of stall spans; the stall
 // *counters* still accumulate every nanosecond.
 const stallSpanFloor = time.Microsecond
 
-// writeSink absorbs completed sub-chunks in plan order; write owns
-// recycle (always a pooled slice: bufpool.Put counts anything else as a
-// drop) and hands it to bufpool.Put when buf is dead, written or not.
-// Exactly one of finish (success path: sync, close, surface storage
-// errors) or abandon (mover failed: still wait out queued work) must be
-// called.
-type writeSink interface {
-	write(buf []byte, off int64, recycle []byte) error
-	finish() error
-	abandon()
-	report() (diskNanos, stallNanos int64)
-}
-
-// readSource produces sub-chunks in plan order. Exactly one of finish
-// or abandon must be called.
+// readSource produces sub-chunks in plan order: the stage, or the
+// zero-copy file arm. Exactly one of finish or abandon must be called.
 type readSource interface {
 	next(sj subchunkJob) ([]byte, error)
 	finish() error
@@ -105,69 +88,9 @@ func (s *Server) mergeStage(diskNanos, stallNanos int64) {
 	}
 }
 
-// storageTrack resolves the disk-stage trace track for this server:
-// same Chrome process as the mover, its own thread.
-func (s *Server) storageTrack() obs.Track {
-	if s.cfg.Trace == nil {
-		return obs.Track{} // every sink and source asks: spare them the name
-	}
-	return s.cfg.Trace.Track(fmt.Sprintf("server%d/storage", s.index))
-}
-
-// newWriteSink routes writes through the node's storage activity when
-// operations may overlap (so they batch and merge at the disk) or the
-// mover may write behind, and through the paper's inline writer
-// otherwise.
-func (s *Server) newWriteSink(name string) (writeSink, error) {
-	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2) {
-		return s.newSchedWriteSink(name)
-	}
-	f, err := s.disk.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &serialWriteSink{f: f, clk: s.clk, tr: s.storageTrack(), seq: s.opSeq}, nil
-}
-
-// serialWriteSink is the paper's behaviour: WriteAt inline on the mover.
-// Disk spans still land on the storage track so inline and scheduled
-// traces line up column-for-column.
-type serialWriteSink struct {
-	f   storage.File
-	clk clock.Clock
-	tr  obs.Track
-	seq int
-}
-
-func (k *serialWriteSink) write(buf []byte, off int64, recycle []byte) error {
-	var t0 time.Duration
-	if k.tr.Enabled() {
-		t0 = k.clk.Now()
-	}
-	_, err := k.f.WriteAt(buf, off)
-	if k.tr.Enabled() {
-		k.tr.Span(obs.CatDisk, "WriteAt", k.seq, t0, k.clk.Now(), int64(len(buf)))
-	}
-	bufpool.Put(recycle)
-	return err
-}
-
-func (k *serialWriteSink) finish() error {
-	err := k.f.Sync()
-	if cerr := k.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func (k *serialWriteSink) abandon() { k.f.Close() }
-
-func (k *serialWriteSink) report() (int64, int64) { return 0, 0 }
-
 // newReadSource is newWriteSink's read-side twin: the zero-copy arm
 // when the whole array can go from the file to the transport (see the
-// header), else the storage activity when operations may overlap or the
-// mover is asked to read ahead, the paper's inline reader otherwise.
+// header), the storage stage with ReadAhead reads outstanding otherwise.
 func (s *Server) newReadSource(name string, subs []subchunkJob, want int64) (readSource, error) {
 	if fc := s.fileRoute(subs); fc != nil {
 		f, err := s.openForRead(s.disk, name, want)
@@ -180,16 +103,9 @@ func (s *Server) newReadSource(name string, subs []subchunkJob, want int64) (rea
 			}
 			return &fileSource{f: f, hf: hf, fc: fc}, nil
 		}
-		f.Close() // no host file behind the handle: a buffered arm opens its own
+		f.Close() // no host file behind the handle: the stage opens its own
 	}
-	if s.dsched != nil && (s.cfg.Sched.enabled() || s.cfg.readAhead() >= 1) {
-		return s.newSchedReadSource(name, subs, want)
-	}
-	f, err := s.openForRead(s.disk, name, want)
-	if err != nil {
-		return nil, err
-	}
-	return &serialReadSource{f: f, clk: s.clk, tr: s.storageTrack(), seq: s.opSeq}, nil
+	return s.newSchedReadSource(name, subs, want)
 }
 
 // openForRead opens the array file and checks it holds this server's
@@ -210,36 +126,6 @@ func (s *Server) openForRead(d storage.Disk, name string, want int64) (storage.F
 	}
 	return f, nil
 }
-
-// serialReadSource is the paper's behaviour: ReadAt inline on the mover.
-type serialReadSource struct {
-	f   storage.File
-	clk clock.Clock
-	tr  obs.Track
-	seq int
-}
-
-func (k *serialReadSource) next(sj subchunkJob) ([]byte, error) {
-	buf := bufpool.GetRaw(int(sj.Bytes))
-	var t0 time.Duration
-	if k.tr.Enabled() {
-		t0 = k.clk.Now()
-	}
-	if _, err := k.f.ReadAt(buf, sj.FileOffset); err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	if k.tr.Enabled() {
-		k.tr.Span(obs.CatDisk, "ReadAt", k.seq, t0, k.clk.Now(), sj.Bytes)
-	}
-	return buf, nil
-}
-
-func (k *serialReadSource) finish() error { k.f.Close(); return nil }
-
-func (k *serialReadSource) abandon() { k.f.Close() }
-
-func (k *serialReadSource) report() (int64, int64) { return 0, 0 }
 
 // fileRoute returns the transport's file-range path when every piece of
 // subs is contiguous in its sub-chunk, nil otherwise.

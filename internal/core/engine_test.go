@@ -12,16 +12,17 @@ import (
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
+	"panda/internal/obs"
 	"panda/internal/queue"
 	"panda/internal/storage"
 	"panda/internal/vtime"
 )
 
 // engine_test.go covers the server engine's storage stage: disk/network
-// overlap under virtual time when the knobs ask for it, equality with
-// the inline path when they do not, strict file sequentiality in both
-// forms, and the failure model (deadlines, aborts, storage errors,
-// pooled buffers) across the stage boundary.
+// overlap under virtual time when the knobs open its window, the paper's
+// serial timings when they leave it at zero, strict file sequentiality
+// at every window, and the failure model (deadlines, aborts, storage
+// errors, pooled buffers) across the stage boundary.
 
 // diskTrace records every call a server's disk served, in issue order,
 // shared across every Rebind view of the disk.
@@ -169,12 +170,40 @@ func tracedAIXFactory(n int) ([]*diskTrace, []*storage.SimDisk, DiskFactory) {
 	return traces, sims, factory
 }
 
+// wantSerialAccounting fails unless every server of a run with a window
+// of zero reports no overlap and, as stall, exactly its stage's disk
+// time: the mover waited out every disk call and hid none. A server's
+// disk time is the sum of the disk spans on its storage track, which
+// the run traced into rec: a SimDisk charges time for WriteAt and ReadAt
+// alone.
+func wantSerialAccounting(t *testing.T, res SimResult, rec *obs.Recorder) {
+	t.Helper()
+	tracks, events, _ := rec.Snapshot()
+	disk := make([]int64, len(res.ServerStats))
+	for _, e := range events {
+		var i int
+		if _, err := fmt.Sscanf(tracks[e.Track], "server%d/storage", &i); err == nil && e.Cat == obs.CatDisk {
+			disk[i] += int64(e.Dur)
+		}
+	}
+	for i, st := range res.ServerStats {
+		if st.OverlapNanos != 0 || st.StallNanos != disk[i] || disk[i] == 0 {
+			t.Errorf("serial server %d reports overlap=%d stall=%d, want 0 and its disk time %d",
+				i, st.OverlapNanos, st.StallNanos, disk[i])
+		}
+	}
+}
+
 func TestStagedWriteOverlapsDiskAndNetwork(t *testing.T) {
 	cfg, specs := overlapSpecs()
+	rec := obs.NewRecorder(0)
 
 	run := func(pipeline int) (SimResult, []*diskTrace) {
 		c := cfg
 		c.Pipeline = pipeline
+		if pipeline == 1 {
+			c.Trace = rec
+		}
 		traces, _, factory := tracedAIXFactory(c.NumServers)
 		res, err := RunSim(c, mpi.SP2Link(), factory, func(cl *Client) error {
 			return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
@@ -203,17 +232,13 @@ func TestStagedWriteOverlapsDiskAndNetwork(t *testing.T) {
 	}
 
 	var overlap int64
-	for i, st := range staged.ServerStats {
+	for _, st := range staged.ServerStats {
 		overlap += st.OverlapNanos
-		serialSt := serial.ServerStats[i]
-		if serialSt.OverlapNanos != 0 || serialSt.StallNanos != 0 {
-			t.Errorf("serial server %d reports overlap=%d stall=%d, want zero",
-				i, serialSt.OverlapNanos, serialSt.StallNanos)
-		}
 	}
 	if overlap <= 0 {
 		t.Error("staged write hid no disk time behind the network")
 	}
+	wantSerialAccounting(t, serial, rec)
 
 	for i := range serialTraces {
 		serialTraces[i].assertSequential(t, i)
@@ -223,10 +248,14 @@ func TestStagedWriteOverlapsDiskAndNetwork(t *testing.T) {
 
 func TestStagedReadOverlapsDiskAndNetwork(t *testing.T) {
 	cfg, specs := overlapSpecs()
+	rec := obs.NewRecorder(0)
 
 	run := func(readAhead int) (SimResult, []*diskTrace) {
 		c := cfg
 		c.ReadAhead = readAhead
+		if readAhead == 0 {
+			c.Trace = rec
+		}
 		traces, sims, factory := tracedAIXFactory(c.NumServers)
 		res, err := RunSim(c, mpi.SP2Link(), factory, func(cl *Client) error {
 			bufs := makeBufs(cl, specs, true)
@@ -272,17 +301,13 @@ func TestStagedReadOverlapsDiskAndNetwork(t *testing.T) {
 	}
 
 	var overlap int64
-	for i, st := range staged.ServerStats {
+	for _, st := range staged.ServerStats {
 		overlap += st.OverlapNanos
-		serialSt := serial.ServerStats[i]
-		if serialSt.OverlapNanos != 0 || serialSt.StallNanos != 0 {
-			t.Errorf("serial server %d reports overlap=%d stall=%d, want zero",
-				i, serialSt.OverlapNanos, serialSt.StallNanos)
-		}
 	}
 	if overlap <= 0 {
 		t.Error("read-ahead hid no disk time behind the network")
 	}
+	wantSerialAccounting(t, serial, rec)
 
 	for i := range serialTraces {
 		serialTraces[i].assertSequential(t, i)
@@ -292,8 +317,9 @@ func TestStagedReadOverlapsDiskAndNetwork(t *testing.T) {
 
 // TestSerialKnobsReproduceSerialTimings pins the gating contract: the
 // zero-value configuration and an explicit Pipeline=1/ReadAhead=0 both
-// take the inline serial path and produce identical virtual timings —
-// no storage activity is started unless the knobs ask for one.
+// open a window of zero at the storage stage — the paper's serial loop —
+// and produce identical virtual timings, reporting every disk wait as
+// stall and none of it as overlap.
 func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 	base := Config{NumClients: 4, NumServers: 2, SubchunkBytes: 2 << 10}
 	shape := []int{64, 64}
@@ -301,7 +327,8 @@ func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 	disk := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
 	specs := []ArraySpec{{Name: "ser", ElemSize: 4, Mem: mem, Disk: disk}}
 
-	run := func(c Config) SimResult {
+	run := func(c Config) (SimResult, *obs.Recorder) {
+		c.Trace = obs.NewRecorder(0)
 		res, err := RunSim(c, mpi.SP2Link(), retainingAIXDisk, func(cl *Client) error {
 			bufs := makeBufs(cl, specs, true)
 			if err := cl.WriteArrays("", specs, bufs); err != nil {
@@ -312,14 +339,14 @@ func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, c.Trace
 	}
 
-	implicit := run(base)
+	implicit, implicitRec := run(base)
 	explicit := base
 	explicit.Pipeline, explicit.ReadAhead = 1, 0
-	explicitRes := run(explicit)
-	repeat := run(base)
+	explicitRes, explicitRec := run(explicit)
+	repeat, _ := run(base)
 
 	if implicit.Elapsed != explicitRes.Elapsed || implicit.MaxClientElapsed() != explicitRes.MaxClientElapsed() {
 		t.Errorf("explicit serial knobs changed timings: %v/%v vs %v/%v",
@@ -329,20 +356,14 @@ func TestSerialKnobsReproduceSerialTimings(t *testing.T) {
 	if implicit.Elapsed != repeat.Elapsed {
 		t.Errorf("serial path non-deterministic: %v vs %v", implicit.Elapsed, repeat.Elapsed)
 	}
-	for _, res := range []SimResult{implicit, explicitRes} {
-		for i, st := range res.ServerStats {
-			if st.OverlapNanos != 0 || st.StallNanos != 0 {
-				t.Errorf("serial server %d reports overlap=%d stall=%d, want zero",
-					i, st.OverlapNanos, st.StallNanos)
-			}
-		}
-	}
+	wantSerialAccounting(t, implicit, implicitRec)
+	wantSerialAccounting(t, explicitRes, explicitRec)
 }
 
 // TestReadHonorsDeadline covers a read whose disk is too slow for the
 // operation budget: it must stop between sub-chunks with a typed timeout
-// instead of grinding through its whole plan — inline and with
-// read-ahead, where the mover gets as far as its first sub-chunk and the
+// instead of grinding through its whole plan — one read at a time and
+// with read-ahead, where the mover gets as far as its first sub-chunk and the
 // window bounds what was issued on its behalf at that one plus
 // ReadAhead.
 func TestReadHonorsDeadline(t *testing.T) {
@@ -668,36 +689,43 @@ func poolWatch() func() (leaked, dropped int64) {
 // TestWriteAbandonWithFullWindow is a mover abort at the worst moment:
 // the write window is full and the disk is busy. abandon must wait out
 // every queued write — each pooled buffer goes back to bufpool exactly
-// once — and return with nothing outstanding.
+// once — and return with nothing outstanding. A window of zero (the
+// paper's loop, Pipeline 1) is full with nothing outstanding: its write
+// returned only once the disk was done with it.
 func TestWriteAbandonWithFullWindow(t *testing.T) {
-	cfg := Config{NumClients: 1, NumServers: 1, Pipeline: 3}
-	onStage(t, cfg, func(t *testing.T, s *Server) {
-		probe := poolWatch()
-		sink, err := s.newWriteSink("abandoned")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		k := sink.(*schedWriteSink)
-		const n = 64 << 10
-		for i := 0; i < k.window; i++ {
-			buf := bufpool.Get(n)
-			if err := sink.write(buf, int64(i)*n, buf); err != nil {
+	onStage(t, Config{NumClients: 1, NumServers: 1}, func(t *testing.T, s *Server) {
+		for _, tc := range []struct{ pipeline, window int }{{1, 0}, {3, 3}} {
+			s.cfg.Pipeline = tc.pipeline
+			probe := poolWatch()
+			k, err := s.newWriteSink(fmt.Sprintf("abandoned%d", tc.window))
+			if err != nil {
 				t.Error(err)
+				return
 			}
-		}
-		if k.out != cfg.Pipeline {
-			t.Errorf("%d writes outstanding before the abort, want a full window of %d", k.out, cfg.Pipeline)
-		}
-		sink.abandon()
-		if k.out != 0 {
-			t.Errorf("abandon returned with %d writes outstanding", k.out)
-		}
-		if leaked, dropped := probe(); leaked != 0 || dropped != 0 {
-			t.Errorf("abandon with a full window: %d buffers never returned to the pool, %d Puts dropped", leaked, dropped)
-		}
-		if disk, stall := sink.report(); disk <= 0 || stall <= 0 {
-			t.Errorf("report() = (%d, %d) after waiting out a busy disk, want both positive", disk, stall)
+			if k.window != tc.window {
+				t.Errorf("Pipeline %d opened a window of %d, want %d", tc.pipeline, k.window, tc.window)
+			}
+			const n = 64 << 10
+			for i := 0; i < max(k.window, 1); i++ {
+				buf := bufpool.Get(n)
+				if err := k.write(buf, int64(i)*n, buf); err != nil {
+					t.Error(err)
+				}
+			}
+			if k.out != k.window {
+				t.Errorf("window %d: %d writes outstanding before the abort, want a full window", k.window, k.out)
+			}
+			k.abandon()
+			if k.out != 0 {
+				t.Errorf("window %d: abandon returned with %d writes outstanding", k.window, k.out)
+			}
+			if leaked, dropped := probe(); leaked != 0 || dropped != 0 {
+				t.Errorf("window %d: abandon with a full window: %d buffers never returned to the pool, %d Puts dropped",
+					k.window, leaked, dropped)
+			}
+			if disk, stall := k.report(); disk <= 0 || stall <= 0 {
+				t.Errorf("window %d: report() = (%d, %d) after waiting out a busy disk, want both positive", k.window, disk, stall)
+			}
 		}
 	})
 }

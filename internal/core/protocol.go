@@ -608,8 +608,8 @@ func encodeShutdown() []byte { return []byte{msgShutdown} }
 // Values follow SchedConfig/Config zero-value conventions (0 Quantum =
 // 1 MiB, 0 QueueDepth = 16, ...), except Sched.MaxInflight, where 0
 // means "keep the current value" — a reconfig must never silently
-// serialize a running service onto inline storage. Sched.Seed does not
-// travel.
+// serialize a running service onto a write window of zero. Sched.Seed
+// does not travel.
 type Reconfig struct {
 	Sched    SchedConfig
 	Pipeline int

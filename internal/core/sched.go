@@ -43,10 +43,11 @@ import (
 //	            dispatch allocates nothing. Each op counts into a private
 //	            block chained to the node totals (counters.go), so per-op
 //	            attribution is exact.
-//	disk      — the storage arm (engine.go): the paper's inline
-//	            WriteAt/ReadAt at MaxInflight 0 with no overlap knob set,
-//	            otherwise the shared diskSched (disksched.go), which
-//	            batches and merges adjacent requests across ops.
+//	disk      — the node's one storage stage, diskSched (disksched.go,
+//	            engine.go), shared by every executor: it batches and
+//	            merges adjacent requests across ops, and serves each op a
+//	            window the knobs size — zero, the paper's serial loop, at
+//	            MaxInflight 0 with no overlap knob set.
 //
 // An executor announces completion by sending a SchedDone frame to its
 // own rank — a node-local loopback that works identically on the
@@ -301,10 +302,8 @@ func (s *Server) Serve() error {
 	if s.IsMaster() {
 		r.core = newSchedCore(&s.cfg.Sched)
 	}
-	if s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2 || s.cfg.readAhead() >= 1 {
-		s.dsched = newDiskSched(s) // a storage arm uses it (engine.go)
-		defer s.dsched.stop()
-	}
+	s.dsched = newDiskSched(s)
+	defer s.dsched.stop()
 	defer func() { // end every executor's activity once it has finished what it runs
 		for _, e := range r.execs {
 			e.jobs.Put(nil)
@@ -522,8 +521,8 @@ func mergeDeads(a, b []int) []int {
 // on the router goroutine, and executors snapshot the configuration
 // when they start — in-flight operations keep the knobs they began
 // with, only subsequently dispatched ones see the new ones.
-// MaxInflight == 0 means "keep the current bound" (zero would switch
-// storage arms mid-run); every other field is installed verbatim, with
+// MaxInflight == 0 means "keep the current bound" (zero would close the
+// write window mid-run); every other field is installed verbatim, with
 // zero values meaning the deployment defaults as usual; the admission
 // core's rng and queue state survive the reload.
 func (r *schedRouter) applyReconfig(b []byte) {

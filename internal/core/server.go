@@ -40,7 +40,7 @@ type Server struct {
 	// (one per in-flight op, see sched.go) is running.
 	tenant string
 	// dsched is the node's storage stage (disksched.go), shared by every
-	// executor: started by Serve when the knobs ask for one, nil otherwise.
+	// executor: started by Serve, stopped when it returns.
 	dsched *diskSched
 	// replies is where dsched answers this executor (one stagePort open
 	// at a time, see disksched.go).
@@ -119,15 +119,16 @@ func (s *Server) countRecv(n int) {
 	s.cnt[cBytesRecv].Add(int64(n))
 }
 
-// recvIdle is the router's wait for its next frame: a plain blocking
-// receive without deadlines, a wake-up every OpTimeout with them. A
+// recvIdle is the router's wait for its next frame: a wake-up every
+// OpTimeout, or one unbounded wait without deadlines — which still comes
+// back as ErrPeerLost, not a panic, when the node's own link dies. A
 // fixed-shape deployment whose master client the transport has declared
 // dead can receive neither work nor an orderly shutdown, so it gives up
 // once busy reports nothing in hand. (A resident service has no master
 // client whose death could orphan it; sessions come and go by design.)
 func (s *Server) recvIdle(busy func() bool) (mpi.Message, error) {
 	dc, bounded := s.comm.(mpi.DeadlineComm)
-	if s.cfg.OpTimeout <= 0 || !bounded {
+	if !bounded {
 		return s.comm.Recv(mpi.AnySource, mpi.AnyTag), nil
 	}
 	for {
@@ -536,7 +537,7 @@ func (s *Server) writeArray(spec ArraySpec, name string, subs []subchunkJob, dea
 // sub-chunk pulls in flight and retires completed sub-chunks to the
 // sink strictly in plan order. mb, when non-nil, collects each retired
 // sub-chunk's extent and CRC32C for the epoch manifest.
-func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, sink writeSink, mb *manifestBuilder) error {
+func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time.Duration, sink *schedWriteSink, mb *manifestBuilder) error {
 	// The window is a ring of slots made once per array: sub-chunk k
 	// (in plan order) is pulled under request ID first+k into slot
 	// k%window, so subs[written:next] are in flight, the oldest first.

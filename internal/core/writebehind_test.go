@@ -13,11 +13,11 @@ import (
 
 // writebehind_test.go covers what the write path promises its disk and
 // its buffer pool: a commit lists nothing and costs the same at step 60
-// as at step 5, the barriers sit where they always sat, both sink
-// families — the inline one and the storage stage, asked for by Pipeline
-// or by MaxInflight — leave the same files on a host file system (whose Create handle
-// starts writeback early), and an adopted wire frame goes back to the
-// pool once its sub-chunk is written.
+// as at step 5, the barriers sit where they always sat, every write
+// window of the storage stage — zero, and write-behind asked for by
+// Pipeline or by MaxInflight — leaves the same files on a host file
+// system (whose Create handle starts writeback early), and an adopted
+// wire frame goes back to the pool once its sub-chunk is written.
 
 // naturalSpec is one array whose memory and disk schemas agree, so every
 // sub-chunk is one client's contiguous piece and its frame is adopted.
@@ -122,10 +122,11 @@ func TestCommitPathBarriers(t *testing.T) {
 }
 
 // TestSinksWriteIdenticalFilesOverOSDisk runs one 2PC collective through
-// the inline sink, the storage stage asked for by Pipeline and the
-// storage stage asked for by MaxInflight, over real files, and
-// requires byte-identical data files, manifests and decision records:
-// starting writeback early must not perturb an offset or an ordering.
+// the storage stage with a window of zero (the paper's serial loop),
+// with write-behind asked for by Pipeline and with write-behind asked
+// for by MaxInflight, over real files, and requires byte-identical data
+// files, manifests and decision records: starting writeback early must
+// not perturb an offset or an ordering.
 func TestSinksWriteIdenticalFilesOverOSDisk(t *testing.T) {
 	shape := []int{64, 64}
 	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block}, []int{2, 2})
@@ -195,7 +196,7 @@ func TestSinksWriteIdenticalFilesOverOSDisk(t *testing.T) {
 		}
 		for n, want := range serial {
 			if !bytes.Equal(got[n], want) {
-				t.Errorf("%s: %s differs from the serial sink's (%d vs %d bytes)", other.name, n, len(got[n]), len(want))
+				t.Errorf("%s: %s differs from the serial run's (%d vs %d bytes)", other.name, n, len(got[n]), len(want))
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 
 	"panda/internal/bufpool"
@@ -331,37 +330,10 @@ func (c *meshComm) emit(to, tag int, a, b []byte) bool {
 		return false
 	}
 	if err := p.out.write(p.conn, to, c.rank, uint32(tag)+1, a, b); err != nil {
-		c.sendFailed(to, p)
+		c.markPeerDead(to)
+		p.conn.Close()
 	}
 	return true
-}
-
-func (c *meshComm) sendFailed(to int, p *meshPeer) {
-	c.markPeerDead(to)
-	p.conn.Close()
-}
-
-// SendFile implements FileComm: the wire header and hdr in one writev,
-// then the range by sendfile onto the peer's socket. A self-send parks
-// a pooled copy, as emit's does; an unreachable peer or a failed socket
-// write is handled as emit handles it.
-func (c *meshComm) SendFile(to, tag int, hdr []byte, f *os.File, off int64, n int) (bool, error) {
-	checkFrame(c, to, tag, len(hdr)+n)
-	if to == c.rank {
-		frame, err := fileFrame(hdr, f, off, n)
-		c.box.Put(Message{Source: c.rank, Tag: tag, Data: frame})
-		return false, err
-	}
-	p, err := c.peerFor(to)
-	if err != nil {
-		c.markPeerDead(to)
-		return false, nil
-	}
-	zc, fileErr, linkErr := p.out.writeFile(p.conn, to, c.rank, uint32(tag)+1, hdr, f, off, n)
-	if linkErr != nil {
-		c.sendFailed(to, p)
-	}
-	return zc, fileErr
 }
 
 func (c *meshComm) Send(to, tag int, data []byte) { c.emit(to, tag, data, nil) }

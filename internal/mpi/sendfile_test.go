@@ -15,7 +15,6 @@ import (
 
 	"panda/internal/bufpool"
 	"panda/internal/clock"
-	"panda/internal/obs"
 )
 
 // fileLink is one kind of socket writer a file frame leaves through:
@@ -30,9 +29,9 @@ type fileLink struct {
 
 // fileLinks builds every writer a FileComm frame can leave through: a
 // hub-local endpoint writing onto a dialed rank's socket (the hub's
-// per-rank writer), a dialed endpoint writing onto its hub socket, and
-// a mesh endpoint writing onto its peer socket. Each has sent one plain
-// frame already, consumed here, so its socket exists.
+// per-rank writer) and a dialed endpoint writing onto its hub socket.
+// Each has sent one plain frame already, consumed here, so its socket
+// exists.
 func fileLinks(t *testing.T) []fileLink {
 	t.Helper()
 	hi := func(l fileLink) fileLink {
@@ -56,46 +55,27 @@ func fileLinks(t *testing.T) []fileLink {
 		return conn.(*net.TCPConn)
 	}})
 
-	// A socket whose far end the test holds, for the endpoints that dial.
-	listen := func() (string, <-chan net.Conn) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		accepted := make(chan net.Conn, 1)
-		go func() {
-			defer ln.Close()
-			if conn, err := ln.Accept(); err == nil {
-				accepted <- conn
-			}
-		}()
-		return ln.Addr().String(), accepted
-	}
-
-	addr, accepted := listen()
-	conn, err := net.Dial("tcp", addr)
+	// A socket whose far end the test holds, for the endpoint that dials.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dialedWire := <-accepted
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialedWire, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { conn.Close(); dialedWire.Close() })
 	dialed := &tcpComm{Endpoint: newEndpoint(0, 2), conn: conn}
 	dialed.Send(1, 1, []byte("hi"))
 
-	addr, accepted = listen()
-	mesh := &meshComm{Endpoint: newEndpoint(0, 2), addrs: []string{"", addr}, peers: make([]*meshPeer, 2)}
-	mesh.Send(1, 1, []byte("hi")) // dials the peer
-	meshWire := <-accepted
-	t.Cleanup(func() { mesh.peers[1].conn.Close(); meshWire.Close() })
-	var hello [8]byte
-	if _, err := io.ReadFull(meshWire, hello[:]); err != nil {
-		t.Fatal(err)
-	}
-
 	return []fileLink{
 		hubLocal,
 		hi(fileLink{name: "dialed", send: dialed, wire: dialedWire, sock: func() *net.TCPConn { return conn.(*net.TCPConn) }}),
-		hi(fileLink{name: "mesh", send: mesh, wire: meshWire, sock: func() *net.TCPConn { return mesh.peers[1].conn.(*net.TCPConn) }}),
 	}
 }
 
@@ -305,29 +285,11 @@ func TestShortFileFrameStaysWhole(t *testing.T) {
 }
 
 // TestFileFrameIntoAMailboxIsOnePooledCopy: where the destination's
-// mailbox is in this process — hub-local to hub-local, a mesh self-send
-// — the range is read once, into one pooled frame the mailbox owns.
+// mailbox is in this process — hub-local to hub-local — the range is
+// read once, into one pooled frame the mailbox owns.
 func TestFileFrameIntoAMailboxIsOnePooledCopy(t *testing.T) {
 	f, data := testFile(t, 64<<10)
 	hdr := []byte("hdr")
-	check := func(name string, send FileComm, recv Comm, to int) {
-		t.Helper()
-		got0, _, _ := bufpool.Stats()
-		zc, err := send.SendFile(to, 7, hdr, f, 100, 5000)
-		got1, _, _ := bufpool.Stats()
-		if zc || err != nil {
-			t.Fatalf("%s: SendFile = %v, %v; want a copy and no error", name, zc, err)
-		}
-		if got1-got0 != 1 {
-			t.Errorf("%s: a file frame into a mailbox took %d pooled buffers, want 1", name, got1-got0)
-		}
-		m, err := recv.(DeadlineComm).RecvTimeout(send.Rank(), 7, 5*time.Second)
-		if err != nil || !bytes.Equal(m.Data, append(append([]byte(nil), hdr...), data[100:5100]...)) {
-			t.Fatalf("%s: received %d bytes, %v", name, len(m.Data), err)
-		}
-		bufpool.Put(m.Data)
-	}
-
 	hub := startDynamicHub(t, 2)
 	a, err := hub.Local(0)
 	if err != nil {
@@ -339,31 +301,40 @@ func TestFileFrameIntoAMailboxIsOnePooledCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer CloseComm(b)
-	check("hub-local to hub-local", a.(FileComm), b, 1)
 
-	comms, cleanup := startMeshWorld(t, 1)
-	defer cleanup()
-	check("mesh self-send", comms[0].(FileComm), comms[0], 0)
+	got0, _, _ := bufpool.Stats()
+	zc, err := a.(FileComm).SendFile(1, 7, hdr, f, 100, 5000)
+	got1, _, _ := bufpool.Stats()
+	if zc || err != nil {
+		t.Fatalf("SendFile = %v, %v; want a copy and no error", zc, err)
+	}
+	if got1-got0 != 1 {
+		t.Errorf("a file frame into a mailbox took %d pooled buffers, want 1", got1-got0)
+	}
+	m, err := b.(DeadlineComm).RecvTimeout(0, 7, 5*time.Second)
+	if err != nil || !bytes.Equal(m.Data, append(append([]byte(nil), hdr...), data[100:5100]...)) {
+		t.Fatalf("received %d bytes, %v", len(m.Data), err)
+	}
+	bufpool.Put(m.Data)
 }
 
-// TestFileRoute: the socket transports offer a file-range path on Linux
-// and nowhere else; in-process, simulated, fault-injecting and metering
-// endpoints never do.
+// TestFileRoute: the hub's endpoints, dialed and hub-local, offer a
+// file-range path on Linux and nowhere else; mesh, in-process,
+// simulated and fault-injecting endpoints never do.
 func TestFileRoute(t *testing.T) {
 	comms, cleanup := startHubWorld(t, worldShape{true, false})
 	defer cleanup()
 	mesh, closeMesh := startMeshWorld(t, 1)
 	defer closeMesh()
-	for _, c := range []Comm{comms[0], comms[1], mesh[0]} {
+	for _, c := range []Comm{comms[0], comms[1]} {
 		if got := FileRoute(c) != nil; got != (runtime.GOOS == "linux") {
 			t.Errorf("FileRoute(%T) offered = %v on %s", c, got, runtime.GOOS)
 		}
 	}
-	clk := clock.NewReal()
 	for _, c := range []Comm{
+		mesh[0],
 		NewWorld(1).Comm(0),
-		WrapFault(comms[0], NewFaultPlan(1), clk),
-		WrapMetered(comms[0], obs.NewRegistry(), clk),
+		WrapFault(comms[0], NewFaultPlan(1), clock.NewReal()),
 	} {
 		if FileRoute(c) != nil {
 			t.Errorf("FileRoute(%T) offered a path", c)

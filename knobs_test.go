@@ -91,6 +91,64 @@ func parseRepo(t *testing.T) map[string]*ast.File {
 	return files
 }
 
+// exportExempt lists the exported functions and methods under internal/
+// that need no caller by name: methods that satisfy a standard
+// interface (fmt, errors, sort call them), and the fault injectors and
+// read-only accessors tests use as oracles (DESIGN §16).
+var exportExempt = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Len": true, "Less": true, "Swap": true,
+
+	"IsServer": true, "Leases": true, "ReadThroughput": true, "WriteThroughput": true,
+	"BytesMoved": true, "TrackNames": true, "Yield": true, "Extents": true, "ChunkIndex": true,
+	"IsTyped": true, "ArmTornSync": true, "TornSyncs": true, "Heal": true, "CrashRank": true,
+	"ReadEventLog": true,
+}
+
+// TestExportsHaveCallers: every exported function or method declared
+// under internal/ is named by a non-test file — product code, a
+// command, an example, bench/ — somewhere other than its own
+// declaration. One that only tests call is code the product carries for
+// nobody: it goes, or it is an oracle and joins exportExempt. Like the
+// knob matrix the walk is syntactic: a name counts wherever an
+// identifier spells it.
+func TestExportsHaveCallers(t *testing.T) {
+	declared := map[string][]string{} // exported name under internal/ -> declaring files
+	named := map[string]bool{}
+	for path, f := range parseRepo(t) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		var own *ast.Ident // the name of the function being walked: not a use
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.FuncDecl:
+				own = v.Name
+				if v.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+					declared[v.Name.Name] = append(declared[v.Name.Name], path)
+				}
+			case *ast.Ident:
+				if v != own {
+					named[v.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var orphans []string
+	for name, paths := range declared {
+		if !named[name] && !exportExempt[name] {
+			for _, path := range paths {
+				orphans = append(orphans, path+": "+name)
+			}
+		}
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		t.Errorf("%d exported name(s) under internal/ that no non-test file calls — delete, call, or exempt as an oracle:\n  %s",
+			len(orphans), strings.Join(orphans, "\n  "))
+	}
+}
+
 func TestKnobMatrix(t *testing.T) {
 	files := parseRepo(t)
 
