@@ -189,6 +189,18 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Tuning.MaxInflight == 0 {
 		cfg.Tuning.MaxInflight = 4
 	}
+	if cfg.LeaseTTL < 0 || cfg.HeartbeatEvery < 0 {
+		return nil, fmt.Errorf("panda: daemon: negative LeaseTTL or HeartbeatEvery")
+	}
+	// The server pool is sized to its capacity; the daemon's own I/O
+	// nodes occupy the first IONodes slots and the rest stay vacant for
+	// runtime joiners. Membership tracks which slots are live, and is
+	// the one home of the lease timing: the master enforces it, the
+	// watchdog sweeps at it, joiners are told it.
+	members := core.NewMembership(cfg.MaxIONodes, cfg.IONodes, cfg.LeaseTTL, cfg.HeartbeatEvery)
+	if members.HeartbeatEvery() >= members.LeaseTTL() {
+		return nil, fmt.Errorf("panda: daemon: HeartbeatEvery %v must undercut LeaseTTL %v", members.HeartbeatEvery(), members.LeaseTTL())
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -213,26 +225,20 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	tel := newTelemetry(reg, rec, events, cfg.Dir, logf)
 	tel.setSLO(cfg.Tuning.sloPolicy())
-	// The server pool is sized to its capacity; the daemon's own I/O
-	// nodes occupy the first IONodes slots and the rest stay vacant for
-	// runtime joiners. Membership tracks which slots are live.
-	members := core.NewMembership(cfg.MaxIONodes, cfg.IONodes, cfg.LeaseTTL)
 	tuned := cfg.Tuning.reconfig()
 	ccfg := core.Config{
-		NumClients:     cfg.ClientSlots,
-		NumServers:     cfg.MaxIONodes,
-		SubchunkBytes:  cfg.SubchunkBytes,
-		Pipeline:       tuned.Pipeline,
-		OpTimeout:      cfg.OpTimeout,
-		PullRetries:    cfg.PullRetries,
-		Metrics:        reg,
-		Trace:          rec,
-		Service:        true,
-		Members:        members,
-		LeaseTTL:       cfg.LeaseTTL,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		Sched:          tuned.Sched,
-		OpStart:        tel.opStart,
+		NumClients:    cfg.ClientSlots,
+		NumServers:    cfg.MaxIONodes,
+		SubchunkBytes: cfg.SubchunkBytes,
+		Pipeline:      tuned.Pipeline,
+		OpTimeout:     cfg.OpTimeout,
+		PullRetries:   cfg.PullRetries,
+		Metrics:       reg,
+		Trace:         rec,
+		Service:       true,
+		Members:       members,
+		Sched:         tuned.Sched,
+		OpStart:       tel.opStart,
 		OpLog: func(sum core.OpSummary) {
 			tel.opDone(sum)
 			if sum.Err == nil {
@@ -611,7 +617,7 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			cfg := d.svc.Config()
 			rep = shapeReply(cfg)
 			rep.Slot = slot
-			rep.HeartbeatNs, rep.LeaseNs = int64(cfg.HeartbeatInterval()), int64(cfg.EffectiveLeaseTTL())
+			rep.HeartbeatNs, rep.LeaseNs = int64(d.members.HeartbeatEvery()), int64(d.members.LeaseTTL())
 			d.logf("server joiner %q reserved slot %d", req.Addr, slot)
 		case "detach":
 			if sid != 0 {

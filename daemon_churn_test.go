@@ -477,3 +477,57 @@ func TestDaemonSurvivesIONodeKilledMidWrite(t *testing.T) {
 		churnVerify(t, d.Addr(), names, nodes, int64(round))
 	}
 }
+
+// TestDaemonRefusesHeartbeatPastLease: a joiner told to beat no faster
+// than its lease lapses would be declared lost between beats, so a
+// daemon configured that way is refused at start.
+func TestDaemonRefusesHeartbeatPastLease(t *testing.T) {
+	for _, c := range []struct{ lease, beat time.Duration }{
+		{time.Second, time.Second},
+		{time.Second, 2 * time.Second},
+		{0, core.DefaultLeaseTTL}, // against the default lease
+	} {
+		d, err := StartDaemon(DaemonConfig{LeaseTTL: c.lease, HeartbeatEvery: c.beat, Logf: t.Logf})
+		if err == nil {
+			d.Drain() //nolint:errcheck
+			t.Errorf("StartDaemon with LeaseTTL %v, HeartbeatEvery %v succeeded", c.lease, c.beat)
+		}
+	}
+}
+
+// TestJoinedIONodeLosesItsHub: a joined I/O node whose daemon's hub
+// closes under it exits at once with ErrPeerLost, with or without
+// operation deadlines — every wait on its serve path reports the lost
+// link as a typed error, so nothing panics and nothing needs recovering.
+func TestJoinedIONodeLosesItsHub(t *testing.T) {
+	for _, opTimeout := range []time.Duration{0, 20 * time.Second} {
+		t.Run(fmt.Sprintf("optimeout=%v", opTimeout), func(t *testing.T) {
+			d, err := StartDaemon(DaemonConfig{ClientSlots: 4, IONodes: 2, MaxIONodes: 3, OpTimeout: opTimeout, Logf: t.Logf})
+			if err != nil {
+				t.Fatalf("StartDaemon: %v", err)
+			}
+			defer d.Drain() //nolint:errcheck // its I/O nodes lost their hub: they fail, and say so
+			n, err := JoinIONode(IONodeConfig{Addr: d.Addr(), Logf: t.Logf})
+			if err != nil {
+				t.Fatalf("JoinIONode: %v", err)
+			}
+			waitMemberState(t, d, n.Slot(), core.MemberActive, 5*time.Second)
+
+			t0 := time.Now()
+			d.hub.Close()
+			exited := make(chan error, 1)
+			go func() { exited <- n.Wait() }()
+			select {
+			case err = <-exited:
+			case <-time.After(10 * time.Second):
+				t.Fatal("joined I/O node still serving 10s after its hub closed")
+			}
+			if took := time.Since(t0); took > 500*time.Millisecond {
+				t.Errorf("joined I/O node took %v to exit after its hub closed, want < 500ms", took)
+			}
+			if !errors.Is(err, ErrPeerLost) {
+				t.Errorf("joined I/O node exited with %v, want ErrPeerLost", err)
+			}
+		})
+	}
+}

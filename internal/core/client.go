@@ -21,49 +21,43 @@ import (
 // servers' sub-chunk requests (writes) and absorbs incoming sub-chunk
 // data (reads).
 type Client struct {
-	cfg  Config
-	comm mpi.Comm
-	clk  clock.Clock
-	tr   obs.Track
-	met  nodeMetrics
+	node
 
-	cnt       *counters // this node's counter block
 	elapsedNs *int64
 	opSeq     int // sequence number of the next collective
 	seqEnd    int // end of this client's sequence window (exclusive); see admit
 
-	// Session identity. memIndex is the memory-chunk index this client
-	// holds of every array — equal to the communicator rank on fixed-
-	// shape deployments, the position within the session's member list
-	// under a service daemon. ranks, when non-nil, lists the session
-	// members' world ranks in mem-chunk order (ranks[memIndex] is this
-	// client); nil means the legacy identity chunk i == rank i.
+	// memIndex is the memory-chunk index this client holds of every
+	// array — equal to the communicator rank on fixed-shape deployments,
+	// the position within the session's member list (node.ranks) under a
+	// service daemon.
 	memIndex int
-	ranks    []int
 	// tenant is the default scheduler tenant for this client's
 	// collectives (sessions attribute their traffic without threading a
 	// tenant through every blocking call). SubmitWrite/SubmitRead's
 	// explicit tenant wins when non-empty.
 	tenant string
 
-	// Collective state (submit.go): router demultiplexes incoming frames
-	// by op to the executors running them.
+	// Collective state (submit.go), application goroutine only: router
+	// demultiplexes incoming frames by op to the executors running them,
+	// running holds the outstanding submissions by seq and lanes their
+	// executors' trace tracks.
 	router  *clientRouter
-	running map[int]*clientExecutor // outstanding submissions by seq, application goroutine only
-	lanes   traceLanes              // their executors' trace tracks, application goroutine only
-	execs   []*clientExecutor       // every executor made
-	idle    []*clientExecutor       // those with nothing to run
+	running map[int]*executor[*collectiveOp]
+	lanes   traceLanes
 }
 
 // NewClient creates the client endpoint for one compute node.
 func NewClient(cfg Config, comm mpi.Comm, clk clock.Clock) *Client {
 	return &Client{
-		cfg:       cfg,
-		comm:      comm,
-		clk:       clk,
-		tr:        cfg.Trace.Track(fmt.Sprintf("client%d", comm.Rank())),
-		met:       newNodeMetrics(cfg.Metrics),
-		cnt:       newNodeCounters(cfg.Metrics),
+		node: node{
+			cfg:  cfg,
+			comm: comm,
+			clk:  clk,
+			tr:   cfg.Trace.Track(fmt.Sprintf("client%d", comm.Rank())),
+			met:  newNodeMetrics(cfg.Metrics),
+			cnt:  newNodeCounters(cfg.Metrics),
+		},
 		elapsedNs: new(int64),
 		memIndex:  comm.Rank(),
 		seqEnd:    maxSeq + 1,
@@ -116,16 +110,6 @@ func (c *Client) Rank() int { return c.memIndex }
 // under a service daemon.
 func (c *Client) IsMaster() bool { return c.memIndex == 0 }
 
-// nclients is the size of this client's group: the session member
-// count when attached to a service, the deployment's client count
-// otherwise.
-func (c *Client) nclients() int {
-	if c.ranks != nil {
-		return len(c.ranks)
-	}
-	return c.cfg.NumClients
-}
-
 // Stats returns a race-clean snapshot of the client's traffic
 // counters; safe to call from any goroutine, even mid-operation.
 func (c *Client) Stats() Stats { return c.cnt.snapshot() }
@@ -147,31 +131,6 @@ func (c *Client) ReadArrays(suffix string, specs []ArraySpec, bufs [][]byte) err
 	return c.collective(opRead, suffix, specs, bufs)
 }
 
-func (c *Client) send(to, tag int, data []byte) {
-	c.cnt[cMsgsSent].Add(1)
-	c.cnt[cBytesSent].Add(int64(len(data)))
-	c.comm.SendOwned(to, tag, data)
-}
-
-// sendVec ships a data frame as header + payload segments via the
-// transport's scatter-gather path when it has one, counting the frame
-// exactly like send. hdr is a pooled buffer and is recycled here;
-// payload is only borrowed for the duration of the call.
-func (c *Client) sendVec(to, tag int, hdr, payload []byte) {
-	n := int64(len(hdr) + len(payload))
-	c.cnt[cMsgsSent].Add(1)
-	c.cnt[cBytesSent].Add(n)
-	if mpi.SendSegments(c.comm, to, tag, hdr, payload) {
-		c.cnt[cFramesCoalesced].Add(1)
-	}
-	bufpool.Put(hdr)
-}
-
-func (c *Client) countRecv(n int) {
-	c.cnt[cMsgsRecv].Add(1)
-	c.cnt[cBytesRecv].Add(int64(n))
-}
-
 // collectiveOp is one collective operation on this client: what the call
 // was given, and what follows from it — worked out once, when the call
 // is admitted, and used by every message of the operation.
@@ -191,17 +150,24 @@ type collectiveOp struct {
 	gotBytes int64
 
 	space regionSpace // the bounds of the region in the frame in hand
+
+	// Its run on an executor (submit.go): the trace lane it records on,
+	// held from start to finish, and what it came to.
+	lane    int
+	tr      obs.Track
+	err     error
+	elapsed time.Duration
 }
 
 // collective is a submission awaited at once (submit.go), so the
 // blocking API composes with concurrent submissions from the same
 // application.
 func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]byte) error {
-	e, err := c.start(op, suffix, specs, bufs, "")
+	seq, e, err := c.start(op, suffix, specs, bufs, "")
 	if err != nil {
 		return err
 	}
-	_, err = c.finish(e)
+	_, err = c.finish(seq, e)
 	return err
 }
 
@@ -210,7 +176,7 @@ func (c *Client) collective(op byte, suffix string, specs []ArraySpec, bufs [][]
 // number. A client whose window is spent is refused here, before
 // anything is sent: the next number is the next session's first.
 func (c *Client) admit(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*collectiveOp, error) {
-	if err := validateSpecsN(c.cfg, c.nclients(), specs); err != nil {
+	if err := validateSpecsN(c.cfg, c.groupSize(), specs); err != nil {
 		return nil, err
 	}
 	if len(bufs) != len(specs) {
@@ -315,19 +281,11 @@ func (c *Client) runAttempt(o *collectiveOp, attempt uint16) error {
 		if completed && o.gotBytes >= wantBytes {
 			return nil
 		}
-		var w0 time.Duration
-		if c.met.recvWait != nil {
-			w0 = c.clk.Now()
-		}
-		m, err := recvBounded(c.comm, c.clk, mpi.AnySource, tagToClient(seq), deadline)
+		m, err := c.recv(tagToClient(seq), deadline)
 		if err != nil {
 			c.cnt[cTimeouts].Add(1)
 			return fmt.Errorf("core: client %d, operation %d: %w", c.Rank(), seq, err)
 		}
-		if c.met.recvWait != nil {
-			c.met.recvWait.Observe(int64(c.clk.Now() - w0))
-		}
-		c.countRecv(len(m.Data))
 		if len(m.Data) == 0 {
 			return errors.New("core: client received empty message")
 		}
@@ -391,14 +349,6 @@ func (c *Client) runAttempt(o *collectiveOp, attempt uint16) error {
 	}
 }
 
-// peerRank maps a group member index to its world rank.
-func (c *Client) peerRank(i int) int {
-	if c.ranks != nil {
-		return c.ranks[i]
-	}
-	return i
-}
-
 // completeDests lists the group members this client relays a completion
 // frame to: its children in the control tree over the group, rooted at
 // the leader — every other member when it leads a flat group, while on
@@ -406,7 +356,7 @@ func (c *Client) peerRank(i int) int {
 // every rank in O(log n) hops instead of serializing at the leader's
 // egress port.
 func (c *Client) completeDests() []int {
-	return controlChildren(c.cfg, c.nclients(), c.peerRank, nil, c.comm.Rank())
+	return controlChildren(c.cfg, c.groupSize(), c.groupRank, nil, c.comm.Rank())
 }
 
 // pieceID identifies one piece of one array for duplicate detection. A
@@ -500,34 +450,4 @@ func (c *Client) absorbData(o *collectiveOp, d subData) error {
 		c.chargeReorg(o.seq, want)
 	}
 	return nil
-}
-
-// rejectFrame drops a frame whose tag names no operation the router
-// may hand it to, and recycles the frame.
-func (c *Client) rejectFrame(frame []byte) {
-	c.cnt[cFramesRejected].Add(1)
-	bufpool.Put(frame)
-}
-
-// chargeContig accounts for n bytes moved through a contiguous fast
-// path — the complement of chargeReorg, so the contiguous-vs-strided
-// split of every byte moved is visible in metrics.
-func (c *Client) chargeContig(n int64) {
-	c.cnt[cContigBytes].Add(n)
-}
-
-// chargeReorg accounts for a strided copy of n bytes during operation
-// seq.
-func (c *Client) chargeReorg(seq int, n int64) {
-	c.cnt[cReorgBytes].Add(n)
-	if c.cfg.CopyRate > 0 {
-		t0 := c.clk.Now()
-		c.clk.Sleep(copyCost(n, c.cfg.CopyRate))
-		c.tr.Span(obs.CatReorg, "reorg copy", seq, t0, c.clk.Now(), n)
-	}
-}
-
-// copyCost converts a byte count at a copy rate into time.
-func copyCost(n int64, rate float64) time.Duration {
-	return time.Duration(float64(n) / rate * float64(time.Second))
 }

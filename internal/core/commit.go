@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"panda/internal/bufpool"
-	"panda/internal/mpi"
 	"panda/internal/obs"
 	"panda/internal/storage"
 )
@@ -360,13 +359,12 @@ func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline ti
 		waitBy = deadline + s.cfg.OpTimeout
 	}
 	for {
-		m, rerr := recvBounded(s.comm, s.clk, mpi.AnySource, tagToServer(s.opSeq), waitBy)
+		m, rerr := s.recv(tagToServer(s.opSeq), waitBy)
 		if rerr != nil {
 			s.cnt[cTimeouts].Add(1)
 			s.tr.Instant(obs.CatRecover, "commit verdict timeout (temps kept)", s.opSeq, s.clk.Now(), 0)
 			return fmt.Errorf("core: server %d: waiting for commit verdict: %w", s.index, rerr)
 		}
-		s.countRecv(len(m.Data))
 		switch kind, verr := s.verdict(m); kind {
 		case vCommit:
 			if err := s.crashPoint("commit"); err != nil {

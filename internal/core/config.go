@@ -192,33 +192,6 @@ type Config struct {
 	// it dispatched under. nil — the default — is the fixed membership
 	// of the paper. Requires Service mode and Sched.MaxInflight > 0.
 	Members *Membership
-	// LeaseTTL bounds how long a remote (joined) server may go without a
-	// heartbeat before its lease expires and it is declared lost; 0
-	// means DefaultLeaseTTL. Local (in-daemon) servers carry no lease.
-	LeaseTTL time.Duration
-	// HeartbeatEvery is the interval a joined server renews its lease at
-	// (0 = LeaseTTL/4). It must comfortably undercut LeaseTTL.
-	HeartbeatEvery time.Duration
-}
-
-// DefaultLeaseTTL is the lease bound when LeaseTTL is zero.
-const DefaultLeaseTTL = 10 * time.Second
-
-// EffectiveLeaseTTL returns the lease bound with the default applied.
-func (c Config) EffectiveLeaseTTL() time.Duration {
-	if c.LeaseTTL <= 0 {
-		return DefaultLeaseTTL
-	}
-	return c.LeaseTTL
-}
-
-// HeartbeatInterval returns the effective lease-renewal interval — the
-// cadence joined servers beat at and the watchdog sweeps at.
-func (c Config) HeartbeatInterval() time.Duration {
-	if c.HeartbeatEvery > 0 {
-		return c.HeartbeatEvery
-	}
-	return c.EffectiveLeaseTTL() / 4
 }
 
 // SchedConfig tunes the server-side operation scheduler that admits
@@ -367,15 +340,6 @@ func (c Config) Validate() error {
 		if w <= 0 {
 			return fmt.Errorf("core: Sched.Weights[%q] = %d, must be positive", t, w)
 		}
-	}
-	if c.LeaseTTL < 0 {
-		return fmt.Errorf("core: negative LeaseTTL")
-	}
-	if c.HeartbeatEvery < 0 {
-		return fmt.Errorf("core: negative HeartbeatEvery")
-	}
-	if c.HeartbeatEvery > 0 && c.HeartbeatEvery >= c.EffectiveLeaseTTL() {
-		return fmt.Errorf("core: HeartbeatEvery %v must undercut LeaseTTL %v", c.HeartbeatEvery, c.EffectiveLeaseTTL())
 	}
 	if err := c.Topology.Validate(); err != nil {
 		return err

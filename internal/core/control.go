@@ -73,7 +73,7 @@ func (s *Server) collect(typ byte, req opRequest, deadline time.Duration, status
 		if collectBy > 0 {
 			waitBy = min(collectBy, s.clk.Now()+s.cfg.OpTimeout/8)
 		}
-		m, rerr := recvBounded(s.comm, s.clk, mpi.AnySource, tagDoneFor(s.opSeq), waitBy)
+		m, rerr := s.recv(tagDoneFor(s.opSeq), waitBy)
 		if rerr != nil {
 			if sweep() || (errors.Is(rerr, ErrTimeout) && s.clk.Now() < collectBy) {
 				continue // a death accounted for, or only the slice expired
@@ -84,7 +84,6 @@ func (s *Server) collect(typ byte, req opRequest, deadline time.Duration, status
 			}
 			break
 		}
-		s.countRecv(len(m.Data))
 		r := rbuf{b: m.Data}
 		t := r.u8()
 		frame, derr := decodeStatus(&r)

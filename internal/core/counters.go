@@ -74,7 +74,7 @@ type Stats struct {
 	// server: a hit reuses the chunk assignment and sub-chunk schedule
 	// of an identical earlier operation instead of recomputing them.
 	PlanHits, PlanMisses int64
-	// FramesRejected counts frames a scheduler router refused: one whose
+	// FramesRejected counts frames a node's router refused: one whose
 	// tag names a finished or unknown operation, or no operation at all
 	// (stale, duplicate, or misdirected traffic), is dropped rather than
 	// absorbed into another op's state.

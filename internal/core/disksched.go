@@ -197,7 +197,7 @@ func (s *Server) flushWrites(f storage.File, reqs []diskReq, merge bool, clk clo
 			}
 			_, err = f.WriteAt(merged, run[0].off)
 			bufpool.Put(merged)
-			s.node[cDiskMerges].Add(int64(len(run) - 1))
+			s.total[cDiskMerges].Add(int64(len(run) - 1))
 		}
 		t1 := clk.Now()
 		tr.Span(obs.CatDisk, "WriteAt", run[0].seq, t0, t1, total)

@@ -22,7 +22,7 @@ import (
 // tuning); cfg.Members stays nil on the joiner's side — membership is
 // the master's concern, and a nil table makes this server plan purely
 // from the Deads lists stamped on incoming requests.
-func RunJoinedServer(cfg Config, comm mpi.Comm, disk storage.Disk, slot int, every time.Duration, stop <-chan struct{}) (err error) {
+func RunJoinedServer(cfg Config, comm mpi.Comm, disk storage.Disk, slot int, every time.Duration, stop <-chan struct{}) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -30,7 +30,7 @@ func RunJoinedServer(cfg Config, comm mpi.Comm, disk storage.Disk, slot int, eve
 		return fmt.Errorf("core: joined server at rank %d, want %d for slot %d", comm.Rank(), cfg.ServerRank(slot), slot)
 	}
 	if every <= 0 {
-		every = cfg.HeartbeatInterval()
+		every = DefaultLeaseTTL / 4
 	}
 	master := cfg.MasterServer()
 	// Sends on a torn-down transport are dropped by the comm layer; for
@@ -57,10 +57,5 @@ func RunJoinedServer(cfg Config, comm mpi.Comm, disk storage.Disk, slot int, eve
 		}
 	}()
 	defer close(done)
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: joined server slot %d: transport lost: %v", slot, r)
-		}
-	}()
 	return NewServer(cfg, comm, disk, clock.NewReal()).Serve()
 }

@@ -110,34 +110,53 @@ type member struct {
 // Service, the master server's scheduler router, and the daemon; all
 // methods are safe for concurrent use.
 type Membership struct {
-	mu       sync.Mutex
-	members  []member
-	epoch    uint32
-	leaseTTL time.Duration
-	notify   func(MemberEvent)
+	mu      sync.Mutex
+	members []member
+	epoch   uint32
+	notify  func(MemberEvent)
+	// leaseTTL and heartbeat are the lease timing, fixed at construction:
+	// what the master enforces, what the watchdog sweeps at and what a
+	// joiner is told to beat at all read these.
+	leaseTTL, heartbeat time.Duration
 	// inflight counts dispatched-but-unretired operations per membership
 	// epoch; a drain waits for the epochs before its fence to quiesce.
 	inflight map[uint32]int
 }
 
+// DefaultLeaseTTL is the lease bound NewMembership applies to zero.
+const DefaultLeaseTTL = 10 * time.Second
+
 // NewMembership builds a pool of the given capacity with slots
 // [0, active) Active and Local, the rest Absent. leaseTTL bounds how
-// long a remote member may miss heartbeats (0 = DefaultLeaseTTL).
-func NewMembership(capacity, active int, leaseTTL time.Duration) *Membership {
+// long a remote member may miss heartbeats (0 = DefaultLeaseTTL);
+// heartbeat is the cadence joined members renew their leases at and the
+// watchdog sweeps at (0 = leaseTTL/4).
+func NewMembership(capacity, active int, leaseTTL, heartbeat time.Duration) *Membership {
 	if leaseTTL <= 0 {
 		leaseTTL = DefaultLeaseTTL
 	}
+	if heartbeat <= 0 {
+		heartbeat = leaseTTL / 4
+	}
 	m := &Membership{
-		members:  make([]member, capacity),
-		epoch:    1,
-		leaseTTL: leaseTTL,
-		inflight: make(map[uint32]int),
+		members:   make([]member, capacity),
+		epoch:     1,
+		leaseTTL:  leaseTTL,
+		heartbeat: heartbeat,
+		inflight:  make(map[uint32]int),
 	}
 	for i := 0; i < active && i < capacity; i++ {
 		m.members[i] = member{state: MemberActive, local: true, epoch: 1}
 	}
 	return m
 }
+
+// LeaseTTL is how long a joined member may go without a heartbeat
+// before it is declared lost.
+func (m *Membership) LeaseTTL() time.Duration { return m.leaseTTL }
+
+// HeartbeatEvery is the cadence joined members renew their leases at.
+func (m *Membership) HeartbeatEvery() time.Duration { return m.heartbeat }
 
 // SetNotify installs the membership-change callback (the daemon's event
 // emitter). Called once at wiring time, before any churn.
@@ -412,7 +431,7 @@ func (m *Membership) MarkLost(slot int) bool {
 // ExpireLeases sweeps every leased member whose lease lapsed at now:
 // Joining slots are silently reclaimed to Absent (the joiner never said
 // hello), serving members are MarkLost. It returns the slots lost. The
-// Service's watchdog calls this every LeaseTTL/4 under the deployment
+// Service's watchdog calls this every HeartbeatEvery under the deployment
 // clock, so expiry is vtime-deterministic in simulation.
 func (m *Membership) ExpireLeases(now time.Duration) []int {
 	m.mu.Lock()

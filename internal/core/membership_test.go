@@ -12,7 +12,7 @@ import (
 // advances on every transition and the planner-facing views
 // (DownForWrite, DownForRead, Gone) say the right thing at each stop.
 func TestMembershipLifecycle(t *testing.T) {
-	m := NewMembership(4, 2, time.Second)
+	m := NewMembership(4, 2, time.Second, 0)
 	var events []MemberEvent
 	m.SetNotify(func(ev MemberEvent) { events = append(events, ev) })
 
@@ -108,7 +108,7 @@ func TestMembershipLifecycle(t *testing.T) {
 // TestMembershipPoolFull: a pool with every slot occupied refuses
 // further joiners with the typed busy error.
 func TestMembershipPoolFull(t *testing.T) {
-	m := NewMembership(2, 2, time.Second)
+	m := NewMembership(2, 2, time.Second, 0)
 	if _, err := m.Reserve("x", 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("full pool Reserve error = %v, want ErrBusy", err)
 	}
@@ -120,7 +120,7 @@ func TestMembershipPoolFull(t *testing.T) {
 // heartbeating survives sweep after sweep.
 func TestMembershipLeaseExpiry(t *testing.T) {
 	const ttl = time.Second
-	m := NewMembership(4, 1, ttl)
+	m := NewMembership(4, 1, ttl, 0)
 	var events []MemberEvent
 	m.SetNotify(func(ev MemberEvent) { events = append(events, ev) })
 
@@ -196,7 +196,7 @@ func TestMembershipLeaseExpiry(t *testing.T) {
 // function of the slot, so virtual-time runs replay bit-exact, and it
 // differs across slots so a herd never expires on one tick.
 func TestMembershipJitterDeterminism(t *testing.T) {
-	m := NewMembership(8, 1, 8*time.Second)
+	m := NewMembership(8, 1, 8*time.Second, 0)
 	for slot := 0; slot < 8; slot++ {
 		if a, b := m.jitter(slot), m.jitter(slot); a != b {
 			t.Fatalf("slot %d jitter not deterministic: %v vs %v", slot, a, b)
@@ -213,7 +213,7 @@ func TestMembershipJitterDeterminism(t *testing.T) {
 // TestMembershipInFlightFence: the per-epoch in-flight ledger counts
 // only operations dispatched before a drain's fence.
 func TestMembershipInFlightFence(t *testing.T) {
-	m := NewMembership(3, 3, time.Second)
+	m := NewMembership(3, 3, time.Second, 0)
 	m.opStarted(1)
 	m.opStarted(1)
 	m.opStarted(5)

@@ -120,7 +120,7 @@ func TestSeqWindowRefusedBeforeTheWire(t *testing.T) {
 // the one screen between a frame and an operation's state now that the
 // tag is the only operation ID: a frame for a finished op is rejected
 // and counted, one for an op not yet submitted here is stashed and
-// replayed when it registers, anything off the tagToClient family is
+// replayed when it is bound, anything off the tagToClient family is
 // rejected, and none of them reaches another op's queue.
 func TestClientRouterFrameIsolation(t *testing.T) {
 	clk := clock.NewReal()
@@ -128,14 +128,13 @@ func TestClientRouterFrameIsolation(t *testing.T) {
 	c := NewClient(schedCfg(1, 1, 2), comm, clk)
 	r := &clientRouter{
 		c:       c,
-		boxes:   make(map[int]*queue.Q[mpi.Message]),
-		stash:   make(map[int][]mpi.Message),
-		done:    map[int]bool{3: true},
+		frames:  newOpFrames(),
 		appDone: queue.New[mpi.Message](clk),
 		exited:  queue.New[struct{}](clk),
 	}
+	r.frames.retire(3, 0)
 	live := queue.New[mpi.Message](clk)
-	r.register(5, live)
+	r.frames.bind(5, live)
 
 	for _, tag := range []int{
 		tagToClient(3), // finished op
@@ -157,12 +156,12 @@ func TestClientRouterFrameIsolation(t *testing.T) {
 	if len(got) != 1 || got[0].Tag != tagToClient(5) {
 		t.Errorf("op 5's queue holds %v, want exactly its own frame", got)
 	}
-	if len(r.stash[7]) != 1 {
-		t.Fatalf("frame for the not-yet-submitted op 7 not stashed: %v", r.stash)
+	if len(r.frames.stash[7]) != 1 {
+		t.Fatalf("frame for the not-yet-submitted op 7 not stashed: %v", r.frames.stash)
 	}
 	late := queue.New[mpi.Message](clk)
-	r.register(7, late)
-	if replayed := late.Drain(nil); len(replayed) != 1 || replayed[0].Tag != tagToClient(7) || len(r.stash) != 0 {
-		t.Errorf("register(7) replayed %v, stash left %v", replayed, r.stash)
+	r.frames.bind(7, late)
+	if replayed := late.Drain(nil); len(replayed) != 1 || replayed[0].Tag != tagToClient(7) || len(r.frames.stash) != 0 {
+		t.Errorf("bind(7) replayed %v, stash left %v", replayed, r.frames.stash)
 	}
 }

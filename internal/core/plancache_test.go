@@ -134,12 +134,12 @@ func TestPlanCacheHitsUnderScheduler(t *testing.T) {
 func TestPlanCacheInvalidatedOnMembershipEpoch(t *testing.T) {
 	const clients, pool, live = 2, 3, 2
 	log := &opLog{}
-	members := NewMembership(pool, live, time.Hour)
+	members := NewMembership(pool, live, time.Hour, 10*time.Millisecond)
 	cfg := Config{
 		NumClients: clients, NumServers: pool, SubchunkBytes: 1 << 10,
 		Service: true, Sched: SchedConfig{MaxInflight: 2},
-		Members: members, LeaseTTL: time.Hour, HeartbeatEvery: 10 * time.Millisecond,
-		OpLog: log.add,
+		Members: members,
+		OpLog:   log.add,
 	}
 	world := mpi.NewWorld(cfg.WorldSize())
 	comms, disks := make([]mpi.Comm, pool), make([]storage.Disk, pool)

@@ -439,16 +439,6 @@ func decodeOpRequest(b []byte) (opRequest, error) {
 	return req, nil
 }
 
-// leader returns the rank the operation's Complete must go to: the
-// session leader when the request names its membership, the fixed
-// master client otherwise.
-func (req opRequest) leader(cfg Config) int {
-	if len(req.Ranks) > 0 {
-		return req.Ranks[0]
-	}
-	return cfg.MasterClient()
-}
-
 // subReq asks one client for the piece of a sub-chunk it holds.
 type subReq struct {
 	ArrayIdx int

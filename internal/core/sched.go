@@ -20,10 +20,11 @@ import (
 //	router    — Serve. It owns the only real receive on the
 //	            communicator (AnySource/AnyTag), classifies each frame
 //	            by tag, and hands it to the operation it belongs to
-//	            through a per-op mailbox. Frames for an op that is
-//	            admitted but not yet dispatched are stashed; frames for
-//	            a finished op are rejected, never absorbed into another
-//	            op's state.
+//	            through the node's frame table (opFrames, node.go, the
+//	            client router's too). Its policy: an admitted op is
+//	            coming, so its frames are stashed until it is
+//	            dispatched; frames for any other op are rejected, never
+//	            absorbed into another op's state.
 //	admission — the master server's router runs a bounded queue with a
 //	            deficit-round-robin dispatcher: per-tenant weighted
 //	            byte credit, per-array conflict serialization, ErrBusy
@@ -34,11 +35,12 @@ import (
 //	            attempt) of a live operation waits for that attempt to
 //	            retire; of a retired one it is admitted anew; any other
 //	            repeat of a seq is a duplicate, rejected.
-//	executors — one per in-flight op: a shallow copy of the Server
+//	executors — one per in-flight op, from the node's pool (execPool,
+//	            node.go, the client's too): a shallow copy of the Server
 //	            running the unchanged single-op protocol (handleOp) on
-//	            its own concurrent activity, against a routedComm whose
+//	            the executor's own activity, against a routedComm whose
 //	            receives come from the op's mailbox. An executor outlives
-//	            its operation — the router keeps the idle ones and makes
+//	            its operation — the pool keeps the idle ones and makes
 //	            another only when concurrency exceeds them all — so a
 //	            dispatch allocates nothing. Each op counts into a private
 //	            block chained to the node totals (counters.go), so per-op
@@ -62,13 +64,14 @@ type schedOp struct {
 	raw    []byte // the request frame, owned until the executor finishes
 	req    opRequest
 	tenant string
-	cost   int64    // payload bytes, the DRR currency
-	keys   []uint64 // conflict keys: one per array file set
-	stash  []mpi.Message
-	ex     *executor // running it, from start to retire
-	lane   int       // the trace lane ex records on, held as long
-	held   []byte    // a later attempt's request, admitted when this one retires
-	heldAt uint16    // its attempt (0 while none is held)
+	cost   int64               // payload bytes, the DRR currency
+	keys   []uint64            // conflict keys: one per array file set
+	ex     *executor[*schedOp] // running it, from start to retire
+	srv    Server              // the node copy ex runs it as
+	err    error               // its fatal error, read by retire
+	lane   int                 // the trace lane ex records on, held as long
+	held   []byte              // a later attempt's request, admitted when this one retires
+	heldAt uint16              // its attempt (0 while none is held)
 }
 
 // reqCost prices an operation for the DRR dispatcher: the total payload
@@ -262,28 +265,13 @@ type schedRouter struct {
 	s        *Server
 	core     *schedCore       // master server only; nil elsewhere
 	ops      map[int]*schedOp // admitted (queued or in flight), by seq
-	done     map[int]uint16   // retired seqs, with the attempt that ran
+	frames   *opFrames
+	pool     execPool[*schedOp]
 	lanes    traceLanes
 	inflight int
 	draining bool
 	fatal    error
-
-	// What an operation needs and a later one can use again: retired
-	// schedOps, every executor made, and the ones with nothing to run.
-	freeOps []*schedOp
-	execs   []*executor
-	idle    []*executor
-}
-
-// executor is one of a node's operation executors: the activity a
-// dispatched operation runs on, with what it needs that outlives the
-// operation — the Server it runs as, the queue dispatches arrive on and
-// the mailbox the router fills for the operation in hand.
-type executor struct {
-	srv  Server
-	jobs *queue.Q[*schedOp] // nil stops the activity
-	box  *queue.Q[mpi.Message]
-	err  error // the last operation's fatal error, read by retire
+	freeOps  []*schedOp // retired, for the next operation to use again
 }
 
 // Serve handles collective operations until a shutdown message
@@ -294,21 +282,14 @@ type executor struct {
 // OpTimeout set, Serve also returns (with an error wrapping ErrPeerLost)
 // when the transport reports the master client dead.
 func (s *Server) Serve() error {
-	r := &schedRouter{
-		s:    s,
-		ops:  make(map[int]*schedOp),
-		done: make(map[int]uint16),
-	}
+	r := &schedRouter{s: s, ops: make(map[int]*schedOp), frames: newOpFrames()}
+	r.pool = execPool[*schedOp]{clk: s.clk, name: fmt.Sprintf("server%d", s.index), body: r.execute}
 	if s.IsMaster() {
 		r.core = newSchedCore(&s.cfg.Sched)
 	}
 	s.dsched = newDiskSched(s)
 	defer s.dsched.stop()
-	defer func() { // end every executor's activity once it has finished what it runs
-		for _, e := range r.execs {
-			e.jobs.Put(nil)
-		}
-	}()
+	defer r.pool.stop() // each executor's activity ends once it has finished what it runs
 
 	for {
 		if r.fatal != nil && r.inflight == 0 {
@@ -370,33 +351,18 @@ func (r *schedRouter) route(m mpi.Message) {
 		case msgServerHello, msgHeartbeat:
 			r.handleMember(m.Data)
 		default:
-			r.reject(m.Data)
+			r.s.reject(m.Data)
 		}
 	default:
+		// An op is coming once admitted: its frames wait in the stash
+		// until it is dispatched. Any other frame is stale or misdirected
+		// traffic, rejected — the isolation guarantee: it can never reach
+		// another op's state.
 		seq, _, ok := tagOpSeq(m.Tag)
-		if !ok {
-			r.reject(m.Data)
-			return
-		}
-		op, live := r.ops[seq]
-		switch {
-		case live && op.ex != nil:
-			op.ex.box.Put(m)
-		case live:
-			op.stash = append(op.stash, m) // admitted, not yet dispatched
-		default:
-			// Unknown or finished operation: stale or misdirected
-			// traffic. Dropping here is the isolation guarantee — the
-			// frame can never reach another op's state.
-			r.reject(m.Data)
+		if !ok || !r.frames.deliver(seq, m, r.ops[seq] != nil) {
+			r.s.reject(m.Data)
 		}
 	}
-}
-
-// reject drops a frame that must not reach any operation.
-func (r *schedRouter) reject(frame []byte) {
-	r.s.node[cFramesRejected].Add(1)
-	bufpool.Put(frame)
 }
 
 // handleRequest admits one operation. On the master that means the
@@ -407,29 +373,29 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 	s := r.s
 	req, derr := decodeOpRequest(m.Data)
 	if derr != nil || r.fatal != nil {
-		r.reject(m.Data)
+		s.reject(m.Data)
 		return
 	}
 	seq := int(req.Seq)
 	if op := r.ops[seq]; op != nil {
 		if req.Attempt <= max(op.req.Attempt, op.heldAt) {
-			r.reject(m.Data)
+			s.reject(m.Data)
 			return
 		}
 		if op.held != nil {
-			r.reject(op.held)
+			s.reject(op.held)
 		}
 		op.held, op.heldAt = m.Data, req.Attempt
 		return
 	}
-	if ran, retired := r.done[seq]; retired && req.Attempt <= ran {
-		r.reject(m.Data)
+	if ran, retired := r.frames.retired(seq); retired && req.Attempt <= ran {
+		s.reject(m.Data)
 		return
 	}
 	if r.draining && r.core != nil {
 		// A draining service finishes what it admitted and refuses the
 		// rest, so the client gets a typed answer instead of a hang.
-		s.comm.Send(req.leader(s.cfg), tagToClient(seq), encodeStatus(msgComplete, req.Attempt, req.Round, ErrDraining))
+		r.refuse(req, ErrDraining)
 		bufpool.Put(m.Data)
 		return
 	}
@@ -442,8 +408,8 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 	}
 	op.cost, op.keys = reqCost(req), conflictKeys(op.keys, req)
 	if !r.core.admit(op) {
-		s.node[cSchedBusy].Add(1)
-		s.comm.Send(req.leader(s.cfg), tagToClient(seq), encodeStatus(msgComplete, req.Attempt, req.Round, ErrBusy))
+		s.total[cSchedBusy].Add(1)
+		r.refuse(req, ErrBusy)
 		bufpool.Put(op.raw)
 		r.recycleOp(op)
 		return
@@ -451,6 +417,13 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 	r.ops[seq] = op
 	s.met.schedQueue.Set(int64(r.core.queued))
 	r.dispatch()
+}
+
+// refuse answers a request the router will not run with a Complete
+// carrying err, sent to the requesting group's leader.
+func (r *schedRouter) refuse(req opRequest, err error) {
+	leader := (&node{ranks: req.Ranks}).groupRank(0)
+	r.s.comm.Send(leader, tagToClient(int(req.Seq)), encodeStatus(msgComplete, req.Attempt, req.Round, err))
 }
 
 // handleMember applies a joined I/O node's control-plane frame: a hello
@@ -463,7 +436,7 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 func (r *schedRouter) handleMember(b []byte) {
 	s := r.s
 	if r.core == nil || s.cfg.Members == nil {
-		r.reject(b)
+		s.reject(b)
 		return
 	}
 	hello, rb := b[0] == msgServerHello, rbuf{b: b[1:]}
@@ -528,7 +501,7 @@ func mergeDeads(a, b []int) []int {
 func (r *schedRouter) applyReconfig(b []byte) {
 	rc, err := decodeReconfig(b)
 	if err != nil {
-		r.reject(b)
+		r.s.reject(b)
 		return
 	}
 	r.s.cfg.reconfigure(rc) // the admission core reads it through its pointer
@@ -562,85 +535,66 @@ func (r *schedRouter) newOp() *schedOp {
 	return new(schedOp)
 }
 
-// recycleOp takes back an operation nothing refers to any more (its
-// stash went to the mailbox, or never held anything; a held request was
-// taken).
+// recycleOp takes back an operation nothing refers to any more (a held
+// request was taken).
 func (r *schedRouter) recycleOp(op *schedOp) {
-	*op = schedOp{keys: op.keys[:0], stash: op.stash[:0]}
+	*op = schedOp{keys: op.keys[:0]}
 	r.freeOps = append(r.freeOps, op)
 }
 
-// start hands one dispatched operation to an executor: a shallow Server
-// copy on its own activity, with its own clock and trace lane, a rebound
-// disk for metadata, and a routedComm fed by the op mailbox.
+// start hands one dispatched operation to an executor, with a copy of
+// the node to run it as and its own trace lane.
 func (r *schedRouter) start(op *schedOp) {
 	s := r.s
 	r.stampMembership(op)
 	if s.cfg.OpStart != nil {
 		s.cfg.OpStart(s.index, op.seq, op.tenant, opName(op.req.Op))
 	}
-	e := r.idleExecutor()
-	for _, m := range e.box.Drain(nil) {
-		bufpool.Put(m.Data) // outlived the mailbox's last operation: nobody's
-	}
-	for _, sm := range op.stash {
-		e.box.Put(sm)
-	}
-	clear(op.stash)
-	op.stash = op.stash[:0]
+	e := r.pool.take()
+	r.frames.bind(op.seq, e.box)
 	op.ex = e
 	r.inflight++
 	s.met.schedInflight.Set(int64(r.inflight))
 
-	// The executor is the node itself with the per-operation fields
+	// The copy is the node itself with the per-operation fields
 	// overridden: whatever the node shares (counters, metrics, storage
 	// stage, plan cache) reaches it without being listed here. s.cfg is
 	// copied with it — the snapshot applyReconfig relies on. The
-	// activity puts its own clock, transport and disk in when it takes
+	// executor puts its own clock, transport and disk in when it takes
 	// the operation.
-	e.srv = *s
-	e.srv.tenant = op.tenant
-	op.lane, e.srv.tr = r.lanes.take(s.cfg.Trace, "server", s.index)
+	op.srv = *s
+	op.srv.tenant = op.tenant
+	op.lane, op.srv.tr = r.lanes.take(s.cfg.Trace, "server", s.index)
 	e.jobs.Put(op)
 }
 
-// idleExecutor returns an executor with nothing to run, starting one
-// more activity when every one made so far is busy.
-func (r *schedRouter) idleExecutor() *executor {
-	if n := len(r.idle); n > 0 {
-		e := r.idle[n-1]
-		r.idle = r.idle[:n-1]
-		return e
-	}
+// execute is the body of every executor of the node's pool: the
+// activity's own views of what the node shares — sends on its clock
+// and receives from the mailbox, metadata I/O (manifests, decision
+// records, renames) on its clock; bulk data goes through dsched, whose
+// replies come back here — and the unchanged single-op protocol
+// (handleOp) for each operation it is handed.
+func (r *schedRouter) execute(clk clock.Clock, e *executor[*schedOp]) {
 	s := r.s
-	e := &executor{jobs: queue.New[*schedOp](s.clk), box: queue.New[mpi.Message](s.clk)}
-	r.execs = append(r.execs, e)
-	s.clk.Go(fmt.Sprintf("server%d-exec%d", s.index, len(r.execs)-1), func(clk clock.Clock) {
-		// The activity's own views of what the node shares: sends on
-		// its clock and receives from the mailbox, metadata I/O
-		// (manifests, decision records, renames) on its clock — bulk
-		// data goes through dsched, whose replies come back here.
-		under := mpi.RebindComm(s.comm, clk)
-		comm := newRoutedComm(under, e.box, clk)
-		disk := storage.RebindClock(s.disk, clk)
-		replies := queue.New[diskReply](clk)
-		for {
-			op, _ := e.jobs.Pop(clk, nil, nil, 0) // unbounded: cannot time out
-			if op == nil {
-				return
-			}
-			ex := &e.srv
-			ex.clk, ex.comm, ex.disk, ex.replies = clk, comm, disk, replies
-			ex.adoptRound(op.req)
-			ex.opSeq, ex.ranks = op.seq, op.req.Ranks
-			ex.plans.seeEpoch(op.req.MemberEpoch)
-			e.err = ex.handleOp(op.raw, op.req)
-			bufpool.Put(op.raw)
-			// Loopback completion: the router's single wait retires the op.
-			under.SendOwned(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(op.seq), e.err != nil))
+	under := mpi.RebindComm(s.comm, clk)
+	comm := newRoutedComm(under, e.box, clk)
+	disk := storage.RebindClock(s.disk, clk)
+	replies := queue.New[diskReply](clk)
+	for {
+		op, _ := e.jobs.Pop(clk, nil, nil, 0) // unbounded: cannot time out
+		if op == nil {
+			return
 		}
-	})
-	return e
+		ex := &op.srv
+		ex.clk, ex.comm, ex.disk, ex.replies = clk, comm, disk, replies
+		ex.adoptRound(op.req)
+		ex.opSeq, ex.ranks = op.seq, op.req.Ranks
+		ex.plans.seeEpoch(op.req.MemberEpoch)
+		op.err = ex.handleOp(op.raw, op.req)
+		bufpool.Put(op.raw)
+		// Loopback completion: the router's single wait retires the op.
+		under.SendOwned(s.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(op.seq), op.err != nil))
+	}
 }
 
 // retire folds a finished executor back into the node: release its
@@ -652,21 +606,14 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 		return // duplicate loopback; harmless
 	}
 	delete(r.ops, seq)
-	if len(r.done) >= 1<<17 {
-		// Bound the duplicate-detection window: a resident service
-		// retires ops forever, and session sequence bases are monotonic
-		// (never reused), so forgetting ancient seqs cannot admit a
-		// replay of a live one.
-		r.done = make(map[int]uint16)
-	}
-	r.done[seq] = op.req.Attempt
+	r.frames.retire(seq, op.req.Attempt)
 	r.lanes.free(op.lane)
-	r.idle = append(r.idle, op.ex)
+	r.pool.give(op.ex)
 	r.inflight--
 	s := r.s
 	// A retry of this seq pulls under request IDs the retired attempt
 	// never used, so its late replies read as stale.
-	s.nextReqID = max(s.nextReqID, op.ex.srv.nextReqID)
+	s.nextReqID = max(s.nextReqID, op.srv.nextReqID)
 	s.met.schedInflight.Set(int64(r.inflight))
 	if s.cfg.Metrics != nil {
 		label := op.tenant
@@ -674,7 +621,7 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 			label = "default"
 		}
 		s.cfg.Metrics.Counter("tenant_ops_" + label).Add(1)
-		s.cfg.Metrics.Counter("tenant_bytes_" + label).Add(op.ex.srv.opBytes)
+		s.cfg.Metrics.Counter("tenant_bytes_" + label).Add(op.srv.opBytes)
 	}
 	if r.core != nil {
 		r.core.complete(op)
@@ -683,7 +630,7 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 		}
 	}
 	if fatal && r.fatal == nil {
-		r.fatal = fmt.Errorf("operation %d: %w", seq, op.ex.err)
+		r.fatal = fmt.Errorf("operation %d: %w", seq, op.err)
 	}
 	held := op.held
 	r.recycleOp(op)

@@ -658,13 +658,14 @@ func TestSchedServerCrashNoDeadlock(t *testing.T) {
 // operations must be rejected — counted, never delivered.
 func TestSchedFrameRoutingIsolation(t *testing.T) {
 	cfg := schedCfg(1, 1, 2)
-	s := &Server{cfg: cfg, node: newNodeCounters(nil), met: newNodeMetrics(nil)}
+	s := bareServer(cfg)
 	r := &schedRouter{
-		s:    s,
-		ops:  make(map[int]*schedOp),
-		done: map[int]uint16{3: 0},
-		core: newSchedCore(&cfg.Sched),
+		s:      s,
+		ops:    make(map[int]*schedOp),
+		frames: newOpFrames(),
+		core:   newSchedCore(&cfg.Sched),
 	}
+	r.frames.retire(3, 0)
 	rejected := func() int64 { return s.Stats().FramesRejected }
 
 	// A data frame for a finished op.
@@ -700,7 +701,7 @@ func TestSchedFrameRoutingIsolation(t *testing.T) {
 	// rejected or delivered.
 	r.ops[5] = &schedOp{seq: 5}
 	r.route(mpi.Message{Tag: tagToServer(5), Data: []byte{msgSubData, 1}})
-	if len(r.ops[5].stash) != 1 {
+	if len(r.frames.stash[5]) != 1 {
 		t.Fatal("frame for queued op not stashed")
 	}
 	if rejected() != 5 {

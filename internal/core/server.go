@@ -18,23 +18,20 @@ import (
 // owns that node's file system and directs the data flow of every
 // collective operation (server-directed I/O).
 type Server struct {
-	cfg   Config
-	comm  mpi.Comm
+	node // ranks is the executing request's session membership
+
 	disk  storage.Disk
-	clk   clock.Clock
 	index int // server index in [0, NumServers)
-	tr    obs.Track
-	met   nodeMetrics
 
 	nextReqID uint32
 	opSeq     int   // sequence of the operation being handled
 	opBytes   int64 // payload bytes this server moved in the current operation
 
-	// node is this node's counter block (what Stats reports); cnt is the
-	// block instrumentation points add to: the current operation's
-	// private block inside handleOp — chained to node — and node itself
-	// between operations.
-	node, cnt *counters
+	// total is this node's counter block (what Stats reports). node.cnt
+	// is the block instrumentation points add to: the current
+	// operation's private block inside handleOp — chained to total — and
+	// total itself between operations.
+	total *counters
 
 	// tenant is the scheduler tenant of the operation an executor copy
 	// (one per in-flight op, see sched.go) is running.
@@ -45,11 +42,6 @@ type Server struct {
 	// replies is where dsched answers this executor (one stagePort open
 	// at a time, see disksched.go).
 	replies *queue.Q[diskReply]
-
-	// ranks is the submitting session's membership (world rank per mem
-	// chunk), adopted from the request; nil for fixed-shape deployments
-	// where chunk index == client rank.
-	ranks []int
 
 	// curAttempt and curRound identify the request currently executing,
 	// for stale-frame filtering inside the operation. curDeads is that
@@ -67,57 +59,29 @@ type Server struct {
 // file system and clk its clock.
 func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *Server {
 	idx := cfg.ServerIndex(comm.Rank())
-	node := newNodeCounters(cfg.Metrics)
+	total := newNodeCounters(cfg.Metrics)
 	return &Server{
-		cfg:   cfg,
-		comm:  comm,
+		node: node{
+			cfg:  cfg,
+			comm: comm,
+			clk:  clk,
+			tr:   cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
+			met:  newNodeMetrics(cfg.Metrics),
+			cnt:  total,
+		},
 		disk:  disk,
-		clk:   clk,
 		index: idx,
-		tr:    cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
-		met:   newNodeMetrics(cfg.Metrics),
-		node:  node,
-		cnt:   node,
+		total: total,
 		plans: &planCache{},
 	}
 }
 
 // Stats returns a race-clean snapshot of the server's traffic
 // counters; safe to call from any goroutine, even mid-operation.
-func (s *Server) Stats() Stats { return s.node.snapshot() }
+func (s *Server) Stats() Stats { return s.total.snapshot() }
 
 // IsMaster reports whether this is the master server.
 func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() }
-
-// clientRank maps a memory-chunk index (the Client field of planned
-// pieces) to the world rank holding it.
-func (s *Server) clientRank(chunk int) int {
-	if s.ranks != nil {
-		return s.ranks[chunk]
-	}
-	return chunk
-}
-
-// leaderRank is the rank the current operation's Complete goes to.
-func (s *Server) leaderRank() int {
-	if len(s.ranks) > 0 {
-		return s.ranks[0]
-	}
-	return s.cfg.MasterClient()
-}
-
-// nclients is the current operation's client-group size.
-func (s *Server) nclients() int {
-	if s.ranks != nil {
-		return len(s.ranks)
-	}
-	return s.cfg.NumClients
-}
-
-func (s *Server) countRecv(n int) {
-	s.cnt[cMsgsRecv].Add(1)
-	s.cnt[cBytesRecv].Add(int64(n))
-}
 
 // recvIdle is the router's wait for its next frame: a wake-up every
 // OpTimeout, or one unbounded wait without deadlines — which still comes
@@ -147,50 +111,6 @@ func (s *Server) recvIdle(busy func() bool) (mpi.Message, error) {
 	}
 }
 
-// recvData receives one in-operation message on this operation's
-// server tag. deadline bounds the whole operation; quiet, when
-// positive, bounds this single wait so the caller can re-request lost
-// pulls before the operation budget runs out.
-func (s *Server) recvData(deadline, quiet time.Duration) (mpi.Message, error) {
-	var w0 time.Duration
-	if s.met.recvWait != nil {
-		w0 = s.clk.Now()
-	}
-	wait := deadline
-	if quiet > 0 && s.clk.Now()+quiet < deadline {
-		wait = s.clk.Now() + quiet
-	}
-	m, err := recvBounded(s.comm, s.clk, mpi.AnySource, tagToServer(s.opSeq), wait)
-	if err != nil {
-		return mpi.Message{}, err
-	}
-	if s.met.recvWait != nil {
-		s.met.recvWait.Observe(int64(s.clk.Now() - w0))
-	}
-	s.countRecv(len(m.Data))
-	return m, nil
-}
-
-func (s *Server) send(to, tag int, data []byte) {
-	s.cnt[cMsgsSent].Add(1)
-	s.cnt[cBytesSent].Add(int64(len(data)))
-	s.comm.SendOwned(to, tag, data)
-}
-
-// sendVec ships hdr+payload as one message through the transport's
-// scatter-gather path when it has one, flattening into a pooled frame
-// otherwise. hdr must come from bufpool and is recycled here; payload
-// is borrowed only until the call returns.
-func (s *Server) sendVec(to, tag int, hdr, payload []byte) {
-	n := int64(len(hdr) + len(payload))
-	s.cnt[cMsgsSent].Add(1)
-	s.cnt[cBytesSent].Add(n)
-	if mpi.SendSegments(s.comm, to, tag, hdr, payload) {
-		s.cnt[cFramesCoalesced].Add(1)
-	}
-	bufpool.Put(hdr)
-}
-
 // sendFile ships hdr followed by n bytes of the array file from off as
 // one message, through the zero-copy arm's transport: from the page
 // cache straight to a socket, or one pooled copy into a mailbox in this
@@ -213,12 +133,6 @@ func (s *Server) sendFile(src *fileSource, to, tag int, hdr []byte, off, n int64
 	return err
 }
 
-// chargeContig accounts for n bytes moved through a contiguous fast
-// path — no reorganization copy, no CopyRate charge.
-func (s *Server) chargeContig(n int64) {
-	s.cnt[cContigBytes].Add(n)
-}
-
 // handleOp runs one collective operation end to end on this server.
 // req is raw already decoded (the router decodes it to admit it). A
 // non-nil return is fatal: an injected crash killed the server.
@@ -228,8 +142,8 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 	// Everything this operation counts lands in its own block (and, by
 	// chaining, in the node's), so the summary attributes counters
 	// exactly even with other operations in flight on this node.
-	s.cnt = newOpCounters(s.node)
-	defer func() { s.cnt = s.node }()
+	s.cnt = newOpCounters(s.total)
+	defer func() { s.cnt = s.total }()
 	var finalErr error
 	logged := false
 	logOp := func() {
@@ -265,7 +179,7 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 		s.cnt[cBytesSent].Add(int64(len(frame)))
 		finalErr = opErr
 		logOp()
-		s.comm.SendOwned(s.leaderRank(), tagToClient(s.opSeq), frame)
+		s.comm.SendOwned(s.groupRank(0), tagToClient(s.opSeq), frame)
 	}
 
 	deadline := opDeadline(s.cfg, s.clk)
@@ -300,7 +214,7 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 		s.fanoutRaw(kids, tagControl, raw)
 	}
 
-	err := validateSpecsN(s.cfg, s.nclients(), req.Specs)
+	err := validateSpecsN(s.cfg, s.groupSize(), req.Specs)
 
 	// Crash-consistent writes take the two-phase-commit path, which owns
 	// its own completion exchange (Prepared/Commit/Committed in place of
@@ -575,7 +489,11 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			}
 		}
 
-		m, rerr := s.recvData(deadline, quiet)
+		wait := deadline // the quiet period, when it ends first
+		if quiet > 0 && s.clk.Now()+quiet < deadline {
+			wait = s.clk.Now() + quiet
+		}
+		m, rerr := s.recv(tagToServer(s.opSeq), wait)
 		if rerr != nil {
 			if errors.Is(rerr, ErrTimeout) && retriesLeft > 0 && s.clk.Now() < deadline {
 				// Quiet period expired with budget to spare: re-request
@@ -667,7 +585,7 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 // pull asks the client holding pc for it, as part of request id.
 func (s *Server) pull(arrayIdx int, id uint32, pc piece) {
 	q := subReq{ArrayIdx: arrayIdx, ReqID: id, Region: pc.Region}
-	s.send(s.clientRank(pc.Client), tagToClient(s.opSeq), encodeSubReq(q))
+	s.send(s.groupRank(pc.Client), tagToClient(s.opSeq), encodeSubReq(q))
 }
 
 // depositPiece places one received piece into the sub-chunk under
@@ -694,19 +612,9 @@ func (s *Server) depositPiece(spec ArraySpec, pend *pending, d subData) (adopted
 	if contig {
 		s.chargeContig(int64(len(d.Payload)))
 	} else {
-		s.chargeReorg(int64(len(d.Payload)))
+		s.chargeReorg(s.opSeq, int64(len(d.Payload)))
 	}
 	return false
-}
-
-// chargeReorg accounts for a strided copy of n bytes.
-func (s *Server) chargeReorg(n int64) {
-	s.cnt[cReorgBytes].Add(n)
-	if s.cfg.CopyRate > 0 {
-		t0 := s.clk.Now()
-		s.clk.Sleep(copyCost(n, s.cfg.CopyRate))
-		s.tr.Span(obs.CatReorg, "reorg copy", s.opSeq, t0, s.clk.Now(), n)
-	}
 }
 
 // readArray reads this server's sub-chunks of one array sequentially
@@ -757,13 +665,13 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 		for _, pc := range sj.Pieces {
 			n := pc.Region.NumElems() * int64(spec.ElemSize)
 			d := subData{ArrayIdx: sj.ArrayIdx, Region: pc.Region}
-			to, tag := s.clientRank(pc.Client), tagToClient(s.opSeq)
+			to, tag := s.groupRank(pc.Client), tagToClient(s.opSeq)
 			off, contig := array.ContiguousIn(sj.Region, pc.Region)
 			if !contig {
 				t0 := s.met.packStart()
 				frame := packedFrame(d, buf, sj.Region, spec.ElemSize)
 				s.met.packDone(t0)
-				s.chargeReorg(n)
+				s.chargeReorg(s.opSeq, n)
 				s.cnt[cFramesCoalesced].Add(1)
 				s.send(to, tag, frame)
 				continue

@@ -160,9 +160,9 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 	}
 	if s.cfg.Members != nil {
 		s.watchStop = make(chan struct{})
-		// Lease settings are fixed at start; reading them here keeps the
-		// watchdog off s.cfg, which Reconfigure mutates under s.mu.
-		go s.leaseWatchdog(clk, s.cfg.Members, s.cfg.HeartbeatInterval())
+		// The watchdog reads the membership, not s.cfg, which Reconfigure
+		// mutates under s.mu.
+		go s.leaseWatchdog(clk, s.cfg.Members)
 	}
 	return nil
 }
@@ -172,9 +172,9 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 // pool never sees it act; only remote joiners that stop heartbeating
 // are marked lost, which feeds the failover replanner exactly like a
 // transport-level death report.
-func (s *Service) leaseWatchdog(clk clock.Clock, members *Membership, every time.Duration) {
+func (s *Service) leaseWatchdog(clk clock.Clock, members *Membership) {
 	for {
-		clk.Sleep(every)
+		clk.Sleep(members.HeartbeatEvery())
 		select {
 		case <-s.watchStop:
 			return

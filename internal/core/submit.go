@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,41 +12,25 @@ import (
 )
 
 // The client's one collective path. Every collective — a blocking call
-// is a submission awaited at once — runs on its own concurrent activity,
-// a shallow Client copy executing the single-op protocol (collectiveSeq)
-// against a routedComm. A per-client router owns the real receive and
-// routes each tagToClient frame to the op it belongs to by the sequence
-// number carried in the tag, mirroring the server router in sched.go.
-// As there, an executor outlives its operation, so a steady-state
-// submission allocates only the handle the application is given.
+// is a submission awaited at once — runs on an executor of the client's
+// pool (node.go), a Client copy executing the single-op protocol
+// (collectiveSeq) against a routedComm. A per-client router owns the
+// real receive and routes each tagToClient frame through the node's
+// frame table by the sequence number carried in the tag: a frame for an
+// op not retired here is the op's, stashed until the application
+// submits it if a faster rank's op got here first. An executor outlives
+// its operation, so a steady-state submission allocates only the handle
+// the application is given.
 //
 // A failed link ends the router and fails the collectives waiting on it
-// with ErrPeerLost; the next collective starts another router, which
-// meets the failure again if it persists.
+// with ErrPeerLost; the next collective starts another router loop,
+// which meets the failure again if it persists.
 
 // OpHandle is an in-flight asynchronous collective.
 type OpHandle struct {
 	c       *Client
 	seq     int
-	ex      *clientExecutor // running it, until Await
-	elapsed time.Duration
-}
-
-// clientExecutor is one of a client's operation executors: the activity
-// a submitted collective runs on, with what it needs that outlives the
-// collective — the Client it runs as, the queue submissions arrive on,
-// the mailbox the router fills and the one the result comes back on.
-type clientExecutor struct {
-	cl   Client
-	jobs *queue.Q[*collectiveOp] // nil stops the activity
-	box  *queue.Q[mpi.Message]
-	res  *queue.Q[opResult]
-	seq  int // of the collective in hand
-	lane int // the trace lane it records on, held from start to finish
-}
-
-type opResult struct {
-	err     error
+	ex      *executor[*collectiveOp] // running it, until Await
 	elapsed time.Duration
 }
 
@@ -59,7 +42,7 @@ func (h *OpHandle) Seq() int { return h.seq }
 // Await must be called exactly once, from the application goroutine.
 func (h *OpHandle) Await() error {
 	var err error
-	h.elapsed, err = h.c.finish(h.ex)
+	h.elapsed, err = h.c.finish(h.seq, h.ex)
 	h.ex = nil
 	return err
 }
@@ -83,115 +66,86 @@ func (c *Client) SubmitRead(tenant, suffix string, specs []ArraySpec, bufs [][]b
 }
 
 func (c *Client) submit(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*OpHandle, error) {
-	e, err := c.start(op, suffix, specs, bufs, tenant)
+	seq, e, err := c.start(op, suffix, specs, bufs, tenant)
 	if err != nil {
 		return nil, err
 	}
-	return &OpHandle{c: c, seq: e.seq, ex: e}, nil
+	return &OpHandle{c: c, seq: seq, ex: e}, nil
 }
 
 // start admits one collective and hands it to an executor; finish waits
 // for it. Both run on the application goroutine, which owns opSeq,
-// running, idle and lanes.
-func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (*clientExecutor, error) {
+// running, lanes and the pool.
+func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte, tenant string) (int, *executor[*collectiveOp], error) {
 	if tenant == "" {
 		tenant = c.tenant
 	}
 	o, err := c.admit(op, suffix, specs, bufs, tenant)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	c.routeFrames()
-	e := c.idleExecutor()
-	e.seq = o.seq
+	r := c.routeFrames()
+	e := r.pool.take()
 	if c.running == nil {
-		c.running = make(map[int]*clientExecutor)
+		c.running = make(map[int]*executor[*collectiveOp])
 	}
 	c.running[o.seq] = e
-	for _, m := range e.box.Drain(nil) {
-		bufpool.Put(m.Data) // outlived the mailbox's last collective: nobody's
-	}
-	c.router.register(o.seq, e.box)
-
-	// The executor is this client with the per-operation fields
-	// overridden; its activity puts its own clock and transport in when
-	// it takes the collective.
-	e.cl = *c
-	e.cl.router, e.cl.running, e.cl.execs, e.cl.idle, e.cl.lanes = nil, nil, nil, nil, traceLanes{}
-	e.lane, e.cl.tr = c.lanes.take(c.cfg.Trace, "client", c.comm.Rank())
+	r.frames.bind(o.seq, e.box)
+	o.lane, o.tr = c.lanes.take(c.cfg.Trace, "client", c.comm.Rank())
 	e.jobs.Put(o)
-	return e, nil
+	return o.seq, e, nil
 }
 
-func (c *Client) finish(e *clientExecutor) (time.Duration, error) {
-	r, perr := e.res.Pop(c.clk, nil, nil, 0)
+func (c *Client) finish(seq int, e *executor[*collectiveOp]) (time.Duration, error) {
+	o, perr := e.done.Pop(c.clk, nil, nil, 0)
 	if perr != nil {
-		return 0, fmt.Errorf("core: operation %d abandoned: %w", e.seq, perr)
+		return 0, fmt.Errorf("core: operation %d abandoned: %w", seq, perr)
 	}
-	delete(c.running, e.seq)
-	c.lanes.free(e.lane)
-	c.idle = append(c.idle, e)
-	return r.elapsed, r.err
+	delete(c.running, seq)
+	c.lanes.free(o.lane)
+	c.router.pool.give(e)
+	return o.elapsed, o.err
 }
 
-// idleExecutor returns an executor with nothing to run, starting one
-// more activity when every one made so far is busy.
-func (c *Client) idleExecutor() *clientExecutor {
-	if n := len(c.idle); n > 0 {
-		e := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		return e
-	}
-	e := &clientExecutor{
-		jobs: queue.New[*collectiveOp](c.clk),
-		box:  queue.New[mpi.Message](c.clk),
-		res:  queue.New[opResult](c.clk),
-	}
-	c.execs = append(c.execs, e)
-	node := c.comm
-	c.clk.Go(fmt.Sprintf("client%d-exec%d", c.Rank(), len(c.execs)-1), func(clk clock.Clock) {
-		under := mpi.RebindComm(node, clk)
-		comm := newRoutedComm(under, e.box, clk)
-		for {
-			o, _ := e.jobs.Pop(clk, nil, nil, 0) // unbounded: cannot time out
-			if o == nil {
-				return
-			}
-			e.cl.comm, e.cl.clk = comm, clk
-			t0 := clk.Now()
-			operr := e.cl.collectiveSeq(o)
-			// Unregister before completing: late frames for this op must be
-			// rejected, not stashed forever.
-			under.SendOwned(node.Rank(), tagSchedDone, encodeSchedDone(uint32(o.seq), false))
-			e.res.Put(opResult{err: operr, elapsed: clk.Now() - t0})
+// execute is the body of every executor of the client's pool. The
+// executor runs as this client — its node, chunk index and elapsed-time
+// cell, none of which change once collectives run — on the activity's
+// own clock and a routedComm over its mailbox.
+func (c *Client) execute(clk clock.Clock, e *executor[*collectiveOp]) {
+	under := mpi.RebindComm(c.comm, clk)
+	ex := Client{node: c.node, elapsedNs: c.elapsedNs, memIndex: c.memIndex}
+	ex.comm, ex.clk = newRoutedComm(under, e.box, clk), clk
+	for {
+		o, _ := e.jobs.Pop(clk, nil, nil, 0) // unbounded: cannot time out
+		if o == nil {
+			return
 		}
-	})
-	return e
+		ex.tr = o.tr
+		t0 := clk.Now()
+		o.err = ex.collectiveSeq(o)
+		// Retire before completing: late frames for this op must be
+		// rejected, not stashed forever.
+		under.SendOwned(c.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(o.seq), false))
+		o.elapsed = clk.Now() - t0
+		e.done.Put(o)
+	}
 }
 
 // drainHandles awaits every collective the application abandoned, so
 // the shutdown handshake never races an op still on the wire.
 func (c *Client) drainHandles() {
-	for len(c.running) > 0 {
-		for _, e := range c.running {
-			c.finish(e) //nolint:errcheck // abandoned: nobody is left to tell
-			break
-		}
+	for seq, e := range c.running {
+		c.finish(seq, e) //nolint:errcheck // abandoned: nobody is left to tell
 	}
 }
 
 // clientRouter owns the client's receive and fans frames out to per-op
-// mailboxes. Registration is mutex-guarded: executors on other
-// activities finish (unregister) while the application goroutine
-// submits (registers).
+// mailboxes through the node's frame table; the pool's executors outlive
+// a router loop that a link failure ended.
 type clientRouter struct {
-	c  *Client
-	mu sync.Mutex
-
-	boxes map[int]*queue.Q[mpi.Message]
-	stash map[int][]mpi.Message // frames for submitted-elsewhere, not-yet-registered ops
-	spare [][]mpi.Message       // replayed stashes, emptied, for the next op that needs one
-	done  map[int]bool
+	c      *Client
+	frames *opFrames
+	pool   execPool[*collectiveOp]
 
 	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices
 	exited  *queue.Q[struct{}]
@@ -207,9 +161,8 @@ func (c *Client) routeFrames() *clientRouter {
 	case r == nil:
 		r = &clientRouter{
 			c:       c,
-			boxes:   make(map[int]*queue.Q[mpi.Message]),
-			stash:   make(map[int][]mpi.Message),
-			done:    make(map[int]bool),
+			frames:  newOpFrames(),
+			pool:    execPool[*collectiveOp]{clk: c.clk, name: fmt.Sprintf("client%d", c.Rank()), body: c.execute},
 			appDone: queue.New[mpi.Message](c.clk),
 			exited:  queue.New[struct{}](c.clk),
 		}
@@ -238,53 +191,15 @@ func (c *Client) stopRouter() {
 		c.comm.Send(c.comm.Rank(), tagRouterStop, nil)
 	}
 	c.router.exited.Pop(c.clk, nil, nil, 0) //nolint:errcheck // unbounded: cannot time out
+	c.router.pool.stop()
 	c.router = nil
-	for _, e := range c.execs {
-		e.jobs.Put(nil)
-	}
-	c.execs, c.idle = nil, nil
-}
-
-// register binds seq's mailbox and replays any frames that raced ahead
-// of the local submission (a faster rank's op can reach our servers —
-// and their replies us — before our application submits it).
-func (r *clientRouter) register(seq int, box *queue.Q[mpi.Message]) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.boxes[seq] = box
-	if st, ok := r.stash[seq]; ok {
-		for _, m := range st {
-			box.Put(m)
-		}
-		delete(r.stash, seq)
-		clear(st)
-		r.spare = append(r.spare, st[:0])
-	}
-}
-
-func (r *clientRouter) unregister(seq int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.boxes, seq)
-	if len(r.done) >= 1<<17 {
-		r.done = make(map[int]bool) // bounded as the server router's is (sched.go)
-	}
-	r.done[seq] = true
-	for _, m := range r.stash[seq] {
-		bufpool.Put(m.Data)
-	}
-	delete(r.stash, seq)
 }
 
 // fail ends the loop on a link failure: every collective waiting on a
 // mailbox, and the end-of-application collection, is woken to find it.
 func (r *clientRouter) fail() {
 	r.lost.Store(true)
-	r.mu.Lock()
-	for _, box := range r.boxes {
-		box.Wake()
-	}
-	r.mu.Unlock()
+	r.frames.wake()
 	r.appDone.Wake()
 }
 
@@ -306,32 +221,23 @@ func (r *clientRouter) run(comm mpi.Comm) {
 			rb := rbuf{b: m.Data}
 			if rb.u8() == msgSchedDone {
 				if seq, _, err := decodeSchedDone(&rb); err == nil {
-					r.unregister(int(seq))
+					r.frames.retire(int(seq), 0)
 				}
 			}
 			bufpool.Put(m.Data)
 		case tagAppDone:
 			r.appDone.Put(m)
 		default:
+			// Any op not retired here is coming: a faster rank's op can
+			// reach our servers — and their replies us — before our
+			// application submits it.
 			seq, family, ok := tagOpSeq(m.Tag)
-			if !ok || family != 1 {
-				r.c.rejectFrame(m.Data)
-				continue
+			if ok = ok && family == 1; ok {
+				_, retired := r.frames.retired(seq)
+				ok = r.frames.deliver(seq, m, !retired)
 			}
-			r.mu.Lock()
-			if box := r.boxes[seq]; box != nil {
-				r.mu.Unlock()
-				box.Put(m)
-			} else if r.done[seq] {
-				r.mu.Unlock()
-				r.c.rejectFrame(m.Data)
-			} else {
-				st, ok := r.stash[seq]
-				if n := len(r.spare); !ok && n > 0 {
-					st, r.spare = r.spare[n-1], r.spare[:n-1]
-				}
-				r.stash[seq] = append(st, m)
-				r.mu.Unlock()
+			if !ok {
+				r.c.reject(m.Data)
 			}
 		}
 	}

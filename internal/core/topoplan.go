@@ -120,13 +120,13 @@ func (s *Server) broadcastVerdict(deads []int, raw []byte) {
 // Only the order changes — retirement follows the reordered plan and
 // every job carries its explicit FileOffset, so the bytes written are
 // identical to the flat schedule's.
-func orderSubchunks(subs []subchunkJob, topo *mpi.Topology, selfRank, srvIndex, worldSize int, clientRank func(int) int) {
+func orderSubchunks(subs []subchunkJob, topo *mpi.Topology, selfRank, srvIndex, worldSize int, rankOf func(int) int) {
 	racks := topo.Racks(worldSize)
 	if racks <= 1 {
 		return
 	}
 	for i := range subs {
-		orderPieces(subs[i].Pieces, topo, selfRank, clientRank)
+		orderPieces(subs[i].Pieces, topo, selfRank, rankOf)
 	}
 	if len(subs) < 2 {
 		return
@@ -135,7 +135,7 @@ func orderSubchunks(subs []subchunkJob, topo *mpi.Topology, selfRank, srvIndex, 
 	for _, sj := range subs {
 		rk := 0
 		if len(sj.Pieces) > 0 {
-			rk = topo.RackOf(clientRank(sj.Pieces[0].Client))
+			rk = topo.RackOf(rankOf(sj.Pieces[0].Client))
 		}
 		buckets[rk] = append(buckets[rk], sj)
 	}
@@ -154,13 +154,13 @@ func orderSubchunks(subs []subchunkJob, topo *mpi.Topology, selfRank, srvIndex, 
 // orderPieces sorts a sub-chunk's pieces deepest-link-first: cross-rack
 // clients before in-rack ones, stably by client index within each
 // class.
-func orderPieces(pieces []piece, topo *mpi.Topology, selfRank int, clientRank func(int) int) {
+func orderPieces(pieces []piece, topo *mpi.Topology, selfRank int, rankOf func(int) int) {
 	if len(pieces) < 2 {
 		return
 	}
 	sort.SliceStable(pieces, func(i, j int) bool {
-		ci := topo.CrossRack(clientRank(pieces[i].Client), selfRank)
-		cj := topo.CrossRack(clientRank(pieces[j].Client), selfRank)
+		ci := topo.CrossRack(rankOf(pieces[i].Client), selfRank)
+		cj := topo.CrossRack(rankOf(pieces[j].Client), selfRank)
 		return ci && !cj
 	})
 }
@@ -170,7 +170,7 @@ func orderPieces(pieces []piece, topo *mpi.Topology, selfRank int, clientRank fu
 // freshly built (the reorder is in place).
 func (s *Server) orderPlan(subs []subchunkJob) []subchunkJob {
 	if s.cfg.treeEnabled() {
-		orderSubchunks(subs, s.cfg.Topology, s.comm.Rank(), s.index, s.cfg.WorldSize(), s.clientRank)
+		orderSubchunks(subs, s.cfg.Topology, s.comm.Rank(), s.index, s.cfg.WorldSize(), s.groupRank)
 	}
 	return subs
 }
