@@ -65,7 +65,7 @@ loc:
 			printf "code-only internal/core %d\ncode-only server.go %d\ncode-only repo outside bench/ %d\n", ccore, csrv, calls }'
 
 # Short fuzz campaigns over the wire decoders, the TCP frame reader, the
-# topology parser and the pack kernel (against its per-element
+# hub's hello handling, the topology parser and the pack kernel (against its per-element
 # reference); lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
 fuzz:
@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSchedDone$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeStatus$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz 'FuzzHubHello$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzCopyRegion$$' -fuzztime $(FUZZTIME) ./internal/array
 

@@ -143,9 +143,6 @@ type Daemon struct {
 	rebalMu   sync.Mutex // serializes membership rebalances
 	drainOnce sync.Once
 	drainErr  error
-
-	ctlMu    sync.Mutex // guards ctlConns
-	ctlConns map[net.Conn]struct{}
 }
 
 // DaemonInfo is the daemon's resolved configuration, emitted as the
@@ -288,23 +285,23 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		ccfg:     ccfg,
-		svc:      svc,
-		hub:      hub,
-		disks:    disks,
-		members:  members,
-		reg:      reg,
-		rec:      rec,
-		tel:      tel,
-		events:   events,
-		logf:     logf,
-		hubDone:  make(chan error, 1),
-		ctlConns: make(map[net.Conn]struct{}),
+		ccfg:    ccfg,
+		svc:     svc,
+		hub:     hub,
+		disks:   disks,
+		members: members,
+		reg:     reg,
+		rec:     rec,
+		tel:     tel,
+		events:  events,
+		logf:    logf,
+		hubDone: make(chan error, 1),
 	}
 	members.SetNotify(d.onMemberEvent)
 	reg.Func("servers_active", func() int64 { return int64(members.ActiveCount()) })
 	reg.Func("member_epoch", func() int64 { return int64(members.Epoch()) })
-	go func() { d.hubDone <- hub.ServeDynamic(d.handleSession) }()
+	hub.HandleSessions(d.handleSession)
+	go func() { d.hubDone <- hub.Serve() }()
 
 	// The daemon's own I/O nodes attach to the hub in-process: a frame a
 	// session member sends them is read off its socket straight into
@@ -416,14 +413,9 @@ func (d *Daemon) Drain() error {
 				disk.FlushCache()
 			}
 		}
-		// Sever any control connections still open (a crashed client or a
-		// departed joiner's leftover): the hub's accept loop waits for
-		// their handlers, and a wedged peer must not hold up the exit.
-		d.ctlMu.Lock()
-		for conn := range d.ctlConns {
-			conn.Close() //nolint:errcheck
-		}
-		d.ctlMu.Unlock()
+		// Closing the hub severs every connection it accepted (a crashed
+		// client's control link, a departed joiner's leftover, a probe that
+		// never said hello), so no wedged peer holds up the exit.
 		d.hub.Close()
 		<-d.hubDone
 		d.tel.stopWatchdog()
@@ -542,11 +534,9 @@ func fail(err error) ctlReply {
 }
 
 // handleSession runs one control connection: requests in, replies out,
-// detach on disconnect. Runs on the hub's per-connection goroutine.
+// detach on disconnect. Runs on the hub's per-connection goroutine,
+// which closes conn once this returns.
 func (d *Daemon) handleSession(conn net.Conn) {
-	d.ctlMu.Lock()
-	d.ctlConns[conn] = struct{}{}
-	d.ctlMu.Unlock()
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
 	sid := 0
@@ -556,10 +546,6 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			d.tel.detach(sid)
 			d.logf("session %d detached", sid)
 		}
-		conn.Close()
-		d.ctlMu.Lock()
-		delete(d.ctlConns, conn)
-		d.ctlMu.Unlock()
 	}()
 	for {
 		var req ctlRequest

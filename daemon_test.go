@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -338,6 +339,37 @@ func TestDaemonDrainRefusesAttach(t *testing.T) {
 	}
 	if _, err := Dial(SessionConfig{Addr: addr, Nodes: 1, DialBudget: -1}); err == nil {
 		t.Fatal("dial succeeded after drain")
+	}
+}
+
+// TestDaemonDrainSeversSilentConn: a connection that never says hello
+// (a port probe, a TCP health check, a client killed between connect and
+// hello) cannot hang a drain.
+func TestDaemonDrainSeversSilentConn(t *testing.T) {
+	d := startTestDaemon(t, t.TempDir(), Tuning{})
+	silent, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The hub accepts in order: once a later session has been served, the
+	// silent connection has been accepted and is waiting on its hello.
+	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: 1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- d.Drain() }()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Drain still running 2 s in: a silent connection holds the hub")
 	}
 }
 

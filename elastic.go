@@ -268,16 +268,7 @@ func (d *Daemon) migrateInstance(inst arrayInstance) error {
 	// The same reconstructed deployment view a remote session member
 	// uses (session.go); the daemon's own config carries hooks and the
 	// membership table, which a client must not.
-	cfg := d.svc.Config()
-	ccfg := core.Config{
-		NumClients:    cfg.NumClients,
-		NumServers:    cfg.NumServers,
-		SubchunkBytes: cfg.SubchunkBytes,
-		OpTimeout:     cfg.OpTimeout,
-		PullRetries:   cfg.PullRetries,
-		Service:       true,
-		Sched:         core.SchedConfig{MaxInflight: cfg.Sched.MaxInflight},
-	}
+	ccfg := shapeReply(d.svc.Config()).coreConfig()
 	cl, err := core.NewSessionClient(ccfg, comm, clock.NewReal(), info.Ranks, 0, info.SeqBase)
 	if err != nil {
 		return fmt.Errorf("panda: migrate %s: %w", inst.name, err)

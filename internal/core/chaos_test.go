@@ -270,26 +270,18 @@ func TestChaosTotalLossOverTCPRecovers(t *testing.T) {
 	plan := mpi.NewFaultPlan(42)
 	plan.DropProb = 1.0 // nothing gets through
 
-	hub, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+	raws, shut, err := hubWorld(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubErr := make(chan error, 1)
-	go func() { hubErr <- hub.Serve() }()
-
 	barrier := newBarrier(cfg.NumClients)
 	bound := 3*cfg.OpTimeout + 2*time.Second
 	errs := make([]error, cfg.WorldSize())
 	var wg sync.WaitGroup
-	for r := 0; r < cfg.WorldSize(); r++ {
+	for r, raw := range raws {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			raw, derr := mpi.DialComm(hub.Addr(), r, cfg.WorldSize())
-			if derr != nil {
-				errs[r] = derr
-				return
-			}
 			defer mpi.CloseComm(raw)
 			comm := mpi.WrapFault(raw, plan, clock.NewReal())
 			if cfg.IsServer(r) {
@@ -321,7 +313,7 @@ func TestChaosTotalLossOverTCPRecovers(t *testing.T) {
 				}
 				return checkBufs(cl, specs, got)
 			})
-		}(r)
+		}()
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -329,7 +321,7 @@ func TestChaosTotalLossOverTCPRecovers(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if err := <-hubErr; err != nil {
+	if err := shut(); err != nil {
 		t.Fatalf("hub: %v", err)
 	}
 }

@@ -235,27 +235,10 @@ func TestKilledParticipantOverHubCompletesPromptly(t *testing.T) {
 				}
 				return nil
 			}
-			hub, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+			local := map[int]bool{cfg.ServerRank(0): shape.masterLocal, cfg.ServerRank(1): shape.victimLocal}
+			comms, shut, err := hubWorld(cfg, func(r int) bool { return local[r] })
 			if err != nil {
 				t.Fatal(err)
-			}
-			local := map[int]bool{cfg.ServerRank(0): shape.masterLocal, cfg.ServerRank(1): shape.victimLocal}
-			comms := make([]mpi.Comm, cfg.WorldSize())
-			for r := range comms { // local ranks count as joined once Serve runs
-				if local[r] {
-					if comms[r], err = hub.Local(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			hubErr := make(chan error, 1)
-			go func() { hubErr <- hub.Serve() }()
-			for r := range comms {
-				if !local[r] {
-					if comms[r], err = mpi.DialComm(hub.Addr(), r, cfg.WorldSize()); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
 
 			disks := memDisks(cfg.NumServers)
@@ -280,7 +263,7 @@ func TestKilledParticipantOverHubCompletesPromptly(t *testing.T) {
 				}(r)
 			}
 			wg.Wait()
-			if err := <-hubErr; err != nil {
+			if err := shut(); err != nil {
 				t.Errorf("hub: %v", err)
 			}
 			if !fired.Load() {

@@ -58,8 +58,7 @@ func (n *node) groupSize() int {
 }
 
 func (n *node) send(to, tag int, data []byte) {
-	n.cnt[cMsgsSent].Add(1)
-	n.cnt[cBytesSent].Add(int64(len(data)))
+	n.countSend(len(data))
 	n.comm.SendOwned(to, tag, data)
 }
 
@@ -69,12 +68,18 @@ func (n *node) send(to, tag int, data []byte) {
 // and is recycled here; payload is borrowed only until the call
 // returns.
 func (n *node) sendVec(to, tag int, hdr, payload []byte) {
-	n.cnt[cMsgsSent].Add(1)
-	n.cnt[cBytesSent].Add(int64(len(hdr) + len(payload)))
+	n.countSend(len(hdr) + len(payload))
 	if mpi.SendSegments(n.comm, to, tag, hdr, payload) {
 		n.cnt[cFramesCoalesced].Add(1)
 	}
 	bufpool.Put(hdr)
+}
+
+// countSend counts one message of size bytes leaving this node: every
+// sender — send, sendVec, a server's sendFile and Complete — counts here.
+func (n *node) countSend(size int) {
+	n.cnt[cMsgsSent].Add(1)
+	n.cnt[cBytesSent].Add(int64(size))
 }
 
 func (n *node) countRecv(size int) {

@@ -119,8 +119,7 @@ func (s *Server) recvIdle(busy func() bool) (mpi.Message, error) {
 // its size was checked — fails the operation as ErrCorrupt; the frame
 // itself went out whole, so the link is fine.
 func (s *Server) sendFile(src *fileSource, to, tag int, hdr []byte, off, n int64) error {
-	s.cnt[cMsgsSent].Add(1)
-	s.cnt[cBytesSent].Add(int64(len(hdr)) + n)
+	s.countSend(len(hdr) + int(n))
 	zc, err := src.fc.SendFile(to, tag, hdr, src.hf, off, int(n))
 	bufpool.Put(hdr)
 	if zc {
@@ -175,8 +174,7 @@ func (s *Server) handleOp(raw []byte, req opRequest) (fatal error) {
 	// before a log deferred to this function's return has run.
 	complete := func(attempt, round uint16, opErr error) {
 		frame := encodeStatus(msgComplete, attempt, round, opErr)
-		s.cnt[cMsgsSent].Add(1)
-		s.cnt[cBytesSent].Add(int64(len(frame)))
+		s.countSend(len(frame))
 		finalErr = opErr
 		logOp()
 		s.comm.SendOwned(s.groupRank(0), tagToClient(s.opSeq), frame)

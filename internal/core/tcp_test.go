@@ -21,25 +21,21 @@ func TestCollectiveIOOverTCP(t *testing.T) {
 	disk := array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{2})
 	specs := []ArraySpec{{Name: "tcp", ElemSize: 4, Mem: mem, Disk: disk}}
 
-	hub, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+	comms, shut, err := hubWorld(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubErr := make(chan error, 1)
-	go func() { hubErr <- hub.Serve() }()
-
 	errs := make([]error, cfg.WorldSize())
 	var wg sync.WaitGroup
-	for r := 0; r < cfg.NumClients; r++ {
+	for r, comm := range comms {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			comm, err := mpi.DialComm(hub.Addr(), r, cfg.WorldSize())
-			if err != nil {
-				errs[r] = err
+			defer mpi.CloseComm(comm)
+			if cfg.IsServer(r) {
+				errs[r] = runServerNode(cfg, comm, storage.NewMemDisk())
 				return
 			}
-			defer mpi.CloseComm(comm)
 			errs[r] = runClientNode(cfg, comm, func(cl *Client) error {
 				bufs := makeBufs(cl, specs, true)
 				if err := cl.WriteArrays("", specs, bufs); err != nil {
@@ -56,21 +52,7 @@ func TestCollectiveIOOverTCP(t *testing.T) {
 				}
 				return nil
 			})
-		}(r)
-	}
-	for i := 0; i < cfg.NumServers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rank := cfg.ServerRank(i)
-			comm, err := mpi.DialComm(hub.Addr(), rank, cfg.WorldSize())
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			defer mpi.CloseComm(comm)
-			errs[rank] = runServerNode(cfg, comm, storage.NewMemDisk())
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -78,9 +60,46 @@ func TestCollectiveIOOverTCP(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if err := <-hubErr; err != nil {
+	if err := shut(); err != nil {
 		t.Fatalf("hub: %v", err)
 	}
+}
+
+// hubWorld attaches every rank of cfg's world to a fresh hub on
+// localhost — the ranks local names in process (Hub.Local), the rest by
+// DialComm — before it returns: each attach returns once the hub has
+// registered the rank, and the hub drops a frame for a rank that has not
+// attached, so no rank may start before the last is in. shut closes
+// every endpoint, then the hub, and returns Serve's error.
+func hubWorld(cfg Config, local func(rank int) bool) (comms []mpi.Comm, shut func() error, err error) {
+	hub, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+	if err != nil {
+		return nil, nil, err
+	}
+	served := make(chan error, 1)
+	go func() { served <- hub.Serve() }()
+	comms = make([]mpi.Comm, cfg.WorldSize())
+	shut = func() error {
+		for _, c := range comms {
+			if c != nil {
+				mpi.CloseComm(c)
+			}
+		}
+		hub.Close()
+		return <-served
+	}
+	for r := range comms {
+		if local != nil && local(r) {
+			comms[r], err = hub.Local(r)
+		} else {
+			comms[r], err = mpi.DialComm(hub.Addr(), r, cfg.WorldSize())
+		}
+		if err != nil {
+			shut()
+			return nil, nil, err
+		}
+	}
+	return comms, shut, nil
 }
 
 // runClientNode and runServerNode run one node of a fixed-shape
@@ -163,24 +182,16 @@ func TestBackToBackOpsOverTCPNoCrossTalk(t *testing.T) {
 	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{2})
 	specs := []ArraySpec{{Name: "seq", ElemSize: 4, Mem: mem, Disk: mem}}
 
-	hub, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+	comms, shut, err := hubWorld(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubErr := make(chan error, 1)
-	go func() { hubErr <- hub.Serve() }()
-
 	errs := make([]error, cfg.WorldSize())
 	var wg sync.WaitGroup
-	for r := 0; r < cfg.WorldSize(); r++ {
+	for r, comm := range comms {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			comm, err := mpi.DialComm(hub.Addr(), r, cfg.WorldSize())
-			if err != nil {
-				errs[r] = err
-				return
-			}
 			defer mpi.CloseComm(comm)
 			if cfg.IsServer(r) {
 				errs[r] = runServerNode(cfg, comm, storage.NewMemDisk())
@@ -202,7 +213,7 @@ func TestBackToBackOpsOverTCPNoCrossTalk(t *testing.T) {
 				}
 				return nil
 			})
-		}(r)
+		}()
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -210,7 +221,7 @@ func TestBackToBackOpsOverTCPNoCrossTalk(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if err := <-hubErr; err != nil {
+	if err := shut(); err != nil {
 		t.Fatalf("hub: %v", err)
 	}
 }

@@ -431,25 +431,17 @@ func (c *dropComm) PeerLost(rank int) bool {
 // stats (indexed by server).
 func runOverTCP(t *testing.T, cfg Config, wrap func(rank int, c mpi.Comm) mpi.Comm, app App, disks func(i int) storage.Disk) ([]error, []Stats) {
 	t.Helper()
-	hub, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+	comms, shut, err := hubWorld(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubErr := make(chan error, 1)
-	go func() { hubErr <- hub.Serve() }()
-
 	errs := make([]error, cfg.WorldSize())
 	stats := make([]Stats, cfg.NumServers)
 	var wg sync.WaitGroup
-	for r := 0; r < cfg.WorldSize(); r++ {
+	for r, comm := range comms {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			comm, err := mpi.DialComm(hub.Addr(), r, cfg.WorldSize())
-			if err != nil {
-				errs[r] = err
-				return
-			}
 			defer mpi.CloseComm(comm)
 			wrapped := comm
 			if wrap != nil {
@@ -464,10 +456,10 @@ func runOverTCP(t *testing.T, cfg Config, wrap func(rank int, c mpi.Comm) mpi.Co
 				return
 			}
 			errs[r] = runClientNode(cfg, wrapped, app)
-		}(r)
+		}()
 	}
 	wg.Wait()
-	if err := <-hubErr; err != nil {
+	if err := shut(); err != nil {
 		t.Fatalf("hub: %v", err)
 	}
 	return errs, stats

@@ -17,36 +17,20 @@ import (
 )
 
 // runHubLocal runs app on dialed clients against servers attached to a
-// static hub in process — the daemon's shape: what a server sends a
-// client leaves through the hub's writer onto the client's socket. wrap,
-// when set, stands between each server and its endpoint.
+// hub in process — the daemon's shape: what a server sends a client
+// leaves through the hub's writer onto the client's socket. wrap, when
+// set, stands between each server and its endpoint.
 func runHubLocal(cfg Config, disks []storage.Disk, wrap func(mpi.Comm) mpi.Comm, app App) error {
-	h, err := mpi.ListenHub("127.0.0.1:0", cfg.WorldSize())
+	attached, shut, err := hubWorld(cfg, cfg.IsServer)
 	if err != nil {
 		return err
 	}
-	comms := make([]mpi.Comm, cfg.WorldSize())
-	for i := 0; i < cfg.NumServers; i++ {
-		rank := cfg.ServerRank(i)
-		if comms[rank], err = h.Local(rank); err != nil {
-			return err
-		}
-		if wrap != nil {
-			comms[rank] = wrap(comms[rank])
-		}
-	}
-	served := make(chan error, 1)
-	go func() { served <- h.Serve() }()
-	for r := 0; r < cfg.NumClients; r++ {
-		if comms[r], err = mpi.DialComm(h.Addr(), r, cfg.WorldSize()); err != nil {
-			return err
-		}
+	comms := append([]mpi.Comm(nil), attached...)
+	for i := 0; wrap != nil && i < cfg.NumServers; i++ {
+		comms[cfg.ServerRank(i)] = wrap(comms[cfg.ServerRank(i)])
 	}
 	_, err = RunWith(cfg, comms, disks, app)
-	for r := 0; r < cfg.NumClients; r++ {
-		mpi.CloseComm(comms[r])
-	}
-	if herr := <-served; err == nil {
+	if herr := shut(); err == nil {
 		err = herr
 	}
 	return err

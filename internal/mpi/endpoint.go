@@ -45,7 +45,7 @@ func NewEndpoint(under Comm, box *queue.Q[Message], clk clock.Clock) Endpoint {
 
 // accept takes one frame addressed to this endpoint, and ownership of
 // data. A hub control frame (wire tag zero) marks its source dead — or,
-// with payload {1}, revived: a dynamic hub re-issued the rank.
+// with payload {1}, revived: the hub re-issued the rank.
 func (e *Endpoint) accept(source int, wireTag uint32, data []byte) {
 	if wireTag == tagControlWire {
 		e.markPeer(source, len(data) > 0 && data[0] == 1)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
@@ -38,6 +39,14 @@ func rawRank(t *testing.T, hub *Hub, rank, size int) net.Conn {
 	return conn
 }
 
+// isDisconnect reports whether a read error means the peer went away
+// rather than misbehaved: a clean EOF, or the reset the kernel sends for
+// a peer that closed with unread frames (death announcements, typically)
+// still in its socket buffer.
+func isDisconnect(err error) bool {
+	return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
+}
+
 func rawHeader(to, source int, wireTag, n uint32) []byte {
 	var hdr [frameHeaderBytes]byte
 	binary.BigEndian.PutUint32(hdr[0:], uint32(to))
@@ -66,7 +75,7 @@ func TestOversizeFrameEndsTheConnection(t *testing.T) {
 
 	for _, local := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hub/observer local=%v", local), func(t *testing.T) {
-			hub := startDynamicHub(t, 3)
+			hub := startHub(t, 3)
 			observer, err := attach(hub, local, 0, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +149,7 @@ func TestOversizeFrameEndsTheConnection(t *testing.T) {
 // its connection registered as, whatever its header claims.
 func TestHubRelaysTheRegisteredSource(t *testing.T) {
 	for _, local := range []bool{false, true} {
-		hub := startDynamicHub(t, 3)
+		hub := startHub(t, 3)
 		victim, err := attach(hub, local, 0, 3)
 		if err != nil {
 			t.Fatal(err)

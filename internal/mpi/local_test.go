@@ -10,24 +10,6 @@ import (
 // (tcp_test.go runs them over every world shape); here are the
 // behaviours that need a rank to change hands.
 
-// startDynamicHub runs a service-mode hub until the test ends.
-func startDynamicHub(t *testing.T, size int) *Hub {
-	t.Helper()
-	hub, err := ListenHub("127.0.0.1:0", size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- hub.ServeDynamic(nil) }()
-	t.Cleanup(func() {
-		hub.Close()
-		if err := <-done; err != nil {
-			t.Errorf("hub: %v", err)
-		}
-	})
-	return hub
-}
-
 // waitPeerLost polls until c's view of rank matches want.
 func waitPeerLost(t *testing.T, c Comm, rank int, want bool) {
 	t.Helper()
@@ -40,13 +22,13 @@ func waitPeerLost(t *testing.T, c Comm, rank int, want bool) {
 	}
 }
 
-// TestHubRevivalAfterReattach: rank 1 leaves a dynamic hub and a new
+// TestHubRevivalAfterReattach: rank 1 leaves the hub and a new
 // endpoint takes the rank. The observer on rank 0 sees the death, then
 // the revival, then talks to the newcomer — for every combination of
 // observer, first holder and second holder being dialed or local.
 func TestHubRevivalAfterReattach(t *testing.T) {
 	forEachShape(t, 3, func(t *testing.T, kinds worldShape) {
-		hub := startDynamicHub(t, 2)
+		hub := startHub(t, 2)
 		mustAttach := func(local bool, rank int) Comm {
 			c, err := attach(hub, local, rank, 2)
 			if err != nil {
@@ -87,7 +69,7 @@ func TestHubRevivalAfterReattach(t *testing.T) {
 // is refused, and the holder keeps working.
 func TestHubRejectsDuplicateRankAcrossKinds(t *testing.T) {
 	t.Run("dial onto local", func(t *testing.T) {
-		hub := startDynamicHub(t, 2)
+		hub := startHub(t, 2)
 		holder, err := hub.Local(1)
 		if err != nil {
 			t.Fatal(err)
@@ -111,11 +93,8 @@ func TestHubRejectsDuplicateRankAcrossKinds(t *testing.T) {
 		}
 	})
 	t.Run("local onto dialed", func(t *testing.T) {
-		// A static hub: a dynamic one first gives a dialed holder two
-		// seconds to finish disconnecting.
-		comms, cleanup := startHubWorld(t, worldShape{true, false})
-		defer cleanup()
-		hub := comms[0].(*localComm).hub
+		// The hub first gives a dialed holder ~2 s to finish disconnecting.
+		hub, comms := startHubWorld(t, worldShape{true, false})
 		if _, err := hub.Local(1); err == nil {
 			t.Fatal("hub attached a local endpoint to a rank held by a connection")
 		}
@@ -129,7 +108,7 @@ func TestHubRejectsDuplicateRankAcrossKinds(t *testing.T) {
 // TestHubCloseFailsLocalReceives: closing the hub fails a local
 // endpoint's bounded receives, as it does a dialed endpoint's.
 func TestHubCloseFailsLocalReceives(t *testing.T) {
-	hub := startDynamicHub(t, 1)
+	hub := startHub(t, 1)
 	c, err := hub.Local(0)
 	if err != nil {
 		t.Fatal(err)

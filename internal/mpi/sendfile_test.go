@@ -42,7 +42,7 @@ func fileLinks(t *testing.T) []fileLink {
 		return l
 	}
 
-	hub := startDynamicHub(t, 2)
+	hub := startHub(t, 2)
 	local, err := hub.Local(0)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestShortFileFrameStaysWhole(t *testing.T) {
 func TestFileFrameIntoAMailboxIsOnePooledCopy(t *testing.T) {
 	f, data := testFile(t, 64<<10)
 	hdr := []byte("hdr")
-	hub := startDynamicHub(t, 2)
+	hub := startHub(t, 2)
 	a, err := hub.Local(0)
 	if err != nil {
 		t.Fatal(err)
@@ -322,8 +322,7 @@ func TestFileFrameIntoAMailboxIsOnePooledCopy(t *testing.T) {
 // file-range path on Linux and nowhere else; mesh, in-process,
 // simulated and fault-injecting endpoints never do.
 func TestFileRoute(t *testing.T) {
-	comms, cleanup := startHubWorld(t, worldShape{true, false})
-	defer cleanup()
+	_, comms := startHubWorld(t, worldShape{true, false})
 	mesh, closeMesh := startMeshWorld(t, 1)
 	defer closeMesh()
 	for _, c := range []Comm{comms[0], comms[1]} {

@@ -2,13 +2,11 @@ package mpi
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
-	"syscall"
 	"time"
 
 	"panda/internal/bufpool"
@@ -16,11 +14,14 @@ import (
 
 // TCP transport: the paper closes by noting Panda "will be able to run
 // on a network of ordinary workstations without changing any code";
-// this transport makes that literal. A Hub process accepts one
-// connection per rank and routes frames between them, so each node
+// this transport makes that literal. A Hub process accepts connections
+// and routes frames between the ranks they register as, so each node
 // needs exactly one outbound TCP connection and no listener of its own
 // — the simplest thing that works across workstations behind the usual
-// 1995-grade networking.
+// 1995-grade networking. The hub has one accept loop (Serve), whatever
+// runs on it: a fixed world whose ranks all attach before any sends, or
+// pandad, whose session members, remote I/O nodes and migrations come
+// and go.
 //
 // Handshake (all big-endian); data frames are frame.go's:
 //
@@ -30,7 +31,11 @@ import (
 // The hub acknowledges a hello only after it has recorded the
 // connection, and DialComm returns only after reading the ack: a frame
 // sent to a rank whose DialComm has returned is never dropped for want
-// of a registration.
+// of a registration. A hello with a foreign magic or world size, an
+// out-of-range rank, or a rank another endpoint holds gets no ack: that
+// connection is closed and the hub serves on. A hello that opens with
+// the session magic instead hands the connection to the session handler
+// (HandleSessions).
 //
 // A wire tag of zero (impossible for data, whose tags are stored +1)
 // marks a control frame. When a rank's connection drops, the hub
@@ -38,15 +43,14 @@ import (
 // every surviving rank, whose endpoint records the death so bounded
 // receives can fail fast with ErrPeerLost instead of waiting out their
 // timeout. A control frame with a one-byte payload of 1 is the inverse
-// — a revival: a dynamic hub (ServeDynamic) broadcasts it when a freed
-// rank is re-registered by a new connection, clearing the stale death
-// mark on every surviving endpoint. Endpoints read control payloads by
-// the length field, so the two frames coexist with old hubs that only
-// ever send the zero-length death form.
+// — a revival: the hub broadcasts it when a freed rank is re-registered
+// by a new endpoint, clearing the stale death mark on every surviving
+// endpoint. Endpoints read control payloads by the length field.
 //
-// The hub validates that every hello agrees on the world size and that
-// ranks are unique. Sends are reliable and ordered per (source,
-// destination) pair, matching the in-process transports.
+// Sends are reliable and ordered per (source, destination) pair,
+// matching the in-process transports. A frame for a rank that is absent,
+// dead or outside the world is dropped; its sender learns of an absence
+// by the death announcement.
 //
 // Ranks that live in the hub's own process do not dial it: Hub.Local
 // attaches them as in-process endpoints (local.go). A frame the hub
@@ -73,7 +77,7 @@ import (
 
 const tcpMagic = 0x50414e44 // "PAND"
 
-// sessionMagic opens a session-control connection on a dynamic hub: a
+// sessionMagic opens a session-control connection on a hub: a
 // non-rank conn carrying an out-of-band dialog (the pandad attach/open
 // protocol) instead of mesh frames. Hello layout matches the rank
 // hello: u32 magic | u32 version | u32 reserved.
@@ -96,16 +100,16 @@ const tagControlWire = 0
 // Hub routes messages among the ranks of one TCP world. Create with
 // ListenHub, then call Serve.
 type Hub struct {
-	ln      net.Listener
-	size    int
-	mu      sync.Mutex
-	conns   map[int]net.Conn   // dialed ranks
-	locals  map[int]*localComm // in-process ranks (Local)
-	dead    map[int]bool
-	joined  int           // registrations so far; Serve's accept phase ends at size
-	out     []frameWriter // per-rank socket write state
-	dynamic bool          // ServeDynamic mode: ranks come and go
-	closed  bool          // Close was called; accept-loop exit is orderly
+	ln        net.Listener
+	size      int
+	onSession func(net.Conn) // HandleSessions; nil closes session conns
+	mu        sync.Mutex
+	open      map[net.Conn]bool  // every accepted conn until its handler returns
+	conns     map[int]net.Conn   // dialed ranks
+	locals    map[int]*localComm // in-process ranks (Local)
+	dead      map[int]bool
+	out       []frameWriter // per-rank socket write state
+	closed    bool          // Close was called; accept-loop exit is orderly
 }
 
 // ListenHub starts a hub for a world of the given size on addr (e.g.
@@ -119,7 +123,7 @@ func ListenHub(addr string, size int) (*Hub, error) {
 		return nil, err
 	}
 	return &Hub{
-		ln: ln, size: size,
+		ln: ln, size: size, open: make(map[net.Conn]bool),
 		conns: make(map[int]net.Conn), locals: make(map[int]*localComm),
 		dead: make(map[int]bool), out: make([]frameWriter, size),
 	}, nil
@@ -128,149 +132,102 @@ func ListenHub(addr string, size int) (*Hub, error) {
 // Addr returns the hub's listen address.
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
 
-// Serve accepts all ranks, then routes frames until every connection
-// closes. Ranks attached with Local before Serve is called count as
-// joined. It returns the first routing error, or nil on orderly
-// shutdown (all dialed ranks disconnected).
+// HandleSessions hands every connection that opens with the session
+// hello to fn, on that connection's own goroutine, for an out-of-band
+// dialog (the pandad attach/open protocol); the hub closes the
+// connection once fn returns, or at Close. Call it before Serve.
+func (h *Hub) HandleSessions(fn func(net.Conn)) { h.onSession = fn }
+
+// Serve accepts connections until Close. Ranks join and leave at will:
+// a departing rank is announced dead, and a later connection (or Local)
+// may take its slot, which broadcasts a revival clearing the stale
+// death mark. Frames addressed to an absent rank are dropped. The hub
+// owns every connection it accepts until that connection's handler
+// returns, so Close severs them all — one that never sends its hello
+// included. Serve returns nil after Close, or the accept error
+// otherwise, once every handler has returned.
 func (h *Hub) Serve() error {
-	defer h.ln.Close()
-	// Accept phase: exactly size ranks, dialed or local.
-	for h.registrations() < h.size {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return err
-		}
-		rank, err := h.handshake(conn)
-		if err == nil {
-			_, err = h.register(rank, conn, nil)
-		}
-		if err != nil {
-			conn.Close()
-			return err
-		}
-	}
-	// Route phase: one goroutine per source. When a source's connection
-	// ends — orderly or not — the survivors are told so their pending
-	// receives from that rank can fail fast.
-	errs := make(chan error, h.size)
 	var wg sync.WaitGroup
-	for rank, conn := range h.conns {
-		wg.Add(1)
-		go func(rank int, conn net.Conn) {
-			defer wg.Done()
-			err := h.route(rank, conn)
-			h.announceDeath(rank)
-			errs <- err
-		}(rank, conn)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// registrations counts the ranks that have joined, whether or not they
-// have left since: a local rank may detach before Serve has started.
-func (h *Hub) registrations() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.joined
-}
-
-// ServeDynamic runs the hub in service mode: instead of waiting for
-// exactly size ranks and tearing down when they disconnect, the hub
-// accepts connections forever (until Close). Rank connections join and
-// leave the mesh at will — a departing rank is announced dead as usual,
-// but its slot can be re-registered by a later connection, which
-// broadcasts a revival clearing the stale death mark. Frames addressed
-// to an absent rank are dropped, not fatal. Connections opening with
-// the session magic are handed to onSession (one goroutine each) for
-// out-of-band dialog; the callback owns the conn. ServeDynamic returns
-// nil after Close, or the accept error otherwise.
-func (h *Hub) ServeDynamic(onSession func(net.Conn)) error {
-	h.mu.Lock()
-	h.dynamic = true
-	h.mu.Unlock()
-	var wg sync.WaitGroup
+	defer wg.Wait()
 	for {
 		conn, err := h.ln.Accept()
+		h.mu.Lock()
+		closed := h.closed
+		if err == nil && !closed {
+			h.open[conn] = true
+		}
+		h.mu.Unlock()
 		if err != nil {
-			wg.Wait()
-			h.mu.Lock()
-			closed := h.closed
-			h.mu.Unlock()
 			if closed {
 				return nil
 			}
 			return err
 		}
+		if closed {
+			conn.Close()
+			continue
+		}
 		wg.Add(1)
-		go func(conn net.Conn) {
+		go func() {
 			defer wg.Done()
-			h.serveDynConn(conn, onSession)
-		}(conn)
+			h.serveConn(conn)
+			h.mu.Lock()
+			delete(h.open, conn)
+			h.mu.Unlock()
+			conn.Close()
+		}()
 	}
 }
 
-// serveDynConn handshakes and runs one dynamic-mode connection.
-func (h *Hub) serveDynConn(conn net.Conn, onSession func(net.Conn)) {
+// serveConn reads one connection's hello and runs it: a session dialog,
+// or a rank routed until it disconnects. Anything else — a bad magic, a
+// foreign world size, an out-of-range or duplicate rank — is refused
+// without an ack; the caller closes the connection.
+func (h *Hub) serveConn(conn net.Conn) {
 	var buf [12]byte
 	if _, err := io.ReadFull(conn, buf[:]); err != nil {
-		conn.Close()
 		return
 	}
 	switch binary.BigEndian.Uint32(buf[0:]) {
 	case sessionMagic:
-		if onSession == nil {
-			conn.Close()
-			return
+		if h.onSession != nil {
+			h.onSession(conn)
 		}
-		onSession(conn)
 		return
 	case tcpMagic:
-		// fall through to rank registration
 	default:
-		conn.Close()
 		return
 	}
 	rank := int(binary.BigEndian.Uint32(buf[4:]))
 	size := int(binary.BigEndian.Uint32(buf[8:]))
 	if size != h.size || rank < 0 || rank >= h.size {
-		conn.Close()
 		return
 	}
 	revived, err := h.register(rank, conn, nil)
 	if err != nil {
-		conn.Close()
 		return
 	}
 	if revived {
 		h.announceRevival(rank)
 	}
-	h.route(rank, conn) //nolint:errcheck // a broken dynamic conn only kills itself
+	h.route(rank, conn)
 	h.announceDeath(rank)
 	h.mu.Lock()
 	if h.conns[rank] == conn {
 		delete(h.conns, rank)
 	}
 	h.mu.Unlock()
-	conn.Close()
 }
 
 // register makes conn (a dialed rank, acknowledged here) or l (a local
 // one) the holder of rank, and reports whether the rank had been
 // announced dead — the caller then owes the survivors a revival. A rank
-// is held by one endpoint at a time. On a dynamic hub a dialed holder
-// gets a moment to finish disconnecting (a freed rank can be re-issued
-// while its old connection's FIN is still in flight); a local holder
-// detaches synchronously, so finding one is a true duplicate and is
-// refused at once, as every duplicate is on a static hub. The rank's
-// write lock is held from registration through the ack, so no routed
-// frame can reach a new connection ahead of it.
+// is held by one endpoint at a time. A dialed holder gets a moment to
+// finish disconnecting (a freed rank can be re-issued while its old
+// connection's FIN is still in flight); a local holder detaches
+// synchronously, so finding one is a true duplicate and is refused at
+// once. The rank's write lock is held from registration through the
+// ack, so no routed frame can reach a new connection ahead of it.
 func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err error) {
 	for attempt := 0; ; attempt++ {
 		h.out[rank].mu.Lock()
@@ -279,12 +236,11 @@ func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err
 		switch {
 		case h.closed:
 			err = fmt.Errorf("mpi: hub closed")
-		case h.locals[rank] != nil, dialed && (!h.dynamic || attempt > 100): // ~2 s: the predecessor is wedged
+		case h.locals[rank] != nil, dialed && attempt > 100: // ~2 s: the predecessor is wedged
 			err = fmt.Errorf("mpi: duplicate rank %d", rank)
 		case !dialed:
 			revived = h.dead[rank]
 			delete(h.dead, rank)
-			h.joined++
 			if l != nil {
 				h.locals[rank] = l
 			} else {
@@ -308,10 +264,9 @@ func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err
 // sockets for every byte they exchange with a dialed peer. The endpoint
 // behaves as a DialComm one does (DeadlineComm, VectorComm and
 // PeerChecker included; CloseComm detaches it and announces the rank
-// dead). It may be attached before ServeDynamic is running; the local
-// ranks of a static world attach before Serve is called, and send only
-// once the world is complete — a frame for a rank that has not joined
-// is dropped, where a dialed sender's would wait in its socket.
+// dead). It may be attached before Serve is running. A frame for a rank
+// that has not attached is dropped, so a fixed world attaches every
+// rank before any of them sends.
 func (h *Hub) Local(rank int) (Comm, error) {
 	if rank < 0 || rank >= h.size {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, h.size)
@@ -337,15 +292,15 @@ func (h *Hub) Inject(to, tag int, data []byte) {
 	}
 }
 
-// Close shuts the hub down: the listener closes (ending ServeDynamic's
-// accept loop), every connection is torn down and every local
-// endpoint's receives fail as a dialed endpoint's do when its
-// connection drops.
+// Close shuts the hub down: the listener closes (ending Serve's accept
+// loop), every accepted connection is severed — rank, session, or one
+// still owing its hello — and every local endpoint's receives fail as a
+// dialed endpoint's do when its connection drops.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	h.closed = true
-	conns := make([]net.Conn, 0, len(h.conns))
-	for _, c := range h.conns {
+	conns := make([]net.Conn, 0, len(h.open))
+	for c := range h.open {
 		conns = append(conns, c)
 	}
 	locals := make([]*localComm, 0, len(h.locals))
@@ -370,25 +325,6 @@ func writeAck(conn net.Conn) error {
 	binary.BigEndian.PutUint32(ack[:], tcpMagic)
 	_, err := conn.Write(ack[:])
 	return err
-}
-
-func (h *Hub) handshake(conn net.Conn) (int, error) {
-	var buf [12]byte
-	if _, err := io.ReadFull(conn, buf[:]); err != nil {
-		return 0, fmt.Errorf("mpi: hub handshake: %w", err)
-	}
-	if binary.BigEndian.Uint32(buf[0:]) != tcpMagic {
-		return 0, fmt.Errorf("mpi: hub handshake: bad magic")
-	}
-	rank := int(binary.BigEndian.Uint32(buf[4:]))
-	size := int(binary.BigEndian.Uint32(buf[8:]))
-	if size != h.size {
-		return 0, fmt.Errorf("mpi: rank %d joined with world size %d, hub expects %d", rank, size, h.size)
-	}
-	if rank < 0 || rank >= h.size {
-		return 0, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, h.size)
-	}
-	return rank, nil
 }
 
 // announceDeath marks a rank dead and tells every surviving rank.
@@ -519,39 +455,20 @@ func (h *Hub) deliverFile(source, to int, wireTag uint32, hdr []byte, f *os.File
 	return false, nil
 }
 
-// isDisconnect reports whether a read error means the peer went away
-// rather than misbehaved: a clean EOF, or the reset the kernel sends for
-// a peer that closed with unread frames (death announcements, typically)
-// still in its socket buffer.
-func isDisconnect(err error) bool {
-	return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
-}
-
 // route forwards frames from one source connection until it disconnects
-// or breaks the protocol. Frames are relayed as coming from the rank the
-// connection registered as, whatever their header's source field says.
-func (h *Hub) route(source int, conn net.Conn) error {
+// or breaks the protocol; either way only that connection ends. Frames
+// are relayed as coming from the rank the connection registered as,
+// whatever their header's source field says, and a frame for a rank
+// outside the world is dropped.
+func (h *Hub) route(source int, conn net.Conn) {
 	fr := newFrameReader(conn)
 	for {
 		to, _, wireTag, payload, err := fr.next()
 		if err != nil {
-			if isDisconnect(err) {
-				return nil
-			}
-			return fmt.Errorf("mpi: hub route from %d: %w", source, err)
-		}
-		if to < 0 || to >= h.size {
-			bufpool.Put(payload)
-			h.mu.Lock()
-			dynamic := h.dynamic
-			h.mu.Unlock()
-			if dynamic {
-				continue // no such rank; drop
-			}
-			return fmt.Errorf("mpi: frame from %d for unknown rank %d", source, to)
+			return
 		}
 		// payload is recycled unless a local rank takes it
-		if h.deliver(source, to, wireTag, payload, nil, true) != queued {
+		if to < 0 || to >= h.size || h.deliver(source, to, wireTag, payload, nil, true) != queued {
 			bufpool.Put(payload)
 		}
 	}
@@ -565,9 +482,9 @@ type tcpComm struct {
 }
 
 // DialComm connects rank to the hub at addr in a world of the given
-// size, returning once the hub has acknowledged the registration. On a
-// static hub traffic flows once every rank has dialed; close the
-// underlying connection by calling CloseComm when done.
+// size, returning once the hub has acknowledged the registration, so
+// frames sent to the rank from then on reach it. Close the underlying
+// connection by calling CloseComm when done.
 func DialComm(addr string, rank, size int) (Comm, error) {
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, size)

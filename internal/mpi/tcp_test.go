@@ -4,19 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// startTCPWorld spins up a hub and one dialed endpoint per rank on
-// localhost.
-func startTCPWorld(t *testing.T, size int) ([]Comm, func()) {
-	t.Helper()
-	return startHubWorld(t, make(worldShape, size))
-}
 
 // worldShape says, per rank of a hub world, whether the rank attaches
 // in-process (Hub.Local) rather than dialing. The hub's contract is the
@@ -55,51 +48,42 @@ func attach(hub *Hub, local bool, r, size int) (Comm, error) {
 	return DialComm(hub.Addr(), r, size)
 }
 
-// startHubWorld spins up a static hub on localhost and one endpoint per
-// rank, of the kinds the shape names.
-func startHubWorld(t *testing.T, shape worldShape) ([]Comm, func()) {
+// startHub runs a hub on localhost until the test ends.
+func startHub(t testing.TB, size int) *Hub {
 	t.Helper()
-	size := len(shape)
 	hub, err := ListenHub("127.0.0.1:0", size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comms := make([]Comm, size)
-	errs := make([]error, size)
-	for r, local := range shape { // local ranks count as joined once Serve runs
-		if local {
-			comms[r], errs[r] = attach(hub, shape[r], r, size)
+	done := make(chan error, 1)
+	go func() { done <- hub.Serve() }()
+	t.Cleanup(func() {
+		hub.Close()
+		if err := <-done; err != nil {
+			t.Errorf("hub: %v", err)
 		}
-	}
-	hubErr := make(chan error, 1)
-	go func() { hubErr <- hub.Serve() }()
+	})
+	return hub
+}
 
-	var wg sync.WaitGroup
+// startHubWorld starts a hub and attaches one endpoint per rank, of the
+// kinds the shape names, before returning: each attach returns once the
+// hub has registered the rank, and the hub drops a frame for a rank that
+// has not attached, so no rank may send before the last is in. The
+// endpoints and the hub close when the test ends.
+func startHubWorld(t *testing.T, shape worldShape) (*Hub, []Comm) {
+	t.Helper()
+	hub := startHub(t, len(shape))
+	comms := make([]Comm, len(shape))
 	for r, local := range shape {
-		if local {
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			comms[r], errs[r] = attach(hub, shape[r], r, size)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+		c, err := attach(hub, local, r, len(shape))
 		if err != nil {
 			t.Fatalf("rank %d attach: %v", r, err)
 		}
+		comms[r] = c
+		t.Cleanup(func() { CloseComm(c) })
 	}
-	cleanup := func() {
-		for _, c := range comms {
-			CloseComm(c)
-		}
-		if err := <-hubErr; err != nil {
-			t.Errorf("hub: %v", err)
-		}
-	}
-	return comms, cleanup
+	return hub, comms
 }
 
 func runTCPWorld(t *testing.T, size int, fn func(Comm)) {
@@ -109,17 +93,16 @@ func runTCPWorld(t *testing.T, size int, fn func(Comm)) {
 
 func runHubWorld(t *testing.T, shape worldShape, fn func(Comm)) {
 	t.Helper()
-	comms, cleanup := startHubWorld(t, shape)
+	_, comms := startHubWorld(t, shape)
 	var wg sync.WaitGroup
-	for r := range comms {
+	for _, c := range comms {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			fn(comms[r])
-		}(r)
+			fn(c)
+		}()
 	}
 	wg.Wait()
-	cleanup()
 }
 
 // forEachShape runs fn as a subtest per shape of a size-rank world.
@@ -213,42 +196,86 @@ func TestTCPManyToOne(t *testing.T) {
 	})
 }
 
-func TestTCPHubRejectsWrongWorldSize(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 2)
+// helloBytes is a 12-byte hello: magic, rank (or session version), size.
+func helloBytes(magic uint32, rank, size int) []byte {
+	var hello [12]byte
+	binary.BigEndian.PutUint32(hello[0:], magic)
+	binary.BigEndian.PutUint32(hello[4:], uint32(rank))
+	binary.BigEndian.PutUint32(hello[8:], uint32(size))
+	return hello[:]
+}
+
+// sendHello opens a raw connection to hub, writes first and half-closes
+// it, and returns everything the hub sent back before closing its end —
+// the ack first, if the hello was accepted.
+func sendHello(t testing.TB, hub *Hub, first []byte) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", hub.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- hub.Serve() }()
-	if _, err := DialComm(hub.Addr(), 0, 3); err != nil {
-		// Dial itself may succeed (handshake is one-way); the hub
-		// must fail.
-		t.Logf("dial error (acceptable): %v", err)
+	defer conn.Close()
+	if _, err := conn.Write(first); err != nil {
+		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
-		t.Fatal("hub accepted mismatched world size")
+	conn.(*net.TCPConn).CloseWrite()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil && !isDisconnect(err) {
+		t.Fatalf("the hub neither acknowledged nor closed the connection: %v", err)
+	}
+	return got
+}
+
+// expectRefused: the hub closes a connection opening with hello without
+// acknowledging it...
+func expectRefused(t *testing.T, hub *Hub, hello []byte) {
+	t.Helper()
+	if got := sendHello(t, hub, hello); len(got) != 0 {
+		t.Fatalf("the hub answered the hello with %d bytes, want none", len(got))
 	}
 }
 
+// ...and keeps serving: it registers a well-formed rank 0 and routes it
+// a frame from rank 1, whose holder is one (a fresh local endpoint when
+// nil).
+func expectServing(t testing.TB, hub *Hub, one Comm) {
+	t.Helper()
+	if one == nil {
+		var err error
+		if one, err = hub.Local(1); err != nil {
+			t.Fatal(err)
+		}
+		defer CloseComm(one)
+	}
+	zero, err := DialComm(hub.Addr(), 0, 2)
+	if err != nil {
+		t.Fatalf("the hub refused a well-formed rank: %v", err)
+	}
+	defer CloseComm(zero)
+	one.Send(0, 4, []byte("served"))
+	if m, err := zero.(DeadlineComm).RecvTimeout(1, 4, 10*time.Second); err != nil || string(m.Data) != "served" {
+		t.Fatalf("the hub did not route to the new rank: %q, %v", m.Data, err)
+	}
+}
+
+func TestTCPHubRejectsWrongWorldSize(t *testing.T) {
+	hub := startHub(t, 2)
+	expectRefused(t, hub, helloBytes(tcpMagic, 0, 3))
+	expectServing(t, hub, nil)
+}
+
+// TestTCPHubRejectsDuplicateRank: a hello for a rank a live connection
+// holds is refused once the holder has had its ~2 s to disconnect.
 func TestTCPHubRejectsDuplicateRank(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 2)
+	hub := startHub(t, 2)
+	holder, err := DialComm(hub.Addr(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- hub.Serve() }()
-	c1, err := DialComm(hub.Addr(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseComm(c1)
-	c2, err := DialComm(hub.Addr(), 1, 2)
-	if err == nil {
-		defer CloseComm(c2)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("hub accepted duplicate rank")
-	}
+	defer CloseComm(holder)
+	expectRefused(t, hub, helloBytes(tcpMagic, 1, 2))
+	expectServing(t, hub, holder)
 }
 
 func TestTCPDialValidatesRank(t *testing.T) {
@@ -258,49 +285,43 @@ func TestTCPDialValidatesRank(t *testing.T) {
 }
 
 func TestTCPHubRejectsBadMagic(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- hub.Serve() }()
-	conn, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello [12]byte
-	binary.BigEndian.PutUint32(hello[0:], 0xDEADBEEF)
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("hub accepted bad magic: %v", err)
-	}
+	hub := startHub(t, 2)
+	expectRefused(t, hub, helloBytes(0xDEADBEEF, 0, 2))
+	expectServing(t, hub, nil)
 }
 
 func TestTCPHubRejectsOutOfRangeRank(t *testing.T) {
-	hub, err := ListenHub("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- hub.Serve() }()
-	conn, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello [12]byte
-	binary.BigEndian.PutUint32(hello[0:], tcpMagic)
-	binary.BigEndian.PutUint32(hello[4:], 7) // rank 7 of a 2-rank world
-	binary.BigEndian.PutUint32(hello[8:], 2)
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("hub accepted out-of-range rank")
-	}
+	hub := startHub(t, 2)
+	expectRefused(t, hub, helloBytes(tcpMagic, 7, 2)) // rank 7 of a 2-rank world
+	expectServing(t, hub, nil)
+}
+
+// FuzzHubHello feeds arbitrary first bytes to a fresh hub connection
+// (rank 1 held locally): the hub never panics, acknowledges exactly the
+// well-formed hello for the one free rank, and afterwards still
+// registers a well-formed rank and routes it a frame.
+func FuzzHubHello(f *testing.F) {
+	f.Add(helloBytes(tcpMagic, 0, 3))                                   // wrong world size
+	f.Add(helloBytes(tcpMagic, 1, 2))                                   // duplicate rank
+	f.Add(helloBytes(0xDEADBEEF, 0, 2))                                 // bad magic
+	f.Add(helloBytes(tcpMagic, 7, 2))                                   // out-of-range rank
+	f.Add(helloBytes(sessionMagic, 1, 0))                               // a session, with no handler
+	f.Add(append(helloBytes(tcpMagic, 0, 2), rawHeader(0, 0, 6, 2)...)) // a rank that sends itself a short frame
+	f.Fuzz(func(t *testing.T, first []byte) {
+		hub := startHub(t, 2)
+		one, err := hub.Local(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer CloseComm(one)
+		valid := len(first) >= 12 && binary.BigEndian.Uint32(first) == tcpMagic &&
+			binary.BigEndian.Uint32(first[4:]) == 0 && binary.BigEndian.Uint32(first[8:]) == 2
+		got := sendHello(t, hub, first)
+		if acked := len(got) >= 4 && binary.BigEndian.Uint32(got) == tcpMagic; acked != valid || !valid && len(got) > 0 {
+			t.Fatalf("hello % x: the hub answered % x", first[:min(len(first), 12)], got[:min(len(got), 16)])
+		}
+		expectServing(t, hub, one)
+	})
 }
 
 func TestTCPPeerDisconnectSurfacesErrPeerLost(t *testing.T) {
@@ -309,7 +330,7 @@ func TestTCPPeerDisconnectSurfacesErrPeerLost(t *testing.T) {
 	// its generous bound — rather than hang. Whether the dead rank and
 	// the observer are dialed or local must not matter.
 	forEachShape(t, 3, func(t *testing.T, shape worldShape) {
-		comms, _ := startHubWorld(t, shape)
+		_, comms := startHubWorld(t, shape)
 		if err := CloseComm(comms[2]); err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +371,7 @@ func TestTCPPeerDisconnectSurfacesErrPeerLost(t *testing.T) {
 
 func TestTCPDeathNotificationDoesNotDropQueuedMessages(t *testing.T) {
 	// Messages delivered before the peer died must still be receivable.
-	comms, _ := startTCPWorld(t, 2)
+	_, comms := startHubWorld(t, make(worldShape, 2))
 	comms[1].Send(0, 4, []byte("parting gift"))
 	// Give the hub a moment to forward before the disconnect.
 	dc := comms[0].(DeadlineComm)
@@ -419,47 +440,72 @@ func TestTCPStress(t *testing.T) {
 
 // TestHubRegistrationIsSynchronous: a rank whose DialComm has returned
 // is registered at the hub, so ranks dialed back to back from one
-// goroutine can be addressed at once. A dynamic hub drops frames for an
+// goroutine can be addressed at once. The hub drops frames for an
 // unregistered rank, so without the hello ack the last rank loses the
 // first frame sent to it.
 func TestHubRegistrationIsSynchronous(t *testing.T) {
 	const size, rounds = 4, 200
-	for _, dynamic := range []bool{true, false} {
-		for round := 0; round < rounds; round++ {
-			hub, err := ListenHub("127.0.0.1:0", size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			if dynamic {
-				go func() { done <- hub.ServeDynamic(nil) }()
-			} else {
-				go func() { done <- hub.Serve() }()
-			}
-			comms := make([]Comm, size)
-			for r := range comms {
-				if comms[r], err = DialComm(hub.Addr(), r, size); err != nil {
-					t.Fatalf("dynamic=%v round %d rank %d: %v", dynamic, round, r, err)
-				}
-			}
-			comms[0].Send(size-1, 7, []byte{byte(round)})
-			m, err := comms[size-1].(DeadlineComm).RecvTimeout(0, 7, 10*time.Second)
-			if err != nil {
-				t.Fatalf("dynamic=%v round %d: first frame lost: %v", dynamic, round, err)
-			}
-			if m.Data[0] != byte(round) {
-				t.Fatalf("dynamic=%v round %d: got %v", dynamic, round, m.Data)
-			}
-			for _, c := range comms {
-				CloseComm(c)
-			}
-			if dynamic {
-				hub.Close()
-			}
-			if err := <-done; err != nil {
-				t.Fatalf("dynamic=%v round %d: hub: %v", dynamic, round, err)
+	for round := 0; round < rounds; round++ {
+		hub, err := ListenHub("127.0.0.1:0", size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- hub.Serve() }()
+		comms := make([]Comm, size)
+		for r := range comms {
+			if comms[r], err = DialComm(hub.Addr(), r, size); err != nil {
+				t.Fatalf("round %d rank %d: %v", round, r, err)
 			}
 		}
+		comms[0].Send(size-1, 7, []byte{byte(round)})
+		m, err := comms[size-1].(DeadlineComm).RecvTimeout(0, 7, 10*time.Second)
+		if err != nil {
+			t.Fatalf("round %d: first frame lost: %v", round, err)
+		}
+		if m.Data[0] != byte(round) {
+			t.Fatalf("round %d: got %v", round, m.Data)
+		}
+		for _, c := range comms {
+			CloseComm(c)
+		}
+		hub.Close()
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: hub: %v", round, err)
+		}
+	}
+}
+
+// TestHubCloseSeversSilentConn: a connection that never sends its hello
+// (a port probe, a client killed between connect and hello) does not
+// keep Serve from returning after Close.
+func TestHubCloseSeversSilentConn(t *testing.T) {
+	hub, err := ListenHub("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- hub.Serve() }()
+	silent, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The hub accepts in order: once a later rank is registered, the
+	// silent connection has been accepted and is waiting on its hello.
+	c, err := DialComm(hub.Addr(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseComm(c)
+	hub.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("hub: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve still running 1 s after Close: a silent connection holds it")
 	}
 }
 
@@ -467,7 +513,7 @@ func TestHubRegistrationIsSynchronous(t *testing.T) {
 // under a stream of in-flight writes: the writer must not panic, and
 // both ends must see ErrPeerLost from their bounded receives.
 func TestTCPSendOnClosedLinkIsTypedNotFatal(t *testing.T) {
-	comms, _ := startTCPWorld(t, 2)
+	_, comms := startHubWorld(t, make(worldShape, 2))
 	payload := make([]byte, 1<<20)
 	started := make(chan struct{})
 	finished := make(chan struct{})
@@ -493,17 +539,17 @@ func TestTCPSendOnClosedLinkIsTypedNotFatal(t *testing.T) {
 	CloseComm(comms[1])
 }
 
-// TestHubTeardownEveryOrder closes the ranks of a static world in every
-// order while each still has unread frames (data and, for all but the
-// first to close, death announcements) in its socket buffer. The kernel
+// TestHubTeardownEveryOrder closes the ranks of a world in every order
+// while each still has unread frames (data and, for all but the first
+// to close, death announcements) in its socket buffer. The kernel
 // answers such a close with a reset; the hub must treat it as the
-// disconnect it is, keep routing for the others, and exit cleanly.
+// disconnect it is, keep routing for the others, and free every rank.
 func TestHubTeardownEveryOrder(t *testing.T) {
 	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	forEachShape(t, 3, func(t *testing.T, shape worldShape) {
 		for _, order := range orders {
 			for round := 0; round < 10; round++ {
-				comms, cleanup := startHubWorld(t, shape)
+				hub, comms := startHubWorld(t, shape)
 				for _, c := range comms {
 					for peer := range comms {
 						if peer != c.Rank() {
@@ -519,8 +565,26 @@ func TestHubTeardownEveryOrder(t *testing.T) {
 				for _, r := range order {
 					CloseComm(comms[r])
 				}
-				cleanup() // closes again (harmless) and fails the test on a hub error
+				waitVacant(t, hub)
 			}
 		}
 	})
+}
+
+// waitVacant polls until the hub holds no rank.
+func waitVacant(t *testing.T, hub *Hub) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		hub.mu.Lock()
+		held := len(hub.conns) + len(hub.locals)
+		hub.mu.Unlock()
+		if held == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rank(s) still held 10 s after every endpoint closed", held)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
