@@ -1,6 +1,7 @@
 package panda
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -220,8 +221,9 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 		events = ev
 	}
-	tel := newTelemetry(reg, rec, events, cfg.Dir, logf)
-	tel.setSLO(cfg.Tuning.sloPolicy())
+	// tel reads the service's tables, so it is built once the service
+	// is; no operation can log before Start.
+	var tel *telemetry
 	tuned := cfg.Tuning.reconfig()
 	ccfg := core.Config{
 		NumClients:    cfg.ClientSlots,
@@ -235,7 +237,6 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 		Service:       true,
 		Members:       members,
 		Sched:         tuned.Sched,
-		OpStart:       tel.opStart,
 		OpLog: func(sum core.OpSummary) {
 			tel.opDone(sum)
 			if sum.Err == nil {
@@ -273,6 +274,8 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	tel = newTelemetry(svc, reg, rec, events, cfg.Dir, logf)
+	tel.setSLO(cfg.Tuning.sloPolicy())
 	rep, err := svc.Recover()
 	if err != nil {
 		return nil, fmt.Errorf("panda: daemon recovery: %w", err)
@@ -533,29 +536,34 @@ func fail(err error) ctlReply {
 	return ctlReply{OK: false, Error: err.Error(), Code: core.SentinelName(err)}
 }
 
+// maxCtlRequest caps one session-control request line. The largest a
+// client sends, an open carrying an encoded array spec, is a few KiB;
+// a connection whose request outgrows the cap is closed instead of
+// buffered.
+const maxCtlRequest = 64 << 10
+
 // handleSession runs one control connection: requests in, replies out,
 // detach on disconnect. Runs on the hub's per-connection goroutine,
-// which closes conn once this returns.
+// which closes conn once this returns — as it does on a request line
+// longer than maxCtlRequest.
 func (d *Daemon) handleSession(conn net.Conn) {
-	dec := json.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, maxCtlRequest)
 	enc := json.NewEncoder(conn)
-	sid := 0
-	defer func() {
-		if sid != 0 {
-			d.svc.Detach(sid)
-			d.tel.detach(sid)
-			d.logf("session %d detached", sid)
-		}
-	}()
+	var sess core.SessionInfo // ID 0 while no session is attached
+	defer func() { d.endSession(sess) }()
 	for {
+		line, err := br.ReadSlice('\n')
+		if err != nil {
+			return
+		}
 		var req ctlRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := json.Unmarshal(line, &req); err != nil {
 			return
 		}
 		var rep ctlReply
 		switch req.Cmd {
 		case "attach":
-			if sid != 0 {
+			if sess.ID != 0 {
 				rep = fail(errors.New("panda: session already attached"))
 				break
 			}
@@ -564,14 +572,14 @@ func (d *Daemon) handleSession(conn net.Conn) {
 				rep = fail(err)
 				break
 			}
-			sid = info.ID
-			d.tel.attach(info, req.Nodes)
+			sess = info
+			d.tel.attach(info)
 			rep = shapeReply(d.svc.Config())
 			rep.Session, rep.Ranks, rep.SeqBase = info.ID, info.Ranks, info.SeqBase
 			d.logf("session %d attached: %d nodes at ranks %v, tenant %q", info.ID, req.Nodes, info.Ranks, req.Tenant)
 			crashPoint("post-attach")
 		case "open":
-			rep = d.handleOpen(sid, req)
+			rep = d.handleOpen(sess.ID, req)
 			crashPoint("post-open")
 		case "info":
 			cfg := d.svc.Config()
@@ -606,12 +614,8 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			rep.HeartbeatNs, rep.LeaseNs = int64(d.members.HeartbeatEvery()), int64(d.members.LeaseTTL())
 			d.logf("server joiner %q reserved slot %d", req.Addr, slot)
 		case "detach":
-			if sid != 0 {
-				d.svc.Detach(sid)
-				d.tel.detach(sid)
-				d.logf("session %d detached", sid)
-				sid = 0
-			}
+			d.endSession(sess)
+			sess = core.SessionInfo{}
 			rep = ctlReply{OK: true}
 		default:
 			rep = fail(fmt.Errorf("panda: unknown session command %q", req.Cmd))
@@ -620,6 +624,16 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// endSession detaches a control connection's session, if it has one.
+func (d *Daemon) endSession(sess core.SessionInfo) {
+	if sess.ID == 0 {
+		return
+	}
+	d.svc.Detach(sess.ID)
+	d.tel.detach(sess)
+	d.logf("session %d detached", sess.ID)
 }
 
 // handleOpen resolves one open/create request against the catalog.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"panda/internal/core"
 	"panda/internal/obs"
 )
 
@@ -371,6 +372,119 @@ func TestDaemonHTTPPlane(t *testing.T) {
 	st := eventsOf(t, dir, "startup")[0]
 	if st["addr"] != d.Addr() || st["http_addr"] != d.HTTPAddr() {
 		t.Fatalf("startup event wrong: %v", st)
+	}
+}
+
+// TestDaemonCountsEachOpOnce: with two I/O nodes, one session running n
+// collectives reads n in tenant_ops_<t> and in its /sessions row alike —
+// the master's summary counts an operation once, not once per server —
+// and its bytes agree across tenant_bytes_<t>, the row and the payload.
+func TestDaemonCountsEachOpOnce(t *testing.T) {
+	const n = 5
+	d := startTelemetryDaemon(t, t.TempDir(), Tuning{MaxInflight: 2})
+	defer d.Drain() //nolint:errcheck
+	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: 1, Tenant: "probe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	a := sessionArray(t, "once", 1)
+	if err := s.Create(a); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Run(func(nd *Node) error {
+		buf := make([]byte, nd.ChunkBytes(a))
+		if err := nd.Bind(a, buf); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := nd.WriteArray(a); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every server's summary adds bytes, some after the client's call
+	// returned: wait for the last.
+	want := int64(n * 16 * 8 * 4)
+	var ops, bytes int64
+	var row SessionStat
+	for wait := 0; wait < 100; wait++ {
+		_, body := httpGet(t, "http://"+d.HTTPAddr()+"/metrics")
+		var metrics map[string]int64
+		json.Unmarshal(body, &metrics) //nolint:errcheck // histograms do not decode; the counters do
+		ops, bytes = metrics["tenant_ops_probe"], metrics["tenant_bytes_probe"]
+		if rows := d.Sessions(); len(rows) == 1 {
+			row = rows[0]
+		}
+		if bytes == want && row.Bytes == want {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if ops != n || row.Ops != n {
+		t.Fatalf("tenant_ops_probe = %d, /sessions ops = %d after %d collectives on 2 I/O nodes; want %d and %d", ops, row.Ops, n, n, n)
+	}
+	if bytes != want || row.Bytes != want {
+		t.Fatalf("tenant_bytes_probe = %d, /sessions bytes = %d; want %d", bytes, row.Bytes, want)
+	}
+}
+
+// TestDaemonListsServiceSessions: a session attached to the Service
+// alone — the way a migration attaches its internal session — is a row
+// of Daemon.Sessions and counts in sessions_attached, and once it
+// detaches nothing the telemetry plane kept for it survives.
+func TestDaemonListsServiceSessions(t *testing.T) {
+	d := startTelemetryDaemon(t, t.TempDir(), Tuning{})
+	defer d.Drain() //nolint:errcheck
+	info, err := d.Service().Attach(1, rebalanceTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := d.Sessions()
+	if len(rows) != 1 || rows[0].SID != info.ID || rows[0].Tenant != rebalanceTenant || rows[0].Nodes != 1 {
+		t.Fatalf("Daemon.Sessions() = %+v, want the one %s session %d", rows, rebalanceTenant, info.ID)
+	}
+	attached := func() int64 {
+		_, body := httpGet(t, "http://"+d.HTTPAddr()+"/metrics")
+		var metrics map[string]json.RawMessage
+		if err := json.Unmarshal(body, &metrics); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		if err := json.Unmarshal(metrics["sessions_attached"], &n); err != nil {
+			t.Fatalf("sessions_attached: %v", err)
+		}
+		return n
+	}
+	if n := attached(); n != 1 {
+		t.Fatalf("sessions_attached = %d, want 1", n)
+	}
+
+	// An operation of the session is tallied; its detach, which the
+	// telemetry plane never hears of, leaves nothing behind once the
+	// watchdog has scanned.
+	d.tel.opDone(core.OpSummary{Seq: info.SeqBase, Op: "write", Bytes: 64, Tenant: rebalanceTenant})
+	if rows := d.Sessions(); len(rows) != 1 || rows[0].Ops != 1 || rows[0].Bytes != 64 {
+		t.Fatalf("session row after one op: %+v", rows)
+	}
+	d.Service().Detach(info.ID)
+	if rows := d.Sessions(); len(rows) != 0 {
+		t.Fatalf("Daemon.Sessions() after detach = %+v", rows)
+	}
+	if n := attached(); n != 0 {
+		t.Fatalf("sessions_attached after detach = %d, want 0", n)
+	}
+	d.tel.scan()
+	d.tel.mu.Lock()
+	left := len(d.tel.counts)
+	d.tel.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d session tallies outlived their sessions", left)
 	}
 }
 

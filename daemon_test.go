@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"panda/internal/core"
+	"panda/internal/mpi"
 	"panda/internal/storage"
 )
 
@@ -370,6 +371,39 @@ func TestDaemonDrainSeversSilentConn(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Drain still running 2 s in: a silent connection holds the hub")
+	}
+}
+
+// TestDaemonCapsControlRequests: the session-control reader holds at
+// most maxCtlRequest bytes of one request. A connection that says hello
+// and then streams an unterminated value twice that long is closed, not
+// buffered, and a well-behaved client still attaches afterwards.
+func TestDaemonCapsControlRequests(t *testing.T) {
+	d := startTestDaemon(t, t.TempDir(), Tuning{})
+	defer d.Drain() //nolint:errcheck
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := mpi.SessionHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	flood := append([]byte(`{"cmd":"open","name":"`), bytes.Repeat([]byte("x"), 2*maxCtlRequest)...)
+	go conn.Write(flood) //nolint:errcheck // the daemon hangs up mid-stream
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the daemon replied to an oversized request")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the daemon kept reading a request twice the cap instead of closing the connection")
+	}
+
+	s, err := Dial(SessionConfig{Addr: d.Addr(), Nodes: 1})
+	if err != nil {
+		t.Fatalf("Dial after the oversized request: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -149,16 +149,14 @@ type Config struct {
 	// server's own goroutine. The daemon feeds its telemetry plane from
 	// it; keep the callback cheap.
 	OpLog func(OpSummary)
-	// OpStart, when non-nil, is called as a server dispatches a
-	// collective operation — after any admission queueing, just before
-	// its executor takes it. Together with OpLog it
-	// brackets every operation's in-flight window, which is what the
-	// daemon's SLO watchdog needs to spot ops that are stuck rather
-	// than merely slow. Called from the router goroutine; keep it
-	// cheap. Every server reports (master and forwarded dispatches
-	// alike); consumers wanting one call per operation filter on
-	// server == 0.
-	OpStart func(server, seq int, tenant, op string)
+	// dispatched is the deployment's table of dispatched, unretired
+	// operations, which the master server's router keeps (Service sets
+	// it; a master outside a Service keeps a private one).
+	dispatched *dispatchTable
+	// dispatchHook, when non-nil, is called with an operation's seq as a
+	// server dispatches it, from the router goroutine. Test-only:
+	// unexported.
+	dispatchHook func(seq int)
 	// crashHook, when non-nil, is consulted by servers at named points
 	// of a collective write (plan, pull, sync, prepare, commit); a
 	// non-nil return makes the server die at that point exactly as an

@@ -457,7 +457,7 @@ func TestReadAbortDrained(t *testing.T) {
 	}
 	serverRank := cfg.ServerRank(0)
 	forge := func() { comms[1].SendOwned(serverRank, tagToServer(1), encodeAbort(0, 0, ErrTimeout)) }
-	cfg.OpStart = func(_, seq int, _, _ string) {
+	cfg.dispatchHook = func(seq int) {
 		if seq == 1 {
 			forge() // the read (seq 1) is admitted: this copy reaches it
 		}

@@ -118,9 +118,6 @@ type Membership struct {
 	// what the master enforces, what the watchdog sweeps at and what a
 	// joiner is told to beat at all read these.
 	leaseTTL, heartbeat time.Duration
-	// inflight counts dispatched-but-unretired operations per membership
-	// epoch; a drain waits for the epochs before its fence to quiesce.
-	inflight map[uint32]int
 }
 
 // DefaultLeaseTTL is the lease bound NewMembership applies to zero.
@@ -143,7 +140,6 @@ func NewMembership(capacity, active int, leaseTTL, heartbeat time.Duration) *Mem
 		epoch:     1,
 		leaseTTL:  leaseTTL,
 		heartbeat: heartbeat,
-		inflight:  make(map[uint32]int),
 	}
 	for i := 0; i < active && i < capacity; i++ {
 		m.members[i] = member{state: MemberActive, local: true, epoch: 1}
@@ -342,7 +338,7 @@ func (m *Membership) Heartbeat(slot int, now time.Duration) {
 
 // StartDrain fences a member from new writes: Active → Draining with an
 // epoch bump. It returns the fence epoch — operations dispatched under
-// earlier epochs are the "in-flight before the drain" set WaitQuiesce
+// earlier epochs are the "in-flight before the drain" set WaitServerIdle
 // waits out. Slot 0 (the master server) can never drain.
 func (m *Membership) StartDrain(slot int) (uint32, error) {
 	m.mu.Lock()
@@ -466,37 +462,4 @@ func (m *Membership) jitter(slot int) time.Duration {
 		return 0
 	}
 	return m.leaseTTL / 8 * time.Duration(slot%8) / 8
-}
-
-// opStarted records one operation dispatched under epoch e; opRetired
-// its completion. Called by the master's scheduler router.
-func (m *Membership) opStarted(e uint32) {
-	m.mu.Lock()
-	m.inflight[e]++
-	m.mu.Unlock()
-}
-
-func (m *Membership) opRetired(e uint32) {
-	m.mu.Lock()
-	if m.inflight[e] > 1 {
-		m.inflight[e]--
-	} else {
-		delete(m.inflight, e)
-	}
-	m.mu.Unlock()
-}
-
-// InFlightBefore counts operations still running that were dispatched
-// under an epoch earlier than fence — the set a drain must wait out
-// before shutting the victim down.
-func (m *Membership) InFlightBefore(fence uint32) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for e, c := range m.inflight {
-		if e < fence {
-			n += c
-		}
-	}
-	return n
 }

@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"panda/internal/clock"
+	"panda/internal/mpi"
+	"panda/internal/storage"
 )
 
 // TestMembershipLifecycle walks one slot through the full elastic
@@ -210,27 +214,85 @@ func TestMembershipJitterDeterminism(t *testing.T) {
 	}
 }
 
-// TestMembershipInFlightFence: the per-epoch in-flight ledger counts
-// only operations dispatched before a drain's fence.
+// TestMembershipInFlightFence: the master's dispatch table is the drain
+// fence. A write held at a gated disk is listed with the membership
+// epoch it was planned under; a fence above that epoch waits for it, a
+// fence at it does not; and the table is empty once the write retires.
 func TestMembershipInFlightFence(t *testing.T) {
-	m := NewMembership(3, 3, time.Second, 0)
-	m.opStarted(1)
-	m.opStarted(1)
-	m.opStarted(5)
-	if got := m.InFlightBefore(5); got != 2 {
-		t.Fatalf("InFlightBefore(5) = %d, want 2", got)
+	members := NewMembership(2, 2, time.Hour, 10*time.Millisecond)
+	cfg := Config{NumClients: 1, NumServers: 2, SubchunkBytes: 1 << 10, OpTimeout: 10 * time.Second,
+		Service: true, Sched: SchedConfig{MaxInflight: 1}, Members: members}
+	world := mpi.NewWorld(cfg.WorldSize())
+	gate := &gatedDisk{Disk: storage.NewMemDisk(), gate: make(chan struct{})}
+	svc, err := NewService(cfg, []storage.Disk{gate, storage.NewMemDisk()}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.InFlightBefore(6); got != 3 {
-		t.Fatalf("InFlightBefore(6) = %d, want 3", got)
+	clk := clock.NewReal()
+	loopback := func(to, tag int, data []byte) { world.Comm(to).SendOwned(to, tag, data) }
+	if err := svc.Start([]mpi.Comm{world.Comm(cfg.ServerRank(0)), world.Comm(cfg.ServerRank(1))}, loopback, clk); err != nil {
+		t.Fatal(err)
 	}
-	m.opRetired(1)
-	m.opRetired(1)
-	if got := m.InFlightBefore(5); got != 0 {
-		t.Fatalf("after retirement InFlightBefore(5) = %d, want 0", got)
+	info, err := svc.Attach(1, "t")
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.opRetired(5)
-	if got := m.InFlightBefore(100); got != 0 {
-		t.Fatalf("ledger not empty: %d", got)
+	cl, err := NewSessionClient(cfg, world.Comm(info.Ranks[0]), clk, info.Ranks, 0, info.SeqBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetTenant("t")
+	specs := []ArraySpec{schedSpec("fence", 1)}
+	wrote := make(chan error, 1)
+	go func() { wrote <- cl.WriteArrays("", specs, makeBufs(cl, specs, true)) }()
+
+	var held []DispatchedOp
+	for wait := 0; len(held) == 0 && wait < 500; wait++ {
+		time.Sleep(2 * time.Millisecond)
+		held = svc.Dispatched()
+	}
+	want := DispatchedOp{Seq: info.SeqBase, Tenant: "t", Op: "write", MemberEpoch: 1}
+	if len(held) != 1 {
+		t.Fatalf("dispatch table %+v, want the one held write", held)
+	}
+	if got := held[0]; got.Seq != want.Seq || got.Tenant != want.Tenant || got.Op != want.Op || got.MemberEpoch != want.MemberEpoch {
+		t.Fatalf("dispatch table lists %+v, want %+v", got, want)
+	}
+	ownEpoch := make(chan struct{})
+	go func() { svc.WaitServerIdle(held[0].MemberEpoch); close(ownEpoch) }()
+	select {
+	case <-ownEpoch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a fence at the write's own epoch waits for it")
+	}
+
+	fence, err := svc.BeginServerDrain(1)
+	if err != nil || fence != 2 {
+		t.Fatalf("BeginServerDrain = %d, %v; want fence 2", fence, err)
+	}
+	idle := make(chan struct{})
+	go func() { svc.WaitServerIdle(fence); close(idle) }()
+	select {
+	case <-idle:
+		t.Fatal("the fence passed a write dispatched before it")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.gate)
+	select {
+	case <-idle:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fence never passed after the write retired")
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("held write: %v", err)
+	}
+	if ops := svc.Dispatched(); len(ops) != 0 {
+		t.Fatalf("dispatch table not empty after retirement: %+v", ops)
+	}
+	cl.Shutdown()
+	svc.Detach(info.ID)
+	if err := svc.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 

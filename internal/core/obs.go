@@ -31,10 +31,9 @@ type nodeMetrics struct {
 	// hand-off: a write arriving (itself included), or the reads
 	// outstanding when a read source is asked for the next sub-chunk.
 	queueDepth *obs.Histogram
-	// schedQueue and schedInflight are the live occupancy of the
-	// scheduler's admission queue and in-flight dispatch window.
-	schedQueue    *obs.Gauge
-	schedInflight *obs.Gauge
+	// schedQueue is the live occupancy of the master's admission queue
+	// (its dispatch window is the dispatch table's sched_inflight_ops).
+	schedQueue *obs.Gauge
 }
 
 func newNodeMetrics(r *obs.Registry) nodeMetrics {
@@ -42,12 +41,11 @@ func newNodeMetrics(r *obs.Registry) nodeMetrics {
 		return nodeMetrics{}
 	}
 	return nodeMetrics{
-		packNanos:     r.Counter("pack_ns"),
-		subLatency:    r.Histogram("subchunk_latency_ns", obs.LatencyBounds),
-		recvWait:      r.Histogram("recv_wait_ns", obs.LatencyBounds),
-		queueDepth:    r.Histogram("stage_queue_depth", obs.DepthBounds),
-		schedQueue:    r.Gauge("sched_queue_depth"),
-		schedInflight: r.Gauge("sched_inflight_ops"),
+		packNanos:  r.Counter("pack_ns"),
+		subLatency: r.Histogram("subchunk_latency_ns", obs.LatencyBounds),
+		recvWait:   r.Histogram("recv_wait_ns", obs.LatencyBounds),
+		queueDepth: r.Histogram("stage_queue_depth", obs.DepthBounds),
+		schedQueue: r.Gauge("sched_queue_depth"),
 	}
 }
 

@@ -450,7 +450,7 @@ func TestRetryWaitsForLiveAttempt(t *testing.T) {
 	disk := &gatedDisk{Disk: storage.NewMemDisk(), gate: make(chan struct{})}
 	var mu sync.Mutex
 	var dispatched []int
-	cfg.OpStart = func(_, seq int, _, _ string) {
+	cfg.dispatchHook = func(seq int) {
 		mu.Lock()
 		dispatched = append(dispatched, seq)
 		mu.Unlock()

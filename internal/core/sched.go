@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"panda/internal/bufpool"
@@ -264,6 +265,7 @@ func (sc *schedCore) flush() []*schedOp {
 type schedRouter struct {
 	s        *Server
 	core     *schedCore       // master server only; nil elsewhere
+	table    *dispatchTable   // master server only: what it dispatched and has not retired
 	ops      map[int]*schedOp // admitted (queued or in flight), by seq
 	frames   *opFrames
 	pool     execPool[*schedOp]
@@ -286,6 +288,10 @@ func (s *Server) Serve() error {
 	r.pool = execPool[*schedOp]{clk: s.clk, name: fmt.Sprintf("server%d", s.index), body: r.execute}
 	if s.IsMaster() {
 		r.core = newSchedCore(&s.cfg.Sched)
+		r.table = s.cfg.dispatched
+		if r.table == nil {
+			r.table = new(dispatchTable)
+		}
 	}
 	s.dsched = newDiskSched(s)
 	defer s.dsched.stop()
@@ -451,28 +457,37 @@ func (r *schedRouter) handleMember(b []byte) {
 	}
 }
 
-// stampMembership pins one dispatched operation to the membership view
-// of this instant: the slots currently down become its Deads (the
-// failover replanner's input, so planning excludes them outright rather
-// than discovering them by timeout) and the membership epoch is
-// recorded so servers can invalidate plan caches and a drain can wait
-// for exactly the ops planned before its fence. Draining members are
-// fenced from writes only — they keep serving reads of the epochs they
-// own, which is what lets migration copy their chunks off.
-func (r *schedRouter) stampMembership(op *schedOp) {
-	mem := r.s.cfg.Members
-	if r.core == nil || mem == nil {
-		return
+// publish enters one operation the master dispatches into the dispatch
+// table, pinned to the membership view of this instant: the slots
+// currently down become its Deads (the failover replanner's input, so
+// planning excludes them outright rather than discovering them by
+// timeout) and the membership epoch is recorded so servers can
+// invalidate plan caches and a drain can wait for exactly the ops
+// planned before its fence. Draining members are fenced from writes
+// only — they keep serving reads of the epochs they own, which is what
+// lets migration copy their chunks off.
+//
+// The stamp is taken under the table's lock, epoch before slots: a
+// fence that finds no earlier-epoch op in the table therefore misses
+// no op still being stamped, and an op that read the old epoch read a
+// down-set no older than it.
+func (r *schedRouter) publish(op *schedOp) {
+	t, mem := r.table, r.s.cfg.Members
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if mem != nil {
+		op.req.MemberEpoch = mem.Epoch()
+		var down []int
+		if op.req.Op == opRead {
+			down = mem.DownForRead()
+		} else {
+			down = mem.DownForWrite()
+		}
+		op.req.Deads = mergeDeads(op.req.Deads, down)
 	}
-	var down []int
-	if op.req.Op == opRead {
-		down = mem.DownForRead()
-	} else {
-		down = mem.DownForWrite()
-	}
-	op.req.Deads = mergeDeads(op.req.Deads, down)
-	op.req.MemberEpoch = mem.Epoch()
-	mem.opStarted(op.req.MemberEpoch)
+	t.ops = append(t.ops, DispatchedOp{Seq: op.seq, Tenant: op.tenant, Op: opName(op.req.Op),
+		MemberEpoch: op.req.MemberEpoch, At: r.s.clk.Now()})
+	t.inflight.Set(int64(len(t.ops)))
 }
 
 // mergeDeads unions two dead-slot lists into one sorted list; a is
@@ -546,15 +561,16 @@ func (r *schedRouter) recycleOp(op *schedOp) {
 // the node to run it as and its own trace lane.
 func (r *schedRouter) start(op *schedOp) {
 	s := r.s
-	r.stampMembership(op)
-	if s.cfg.OpStart != nil {
-		s.cfg.OpStart(s.index, op.seq, op.tenant, opName(op.req.Op))
+	if r.core != nil {
+		r.publish(op)
+	}
+	if s.cfg.dispatchHook != nil {
+		s.cfg.dispatchHook(op.seq)
 	}
 	e := r.pool.take()
 	r.frames.bind(op.seq, e.box)
 	op.ex = e
 	r.inflight++
-	s.met.schedInflight.Set(int64(r.inflight))
 
 	// The copy is the node itself with the per-operation fields
 	// overridden: whatever the node shares (counters, metrics, storage
@@ -598,8 +614,8 @@ func (r *schedRouter) execute(clk clock.Clock, e *executor[*schedOp]) {
 }
 
 // retire folds a finished executor back into the node: release its
-// conflict keys, expose per-tenant accounting, and dispatch the next
-// operation.
+// conflict keys, take it out of the dispatch table, and dispatch the
+// next operation.
 func (r *schedRouter) retire(seq int, fatal bool) {
 	op, ok := r.ops[seq]
 	if !ok || op.ex == nil {
@@ -614,20 +630,13 @@ func (r *schedRouter) retire(seq int, fatal bool) {
 	// A retry of this seq pulls under request IDs the retired attempt
 	// never used, so its late replies read as stale.
 	s.nextReqID = max(s.nextReqID, op.srv.nextReqID)
-	s.met.schedInflight.Set(int64(r.inflight))
-	if s.cfg.Metrics != nil {
-		label := op.tenant
-		if label == "" {
-			label = "default"
-		}
-		s.cfg.Metrics.Counter("tenant_ops_" + label).Add(1)
-		s.cfg.Metrics.Counter("tenant_bytes_" + label).Add(op.srv.opBytes)
-	}
 	if r.core != nil {
 		r.core.complete(op)
-		if s.cfg.Members != nil && op.req.MemberEpoch != 0 {
-			s.cfg.Members.opRetired(op.req.MemberEpoch)
-		}
+		t := r.table
+		t.mu.Lock()
+		t.ops = slices.DeleteFunc(t.ops, func(d DispatchedOp) bool { return d.Seq == seq })
+		t.inflight.Set(int64(len(t.ops)))
+		t.mu.Unlock()
 	}
 	if fatal && r.fatal == nil {
 		r.fatal = fmt.Errorf("operation %d: %w", seq, op.err)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"panda/internal/clock"
 	"panda/internal/mpi"
+	"panda/internal/obs"
 	"panda/internal/storage"
 )
 
@@ -39,6 +41,34 @@ type SessionInfo struct {
 	// Tenant is the scheduler tenant the session's operations are
 	// attributed to.
 	Tenant string
+	// Attached is when the session attached.
+	Attached time.Time
+}
+
+// DispatchedOp is one operation the master server has dispatched and
+// not yet retired. The master's table of them (Service.Dispatched) is
+// the deployment's one in-flight record: a drain's fence, the daemon's
+// SLO watchdog and its in-flight gauges all read it.
+type DispatchedOp struct {
+	Seq    int
+	Tenant string
+	// Op is "write" or "read".
+	Op string
+	// MemberEpoch is the membership epoch the operation was planned
+	// under (0 without elastic membership).
+	MemberEpoch uint32
+	// At is the dispatch time on the deployment clock (Clock).
+	At time.Duration
+}
+
+// dispatchTable holds the master server's DispatchedOps: its router
+// enters an operation at dispatch (publish) and removes it at
+// retirement, readers copy it (Dispatched), all under mu. It is as long
+// as the dispatch window (SchedConfig.MaxInflight).
+type dispatchTable struct {
+	mu       sync.Mutex
+	ops      []DispatchedOp
+	inflight *obs.Gauge // sched_inflight_ops: len(ops), set under mu
 }
 
 // Service is a resident Panda deployment: the server pool plus the
@@ -85,6 +115,7 @@ func NewService(cfg Config, disks []storage.Disk, cat *storage.Catalog) (*Servic
 			return nil, fmt.Errorf("core: the master server (slot 0) needs a real disk")
 		}
 	}
+	cfg.dispatched = &dispatchTable{inflight: cfg.Metrics.Gauge("sched_inflight_ops")}
 	return &Service{
 		cfg:      cfg,
 		disks:    disks,
@@ -209,9 +240,18 @@ func (s *Service) BeginServerDrain(idx int) (uint32, error) {
 // membership epoch earlier than fence has retired — the "in-flight
 // operations complete on their pre-drain plan snapshot" guarantee.
 func (s *Service) WaitServerIdle(fence uint32) {
-	for s.cfg.Members.InFlightBefore(fence) > 0 {
+	for slices.ContainsFunc(s.Dispatched(), func(op DispatchedOp) bool { return op.MemberEpoch < fence }) {
 		s.clk.Sleep(2 * time.Millisecond)
 	}
+}
+
+// Dispatched lists the operations the master server has dispatched and
+// not yet retired.
+func (s *Service) Dispatched() []DispatchedOp {
+	t := s.cfg.dispatched
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.ops)
 }
 
 // FinishServerDrain retires a drained slot after migration: the victim
@@ -259,7 +299,7 @@ func (s *Service) Attach(nodes int, tenant string) (SessionInfo, error) {
 	for _, r := range ranks {
 		s.slots[r] = sid
 	}
-	info := SessionInfo{ID: sid, Ranks: ranks, SeqBase: sid << sessionSeqBits, Tenant: tenant}
+	info := SessionInfo{ID: sid, Ranks: ranks, SeqBase: sid << sessionSeqBits, Tenant: tenant, Attached: time.Now()}
 	s.sessions[sid] = info
 	return info, nil
 }
@@ -401,11 +441,13 @@ func (s *Service) Reconfigure(rc Reconfig) {
 // commit, then the servers exit. Drain blocks until the pool is down
 // and returns the first server error.
 //
-// In service mode the shutdown frame goes to the master only; the
-// master forwards it to the other servers once its last operation
-// retires (see Serve), so no server is told to exit while work it must
-// serve is still arriving. A fixed-shape deployment's frame is
-// broadcast, matching its handshake.
+// The shutdown frame goes to the master only, through the send Start
+// was given; the master forwards it to the other servers once its last
+// operation retires (see Serve), so no server is told to exit while
+// work it must serve is still arriving. That cascade is a service-mode
+// one (Config.Service), so a deployment started with a send must be in
+// service mode. Without a send (RunWith) Drain sends nothing: the
+// fixed-shape handshake stops the servers and Drain only waits.
 func (s *Service) Drain() error {
 	s.mu.Lock()
 	already := s.draining
@@ -416,13 +458,7 @@ func (s *Service) Drain() error {
 		close(s.watchStop)
 	}
 	if !already && send != nil {
-		if s.cfg.Service {
-			send(s.cfg.MasterServer(), tagControl, encodeShutdown())
-		} else {
-			for i := 0; i < s.cfg.NumServers; i++ {
-				send(s.cfg.ServerRank(i), tagControl, encodeShutdown())
-			}
-		}
+		send(s.cfg.MasterServer(), tagControl, encodeShutdown())
 	}
 	return s.Wait()
 }

@@ -1,7 +1,6 @@
 package panda
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -62,29 +61,11 @@ func JoinIONode(cfg IONodeConfig) (*IONode, error) {
 		cfg.Name = host + ":" + cfg.Dir
 	}
 
-	conn, err := dialRetry(cfg.Addr, 0)
+	ctl, rep, err := dialControl(cfg.Addr, 0, ctlRequest{Cmd: "server-join", Addr: cfg.Name})
 	if err != nil {
 		return nil, err
 	}
-	if err := mpi.SessionHello(conn); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
-	if err := enc.Encode(ctlRequest{Cmd: "server-join", Addr: cfg.Name}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("panda: join: %w", err)
-	}
-	var rep ctlReply
-	if err := dec.Decode(&rep); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("panda: join: %w", err)
-	}
-	if !rep.OK {
-		conn.Close()
-		return nil, core.SentinelError(rep.Code, rep.Error)
-	}
-
+	conn := ctl.conn
 	ccfg := rep.coreConfig()
 
 	var disk storage.Disk

@@ -55,8 +55,10 @@ curl -fsS "http://$HTTP/healthz" | grep -q ok || { echo "/healthz not ok"; exit 
 curl -fsS "http://$HTTP/readyz" | grep -q ready || { echo "/readyz not ready"; exit 1; }
 curl -fsS "http://$HTTP/metrics" | grep -q '"sessions_attached"' \
   || { echo "/metrics missing sessions_attached"; exit 1; }
-curl -fsS "http://$HTTP/metrics" | grep -q '"tenant_ops_a"' \
-  || { echo "/metrics missing tenant attribution"; exit 1; }
+# One smoke write by tenant a is one operation, however many I/O nodes
+# served it.
+curl -fsS "http://$HTTP/metrics" | grep -Eq '^  "tenant_ops_a": 1,?$' \
+  || { echo "/metrics: tenant_ops_a is not exactly 1 after one write"; curl -fsS "http://$HTTP/metrics" | grep tenant_; exit 1; }
 curl -fsS "http://$HTTP/sessions" | grep -q '"sessions"' || { echo "/sessions malformed"; exit 1; }
 curl -fsS "http://$HTTP/slo" | grep -q '"default_ms": 30000' \
   || { echo "/slo missing the configured objective"; curl -fsS "http://$HTTP/slo"; exit 1; }

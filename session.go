@@ -73,9 +73,7 @@ type Session struct {
 	seqBase int
 
 	mu      sync.Mutex
-	ctrl    net.Conn
-	dec     *json.Decoder
-	enc     *json.Encoder
+	ctl     *ctlConn
 	members []*sessionMember
 	closed  bool
 }
@@ -93,30 +91,56 @@ func Dial(cfg SessionConfig) (*Session, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
 	}
-	conn, err := dialRetry(cfg.Addr, cfg.DialBudget)
+	ctl, rep, err := dialControl(cfg.Addr, cfg.DialBudget, ctlRequest{Cmd: "attach", Nodes: cfg.Nodes, Tenant: cfg.Tenant})
 	if err != nil {
 		return nil, err
 	}
-	if err := mpi.SessionHello(conn); err != nil {
-		conn.Close()
-		return nil, err
+	return &Session{cfg: cfg, ccfg: rep.coreConfig(), id: rep.Session, ranks: rep.Ranks, seqBase: rep.SeqBase, ctl: ctl}, nil
+}
+
+// ctlConn is one session-control connection to a daemon: the session
+// hello, then newline-delimited JSON request/reply pairs.
+type ctlConn struct {
+	conn net.Conn
+	enc  *json.Encoder
+	dec  *json.Decoder
+}
+
+// dialControl opens a control connection within budget (see dialRetry)
+// and makes its first request, closing the connection again when the
+// request fails.
+func dialControl(addr string, budget time.Duration, req ctlRequest) (*ctlConn, ctlReply, error) {
+	conn, err := dialRetry(addr, budget)
+	if err != nil {
+		return nil, ctlReply{}, err
 	}
-	s := &Session{
-		cfg:  cfg,
-		ctrl: conn,
-		dec:  json.NewDecoder(conn),
-		enc:  json.NewEncoder(conn),
+	c := &ctlConn{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
+	err = mpi.SessionHello(conn)
+	var rep ctlReply
+	if err == nil {
+		rep, err = c.call(req)
 	}
-	rep, err := s.rpc(ctlRequest{Cmd: "attach", Nodes: cfg.Nodes, Tenant: cfg.Tenant})
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, ctlReply{}, err
 	}
-	s.id = rep.Session
-	s.ranks = rep.Ranks
-	s.seqBase = rep.SeqBase
-	s.ccfg = rep.coreConfig()
-	return s, nil
+	return c, rep, nil
+}
+
+// call runs one request/reply exchange; a refusal comes back as its
+// typed sentinel.
+func (c *ctlConn) call(req ctlRequest) (ctlReply, error) {
+	if err := c.enc.Encode(req); err != nil {
+		return ctlReply{}, fmt.Errorf("panda: session control: %w", err)
+	}
+	var rep ctlReply
+	if err := c.dec.Decode(&rep); err != nil {
+		return ctlReply{}, fmt.Errorf("panda: session control: %w", err)
+	}
+	if !rep.OK {
+		return rep, core.SentinelError(rep.Code, rep.Error)
+	}
+	return rep, nil
 }
 
 // dialRetry connects to a daemon, retrying refused or timed-out
@@ -156,17 +180,7 @@ func (s *Session) rpc(req ctlRequest) (ctlReply, error) {
 	if s.closed {
 		return ctlReply{}, fmt.Errorf("panda: session closed")
 	}
-	if err := s.enc.Encode(req); err != nil {
-		return ctlReply{}, fmt.Errorf("panda: session control: %w", err)
-	}
-	var rep ctlReply
-	if err := s.dec.Decode(&rep); err != nil {
-		return ctlReply{}, fmt.Errorf("panda: session control: %w", err)
-	}
-	if !rep.OK {
-		return rep, core.SentinelError(rep.Code, rep.Error)
-	}
-	return rep, nil
+	return s.ctl.call(req)
 }
 
 // ID returns the daemon-assigned session identifier.
@@ -311,7 +325,6 @@ func (s *Session) Close() error {
 	s.closed = true
 	members := s.members
 	s.members = nil
-	enc := s.enc
 	s.mu.Unlock()
 
 	for _, m := range members {
@@ -322,6 +335,6 @@ func (s *Session) Close() error {
 	}
 	// Best-effort explicit detach; closing the control connection
 	// detaches implicitly anyway.
-	_ = enc.Encode(ctlRequest{Cmd: "detach"})
-	return s.ctrl.Close()
+	_ = s.ctl.enc.Encode(ctlRequest{Cmd: "detach"})
+	return s.ctl.conn.Close()
 }

@@ -122,28 +122,29 @@ type SLOStatus struct {
 	Recent     []SLOViolation   `json:"recent,omitempty"`
 }
 
-// sessionStat is the telemetry plane's mutable per-session record.
-type sessionStat struct {
-	SessionStat
-	attached  time.Time
-	gaugeName string
+// sessionCounts is what the telemetry plane adds to a session the
+// core already records (Service.Sessions): its completed operations,
+// failed ones among them, and payload bytes.
+type sessionCounts struct {
+	ops, failed, bytes int64
 }
 
-// opStat tracks one dispatched-but-unretired operation for the stuck
-// scan.
-type opStat struct {
-	seq     int
-	sid     int
-	tenant  string
-	op      string
-	started time.Time
-	flagged bool // already reported stuck; completion won't re-report
+// tenantMetrics are one tenant's instruments, resolved once when the
+// tenant is first seen so an operation's summary costs no name lookup.
+// Bound: one set — tenant_ops_<t>, tenant_bytes_<t>, tenant_inflight_<t>
+// — per distinct tenant name the daemon has served, kept for its life,
+// as the scheduler keeps one DRR queue per tenant.
+type tenantMetrics struct {
+	ops, bytes *obs.Counter
 }
 
-// telemetry is the daemon's observer: it consumes the core's
-// OpStart/OpLog hooks and the session lifecycle, and serves the
-// results to the watchdog and the HTTP plane.
+// telemetry is the daemon's observer. What is attached and what is in
+// flight it reads from the core's own tables (Service.Sessions,
+// Service.Dispatched); it adds the per-session and per-tenant tallies
+// the core's OpLog summaries feed, and serves it all to the watchdog
+// and the HTTP plane.
 type telemetry struct {
+	svc    *core.Service
 	reg    *obs.Registry
 	rec    *obs.Recorder
 	events *obs.EventLog
@@ -153,10 +154,15 @@ type telemetry struct {
 	violations *obs.Counter
 	dumps      *obs.Counter
 
-	mu       sync.Mutex
-	slo      sloPolicy
-	sessions map[int]*sessionStat
-	inflight map[int]*opStat
+	mu      sync.Mutex
+	slo     sloPolicy
+	counts  map[int]*sessionCounts    // by sid; pruned to the attached sessions by every scan
+	tenants map[string]*tenantMetrics // by tenantLabel
+	// reported marks, by seq, a live dispatch the watchdog has already
+	// spoken for — flagged stuck, or completed — so it reports each
+	// dispatch at most once. Every scan keeps only the seqs still in
+	// the dispatch table.
+	reported map[int]bool
 	recent   []SLOViolation
 	lastAuto time.Time
 
@@ -164,8 +170,9 @@ type telemetry struct {
 	wg   sync.WaitGroup
 }
 
-func newTelemetry(reg *obs.Registry, rec *obs.Recorder, events *obs.EventLog, dir string, logf func(string, ...any)) *telemetry {
+func newTelemetry(svc *core.Service, reg *obs.Registry, rec *obs.Recorder, events *obs.EventLog, dir string, logf func(string, ...any)) *telemetry {
 	t := &telemetry{
+		svc:        svc,
 		reg:        reg,
 		rec:        rec,
 		events:     events,
@@ -173,14 +180,11 @@ func newTelemetry(reg *obs.Registry, rec *obs.Recorder, events *obs.EventLog, di
 		logf:       logf,
 		violations: reg.Counter("slo_violations"),
 		dumps:      reg.Counter("trace_dumps"),
-		sessions:   make(map[int]*sessionStat),
-		inflight:   make(map[int]*opStat),
+		counts:     make(map[int]*sessionCounts),
+		tenants:    make(map[string]*tenantMetrics),
+		reported:   make(map[int]bool),
 	}
-	reg.Func("sessions_attached", func() int64 {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return int64(len(t.sessions))
-	})
+	reg.Func("sessions_attached", func() int64 { return int64(len(svc.Sessions())) })
 	return t
 }
 
@@ -201,43 +205,64 @@ func tenantLabel(tenant string) string {
 	return tenant
 }
 
-// attach records a new session and registers its labeled in-flight
-// gauge.
-func (t *telemetry) attach(info core.SessionInfo, nodes int) {
-	sid := info.ID
-	ss := &sessionStat{
-		SessionStat: SessionStat{SID: sid, Tenant: info.Tenant, Nodes: nodes, Ranks: append([]int(nil), info.Ranks...)},
-		attached:    time.Now(),
-		gaugeName:   obs.LabelName("session_inflight", "sid", strconv.Itoa(sid)),
+// tenantLocked returns a tenant's instruments, resolving them on first
+// sight. Called under t.mu.
+func (t *telemetry) tenantLocked(tenant string) *tenantMetrics {
+	label := tenantLabel(tenant)
+	tm := t.tenants[label]
+	if tm == nil {
+		tm = &tenantMetrics{ops: t.reg.Counter("tenant_ops_" + label), bytes: t.reg.Counter("tenant_bytes_" + label)}
+		t.tenants[label] = tm
+		t.reg.Func("tenant_inflight_"+label, func() int64 {
+			return t.inflight(func(op core.DispatchedOp) bool { return tenantLabel(op.Tenant) == label })
+		})
 	}
-	t.mu.Lock()
-	t.sessions[sid] = ss
-	t.mu.Unlock()
-	t.reg.Func(ss.gaugeName, func() int64 {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if s := t.sessions[sid]; s != nil {
-			return int64(s.Inflight)
+	return tm
+}
+
+// inflight counts the dispatched operations match accepts.
+func (t *telemetry) inflight(match func(core.DispatchedOp) bool) (n int64) {
+	for _, op := range t.svc.Dispatched() {
+		if match(op) {
+			n++
 		}
-		return 0
+	}
+	return n
+}
+
+// sessionGauge names a session's in-flight gauge.
+func sessionGauge(sid int) string {
+	return obs.LabelName("session_inflight", "sid", strconv.Itoa(sid))
+}
+
+// attach registers a daemon session's labeled in-flight gauge and logs
+// the attach.
+func (t *telemetry) attach(info core.SessionInfo) {
+	sid := info.ID
+	t.mu.Lock()
+	t.tenantLocked(info.Tenant)
+	t.mu.Unlock()
+	t.reg.Func(sessionGauge(sid), func() int64 {
+		return t.inflight(func(op core.DispatchedOp) bool { return core.SessionIDOfSeq(op.Seq) == sid })
 	})
 	t.events.Emit("attach", map[string]any{
-		"sid": sid, "tenant": info.Tenant, "nodes": nodes, "ranks": info.Ranks,
+		"sid": sid, "tenant": info.Tenant, "nodes": len(info.Ranks), "ranks": info.Ranks,
 	})
 }
 
-// detach retires a session's record and gauge.
-func (t *telemetry) detach(sid int) {
+// detach retires a daemon session's tallies and gauge and logs the
+// detach.
+func (t *telemetry) detach(info core.SessionInfo) {
 	t.mu.Lock()
-	ss := t.sessions[sid]
-	delete(t.sessions, sid)
+	c := t.counts[info.ID]
+	delete(t.counts, info.ID)
 	t.mu.Unlock()
-	if ss == nil {
-		return
+	if c == nil {
+		c = &sessionCounts{}
 	}
-	t.reg.Unregister(ss.gaugeName)
+	t.reg.Unregister(sessionGauge(info.ID))
 	t.events.Emit("detach", map[string]any{
-		"sid": sid, "tenant": ss.Tenant, "ops": ss.Ops, "bytes": ss.Bytes, "failed_ops": ss.FailedOps,
+		"sid": info.ID, "tenant": info.Tenant, "ops": c.ops, "bytes": c.bytes, "failed_ops": c.failed,
 	})
 }
 
@@ -250,62 +275,44 @@ func (t *telemetry) opened(sid int, name string, create bool, err error) {
 	t.events.Emit("open", f)
 }
 
-// opStart is the core.Config.OpStart hook: the master server dispatched
-// an operation.
-func (t *telemetry) opStart(server, seq int, tenant, op string) {
-	if server != 0 {
-		return
-	}
-	sid := core.SessionIDOfSeq(seq)
-	t.mu.Lock()
-	t.inflight[seq] = &opStat{seq: seq, sid: sid, tenant: tenant, op: op, started: time.Now()}
-	if ss := t.sessions[sid]; ss != nil {
-		ss.Inflight++
-	}
-	t.mu.Unlock()
-	t.reg.Gauge("tenant_inflight_" + tenantLabel(tenant)).Add(1)
-}
-
 // opDone is folded into the daemon's OpLog: every server's summary
-// updates the byte accounting; the master's closes the in-flight
-// record and runs the completion-latency SLO check.
+// counts its bytes; the master's counts the operation — once per
+// dispatch, failed ones included — and runs the completion-latency SLO
+// check.
 func (t *telemetry) opDone(sum core.OpSummary) {
 	sid := core.SessionIDOfSeq(sum.Seq)
+	master := sum.Server == 0
 	var v *SLOViolation
 	t.mu.Lock()
-	ss := t.sessions[sid]
-	if ss != nil {
-		ss.Bytes += sum.Bytes
+	tm := t.tenantLocked(sum.Tenant)
+	c := t.counts[sid]
+	if c == nil {
+		c = &sessionCounts{}
+		t.counts[sid] = c
 	}
-	if sum.Server == 0 {
-		flagged := false
-		if os := t.inflight[sum.Seq]; os != nil {
-			flagged = os.flagged
-			delete(t.inflight, sum.Seq)
-			t.mu.Unlock()
-			t.reg.Gauge("tenant_inflight_" + tenantLabel(sum.Tenant)).Add(-1)
-			t.mu.Lock()
-			ss = t.sessions[sid] // re-look-up: the session may detach between locks
+	c.bytes += sum.Bytes
+	if master {
+		c.ops++
+		if sum.Err != nil {
+			c.failed++
 		}
-		if ss != nil {
-			ss.Ops++
-			if ss.Inflight > 0 {
-				ss.Inflight--
+		if obj := t.slo.objective(sum.Tenant); obj > 0 && !t.reported[sum.Seq] {
+			t.reported[sum.Seq] = true // completed: the stuck scan must not flag it now
+			if sum.Err == nil && sum.Elapsed > obj {
+				v = &SLOViolation{
+					Time: time.Now(), Kind: "completed_slow", SID: sid, Tenant: sum.Tenant,
+					Seq: sum.Seq, Op: sum.Op,
+					ElapsedMs: sum.Elapsed.Milliseconds(), ObjectiveMs: obj.Milliseconds(),
+				}
+				t.recordViolationLocked(*v)
 			}
-			if sum.Err != nil {
-				ss.FailedOps++
-			}
-		}
-		if obj := t.slo.objective(sum.Tenant); !flagged && obj > 0 && sum.Err == nil && sum.Elapsed > obj {
-			v = &SLOViolation{
-				Time: time.Now(), Kind: "completed_slow", SID: sid, Tenant: sum.Tenant,
-				Seq: sum.Seq, Op: sum.Op,
-				ElapsedMs: sum.Elapsed.Milliseconds(), ObjectiveMs: obj.Milliseconds(),
-			}
-			t.recordViolationLocked(*v)
 		}
 	}
 	t.mu.Unlock()
+	tm.bytes.Add(sum.Bytes)
+	if master {
+		tm.ops.Add(1)
+	}
 	if v != nil {
 		t.reportViolation(*v)
 	}
@@ -394,7 +401,7 @@ func (t *telemetry) startWatchdog() {
 			case <-stop:
 				return
 			case <-tick.C:
-				t.scanStuck()
+				t.scan()
 			}
 		}
 	}()
@@ -409,46 +416,66 @@ func (t *telemetry) stopWatchdog() {
 	t.wg.Wait()
 }
 
-// scanStuck flags in-flight operations that have exceeded stuckMult
-// times their tenant's objective. Each op is reported once.
-func (t *telemetry) scanStuck() {
-	now := time.Now()
+// scan flags dispatched operations that have been in flight past
+// stuckMult times their tenant's objective, each dispatch once, and
+// drops the tallies of sessions that have detached (a migration's
+// internal session detaches from the Service alone). The table reads
+// are taken under t.mu, so a mark set by a completion is never dropped
+// while its seq is still in the table.
+func (t *telemetry) scan() {
 	var found []SLOViolation
 	t.mu.Lock()
-	for _, os := range t.inflight {
-		if os.flagged {
+	now := t.svc.Clock().Now()
+	reported := make(map[int]bool, len(t.reported))
+	for _, op := range t.svc.Dispatched() {
+		if t.reported[op.Seq] {
+			reported[op.Seq] = true
 			continue
 		}
-		obj := t.slo.objective(os.tenant)
-		if obj <= 0 {
-			continue
-		}
-		if age := now.Sub(os.started); age > stuckMult*obj {
-			os.flagged = true
+		obj := t.slo.objective(op.Tenant)
+		if age := now - op.At; obj > 0 && age > stuckMult*obj {
+			reported[op.Seq] = true
 			v := SLOViolation{
-				Time: now, Kind: "stuck", SID: os.sid, Tenant: os.tenant, Seq: os.seq, Op: os.op,
-				ElapsedMs: age.Milliseconds(), ObjectiveMs: obj.Milliseconds(),
+				Time: time.Now(), Kind: "stuck", SID: core.SessionIDOfSeq(op.Seq), Tenant: op.Tenant,
+				Seq: op.Seq, Op: op.Op, ElapsedMs: age.Milliseconds(), ObjectiveMs: obj.Milliseconds(),
 			}
 			t.recordViolationLocked(v)
 			found = append(found, v)
 		}
 	}
+	t.reported = reported
+	counts := make(map[int]*sessionCounts, len(t.counts))
+	for _, info := range t.svc.Sessions() {
+		if c := t.counts[info.ID]; c != nil {
+			counts[info.ID] = c
+		}
+	}
+	t.counts = counts
 	t.mu.Unlock()
 	for _, v := range found {
 		t.reportViolation(v)
 	}
 }
 
-// snapshotSessions returns the live session table, sorted by SID.
+// snapshotSessions returns the live session table, sorted by SID: every
+// session attached to the Service, with its operations in flight from
+// the dispatch table and its tallies.
 func (t *telemetry) snapshotSessions() []SessionStat {
-	now := time.Now()
+	infos := t.svc.Sessions()
+	ops := t.svc.Dispatched()
+	out := make([]SessionStat, len(infos))
 	t.mu.Lock()
-	out := make([]SessionStat, 0, len(t.sessions))
-	for _, ss := range t.sessions {
-		row := ss.SessionStat
-		row.Ranks = append([]int(nil), ss.Ranks...)
-		row.AttachAgeMs = now.Sub(ss.attached).Milliseconds()
-		out = append(out, row)
+	for i, info := range infos {
+		out[i] = SessionStat{SID: info.ID, Tenant: info.Tenant, Nodes: len(info.Ranks),
+			Ranks: info.Ranks, AttachAgeMs: time.Since(info.Attached).Milliseconds()}
+		if c := t.counts[info.ID]; c != nil {
+			out[i].Ops, out[i].FailedOps, out[i].Bytes = c.ops, c.failed, c.bytes
+		}
+		for _, op := range ops {
+			if core.SessionIDOfSeq(op.Seq) == info.ID {
+				out[i].Inflight++
+			}
+		}
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
