@@ -30,8 +30,7 @@ import (
 // tenant, and disconnect — without disturbing other tenants and without
 // restarting anything. The catalog (and the epoch-committed data behind
 // it) survives daemon restarts: a rebooted daemon scrubs its disks,
-// reconciles the catalog against the commit decision records, and
-// serves the same arrays again.
+// loads the catalog, and serves the same arrays again.
 //
 // cmd/pandad wraps a Daemon in a process with SIGHUP-triggered tuning
 // reload and SIGTERM-triggered graceful drain.
@@ -128,6 +127,7 @@ type DaemonConfig struct {
 type Daemon struct {
 	ccfg    core.Config
 	svc     *core.Service
+	cat     *storage.Catalog // name -> schema; the daemon's own registry
 	hub     *mpi.Hub
 	disks   []storage.Disk
 	members *core.Membership
@@ -168,7 +168,7 @@ func crashPoint(name string) {
 	}
 }
 
-// StartDaemon builds the service — disks, catalog recovery, server
+// StartDaemon builds the service — disks, scrub, catalog, server
 // pool, TCP hub — and begins accepting sessions. The returned Daemon
 // is serving when StartDaemon returns.
 func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
@@ -270,13 +270,16 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("panda: daemon: %w", err)
 	}
-	svc, err := core.NewService(ccfg, disks, cat)
+	svc, err := core.NewService(ccfg, disks)
 	if err != nil {
 		return nil, err
 	}
 	tel = newTelemetry(svc, reg, rec, events, cfg.Dir, logf)
 	tel.setSLO(cfg.Tuning.sloPolicy())
-	rep, err := svc.Recover()
+	// Recovery is the scrub pandafsck -repair runs: prepared-but-
+	// undecided epochs roll back, decided ones forward. What is
+	// committed is then read from the decision records when needed.
+	rep, err := storage.Scrub(disks, true)
 	if err != nil {
 		return nil, fmt.Errorf("panda: daemon recovery: %w", err)
 	}
@@ -290,6 +293,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d := &Daemon{
 		ccfg:    ccfg,
 		svc:     svc,
+		cat:     cat,
 		hub:     hub,
 		disks:   disks,
 		members: members,
@@ -479,8 +483,7 @@ type ctlReply struct {
 	MaxInflight int   `json:"max_inflight,omitempty"`
 
 	// open
-	Epoch uint64 `json:"epoch,omitempty"`
-	Spec  []byte `json:"spec,omitempty"`
+	Spec []byte `json:"spec,omitempty"`
 
 	// server-join
 	Slot        int   `json:"slot,omitempty"`
@@ -585,10 +588,6 @@ func (d *Daemon) handleSession(conn net.Conn) {
 			cfg := d.svc.Config()
 			var buf bytes.Buffer
 			_ = d.reg.WriteJSON(&buf)
-			arrays := 0
-			if cat := d.svc.Catalog(); cat != nil {
-				arrays = cat.Len()
-			}
 			rep = ctlReply{
 				OK:          true,
 				MaxInflight: cfg.Sched.MaxInflight,
@@ -596,7 +595,7 @@ func (d *Daemon) handleSession(conn net.Conn) {
 				Weights:     cfg.Sched.Weights,
 				Pipeline:    cfg.Pipeline,
 				Sessions:    len(d.svc.Sessions()),
-				Arrays:      arrays,
+				Arrays:      d.cat.Len(),
 				Metrics:     json.RawMessage(buf.Bytes()),
 			}
 		case "server-join":
@@ -642,21 +641,59 @@ func (d *Daemon) handleOpen(sid int, req ctlRequest) ctlReply {
 		return fail(errors.New("panda: open without a name"))
 	}
 	if len(req.Spec) == 0 {
-		spec, epoch, err := d.svc.OpenName(req.Name)
+		e, err := d.catalogued(req.Name)
 		d.tel.opened(sid, req.Name, false, err)
 		if err != nil {
 			return fail(err)
 		}
-		return ctlReply{OK: true, Epoch: epoch, Spec: core.EncodeSpec(spec)}
+		return ctlReply{OK: true, Spec: e.Spec}
 	}
 	spec, err := core.DecodeSpec(req.Spec)
 	if err != nil {
 		return fail(err)
 	}
-	epoch, err := d.svc.Open(spec, req.Create)
+	err = d.openSpec(spec, req.Create)
 	d.tel.opened(sid, spec.Name, req.Create, err)
 	if err != nil {
 		return fail(err)
 	}
-	return ctlReply{OK: true, Epoch: epoch, Spec: req.Spec}
+	return ctlReply{OK: true, Spec: req.Spec}
+}
+
+// openSpec resolves a session's array declaration against the catalog.
+// A new name with create set is catalogued — checked and added under
+// the catalog's one lock, so of two sessions racing to create a name
+// one wins and the other is judged against the winner's schema. An
+// existing name must match the stored schema's fingerprint exactly or
+// the open fails with ErrSchemaMismatch: mismatched decompositions
+// would silently scatter bytes into the wrong regions.
+func (d *Daemon) openSpec(spec core.ArraySpec, create bool) error {
+	e, err := d.catalogued(spec.Name)
+	if create && errors.Is(err, ErrUnknownArray) {
+		e, err = d.cat.Add(storage.CatalogEntry{Name: spec.Name, Spec: core.EncodeSpec(spec)})
+		if err != nil {
+			return fmt.Errorf("panda: catalog: %w", err)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	stored, err := core.DecodeSpec(e.Spec)
+	if err != nil {
+		return fmt.Errorf("panda: catalog entry %q: %w", spec.Name, err)
+	}
+	if fp, cfp := core.SpecFingerprint(spec), core.SpecFingerprint(stored); fp != cfp {
+		return fmt.Errorf("panda: array %q: session fingerprint %#x, catalog %#x: %w",
+			spec.Name, fp, cfp, ErrSchemaMismatch)
+	}
+	return nil
+}
+
+// catalogued returns the catalog's entry for name, or ErrUnknownArray.
+func (d *Daemon) catalogued(name string) (storage.CatalogEntry, error) {
+	e, ok := d.cat.Get(name)
+	if !ok {
+		return e, fmt.Errorf("panda: array %q: %w", name, ErrUnknownArray)
+	}
+	return e, nil
 }

@@ -209,7 +209,8 @@ func TestDaemonSIGKILLCommittedData(t *testing.T) {
 	drainProc(t, p2)
 	scrubDir(t, dir)
 
-	// The recovered catalog must still hold K at a committed epoch.
+	// The recovered catalog must still hold K, and the decision record
+	// (the authority on what is committed) must hold it committed.
 	d0, err := storage.NewOSDisk(filepath.Join(dir, "ion0"))
 	if err != nil {
 		t.Fatal(err)
@@ -218,9 +219,11 @@ func TestDaemonSIGKILLCommittedData(t *testing.T) {
 	if err != nil {
 		t.Fatalf("catalog after SIGKILL: %v", err)
 	}
-	e, ok := cat.Get("K")
-	if !ok || e.Epoch < 1 {
-		t.Fatalf("catalog entry K missing or uncommitted: %+v (ok=%v)", e, ok)
+	if _, ok := cat.Get("K"); !ok {
+		t.Fatal("catalog entry K missing after SIGKILL")
+	}
+	if ep, ok, err := storage.ReadDecision(d0, "K"); err != nil || !ok || ep < 1 {
+		t.Fatalf("decision record of K: epoch %d ok=%v err=%v, want committed", ep, ok, err)
 	}
 }
 

@@ -50,25 +50,12 @@ const migrateParallel = 2
 func (d *Daemon) onMemberEvent(ev core.MemberEvent) {
 	d.events.Emit(ev.Kind, map[string]any{"slot": ev.Slot, "epoch": ev.Epoch, "addr": ev.Addr})
 	d.logf("membership: %s slot=%d epoch=%d addr=%q", ev.Kind, ev.Slot, ev.Epoch, ev.Addr)
-	switch ev.Kind {
-	case "server_join":
+	if ev.Kind == "server_join" {
 		go func() {
 			if err := d.Rebalance(fmt.Sprintf("join slot %d", ev.Slot)); err != nil {
 				d.logf("rebalance after join of slot %d: %v", ev.Slot, err)
 			}
 		}()
-	case "server_lost":
-		// The chunks were not handed off; ownership records referencing
-		// the lost slot are reconciled so readers of the catalog know
-		// which arrays must be rewritten to regain full redundancy.
-		if cat := d.svc.Catalog(); cat != nil {
-			stale, err := cat.ReconcileOwners(func(slot int) bool { return !d.members.Gone(slot) })
-			if err != nil {
-				d.logf("ownership reconcile after loss of slot %d: %v", ev.Slot, err)
-			} else if len(stale) > 0 {
-				d.logf("slot %d lost; ownership rewritten for %v", ev.Slot, stale)
-			}
-		}
 	}
 }
 
@@ -96,15 +83,7 @@ func (d *Daemon) DrainServer(slot int) error {
 		return fmt.Errorf("panda: drain server %d: migration failed (slot left draining): %w", slot, err)
 	}
 	d.svc.WaitServerIdle(fence)
-	if err := d.svc.FinishServerDrain(slot); err != nil {
-		return err
-	}
-	if cat := d.svc.Catalog(); cat != nil {
-		if _, err := cat.ReconcileOwners(func(s int) bool { return !d.members.Gone(s) }); err != nil {
-			d.logf("ownership reconcile after drain of slot %d: %v", slot, err)
-		}
-	}
-	return nil
+	return d.svc.FinishServerDrain(slot)
 }
 
 // Rebalance rewrites every committed array instance through a normal
@@ -114,10 +93,6 @@ func (d *Daemon) DrainServer(slot int) error {
 func (d *Daemon) Rebalance(reason string) error {
 	d.rebalMu.Lock()
 	defer d.rebalMu.Unlock()
-	cat := d.svc.Catalog()
-	if cat == nil {
-		return nil
-	}
 	work := d.committedInstances()
 	d.events.Emit("rebalance_start", map[string]any{"reason": reason, "instances": len(work)})
 	d.logf("rebalance (%s): %d committed array instances", reason, len(work))
@@ -149,15 +124,6 @@ func (d *Daemon) Rebalance(reason string) error {
 		}
 	}
 	owners := d.activeSlots()
-	if firstErr == nil {
-		for _, inst := range work {
-			if inst.suffix == "" {
-				if err := cat.SetOwners(inst.name, owners); err != nil {
-					d.logf("recording owners of %s: %v", inst.name, err)
-				}
-			}
-		}
-	}
 	d.events.Emit("rebalance_done", map[string]any{
 		"reason": reason, "moved": moved, "failed": len(work) - moved, "owners": owners,
 	})
@@ -187,32 +153,35 @@ type arrayInstance struct {
 
 // committedInstances enumerates every committed instance by crossing
 // the catalog with the commit decision records on the master server's
-// disk (the authority for what was ever committed).
+// disk (the authority for what was ever committed). A decision key
+// belongs to the longest catalogued name it extends by nothing or by a
+// "."-led suffix: with arrays "x" and "x.y", "x.y.ckpt" is x.y's
+// checkpoint, not an instance ".y.ckpt" of x.
 func (d *Daemon) committedInstances() []arrayInstance {
-	cat := d.svc.Catalog()
 	names, err := d.disks[0].List()
 	if err != nil {
 		d.logf("listing master disk for rebalance: %v", err)
 		return nil
 	}
+	entries := d.cat.Entries()
 	var out []arrayInstance
 	for _, n := range names {
-		if !strings.HasSuffix(n, ".decision") {
+		key, ok := strings.CutSuffix(n, ".decision")
+		if !ok {
 			continue
 		}
-		key := strings.TrimSuffix(n, ".decision")
-		for _, e := range cat.Entries() {
-			if !strings.HasPrefix(key, e.Name) {
-				continue
+		owner := ""
+		for _, e := range entries {
+			suffix, ok := strings.CutPrefix(key, e.Name)
+			if ok && (suffix == "" || suffix[0] == '.') && len(e.Name) > len(owner) {
+				owner = e.Name
 			}
-			suffix := key[len(e.Name):]
-			if suffix != "" && !strings.HasPrefix(suffix, ".") {
-				continue // a different array whose name merely extends this one
-			}
-			if ep, ok, _ := storage.ReadDecision(d.disks[0], key); ok && ep > 0 {
-				out = append(out, arrayInstance{name: e.Name, suffix: suffix})
-			}
-			break
+		}
+		if owner == "" {
+			continue
+		}
+		if ep, ok, _ := storage.ReadDecision(d.disks[0], key); ok && ep > 0 {
+			out = append(out, arrayInstance{name: owner, suffix: key[len(owner):]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -232,9 +201,13 @@ func (d *Daemon) committedInstances() []arrayInstance {
 // destination synced — a crash mid-migration leaves the old placement
 // intact.
 func (d *Daemon) migrateInstance(inst arrayInstance) error {
-	spec, _, err := d.svc.OpenName(inst.name)
+	e, err := d.catalogued(inst.name)
 	if err != nil {
 		return err
+	}
+	spec, err := core.DecodeSpec(e.Spec)
+	if err != nil {
+		return fmt.Errorf("panda: migrate %s: %w", inst.name, err)
 	}
 	whole := spec
 	stars := make([]array.Dist, len(spec.Mem.Shape))

@@ -224,7 +224,7 @@ func TestMembershipInFlightFence(t *testing.T) {
 		Service: true, Sched: SchedConfig{MaxInflight: 1}, Members: members}
 	world := mpi.NewWorld(cfg.WorldSize())
 	gate := &gatedDisk{Disk: storage.NewMemDisk(), gate: make(chan struct{})}
-	svc, err := NewService(cfg, []storage.Disk{gate, storage.NewMemDisk()}, nil)
+	svc, err := NewService(cfg, []storage.Disk{gate, storage.NewMemDisk()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestSeqWindowRefusedBeforeTheWire(t *testing.T) {
 	cfg := Config{NumClients: 1, NumServers: 1, SubchunkBytes: 1 << 10,
 		Service: true, Sched: SchedConfig{MaxInflight: 1}, OpTimeout: 3 * time.Second}
 	world := mpi.NewWorld(cfg.WorldSize())
-	svc, err := NewService(cfg, []storage.Disk{storage.NewMemDisk()}, nil)
+	svc, err := NewService(cfg, []storage.Disk{storage.NewMemDisk()})
 	if err != nil {
 		t.Fatal(err)
 	}

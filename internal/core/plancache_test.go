@@ -146,7 +146,7 @@ func TestPlanCacheInvalidatedOnMembershipEpoch(t *testing.T) {
 	for i := 0; i < live; i++ { // slot 2 stays vacant: no server, no disk
 		comms[i], disks[i] = world.Comm(cfg.ServerRank(i)), storage.NewMemDisk()
 	}
-	svc, err := NewService(cfg, disks, nil)
+	svc, err := NewService(cfg, disks)
 	if err != nil {
 		t.Fatal(err)
 	}

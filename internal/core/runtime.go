@@ -80,7 +80,7 @@ func RunWith(cfg Config, comms []mpi.Comm, disks []storage.Disk, app App) ([]err
 	// full client group is its only "session", and the legacy shutdown
 	// handshake (master client broadcasting after the app returns) is
 	// the drain.
-	svc, err := NewService(cfg, disks, nil)
+	svc, err := NewService(cfg, disks)
 	if err != nil {
 		return nil, err
 	}

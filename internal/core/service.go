@@ -17,14 +17,15 @@ import (
 // Historically a deployment's lifecycle was monolithic: a fixed client
 // group and the server pool started together, ran one application, and
 // the master client's shutdown handshake tore everything down. Service
-// splits that into a resident service — the I/O servers, the operation
-// scheduler, and the array catalog, living as long as the daemon — and
+// splits that into a resident service — the I/O servers and the
+// operation scheduler, living as long as the daemon — and
 // ephemeral sessions: client groups that attach, run collectives as a
 // scheduler tenant, and detach without disturbing anyone else.
 //
 // The fixed-shape API still exists unchanged (RunWith now builds a
 // private in-process Service for the duration of the call), and a
-// pandad daemon builds a Service over a dynamic TCP hub.
+// pandad daemon builds a Service over a dynamic TCP hub, beside the
+// array catalog it owns.
 
 // SessionInfo describes one attached client session.
 type SessionInfo struct {
@@ -71,12 +72,11 @@ type dispatchTable struct {
 	inflight *obs.Gauge // sched_inflight_ops: len(ops), set under mu
 }
 
-// Service is a resident Panda deployment: the server pool plus the
-// array catalog, accepting client sessions until drained.
+// Service is a resident Panda deployment: the server pool, accepting
+// client sessions until drained.
 type Service struct {
 	cfg   Config
 	disks []storage.Disk
-	cat   *storage.Catalog
 	send  func(to, tag int, data []byte)
 	clk   clock.Clock
 
@@ -92,12 +92,10 @@ type Service struct {
 }
 
 // NewService validates cfg and builds a service over the given server
-// disks. cat may be nil for catalog-less deployments (the fixed-shape
-// wrapper); with a catalog, Open gates sessions' schemas against it.
-// With elastic membership (cfg.Members), disks may carry nil entries
-// for vacant pool slots and slots served by remote joiners from their
-// own processes; disks[0] (the master server's) must be real.
-func NewService(cfg Config, disks []storage.Disk, cat *storage.Catalog) (*Service, error) {
+// disks. With elastic membership (cfg.Members), disks may carry nil
+// entries for vacant pool slots and slots served by remote joiners from
+// their own processes; disks[0] (the master server's) must be real.
+func NewService(cfg Config, disks []storage.Disk) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,7 +117,6 @@ func NewService(cfg Config, disks []storage.Disk, cat *storage.Catalog) (*Servic
 	return &Service{
 		cfg:      cfg,
 		disks:    disks,
-		cat:      cat,
 		nextSID:  1, // 0 marks a free slot, and seq base 0 belongs to the fixed-shape path
 		slots:    make([]int, cfg.NumClients),
 		sessions: make(map[int]SessionInfo),
@@ -132,29 +129,6 @@ func (s *Service) Config() Config {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cfg
-}
-
-// Catalog returns the service's catalog (nil when catalog-less).
-func (s *Service) Catalog() *storage.Catalog { return s.cat }
-
-// Recover brings the on-disk state to a serving baseline after a
-// restart: scrub every disk with repair (roll prepared-but-undecided
-// epochs back, committed ones forward, exactly as pandafsck would),
-// then refresh each catalog entry's committed epoch from the commit
-// decision records.
-func (s *Service) Recover() (*storage.ScrubReport, error) {
-	rep, err := storage.Scrub(s.disks, true)
-	if err != nil {
-		return rep, err
-	}
-	if s.cat != nil {
-		for _, e := range s.cat.Entries() {
-			if _, err := s.refreshEpoch(e); err != nil {
-				return rep, err
-			}
-		}
-	}
-	return rep, nil
 }
 
 // Start spawns the server pool: comms[i] is server i's endpoint (world
@@ -338,81 +312,6 @@ func (s *Service) Sessions() []SessionInfo {
 		out = append(out, info)
 	}
 	return out
-}
-
-// Open resolves a session's array declaration against the catalog. A
-// new name with create set is catalogued; an existing name must match
-// the stored schema fingerprint exactly or the open fails with
-// ErrSchemaMismatch — mismatched decompositions would silently scatter
-// bytes into the wrong regions. It returns the last committed epoch.
-// Catalog-less services accept everything (legacy semantics).
-func (s *Service) Open(spec ArraySpec, create bool) (uint64, error) {
-	if s.cat == nil {
-		return 0, nil
-	}
-	fp := SpecFingerprint(spec)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.cat.Get(spec.Name)
-	if !ok {
-		if !create {
-			return 0, fmt.Errorf("core: array %q: %w", spec.Name, ErrUnknownArray)
-		}
-		e = storage.CatalogEntry{
-			Name:        spec.Name,
-			ElemSize:    spec.ElemSize,
-			Fingerprint: fp,
-			Spec:        EncodeSpec(spec),
-		}
-		if err := s.cat.Put(e); err != nil {
-			return 0, fmt.Errorf("core: catalog: %w", err)
-		}
-		return 0, nil
-	}
-	if e.Fingerprint != fp {
-		return 0, fmt.Errorf("core: array %q: session fingerprint %#x, catalog %#x: %w",
-			spec.Name, fp, e.Fingerprint, ErrSchemaMismatch)
-	}
-	return s.refreshEpoch(e)
-}
-
-// OpenName resolves an existing array by name alone, returning the
-// schema recorded at creation — how a session reads an array it did
-// not create without re-declaring (and risking mis-declaring) its
-// decomposition.
-func (s *Service) OpenName(name string) (ArraySpec, uint64, error) {
-	if s.cat == nil {
-		return ArraySpec{}, 0, fmt.Errorf("core: array %q: service has no catalog: %w", name, ErrUnknownArray)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.cat.Get(name)
-	if !ok {
-		return ArraySpec{}, 0, fmt.Errorf("core: array %q: %w", name, ErrUnknownArray)
-	}
-	spec, err := DecodeSpec(e.Spec)
-	if err != nil {
-		return ArraySpec{}, 0, fmt.Errorf("core: catalog entry %q: %w", name, err)
-	}
-	epoch, err := s.refreshEpoch(e)
-	if err != nil {
-		return ArraySpec{}, 0, err
-	}
-	return spec, epoch, nil
-}
-
-// refreshEpoch reconciles an entry's committed epoch with the commit
-// decision records on the master server's disk (the authority PR 4's
-// two-phase commit writes). Called under s.mu.
-func (s *Service) refreshEpoch(e storage.CatalogEntry) (uint64, error) {
-	ep, ok, err := storage.ReadDecision(s.disks[0], e.Name)
-	if err != nil || !ok || ep == e.Epoch {
-		return e.Epoch, err
-	}
-	if err := s.cat.SetEpoch(e.Name, ep); err != nil {
-		return e.Epoch, fmt.Errorf("core: catalog: %w", err)
-	}
-	return ep, nil
 }
 
 // Reconfigure installs new scheduler and pipeline tuning across the

@@ -9,11 +9,14 @@ import (
 )
 
 // The array catalog: the persistent registry a resident Panda service
-// (pandad) keeps of every array it has ever created — name, element
-// size, schema fingerprint, the full encoded schema pair, and the last
-// committed epoch. The catalog is what lets a client session open an
-// array by name long after the session that created it disconnected,
-// and what lets a restarted daemon re-serve its arrays after a crash.
+// (pandad) keeps of every array it has ever created — its name and its
+// full encoded schema pair, the "tiny schema description" a master
+// server needs to serve an array. The catalog is what lets a client
+// session open an array by name long after the session that created it
+// disconnected, and what lets a restarted daemon re-serve its arrays
+// after a crash. It records what an array *is*, never what is on disk:
+// the commit decision records say which epoch is committed, and each
+// server's manifests say what that server holds.
 //
 // Durability uses the same discipline as the epoch manifests: the file
 // is a CRC32C-guarded record written with WriteFileAtomic, so a crash
@@ -28,29 +31,15 @@ const CatalogFileName = "panda.catalog"
 // catalogMagic marks a catalog file: "PCAT".
 const catalogMagic = 0x50434154
 
-// CatalogEntry records one array.
+// CatalogEntry records one array. Catalogs written with more fields
+// (an epoch, owners, an element size, a fingerprint) still load: the
+// decoder drops them, and Spec carries everything they duplicated.
 type CatalogEntry struct {
 	// Name is the array name, unique in the catalog.
 	Name string `json:"name"`
-	// ElemSize is the element size in bytes.
-	ElemSize int `json:"elem_size"`
-	// Fingerprint is the schema fingerprint (element size + disk +
-	// memory schema CRC32C) — the same value the plan cache keys on. A
-	// session whose spec fingerprint disagrees is refused.
-	Fingerprint uint32 `json:"fingerprint"`
 	// Spec is the full encoded ArraySpec (core wire schema format),
 	// kept opaque here so the storage layer stays protocol-free.
 	Spec []byte `json:"spec"`
-	// Epoch is the last committed epoch known for the array's plain
-	// (suffix-less) file set, refreshed from the commit decision
-	// records at recovery.
-	Epoch uint64 `json:"epoch"`
-	// Owners lists the server slots holding the array's committed
-	// chunks — recorded by the elastic daemon after each rebalance so a
-	// later membership change can tell which arrays still reference a
-	// departed server. Empty means "unrecorded" (pre-elastic catalogs),
-	// which readers treat as "all servers".
-	Owners []int `json:"owners,omitempty"`
 }
 
 // Catalog is the in-memory catalog bound to its backing disk. All
@@ -104,81 +93,22 @@ func (c *Catalog) Get(name string) (CatalogEntry, bool) {
 	return e, ok
 }
 
-// Put inserts or replaces an entry and persists the catalog.
-func (c *Catalog) Put(e CatalogEntry) error {
+// Add catalogues e unless its name is already taken, persisting the
+// catalog, and returns the entry now catalogued under the name: e, or
+// the one that was there. Checking and creating under one lock is what
+// lets two sessions race to create one name and see one winner.
+func (c *Catalog) Add(e CatalogEntry) (CatalogEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if old, ok := c.entries[e.Name]; ok {
+		return old, nil
+	}
 	c.entries[e.Name] = e
-	return c.save()
-}
-
-// SetEpoch updates an entry's committed epoch and persists. Unknown
-// names are ignored (the caller raced a concurrent catalog rewrite).
-func (c *Catalog) SetEpoch(name string, epoch uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok || e.Epoch == epoch {
-		return nil
+	if err := c.save(); err != nil {
+		delete(c.entries, e.Name)
+		return CatalogEntry{}, err
 	}
-	e.Epoch = epoch
-	c.entries[name] = e
-	return c.save()
-}
-
-// SetOwners records the server slots holding an array's committed
-// chunks and persists. Unknown names are ignored.
-func (c *Catalog) SetOwners(name string, owners []int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return nil
-	}
-	e.Owners = append([]int(nil), owners...)
-	sort.Ints(e.Owners)
-	c.entries[name] = e
-	return c.save()
-}
-
-// ReconcileOwners rewrites every ownership record that references a
-// server the alive predicate rejects, keeping only surviving owners —
-// the catalog half of retiring a departed I/O node. It returns the
-// names whose records changed. An entry left with no surviving owner
-// keeps its (now wholly stale) record and is reported so the caller can
-// re-write the array; silently emptying it would erase the only hint
-// that data must be recovered.
-func (c *Catalog) ReconcileOwners(alive func(slot int) bool) ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var changed []string
-	dirty := false
-	for name, e := range c.entries {
-		if len(e.Owners) == 0 {
-			continue
-		}
-		var kept []int
-		for _, o := range e.Owners {
-			if alive(o) {
-				kept = append(kept, o)
-			}
-		}
-		if len(kept) == len(e.Owners) {
-			continue
-		}
-		changed = append(changed, name)
-		if len(kept) == 0 {
-			continue // stale record retained deliberately; see doc comment
-		}
-		e.Owners = kept
-		c.entries[name] = e
-		dirty = true
-	}
-	sort.Strings(changed)
-	if !dirty {
-		return changed, nil
-	}
-	return changed, c.save()
+	return e, nil
 }
 
 // Entries returns every entry, sorted by name.

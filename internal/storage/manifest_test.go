@@ -495,3 +495,40 @@ func TestScrubUnrecoverableWithoutPrior(t *testing.T) {
 		t.Fatalf("first-epoch corruption must be unrecoverable: %+v", rep)
 	}
 }
+
+// TestScrubSkipsVacantSlots: an elastic pool hands Scrub a disk slice
+// with nil entries (vacant slots, remote members' disks); the scrub
+// must skip them rather than crash, and still judge the real disks.
+func TestScrubSkipsVacantSlots(t *testing.T) {
+	d0 := NewMemDisk()
+	d2 := NewMemDisk()
+	// A committed file on the master disk: data + matching manifest +
+	// decision record, exactly what a clean commit leaves behind.
+	base, data := "A.0", []byte{1, 2, 3, 4}
+	if err := WriteFileAtomic(d0, base, data); err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{
+		Version: ManifestVersion, Array: "A", Server: 0, Epoch: 1,
+		SchemaSum: 0xfeed, TotalBytes: int64(len(data)),
+		Chunks: []ManifestChunk{{ChunkIdx: 0, Offset: 0, Bytes: int64(len(data))}},
+		Subs:   []ManifestSub{{Offset: 0, Bytes: int64(len(data)), CRC: CRC32C(data)}},
+	}
+	if err := WriteManifest(d0, ManifestName(base), m); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDecision(d0, "A", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Scrub([]Disk{d0, nil, d2, nil}, true)
+	if err != nil {
+		t.Fatalf("Scrub with vacant slots: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("scrub unhealthy: %+v", rep.Issues)
+	}
+	if rep.Manifests == 0 {
+		t.Fatalf("scrub skipped the real disks too: %+v", rep)
+	}
+}

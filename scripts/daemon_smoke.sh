@@ -6,7 +6,9 @@
 # /sessions, /slo, /dump) plus pandastat -check mid-run, reload the
 # tuning via SIGHUP, join an elastic I/O node mid-run and drain it back
 # out with its data migrated off, drain via SIGTERM, and fsck the
-# directory.
+# directory; then start the daemon again over the same directory and
+# read both arrays back by name from a fresh client before a second
+# drain and fsck.
 # Gates on every exit status plus the fsck verdict and the validity of
 # the dumped flight-recorder trace. Artifacts (daemon log, catalog/data
 # directory, structured event log, dumped trace) land in
@@ -142,4 +144,26 @@ for ev in startup attach open detach reconfigure dump drain drained \
 done
 cp "$EVENTS" "$OUT/events.jsonl"
 echo "event log OK ($(wc -l <"$EVENTS") events)"
+
+# Restart over the same directory: the catalog alone names the arrays
+# and their schemas, so a fresh client process reads both back by name.
+LOG2="$OUT/pandad-restart.log"
+rm -f "$ADDRFILE"
+"$OUT/pandad" -addr 127.0.0.1:0 -dir "$DATA" -addr-file "$ADDRFILE" \
+  -slots 8 -ions 2 -max-ions 4 -optimeout 60s >"$LOG2" 2>&1 &
+PID=$!
+trap 'kill -9 "$PID" 2>/dev/null || true' EXIT
+for _ in $(seq 100); do [ -s "$ADDRFILE" ] && break; sleep 0.1; done
+[ -s "$ADDRFILE" ] || { echo "restarted daemon never published its address"; cat "$LOG2"; exit 1; }
+ADDR=$(cat "$ADDRFILE")
+grep -q 'recovered: 2 arrays catalogued' "$LOG2" \
+  || { echo "restarted daemon did not recover both arrays"; cat "$LOG2"; exit 1; }
+"$OUT/pandad" -connect "$ADDR" -smoke read -array smoke -nodes 2 -tenant b
+"$OUT/pandad" -connect "$ADDR" -smoke read -array smoke2 -nodes 2 -tenant a
+kill -TERM "$PID"
+wait "$PID"
+trap - EXIT
+"$OUT/pandafsck" -v "$DATA"
+grep -q "drained" "$LOG2" || { echo "restarted daemon did not report a drain"; cat "$LOG2"; exit 1; }
+echo "restart OK (both arrays read back by name)"
 echo "daemon smoke OK"
