@@ -64,8 +64,9 @@ loc:
 		END { printf "internal/core %d\nserver.go %d\nrepo outside bench/ %d\n", core, srv, all; \
 			printf "code-only internal/core %d\ncode-only server.go %d\ncode-only repo outside bench/ %d\n", ccore, csrv, calls }'
 
-# Short fuzz campaigns over the wire decoders, the TCP frame reader, the
-# hub's hello handling, the topology parser and the pack kernel (against its per-element
+# Short fuzz campaigns over the wire decoders, the TCP frame reader (with
+# and without posted receives), the client's placement of a frame's head,
+# the hub's hello handling, the topology parser and the pack kernel (against its per-element
 # reference); lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
 fuzz:
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubReq$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSchedDone$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeStatus$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzPlace$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzHubHello$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/mpi
@@ -125,9 +127,10 @@ bench-pack:
 # zero, the paper's loop; 1: write-behind), and write-behind within 2 %
 # of zero; a pooled
 # buffer's round trip, a bounded receive of a waiting message, a frame
-# written to a socket and a file range sent to one allocate nothing.
+# written to a socket, a file range sent to one and a frame read from
+# one into its place in the application's array allocate nothing.
 alloc-check:
-	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc' -count=3 ./internal/...
+	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc|TestPlacedFrameZeroAlloc' -count=3 ./internal/...
 
 # bench-wall-quick builds and runs the wall-clock benchmark (bench/, its
 # own module, which BENCHMARK.json declares) at its smallest setting:

@@ -461,12 +461,14 @@ func TestSessionSurvivesDaemonDeath(t *testing.T) {
 
 // TestSessionChannelKeepsErrorsTyped: whichever sentinel a session
 // command fails with — including the four the control channel used to
-// flatten into plain strings — the client's error still satisfies
+// flatten into plain strings, and ErrSeqWindow, which an attach past the
+// last session ID returns — the client's error still satisfies
 // errors.Is after the JSON round trip.
 func TestSessionChannelKeepsErrorsTyped(t *testing.T) {
 	for _, sentinel := range []error{
 		core.ErrTimeout, core.ErrPeerLost, core.ErrNoCommittedEpoch, core.ErrCorrupt,
 		core.ErrBusy, core.ErrSchemaMismatch, core.ErrUnknownArray, core.ErrDraining,
+		core.ErrSeqWindow,
 	} {
 		wire, err := json.Marshal(fail(fmt.Errorf("core: array %q: %w", "X", sentinel)))
 		if err != nil {

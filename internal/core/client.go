@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -148,6 +149,12 @@ type collectiveOp struct {
 	// Read progress, kept across attempts: a piece absorbed stays absorbed.
 	seen     map[pieceID]bool
 	gotBytes int64
+
+	// Its posted receive (postedReads), if any; placing and unposted are
+	// guarded by posted.mu, for the endpoint's reader shares them.
+	posted   *postedReads
+	placing  int  // placements of its frames in progress
+	unposted bool // it takes no new placement
 
 	space regionSpace // the bounds of the region in the frame in hand
 
@@ -310,14 +317,19 @@ func (c *Client) runAttempt(o *collectiveOp, attempt uint16) error {
 				bufpool.Put(m.Data)
 				continue // duplicate delivery of a piece already absorbed
 			}
-			if err := c.absorbData(o, d); err != nil {
+			if m.Placed > 0 {
+				// Read from the socket into its place in the chunk; the
+				// table made absorbData's checks before it said where.
+				c.chargeContig(int64(m.Placed))
+				c.cnt[cZeroCopyBytes].Add(int64(m.Placed))
+			} else if err := c.absorbData(o, d); err != nil {
 				return err
 			}
 			if o.seen != nil {
 				o.seen[key] = true
-				o.gotBytes += int64(len(d.Payload))
+				o.gotBytes += int64(len(d.Payload) + m.Placed)
 			}
-			bufpool.Put(m.Data) // payload copied into the user buffer; recycle the frame
+			bufpool.Put(m.Data) // the payload is in the user buffer; recycle the frame
 		case msgComplete:
 			frame, err := decodeStatus(&r)
 			if err != nil {
@@ -450,4 +462,99 @@ func (c *Client) absorbData(o *collectiveOp, d subData) error {
 		c.chargeReorg(o.seq, want)
 	}
 	return nil
+}
+
+// postedReads is a dialed client's posted receives (mpi.Placer): the
+// reads running on it by sequence number. The endpoint's reader offers it
+// the head of every large frame; a natural piece of a posted read is read
+// from the socket straight into its place in the application's chunk,
+// where absorbData would have copied it out of a pooled frame. Anything
+// it cannot place — a frame of no posted read, a strided or malformed
+// piece — takes the pooled path, whose outcome is absorbData's.
+type postedReads struct {
+	comm  mpi.Comm      // the dialed endpoint, cut when a placement stalls
+	wait  time.Duration // how long unpost waits out a placement: Config.OpTimeout
+	space regionSpace   // Place's region bounds: the reader calls it from one goroutine
+
+	mu    sync.Mutex
+	ended sync.Cond // a placement ended; L is &mu
+	ops   map[int]*collectiveOp
+}
+
+// post makes read o placeable; start calls it right after binding the
+// op's mailbox, so every frame it places has an op to go to.
+func (p *postedReads) post(o *collectiveOp) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ops == nil {
+		p.ops = make(map[int]*collectiveOp)
+		p.ended.L = &p.mu
+	}
+	p.ops[o.seq] = o
+	o.posted = p
+}
+
+// unpost is the fence: read o takes no new placement, and unpost returns
+// only once none of its placements is in progress, so no byte lands in
+// the application's array after the op hands it back. A frame stalled
+// mid-payload holds up every frame behind it on the stream anyway, so a
+// placement still in progress wait after the op ended gets the
+// endpoint's connection cut: the reader's read fails, which ends the
+// placement. With wait 0 it waits, as the op did.
+func (p *postedReads) unpost(o *collectiveOp) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o.unposted = true
+	if o.placing > 0 && p.wait > 0 {
+		cut := time.AfterFunc(p.wait, func() { mpi.CloseComm(p.comm) }) //nolint:errcheck // the reader's read fails
+		defer cut.Stop()
+	}
+	for o.placing > 0 {
+		p.ended.Wait()
+	}
+	delete(p.ops, o.seq)
+}
+
+// Place implements mpi.Placer: the destination of a sub-data frame's
+// payload in a posted read's chunk, when the frame names a piece that
+// absorbData would accept and that lies contiguous in the chunk.
+func (p *postedReads) Place(source, tag int, head []byte, n int) (int, []byte) {
+	seq, family, ok := tagOpSeq(tag)
+	r := rbuf{b: head}
+	if !ok || family != 1 || r.u8() != msgSubData {
+		return 0, nil
+	}
+	d, err := decodeSubData(&r, &p.space)
+	if err != nil || d.Region.IsEmpty() {
+		return 0, nil // a header past the head, or no bytes to place
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o := p.ops[seq]
+	if o == nil || o.unposted || d.ArrayIdx >= len(o.specs) {
+		return 0, nil
+	}
+	spec, chunk, buf := o.specs[d.ArrayIdx], o.chunks[d.ArrayIdx], o.bufs[d.ArrayIdx]
+	want := d.Region.NumElems() * int64(spec.ElemSize)
+	if !chunk.Contains(d.Region) || int64(n-r.off) != want {
+		return 0, nil
+	}
+	off, contig := array.ContiguousIn(chunk, d.Region)
+	if !contig {
+		return 0, nil
+	}
+	o.placing++
+	start := off * int64(spec.ElemSize)
+	return r.off, buf[start : start+want]
+}
+
+// Placed implements mpi.Placer.
+func (p *postedReads) Placed(tag int) {
+	seq, _, _ := tagOpSeq(tag)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o := p.ops[seq]
+	if o.placing--; o.placing == 0 {
+		p.ended.Broadcast()
+	}
 }

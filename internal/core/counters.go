@@ -65,10 +65,13 @@ type Stats struct {
 	// is packed straight into its frame (packedFrame) where it used to be
 	// packed into a scratch buffer and framed from there.
 	FramesCoalesced int64
-	// ZeroCopyBytes counts read payload bytes a server sent from the page
-	// cache straight to a socket (sendfile), never read into its memory:
-	// every byte of a natural read served from host files over a socket
-	// transport, zero on every other path.
+	// ZeroCopyBytes counts read payload bytes that skipped a copy through
+	// a pooled frame. On a server: bytes sent from the page cache straight
+	// to a socket (sendfile), never read into its memory — every byte of
+	// a natural read served from host files over a socket transport. On a
+	// client: bytes its dialed endpoint read from the socket straight into
+	// the application's array (posted receives) — the natural pieces of a
+	// read that arrive once it is posted. Zero on every other path.
 	ZeroCopyBytes int64
 	// PlanHits and PlanMisses count plan-cache consultations on this
 	// server: a hit reuses the chunk assignment and sub-chunk schedule

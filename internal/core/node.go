@@ -102,7 +102,7 @@ func (n *node) recv(tag int, deadline time.Duration) (mpi.Message, error) {
 	if n.met.recvWait != nil {
 		n.met.recvWait.Observe(int64(n.clk.Now() - w0))
 	}
-	n.countRecv(len(m.Data))
+	n.countRecv(len(m.Data) + m.Placed)
 	return m, nil
 }
 

@@ -116,6 +116,26 @@ func TestSeqWindowRefusedBeforeTheWire(t *testing.T) {
 	}
 }
 
+// TestAttachPastSessionIDsIsTyped: the last session ID is issued, and
+// the attach after it fails with ErrSeqWindow, typed — the session ID is
+// the upper bits of the sequence space.
+func TestAttachPastSessionIDsIsTyped(t *testing.T) {
+	cfg := Config{NumClients: 1, NumServers: 1, SubchunkBytes: 1 << 10, Service: true, Sched: SchedConfig{MaxInflight: 1}}
+	svc, err := NewService(cfg, []storage.Disk{storage.NewMemDisk()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.nextSID = maxSessionID
+	info, err := svc.Attach(1, "t")
+	if err != nil || info.ID != maxSessionID {
+		t.Fatalf("attach of the last session ID: %+v, %v", info, err)
+	}
+	svc.Detach(info.ID)
+	if _, err := svc.Attach(1, "t"); !errors.Is(err, ErrSeqWindow) {
+		t.Fatalf("attach past the last session ID: %v, want ErrSeqWindow", err)
+	}
+}
+
 // TestClientRouterFrameIsolation drives the client router's classifier,
 // the one screen between a frame and an operation's state now that the
 // tag is the only operation ID: a frame for a finished op is rejected

@@ -244,8 +244,9 @@ func (s *Service) FinishServerDrain(idx int) error {
 
 // Attach admits a client session of the given member count, assigning
 // it world ranks, a sequence-number window, and a scheduler tenant. It
-// fails with ErrDraining once a drain began and ErrBusy when too few
-// client slots are free.
+// fails with ErrDraining once a drain began, ErrBusy when too few
+// client slots are free, and ErrSeqWindow once every session ID has
+// been issued.
 func (s *Service) Attach(nodes int, tenant string) (SessionInfo, error) {
 	if nodes <= 0 {
 		return SessionInfo{}, fmt.Errorf("core: session with %d nodes", nodes)
@@ -256,7 +257,9 @@ func (s *Service) Attach(nodes int, tenant string) (SessionInfo, error) {
 		return SessionInfo{}, fmt.Errorf("core: attach refused: %w", ErrDraining)
 	}
 	if s.nextSID > maxSessionID {
-		return SessionInfo{}, fmt.Errorf("core: session ID space exhausted (%d sessions served)", maxSessionID)
+		// A session ID is the upper bits of the sequence space: spent
+		// IDs are spent windows.
+		return SessionInfo{}, fmt.Errorf("core: session ID space exhausted (%d sessions served): %w", maxSessionID, ErrSeqWindow)
 	}
 	var ranks []int
 	for r := 0; r < s.cfg.NumClients && len(ranks) < nodes; r++ {

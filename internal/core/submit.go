@@ -91,6 +91,9 @@ func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte,
 	}
 	c.running[o.seq] = e
 	r.frames.bind(o.seq, e.box)
+	if op == opRead && r.posted != nil {
+		r.posted.post(o)
+	}
 	o.lane, o.tr = c.lanes.take(c.cfg.Trace, "client", c.comm.Rank())
 	e.jobs.Put(o)
 	return o.seq, e, nil
@@ -123,6 +126,9 @@ func (c *Client) execute(clk clock.Clock, e *executor[*collectiveOp]) {
 		ex.tr = o.tr
 		t0 := clk.Now()
 		o.err = ex.collectiveSeq(o)
+		if o.posted != nil {
+			o.posted.unpost(o) // before the array goes back to the application
+		}
 		// Retire before completing: late frames for this op must be
 		// rejected, not stashed forever.
 		under.SendOwned(c.comm.Rank(), tagSchedDone, encodeSchedDone(uint32(o.seq), false))
@@ -145,6 +151,7 @@ func (c *Client) drainHandles() {
 type clientRouter struct {
 	c      *Client
 	frames *opFrames
+	posted *postedReads // nil unless the endpoint reads straight from a socket
 	pool   execPool[*collectiveOp]
 
 	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices
@@ -165,6 +172,9 @@ func (c *Client) routeFrames() *clientRouter {
 			pool:    execPool[*collectiveOp]{clk: c.clk, name: fmt.Sprintf("client%d", c.Rank()), body: c.execute},
 			appDone: queue.New[mpi.Message](c.clk),
 			exited:  queue.New[struct{}](c.clk),
+		}
+		if p := (&postedReads{comm: c.comm, wait: c.cfg.OpTimeout}); mpi.PostReceives(c.comm, p) {
+			r.posted = p
 		}
 		c.router = r
 	case r.lost.Load():

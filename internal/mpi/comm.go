@@ -43,6 +43,11 @@ type Message struct {
 	Source int
 	Tag    int
 	Data   []byte
+	// Placed counts the payload bytes a dialed endpoint read straight
+	// into its owner's posted receive (Placer) instead of into Data,
+	// which then holds only the frame's header. Zero on every other
+	// path; it never goes on the wire.
+	Placed int
 }
 
 // Request represents an in-flight nonblocking send.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"panda/internal/bufpool"
@@ -161,16 +162,29 @@ func (w *frameWriter) rawConn(dst net.Conn) syscall.RawConn {
 // control frames costs less than one read call each; a payload past the
 // buffer takes what the header's fill already brought in and reads the
 // rest from the connection straight into the buffer it is returned in —
-// a payload byte is copied once, by the kernel.
+// a payload byte is copied once, by the kernel. On a dialed endpoint
+// whose owner posted receives (PostReceives), that buffer may be the
+// owner's own: see Placer.
 type frameReader struct {
-	conn io.Reader
-	r    *bufio.Reader
-	hdr  [frameHeaderBytes]byte
+	conn  io.Reader
+	r     *bufio.Reader
+	hdr   [frameHeaderBytes]byte
+	place atomic.Pointer[Placer] // the owner's posted receives; nil: none
+
+	// placed is the number of payload bytes of the frame next last
+	// returned that went to a Placer's destination; its payload is then
+	// the header alone.
+	placed int
 }
 
 // readerBufBytes sizes the buffered reader: some fifty 64-byte frames a
 // fill, and under half a percent of a 1 MiB payload.
 const readerBufBytes = 4 << 10
+
+// placeHeadBytes is the head of a payload a Placer is offered: enough
+// for a sub-data header of up to seven dimensions. A frame whose header
+// is longer takes the pooled path.
+const placeHeadBytes = 64
 
 func newFrameReader(conn io.Reader) *frameReader {
 	return &frameReader{conn: conn, r: bufio.NewReaderSize(conn, readerBufBytes)}
@@ -180,12 +194,24 @@ func newFrameReader(conn io.Reader) *frameReader {
 // error — a disconnect, a short read, a length past MaxFrameBytes — the
 // stream is unusable and there is nothing to recycle.
 func (fr *frameReader) next() (to, source int, wireTag uint32, payload []byte, err error) {
+	fr.placed = 0
 	if _, err = io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, 0, 0, nil, err
 	}
+	to, source = int(binary.BigEndian.Uint32(fr.hdr[0:])), int(binary.BigEndian.Uint32(fr.hdr[4:]))
+	wireTag = binary.BigEndian.Uint32(fr.hdr[8:])
 	n := binary.BigEndian.Uint32(fr.hdr[12:])
 	if n > MaxFrameBytes {
 		return 0, 0, 0, nil, fmt.Errorf("mpi: frame header announces %d bytes, limit %d", n, MaxFrameBytes)
+	}
+	if p := fr.place.Load(); p != nil && n > readerBufBytes && wireTag != tagControlWire {
+		hdr, ok, err := fr.readPlaced(*p, source, int(wireTag)-1, int(n))
+		if err != nil {
+			return 0, 0, 0, nil, err
+		}
+		if ok {
+			return to, source, wireTag, hdr, nil
+		}
 	}
 	payload = bufpool.GetRaw(int(n)) // fully overwritten below
 	var src io.Reader = fr.r
@@ -201,6 +227,68 @@ func (fr *frameReader) next() (to, source int, wireTag uint32, payload []byte, e
 		bufpool.Put(payload)
 		return 0, 0, 0, nil, err
 	}
-	return int(binary.BigEndian.Uint32(fr.hdr[0:])), int(binary.BigEndian.Uint32(fr.hdr[4:])),
-		binary.BigEndian.Uint32(fr.hdr[8:]), payload, nil
+	return to, source, wireTag, payload, nil
+}
+
+// readPlaced offers p the head of an n-byte payload from source on tag.
+// When p places it, the header p claims is read into a pooled buffer and
+// returned, and the rest of the payload — what the buffered reader holds
+// of it, then the remainder straight from the connection — into p's
+// destination, after which p is told the placement ended, read or not.
+// ok is false when p declined: nothing has been consumed.
+func (fr *frameReader) readPlaced(p Placer, source, tag, n int) (hdr []byte, ok bool, err error) {
+	head, _ := fr.r.Peek(placeHeadBytes) // short on a failing stream: p declines, the pooled read fails
+	h, dst := p.Place(source, tag, head, n)
+	if dst == nil {
+		return nil, false, nil
+	}
+	defer p.Placed(tag)
+	if h < 0 || h > len(head) || h+len(dst) != n {
+		panic("mpi: a placement that does not fit its frame")
+	}
+	hdr = bufpool.GetRaw(h)
+	fr.r.Read(hdr) //nolint:errcheck // h <= len(head) bytes are buffered
+	k := min(fr.r.Buffered(), len(dst))
+	if k > 0 {
+		fr.r.Read(dst[:k]) //nolint:errcheck // copies the buffered bytes out, no more
+	}
+	if _, err = io.ReadFull(fr.conn, dst[k:]); err != nil {
+		bufpool.Put(hdr)
+		return nil, false, err
+	}
+	fr.placed = len(dst)
+	return hdr, true, nil
+}
+
+// Placer is a dialed endpoint owner's posted receives (PostReceives): the
+// MPI_Irecv idiom, a receive whose buffer is named before the data
+// arrives. The endpoint's reader offers it the head of every data frame
+// whose payload it reads straight from the connection; a payload the
+// owner has a place for is read from the socket into that place, not
+// into a pooled frame the owner would copy out of. The frame is still
+// delivered — as its header alone, with Message.Placed saying how many
+// bytes went where. The reader calls Place and Placed from its one
+// goroutine.
+type Placer interface {
+	// Place is offered head, the first bytes of the n-byte payload of a
+	// frame from source on tag (at most 64; fewer only when the stream is
+	// failing). It returns how many leading bytes of the payload are the
+	// owner's header, at most len(head), and the destination of exactly
+	// the other n-hdr bytes — or a nil destination, leaving the frame to
+	// the pooled path.
+	Place(source, tag int, head []byte, n int) (hdr int, dst []byte)
+	// Placed ends a placement Place granted, whether its read succeeded
+	// or failed: the reader writes dst no more.
+	Placed(tag int)
+}
+
+// PostReceives makes p the placement hook of c and reports whether c
+// has one: only a dialed endpoint (DialComm) reads payloads straight
+// from its own connection. A later call replaces the hook.
+func PostReceives(c Comm, p Placer) bool {
+	tc, ok := c.(*tcpComm)
+	if ok {
+		tc.in.place.Store(&p)
+	}
+	return ok
 }

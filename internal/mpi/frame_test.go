@@ -280,9 +280,78 @@ func TestReaderCopiesPayloadOnce(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame feeds the one frame reader arbitrary bytes: it never
-// panics, never returns (or sizes a buffer for) more than MaxFrameBytes,
-// and a frame it accepts is exactly the bytes the header announced.
+// testPlacer places the payload of every frame whose first payload byte
+// is even, behind a header of a length the next byte picks, into a
+// destination fenced by guard bytes on both sides.
+type testPlacer struct {
+	buf            []byte // guard | destination | guard
+	dst            []byte
+	hdr            int
+	granted, ended int
+}
+
+const placerGuard = 64
+
+func (p *testPlacer) Place(source, tag int, head []byte, n int) (int, []byte) {
+	if len(head) < 2 || head[0]%2 == 1 {
+		return 0, nil
+	}
+	p.hdr = int(head[1]) % (len(head) + 1)
+	p.buf = bytes.Repeat([]byte{0xA5}, placerGuard+n-p.hdr+placerGuard)
+	p.dst = p.buf[placerGuard : placerGuard+n-p.hdr]
+	p.granted++
+	return p.hdr, p.dst
+}
+
+func (p *testPlacer) Placed(tag int) { p.ended++ }
+
+// placedReader is a frame reader whose owner posted receives.
+func placedReader(conn io.Reader, p Placer) *frameReader {
+	fr := newFrameReader(conn)
+	fr.place.Store(&p)
+	return fr
+}
+
+// TestReaderPlacesPayloadOnce: a placed payload is read from the
+// connection straight into the owner's destination — all of it but what
+// the header's fill brought along — and the frame comes back as the
+// header the owner claimed.
+func TestReaderPlacesPayloadOnce(t *testing.T) {
+	const n = 1 << 20
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = byte(i*7) &^ 1 // every byte even: the placer takes the frame
+	}
+	body[1] = 24 // its header length
+	src := &socketReader{data: append(rawHeader(1, 0, 6, n), body...), chunk: 64 << 10}
+	p := &testPlacer{}
+	fr := placedReader(src, p)
+	_, _, _, hdr, err := fr.next()
+	if err != nil || p.granted != 1 || p.ended != 1 {
+		t.Fatalf("placed frame: %v, %d placements granted, %d ended", err, p.granted, p.ended)
+	}
+	if fr.placed != n-24 || !bytes.Equal(hdr, body[:24]) || !bytes.Equal(p.dst, body[24:]) {
+		t.Fatalf("placed frame: header %d bytes, %d placed; the bytes differ from the wire's", len(hdr), fr.placed)
+	}
+	direct := 0
+	lo, hi := uintptr(unsafe.Pointer(&p.dst[0])), uintptr(unsafe.Pointer(&p.dst[len(p.dst)-1]))
+	for _, dst := range src.dsts {
+		if q := uintptr(unsafe.Pointer(&dst[0])); q >= lo && q <= hi {
+			direct += len(dst)
+		}
+	}
+	if direct < len(p.dst)*99/100 {
+		t.Errorf("%d of %d placed bytes were read into the destination by the connection, want >= 99%%", direct, len(p.dst))
+	}
+	bufpool.Put(hdr)
+}
+
+// FuzzReadFrame feeds the one frame reader arbitrary bytes, with and
+// without an owner placing payloads: it never panics, never returns (or
+// sizes a buffer for) more than MaxFrameBytes, and a frame it accepts is
+// exactly the bytes the header announced — a placed one as the header
+// the owner claimed plus what landed in the destination, with nothing
+// written outside it and every placement granted ended.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(append(rawHeader(1, 0, 6, 3), 1, 2, 3))
 	f.Add(rawHeader(0, 1, 0, 0))                    // a death announcement
@@ -290,20 +359,51 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(rawHeader(0, 1, 6, MaxFrameBytes+1))      // one past the bound
 	f.Add(append(rawHeader(0, 1, 6, 100), 1, 2, 3)) // short payload
 	f.Add([]byte{0x50, 0x41, 0x4e})                 // short header
+	big := make([]byte, readerBufBytes+100)
+	big[1] = 17
+	f.Add(append(rawHeader(0, 1, 6, uint32(len(big))), big...))                           // placed, 17-byte header
+	f.Add(append(rawHeader(0, 1, 6, uint32(len(big))), big[:2000]...))                    // placed, cut mid-payload
+	f.Add(append(rawHeader(0, 1, 6, uint32(len(big))), append([]byte{1}, big[1:]...)...)) // declined
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := newFrameReader(bytes.NewReader(data))
-		for off := 0; ; {
-			_, _, _, payload, err := fr.next()
-			if err != nil {
-				return
+		for _, p := range []*testPlacer{nil, {}} {
+			fr := newFrameReader(bytes.NewReader(data))
+			if p != nil {
+				fr = placedReader(bytes.NewReader(data), p)
 			}
-			want := int(binary.BigEndian.Uint32(data[off+12:]))
-			if want > MaxFrameBytes || len(payload) != want ||
-				!bytes.Equal(payload, data[off+frameHeaderBytes:off+frameHeaderBytes+want]) {
-				t.Fatalf("frame at %d: %d payload bytes, header announced %d", off, len(payload), want)
+			for off := 0; ; {
+				granted := 0
+				if p != nil {
+					granted = p.granted
+				}
+				_, _, _, payload, err := fr.next()
+				if p != nil && p.granted != p.ended {
+					t.Fatalf("frame at %d: %d placements granted, %d ended", off, p.granted, p.ended)
+				}
+				if err != nil {
+					break
+				}
+				want := int(binary.BigEndian.Uint32(data[off+12:]))
+				wire := data[off+frameHeaderBytes : off+frameHeaderBytes+want]
+				got := payload
+				if p != nil && p.granted > granted {
+					if fr.placed != len(p.dst) || len(payload) != p.hdr {
+						t.Fatalf("frame at %d: %d header bytes and %d placed, the owner claimed %d and %d", off, len(payload), fr.placed, p.hdr, len(p.dst))
+					}
+					got = append(append([]byte{}, payload...), p.dst...)
+					for _, g := range [][]byte{p.buf[:placerGuard], p.buf[len(p.buf)-placerGuard:]} {
+						if !bytes.Equal(g, bytes.Repeat([]byte{0xA5}, placerGuard)) {
+							t.Fatalf("frame at %d: the reader wrote outside the destination", off)
+						}
+					}
+				} else if fr.placed != 0 {
+					t.Fatalf("frame at %d: %d bytes placed without a placement", off, fr.placed)
+				}
+				if want > MaxFrameBytes || !bytes.Equal(got, wire) {
+					t.Fatalf("frame at %d: %d payload bytes, header announced %d", off, len(got), want)
+				}
+				off += frameHeaderBytes + want
+				bufpool.Put(payload)
 			}
-			off += frameHeaderBytes + want
-			bufpool.Put(payload)
 		}
 	})
 }

@@ -73,7 +73,9 @@ import (
 // hundred bytes per operation. Reads leave through the client's socket
 // — a natural read's file ranges by sendfile, everything else by writev
 // — and a slow client blocks the serving rank in that socket write,
-// waiting on the poller, exactly as it blocked the relay before.
+// waiting on the poller, exactly as it blocked the relay before. A
+// dialed client that posted its reads (PostReceives) reads a natural
+// piece's payload from its socket straight into the application's array.
 
 const tcpMagic = 0x50414e44 // "PAND"
 
@@ -478,6 +480,7 @@ func (h *Hub) route(source int, conn net.Conn) {
 type tcpComm struct {
 	Endpoint
 	conn net.Conn
+	in   *frameReader
 	out  frameWriter
 }
 
@@ -506,7 +509,7 @@ func DialComm(addr string, rank, size int) (Comm, error) {
 		conn.Close()
 		return nil, fmt.Errorf("mpi: hub refused rank %d: %v", rank, err)
 	}
-	c := &tcpComm{Endpoint: newEndpoint(rank, size), conn: conn}
+	c := &tcpComm{Endpoint: newEndpoint(rank, size), conn: conn, in: newFrameReader(conn)}
 	go c.reader()
 	return c, nil
 }
@@ -527,12 +530,15 @@ func CloseComm(c Comm) error {
 }
 
 func (c *tcpComm) reader() {
-	fr := newFrameReader(c.conn)
 	for {
-		_, source, wireTag, payload, err := fr.next()
+		_, source, wireTag, payload, err := c.in.next()
 		if err != nil {
 			c.failReads(err)
 			return
+		}
+		if c.in.placed > 0 {
+			c.box.Put(Message{Source: source, Tag: int(wireTag) - 1, Data: payload, Placed: c.in.placed})
+			continue
 		}
 		c.accept(source, wireTag, payload)
 	}
