@@ -66,8 +66,9 @@ loc:
 
 # Short fuzz campaigns over the wire decoders, the TCP frame reader (with
 # and without posted receives), the client's placement of a frame's head,
-# the hub's hello handling, the topology parser and the pack kernel (against its per-element
-# reference); lengthen FUZZTIME for a real hunt.
+# the hub's hello handling, the topology parser, the pack kernel (against
+# its per-element reference), and the on-disk manifests and chunk lists
+# readers plan from; lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeOpRequest$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -76,6 +77,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSchedDone$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeStatus$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzPlace$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzChunkList$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzReadManifest$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzHubHello$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/mpi

@@ -2,7 +2,6 @@ package panda
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"panda/internal/core"
@@ -18,13 +17,15 @@ var ErrTimeout = core.ErrTimeout
 // participating node was observed dead (rather than merely slow).
 var ErrPeerLost = core.ErrPeerLost
 
-// ErrNoCommittedEpoch reports a Restart (or any collective read) that
-// found no committed checkpoint epoch to serve — for example after a
-// crash before the very first Checkpoint committed.
+// ErrNoCommittedEpoch reports a Restart (or any collective read, or an
+// AssembleArray) that found no committed checkpoint epoch to serve —
+// for example after a crash before the very first Checkpoint committed.
 var ErrNoCommittedEpoch = core.ErrNoCommittedEpoch
 
-// ErrCorrupt reports a verified read (Config.VerifyOnRestart) that
-// found committed data failing its manifest checksums.
+// ErrCorrupt reports committed data that cannot be produced as
+// committed: a verified read (Config.VerifyOnRestart) whose data fails
+// its manifest checksums, a manifest that contradicts the schema, or an
+// AssembleArray that finds a chunk of the decided epoch on no I/O node.
 var ErrCorrupt = core.ErrCorrupt
 
 // RetryPolicy bounds client-side retries of whole collective
@@ -128,7 +129,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			disks[i] = storage.NewMemDisk()
 			continue
 		}
-		d, err := storage.NewOSDisk(filepath.Join(cfg.Dir, fmt.Sprintf("ion%d", i)))
+		d, err := storage.NewOSDisk(storage.NodeDir(cfg.Dir, i))
 		if err != nil {
 			return nil, err
 		}
@@ -139,9 +140,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 // IONodeDir returns the directory backing I/O node i, or "" for
 // in-memory clusters. With a traditional-order disk schema
-// (BLOCK,NONE,...), concatenating the array's file from IONodeDir(0),
-// IONodeDir(1), ... yields the array in row-major order — the paper's
-// migration-to-sequential-platform story.
+// (BLOCK,NONE,...) and an epoch committed with every I/O node up,
+// concatenating the array's file from IONodeDir(0), IONodeDir(1), ...
+// yields the array in row-major order. An epoch written with a node
+// down, or whose commit was interrupted, is laid out otherwise:
+// AssembleArray reads any committed epoch under any disk schema.
 func (c *Cluster) IONodeDir(i int) string {
 	if d, ok := c.disks[i].(*storage.OSDisk); ok {
 		return d.Root()

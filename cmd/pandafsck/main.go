@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"panda/internal/storage"
@@ -92,25 +91,15 @@ func main() {
 // ionDirs resolves dir to the per-I/O-node roots to scrub: its ion<i>
 // subdirectories when present (a panda.Config.Dir), else dir itself.
 func ionDirs(dir string) ([]string, error) {
-	if _, err := os.Stat(dir); err != nil {
-		return nil, err
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "ion*"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	byIdx := map[int]string{}
 	var idxs []int
-	for _, m := range matches {
-		var i int
-		if _, err := fmt.Sscanf(filepath.Base(m), "ion%d", &i); err != nil {
-			continue
+	for _, e := range entries {
+		if i, ok := storage.NodeIndex(e.Name()); ok && e.IsDir() {
+			idxs = append(idxs, i)
 		}
-		if fi, err := os.Stat(m); err != nil || !fi.IsDir() {
-			continue
-		}
-		byIdx[i] = m
-		idxs = append(idxs, i)
 	}
 	if len(idxs) == 0 {
 		return []string{dir}, nil
@@ -121,9 +110,9 @@ func ionDirs(dir string) ([]string, error) {
 	roots := make([]string, len(idxs))
 	for want, i := range idxs {
 		if i != want {
-			return nil, fmt.Errorf("cluster dir %s is missing ion%d (found ion%d)", dir, want, i)
+			return nil, fmt.Errorf("cluster dir is missing %s (found %s)", storage.NodeDir(dir, want), storage.NodeDir(dir, i))
 		}
-		roots[want] = byIdx[i]
+		roots[want] = storage.NodeDir(dir, i)
 	}
 	return roots, nil
 }

@@ -260,7 +260,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 			disks[i] = storage.NewMemDisk()
 			continue
 		}
-		d, err := storage.NewOSDisk(filepath.Join(cfg.Dir, fmt.Sprintf("ion%d", i)))
+		d, err := storage.NewOSDisk(storage.NodeDir(cfg.Dir, i))
 		if err != nil {
 			return nil, err
 		}

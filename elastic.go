@@ -166,7 +166,7 @@ func (d *Daemon) committedInstances() []arrayInstance {
 	entries := d.cat.Entries()
 	var out []arrayInstance
 	for _, n := range names {
-		key, ok := strings.CutSuffix(n, ".decision")
+		key, ok := storage.DecisionKey(n)
 		if !ok {
 			continue
 		}

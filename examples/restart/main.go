@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"time"
 
@@ -89,7 +88,7 @@ func main() {
 	}
 	disks := make([]storage.Disk, ioNodes)
 	for i := range disks {
-		d, err := storage.NewOSDisk(filepath.Join(dir, fmt.Sprintf("ion%d", i)))
+		d, err := storage.NewOSDisk(storage.NodeDir(dir, i))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -143,10 +143,21 @@ func TestChunkUnevenBlocks(t *testing.T) {
 	}
 }
 
+// meshCoord converts a chunk index into mesh coordinates, row-major
+// over s.Mesh: the mapping ChunkIndex inverts.
+func meshCoord(s Schema, chunk int) []int {
+	c := make([]int, len(s.Mesh))
+	for i := len(s.Mesh) - 1; i >= 0; i-- {
+		c[i] = chunk % s.Mesh[i]
+		chunk /= s.Mesh[i]
+	}
+	return c
+}
+
 func TestChunkIndexRoundTrip(t *testing.T) {
 	s := MustSchema([]int{16, 16, 16}, []Dist{Block, Block, Block}, []int{2, 3, 4})
 	for i := 0; i < s.NumChunks(); i++ {
-		if got := s.ChunkIndex(s.meshCoord(i)); got != i {
+		if got := s.ChunkIndex(meshCoord(s, i)); got != i {
 			t.Fatalf("round trip %d -> %d", i, got)
 		}
 	}
@@ -497,5 +508,36 @@ func TestSameDecomposition(t *testing.T) {
 	}
 	if SameDecomposition(a, c) {
 		t.Fatal("different schemas matched")
+	}
+}
+
+// TestChunkBytesMatchesChunk: ChunkBytes, which builds no region, sizes
+// every chunk of random schemas (empty ones included) as Chunk does,
+// and allocates nothing.
+func TestChunkBytesMatchesChunk(t *testing.T) {
+	rnd := rand.New(rand.NewSource(35))
+	for iter := 0; iter < 200; iter++ {
+		rank := 1 + rnd.Intn(4)
+		shape := make([]int, rank)
+		dist := make([]Dist, rank)
+		var mesh []int
+		for d := range shape {
+			shape[d] = 1 + rnd.Intn(12)
+			if rnd.Intn(2) == 0 {
+				dist[d] = Block
+				mesh = append(mesh, 1+rnd.Intn(6))
+			}
+		}
+		s := MustSchema(shape, dist, mesh)
+		elem := 1 + rnd.Intn(8)
+		for idx := 0; idx < s.NumChunks(); idx++ {
+			if got, want := s.ChunkBytes(idx, elem), s.Chunk(idx).NumElems()*int64(elem); got != want {
+				t.Fatalf("%v chunk %d: ChunkBytes %d, Chunk %d", s, idx, got, want)
+			}
+		}
+	}
+	s := MustSchema([]int{64, 64, 64}, []Dist{Block, Star, Block}, []int{4, 2})
+	if n := testing.AllocsPerRun(100, func() { s.ChunkBytes(5, 4) }); n != 0 {
+		t.Fatalf("ChunkBytes allocates %.0f times", n)
 	}
 }

@@ -113,17 +113,6 @@ func (s Schema) NumChunks() int {
 	return n
 }
 
-// meshCoord converts a chunk index into mesh coordinates, row-major
-// over s.Mesh.
-func (s Schema) meshCoord(chunk int) []int {
-	c := make([]int, len(s.Mesh))
-	for i := len(s.Mesh) - 1; i >= 0; i-- {
-		c[i] = chunk % s.Mesh[i]
-		chunk /= s.Mesh[i]
-	}
-	return c
-}
-
 // ChunkIndex converts mesh coordinates back into a chunk index.
 func (s Schema) ChunkIndex(coord []int) int {
 	if len(coord) != len(s.Mesh) {
@@ -159,23 +148,28 @@ func blockRange(n, m, k int) (int, int) {
 // are indexed row-major over the mesh; a chunk may be empty when the
 // mesh extent exceeds the dimension's block count.
 func (s Schema) Chunk(idx int) Region {
+	lo := make([]int, s.Rank())
+	hi := make([]int, s.Rank())
+	s.chunkBounds(idx, func(d, l, h int) { lo[d], hi[d] = l, h })
+	return Region{Lo: lo, Hi: hi}
+}
+
+// chunkBounds calls f with chunk idx's [lo, hi) bounds in every
+// dimension d, innermost first.
+func (s Schema) chunkBounds(idx int, f func(d, lo, hi int)) {
 	if idx < 0 || idx >= s.NumChunks() {
 		panic(fmt.Sprintf("array: chunk index %d out of range [0,%d)", idx, s.NumChunks()))
 	}
-	coord := s.meshCoord(idx)
-	lo := make([]int, s.Rank())
-	hi := make([]int, s.Rank())
-	axis := 0
-	for d := 0; d < s.Rank(); d++ {
-		switch s.Dist[d] {
-		case Star:
-			lo[d], hi[d] = 0, s.Shape[d]
-		case Block:
-			lo[d], hi[d] = blockRange(s.Shape[d], s.Mesh[axis], coord[axis])
-			axis++
+	axis := len(s.Mesh)
+	for d := s.Rank() - 1; d >= 0; d-- {
+		lo, hi := 0, s.Shape[d]
+		if s.Dist[d] == Block {
+			axis--
+			lo, hi = blockRange(s.Shape[d], s.Mesh[axis], idx%s.Mesh[axis])
+			idx /= s.Mesh[axis]
 		}
+		f(d, lo, hi)
 	}
-	return Region{Lo: lo, Hi: hi}
 }
 
 // Chunks enumerates every chunk region in chunk-index order.
@@ -188,9 +182,11 @@ func (s Schema) Chunks() []Region {
 }
 
 // ChunkBytes reports the byte size of chunk idx for the given element
-// size.
+// size. It builds no region, so it allocates nothing.
 func (s Schema) ChunkBytes(idx, elemSize int) int64 {
-	return s.Chunk(idx).NumElems() * int64(elemSize)
+	n := int64(elemSize)
+	s.chunkBounds(idx, func(_, lo, hi int) { n *= int64(hi - lo) })
+	return n
 }
 
 // TotalBytes reports the byte size of the whole array.

@@ -42,7 +42,7 @@ func (s Strategy) String() string {
 }
 
 // fileTarget maps a region of the global array to a byte range of one
-// server's file, given the Panda-compatible round-robin chunk layout.
+// server's file under Panda's chunk placement.
 type fileTarget struct {
 	Server int
 	Name   string
@@ -53,21 +53,13 @@ type fileTarget struct {
 }
 
 // fileTargets computes the per-file byte runs for the part of spec's
-// disk layout that intersects sect, using the same chunk-to-server
-// assignment and file format as Panda so outputs are interchangeable.
+// disk layout that intersects sect, in chunk-index order, using Panda's
+// own chunk placement and file format so outputs are interchangeable.
 func fileTargets(spec core.ArraySpec, suffix string, numServers int, sect array.Region) []fileTarget {
 	var out []fileTarget
-	disk := spec.Disk
 	elem := int64(spec.ElemSize)
-	offsets := make([]int64, numServers)
-	for idx := 0; idx < disk.NumChunks(); idx++ {
-		server := idx % numServers
-		chunk := disk.Chunk(idx)
-		if chunk.IsEmpty() {
-			continue
-		}
-		chunkOff := offsets[server]
-		offsets[server] += chunk.NumElems() * elem
+	for _, p := range core.PlaceChunks(spec, numServers, nil) {
+		chunk := spec.Disk.Chunk(p.Chunk)
 		piece, ok := array.Intersect(chunk, sect)
 		if !ok {
 			continue
@@ -75,9 +67,9 @@ func fileTargets(spec core.ArraySpec, suffix string, numServers int, sect array.
 		for _, run := range array.ContiguousRuns(chunk, piece) {
 			start, _ := array.ContiguousIn(chunk, run)
 			out = append(out, fileTarget{
-				Server: server,
-				Name:   spec.FileName(suffix, server),
-				Offset: chunkOff + start*elem,
+				Server: p.Server,
+				Name:   spec.FileName(suffix, p.Server),
+				Offset: p.Offset + start*elem,
 				Bytes:  run.NumElems() * elem,
 				Region: run,
 				Chunk:  chunk,

@@ -37,7 +37,7 @@ import (
 // (missing Prepared plus a transport death report), it rebroadcasts the
 // request with Round+1 and the dead servers listed; every survivor
 // independently replans with the dead servers' chunks reassigned
-// round-robin across the survivors (assignChunksAlive) and restages the
+// round-robin across the survivors (PlaceChunks) and restages the
 // same epoch. The rebroadcast travels on this operation's server tag,
 // which reaches survivors wherever they block — mid-pull or awaiting
 // commit.
@@ -111,7 +111,7 @@ func (b *manifestBuilder) addSub(off, n int64, crc uint32) {
 }
 
 // buildManifest assembles the manifest for one staged array.
-func buildManifest(spec ArraySpec, req opRequest, server int, epoch uint64, jobs []chunkJob, subs []storage.ManifestSub) *storage.Manifest {
+func buildManifest(spec ArraySpec, req opRequest, server int, epoch uint64, chunks []Placement, subs []storage.ManifestSub) *storage.Manifest {
 	m := &storage.Manifest{
 		Version:   storage.ManifestVersion,
 		Array:     spec.Name,
@@ -122,10 +122,9 @@ func buildManifest(spec ArraySpec, req opRequest, server int, epoch uint64, jobs
 		Degraded:  len(req.Deads) > 0,
 		Subs:      subs,
 	}
-	for _, job := range jobs {
-		n := job.Region.NumElems() * int64(spec.ElemSize)
-		m.Chunks = append(m.Chunks, storage.ManifestChunk{ChunkIdx: job.ChunkIdx, Offset: job.FileOffset, Bytes: n})
-		m.TotalBytes += n
+	for _, c := range chunks {
+		m.Chunks = append(m.Chunks, storage.ManifestChunk{ChunkIdx: c.Chunk, Offset: c.Offset, Bytes: c.Bytes})
+		m.TotalBytes += c.Bytes
 	}
 	return m
 }
@@ -385,52 +384,95 @@ func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline ti
 	}
 }
 
-// resolveRead maps one array onto the file this server must serve for
-// the decided epoch. It returns the file name and its manifest, or
-// (name, nil) for a legacy manifest-less file, or ("", nil) when this
-// server has nothing to serve — a revived server whose committed state
-// predates the decided epoch serves nothing rather than mixing epochs
-// (the survivors' degraded files carry its chunks).
-func (s *Server) resolveRead(spec ArraySpec, base string, epoch uint64) (string, *storage.Manifest, error) {
-	final := storage.ManifestName(base)
-	m, merr := storage.ReadManifest(s.disk, final)
-	if epoch == 0 {
-		if merr == nil {
-			return base, m, nil
-		}
-		if storage.Exists(s.disk, base) {
-			return base, nil, nil // legacy file, pre-manifest
-		}
-		return "", nil, fmt.Errorf("core: server %d: array %s: %w", s.index, spec.Name, ErrNoCommittedEpoch)
+// Committed is where one server's share of an array's decided epoch
+// lives on that server's disk, as ResolveCommitted finds it.
+type Committed struct {
+	// Name is the file holding the share: the committed file, the
+	// retained previous epoch, the decided epoch's data still under its
+	// temp name (Pending), or a legacy manifest-less file. "" means the
+	// server holds none of the decided epoch.
+	Name string
+	// Manifest describes Name; nil for a legacy file.
+	Manifest *storage.Manifest
+	// Pending marks an interrupted commit: the decision is durable but
+	// this server's renames were not done.
+	Pending bool
+	// Stale, when Name is "", is the epoch the server's committed state
+	// holds instead (0: it holds none). A server revived after missing
+	// the decided epoch serves nothing rather than mixing epochs: the
+	// survivors' degraded files carry its chunks.
+	Stale uint64
+}
+
+// ResolveCommitted finds which file on d holds base, one server's file
+// of spec, at the decided epoch (0: nothing was ever decided, so the
+// committed or legacy file is served as it stands). It only reads: an
+// interrupted commit is reported Pending, its data verified against its
+// manifest, and the caller decides whether to finish it. A manifest
+// written under another schema, or a pending epoch that does not
+// verify, is ErrCorrupt; no file at all with no decision is
+// ErrNoCommittedEpoch.
+func ResolveCommitted(d storage.Disk, spec ArraySpec, base string, epoch uint64) (Committed, error) {
+	c, err := resolveCommitted(d, base, epoch)
+	if err == nil && c.Manifest != nil && c.Manifest.SchemaSum != specFingerprint(spec) {
+		err = fmt.Errorf("manifest of %s was written under a different schema: %w", c.Name, ErrCorrupt)
 	}
-	if merr == nil && m.Epoch == epoch {
-		return base, m, nil
+	return c, err
+}
+
+func resolveCommitted(d storage.Disk, base string, epoch uint64) (Committed, error) {
+	m, merr := storage.ReadManifest(d, storage.ManifestName(base))
+	switch {
+	case merr == nil && (epoch == 0 || m.Epoch == epoch):
+		return Committed{Name: base, Manifest: m}, nil
+	case epoch == 0 && storage.Exists(d, base):
+		return Committed{Name: base}, nil // legacy file, pre-manifest
+	case epoch == 0:
+		return Committed{}, fmt.Errorf("%s: %w", base, ErrNoCommittedEpoch)
 	}
-	// An interrupted commit of the decided epoch: finish it now.
-	if storage.Exists(s.disk, storage.EpochManifestName(base, epoch)) {
-		rm, err := storage.RollForward(s.disk, base, epoch)
+	if tmName := storage.EpochManifestName(base, epoch); storage.Exists(d, tmName) {
+		// The decided epoch's renames were interrupted. Its data is
+		// under the temp name, or already under the final one; a server
+		// that owned no chunks has none.
+		name := storage.EpochName(base, epoch)
+		if !storage.Exists(d, name) {
+			name = base
+		}
+		tm, err := storage.ReadManifest(d, tmName)
+		if err == nil && tm.TotalBytes > 0 {
+			err = storage.VerifyData(d, name, tm)
+		}
 		if err != nil {
-			return "", nil, fmt.Errorf("core: server %d: %w (%v)", s.index, ErrCorrupt, err)
+			return Committed{}, fmt.Errorf("%w (%v)", ErrCorrupt, err)
 		}
-		s.cnt[cRollForwards].Add(1)
-		s.tr.Instant(obs.CatRecover, "roll-forward "+base, s.opSeq, s.clk.Now(), rm.TotalBytes)
-		return base, rm, nil
+		return Committed{Name: name, Manifest: tm, Pending: true}, nil
 	}
 	// The retained previous epoch may be the decided one (pandafsck
 	// rolled the key back after finding the newest epoch torn).
 	prev := storage.PrevName(base)
-	if pm, err := storage.ReadManifest(s.disk, storage.ManifestName(prev)); err == nil && pm.Epoch == epoch {
-		return prev, pm, nil
+	if pm, err := storage.ReadManifest(d, storage.ManifestName(prev)); err == nil && pm.Epoch == epoch {
+		return Committed{Name: prev, Manifest: pm}, nil
 	}
 	if merr == nil {
 		// Committed state exists but predates (or postdates) the decided
-		// epoch: a stale server. Its chunks live in the other servers'
-		// degraded files; serving nothing is the consistent answer.
-		s.tr.Instant(obs.CatRecover, fmt.Sprintf("stale epoch %d (decided %d): serving nothing", m.Epoch, epoch), s.opSeq, s.clk.Now(), 0)
-		return "", nil, nil
+		// epoch: a stale server.
+		return Committed{Stale: m.Epoch}, nil
 	}
-	if storage.Exists(s.disk, base) {
-		return base, nil, nil // legacy file despite a decision: serve it
+	if storage.Exists(d, base) {
+		return Committed{Name: base}, nil // legacy file despite a decision: serve it
 	}
-	return "", nil, nil // nothing at all (e.g. dead during the epoch's write)
+	return Committed{}, nil // nothing at all (e.g. dead during the epoch's write)
+}
+
+// Chunks lists the disk chunks c's file holds, in file order: its
+// manifest's list, checked against spec, or for a legacy file server's
+// share of the full house's layout over numServers.
+func (c Committed) Chunks(spec ArraySpec, numServers, server int) ([]Placement, error) {
+	switch {
+	case c.Name == "":
+		return nil, nil
+	case c.Manifest != nil:
+		return chunksFromManifest(spec, c.Manifest, server)
+	}
+	return shareOf(PlaceChunks(spec, numServers, nil), server), nil
 }

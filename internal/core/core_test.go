@@ -610,16 +610,15 @@ func TestPerArraySubchunkOverride(t *testing.T) {
 	}
 	// Plan check: the fine array splits into 64-byte jobs.
 	for s := 0; s < 2; s++ {
-		jobs := assignChunks(specs[1].Disk, 4, 2, s)
-		for _, sj := range planSubchunks(1, specs[1], jobs, specs[1].subchunkBytes(cfg)) {
+		for _, sj := range planSubchunks(1, specs[1], share(specs[1], 2, s), specs[1].subchunkBytes(cfg)) {
 			if sj.Bytes > 64 {
 				t.Fatalf("fine sub-chunk has %d bytes", sj.Bytes)
 			}
 		}
-		coarseJobs := assignChunks(specs[0].Disk, 4, 2, s)
-		subs := planSubchunks(0, specs[0], coarseJobs, specs[0].subchunkBytes(cfg))
-		if len(subs) != len(coarseJobs) {
-			t.Fatalf("coarse array split unnecessarily: %d subs for %d chunks", len(subs), len(coarseJobs))
+		coarse := share(specs[0], 2, s)
+		subs := planSubchunks(0, specs[0], coarse, specs[0].subchunkBytes(cfg))
+		if len(subs) != len(coarse) {
+			t.Fatalf("coarse array split unnecessarily: %d subs for %d chunks", len(subs), len(coarse))
 		}
 	}
 	roundTrip(t, cfg, specs)

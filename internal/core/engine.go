@@ -15,7 +15,7 @@ import (
 // A server's share of one collective operation is a three-stage
 // pipeline:
 //
-//	planner  — assignChunks/planSubchunks (pure math, runs inline);
+//	planner  — PlaceChunks/planSubchunks (pure math, runs inline);
 //	mover    — the network stage: pulls pieces from clients (writes) or
 //	           scatters them (reads), and owns all deadline, retry and
 //	           abort handling: the operation's executor (sched.go).

@@ -374,8 +374,7 @@ func TestReadHonorsDeadline(t *testing.T) {
 	specs := []ArraySpec{{Name: "slow", ElemSize: 4, Mem: mem, Disk: disk}}
 
 	for s := 0; s < cfg.NumServers; s++ {
-		jobs := assignChunks(specs[0].Disk, specs[0].ElemSize, cfg.NumServers, s)
-		if n := len(planSubchunks(0, specs[0], jobs, specs[0].subchunkBytes(cfg))); n < 8 {
+		if n := len(planSubchunks(0, specs[0], share(specs[0], cfg.NumServers, s), specs[0].subchunkBytes(cfg))); n < 8 {
 			t.Fatalf("workload too small: server %d plans %d sub-chunks", s, n)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"panda/internal/array"
+	"panda/internal/storage"
 )
 
 // Fuzz targets: the wire decoders face bytes from the network and must
@@ -129,6 +130,52 @@ func FuzzDecodeStatus(f *testing.F) {
 			if frame2.Attempt != frame.Attempt || frame2.Round != frame.Round {
 				t.Fatalf("attempt/round lost in round trip")
 			}
+		}
+	})
+}
+
+// FuzzChunkList: a manifest's chunk list comes off the disk, and both
+// the server's read and the offline assembler plan from it. Whatever
+// list chunksFromManifest accepts names chunks of the schema, in file
+// order, without overlap, each exactly its chunk's size and inside the
+// file; anything else is ErrCorrupt. Each 3 bytes of data are one entry
+// (chunk index, offset and length in 4-byte units, signed).
+func FuzzChunkList(f *testing.F) {
+	// 5x6 elements on a 4x2 mesh: chunk 3 is 2x3 and chunks 6, 7 empty.
+	spec := ArraySpec{ElemSize: 4, Disk: array.MustSchema([]int{5, 6}, []array.Dist{array.Block, array.Block}, []int{4, 2})}
+	f.Add([]byte{1, 0, 6, 3, 6, 6}, int64(48))
+	f.Add([]byte{1, 0, 6, 1, 0, 6}, int64(48))
+	f.Add([]byte{0xff, 0, 6}, int64(24))
+	f.Add([]byte{6, 0, 0}, int64(0))
+	f.Add([]byte{2, 0x80, 6}, int64(-1))
+	f.Fuzz(func(t *testing.T, data []byte, total int64) {
+		m := &storage.Manifest{TotalBytes: total}
+		for i := 0; i+3 <= len(data); i += 3 {
+			m.Chunks = append(m.Chunks, storage.ManifestChunk{
+				ChunkIdx: int(int8(data[i])), Offset: 4 * int64(int8(data[i+1])), Bytes: 4 * int64(int8(data[i+2]))})
+		}
+		chunks, err := chunksFromManifest(spec, m, 1)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejected untyped: %v", err)
+			}
+			return
+		}
+		if len(chunks) != len(m.Chunks) {
+			t.Fatalf("%d entries accepted as %d chunks", len(m.Chunks), len(chunks))
+		}
+		end := int64(0)
+		for _, c := range chunks {
+			if c.Chunk < 0 || c.Chunk >= spec.Disk.NumChunks() {
+				t.Fatalf("accepted chunk %d of %d", c.Chunk, spec.Disk.NumChunks())
+			}
+			if c.Bytes != spec.Disk.ChunkBytes(c.Chunk, spec.ElemSize) {
+				t.Fatalf("accepted chunk %d as %d bytes", c.Chunk, c.Bytes)
+			}
+			if c.Offset < end || c.Offset+c.Bytes > total || c.Server != 1 {
+				t.Fatalf("accepted %+v after a chunk ending at %d, in %d bytes", c, end, total)
+			}
+			end = c.Offset + c.Bytes
 		}
 	})
 }

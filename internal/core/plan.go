@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"panda/internal/array"
 	"panda/internal/bufpool"
@@ -9,16 +10,10 @@ import (
 )
 
 // Planning: each server derives, independently and without any
-// server-to-server traffic (paper §2), which disk chunks it owns, where
-// each lands in its file, how chunks split into ≤SubchunkBytes
-// sub-chunks, and which clients hold the pieces of each sub-chunk.
-
-// chunkJob is one disk chunk assigned to a server.
-type chunkJob struct {
-	ChunkIdx   int          // index into the disk schema's chunk list
-	Region     array.Region // the chunk's box in the global array
-	FileOffset int64        // byte offset of the chunk in the server's file
-}
+// server-to-server traffic (paper §2), which disk chunks it owns and
+// where each lands in its file (PlaceChunks), how chunks split into
+// ≤SubchunkBytes sub-chunks, and which clients hold the pieces of each
+// sub-chunk.
 
 // subchunkJob is one unit of sequential disk I/O.
 type subchunkJob struct {
@@ -35,86 +30,87 @@ type piece struct {
 	Region array.Region
 }
 
-// assignChunks lists the disk chunks owned by server index s under the
-// paper's implicit round-robin assignment ("chunks are implicitly
-// assigned in a round-robin fashion across all the servers"), together
-// with each chunk's offset in the server's file: a server's file is the
-// concatenation of its assigned chunks in assignment order, each stored
-// in traditional (row-major) order. Empty chunks are skipped and take
-// no file space.
-func assignChunks(disk array.Schema, elemSize, numServers, s int) []chunkJob {
-	var jobs []chunkJob
-	off := int64(0)
-	for idx := s; idx < disk.NumChunks(); idx += numServers {
-		reg := disk.Chunk(idx)
-		if reg.IsEmpty() {
-			continue
-		}
-		jobs = append(jobs, chunkJob{ChunkIdx: idx, Region: reg, FileOffset: off})
-		off += reg.NumElems() * int64(elemSize)
-	}
-	return jobs
+// Placement is where one disk chunk lives on disk: the server whose
+// file holds it and the byte range it fills there.
+type Placement struct {
+	Chunk  int   // index into the disk schema's chunk list
+	Server int   // server index
+	Offset int64 // byte offset of the chunk in the server's file
+	Bytes  int64
 }
 
-// assignChunksAlive generalizes assignChunks to a degraded deployment:
-// chunks whose round-robin owner is dead are reassigned round-robin
-// across the surviving servers, in chunk-index order. Every survivor
-// computes the same assignment independently — the replanning needs no
-// server-to-server traffic, preserving the paper's property. With no
-// dead servers the result is identical to assignChunks.
-func assignChunksAlive(disk array.Schema, elemSize, numServers, s int, dead map[int]bool) []chunkJob {
-	if len(dead) == 0 {
-		return assignChunks(disk, elemSize, numServers, s)
-	}
+// PlaceChunks is the on-disk layout of spec over numServers servers,
+// and the only code that applies its two rules: every non-empty disk
+// chunk, in chunk-index order, with its server and its offset in that
+// server's file. Chunk i goes to server i mod numServers, the paper's
+// implicit round-robin ("chunks are implicitly assigned in a
+// round-robin fashion across all the servers"), unless that server is
+// in dead: then it goes round-robin, in chunk-index order, across the
+// survivors. Every survivor derives the same reassignment on its own,
+// so replanning needs no server-to-server traffic. A server's file is
+// its chunks concatenated in chunk-index order, each in traditional
+// (row-major) order; empty chunks take no space. With every server
+// dead nothing is placed.
+func PlaceChunks(spec ArraySpec, numServers int, dead map[int]bool) []Placement {
 	var alive []int
-	for i := 0; i < numServers; i++ {
-		if !dead[i] {
-			alive = append(alive, i)
+	if len(dead) > 0 {
+		for i := 0; i < numServers; i++ {
+			if !dead[i] {
+				alive = append(alive, i)
+			}
+		}
+		if len(alive) == 0 {
+			return nil
 		}
 	}
-	if len(alive) == 0 {
-		return nil
+	// Each server's file end so far. A server plans on a cache miss, so
+	// the usual deployment keeps these on the stack.
+	var small [16]int64
+	ends := small[:]
+	if numServers > len(small) {
+		ends = make([]int64, numServers)
 	}
-	var jobs []chunkJob
-	off := int64(0)
+	out := make([]Placement, 0, spec.Disk.NumChunks())
 	orphans := 0
-	for idx := 0; idx < disk.NumChunks(); idx++ {
-		owner := idx % numServers
-		if dead[owner] {
-			owner = alive[orphans%len(alive)]
+	for idx := 0; idx < spec.Disk.NumChunks(); idx++ {
+		s := idx % numServers
+		if dead[s] {
+			s = alive[orphans%len(alive)]
 			orphans++
 		}
-		if owner != s {
+		n := spec.Disk.ChunkBytes(idx, spec.ElemSize)
+		if n == 0 {
 			continue
 		}
-		reg := disk.Chunk(idx)
-		if reg.IsEmpty() {
-			continue
-		}
-		jobs = append(jobs, chunkJob{ChunkIdx: idx, Region: reg, FileOffset: off})
-		off += reg.NumElems() * int64(elemSize)
+		out = append(out, Placement{Chunk: idx, Server: s, Offset: ends[s], Bytes: n})
+		ends[s] += n
 	}
-	return jobs
+	return out
 }
 
-// chunkJobsFromManifest rebuilds the chunk list a committed file
-// actually contains from its manifest — which may differ from the
-// schema-derived assignment when the epoch was written degraded (this
-// file then carries chunks adopted from dead servers). The list comes
-// off the disk, so it is checked against the spec before anything is
-// planned from it: every index names a chunk of the disk schema, every
-// entry is as long as that chunk, and the entries lie in file order
-// without overlap inside TotalBytes. A list that fails is ErrCorrupt —
-// the read fails, typed, and the files stay for pandafsck.
-func chunkJobsFromManifest(spec ArraySpec, m *storage.Manifest) ([]chunkJob, error) {
-	jobs := make([]chunkJob, 0, len(m.Chunks))
+// shareOf filters a layout PlaceChunks returned down to server s's
+// chunks, in file order, reusing its backing array.
+func shareOf(layout []Placement, s int) []Placement {
+	return slices.DeleteFunc(layout, func(p Placement) bool { return p.Server != s })
+}
+
+// chunksFromManifest rebuilds the chunk list a committed file on
+// server actually holds from its manifest. It may differ from the full
+// house's layout when the epoch was written degraded (the file then
+// carries chunks adopted from dead servers). The list comes off the
+// disk, so it is checked against the spec before anything is planned
+// from it: every index names a chunk of the disk schema, every entry is
+// as long as that chunk, and the entries lie in file order without
+// overlap inside TotalBytes. A list that fails is ErrCorrupt: the read
+// fails, typed, and the files stay for pandafsck.
+func chunksFromManifest(spec ArraySpec, m *storage.Manifest, server int) ([]Placement, error) {
+	chunks := make([]Placement, 0, len(m.Chunks))
 	end := int64(0)
 	for _, c := range m.Chunks {
 		if c.ChunkIdx < 0 || c.ChunkIdx >= spec.Disk.NumChunks() {
 			return nil, fmt.Errorf("manifest lists chunk %d of %d: %w", c.ChunkIdx, spec.Disk.NumChunks(), ErrCorrupt)
 		}
-		reg := spec.Disk.Chunk(c.ChunkIdx)
-		if want := reg.NumElems() * int64(spec.ElemSize); c.Bytes != want {
+		if want := spec.Disk.ChunkBytes(c.ChunkIdx, spec.ElemSize); c.Bytes != want {
 			return nil, fmt.Errorf("manifest gives chunk %d %d bytes, the schema %d: %w", c.ChunkIdx, c.Bytes, want, ErrCorrupt)
 		}
 		if c.Offset < end || c.Offset+c.Bytes > m.TotalBytes {
@@ -122,21 +118,21 @@ func chunkJobsFromManifest(spec ArraySpec, m *storage.Manifest) ([]chunkJob, err
 				c.ChunkIdx, c.Offset, c.Offset+c.Bytes, m.TotalBytes, end, ErrCorrupt)
 		}
 		end = c.Offset + c.Bytes
-		jobs = append(jobs, chunkJob{ChunkIdx: c.ChunkIdx, Region: reg, FileOffset: c.Offset})
+		chunks = append(chunks, Placement{Chunk: c.ChunkIdx, Server: server, Offset: c.Offset, Bytes: c.Bytes})
 	}
-	return jobs, nil
+	return chunks, nil
 }
 
-// sameChunkList reports whether a manifest lists exactly the chunk jobs
-// — same chunks, same order, same offsets and lengths, planned bytes in
-// all — so that a plan derived from the jobs is the plan for the file.
-func sameChunkList(m *storage.Manifest, jobs []chunkJob, elemSize int, planned int64) bool {
-	if len(m.Chunks) != len(jobs) || m.TotalBytes != planned {
+// sameChunkList reports whether a manifest lists exactly the chunks —
+// same chunks, same order, same offsets and lengths, planned bytes in
+// all — so that a plan derived from the chunks is the plan for the file.
+func sameChunkList(m *storage.Manifest, chunks []Placement, planned int64) bool {
+	if len(m.Chunks) != len(chunks) || m.TotalBytes != planned {
 		return false
 	}
 	for i, c := range m.Chunks {
-		job := jobs[i]
-		if c.ChunkIdx != job.ChunkIdx || c.Offset != job.FileOffset || c.Bytes != job.Region.NumElems()*int64(elemSize) {
+		p := chunks[i]
+		if c.ChunkIdx != p.Chunk || c.Offset != p.Offset || c.Bytes != p.Bytes {
 			return false
 		}
 	}
@@ -168,26 +164,16 @@ func fingerprint(a ArraySpec, withMem bool) uint32 {
 	return sum
 }
 
-// serverFileBytes is the total size of the file array a stores on
-// server index s.
-func serverFileBytes(a ArraySpec, numServers, s int) int64 {
-	var total int64
-	for idx := s; idx < a.Disk.NumChunks(); idx += numServers {
-		total += a.Disk.Chunk(idx).NumElems() * int64(a.ElemSize)
-	}
-	return total
-}
-
-// planSubchunks expands one array's chunk jobs on one server into the
+// planSubchunks expands one array's chunks on one server into the
 // ordered list of sub-chunk jobs, computing for each the clients that
-// hold a part of it. The order — chunks in assignment order, sub-chunks
-// in row-major order within each chunk — makes every file access
-// strictly sequential.
-func planSubchunks(arrayIdx int, a ArraySpec, jobs []chunkJob, subchunkBytes int64) []subchunkJob {
+// hold a part of it. The order — chunks in file order, sub-chunks in
+// row-major order within each chunk — makes every file access strictly
+// sequential.
+func planSubchunks(arrayIdx int, a ArraySpec, chunks []Placement, subchunkBytes int64) []subchunkJob {
 	var out []subchunkJob
-	for _, job := range jobs {
-		off := job.FileOffset
-		for _, sub := range array.SplitContiguous(job.Region, a.ElemSize, subchunkBytes) {
+	for _, c := range chunks {
+		off := c.Offset
+		for _, sub := range array.SplitContiguous(a.Disk.Chunk(c.Chunk), a.ElemSize, subchunkBytes) {
 			sj := subchunkJob{
 				ArrayIdx:   arrayIdx,
 				Region:     sub,

@@ -2,10 +2,152 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"panda/internal/array"
 )
+
+// The placement rules as five packages each derived them before
+// PlaceChunks became their one home, kept verbatim as the reference
+// TestPlaceChunksMatchesOldRules checks it against.
+
+type chunkJob struct {
+	ChunkIdx   int
+	Region     array.Region
+	FileOffset int64
+}
+
+func assignChunks(disk array.Schema, elemSize, numServers, s int) []chunkJob {
+	var jobs []chunkJob
+	off := int64(0)
+	for idx := s; idx < disk.NumChunks(); idx += numServers {
+		reg := disk.Chunk(idx)
+		if reg.IsEmpty() {
+			continue
+		}
+		jobs = append(jobs, chunkJob{ChunkIdx: idx, Region: reg, FileOffset: off})
+		off += reg.NumElems() * int64(elemSize)
+	}
+	return jobs
+}
+
+func assignChunksAlive(disk array.Schema, elemSize, numServers, s int, dead map[int]bool) []chunkJob {
+	if len(dead) == 0 {
+		return assignChunks(disk, elemSize, numServers, s)
+	}
+	var alive []int
+	for i := 0; i < numServers; i++ {
+		if !dead[i] {
+			alive = append(alive, i)
+		}
+	}
+	if len(alive) == 0 {
+		return nil
+	}
+	var jobs []chunkJob
+	off := int64(0)
+	orphans := 0
+	for idx := 0; idx < disk.NumChunks(); idx++ {
+		owner := idx % numServers
+		if dead[owner] {
+			owner = alive[orphans%len(alive)]
+			orphans++
+		}
+		if owner != s {
+			continue
+		}
+		reg := disk.Chunk(idx)
+		if reg.IsEmpty() {
+			continue
+		}
+		jobs = append(jobs, chunkJob{ChunkIdx: idx, Region: reg, FileOffset: off})
+		off += reg.NumElems() * int64(elemSize)
+	}
+	return jobs
+}
+
+func serverFileBytes(a ArraySpec, numServers, s int) int64 {
+	var total int64
+	for idx := s; idx < a.Disk.NumChunks(); idx += numServers {
+		total += a.Disk.Chunk(idx).NumElems() * int64(a.ElemSize)
+	}
+	return total
+}
+
+// share is server s's chunks, in file order, with every server up.
+func share(spec ArraySpec, numServers, s int) []Placement {
+	return shareOf(PlaceChunks(spec, numServers, nil), s)
+}
+
+// randomDisk draws a disk schema of rank 1-3 whose mesh may leave
+// chunks empty.
+func randomDisk(rnd *rand.Rand) array.Schema {
+	rank := 1 + rnd.Intn(3)
+	shape := make([]int, rank)
+	dist := make([]array.Dist, rank)
+	var mesh []int
+	for d := range shape {
+		shape[d] = 1 + rnd.Intn(20)
+		if rnd.Intn(2) == 0 {
+			dist[d] = array.Block
+			mesh = append(mesh, 1+rnd.Intn(5))
+		}
+	}
+	return array.MustSchema(shape, dist, mesh)
+}
+
+// TestPlaceChunksMatchesOldRules: for random schemas, 1-8 servers and
+// random dead sets, every server's share of PlaceChunks is exactly what
+// assignChunks (full house) or assignChunksAlive (degraded) gave it,
+// the layout lists every non-empty chunk once in chunk-index order, and
+// a full house's file ends where serverFileBytes said it would.
+func TestPlaceChunksMatchesOldRules(t *testing.T) {
+	rnd := rand.New(rand.NewSource(35))
+	for iter := 0; iter < 400; iter++ {
+		spec := ArraySpec{ElemSize: 1 + rnd.Intn(8), Disk: randomDisk(rnd)}
+		ns := 1 + rnd.Intn(8)
+		var dead map[int]bool
+		if iter%2 == 1 {
+			dead = map[int]bool{}
+			for i := 0; i < ns; i++ {
+				if rnd.Intn(3) == 0 {
+					dead[i] = true
+				}
+			}
+		}
+		layout := PlaceChunks(spec, ns, dead)
+		prev := -1
+		for _, p := range layout {
+			if p.Chunk <= prev || p.Bytes != spec.Disk.ChunkBytes(p.Chunk, spec.ElemSize) || p.Bytes == 0 {
+				t.Fatalf("iter %d: layout entry %+v after chunk %d", iter, p, prev)
+			}
+			prev = p.Chunk
+		}
+		for s := 0; s < ns; s++ {
+			var got []chunkJob
+			for _, p := range layout {
+				if p.Server == s {
+					got = append(got, chunkJob{ChunkIdx: p.Chunk, Region: spec.Disk.Chunk(p.Chunk), FileOffset: p.Offset})
+				}
+			}
+			want := assignChunksAlive(spec.Disk, spec.ElemSize, ns, s, dead)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d (%v, %d servers, dead %v), server %d:\n got %+v\nwant %+v", iter, spec.Disk, ns, dead, s, got, want)
+			}
+			if len(dead) > 0 {
+				continue
+			}
+			end := int64(0)
+			if sh := share(spec, ns, s); len(sh) > 0 {
+				end = sh[len(sh)-1].Offset + sh[len(sh)-1].Bytes
+			}
+			if end != serverFileBytes(spec, ns, s) {
+				t.Fatalf("iter %d, server %d: file ends at %d, serverFileBytes %d", iter, s, end, serverFileBytes(spec, ns, s))
+			}
+		}
+	}
+}
 
 func TestAssignChunksRoundRobin(t *testing.T) {
 	// 8 disk chunks over 3 servers: server 0 gets 0,3,6; 1 gets 1,4,7;
@@ -13,19 +155,19 @@ func TestAssignChunksRoundRobin(t *testing.T) {
 	disk := array.MustSchema([]int{64, 64}, []array.Dist{array.Block, array.Block}, []int{4, 2})
 	want := map[int][]int{0: {0, 3, 6}, 1: {1, 4, 7}, 2: {2, 5}}
 	for s, idxs := range want {
-		jobs := assignChunks(disk, 4, 3, s)
-		if len(jobs) != len(idxs) {
-			t.Fatalf("server %d: %d jobs, want %d", s, len(jobs), len(idxs))
+		chunks := share(ArraySpec{ElemSize: 4, Disk: disk}, 3, s)
+		if len(chunks) != len(idxs) {
+			t.Fatalf("server %d: %d chunks, want %d", s, len(chunks), len(idxs))
 		}
 		off := int64(0)
-		for i, j := range jobs {
-			if j.ChunkIdx != idxs[i] {
-				t.Fatalf("server %d job %d: chunk %d, want %d", s, i, j.ChunkIdx, idxs[i])
+		for i, c := range chunks {
+			if c.Chunk != idxs[i] {
+				t.Fatalf("server %d chunk %d: chunk %d, want %d", s, i, c.Chunk, idxs[i])
 			}
-			if j.FileOffset != off {
-				t.Fatalf("server %d job %d: offset %d, want %d", s, i, j.FileOffset, off)
+			if c.Offset != off {
+				t.Fatalf("server %d chunk %d: offset %d, want %d", s, i, c.Offset, off)
 			}
-			off += j.Region.NumElems() * 4
+			off += disk.Chunk(c.Chunk).NumElems() * 4
 		}
 	}
 }
@@ -34,9 +176,9 @@ func TestAssignChunksSkipsEmpty(t *testing.T) {
 	// 5 elements over an 8-mesh: chunks 5..7 are empty.
 	disk := array.MustSchema([]int{5}, []array.Dist{array.Block}, []int{8})
 	for s := 0; s < 2; s++ {
-		for _, j := range assignChunks(disk, 1, 2, s) {
-			if j.Region.IsEmpty() {
-				t.Fatalf("server %d got empty chunk %d", s, j.ChunkIdx)
+		for _, c := range share(ArraySpec{ElemSize: 1, Disk: disk}, 2, s) {
+			if disk.Chunk(c.Chunk).IsEmpty() {
+				t.Fatalf("server %d got empty chunk %d", s, c.Chunk)
 			}
 		}
 	}
@@ -45,43 +187,23 @@ func TestAssignChunksSkipsEmpty(t *testing.T) {
 func TestAssignmentIsAPartition(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 100; iter++ {
-		rank := 1 + rnd.Intn(3)
-		shape := make([]int, rank)
-		dist := make([]array.Dist, rank)
-		var mesh []int
-		for d := range shape {
-			shape[d] = 1 + rnd.Intn(20)
-			if rnd.Intn(2) == 0 {
-				dist[d] = array.Block
-				mesh = append(mesh, 1+rnd.Intn(5))
-			}
-		}
-		disk := array.MustSchema(shape, dist, mesh)
+		disk := randomDisk(rnd)
 		ns := 1 + rnd.Intn(5)
 		elem := 1 + rnd.Intn(8)
 
 		seen := make(map[int]bool)
 		var total int64
 		for s := 0; s < ns; s++ {
-			for _, j := range assignChunks(disk, elem, ns, s) {
-				if seen[j.ChunkIdx] {
-					t.Fatalf("chunk %d assigned twice", j.ChunkIdx)
+			for _, c := range share(ArraySpec{ElemSize: elem, Disk: disk}, ns, s) {
+				if seen[c.Chunk] {
+					t.Fatalf("chunk %d assigned twice", c.Chunk)
 				}
-				seen[j.ChunkIdx] = true
-				total += j.Region.NumElems() * int64(elem)
+				seen[c.Chunk] = true
+				total += disk.Chunk(c.Chunk).NumElems() * int64(elem)
 			}
 		}
 		if total != disk.TotalBytes(elem) {
 			t.Fatalf("assigned %d bytes, array has %d", total, disk.TotalBytes(elem))
-		}
-		if got := func() int64 {
-			var sum int64
-			for s := 0; s < ns; s++ {
-				sum += serverFileBytes(ArraySpec{ElemSize: elem, Disk: disk}, ns, s)
-			}
-			return sum
-		}(); got != disk.TotalBytes(elem) {
-			t.Fatalf("serverFileBytes sums to %d, want %d", got, disk.TotalBytes(elem))
 		}
 	}
 }
@@ -94,8 +216,7 @@ func TestPlanSubchunksSequentialOffsets(t *testing.T) {
 		Disk:     array.MustSchema([]int{64, 64, 64}, []array.Dist{array.Block, array.Star, array.Star}, []int{4}),
 	}
 	for s := 0; s < 2; s++ {
-		jobs := assignChunks(spec.Disk, spec.ElemSize, 2, s)
-		subs := planSubchunks(0, spec, jobs, 32<<10)
+		subs := planSubchunks(0, spec, share(spec, 2, s), 32<<10)
 		// Offsets must be strictly sequential and sizes bounded.
 		next := int64(0)
 		for _, sj := range subs {
@@ -126,8 +247,7 @@ func TestPlanPiecesCoverSubchunk(t *testing.T) {
 		spec := ArraySpec{Name: "p", ElemSize: 4, Mem: mem, Disk: disk}
 		ns := 1 + rnd.Intn(3)
 		for s := 0; s < ns; s++ {
-			jobs := assignChunks(disk, 4, ns, s)
-			for _, sj := range planSubchunks(0, spec, jobs, 256) {
+			for _, sj := range planSubchunks(0, spec, share(spec, ns, s), 256) {
 				var covered int64
 				for _, pc := range sj.Pieces {
 					sect, ok := array.Intersect(pc.Region, sj.Region)
@@ -154,8 +274,7 @@ func TestNaturalChunkingSinglePieceSubchunks(t *testing.T) {
 	sch := array.MustSchema([]int{32, 32}, []array.Dist{array.Block, array.Block}, []int{2, 2})
 	spec := ArraySpec{Name: "n", ElemSize: 8, Mem: sch, Disk: sch}
 	for s := 0; s < 2; s++ {
-		jobs := assignChunks(sch, 8, 2, s)
-		for _, sj := range planSubchunks(0, spec, jobs, 1<<20) {
+		for _, sj := range planSubchunks(0, spec, share(spec, 2, s), 1<<20) {
 			if len(sj.Pieces) != 1 {
 				t.Fatalf("natural chunking sub-chunk has %d pieces", len(sj.Pieces))
 			}

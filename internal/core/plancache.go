@@ -24,7 +24,7 @@ type planKey struct {
 // planEntry is one cached plan. jobs and subs are shared across hits
 // and never mutated downstream.
 type planEntry struct {
-	jobs  []chunkJob
+	jobs  []Placement
 	subs  []subchunkJob
 	bytes int64
 }
@@ -88,7 +88,7 @@ func (pc *planCache) seeEpoch(epoch uint32) {
 // the chunk assignment and sub-chunk schedule of an identical earlier
 // operation; everything the plan depends on is in the key, so a reused
 // plan is byte-identical to a recomputed one.
-func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob, []subchunkJob, int64) {
+func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]Placement, []subchunkJob, int64) {
 	key, cacheable := s.planKeyFor(ai, spec, dead)
 	if cacheable {
 		if e, ok := s.plans.get(key); ok {
@@ -96,7 +96,7 @@ func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob,
 			return e.jobs, e.subs, e.bytes
 		}
 	}
-	jobs := assignChunksAlive(spec.Disk, spec.ElemSize, s.cfg.NumServers, s.index, dead)
+	jobs := shareOf(PlaceChunks(spec, s.cfg.NumServers, dead), s.index)
 	subs := s.orderPlan(planSubchunks(ai, spec, jobs, spec.subchunkBytes(s.cfg)))
 	planned := planBytes(subs)
 	if cacheable {
@@ -118,15 +118,15 @@ func (s *Server) planFor(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob,
 // uncached: it describes one file's contents, not the schemas.
 func (s *Server) planForManifest(ai int, spec ArraySpec, m *storage.Manifest) ([]subchunkJob, int64, error) {
 	if !m.Degraded {
-		if jobs, subs, planned := s.planFor(ai, spec, nil); sameChunkList(m, jobs, spec.ElemSize, planned) {
+		if jobs, subs, planned := s.planFor(ai, spec, nil); sameChunkList(m, jobs, planned) {
 			return subs, planned, nil
 		}
 	}
-	jobs, err := chunkJobsFromManifest(spec, m)
+	chunks, err := chunksFromManifest(spec, m, s.index)
 	if err != nil {
 		return nil, 0, err
 	}
-	subs := s.orderPlan(planSubchunks(ai, spec, jobs, spec.subchunkBytes(s.cfg)))
+	subs := s.orderPlan(planSubchunks(ai, spec, chunks, spec.subchunkBytes(s.cfg)))
 	return subs, planBytes(subs), nil
 }
 

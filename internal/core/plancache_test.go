@@ -234,7 +234,7 @@ func TestReadPlanIsTheWritePlan(t *testing.T) {
 		if &subs[0] != &cached[0] || planned != m.TotalBytes {
 			t.Error("the read was not handed the write's cached plan")
 		}
-		listed, err := chunkJobsFromManifest(spec, m)
+		listed, err := chunksFromManifest(spec, m, s.index)
 		if err != nil {
 			t.Fatal(err)
 		}

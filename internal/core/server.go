@@ -291,7 +291,7 @@ func (s *Server) execute(req opRequest, deadline time.Duration) error {
 // for one array — through the plan cache when it applies — charging the
 // plan span and the operation's byte account. dead lists servers whose
 // chunks are reassigned across the survivors (nil for a full house).
-func (s *Server) planArray(ai int, spec ArraySpec, dead map[int]bool) ([]chunkJob, []subchunkJob) {
+func (s *Server) planArray(ai int, spec ArraySpec, dead map[int]bool) ([]Placement, []subchunkJob) {
 	var p0 time.Duration
 	if s.tr.Enabled() {
 		p0 = s.clk.Now()
@@ -331,55 +331,69 @@ func (s *Server) plainWriteArray(req opRequest, ai int, spec ArraySpec, deadline
 }
 
 // readResolved serves one array of a collective read from whatever this
-// server's committed state holds for the decided epoch: the committed
-// file under its manifest, a legacy manifest-less file, a roll-forward
-// of an interrupted commit, the retained previous epoch — or nothing,
-// when this server's state predates the decided epoch (a revived server
-// whose chunks the survivors carry).
+// server's committed state holds for the decided epoch (resolveRead) —
+// or, under PlainWrites, from the file as it stands.
 func (s *Server) readResolved(req opRequest, ai int, spec ArraySpec, deadline time.Duration) error {
-	base := spec.FileName(req.Suffix, s.index)
-	if s.cfg.PlainWrites {
-		_, subs := s.planArray(ai, spec, nil)
-		return s.readArray(spec, base, subs, deadline, serverFileBytes(spec, s.cfg.NumServers, s.index))
+	c := Committed{Name: spec.FileName(req.Suffix, s.index)}
+	if !s.cfg.PlainWrites {
+		var err error
+		if c, err = s.resolveRead(req, ai, spec, c.Name); err != nil || c.Name == "" {
+			return err // or nothing to serve at the decided epoch
+		}
 	}
+	m := c.Manifest
+	if m == nil {
+		_, subs := s.planArray(ai, spec, nil)
+		return s.readArray(spec, c.Name, subs, deadline, planBytes(subs))
+	}
+	if s.cfg.VerifyOnRestart {
+		var v0 time.Duration
+		if s.tr.Enabled() {
+			v0 = s.clk.Now()
+		}
+		if verr := storage.VerifyData(s.disk, c.Name, m); verr != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, verr)
+		}
+		if s.tr.Enabled() {
+			s.tr.Span(obs.CatRecover, "verify "+c.Name, s.opSeq, v0, s.clk.Now(), m.TotalBytes)
+		}
+	}
+	subs, err := s.planManifest(ai, spec, m)
+	if err != nil {
+		return fmt.Errorf("manifest of %s: %w", c.Name, err)
+	}
+	return s.readArray(spec, c.Name, subs, deadline, m.TotalBytes)
+}
+
+// resolveRead maps one array onto what this server must serve for the
+// decided epoch (ResolveCommitted): the committed file under its
+// manifest, a legacy manifest-less file, the retained previous epoch,
+// an interrupted commit it finishes first — or nothing, when its state
+// predates the decided epoch (a revived server whose chunks the
+// survivors carry).
+func (s *Server) resolveRead(req opRequest, ai int, spec ArraySpec, base string) (Committed, error) {
 	var epoch uint64
 	if ai < len(req.Epochs) {
 		epoch = req.Epochs[ai]
 	}
-	name, m, err := s.resolveRead(spec, base, epoch)
+	c, err := ResolveCommitted(s.disk, spec, base, epoch)
 	if err != nil {
-		return err
+		return c, fmt.Errorf("core: server %d: %w", s.index, err)
 	}
-	if name == "" {
-		return nil // nothing to serve at the decided epoch
+	if c.Pending {
+		// The decided epoch's data verified against its manifest: finish
+		// the interrupted commit now.
+		if err := storage.CommitEpoch(s.disk, base, epoch); err != nil {
+			return c, fmt.Errorf("core: server %d: %w (%v)", s.index, ErrCorrupt, err)
+		}
+		c.Name = base
+		s.cnt[cRollForwards].Add(1)
+		s.tr.Instant(obs.CatRecover, "roll-forward "+base, s.opSeq, s.clk.Now(), c.Manifest.TotalBytes)
 	}
-	var subs []subchunkJob
-	var want int64
-	if m != nil {
-		if m.SchemaSum != specFingerprint(spec) {
-			return fmt.Errorf("manifest of %s was written under a different schema: %w", name, ErrCorrupt)
-		}
-		want = m.TotalBytes
-		if s.cfg.VerifyOnRestart {
-			var v0 time.Duration
-			if s.tr.Enabled() {
-				v0 = s.clk.Now()
-			}
-			if verr := storage.VerifyData(s.disk, name, m); verr != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, verr)
-			}
-			if s.tr.Enabled() {
-				s.tr.Span(obs.CatRecover, "verify "+name, s.opSeq, v0, s.clk.Now(), m.TotalBytes)
-			}
-		}
-		if subs, err = s.planManifest(ai, spec, m); err != nil {
-			return fmt.Errorf("manifest of %s: %w", name, err)
-		}
-	} else {
-		_, subs = s.planArray(ai, spec, nil)
-		want = serverFileBytes(spec, s.cfg.NumServers, s.index)
+	if c.Stale != 0 {
+		s.tr.Instant(obs.CatRecover, fmt.Sprintf("stale epoch %d (decided %d): serving nothing", c.Stale, epoch), s.opSeq, s.clk.Now(), 0)
 	}
-	return s.readArray(spec, name, subs, deadline, want)
+	return c, nil
 }
 
 // pending is one slot of the pull window: a sub-chunk being assembled

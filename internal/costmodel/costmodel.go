@@ -114,12 +114,11 @@ func Predict(in Inputs) Breakdown {
 			if subLimit <= 0 {
 				subLimit = core.DefaultSubchunkBytes
 			}
-			for idx := s; idx < spec.Disk.NumChunks(); idx += cfg.NumServers {
-				chunk := spec.Disk.Chunk(idx)
-				if chunk.IsEmpty() {
+			for _, p := range core.PlaceChunks(spec, cfg.NumServers, nil) {
+				if p.Server != s {
 					continue
 				}
-				for _, sub := range array.SplitContiguous(chunk, elem, subLimit) {
+				for _, sub := range array.SplitContiguous(spec.Disk.Chunk(p.Chunk), elem, subLimit) {
 					subBytes := sub.NumElems() * int64(elem)
 					if !in.FastDisk {
 						if in.Write {

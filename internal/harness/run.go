@@ -34,20 +34,20 @@ func configFor(f Figure, ion int, opt Options) core.Config {
 // a prior run; only file sizes matter to the simulation since backing
 // stores discard contents).
 func populateFiles(cfg core.Config, specs []core.ArraySpec, inners []*storage.MemDisk) error {
-	for s := 0; s < cfg.NumServers; s++ {
-		for _, spec := range specs {
-			size := int64(0)
-			for idx := s; idx < spec.Disk.NumChunks(); idx += cfg.NumServers {
-				size += spec.Disk.Chunk(idx).NumElems() * int64(spec.ElemSize)
-			}
-			if size == 0 {
+	for _, spec := range specs {
+		size := make([]int64, cfg.NumServers)
+		for _, p := range core.PlaceChunks(spec, cfg.NumServers, nil) {
+			size[p.Server] = p.Offset + p.Bytes
+		}
+		for s, n := range size {
+			if n == 0 {
 				continue
 			}
 			f, err := inners[s].Create(spec.FileName("", s))
 			if err != nil {
 				return err
 			}
-			if _, err := f.WriteAt([]byte{0}, size-1); err != nil {
+			if _, err := f.WriteAt([]byte{0}, n-1); err != nil {
 				return err
 			}
 			if err := f.Close(); err != nil {

@@ -9,12 +9,14 @@ package meta
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"panda/internal/array"
 	"panda/internal/core"
+	"panda/internal/storage"
 )
 
 // ArrayMeta describes one array of a group.
@@ -161,98 +163,89 @@ func Load(path string) (GroupMeta, error) {
 	return g, nil
 }
 
-// FileOpener resolves one I/O node's file for reading. Assemble uses
-// it to abstract over directory layouts.
-type FileOpener func(ioNode int, fileName string) (io.ReaderAt, int64, error)
-
-// Assemble streams one array, stored under its disk schema across
-// IONodes files, into out as a single row-major (traditional order)
-// byte stream — the paper's migration of Panda data to a sequential
-// platform, generalized beyond BLOCK,*,* schemas. Memory use is
-// bounded by one chunk row at a time.
-func Assemble(out io.WriterAt, g GroupMeta, name, suffix string, open FileOpener) error {
+// Assemble streams one array into out as a single row-major
+// (traditional order) byte stream: the paper's migration of Panda data
+// to a sequential platform, for every disk schema. disks are the I/O
+// nodes' file systems, in server order. Every chunk is read from where
+// the servers' committed state says it is at the decided epoch (a
+// degraded epoch's files carry the chunks of the servers that were
+// down, an interrupted commit's data is still under its temp name), so
+// the stream is what a collective read would return. Assemble only
+// reads: it finishes no commit. A chunk no server's committed state
+// holds fails typed (core.ErrNoCommittedEpoch when nothing was ever
+// committed, else core.ErrCorrupt). Memory use is one copy buffer.
+func Assemble(out io.WriterAt, g GroupMeta, name, suffix string, disks []storage.Disk) error {
 	spec, err := g.Find(name)
 	if err != nil {
 		return err
 	}
+	// The master server, server 0, holds the decision record.
+	epoch, _, err := storage.ReadDecision(disks[0], spec.Name+suffix)
+	if err != nil {
+		return fmt.Errorf("meta: array %s: %w (%v)", name, core.ErrCorrupt, err)
+	}
+	held := make([]bool, spec.Disk.NumChunks())
+	for ion, d := range disks {
+		c, err := core.ResolveCommitted(d, spec, spec.FileName(suffix, ion), epoch)
+		var chunks []core.Placement
+		if err == nil {
+			chunks, err = c.Chunks(spec, g.IONodes, ion)
+		}
+		if err == nil {
+			err = copyChunks(out, spec, d, c.Name, chunks)
+		}
+		if err != nil && !errors.Is(err, core.ErrNoCommittedEpoch) {
+			return fmt.Errorf("meta: array %s, i/o node %d: %w", name, ion, err)
+		}
+		for _, p := range chunks {
+			held[p.Chunk] = true
+		}
+	}
+	for _, p := range core.PlaceChunks(spec, g.IONodes, nil) {
+		if !held[p.Chunk] {
+			// A core read finding no file and no decision fails the same way.
+			sentinel := core.ErrNoCommittedEpoch
+			if epoch > 0 {
+				sentinel = core.ErrCorrupt
+			}
+			return fmt.Errorf("meta: array %s%s: no i/o node holds chunk %d of epoch %d: %w", name, suffix, p.Chunk, epoch, sentinel)
+		}
+	}
+	return nil
+}
+
+// copyChunks copies the chunks file holds into their places in the
+// row-major stream.
+func copyChunks(out io.WriterAt, spec core.ArraySpec, d storage.Disk, file string, chunks []core.Placement) error {
+	if len(chunks) == 0 {
+		return nil
+	}
+	f, err := d.Open(file)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	last := chunks[len(chunks)-1]
+	if size, err := f.Size(); err != nil || size < last.Offset+last.Bytes {
+		return fmt.Errorf("%s holds %d bytes of the %d its chunks need (%v): %w", file, size, last.Offset+last.Bytes, err, core.ErrCorrupt)
+	}
 	whole := array.Box(spec.Mem.Shape)
 	elem := int64(spec.ElemSize)
-	offsets := make([]int64, g.IONodes)
-	files := make(map[int]io.ReaderAt)
-
-	for idx := 0; idx < spec.Disk.NumChunks(); idx++ {
-		server := idx % g.IONodes
-		chunk := spec.Disk.Chunk(idx)
-		if chunk.IsEmpty() {
-			continue
-		}
-		f, ok := files[server]
-		if !ok {
-			fileName := spec.FileName(suffix, server)
-			r, size, err := open(server, fileName)
-			if err != nil {
-				return fmt.Errorf("meta: array %s: %w", name, err)
-			}
-			if want := fileBytes(spec, g.IONodes, server); size < want {
-				return fmt.Errorf("meta: file %s holds %d bytes, schema needs %d", fileName, size, want)
-			}
-			files[server] = r
-			f = r
-		}
-		chunkOff := offsets[server]
-		offsets[server] += chunk.NumElems() * elem
-
+	for _, p := range chunks {
+		chunk := spec.Disk.Chunk(p.Chunk)
 		// Copy the chunk run by run. Runs that are contiguous in the
 		// global row-major output are also contiguous in the chunk's
 		// file layout: a run pins the outer dimensions, ranges over
 		// one, and spans the full array extent in the inner ones —
 		// which the chunk therefore also covers fully.
 		for _, run := range array.ContiguousRuns(whole, chunk) {
-			inStart, ok := array.ContiguousIn(chunk, run)
-			if !ok {
-				return fmt.Errorf("meta: internal error: run %v not contiguous in chunk %v", run, chunk)
-			}
-			outStart := whole.LinearIndex(run.Lo)
-			if err := copyRange(out, outStart*elem, f, chunkOff+inStart*elem, run.NumElems()*elem); err != nil {
-				return fmt.Errorf("meta: reading %s chunk %d: %w", name, idx, err)
+			inStart, _ := array.ContiguousIn(chunk, run)
+			dst := io.NewOffsetWriter(out, whole.LinearIndex(run.Lo)*elem)
+			n := run.NumElems() * elem
+			if _, err := io.CopyN(dst, io.NewSectionReader(f, p.Offset+inStart*elem, n), n); err != nil {
+				return fmt.Errorf("reading %s chunk %d: %w", file, p.Chunk, err)
 			}
 		}
 	}
 	return nil
-}
-
-// copyRange moves n bytes from src@srcOff to dst@dstOff in bounded
-// pieces.
-func copyRange(dst io.WriterAt, dstOff int64, src io.ReaderAt, srcOff, n int64) error {
-	const chunk = 1 << 20
-	buf := make([]byte, min64(n, chunk))
-	for n > 0 {
-		step := min64(n, chunk)
-		if _, err := src.ReadAt(buf[:step], srcOff); err != nil {
-			return err
-		}
-		if _, err := dst.WriteAt(buf[:step], dstOff); err != nil {
-			return err
-		}
-		srcOff += step
-		dstOff += step
-		n -= step
-	}
-	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// fileBytes is the expected size of an array's file on one I/O node.
-func fileBytes(spec core.ArraySpec, ioNodes, server int) int64 {
-	var total int64
-	for idx := server; idx < spec.Disk.NumChunks(); idx += ioNodes {
-		total += spec.Disk.Chunk(idx).NumElems() * int64(spec.ElemSize)
-	}
-	return total
 }

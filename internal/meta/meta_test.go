@@ -3,15 +3,17 @@ package meta
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"io"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"panda/internal/array"
+	"panda/internal/clock"
 	"panda/internal/core"
+	"panda/internal/mpi"
 	"panda/internal/storage"
 )
 
@@ -144,20 +146,6 @@ func fillPattern(buf []byte, r array.Region, shape []int) {
 	}
 }
 
-func diskOpener(disks []storage.Disk) FileOpener {
-	return func(ion int, name string) (io.ReaderAt, int64, error) {
-		f, err := disks[ion].Open(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		size, err := f.Size()
-		if err != nil {
-			return nil, 0, err
-		}
-		return f, size, nil
-	}
-}
-
 func TestAssembleReproducesRowMajorOrder(t *testing.T) {
 	rnd := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 25; iter++ {
@@ -181,7 +169,7 @@ func TestAssembleReproducesRowMajorOrder(t *testing.T) {
 
 		g := FromSpecs("grp", ion, specs)
 		var out memWriterAt
-		if err := Assemble(&out, g, "vol", "", diskOpener(disks)); err != nil {
+		if err := Assemble(&out, g, "vol", "", disks); err != nil {
 			t.Fatalf("iter %d (%v / %v): %v", iter, mem, disk, err)
 		}
 		whole := array.Box(shape)
@@ -197,11 +185,9 @@ func TestAssembleMissingFileFails(t *testing.T) {
 	specs := sampleSpecs()[:1]
 	g := FromSpecs("grp", 2, specs)
 	var out memWriterAt
-	err := Assemble(&out, g, "temperature", "", func(ion int, name string) (io.ReaderAt, int64, error) {
-		return nil, 0, fmt.Errorf("no such file %s", name)
-	})
-	if err == nil {
-		t.Fatal("missing file not reported")
+	err := Assemble(&out, g, "temperature", "", []storage.Disk{storage.NewMemDisk(), storage.NewMemDisk()})
+	if !errors.Is(err, core.ErrNoCommittedEpoch) {
+		t.Fatalf("missing files: %v, want ErrNoCommittedEpoch", err)
 	}
 }
 
@@ -211,11 +197,18 @@ func TestAssembleTruncatedFileFails(t *testing.T) {
 	specs := []core.ArraySpec{{Name: "t", ElemSize: 4, Mem: mem, Disk: mem}}
 	g := FromSpecs("grp", 2, specs)
 	var out memWriterAt
-	err := Assemble(&out, g, "t", "", func(ion int, name string) (io.ReaderAt, int64, error) {
-		return bytes.NewReader([]byte{1, 2, 3}), 3, nil
-	})
-	if err == nil {
-		t.Fatal("truncated file not reported")
+	disks := []storage.Disk{storage.NewMemDisk(), storage.NewMemDisk()}
+	for i, d := range disks {
+		f, err := d.Create(specs[0].FileName("", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteAt([]byte{1, 2, 3}, 0)
+		f.Close()
+	}
+	err := Assemble(&out, g, "t", "", disks)
+	if !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("truncated file: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -239,7 +232,7 @@ func TestAssembleWithSuffix(t *testing.T) {
 	}
 	g := FromSpecs("grp", 2, specs)
 	var out memWriterAt
-	if err := Assemble(&out, g, "ts", ".t7", diskOpener(disks)); err != nil {
+	if err := Assemble(&out, g, "ts", ".t7", disks); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, array.Box(shape).NumElems()*4)
@@ -249,7 +242,109 @@ func TestAssembleWithSuffix(t *testing.T) {
 	}
 	// Wrong suffix: files missing.
 	var out2 memWriterAt
-	if err := Assemble(&out2, g, "ts", ".t8", diskOpener(disks)); err == nil {
+	if err := Assemble(&out2, g, "ts", ".t8", disks); err == nil {
 		t.Fatal("assembly of missing timestep succeeded")
 	}
+}
+
+// degradedSpecs is a 16x16 int32 array held in rows by 3 clients and
+// stored in 4 column chunks, so each of 2 I/O nodes owns 2 of them with
+// both up and all 4 go to the survivor when one is down.
+func degradedSpecs() []core.ArraySpec {
+	shape := []int{16, 16}
+	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block}, []int{3, 1})
+	disk := array.MustSchema(shape, []array.Dist{array.Star, array.Block}, []int{4})
+	return []core.ArraySpec{{Name: "recov", ElemSize: 4, Mem: mem, Disk: disk}}
+}
+
+// checkpointXOR runs one collective ".ckpt" write of the fill pattern
+// XORed with key, with the I/O nodes in down crashed before it starts.
+func checkpointXOR(t *testing.T, specs []core.ArraySpec, disks []storage.Disk, key byte, down ...int) {
+	t.Helper()
+	cfg := core.Config{
+		NumClients: 3, NumServers: len(disks), SubchunkBytes: 256,
+		OpTimeout: 1200 * time.Millisecond, PullRetries: 1,
+		Retry: core.RetryPolicy{Max: 3, Backoff: 20 * time.Millisecond},
+	}
+	plan := mpi.NewFaultPlan(1)
+	world := mpi.NewWorld(cfg.WorldSize())
+	comms := make([]mpi.Comm, cfg.WorldSize())
+	for r := range comms {
+		comms[r] = mpi.WrapFault(world.Comm(r), plan, clock.NewReal())
+	}
+	for _, ion := range down {
+		plan.CrashRank(cfg.ServerRank(ion))
+	}
+	errs, _ := core.RunWith(cfg, comms, disks, func(cl *core.Client) error {
+		bufs := make([][]byte, len(specs))
+		for i, spec := range specs {
+			bufs[i] = make([]byte, spec.MemChunkBytes(cl.Rank()))
+			fillPattern(bufs[i], spec.MemChunk(cl.Rank()), spec.Mem.Shape)
+			xor(bufs[i], key)
+		}
+		return cl.WriteArrays(".ckpt", specs, bufs)
+	})
+	for r, err := range errs {
+		if err != nil && !plan.Crashed(r) {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+func xor(b []byte, key byte) {
+	for i := range b {
+		b[i] ^= key
+	}
+}
+
+// assembledXOR assembles the checkpoint and fails unless it is the
+// whole array's pattern XORed with key. Node 0's committed file must be
+// the degraded one, holding all four chunks.
+func assembledXOR(t *testing.T, specs []core.ArraySpec, disks []storage.Disk, key byte) {
+	t.Helper()
+	m, err := storage.ReadManifest(disks[0], storage.ManifestName(specs[0].FileName(".ckpt", 0)))
+	if err != nil || !m.Degraded || len(m.Chunks) != 4 {
+		t.Fatalf("node 0's committed manifest %+v (%v) is not the degraded epoch's", m, err)
+	}
+	var out memWriterAt
+	if err := Assemble(&out, FromSpecs("grp", len(disks), specs), specs[0].Name, ".ckpt", disks); err != nil {
+		t.Fatal(err)
+	}
+	shape := specs[0].Mem.Shape
+	want := make([]byte, array.Box(shape).NumElems()*4)
+	fillPattern(want, array.Box(shape), shape)
+	xor(want, key)
+	if diff := countDiff(out.b, want); diff != 0 || len(out.b) != len(want) {
+		t.Fatalf("assembled %d bytes, %d of them differ from the checkpoint's %d", len(out.b), diff, len(want))
+	}
+}
+
+func countDiff(a, b []byte) (n int) {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAssembleDegradedOverEarlierEpoch: a checkpoint written with both
+// I/O nodes up, then again with node 1 down. Node 0's file holds all
+// four chunks of the decided epoch; node 1 still holds the first
+// epoch's two, which must not be read.
+func TestAssembleDegradedOverEarlierEpoch(t *testing.T) {
+	specs := degradedSpecs()
+	disks := []storage.Disk{storage.NewMemDisk(), storage.NewMemDisk()}
+	checkpointXOR(t, specs, disks, 0x11)
+	checkpointXOR(t, specs, disks, 0x22, 1)
+	assembledXOR(t, specs, disks, 0x22)
+}
+
+// TestAssembleDegradedFirstEpoch: the only checkpoint was written with
+// node 1 down, which therefore holds no file at all.
+func TestAssembleDegradedFirstEpoch(t *testing.T) {
+	specs := degradedSpecs()
+	disks := []storage.Disk{storage.NewMemDisk(), storage.NewMemDisk()}
+	checkpointXOR(t, specs, disks, 0x33, 1)
+	assembledXOR(t, specs, disks, 0x33)
 }

@@ -83,10 +83,10 @@ func Scrub(disks []Disk, repair bool) (*ScrubReport, error) {
 		}
 		listings[i] = names
 		for _, n := range names {
-			if !strings.HasSuffix(n, ".decision") {
+			key, ok := DecisionKey(n)
+			if !ok {
 				continue
 			}
-			key := strings.TrimSuffix(n, ".decision")
 			e, ok, err := ReadDecision(d, key)
 			if err != nil {
 				rep.add(i, n, SevError, fmt.Sprintf("unreadable decision record: %v", err), false)
@@ -113,7 +113,7 @@ func Scrub(disks []Disk, repair bool) (*ScrubReport, error) {
 		}
 		for _, n := range listings[i] {
 			switch {
-			case strings.HasSuffix(n, ".decision"):
+			case strings.HasSuffix(n, decisionExt):
 				// handled in pass 0
 
 			case strings.HasSuffix(n, ".tmp"):

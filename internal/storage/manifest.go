@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // Epoch manifests and atomic commit.
@@ -107,7 +108,13 @@ func PrevName(base string) string { return base + ".prev" }
 
 // DecisionName returns the master server's commit-record name for an
 // array+suffix key (e.g. "state.ckpt").
-func DecisionName(key string) string { return key + ".decision" }
+func DecisionName(key string) string { return key + decisionExt }
+
+// DecisionKey is DecisionName's inverse: the array+suffix key a
+// commit-record name belongs to, and false for any other name.
+func DecisionKey(name string) (string, bool) { return strings.CutSuffix(name, decisionExt) }
+
+const decisionExt = ".decision"
 
 // epochRe matches "<base>.e<digits>" temp data names.
 var epochRe = regexp.MustCompile(`^(.*)\.e(\d+)$`)

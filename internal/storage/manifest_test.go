@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -531,4 +533,46 @@ func TestScrubSkipsVacantSlots(t *testing.T) {
 	if rep.Manifests == 0 {
 		t.Fatalf("scrub skipped the real disks too: %+v", rep)
 	}
+}
+
+// FuzzReadManifest: a manifest is bytes off a disk, and the reader now
+// plans from what it says. Arbitrary bytes must fail cleanly, never
+// panic, and a manifest that is accepted must survive its own write and
+// read unchanged, encoding to the same bytes both times.
+func FuzzReadManifest(f *testing.F) {
+	valid, _ := json.Marshal(&Manifest{Version: ManifestVersion, Array: "a", Suffix: ".ckpt", Server: 1,
+		Epoch: 3, SchemaSum: 0xbeef, TotalBytes: 64, Degraded: true,
+		Chunks: []ManifestChunk{{ChunkIdx: 1, Offset: 0, Bytes: 32}, {ChunkIdx: 3, Offset: 32, Bytes: 32}},
+		Subs:   []ManifestSub{{Offset: 0, Bytes: 64, CRC: 7}}})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(`{"version":1,"chunks":[],"subs":null}`))
+	f.Add([]byte(`{"version":1,"epoch":-1}`))
+	f.Add([]byte(`{"Version":1,"version":2}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewMemDisk()
+		if err := WriteFileAtomic(d, "x.mfst", data); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(d, "x.mfst")
+		if err != nil {
+			return
+		}
+		if err := WriteManifest(d, "y.mfst", m); err != nil {
+			t.Fatalf("accepted manifest does not encode: %v", err)
+		}
+		back, err := ReadManifest(d, "y.mfst")
+		if err != nil {
+			t.Fatalf("re-encoded manifest rejected: %v", err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("re-encoding changed the manifest:\n%+v\n%+v", m, back)
+		}
+		b1, _ := json.Marshal(m)
+		b2, _ := json.Marshal(back)
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("encodings differ:\n%s\n%s", b1, b2)
+		}
+	})
 }

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -22,6 +25,21 @@ func NewOSDisk(dir string) (*OSDisk, error) {
 	}
 	return &OSDisk{root: dir}, nil
 }
+
+// NodeDir is the directory of I/O node i under a cluster directory
+// root (a panda.Config.Dir): root/ion<i>.
+func NodeDir(root string, i int) string {
+	return filepath.Join(root, nodeDirPrefix+strconv.Itoa(i))
+}
+
+// NodeIndex is NodeDir's inverse on a directory's base name: the I/O
+// node index of "ion3" is 3, and any other name is no node's.
+func NodeIndex(name string) (int, bool) {
+	i, err := strconv.Atoi(strings.TrimPrefix(name, nodeDirPrefix))
+	return i, err == nil && i >= 0 && NodeDir("", i) == name
+}
+
+const nodeDirPrefix = "ion"
 
 // Root returns the backing directory.
 func (d *OSDisk) Root() string { return d.root }
@@ -108,6 +126,9 @@ func (d *OSDisk) Create(name string) (File, error) {
 // Open implements Disk.
 func (d *OSDisk) Open(name string) (File, error) {
 	f, err := os.OpenFile(d.path(name), os.O_RDWR, 0o644)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		f, err = os.Open(d.path(name)) // a read-only data set still reads
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,10 @@
 package panda
 
 import (
-	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 
 	"panda/internal/meta"
+	"panda/internal/storage"
 )
 
 // SaveSchema writes a self-describing schema file for the group — the
@@ -58,25 +56,32 @@ func (s *Schema) ArrayNames() []string {
 // BLOCK,*,*. dataDir is the cluster directory (the Config.Dir the data
 // was written with, containing ion0/, ion1/, ...), suffix selects the
 // operation instance ("" for plain writes, ".t3" for timestep 3,
-// ".ckpt" for the checkpoint), and outPath receives the stream.
-func AssembleArray(s *Schema, dataDir, name, suffix, outPath string) error {
+// ".ckpt" for the checkpoint), and outPath receives the stream. Each
+// chunk is read from the file that holds the committed epoch, as a
+// collective read would find it, whether the epoch was written with
+// I/O nodes down or its commit was interrupted. The data set is only
+// read. On any error no file is left at outPath.
+func AssembleArray(s *Schema, dataDir, name, suffix, outPath string) (err error) {
+	disks := make([]storage.Disk, s.doc.IONodes)
+	for i := range disks {
+		dir := storage.NodeDir(dataDir, i)
+		if _, serr := os.Stat(dir); serr != nil {
+			disks[i] = storage.NewMemDisk() // no directory: the node holds nothing
+		} else if disks[i], err = storage.NewOSDisk(dir); err != nil {
+			return err
+		}
+	}
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
-	defer out.Close()
-	opener := func(ion int, fileName string) (io.ReaderAt, int64, error) {
-		p := filepath.Join(dataDir, fmt.Sprintf("ion%d", ion), fileName)
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, 0, err
+	defer func() {
+		if cerr := out.Close(); err == nil {
+			err = cerr
 		}
-		st, err := f.Stat()
 		if err != nil {
-			f.Close()
-			return nil, 0, err
+			os.Remove(outPath)
 		}
-		return f, st.Size(), nil
-	}
-	return meta.Assemble(out, s.doc, name, suffix, opener)
+	}()
+	return meta.Assemble(out, s.doc, name, suffix, disks)
 }
