@@ -67,8 +67,9 @@ loc:
 # Short fuzz campaigns over the wire decoders, the TCP frame reader (with
 # and without posted receives), the client's placement of a frame's head,
 # the hub's hello handling, the topology parser, the pack kernel (against
-# its per-element reference), and the on-disk manifests and chunk lists
-# readers plan from; lengthen FUZZTIME for a real hunt.
+# its per-element reference), the on-disk manifests and chunk lists
+# readers plan from, and the scrubber over arbitrary epoch file sets;
+# lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeOpRequest$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlace$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzChunkList$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzReadManifest$$' -fuzztime $(FUZZTIME) ./internal/storage
+	$(GO) test -run '^$$' -fuzz 'FuzzScrub$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzHubHello$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/mpi

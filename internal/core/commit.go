@@ -384,84 +384,32 @@ func (s *Server) waitCommit(req opRequest, prepared []preparedArray, deadline ti
 	}
 }
 
-// Committed is where one server's share of an array's decided epoch
-// lives on that server's disk, as ResolveCommitted finds it.
-type Committed struct {
-	// Name is the file holding the share: the committed file, the
-	// retained previous epoch, the decided epoch's data still under its
-	// temp name (Pending), or a legacy manifest-less file. "" means the
-	// server holds none of the decided epoch.
-	Name string
-	// Manifest describes Name; nil for a legacy file.
-	Manifest *storage.Manifest
-	// Pending marks an interrupted commit: the decision is durable but
-	// this server's renames were not done.
-	Pending bool
-	// Stale, when Name is "", is the epoch the server's committed state
-	// holds instead (0: it holds none). A server revived after missing
-	// the decided epoch serves nothing rather than mixing epochs: the
-	// survivors' degraded files carry its chunks.
-	Stale uint64
-}
+// Committed is storage's answer for where one server's share of an
+// array's decided epoch lives on that server's disk, with the chunk
+// list core reads it by.
+type Committed storage.Committed
 
 // ResolveCommitted finds which file on d holds base, one server's file
-// of spec, at the decided epoch (0: nothing was ever decided, so the
-// committed or legacy file is served as it stands). It only reads: an
-// interrupted commit is reported Pending, its data verified against its
-// manifest, and the caller decides whether to finish it. A manifest
-// written under another schema, or a pending epoch that does not
-// verify, is ErrCorrupt; no file at all with no decision is
-// ErrNoCommittedEpoch.
+// of spec, at the decided epoch (storage.Resolve). A manifest written
+// under another schema, or a pending epoch that does not verify, is
+// ErrCorrupt; no file at all with no decision is ErrNoCommittedEpoch.
 func ResolveCommitted(d storage.Disk, spec ArraySpec, base string, epoch uint64) (Committed, error) {
-	c, err := resolveCommitted(d, base, epoch)
-	if err == nil && c.Manifest != nil && c.Manifest.SchemaSum != specFingerprint(spec) {
-		err = fmt.Errorf("manifest of %s was written under a different schema: %w", c.Name, ErrCorrupt)
-	}
-	return c, err
+	c, err := storage.Resolve(d, base, epoch)
+	return committed(Committed(c), err, spec, base, epoch)
 }
 
-func resolveCommitted(d storage.Disk, base string, epoch uint64) (Committed, error) {
-	m, merr := storage.ReadManifest(d, storage.ManifestName(base))
+// committed maps storage's answer for base at epoch onto core's typed
+// errors and checks its manifest against spec.
+func committed(c Committed, err error, spec ArraySpec, base string, epoch uint64) (Committed, error) {
 	switch {
-	case merr == nil && (epoch == 0 || m.Epoch == epoch):
-		return Committed{Name: base, Manifest: m}, nil
-	case epoch == 0 && storage.Exists(d, base):
-		return Committed{Name: base}, nil // legacy file, pre-manifest
-	case epoch == 0:
-		return Committed{}, fmt.Errorf("%s: %w", base, ErrNoCommittedEpoch)
+	case err != nil:
+		return c, fmt.Errorf("%w (%v)", ErrCorrupt, err)
+	case epoch == 0 && c.Name == "":
+		return c, fmt.Errorf("%s: %w", base, ErrNoCommittedEpoch)
+	case c.Manifest != nil && c.Manifest.SchemaSum != specFingerprint(spec):
+		return c, fmt.Errorf("manifest of %s was written under a different schema: %w", c.Name, ErrCorrupt)
 	}
-	if tmName := storage.EpochManifestName(base, epoch); storage.Exists(d, tmName) {
-		// The decided epoch's renames were interrupted. Its data is
-		// under the temp name, or already under the final one; a server
-		// that owned no chunks has none.
-		name := storage.EpochName(base, epoch)
-		if !storage.Exists(d, name) {
-			name = base
-		}
-		tm, err := storage.ReadManifest(d, tmName)
-		if err == nil && tm.TotalBytes > 0 {
-			err = storage.VerifyData(d, name, tm)
-		}
-		if err != nil {
-			return Committed{}, fmt.Errorf("%w (%v)", ErrCorrupt, err)
-		}
-		return Committed{Name: name, Manifest: tm, Pending: true}, nil
-	}
-	// The retained previous epoch may be the decided one (pandafsck
-	// rolled the key back after finding the newest epoch torn).
-	prev := storage.PrevName(base)
-	if pm, err := storage.ReadManifest(d, storage.ManifestName(prev)); err == nil && pm.Epoch == epoch {
-		return Committed{Name: prev, Manifest: pm}, nil
-	}
-	if merr == nil {
-		// Committed state exists but predates (or postdates) the decided
-		// epoch: a stale server.
-		return Committed{Stale: m.Epoch}, nil
-	}
-	if storage.Exists(d, base) {
-		return Committed{Name: base}, nil // legacy file despite a decision: serve it
-	}
-	return Committed{}, nil // nothing at all (e.g. dead during the epoch's write)
+	return c, nil
 }
 
 // Chunks lists the disk chunks c's file holds, in file order: its

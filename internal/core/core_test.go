@@ -315,9 +315,8 @@ func TestSuffixesKeepFilesApart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	md := disks[0].(*storage.MemDisk)
 	for _, name := range []string{"ts.t0.0", "ts.t1.0", "ts.t2.0", "ts.ckpt.0"} {
-		if !md.Exists(name) {
+		if !storage.Exists(disks[0], name) {
 			t.Fatalf("file %s missing", name)
 		}
 	}

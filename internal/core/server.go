@@ -366,27 +366,19 @@ func (s *Server) readResolved(req opRequest, ai int, spec ArraySpec, deadline ti
 }
 
 // resolveRead maps one array onto what this server must serve for the
-// decided epoch (ResolveCommitted): the committed file under its
-// manifest, a legacy manifest-less file, the retained previous epoch,
-// an interrupted commit it finishes first — or nothing, when its state
-// predates the decided epoch (a revived server whose chunks the
-// survivors carry).
+// decided epoch (storage.RollForward, checked as ResolveCommitted
+// checks): the committed file under its manifest, a legacy
+// manifest-less file, the retained previous epoch, an interrupted
+// commit it finishes first — or nothing, when its state predates the
+// decided epoch (a revived server whose chunks the survivors carry).
 func (s *Server) resolveRead(req opRequest, ai int, spec ArraySpec, base string) (Committed, error) {
-	var epoch uint64
-	if ai < len(req.Epochs) {
-		epoch = req.Epochs[ai]
-	}
-	c, err := ResolveCommitted(s.disk, spec, base, epoch)
+	epoch := req.Epochs[ai] // a decoded request carries one per array
+	sc, err := storage.RollForward(s.disk, base, epoch)
+	c, err := committed(Committed(sc), err, spec, base, epoch)
 	if err != nil {
 		return c, fmt.Errorf("core: server %d: %w", s.index, err)
 	}
 	if c.Pending {
-		// The decided epoch's data verified against its manifest: finish
-		// the interrupted commit now.
-		if err := storage.CommitEpoch(s.disk, base, epoch); err != nil {
-			return c, fmt.Errorf("core: server %d: %w (%v)", s.index, ErrCorrupt, err)
-		}
-		c.Name = base
 		s.cnt[cRollForwards].Add(1)
 		s.tr.Instant(obs.CatRecover, "roll-forward "+base, s.opSeq, s.clk.Now(), c.Manifest.TotalBytes)
 	}

@@ -1,19 +1,25 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"sort"
 	"strings"
 )
 
 // Scrub walks a Panda directory set — one Disk per I/O node — and
-// checks every epoch artifact for crash consistency: interrupted
-// commits are rolled forward, uncommitted leftovers and atomic-write
-// scratch are swept, and committed manifests are verified against the
-// bytes on disk. A crash at any point of a collective write leaves only
-// warn-level debris; error-level issues mean bytes the protocol
-// promised durable cannot be produced (e.g. media that lied about a
-// Sync), in which case repair falls the affected key back to the
-// newest epoch every server can still serve.
+// reads every key the way a collective read does, through Resolve at
+// the decided epoch, then applies the repair each answer implies:
+// interrupted commits are rolled forward, what is served is verified
+// against its manifest, and what no answer serves (uncommitted epochs,
+// atomic-write scratch) is swept. A crash at any point of a collective
+// write leaves only warn-level debris; error-level issues mean bytes
+// the protocol promised durable cannot be produced (e.g. media that
+// lied about a Sync), in which case repair falls the affected key back
+// to the epoch before when every server can still serve it. A key it
+// cannot fall back keeps its debris, and one whose decision record
+// cannot be read is reported and not touched.
 
 // Issue severities.
 const (
@@ -33,8 +39,8 @@ type ScrubIssue struct {
 // ScrubReport is what Scrub found and did.
 type ScrubReport struct {
 	Issues []ScrubIssue
-	// Manifests counts committed manifests that verified clean;
-	// Legacy counts data files with no manifest at all.
+	// Manifests counts served files whose manifest verified clean;
+	// Legacy counts served data files with no manifest at all.
 	Manifests, Legacy int
 	// RolledForward, Removed and RolledBack count repair actions.
 	RolledForward, Removed, RolledBack int
@@ -55,24 +61,14 @@ func (r *ScrubReport) add(disk int, name, sev, problem string, repaired bool) {
 	r.Issues = append(r.Issues, ScrubIssue{Disk: disk, Name: name, Severity: sev, Problem: problem, Repaired: repaired})
 }
 
-// manifestState tracks one manifest-bearing slot (final or prev) of one
-// key on one disk during a scrub.
-type manifestState struct {
-	disk  int
-	base  string
-	epoch uint64
-	valid bool
-}
-
 // Scrub checks (and with repair, fixes) the epoch state across disks.
+// It lists each disk once, groups the names into array+suffix keys
+// through parseName, and judges the keys in sorted order, disks in
+// index order, through Resolve — the reading a collective read makes.
 func Scrub(disks []Disk, repair bool) (*ScrubReport, error) {
 	rep := &ScrubReport{}
-
-	// Pass 0: collect commit decisions (normally only the master
-	// server's disk has them, but any disk is honored).
-	decided := map[string]uint64{}
-	decDisk := map[string]int{}
-	listings := make([][]string, len(disks))
+	keys := map[string][][]string{} // key → per-disk names, sorted
+	var order []string
 	for i, d := range disks {
 		if d == nil {
 			continue // vacant pool slot (or a remote member's disk): nothing local to scrub
@@ -81,248 +77,237 @@ func Scrub(disks []Disk, repair bool) (*ScrubReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: scrub: listing disk %d: %w", i, err)
 		}
-		listings[i] = names
 		for _, n := range names {
-			key, ok := DecisionKey(n)
-			if !ok {
-				continue
+			k := parseName(n).key
+			if keys[k] == nil {
+				keys[k] = make([][]string, len(disks))
+				order = append(order, k)
 			}
-			e, ok, err := ReadDecision(d, key)
-			if err != nil {
-				rep.add(i, n, SevError, fmt.Sprintf("unreadable decision record: %v", err), false)
-				continue
-			}
-			if ok && e > decided[key] {
-				decided[key] = e
-				decDisk[key] = i
-			}
+			keys[k][i] = append(keys[k][i], n)
 		}
 	}
-
-	finals := map[string][]manifestState{} // key → final-slot states
-	prevs := map[string][]manifestState{}  // key → prev-slot states
-
-	// Pass 1: per-disk artifact walk.
-	for i, d := range disks {
-		if d == nil {
-			continue
-		}
-		have := make(map[string]bool, len(listings[i]))
-		for _, n := range listings[i] {
-			have[n] = true
-		}
-		for _, n := range listings[i] {
-			switch {
-			case strings.HasSuffix(n, decisionExt):
-				// handled in pass 0
-
-			case strings.HasSuffix(n, ".tmp"):
-				repaired := repair && d.Remove(n) == nil
-				if repaired {
-					rep.Removed++
-				}
-				rep.add(i, n, SevWarn, "interrupted atomic write", repaired)
-
-			case strings.HasSuffix(n, ".mfst"):
-				inner := strings.TrimSuffix(n, ".mfst")
-				if base, epoch, ok := splitEpochName(inner); ok {
-					scrubTempEpoch(rep, d, i, base, epoch, decided, repair)
-					break
-				}
-				m, err := ReadManifest(d, n)
-				if err != nil {
-					rep.add(i, n, SevError, fmt.Sprintf("unreadable manifest: %v", err), false)
-					break
-				}
-				key := m.Array + m.Suffix
-				st := manifestState{disk: i, base: inner, epoch: m.Epoch}
-				st.valid = m.TotalBytes == 0 || VerifyData(d, inner, m) == nil
-				if strings.HasSuffix(inner, ".prev") {
-					prevs[key] = append(prevs[key], st)
-					if !st.valid {
-						repaired := repair && removePair(d, inner) == nil
-						if repaired {
-							rep.Removed++
-						}
-						rep.add(i, n, SevWarn, "retained previous epoch fails verification", repaired)
-					}
-				} else {
-					finals[key] = append(finals[key], st)
-					if st.valid {
-						rep.Manifests++
-					}
-					// Invalid finals are judged per key after the walk:
-					// whether this is debris or disaster depends on the
-					// decided epoch and the other disks.
-				}
-
-			case isEpochData(n):
-				if !have[n+".mfst"] {
-					// Data with no manifest: the crash hit between the
-					// data sync and the manifest write — never PREPARED.
-					repaired := repair && d.Remove(n) == nil
-					if repaired {
-						rep.Removed++
-					}
-					rep.add(i, n, SevWarn, "torn prepare (epoch data without manifest)", repaired)
-				}
-
-			case strings.HasSuffix(n, ".prev"):
-				if !have[n+".mfst"] {
-					repaired := repair && d.Remove(n) == nil
-					if repaired {
-						rep.Removed++
-					}
-					rep.add(i, n, SevWarn, "retained data without manifest", repaired)
-				}
-
-			default:
-				if !have[n+".mfst"] {
-					rep.Legacy++
-				}
-			}
-		}
-	}
-
-	// Pass 2: judge each key's committed state against its decision.
-	for key, sts := range finals {
-		e := decided[key]
-		var broken []manifestState
-		for _, st := range sts {
-			if !st.valid && (e == 0 || st.epoch == e) {
-				broken = append(broken, st)
-			} else if !st.valid {
-				// A corrupt final that is not the decided epoch: stale.
-				rep.add(st.disk, ManifestName(st.base), SevWarn,
-					fmt.Sprintf("stale epoch %d fails verification (decided epoch is %d)", st.epoch, e), false)
-			}
-		}
-		if len(broken) == 0 {
-			continue
-		}
-		if e == 0 {
-			for _, st := range broken {
-				rep.add(st.disk, ManifestName(st.base), SevError,
-					"committed data fails verification and no decision record exists to fall back from", false)
-			}
-			continue
-		}
-		// The decided epoch is unreadable somewhere. Fall the whole key
-		// back to epoch e-1 if every disk can still serve it.
-		target := e - 1
-		rollable := target > 0
-		for _, st := range sts {
-			if serves(st, target) {
-				continue
-			}
-			found := false
-			for _, p := range prevs[key] {
-				if p.disk == st.disk && serves(p, target) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				rollable = false
-			}
-		}
-		if !rollable {
-			for _, st := range broken {
-				rep.add(st.disk, ManifestName(st.base), SevError,
-					fmt.Sprintf("committed epoch %d fails verification and no prior epoch is recoverable", e), false)
-			}
-			continue
-		}
-		repaired := false
-		if repair {
-			// Decision first: once it points at the prior epoch, every
-			// reader resolves to the retained copies even if the
-			// promotion below is interrupted.
-			if err := WriteDecision(disks[decDisk[key]], key, target); err == nil {
-				repaired = true
-				rep.RolledBack++
-				for _, st := range broken {
-					d := disks[st.disk]
-					_ = removePair(d, st.base)
-					_ = d.Rename(ManifestName(PrevName(st.base)), ManifestName(st.base))
-					_ = d.Rename(PrevName(st.base), st.base)
-				}
-			}
-		}
-		for _, st := range broken {
-			rep.add(st.disk, ManifestName(st.base), SevError,
-				fmt.Sprintf("committed epoch %d fails verification; prior epoch %d is recoverable", e, target), repaired)
-		}
+	sort.Strings(order)
+	for _, k := range order {
+		first := len(rep.Issues)
+		(&keyScrub{ScrubReport: rep, disks: disks, key: k, names: keys[k], repair: repair}).run()
+		added := rep.Issues[first:]
+		sort.SliceStable(added, func(i, j int) bool { return added[i].Disk < added[j].Disk })
 	}
 	return rep, nil
 }
 
-// scrubTempEpoch judges one PREPARED epoch found on a disk.
-func scrubTempEpoch(rep *ScrubReport, d Disk, disk int, base string, epoch uint64, decided map[string]uint64, repair bool) {
-	name := EpochManifestName(base, epoch)
-	m, err := ReadManifest(d, name)
-	if err != nil {
-		repaired := repair && removeEpochPair(d, base, epoch)
-		if repaired {
-			rep.Removed++
-		}
-		rep.add(disk, name, SevWarn, fmt.Sprintf("unreadable epoch manifest: %v", err), repaired)
-		return
-	}
-	key := m.Array + m.Suffix
-	if decided[key] != epoch {
-		// Never decided (or superseded): a crash before commit. The
-		// committed epoch is untouched; this is sweepable debris.
-		repaired := repair && removeEpochPair(d, base, epoch)
-		if repaired {
-			rep.Removed++
-		}
-		rep.add(disk, name, SevWarn, "prepared epoch was never committed", repaired)
-		return
-	}
-	// Decided: the commit was interrupted mid-promotion. Roll forward.
-	if repair {
-		if _, err := RollForward(d, base, epoch); err != nil {
-			rep.add(disk, name, SevError, fmt.Sprintf("roll-forward failed: %v", err), false)
-			return
-		}
-		rep.RolledForward++
-		rep.add(disk, name, SevWarn, "interrupted commit rolled forward", true)
-		return
-	}
-	probe := EpochName(base, epoch)
-	if !Exists(d, probe) {
-		probe = base
-	}
-	if m.TotalBytes > 0 {
-		if verr := VerifyData(d, probe, m); verr != nil {
-			rep.add(disk, name, SevError, fmt.Sprintf("interrupted commit not recoverable: %v", verr), false)
-			return
-		}
-	}
-	rep.add(disk, name, SevWarn, "interrupted commit (roll-forward pending)", false)
+// keyScrub judges one key across the disks.
+type keyScrub struct {
+	*ScrubReport
+	disks  []Disk
+	key    string
+	names  [][]string // per disk: the key's names, sorted
+	repair bool
+	keep   bool // sweep nothing: the decided epoch is broken beyond repair
 }
 
-// serves reports whether a manifest slot can serve the given epoch.
-func serves(st manifestState, epoch uint64) bool { return st.valid && st.epoch == epoch }
-
-// isEpochData reports whether a name is "<base>.e<digits>" temp data.
-func isEpochData(n string) bool {
-	_, _, ok := splitEpochName(n)
-	return ok
+// answer is Resolve's answer for one base on one disk; bad is Resolve's
+// error or the served file failing verification.
+type answer struct {
+	disk int
+	base string
+	c    Committed
+	bad  error
 }
 
-// removePair removes a data file and its manifest.
-func removePair(d Disk, base string) error {
-	err := d.Remove(base)
-	if merr := d.Remove(ManifestName(base)); err == nil {
-		err = merr
+// run reads the key's decision, rolls the key back if its decided epoch
+// no longer verifies, and applies each answer at the decided epoch: an
+// interrupted commit rolls forward, what is served is counted, and what
+// no answer serves is swept.
+func (s *keyScrub) run() {
+	e, at := s.decision()
+	if at < 0 {
+		return // an unreadable record: what is decided is unknown, so nothing is touched
 	}
-	return err
+	e, as := s.judge(e, at, s.resolve(e))
+	for _, a := range as {
+		if a.c.Pending {
+			name, problem := EpochManifestName(a.base, e), "interrupted commit (roll-forward pending)"
+			if s.repair {
+				if err := CommitEpoch(s.disks[a.disk], a.base, e); err != nil {
+					s.add(a.disk, name, SevError, fmt.Sprintf("roll-forward failed: %v", err), false)
+					continue
+				}
+				s.RolledForward++
+				a.c.Name, a.c.Pending, problem = a.base, false, "interrupted commit rolled forward"
+				s.relist(a.disk)
+			}
+			s.add(a.disk, name, SevWarn, problem, s.repair)
+		}
+		if a.c.Manifest != nil && a.bad == nil {
+			s.Manifests++
+		} else if a.c.Name != "" && a.c.Manifest == nil {
+			s.Legacy++
+		}
+		s.sweep(a, e)
+	}
 }
 
-// removeEpochPair removes a temp epoch's files, reporting success.
-func removeEpochPair(d Disk, base string, epoch uint64) bool {
-	RemoveEpoch(d, base, epoch)
-	return true
+// decision reads the key's decided epoch: the highest any disk records
+// (normally only the master server's disk has a record), and that disk;
+// -1 for a record that cannot be read.
+func (s *keyScrub) decision() (e uint64, at int) {
+	for i, d := range s.disks {
+		if d == nil {
+			continue
+		}
+		de, _, err := ReadDecision(d, s.key)
+		if err != nil {
+			s.add(i, DecisionName(s.key), SevError, fmt.Sprintf("unreadable decision record: %v", err), false)
+			return 0, -1
+		}
+		if de > e {
+			e, at = de, i
+		}
+	}
+	return e, at
+}
+
+// resolve asks Resolve for every base of the key on every disk, in
+// order, and verifies what it serves.
+func (s *keyScrub) resolve(e uint64) []answer {
+	var as []answer
+	for i, d := range s.disks {
+		seen := map[string]bool{}
+		for _, n := range s.names[i] {
+			a := answer{disk: i, base: parseName(n).base}
+			if seen[a.base] {
+				continue
+			}
+			seen[a.base] = true
+			if a.base != "" {
+				a.c, a.bad = Resolve(d, a.base, e)
+			}
+			if a.bad == nil && a.c.Manifest != nil && !a.c.Pending {
+				a.bad = VerifyData(d, a.c.Name, a.c.Manifest)
+			}
+			as = append(as, a)
+		}
+	}
+	return as
+}
+
+// judge reports every answer that fails verification at the decided
+// epoch e. With repair, it rolls the key back to e-1 when every base
+// that holds anything at e or e-1 serves a verified file at e-1: the
+// decision first, so a reader resolves to the retained copies even if
+// the promotion after it is interrupted. It returns the epoch the key
+// is decided at and the answers there.
+func (s *keyScrub) judge(e uint64, at int, as []answer) (uint64, []answer) {
+	var broken []answer
+	for _, a := range as {
+		if a.bad != nil {
+			broken = append(broken, a)
+		}
+	}
+	if len(broken) == 0 {
+		return e, as
+	}
+	rollable, prior := e > 1, []answer(nil)
+	if rollable {
+		prior = s.resolve(e - 1)
+		for i, p := range prior {
+			none := as[i].bad == nil && as[i].c == Committed{} && p.bad == nil && p.c == Committed{}
+			rollable = rollable && (none || p.bad == nil && p.c.Manifest != nil)
+		}
+	}
+	problem := "committed data fails verification and no decision record exists to fall back from"
+	switch {
+	case rollable:
+		problem = fmt.Sprintf("committed epoch %d fails verification; prior epoch %d is recoverable", e, e-1)
+	case e > 0:
+		problem = fmt.Sprintf("committed epoch %d fails verification and no prior epoch is recoverable", e)
+	}
+	rolled := rollable && s.repair && WriteDecision(s.disks[at], s.key, e-1) == nil
+	for i, p := range prior {
+		if rolled && as[i].bad != nil && p.c.Name == PrevName(p.base) {
+			d := s.disks[p.disk]
+			_, _ = d.Remove(p.base), d.Remove(ManifestName(p.base))
+			_ = d.Rename(ManifestName(p.c.Name), ManifestName(p.base))
+			_ = d.Rename(p.c.Name, p.base)
+			s.relist(p.disk)
+		}
+	}
+	for _, a := range broken {
+		name := EpochManifestName(a.base, e) // a pending epoch Resolve refused
+		if a.c.Manifest != nil {
+			name = ManifestName(a.c.Name)
+		}
+		s.add(a.disk, name, SevError, problem, rolled)
+	}
+	if !rolled {
+		// A key that stays broken keeps its debris: a sweep could remove
+		// what an operator would recover it from.
+		s.keep = true
+		return e, as
+	}
+	s.RolledBack++
+	return e - 1, s.resolve(e - 1)
+}
+
+// sweep judges the names of a's base that a does not serve: scratch and
+// undecided epochs go, and so does a retained previous epoch that fails
+// verification; a committed file the decision does not name is stale —
+// kept, and warned about when it fails verification.
+func (s *keyScrub) sweep(a answer, e uint64) {
+	d := s.disks[a.disk]
+	for _, n := range s.names[a.disk] {
+		p := parseName(n)
+		served := a.c.Manifest != nil && ManifestName(a.c.Name) == n || a.c.Name == n
+		switch {
+		case p.base != a.base || served:
+		case p.kind == scratchExt:
+			s.remove(a.disk, "interrupted atomic write", n)
+		case p.kind == epochExt && p.epoch == e && (a.c.Pending || a.c.Name == "" && a.bad != nil):
+			// the decided epoch's interrupted commit: a's own files
+		case p.kind == epochExt && p.mfst:
+			s.remove(a.disk, "prepared epoch was never committed", n, EpochName(p.base, p.epoch))
+		case p.kind == epochExt && !Exists(d, ManifestName(n)):
+			s.remove(a.disk, "torn prepare (epoch data without manifest)", n)
+		case p.kind == prevExt && !p.mfst && !Exists(d, ManifestName(n)):
+			s.remove(a.disk, "retained data without manifest", n)
+		case p.mfst:
+			data := strings.TrimSuffix(n, manifestExt)
+			m, err := ReadManifest(d, n)
+			switch {
+			case err != nil:
+				s.add(a.disk, n, SevError, fmt.Sprintf("unreadable manifest: %v", err), false)
+			case VerifyData(d, data, m) == nil:
+			case p.kind == prevExt:
+				s.remove(a.disk, "retained previous epoch fails verification", n, data)
+			default:
+				s.add(a.disk, n, SevWarn, fmt.Sprintf("stale epoch %d fails verification (decided epoch is %d)", m.Epoch, e), false)
+			}
+		}
+	}
+}
+
+// remove sweeps debris — names no answer serves — and reports it.
+func (s *keyScrub) remove(disk int, problem string, names ...string) {
+	repaired := s.repair && !s.keep
+	for i := 0; repaired && i < len(names); i++ {
+		if err := s.disks[disk].Remove(names[i]); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			repaired = false
+		}
+	}
+	if repaired {
+		s.Removed++
+	}
+	s.add(disk, names[0], SevWarn, problem, repaired)
+}
+
+// relist re-reads disk i's names of the key after a repair moved them.
+func (s *keyScrub) relist(i int) {
+	names, _ := s.disks[i].List()
+	s.names[i] = s.names[i][:0]
+	for _, n := range names {
+		if parseName(n).key == s.key {
+			s.names[i] = append(s.names[i], n)
+		}
+	}
 }

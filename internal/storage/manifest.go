@@ -2,9 +2,10 @@ package storage
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"regexp"
+	"io/fs"
 	"strconv"
 	"strings"
 )
@@ -35,6 +36,11 @@ import (
 //	state.ckpt.decision     the master server's commit record for the
 //	                        array+suffix key (master's disk only)
 //	<anything>.tmp          atomic-write scratch; leftovers are debris
+//
+// The helpers below build these names and parseName is their one
+// parser. Resolve is the one reading of them: which file holds a key's
+// decided epoch on a disk. A collective read, RollForward, Scrub and
+// the offline reader all ask it.
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated CRC32C.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -91,11 +97,11 @@ type Manifest struct {
 // --- naming -------------------------------------------------------------
 
 // ManifestName returns the committed manifest name for a data file.
-func ManifestName(base string) string { return base + ".mfst" }
+func ManifestName(base string) string { return base + manifestExt }
 
 // EpochName returns the temp data name of one epoch of a data file.
 func EpochName(base string, epoch uint64) string {
-	return fmt.Sprintf("%s.e%d", base, epoch)
+	return base + epochExt + strconv.FormatUint(epoch, 10)
 }
 
 // EpochManifestName returns the temp manifest name of one epoch.
@@ -104,7 +110,7 @@ func EpochManifestName(base string, epoch uint64) string {
 }
 
 // PrevName returns the retained previous-epoch data name.
-func PrevName(base string) string { return base + ".prev" }
+func PrevName(base string) string { return base + prevExt }
 
 // DecisionName returns the master server's commit-record name for an
 // array+suffix key (e.g. "state.ckpt").
@@ -114,22 +120,53 @@ func DecisionName(key string) string { return key + decisionExt }
 // commit-record name belongs to, and false for any other name.
 func DecisionKey(name string) (string, bool) { return strings.CutSuffix(name, decisionExt) }
 
-const decisionExt = ".decision"
+// The suffixes of the grammar; a fileName's kind is the one that marks
+// its slot ("" for the committed or legacy data file itself).
+const (
+	manifestExt = ".mfst"
+	prevExt     = ".prev"
+	epochExt    = ".e"
+	decisionExt = ".decision"
+	scratchExt  = ".tmp"
+)
 
-// epochRe matches "<base>.e<digits>" temp data names.
-var epochRe = regexp.MustCompile(`^(.*)\.e(\d+)$`)
+// fileName is one name of the grammar, parsed.
+type fileName struct {
+	key   string // the array+suffix key: base without its ".<server>"
+	base  string // the data file the name belongs to; "" for a decision record
+	kind  string // "", prevExt, epochExt, or scratchExt for a name's ".tmp" twin
+	epoch uint64 // an epoch temp's epoch
+	mfst  bool   // the manifest of that slot, not its data
+}
 
-// splitEpochName parses a temp data name into base and epoch.
-func splitEpochName(name string) (base string, epoch uint64, ok bool) {
-	m := epochRe.FindStringSubmatch(name)
-	if m == nil {
-		return "", 0, false
+// parseName is the grammar's one parser: it inverts the name helpers
+// above. A name outside the grammar is a committed (legacy) data file.
+func parseName(n string) fileName {
+	if inner, ok := strings.CutSuffix(n, scratchExt); ok {
+		p := parseName(inner)
+		p.kind = scratchExt
+		return p
 	}
-	e, err := strconv.ParseUint(m[2], 10, 64)
-	if err != nil {
-		return "", 0, false
+	if key, ok := DecisionKey(n); ok {
+		return fileName{key: key}
 	}
-	return m[1], e, true
+	var p fileName
+	n, p.mfst = strings.CutSuffix(n, manifestExt)
+	p.base = n
+	if b, ok := strings.CutSuffix(n, prevExt); ok {
+		p.base, p.kind = b, prevExt
+	} else if i := strings.LastIndex(n, epochExt); i >= 0 {
+		if e, err := strconv.ParseUint(n[i+len(epochExt):], 10, 64); err == nil {
+			p.base, p.kind, p.epoch = n[:i], epochExt, e
+		}
+	}
+	p.key = p.base
+	if i := strings.LastIndexByte(p.base, '.'); i >= 0 {
+		if _, err := strconv.ParseUint(p.base[i+1:], 10, 64); err == nil {
+			p.key = p.base[:i]
+		}
+	}
+	return p
 }
 
 // --- small-file plumbing ------------------------------------------------
@@ -138,7 +175,7 @@ func splitEpochName(name string) (base string, epoch uint64, ok bool) {
 // sibling, sync, close, rename. A crash leaves either the old file or
 // the new one (plus, at worst, a ".tmp" leftover the scrubber sweeps).
 func WriteFileAtomic(d Disk, name string, data []byte) error {
-	tmp := name + ".tmp"
+	tmp := name + scratchExt
 	f, err := d.Create(tmp)
 	if err != nil {
 		return err
@@ -221,14 +258,20 @@ func WriteDecision(d Disk, key string, epoch uint64) error {
 }
 
 // ReadDecision returns the decided epoch for key, or ok=false when no
-// decision record exists.
+// decision record exists. Only a record that is not there means "no
+// decision": one that cannot be read or parsed is an error, because
+// read as epoch 0 it would restart the key's epochs under the committed
+// ones and serve every server's file as it stands.
 func ReadDecision(d Disk, key string) (epoch uint64, ok bool, err error) {
-	data, rerr := readFile(d, DecisionName(key))
-	if rerr != nil {
-		return 0, false, nil // absent (or unreadable) record: no decision
+	data, err := readFile(d, DecisionName(key))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, false, nil
 	}
 	var dec decision
-	if err := json.Unmarshal(data, &dec); err != nil {
+	if err == nil {
+		err = json.Unmarshal(data, &dec)
+	}
+	if err != nil {
 		return 0, false, fmt.Errorf("storage: decision %s: %w", key, err)
 	}
 	return dec.Epoch, true, nil
@@ -238,8 +281,12 @@ func ReadDecision(d Disk, key string) (epoch uint64, ok bool, err error) {
 
 // VerifyData checks the named data file against a manifest: size and
 // every sub-chunk CRC. It returns nil when the bytes on disk are
-// exactly what the manifest promises.
+// exactly what the manifest promises; a manifest promising no bytes (a
+// server that owned no chunks) holds with or without a file.
 func VerifyData(d Disk, name string, m *Manifest) error {
+	if m.TotalBytes == 0 {
+		return nil
+	}
 	f, err := d.Open(name)
 	if err != nil {
 		return err
@@ -315,40 +362,91 @@ func RemoveEpoch(d Disk, base string, epoch uint64) {
 	_ = d.Remove(EpochManifestName(base, epoch))
 }
 
-// RollForward completes an interrupted commit of the decided epoch and
-// returns the committed manifest. It handles every crash window:
-// nothing renamed yet (temps verify against temp data), data renamed
-// but not the manifest (the temp manifest verifies against the final
-// data), or fully committed already.
-func RollForward(d Disk, base string, epoch uint64) (*Manifest, error) {
-	if m, err := ReadManifest(d, ManifestName(base)); err == nil && m.Epoch == epoch {
-		return m, nil // already committed
+// Committed is where one server's share of a key's decided epoch lives
+// on that server's disk, as Resolve finds it.
+type Committed struct {
+	// Name is the file holding the share: the committed file, the
+	// retained previous epoch, the decided epoch's data still under its
+	// temp name (Pending), or a legacy manifest-less file. "" means the
+	// server holds none of the decided epoch.
+	Name string
+	// Manifest describes Name; nil for a legacy file.
+	Manifest *Manifest
+	// Pending marks an interrupted commit: the decision is durable but
+	// this server's renames were not done. RollForward's answer keeps it
+	// set once it has done them, and names base.
+	Pending bool
+	// Stale, when Name is "", is the epoch the server's committed state
+	// holds instead (0: it holds none). A server revived after missing
+	// the decided epoch serves nothing rather than mixing epochs: the
+	// survivors' degraded files carry its chunks.
+	Stale uint64
+}
+
+// Resolve finds which file on d holds base at the decided epoch (0:
+// nothing was ever decided, so the committed or legacy file is served
+// as it stands). It only reads: an interrupted commit is reported
+// Pending, its data verified against its manifest. The error is that
+// check failing, or the pending manifest unreadable: the decided epoch
+// cannot be finished from this disk. It is the one reading of a
+// server's epoch files.
+func Resolve(d Disk, base string, epoch uint64) (Committed, error) {
+	m, merr := ReadManifest(d, ManifestName(base))
+	if merr == nil && (epoch == 0 || m.Epoch == epoch) {
+		return Committed{Name: base, Manifest: m}, nil
 	}
-	tm, err := ReadManifest(d, EpochManifestName(base, epoch))
-	if err != nil {
-		return nil, fmt.Errorf("storage: roll-forward %s epoch %d: no usable manifest: %w", base, epoch, err)
+	if tm := EpochManifestName(base, epoch); epoch > 0 && Exists(d, tm) {
+		// The decided epoch's renames were interrupted. Its data is
+		// under the temp name, or already under the final one; a server
+		// that owned no chunks has none.
+		c := Committed{Name: EpochName(base, epoch), Pending: true}
+		if !Exists(d, c.Name) {
+			c.Name = base
+		}
+		var err error
+		if c.Manifest, err = ReadManifest(d, tm); err == nil {
+			err = VerifyData(d, c.Name, c.Manifest)
+		}
+		if err != nil {
+			return Committed{}, fmt.Errorf("storage: %s epoch %d: %w", base, epoch, err)
+		}
+		return c, nil
 	}
-	probe := EpochName(base, epoch)
-	if !Exists(d, probe) {
-		probe = base // data may already have its final name
-	}
-	if tm.TotalBytes > 0 {
-		if verr := VerifyData(d, probe, tm); verr != nil {
-			return nil, fmt.Errorf("storage: roll-forward %s epoch %d: %w", base, epoch, verr)
+	if epoch > 0 {
+		// The retained previous epoch may be the decided one (Scrub
+		// rolled the key back after finding the newest epoch torn).
+		if pm, err := ReadManifest(d, ManifestName(PrevName(base))); err == nil && pm.Epoch == epoch {
+			return Committed{Name: PrevName(base), Manifest: pm}, nil
 		}
 	}
-	if err := CommitEpoch(d, base, epoch); err != nil {
-		return nil, err
+	if merr == nil {
+		// Committed state exists but predates (or postdates) the decided
+		// epoch: a stale server.
+		return Committed{Stale: m.Epoch}, nil
 	}
-	return tm, nil
+	if Exists(d, base) {
+		return Committed{Name: base}, nil // legacy file, pre-manifest or despite a decision: serve it
+	}
+	return Committed{}, nil // nothing at all (e.g. dead during the epoch's write)
+}
+
+// RollForward is Resolve that finishes an interrupted commit of the
+// decided epoch (CommitEpoch) before it answers.
+func RollForward(d Disk, base string, epoch uint64) (Committed, error) {
+	c, err := Resolve(d, base, epoch)
+	if err == nil && c.Pending {
+		if err = CommitEpoch(d, base, epoch); err == nil {
+			c.Name = base
+		}
+	}
+	return c, err
 }
 
 // Exists probes for a file without the Open error ceremony.
 func Exists(d Disk, name string) bool {
 	f, err := d.Open(name)
-	if err != nil {
-		return false
+	if err == nil {
+		f.Close()
 	}
-	f.Close()
-	return true
+	return err == nil
 }

@@ -87,14 +87,14 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestEpochNaming(t *testing.T) {
 	base := "state.ckpt.3"
 	name := EpochName(base, 12)
-	b, e, ok := splitEpochName(name)
-	if !ok || b != base || e != 12 {
-		t.Fatalf("splitEpochName(%q) = %q, %d, %v", name, b, e, ok)
+	p := parseName(name)
+	if p.kind != epochExt || p.base != base || p.epoch != 12 {
+		t.Fatalf("parseName(%q) = %+v", name, p)
 	}
-	if _, _, ok := splitEpochName(base); ok {
+	if p := parseName(base); p.kind == epochExt {
 		t.Fatalf("plain name %q parsed as epoch", base)
 	}
-	if _, _, ok := splitEpochName("x.ea1"); ok {
+	if p := parseName("x.ea1"); p.kind == epochExt {
 		t.Fatal("non-numeric epoch accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestCommitEpochPromotesAndRetainsPrev(t *testing.T) {
 	}
 	names, _ := d.List()
 	for _, n := range names {
-		if isEpochData(n) || isEpochData(strings.TrimSuffix(n, ".mfst")) {
+		if parseName(n).kind == epochExt {
 			t.Fatalf("temp epoch file %s survived commit", n)
 		}
 	}
@@ -246,10 +246,11 @@ func TestRollForwardEveryCrashWindow(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m, err := RollForward(d, base, 2)
+			c, err := RollForward(d, base, 2)
 			if err != nil {
 				t.Fatalf("%s: %v", window, err)
 			}
+			m := c.Manifest
 			if m.Epoch != 2 {
 				t.Fatalf("%s: rolled to epoch %d", window, m.Epoch)
 			}

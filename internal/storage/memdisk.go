@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"io/fs"
 	"sort"
 	"sync"
 )
@@ -66,7 +67,7 @@ func (d *MemDisk) Open(name string) (File, error) {
 	f, ok := d.files[name]
 	d.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("memdisk: open %s: no such file", name)
+		return nil, fmt.Errorf("memdisk: open %s: %w", name, fs.ErrNotExist)
 	}
 	return f, nil
 }
@@ -76,7 +77,7 @@ func (d *MemDisk) Remove(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.files[name]; !ok {
-		return fmt.Errorf("memdisk: remove %s: no such file", name)
+		return fmt.Errorf("memdisk: remove %s: %w", name, fs.ErrNotExist)
 	}
 	delete(d.files, name)
 	return nil
@@ -88,7 +89,7 @@ func (d *MemDisk) Rename(oldName, newName string) error {
 	defer d.mu.Unlock()
 	f, ok := d.files[oldName]
 	if !ok {
-		return fmt.Errorf("memdisk: rename %s: no such file", oldName)
+		return fmt.Errorf("memdisk: rename %s: %w", oldName, fs.ErrNotExist)
 	}
 	delete(d.files, oldName)
 	f.name = newName
@@ -110,14 +111,6 @@ func (d *MemDisk) List() ([]string, error) {
 
 // FlushCache implements Disk; MemDisk has no cache.
 func (d *MemDisk) FlushCache() {}
-
-// Exists reports whether the named file exists.
-func (d *MemDisk) Exists(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.files[name]
-	return ok
-}
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {

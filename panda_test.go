@@ -564,6 +564,28 @@ func dirState(t *testing.T, root string) map[string]string {
 // Checkpoint and a Restart must both fail as ErrCorrupt on every node,
 // leave the disks as they were, and leave the record for fsck to report.
 func TestGarbledDecisionRecordFailsTyped(t *testing.T) {
+	decisionRecordFailsTyped(t, func(record string) error {
+		return os.WriteFile(record, []byte("{not json"), 0o644)
+	})
+}
+
+// TestUnreadableDecisionRecordFailsTyped is the same with a record that
+// exists but cannot be read at all (a directory in its place): only a
+// missing record means "no decision".
+func TestUnreadableDecisionRecordFailsTyped(t *testing.T) {
+	decisionRecordFailsTyped(t, func(record string) error {
+		if err := os.Remove(record); err != nil {
+			return err
+		}
+		return os.Mkdir(record, 0o755)
+	})
+}
+
+// decisionRecordFailsTyped checkpoints twice with damage done to the
+// decision record in between, and checks that the second Checkpoint and
+// a Restart fail typed on every node, change nothing on disk, and that
+// fsck reports the record.
+func decisionRecordFailsTyped(t *testing.T, damage func(record string) error) {
 	dir := t.TempDir()
 	_, _, _, sim := figure2Arrays(t)
 	cluster, err := NewCluster(Config{ComputeNodes: 4, IONodes: 2, Dir: dir})
@@ -586,7 +608,7 @@ func TestGarbledDecisionRecordFailsTyped(t *testing.T) {
 		if n.Rank() == 0 {
 			// Rank 0's Checkpoint has returned, so the operation is
 			// complete on every server and the disks are quiet.
-			if err := os.WriteFile(record, []byte("{not json"), 0o644); err != nil {
+			if err := damage(record); err != nil {
 				return err
 			}
 			before = dirState(t, dir)
