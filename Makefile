@@ -184,10 +184,12 @@ daemon-smoke:
 	DAEMON_SMOKE_OUT=$(CURDIR)/daemon-artifacts bash scripts/daemon_smoke.sh
 
 # churn-smoke drives the elastic server pool from separate processes:
-# two pandad -join processes against a live daemon, one SIGKILLed and
-# declared lost by its lease, arrays rewritten around the corpse, the
-# survivor drained with migration, bit-exact readback at every step,
-# and a pandafsck gate over every directory — the CI membership gate.
+# three pandad -join processes against a live daemon, one SIGKILLed and
+# declared lost within a second (its control connection ended), arrays
+# rewritten around the corpse, one SIGSTOPped and declared lost by its
+# lease, the first drained with migration, bit-exact readback at every
+# step, and a pandafsck gate over every directory — the CI membership
+# gate.
 churn-smoke:
 	CHURN_SMOKE_OUT=$(CURDIR)/churn-artifacts bash scripts/churn_smoke.sh
 

@@ -54,7 +54,7 @@ func main() {
 	slots := flag.Int("slots", 8, "aggregate client ranks available to attached sessions")
 	ions := flag.Int("ions", 2, "number of i/o nodes")
 	maxIons := flag.Int("max-ions", 0, "i/o node pool capacity, counting runtime joiners (0 = -ions; fixed for the daemon's lifetime)")
-	lease := flag.Duration("lease", 0, "joined i/o node lease TTL; a node missing heartbeats this long is declared lost (0 = 10s)")
+	lease := flag.Duration("lease", 0, "joined i/o node lease TTL; a node that keeps its connections open but misses heartbeats this long is declared lost (0 = 10s)")
 	heartbeat := flag.Duration("heartbeat", 0, "joiner heartbeat / lease-watchdog cadence (0 = lease/4)")
 	opTimeout := flag.Duration("optimeout", 30*time.Second, "per-operation deadline (0 = block forever)")
 	configPath := flag.String("config", "", "JSON tuning file, read at startup and on SIGHUP")
@@ -129,7 +129,9 @@ func main() {
 				log.Printf("reload skipped: %v", err)
 				continue
 			}
-			d.Reload(t)
+			if err := d.Reload(t); err != nil {
+				log.Printf("reload refused, tuning unchanged: %v", err)
+			}
 			continue
 		case syscall.SIGUSR1:
 			if _, err := d.DumpTrace("sigusr1"); err != nil {
@@ -149,8 +151,8 @@ func main() {
 // runJoiner attaches this process to a running daemon as an elastic
 // I/O node: it serves collectives until the operator drains the slot
 // out (pandastat drain-server) — a clean exit — or the process is
-// signalled, which severs the node and lets the daemon's lease expiry
-// declare it lost.
+// signalled, which severs the node: its control connection ends, and
+// the daemon declares the slot lost.
 func runJoiner(addr, dir string) {
 	n, err := panda.JoinIONode(panda.IONodeConfig{Addr: addr, Dir: dir, Logf: log.Printf})
 	if err != nil {
@@ -161,7 +163,7 @@ func runJoiner(addr, dir string) {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		fmt.Println("i/o node: signalled; severing (daemon will expire the lease)")
+		fmt.Println("i/o node: signalled; severing (the daemon declares the slot lost)")
 		n.Kill()
 	}()
 	if err := n.Wait(); err != nil {

@@ -100,7 +100,9 @@ type DaemonConfig struct {
 	// than IONodes) means capacity == IONodes.
 	MaxIONodes int
 	// LeaseTTL is how long a joined I/O node may miss heartbeats before
-	// it is declared lost and its chunks are replanned (0 = 10s).
+	// it is declared lost and its chunks are replanned (0 = 10s). It is
+	// the backstop for a node that goes silent with its connections
+	// open: one whose control connection ends is declared lost at once.
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the joiners' heartbeat (and the lease watchdog's
 	// sweep) cadence (0 = LeaseTTL/4). Must be shorter than LeaseTTL.
@@ -193,7 +195,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	// The server pool is sized to its capacity; the daemon's own I/O
 	// nodes occupy the first IONodes slots and the rest stay vacant for
 	// runtime joiners. Membership tracks which slots are live, and is
-	// the one home of the lease timing: the master enforces it, the
+	// the one home of the lease timing: heartbeats renew by it, the
 	// watchdog sweeps at it, joiners are told it.
 	members := core.NewMembership(cfg.MaxIONodes, cfg.IONodes, cfg.LeaseTTL, cfg.HeartbeatEvery)
 	if members.HeartbeatEvery() >= members.LeaseTTL() {
@@ -395,15 +397,19 @@ func (d *Daemon) Service() *core.Service { return d.svc }
 
 // Reload applies new scheduler and pipeline tuning to the live
 // service with zero interruption: in-flight operations finish under
-// the old tuning, subsequent dispatches use the new one.
-func (d *Daemon) Reload(t Tuning) {
-	d.svc.Reconfigure(t.reconfig())
+// the old tuning, subsequent dispatches use the new one. Tuning that
+// StartDaemon would refuse is refused, and the old tuning stays.
+func (d *Daemon) Reload(t Tuning) error {
+	if err := d.svc.Reconfigure(t.reconfig()); err != nil {
+		return fmt.Errorf("panda: reload: %w", err)
+	}
 	d.tel.setSLO(t.sloPolicy())
 	cfg := d.svc.Config()
 	d.events.Emit("reconfigure", structFields(t))
 	d.logf("reloaded tuning: max_inflight=%d queue_depth=%d quantum=%d weights=%v pipeline=%d slo_ms=%v slo_default_ms=%d",
 		cfg.Sched.MaxInflight, cfg.Sched.QueueDepth, cfg.Sched.Quantum, cfg.Sched.Weights, cfg.Pipeline,
 		t.SLOms, t.SLODefaultMs)
+	return nil
 }
 
 // Drain shuts the daemon down gracefully: new sessions and operations
@@ -451,7 +457,10 @@ func errString(err error) string {
 // The session control protocol: newline-delimited JSON request/reply
 // pairs on a dedicated connection opened with the session hello. The
 // connection is the session: closing it (or a client crash) detaches
-// the session and frees its client ranks.
+// the session and frees its client ranks. A joining I/O node's
+// connection is its membership in the same way: the slot its
+// server-join reserved is the only slot it can make ready or renew,
+// and its end is the node's loss.
 
 type ctlRequest struct {
 	Cmd    string `json:"cmd"`
@@ -546,14 +555,15 @@ func fail(err error) ctlReply {
 const maxCtlRequest = 64 << 10
 
 // handleSession runs one control connection: requests in, replies out,
-// detach on disconnect. Runs on the hub's per-connection goroutine,
-// which closes conn once this returns — as it does on a request line
-// longer than maxCtlRequest.
+// detach (or, for a joiner, release of its slot) on disconnect. Runs on
+// the hub's per-connection goroutine, which closes conn once this
+// returns — as it does on a request line longer than maxCtlRequest.
 func (d *Daemon) handleSession(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, maxCtlRequest)
 	enc := json.NewEncoder(conn)
 	var sess core.SessionInfo // ID 0 while no session is attached
-	defer func() { d.endSession(sess) }()
+	var claim core.Claim      // Epoch 0 while no slot is reserved
+	defer func() { d.endSession(sess, claim) }()
 	for {
 		line, err := br.ReadSlice('\n')
 		if err != nil {
@@ -566,8 +576,8 @@ func (d *Daemon) handleSession(conn net.Conn) {
 		var rep ctlReply
 		switch req.Cmd {
 		case "attach":
-			if sess.ID != 0 {
-				rep = fail(errors.New("panda: session already attached"))
+			if sess.ID != 0 || claim.Epoch != 0 {
+				rep = fail(errors.New("panda: connection already holds a session or a server slot"))
 				break
 			}
 			info, err := d.svc.Attach(req.Nodes, req.Tenant)
@@ -601,19 +611,28 @@ func (d *Daemon) handleSession(conn net.Conn) {
 		case "server-join":
 			// An I/O-node joiner asks for a pool slot. The reply carries
 			// the deployment shape it must dial the mesh with; admission
-			// happens when its ServerHello reaches the master server.
-			slot, err := d.members.Reserve(req.Addr, d.svc.Clock().Now())
+			// happens when it says server-ready on this connection.
+			if sess.ID != 0 || claim.Epoch != 0 {
+				rep = fail(errors.New("panda: connection already holds a session or a server slot"))
+				break
+			}
+			c, err := d.members.Reserve(req.Addr, d.svc.Clock().Now())
 			if err != nil {
 				rep = fail(err)
 				break
 			}
-			cfg := d.svc.Config()
-			rep = shapeReply(cfg)
-			rep.Slot = slot
+			claim = c
+			rep = shapeReply(d.svc.Config())
+			rep.Slot = c.Slot
 			rep.HeartbeatNs, rep.LeaseNs = int64(d.members.HeartbeatEvery()), int64(d.members.LeaseTTL())
-			d.logf("server joiner %q reserved slot %d", req.Addr, slot)
+			d.logf("server joiner %q reserved slot %d", req.Addr, c.Slot)
+		case "server-ready":
+			// The joiner's rank is registered on the hub: admit it.
+			rep = okOrFail(d.members.Admit(claim, d.svc.Clock().Now()))
+		case "heartbeat":
+			rep = okOrFail(d.members.Heartbeat(claim, d.svc.Clock().Now()))
 		case "detach":
-			d.endSession(sess)
+			d.endSession(sess, core.Claim{})
 			sess = core.SessionInfo{}
 			rep = ctlReply{OK: true}
 		default:
@@ -625,8 +644,23 @@ func (d *Daemon) handleSession(conn net.Conn) {
 	}
 }
 
-// endSession detaches a control connection's session, if it has one.
-func (d *Daemon) endSession(sess core.SessionInfo) {
+// okOrFail is the reply to a request that returns nothing but err.
+func okOrFail(err error) ctlReply {
+	if err != nil {
+		return fail(err)
+	}
+	return ctlReply{OK: true}
+}
+
+// endSession detaches a control connection's session, if it has one,
+// and releases the slot its server-join reserved, if it holds one: the
+// end of a joiner's connection is its loss (core.Membership.Release).
+// A daemon drain tells its members to exit, so their hang-ups after it
+// began are not losses.
+func (d *Daemon) endSession(sess core.SessionInfo, claim core.Claim) {
+	if claim.Epoch != 0 && !d.svc.Draining() {
+		d.members.Release(claim)
+	}
 	if sess.ID == 0 {
 		return
 	}

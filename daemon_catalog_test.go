@@ -118,8 +118,8 @@ func TestDaemonRebalanceDottedNames(t *testing.T) {
 	checkpointArrays(t, d.Addr(), []*Array{x, xy}, 7)
 
 	want := []arrayInstance{{"x", ".ckpt"}, {"x.y", ".ckpt"}}
-	if got := d.committedInstances(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("committed instances %v, want %v", got, want)
+	if got, err := d.committedInstances(); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("committed instances %v, %v; want %v", got, err, want)
 	}
 	if err := d.Rebalance("test"); err != nil {
 		t.Fatalf("Rebalance: %v", err)
@@ -270,5 +270,27 @@ func TestDaemonLoadsOlderCatalog(t *testing.T) {
 	}
 	if err := s.Create(other); !errors.Is(err, ErrSchemaMismatch) {
 		t.Fatalf("create under another schema: %v, want ErrSchemaMismatch", err)
+	}
+}
+
+// TestDaemonRefusesUnreadableCatalog: only a missing catalog is a fresh
+// one. A daemon whose catalog cannot be read (a directory in its place)
+// must refuse to start, not forget every array's name, and must leave
+// the obstruction as it found it.
+func TestDaemonRefusesUnreadableCatalog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ion0", storage.CatalogFileName)
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := StartDaemon(DaemonConfig{Dir: dir, Logf: t.Logf}); err == nil {
+		d.Drain() //nolint:errcheck
+		t.Fatal("StartDaemon loaded an unreadable catalog as an empty one")
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("the catalog's place was disturbed: %v, %v", fi, err)
+	}
+	if ents, err := os.ReadDir(path); err != nil || len(ents) != 0 {
+		t.Fatalf("the catalog's place was disturbed: %v, %v", ents, err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"panda/internal/core"
+	"panda/internal/mpi"
 	"panda/internal/storage"
 )
 
@@ -55,16 +56,25 @@ func waitMemberState(t *testing.T, d *Daemon, slot int, want core.MemberState, t
 // through a fresh session.
 func churnWrite(t *testing.T, addr string, names []string, nodes int, seed int64) {
 	t.Helper()
+	arrs := make([]*Array, len(names))
+	for i, name := range names {
+		arrs[i] = sessionArray(t, name, nodes)
+	}
+	writeArrays(t, addr, arrs, nodes, seed)
+}
+
+// writeArrays creates (or reopens) every array and writes it with the
+// seed-derived pattern churnVerify checks, through a fresh session.
+func writeArrays(t *testing.T, addr string, arrs []*Array, nodes int, seed int64) {
+	t.Helper()
 	s, err := Dial(SessionConfig{Addr: addr, Nodes: nodes, Tenant: "churn"})
 	if err != nil {
 		t.Fatalf("dial for write: %v", err)
 	}
 	defer s.Close() //nolint:errcheck
-	arrs := make([]*Array, len(names))
-	for i, name := range names {
-		arrs[i] = sessionArray(t, name, nodes)
-		if err := s.Create(arrs[i]); err != nil {
-			t.Fatalf("create %s: %v", name, err)
+	for _, a := range arrs {
+		if err := s.Create(a); err != nil {
+			t.Fatalf("create %s: %v", a.name, err)
 		}
 	}
 	err = s.Run(func(n *Node) error {
@@ -75,7 +85,7 @@ func churnWrite(t *testing.T, addr string, names []string, nodes int, seed int64
 				return err
 			}
 			if err := n.WriteArray(a); err != nil {
-				return fmt.Errorf("write %s: %w", names[i], err)
+				return fmt.Errorf("write %s: %w", a.name, err)
 			}
 		}
 		return nil
@@ -125,7 +135,8 @@ func churnVerify(t *testing.T, addr string, names []string, nodes int, seed int6
 // TestDaemonElasticJoinDrain is the membership acceptance walk: data
 // written before a join is readable after it, the /servers endpoint
 // tracks the pool, an HTTP-driven drain migrates the data off and the
-// node exits clean, and the whole story lands in the event log.
+// node exits clean, and the whole story — with no loss in it — lands in
+// the event log.
 func TestDaemonElasticJoinDrain(t *testing.T) {
 	dir := t.TempDir()
 	d := startElasticDaemon(t, dir, 4, 0, 0) // default 10s lease: no losses here
@@ -197,6 +208,11 @@ func TestDaemonElasticJoinDrain(t *testing.T) {
 		if len(eventsOf(t, dir, kind)) == 0 {
 			t.Errorf("no %q event in events.jsonl", kind)
 		}
+	}
+	// The drain released the slot before the node exited, so the end of
+	// its control connection is no loss.
+	if lost := eventsOf(t, dir, "server_lost"); len(lost) != 0 {
+		t.Errorf("a clean drain logged server_lost: %v", lost)
 	}
 	disks := make([]storage.Disk, 0, 3)
 	for _, p := range []string{dir + "/ion0", dir + "/ion1", joinDir} {
@@ -530,4 +546,184 @@ func TestJoinedIONodeLosesItsHub(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wideArray declares a nodes-chunk array stored as six disk chunks:
+// placement puts disk chunk i on slot i mod capacity, so a joined slot
+// 2 holds some of it.
+func wideArray(t *testing.T, name string, nodes int) *Array {
+	t.Helper()
+	a, err := NewArray(name, []int{nodes * 16, 8}, 4,
+		NewLayout("mem", []int{nodes}), []Distribution{BLOCK, NONE},
+		NewLayout("disk", []int{6}), []Distribution{BLOCK, NONE})
+	if err != nil {
+		t.Fatalf("NewArray: %v", err)
+	}
+	return a
+}
+
+// TestDaemonJoinerLostWhenItsConnectionEnds: under the default 10s
+// lease, a killed joiner is declared lost as soon as its control
+// connection ends, not when the lease lapses — and a write issued once
+// the slot reads Lost is planned around it outright, with no
+// reassignment round.
+func TestDaemonJoinerLostWhenItsConnectionEnds(t *testing.T) {
+	d := startElasticDaemon(t, t.TempDir(), 4, 0, 0)
+	defer d.Drain() //nolint:errcheck
+	n, err := JoinIONode(IONodeConfig{Addr: d.Addr(), Name: "victim", Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("JoinIONode: %v", err)
+	}
+	waitMemberState(t, d, n.Slot(), core.MemberActive, 5*time.Second)
+
+	t0 := time.Now()
+	n.Kill()
+	waitMemberState(t, d, n.Slot(), core.MemberLost, time.Second)
+	t.Logf("slot %d lost %v after the kill", n.Slot(), time.Since(t0))
+	n.Wait() //nolint:errcheck // its serve loop ends with the lost link
+
+	reassigns := d.reg.Counter("reassigns")
+	before := reassigns.Value()
+	writeArrays(t, d.Addr(), []*Array{wideArray(t, "around", 2)}, 2, 5)
+	if got := reassigns.Value() - before; got != 0 {
+		t.Errorf("a write after the slot read Lost paid %d reassignment round(s), want 0", got)
+	}
+	churnVerify(t, d.Addr(), []string{"around"}, 2, 5)
+}
+
+// TestDaemonSilentJoinerLostByLease: a joiner that says ready and then
+// goes silent with both its connections open — a stopped process — is
+// still declared lost, by its lease, and what its connection says after
+// that is refused.
+func TestDaemonSilentJoinerLostByLease(t *testing.T) {
+	const lease = 1200 * time.Millisecond
+	d := startElasticDaemon(t, t.TempDir(), 4, lease, 300*time.Millisecond)
+	defer d.Drain() //nolint:errcheck
+
+	ctl, rep, err := dialControl(d.Addr(), 0, ctlRequest{Cmd: "server-join", Addr: "silent"})
+	if err != nil {
+		t.Fatalf("server-join: %v", err)
+	}
+	defer ctl.conn.Close()
+	ccfg := rep.coreConfig()
+	comm, err := mpi.DialComm(d.Addr(), ccfg.ServerRank(rep.Slot), ccfg.WorldSize())
+	if err != nil {
+		t.Fatalf("DialComm: %v", err)
+	}
+	defer mpi.CloseComm(comm) //nolint:errcheck
+	if _, err := ctl.call(ctlRequest{Cmd: "server-ready"}); err != nil {
+		t.Fatalf("server-ready: %v", err)
+	}
+	t0 := time.Now()
+	if st := d.members.State(rep.Slot); st != core.MemberActive {
+		t.Fatalf("slot %d is %s after server-ready, want active", rep.Slot, st)
+	}
+	waitMemberState(t, d, rep.Slot, core.MemberLost, 5*lease)
+	if took := time.Since(t0); took < lease {
+		t.Errorf("slot %d lost %v after ready, before a %v lease could lapse", rep.Slot, took, lease)
+	}
+	if _, err := ctl.call(ctlRequest{Cmd: "heartbeat"}); err == nil {
+		t.Error("a heartbeat for a lost slot was accepted")
+	}
+	if st := d.members.State(rep.Slot); st != core.MemberLost {
+		t.Errorf("slot %d is %s after a refused heartbeat, want lost", rep.Slot, st)
+	}
+}
+
+// TestDaemonMemberCommandsNeedTheirReservation: server-ready and
+// heartbeat act only on the slot the connection's own server-join
+// reserved. Sent on a session's connection, or on one that reserved
+// nothing, they are refused and no slot changes — not even the one
+// another connection holds in Joining.
+func TestDaemonMemberCommandsNeedTheirReservation(t *testing.T) {
+	d := startElasticDaemon(t, t.TempDir(), 4, 0, 0)
+	defer d.Drain() //nolint:errcheck
+	joiner, rep, err := dialControl(d.Addr(), 0, ctlRequest{Cmd: "server-join", Addr: "pending"})
+	if err != nil {
+		t.Fatalf("server-join: %v", err)
+	}
+	defer joiner.conn.Close()
+	s, err := Dial(SessionConfig{Addr: d.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	bare, _, err := dialControl(d.Addr(), 0, ctlRequest{Cmd: "info"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.conn.Close()
+
+	before, epoch := d.Servers(), d.members.Epoch()
+	for _, cmd := range []string{"server-ready", "heartbeat", "server-ready"} {
+		if _, err := s.rpc(ctlRequest{Cmd: cmd}); err == nil {
+			t.Errorf("%s on a session's connection was accepted", cmd)
+		}
+		if _, err := bare.call(ctlRequest{Cmd: cmd}); err == nil {
+			t.Errorf("%s on a connection that reserved nothing was accepted", cmd)
+		}
+	}
+	if _, err := s.rpc(ctlRequest{Cmd: "server-join", Addr: "session"}); err == nil {
+		t.Error("a session's connection reserved a server slot")
+	}
+	after := d.Servers()
+	for i := range before {
+		b, a := before[i], after[i]
+		if a.State != b.State || a.Epoch != b.Epoch || a.LeaseMs > b.LeaseMs {
+			t.Errorf("slot %d changed: %+v, was %+v", i, a, b)
+		}
+	}
+	if got := d.members.Epoch(); got != epoch {
+		t.Errorf("membership epoch %d → %d under refused commands", epoch, got)
+	}
+	if st := after[rep.Slot].State; st != core.MemberJoining {
+		t.Errorf("the reserved slot %d is %s, want joining", rep.Slot, st)
+	}
+}
+
+// listFailDisk is a disk whose directory cannot be listed.
+type listFailDisk struct{ storage.Disk }
+
+func (listFailDisk) List() ([]string, error) { return nil, errors.New("injected list failure") }
+
+// TestDaemonDrainKeepsSlotWhenWorkUnknown: a drain whose rebalance
+// cannot list the master server's disk does not know what to migrate,
+// so it fails and leaves the slot Draining (and its data readable)
+// instead of retiring a node it never migrated; once the disk lists
+// again, the drain is retried to completion.
+func TestDaemonDrainKeepsSlotWhenWorkUnknown(t *testing.T) {
+	dir := t.TempDir()
+	d := startElasticDaemon(t, dir, 3, 0, 0)
+	defer d.Drain() //nolint:errcheck
+	n, err := JoinIONode(IONodeConfig{Addr: d.Addr(), Dir: filepath.Join(dir, "join"), Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("JoinIONode: %v", err)
+	}
+	waitMemberState(t, d, n.Slot(), core.MemberActive, 5*time.Second)
+	names := []string{"held0", "held1"}
+	writeArrays(t, d.Addr(), []*Array{wideArray(t, names[0], 2), wideArray(t, names[1], 2)}, 2, 13)
+
+	swap := func(disk storage.Disk) { // under rebalMu: the rebalance that reads it holds it
+		d.rebalMu.Lock()
+		d.disks[0] = disk
+		d.rebalMu.Unlock()
+	}
+	master := d.disks[0]
+	swap(listFailDisk{master})
+	if err := d.DrainServer(n.Slot()); err == nil {
+		t.Fatal("DrainServer succeeded with the master server's disk unlistable")
+	}
+	if st := d.members.State(n.Slot()); st != core.MemberDraining {
+		t.Fatalf("slot %d is %s after a failed drain, want draining", n.Slot(), st)
+	}
+	churnVerify(t, d.Addr(), names, 2, 13)
+
+	swap(master)
+	if err := d.DrainServer(n.Slot()); err != nil {
+		t.Fatalf("retried DrainServer: %v", err)
+	}
+	if err := n.Wait(); err != nil {
+		t.Fatalf("drained node exited dirty: %v", err)
+	}
+	churnVerify(t, d.Addr(), names, 2, 13)
 }

@@ -130,7 +130,9 @@ func TestDaemonSLOReloadUnderLoad(t *testing.T) {
 	}
 	// The reload that tightens the screw: a 1ms objective that a real
 	// disk write cannot meet.
-	d.Reload(Tuning{MaxInflight: 2, SLOms: map[string]int64{"sim": 1}})
+	if err := d.Reload(Tuning{MaxInflight: 2, SLOms: map[string]int64{"sim": 1}}); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
 	close(reloaded)
 	if err := <-done; err != nil {
 		t.Fatalf("writes failed across SLO reload: %v", err)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -224,7 +225,9 @@ func TestDaemonReloadUnderLoad(t *testing.T) {
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)
-	d.Reload(Tuning{MaxInflight: 4, QueueDepth: 32, Quantum: 2 << 20, Weights: map[string]int{"load": 7}, Pipeline: 2})
+	if err := d.Reload(Tuning{MaxInflight: 4, QueueDepth: 32, Quantum: 2 << 20, Weights: map[string]int{"load": 7}, Pipeline: 2}); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
 	if err := <-done; err != nil {
 		t.Fatalf("writes failed across reload: %v", err)
 	}
@@ -248,6 +251,47 @@ func TestDaemonReloadUnderLoad(t *testing.T) {
 
 // TestDaemonChaosAttachDetach: sessions attach, write, and detach
 // concurrently while a long-running tenant's collectives proceed
+
+// TestDaemonReloadRefusesInvalidTuning: a reload is held to the rule
+// StartDaemon applies. Each tuning Config.Validate refuses — a zero
+// weight, a negative queue depth, a negative pipeline — makes Reload
+// fail, leaves the service's configuration valid, and leaves the tuning
+// a session reports as it was.
+func TestDaemonReloadRefusesInvalidTuning(t *testing.T) {
+	d := startTestDaemon(t, "", Tuning{QueueDepth: 8, Weights: map[string]int{"a": 2}, Pipeline: 3})
+	defer d.Drain() //nolint:errcheck
+	s, err := Dial(SessionConfig{Addr: d.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	before, err := s.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Tuning{
+		{Weights: map[string]int{"a": 0}},
+		{QueueDepth: -1},
+		{Pipeline: -3},
+	} {
+		if err := d.Reload(bad); err == nil {
+			t.Errorf("Reload(%+v) accepted tuning StartDaemon refuses", bad)
+		}
+		if err := d.svc.Config().Validate(); err != nil {
+			t.Errorf("after Reload(%+v) the service's config is invalid: %v", bad, err)
+		}
+		after, err := s.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.MaxInflight != before.MaxInflight || after.QueueDepth != before.QueueDepth ||
+			after.Pipeline != before.Pipeline || !reflect.DeepEqual(after.Weights, before.Weights) {
+			t.Errorf("Reload(%+v) changed the reported tuning to inflight %d, depth %d, pipeline %d, weights %v",
+				bad, after.MaxInflight, after.QueueDepth, after.Pipeline, after.Weights)
+		}
+	}
+}
+
 // unharmed.
 func TestDaemonChaosAttachDetach(t *testing.T) {
 	d := startTestDaemon(t, t.TempDir(), Tuning{MaxInflight: 3})

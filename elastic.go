@@ -19,13 +19,14 @@ import (
 // The daemon's pool has a fixed capacity (DaemonConfig.MaxIONodes) but
 // a dynamic population: I/O nodes join at runtime (pandad -join),
 // leave through an operator drain (pandastat drain-server), or are
-// declared lost when their lease lapses. The core tracks who is live
-// (core.Membership) and stamps every dispatched operation with the
-// slots to avoid; this file is the data-placement half — whenever the
-// population changes, committed arrays are *rebalanced* by rewriting
-// them through an ordinary collective read+write cycle, so the two-
-// phase commit machinery guarantees the destination set is durable
-// before the old placement stops being read.
+// declared lost when their control connection ends (or, for one that
+// goes silent with it open, when their lease lapses). The core tracks
+// who is live (core.Membership) and stamps every dispatched operation
+// with the slots to avoid; this file is the data-placement half —
+// whenever the population changes, committed arrays are *rebalanced* by
+// rewriting them through an ordinary collective read+write cycle, so
+// the two-phase commit machinery guarantees the destination set is
+// durable before the old placement stops being read.
 //
 // The rebalance session is a real scheduler tenant ("_rebalance"): its
 // operations queue behind and serialize with client collectives on the
@@ -45,8 +46,9 @@ const migrateParallel = 2
 
 // onMemberEvent is the Membership notify hook: every membership change
 // lands in the event log, and a join triggers a background rebalance
-// that spreads committed data onto the new member. Runs on the master
-// server's router goroutine, so anything heavy is handed off.
+// that spreads committed data onto the new member. Runs on the goroutine
+// of the joiner's control connection (or the lease watchdog's), with
+// the membership lock released, so anything heavy is handed off.
 func (d *Daemon) onMemberEvent(ev core.MemberEvent) {
 	d.events.Emit(ev.Kind, map[string]any{"slot": ev.Slot, "epoch": ev.Epoch, "addr": ev.Addr})
 	d.logf("membership: %s slot=%d epoch=%d addr=%q", ev.Kind, ev.Slot, ev.Epoch, ev.Addr)
@@ -93,7 +95,12 @@ func (d *Daemon) DrainServer(slot int) error {
 func (d *Daemon) Rebalance(reason string) error {
 	d.rebalMu.Lock()
 	defer d.rebalMu.Unlock()
-	work := d.committedInstances()
+	work, err := d.committedInstances()
+	if err != nil {
+		// Migrating "nothing" would let a drain retire a node that still
+		// holds data; with the work unknown, the rebalance fails.
+		return fmt.Errorf("panda: rebalance (%s): %w", reason, err)
+	}
 	d.events.Emit("rebalance_start", map[string]any{"reason": reason, "instances": len(work)})
 	d.logf("rebalance (%s): %d committed array instances", reason, len(work))
 
@@ -156,12 +163,13 @@ type arrayInstance struct {
 // disk (the authority for what was ever committed). A decision key
 // belongs to the longest catalogued name it extends by nothing or by a
 // "."-led suffix: with arrays "x" and "x.y", "x.y.ckpt" is x.y's
-// checkpoint, not an instance ".y.ckpt" of x.
-func (d *Daemon) committedInstances() []arrayInstance {
+// checkpoint, not an instance ".y.ckpt" of x. A disk that cannot be
+// listed, or a record that cannot be read, is an error: the work is
+// unknown, not empty.
+func (d *Daemon) committedInstances() ([]arrayInstance, error) {
 	names, err := d.disks[0].List()
 	if err != nil {
-		d.logf("listing master disk for rebalance: %v", err)
-		return nil
+		return nil, fmt.Errorf("listing the master server's disk: %w", err)
 	}
 	entries := d.cat.Entries()
 	var out []arrayInstance
@@ -180,7 +188,11 @@ func (d *Daemon) committedInstances() []arrayInstance {
 		if owner == "" {
 			continue
 		}
-		if ep, ok, _ := storage.ReadDecision(d.disks[0], key); ok && ep > 0 {
+		ep, ok, err := storage.ReadDecision(d.disks[0], key)
+		if err != nil {
+			return nil, err
+		}
+		if ok && ep > 0 {
 			out = append(out, arrayInstance{name: owner, suffix: key[len(owner):]})
 		}
 	}
@@ -190,7 +202,7 @@ func (d *Daemon) committedInstances() []arrayInstance {
 		}
 		return out[i].suffix < out[j].suffix
 	})
-	return out
+	return out, nil
 }
 
 // migrateInstance rewrites one committed array instance: attach a

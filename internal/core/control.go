@@ -18,8 +18,8 @@ import (
 // attempt. Callers keep only their policy.
 
 // serverGone reports whether server i can no longer take part: the
-// transport saw it die, or the membership layer expired its lease or
-// removed it.
+// transport saw it die, or the membership layer declared it gone
+// (its control connection ended or its lease lapsed) or removed it.
 func (s *Server) serverGone(i int) bool {
 	if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.ServerRank(i)) {
 		return true

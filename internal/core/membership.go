@@ -25,12 +25,15 @@ import (
 // it ("in-flight ops complete on their pre-drain plan snapshot") and
 // servers invalidate their plan caches when the epoch moves.
 //
-// Liveness of remote (joined) members is lease-based: the master grants
-// a lease at admission, heartbeat frames renew it, and a watchdog under
-// the deployment clock expires it — with a deterministic per-slot
-// jitter so a herd of members never expires on the same tick. Local
-// members (the daemon's own in-process servers) are pinned: they share
-// the daemon's fate and carry no lease.
+// A remote (joined) member is bound to the reservation that made it: a
+// Claim, which its daemon control connection holds. Only that claim
+// admits the slot, renews its lease and — when the connection ends —
+// releases it. The lease is the backstop for a member that keeps its
+// connection open and goes silent: the claim's heartbeats renew it, and
+// a watchdog under the deployment clock expires it, with a
+// deterministic per-slot jitter so a herd of members never expires on
+// the same tick. Local members (the daemon's own in-process servers)
+// are pinned: they share the daemon's fate and carry no lease.
 
 // MemberState is the lifecycle state of one server slot.
 type MemberState int
@@ -38,8 +41,8 @@ type MemberState int
 const (
 	// MemberAbsent marks an unoccupied capacity slot.
 	MemberAbsent MemberState = iota
-	// MemberJoining marks a slot reserved for an announced joiner whose
-	// ServerHello has not arrived yet; a provisional lease reclaims the
+	// MemberJoining marks a slot reserved for an announced joiner that
+	// has not said it is ready yet; a provisional lease reclaims the
 	// slot if it never does.
 	MemberJoining
 	// MemberActive marks a serving member.
@@ -48,8 +51,8 @@ const (
 	// from new writes (so migration can move its chunks off) but still
 	// serving reads of the epochs it owns.
 	MemberDraining
-	// MemberLost marks a member whose lease expired or whose transport
-	// died: gone without handoff, the failover replanner's case.
+	// MemberLost marks a member whose control connection ended or whose
+	// lease expired: gone without handoff, the failover replanner's case.
 	MemberLost
 )
 
@@ -100,6 +103,7 @@ type member struct {
 	local bool
 	addr  string
 	epoch uint32 // epoch at last state change
+	claim uint32 // epoch of the reservation that holds the slot; 0 for locals
 	// leaseExpiry is the deployment-clock time the lease dies; zero for
 	// pinned (local) members and unoccupied slots.
 	leaseExpiry time.Duration
@@ -269,12 +273,22 @@ func (m *Membership) Gone(slot int) bool {
 	return s == MemberLost || s == MemberAbsent || s == MemberJoining
 }
 
+// Claim names one reservation of a slot: the slot and the membership
+// epoch the reservation was made in, which no later reservation shares.
+// It is what the joiner's control connection holds, and the only thing
+// that can make the slot ready, renew its lease or release it — so a
+// connection whose slot was lost and reserved again renews nothing.
+type Claim struct {
+	Slot  int
+	Epoch uint32
+}
+
 // Reserve allocates a slot for an announced joiner: the lowest Absent
 // or Lost slot above 0 (slot 0 is the master server, permanently
 // pinned) moves to Joining under a provisional lease. The joiner must
-// follow up with a ServerHello before the lease expires or the slot is
+// say it is ready (Admit) before the lease expires or the slot is
 // reclaimed.
-func (m *Membership) Reserve(addr string, now time.Duration) (int, error) {
+func (m *Membership) Reserve(addr string, now time.Duration) (Claim, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := 1; i < len(m.members); i++ {
@@ -284,69 +298,77 @@ func (m *Membership) Reserve(addr string, now time.Duration) (int, error) {
 				state:       MemberJoining,
 				addr:        addr,
 				epoch:       m.epoch,
+				claim:       m.epoch,
 				leaseExpiry: now + m.leaseTTL + m.jitter(i),
 			}
-			return i, nil
+			return Claim{Slot: i, Epoch: m.epoch}, nil
 		}
 	}
-	return 0, fmt.Errorf("core: server pool full (%d slots): %w", len(m.members), ErrBusy)
+	return Claim{}, fmt.Errorf("core: server pool full (%d slots): %w", len(m.members), ErrBusy)
 }
 
-// Admit activates a reserved slot once its ServerHello arrived on the
-// control plane: Joining → Active, fresh lease, epoch bump, join event.
-func (m *Membership) Admit(slot int, now time.Duration) error {
+// held returns the slot c still holds — until the slot is lost, drained
+// or reclaimed — or an error. Caller holds m.mu.
+func (m *Membership) held(c Claim, verb string) (*member, error) {
+	if c.Epoch == 0 || c.Slot <= 0 || c.Slot >= len(m.members) || m.members[c.Slot].claim != c.Epoch {
+		return nil, fmt.Errorf("core: %s: no live reservation of slot %d (epoch %d)", verb, c.Slot, c.Epoch)
+	}
+	return &m.members[c.Slot], nil
+}
+
+// Admit activates a reserved slot once its joiner is registered on the
+// hub and says it is ready: Joining → Active, fresh lease, epoch bump,
+// join event.
+func (m *Membership) Admit(c Claim, now time.Duration) error {
 	m.mu.Lock()
-	if slot < 0 || slot >= len(m.members) || m.members[slot].state != MemberJoining {
-		st := MemberAbsent
-		if slot >= 0 && slot < len(m.members) {
-			st = m.members[slot].state
-		}
+	mb, err := m.held(c, "server-ready")
+	if err == nil && mb.state != MemberJoining {
+		err = fmt.Errorf("core: server-ready for slot %d in state %s (want joining)", c.Slot, mb.state)
+	}
+	if err != nil {
 		m.mu.Unlock()
-		return fmt.Errorf("core: ServerHello for slot %d in state %s (want joining)", slot, st)
+		return err
 	}
 	m.epoch++
-	m.members[slot].state = MemberActive
-	m.members[slot].epoch = m.epoch
-	m.members[slot].leaseExpiry = now + m.leaseTTL + m.jitter(slot)
-	ev := MemberEvent{Kind: "server_join", Slot: slot, Epoch: m.epoch, Addr: m.members[slot].addr}
-	notify := m.notify
-	m.mu.Unlock()
-	if notify != nil {
-		notify(ev)
-	}
+	mb.state = MemberActive
+	mb.epoch = m.epoch
+	mb.leaseExpiry = now + m.leaseTTL + m.jitter(c.Slot)
+	m.unlockNotify(MemberEvent{Kind: "server_join", Slot: c.Slot, Epoch: m.epoch, Addr: mb.addr})
 	return nil
 }
 
-// Heartbeat renews a remote member's lease. Unknown or pinned slots
-// no-op (a straggler heartbeat from a slot already reclaimed must not
-// resurrect it).
-func (m *Membership) Heartbeat(slot int, now time.Duration) {
+// Heartbeat renews the lease of the slot c holds. A claim whose slot was
+// lost (a straggler must not resurrect it), drained, or reserved again
+// by another joiner renews nothing and is an error.
+func (m *Membership) Heartbeat(c Claim, now time.Duration) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if slot < 0 || slot >= len(m.members) {
-		return
+	mb, err := m.held(c, "heartbeat")
+	if err == nil {
+		mb.leaseExpiry = now + m.leaseTTL + m.jitter(c.Slot)
 	}
-	mb := &m.members[slot]
-	if mb.leaseExpiry == 0 {
-		return
-	}
-	switch mb.state {
-	case MemberJoining, MemberActive, MemberDraining:
-		mb.leaseExpiry = now + m.leaseTTL + m.jitter(slot)
-	}
+	return err
 }
 
 // StartDrain fences a member from new writes: Active → Draining with an
 // epoch bump. It returns the fence epoch — operations dispatched under
 // earlier epochs are the "in-flight before the drain" set WaitServerIdle
-// waits out. Slot 0 (the master server) can never drain.
+// waits out. A slot still Draining (its migration failed) returns the
+// fence it was drained at, so the drain can be retried. Slot 0 (the
+// master server) can never drain.
 func (m *Membership) StartDrain(slot int) (uint32, error) {
 	m.mu.Lock()
 	if slot <= 0 || slot >= len(m.members) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("core: cannot drain server %d of pool %d (slot 0 is the master)", slot, len(m.members))
 	}
-	if st := m.members[slot].state; st != MemberActive {
+	switch st := m.members[slot].state; st {
+	case MemberActive:
+	case MemberDraining:
+		fence := m.members[slot].epoch
+		m.mu.Unlock()
+		return fence, nil
+	default:
 		m.mu.Unlock()
 		return 0, fmt.Errorf("core: drain server %d: state %s (want active)", slot, st)
 	}
@@ -354,12 +376,7 @@ func (m *Membership) StartDrain(slot int) (uint32, error) {
 	fence := m.epoch
 	m.members[slot].state = MemberDraining
 	m.members[slot].epoch = fence
-	ev := MemberEvent{Kind: "server_drain", Slot: slot, Epoch: fence, Addr: m.members[slot].addr}
-	notify := m.notify
-	m.mu.Unlock()
-	if notify != nil {
-		notify(ev)
-	}
+	m.unlockNotify(MemberEvent{Kind: "server_drain", Slot: slot, Epoch: fence, Addr: m.members[slot].addr})
 	return fence, nil
 }
 
@@ -381,77 +398,72 @@ func (m *Membership) FinishDrain(slot int) error {
 	local := m.members[slot].local
 	addr := m.members[slot].addr
 	m.members[slot] = member{state: MemberAbsent, local: local, epoch: m.epoch}
-	ev := MemberEvent{Kind: "server_left", Slot: slot, Epoch: m.epoch, Addr: addr}
-	notify := m.notify
-	m.mu.Unlock()
-	if notify != nil {
-		notify(ev)
-	}
+	m.unlockNotify(MemberEvent{Kind: "server_left", Slot: slot, Epoch: m.epoch, Addr: addr})
 	return nil
 }
 
-// MarkLost declares a member dead without handoff (transport death or
-// lease expiry): → Lost, lease cleared, epoch bump, server_lost event.
-// Idempotent for already-lost slots; pinned local members (and slot 0)
-// are never marked — they share the daemon's fate.
-func (m *Membership) MarkLost(slot int) bool {
+// Release declares the slot c holds gone because its joiner's control
+// connection ended — the same rule a lapsed lease applies (gone). A slot
+// the claim no longer holds (drained, lost, or reserved again) is left
+// alone.
+func (m *Membership) Release(c Claim) {
 	m.mu.Lock()
-	if slot <= 0 || slot >= len(m.members) {
-		m.mu.Unlock()
-		return false
+	var evs []MemberEvent
+	if _, err := m.held(c, "release"); err == nil {
+		evs = m.gone(c.Slot, evs)
 	}
-	mb := &m.members[slot]
-	if mb.local {
-		m.mu.Unlock()
-		return false
-	}
-	switch mb.state {
-	case MemberActive, MemberDraining, MemberJoining:
-	default:
-		m.mu.Unlock()
-		return false
-	}
-	m.epoch++
-	mb.state = MemberLost
-	mb.epoch = m.epoch
-	mb.leaseExpiry = 0
-	ev := MemberEvent{Kind: "server_lost", Slot: slot, Epoch: m.epoch, Addr: mb.addr}
-	notify := m.notify
-	m.mu.Unlock()
-	if notify != nil {
-		notify(ev)
-	}
-	return true
+	m.unlockNotify(evs...)
 }
 
-// ExpireLeases sweeps every leased member whose lease lapsed at now:
-// Joining slots are silently reclaimed to Absent (the joiner never said
-// hello), serving members are MarkLost. It returns the slots lost. The
-// Service's watchdog calls this every HeartbeatEvery under the deployment
-// clock, so expiry is vtime-deterministic in simulation.
+// ExpireLeases sweeps every leased member whose lease lapsed at now and
+// declares it gone. It returns the slots lost. The Service's watchdog
+// calls this every HeartbeatEvery under the deployment clock, so expiry
+// is vtime-deterministic in simulation.
 func (m *Membership) ExpireLeases(now time.Duration) []int {
 	m.mu.Lock()
-	var lost, reclaim []int
+	var evs []MemberEvent
 	for i := range m.members {
-		mb := &m.members[i]
-		if mb.leaseExpiry == 0 || now < mb.leaseExpiry {
-			continue
-		}
-		if mb.state == MemberJoining {
-			reclaim = append(reclaim, i)
-		} else {
-			lost = append(lost, i)
+		if mb := &m.members[i]; mb.leaseExpiry > 0 && now >= mb.leaseExpiry {
+			evs = m.gone(i, evs)
 		}
 	}
-	for _, i := range reclaim {
-		m.epoch++
-		m.members[i] = member{state: MemberAbsent, epoch: m.epoch}
+	var lost []int
+	for _, ev := range evs {
+		lost = append(lost, ev.Slot)
 	}
-	m.mu.Unlock()
-	for _, i := range lost {
-		m.MarkLost(i)
-	}
+	m.unlockNotify(evs...)
 	return lost
+}
+
+// gone is the one rule for a remote member that is no longer there,
+// whether its control connection ended or its lease lapsed: a Joining
+// slot is reclaimed to Absent silently (it never served); a serving or
+// draining one goes Lost, with its lease and claim cleared, an epoch
+// bump, and a server_lost event appended to evs. Pinned locals and
+// slots already Absent or Lost are left alone. Caller holds m.mu.
+func (m *Membership) gone(slot int, evs []MemberEvent) []MemberEvent {
+	switch mb := &m.members[slot]; {
+	case mb.local:
+	case mb.state == MemberJoining:
+		m.epoch++
+		*mb = member{state: MemberAbsent, epoch: m.epoch}
+	case mb.state == MemberActive || mb.state == MemberDraining:
+		m.epoch++
+		mb.state, mb.epoch, mb.leaseExpiry, mb.claim = MemberLost, m.epoch, 0, 0
+		evs = append(evs, MemberEvent{Kind: "server_lost", Slot: slot, Epoch: m.epoch, Addr: mb.addr})
+	}
+	return evs
+}
+
+// unlockNotify lets go of m.mu, then hands evs to the notify hook (the
+// daemon's event emitter and rebalance trigger), which must not run
+// under the lock.
+func (m *Membership) unlockNotify(evs ...MemberEvent) {
+	notify := m.notify
+	m.mu.Unlock()
+	for i := 0; notify != nil && i < len(evs); i++ {
+		notify(evs[i])
+	}
 }
 
 // jitter is the per-slot lease slack: deterministic (a function of the

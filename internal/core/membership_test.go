@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -31,9 +32,9 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 
 	// Reserve: lowest free slot above 0, provisionally leased.
-	slot, err := m.Reserve("host9:/scratch", 0)
-	if err != nil || slot != 2 {
-		t.Fatalf("Reserve = %d, %v; want 2", slot, err)
+	c, err := m.Reserve("host9:/scratch", 0)
+	if err != nil || c.Slot != 2 || c.Epoch != m.Epoch() {
+		t.Fatalf("Reserve = %+v, %v; want slot 2 at epoch %d", c, err, m.Epoch())
 	}
 	if st := m.State(2); st != MemberJoining {
 		t.Fatalf("state after reserve = %s", st)
@@ -46,7 +47,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 
 	// Admit: serving, fenced-in, join event.
-	if err := m.Admit(2, 0); err != nil {
+	if err := m.Admit(c, 0); err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
 	if st := m.State(2); st != MemberActive {
@@ -58,7 +59,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if len(events) != 1 || events[0].Kind != "server_join" || events[0].Slot != 2 {
 		t.Fatalf("join event = %+v", events)
 	}
-	if err := m.Admit(2, 0); err == nil {
+	if err := m.Admit(c, 0); err == nil {
 		t.Fatal("double Admit accepted")
 	}
 
@@ -69,6 +70,9 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 	if fence != m.Epoch() {
 		t.Fatalf("fence %d != epoch %d", fence, m.Epoch())
+	}
+	if again, err := m.StartDrain(2); err != nil || again != fence {
+		t.Fatalf("retried StartDrain = %d, %v; want the standing fence %d", again, err, fence)
 	}
 	if got := m.DownForWrite(); !reflect.DeepEqual(got, []int{2, 3}) {
 		t.Fatalf("DownForWrite while draining = %v", got)
@@ -97,15 +101,20 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("event stream = %v", kinds)
 	}
 
-	// Guard rails: the master slot never drains, locals are never lost.
+	// Guard rails: the master slot never drains; locals hold no claim,
+	// so nothing can release them, and carry no lease to lapse.
 	if _, err := m.StartDrain(0); err == nil {
 		t.Fatal("drained the master server")
 	}
-	if m.MarkLost(1) {
-		t.Fatal("marked a pinned local member lost")
+	epoch := m.Epoch()
+	for _, slot := range []int{0, 1} {
+		m.Release(Claim{Slot: slot})
+		if err := m.Heartbeat(Claim{Slot: slot}, 0); err == nil {
+			t.Fatalf("a claimless heartbeat renewed local slot %d", slot)
+		}
 	}
-	if m.MarkLost(0) {
-		t.Fatal("marked the master lost")
+	if lost := m.ExpireLeases(time.Hour); len(lost) != 0 || m.State(0) != MemberActive || m.State(1) != MemberActive || m.Epoch() != epoch {
+		t.Fatalf("locals touched: lost=%v states=%s,%s epoch %d→%d", lost, m.State(0), m.State(1), epoch, m.Epoch())
 	}
 }
 
@@ -148,12 +157,14 @@ func TestMembershipLeaseExpiry(t *testing.T) {
 	}
 	// The live member heartbeats; the ghost doesn't. Jitter extends a
 	// lease by at most ttl/8, so 2*ttl is safely past both originals.
-	m.Heartbeat(live, ttl)
+	if err := m.Heartbeat(live, ttl); err != nil {
+		t.Fatal(err)
+	}
 	lost := m.ExpireLeases(2 * ttl)
 	if len(lost) != 0 {
 		t.Fatalf("heartbeating member lost: %v", lost)
 	}
-	if st := m.State(ghost); st != MemberAbsent {
+	if st := m.State(ghost.Slot); st != MemberAbsent {
 		t.Fatalf("ghost reclaimed to %s, want absent", st)
 	}
 	for _, ev := range events {
@@ -164,35 +175,105 @@ func TestMembershipLeaseExpiry(t *testing.T) {
 
 	// Now the live member goes quiet too.
 	lost = m.ExpireLeases(4 * ttl)
-	if len(lost) != 1 || lost[0] != live {
-		t.Fatalf("lost = %v, want [%d]", lost, live)
+	if len(lost) != 1 || lost[0] != live.Slot {
+		t.Fatalf("lost = %v, want [%d]", lost, live.Slot)
 	}
-	if st := m.State(live); st != MemberLost {
+	if st := m.State(live.Slot); st != MemberLost {
 		t.Fatalf("state = %s, want lost", st)
 	}
-	if !m.Gone(live) {
+	if !m.Gone(live.Slot) {
 		t.Fatal("lost member not Gone")
 	}
 	if m.Leases() != 0 {
 		t.Fatalf("leaked leases: %d", m.Leases())
 	}
 	last := events[len(events)-1]
-	if last.Kind != "server_lost" || last.Slot != live {
+	if last.Kind != "server_lost" || last.Slot != live.Slot {
 		t.Fatalf("last event = %+v", last)
 	}
 
 	// A straggler heartbeat must not resurrect the corpse.
-	m.Heartbeat(live, 4*ttl)
-	if st := m.State(live); st != MemberLost {
+	if err := m.Heartbeat(live, 4*ttl); err == nil {
+		t.Fatal("a straggler heartbeat for a lost slot was accepted")
+	}
+	if st := m.State(live.Slot); st != MemberLost {
 		t.Fatalf("straggler heartbeat resurrected the member: %s", st)
 	}
 	// But both freed slots are reusable: the next joiners get the
 	// reclaimed ghost slot (lowest first) and then the lost one.
-	if slot, err := m.Reserve("reborn", 5*ttl); err != nil || slot != ghost {
-		t.Fatalf("Reserve after reclaim = %d, %v; want %d", slot, err, ghost)
+	if c, err := m.Reserve("reborn", 5*ttl); err != nil || c.Slot != ghost.Slot {
+		t.Fatalf("Reserve after reclaim = %+v, %v; want slot %d", c, err, ghost.Slot)
 	}
-	if slot, err := m.Reserve("reborn2", 5*ttl); err != nil || slot != live {
-		t.Fatalf("Reserve after loss = %d, %v; want %d", slot, err, live)
+	if c, err := m.Reserve("reborn2", 5*ttl); err != nil || c.Slot != live.Slot {
+		t.Fatalf("Reserve after loss = %+v, %v; want slot %d", c, err, live.Slot)
+	}
+}
+
+// TestMembershipClaimBindsSlot: a reservation's claim is the only key
+// to its slot. The end of its connection reclaims a Joining slot
+// silently and loses an Active one, exactly as a lapsed lease does; a
+// drained slot is the drain's, so its claim releases nothing; and once
+// a lost slot is reserved again, the old claim neither renews nor
+// releases the new holder's.
+func TestMembershipClaimBindsSlot(t *testing.T) {
+	m := NewMembership(4, 1, time.Second, 0)
+	var events []string
+	m.SetNotify(func(ev MemberEvent) { events = append(events, fmt.Sprintf("%s:%d", ev.Kind, ev.Slot)) })
+
+	// A joiner that hangs up before it is ready leaves no trace.
+	ghost, _ := m.Reserve("ghost", 0)
+	m.Release(ghost)
+	if st := m.State(ghost.Slot); st != MemberAbsent || m.Leases() != 0 || len(events) != 0 {
+		t.Fatalf("released reservation: state %s, %d leases, events %v", st, m.Leases(), events)
+	}
+
+	// A serving joiner that hangs up is lost at once.
+	a, _ := m.Reserve("a", 0)
+	if err := m.Admit(ghost, 0); err == nil {
+		t.Fatal("a released claim admitted the slot")
+	}
+	if err := m.Admit(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.Release(a)
+	if st := m.State(a.Slot); st != MemberLost || m.Leases() != 0 {
+		t.Fatalf("hung-up member: state %s, %d leases; want lost, 0", st, m.Leases())
+	}
+
+	// The lost slot is reserved again; the old claim is stale.
+	b, _ := m.Reserve("b", 0)
+	if b.Slot != a.Slot {
+		t.Fatalf("reservation after loss took slot %d, want %d", b.Slot, a.Slot)
+	}
+	if err := m.Heartbeat(a, 0); err == nil {
+		t.Fatal("a stale claim renewed the new holder's lease")
+	}
+	if err := m.Admit(a, 0); err == nil {
+		t.Fatal("a stale claim admitted the new holder's slot")
+	}
+	m.Release(a)
+	if st := m.State(b.Slot); st != MemberJoining {
+		t.Fatalf("a stale release moved the new holder to %s", st)
+	}
+
+	// A drained slot belongs to the drain: the victim's hang-up after
+	// the release is no loss.
+	if err := m.Admit(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.StartDrain(b.Slot); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FinishDrain(b.Slot); err != nil {
+		t.Fatal(err)
+	}
+	m.Release(b)
+	if st := m.State(b.Slot); st != MemberAbsent {
+		t.Fatalf("drained slot after hang-up = %s, want absent", st)
+	}
+	want := []string{"server_join:1", "server_lost:1", "server_join:1", "server_drain:1", "server_left:1"}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("events %v, want %v", events, want)
 	}
 }
 
@@ -334,20 +415,5 @@ func TestOpRequestMemberEpochRoundTrip(t *testing.T) {
 	stamped := encodeOpRequest(withEpoch)
 	if len(stamped) <= len(plain) {
 		t.Fatalf("stamped frame (%d B) not longer than legacy (%d B)", len(stamped), len(plain))
-	}
-}
-
-// TestSlotFrameRoundTrip: hello and heartbeat frames carry their slot.
-func TestSlotFrameRoundTrip(t *testing.T) {
-	for _, b := range [][]byte{encodeServerHello(6), encodeHeartbeat(6)} {
-		r := rbuf{b: b}
-		typ := r.u8()
-		if typ != msgServerHello && typ != msgHeartbeat {
-			t.Fatalf("frame type = %d", typ)
-		}
-		slot, err := decodeSlotFrame(&r)
-		if err != nil || slot != 6 {
-			t.Fatalf("slot = %d, %v; want 6", slot, err)
-		}
 	}
 }

@@ -131,14 +131,6 @@ const (
 	// operations while in-flight executors keep the snapshot they
 	// started with.
 	msgReconfig
-	// msgServerHello announces a late-joining I/O node on the control
-	// plane (joiner → master server, tagControl): "slot N is registered
-	// on the hub and serving". The master admits it into the membership
-	// and starts its lease.
-	msgServerHello
-	// msgHeartbeat renews a remote member's lease (joiner → master
-	// server, tagControl, every HeartbeatEvery).
-	msgHeartbeat
 )
 
 // Operation kinds.
@@ -696,28 +688,4 @@ func SpecFingerprint(s ArraySpec) uint32 { return planFingerprint(s) }
 // status tells a stuck server why the operation is being abandoned.
 func encodeAbort(attempt, round uint16, opErr error) []byte {
 	return encodeStatus(msgAbort, attempt, round, opErr)
-}
-
-// encodeServerHello announces a joined I/O node holding the given pool
-// slot (joiner → master server, tagControl).
-func encodeServerHello(slot int) []byte {
-	var w wbuf
-	w.u8(msgServerHello)
-	w.u32(uint32(slot))
-	return w.b
-}
-
-// encodeHeartbeat renews the lease of the given pool slot.
-func encodeHeartbeat(slot int) []byte {
-	var w wbuf
-	w.u8(msgHeartbeat)
-	w.u32(uint32(slot))
-	return w.b
-}
-
-// decodeSlotFrame decodes the shared body of ServerHello and Heartbeat
-// (the type byte already consumed).
-func decodeSlotFrame(r *rbuf) (int, error) {
-	slot := int(r.u32())
-	return slot, r.err
 }

@@ -354,8 +354,6 @@ func (r *schedRouter) route(m mpi.Message) {
 			r.handleRequest(m)
 		case msgReconfig:
 			r.applyReconfig(m.Data)
-		case msgServerHello, msgHeartbeat:
-			r.handleMember(m.Data)
 		default:
 			r.s.reject(m.Data)
 		}
@@ -430,31 +428,6 @@ func (r *schedRouter) handleRequest(m mpi.Message) {
 func (r *schedRouter) refuse(req opRequest, err error) {
 	leader := (&node{ranks: req.Ranks}).groupRank(0)
 	r.s.comm.Send(leader, tagToClient(int(req.Seq)), encodeStatus(msgComplete, req.Attempt, req.Round, err))
-}
-
-// handleMember applies a joined I/O node's control-plane frame: a hello
-// admits it, a heartbeat renews its lease. Only the master carries the
-// membership authority; elsewhere (or on a static deployment) the frame
-// is stale traffic. Admit fires the membership notify callback (the
-// daemon's event emitter and rebalance trigger) from this goroutine; the
-// daemon hands the heavy lifting to its own goroutine, so the router's
-// single-wait loop is not held up.
-func (r *schedRouter) handleMember(b []byte) {
-	s := r.s
-	if r.core == nil || s.cfg.Members == nil {
-		s.reject(b)
-		return
-	}
-	hello, rb := b[0] == msgServerHello, rbuf{b: b[1:]}
-	slot, err := decodeSlotFrame(&rb)
-	bufpool.Put(b)
-	switch {
-	case err != nil:
-	case hello:
-		_ = s.cfg.Members.Admit(slot, s.clk.Now())
-	default:
-		s.cfg.Members.Heartbeat(slot, s.clk.Now())
-	}
 }
 
 // publish enters one operation the master dispatches into the dispatch

@@ -174,9 +174,11 @@ func (s *Service) Start(comms []mpi.Comm, send func(to, tag int, data []byte), c
 
 // leaseWatchdog periodically expires lapsed member leases under the
 // deployment clock. Local members are pinned (no lease), so a fixed
-// pool never sees it act; only remote joiners that stop heartbeating
-// are marked lost, which feeds the failover replanner exactly like a
-// transport-level death report.
+// pool never sees it act; a remote joiner is normally declared gone
+// the moment its control connection ends, and the watchdog catches
+// the one that keeps its connections open and stops heartbeating. A
+// loss feeds the failover replanner exactly like a transport-level
+// death report.
 func (s *Service) leaseWatchdog(clk clock.Clock, members *Membership) {
 	for {
 		clk.Sleep(members.HeartbeatEvery())
@@ -189,13 +191,9 @@ func (s *Service) leaseWatchdog(clk clock.Clock, members *Membership) {
 	}
 }
 
-// Members returns the service's elastic membership table, nil for
-// fixed-shape deployments.
-func (s *Service) Members() *Membership { return s.cfg.Members }
-
 // Clock returns the deployment clock Start installed. Membership times
-// (lease grants, expiry sweeps) must be measured against it, since the
-// master server's heartbeat handling uses the same clock.
+// (lease grants, heartbeats, expiry sweeps) must be measured against
+// it, since the lease watchdog sweeps under the same clock.
 func (s *Service) Clock() clock.Clock { return s.clk }
 
 // BeginServerDrain fences server slot idx out of newly dispatched
@@ -228,18 +226,23 @@ func (s *Service) Dispatched() []DispatchedOp {
 	return slices.Clone(t.ops)
 }
 
-// FinishServerDrain retires a drained slot after migration: the victim
-// server is told to exit and the slot returns to the vacant pool. The
-// shutdown frame is best-effort — a victim that already died simply
+// FinishServerDrain retires a drained slot after migration: the slot
+// returns to the vacant pool first, and only then is the victim server
+// told to exit — so its exit, and the end of its control connection,
+// find a slot that is no longer its own and never read as a loss. The
+// shutdown frame is best-effort: a victim that already died simply
 // leaves the frame undeliverable.
 func (s *Service) FinishServerDrain(idx int) error {
 	if s.cfg.Members == nil {
 		return fmt.Errorf("core: finish drain of server %d: deployment has no elastic membership", idx)
 	}
+	if err := s.cfg.Members.FinishDrain(idx); err != nil {
+		return err
+	}
 	if s.send != nil {
 		s.send(s.cfg.ServerRank(idx), tagControl, encodeShutdown())
 	}
-	return s.cfg.Members.FinishDrain(idx)
+	return nil
 }
 
 // Attach admits a client session of the given member count, assigning
@@ -322,13 +325,20 @@ func (s *Service) Sessions() []SessionInfo {
 // server receives a reconfig frame its router applies between
 // operations — in-flight operations keep the knobs they started with.
 // Reconfig.Sched.MaxInflight == 0 keeps the current concurrency bound.
-func (s *Service) Reconfigure(rc Reconfig) {
+// Tuning that NewService would refuse (Config.Validate) is refused here
+// too, and the current tuning stays.
+func (s *Service) Reconfigure(rc Reconfig) error {
 	s.mu.Lock()
-	s.cfg.reconfigure(rc)
+	next := s.cfg
+	next.reconfigure(rc)
+	err := next.Validate()
+	if err == nil {
+		s.cfg = next
+	}
 	send := s.send
 	s.mu.Unlock()
-	if send == nil {
-		return
+	if err != nil || send == nil {
+		return err
 	}
 	frame := encodeReconfig(rc)
 	for i := 0; i < s.cfg.NumServers; i++ {
@@ -336,6 +346,7 @@ func (s *Service) Reconfigure(rc Reconfig) {
 		// server must own a private copy.
 		send(s.cfg.ServerRank(i), tagControl, append([]byte(nil), frame...))
 	}
+	return nil
 }
 
 // Drain shuts the service down gracefully: new sessions and operations

@@ -3,7 +3,9 @@ package storage
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 	"sync"
 )
@@ -51,14 +53,17 @@ type Catalog struct {
 	entries map[string]CatalogEntry
 }
 
-// LoadCatalog opens (or implicitly creates) the catalog on d. A missing
-// file yields an empty catalog; a present-but-corrupt file is an error,
-// never silently discarded.
+// LoadCatalog opens (or implicitly creates) the catalog on d. Only a
+// missing file yields an empty catalog; one that is present but cannot
+// be read, or is corrupt, is an error, never silently discarded.
 func LoadCatalog(d Disk) (*Catalog, error) {
 	c := &Catalog{disk: d, entries: make(map[string]CatalogEntry)}
 	data, err := readFile(d, CatalogFileName)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return c, nil // absent: fresh catalog
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: catalog: %w", err)
 	}
 	if len(data) < 12 {
 		return nil, fmt.Errorf("storage: catalog: truncated header (%d bytes)", len(data))

@@ -234,9 +234,12 @@ func (s *keyScrub) judge(e uint64, at int, as []answer) (uint64, []answer) {
 		}
 	}
 	for _, a := range broken {
-		name := EpochManifestName(a.base, e) // a pending epoch Resolve refused
-		if a.c.Manifest != nil {
+		name := ManifestName(a.base) // a committed manifest Resolve could not read
+		switch tm := EpochManifestName(a.base, e); {
+		case a.c.Manifest != nil:
 			name = ManifestName(a.c.Name)
+		case Exists(s.disks[a.disk], tm):
+			name = tm // a pending epoch Resolve refused
 		}
 		s.add(a.disk, name, SevError, problem, rolled)
 	}

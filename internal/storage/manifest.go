@@ -424,6 +424,11 @@ func Resolve(d Disk, base string, epoch uint64) (Committed, error) {
 		// epoch: a stale server.
 		return Committed{Stale: m.Epoch}, nil
 	}
+	if !errors.Is(merr, fs.ErrNotExist) {
+		// A committed manifest that cannot be read is not the absence of
+		// one: what its file holds is unknown, so nothing is served.
+		return Committed{}, fmt.Errorf("storage: %s: %w", base, merr)
+	}
 	if Exists(d, base) {
 		return Committed{Name: base}, nil // legacy file, pre-manifest or despite a decision: serve it
 	}

@@ -651,3 +651,67 @@ func decisionRecordFailsTyped(t *testing.T, damage func(record string) error) {
 		t.Errorf("scrub does not report the garbled record: %+v", rep.Issues)
 	}
 }
+
+// TestGarbledManifestFailsTyped: a server whose committed manifest
+// exists but cannot be parsed holds bytes of unknown epoch. A 2-server
+// checkpoint at epoch 2 whose server-1 manifest is garbled, and whose
+// plain file holds its epoch-1 bytes, must fail Restart typed ErrCorrupt
+// on every node rather than serve that file as a legacy one (which
+// would assemble a mix of the two epochs with no error).
+func TestGarbledManifestFailsTyped(t *testing.T) {
+	dir := t.TempDir()
+	_, _, _, sim := figure2Arrays(t)
+	cluster, err := NewCluster(Config{ComputeNodes: 4, IONodes: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := func(n *Node) error {
+		for _, a := range sim.arrays {
+			if err := n.Bind(a, make([]byte, n.ChunkBytes(a))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := cluster.Run(func(n *Node) error {
+		if err := bind(n); err != nil {
+			return err
+		}
+		for step := uint32(1); step <= 2; step++ {
+			for _, a := range sim.arrays {
+				fillChunk(n.data[a], 1000*step+uint32(n.Rank()))
+			}
+			if err := n.Checkpoint(sim); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Epoch 2 is committed and the servers have exited; server 1 keeps
+	// epoch 1 as the retained previous copy. Put those bytes under the
+	// plain name and garble the manifest that describes it.
+	base := filepath.Join(cluster.IONodeDir(1), "temperature.ckpt.1")
+	epoch1, err := os.ReadFile(base + ".prev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, epoch1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base+".mfst", []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Run(func(n *Node) error {
+		if err := bind(n); err != nil {
+			return err
+		}
+		if err := n.Restart(sim); !errors.Is(err, ErrCorrupt) || !core.IsTyped(err) {
+			return fmt.Errorf("node %d: Restart over a garbled manifest: %v, want ErrCorrupt", n.Rank(), err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
