@@ -132,10 +132,11 @@ bench-pack:
 # zero, the paper's loop; 1: write-behind), and write-behind within 2 %
 # of zero; a pooled
 # buffer's round trip, a bounded receive of a waiting message, a frame
-# written to a socket, a file range sent to one and a frame read from
-# one into its place in the application's array allocate nothing.
+# written to a socket, a file range sent to one, a frame read from one
+# into its place in the application's array and a piece an in-process
+# server writes into that place allocate nothing.
 alloc-check:
-	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc|TestPlacedFrameZeroAlloc' -count=3 ./internal/...
+	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc|TestPlacedFrameZeroAlloc|TestInprocPlacedFrameZeroAlloc' -count=3 ./internal/...
 
 # bench-wall-quick builds and runs the wall-clock benchmark (bench/, its
 # own module, which BENCHMARK.json declares) at its smallest setting:

@@ -630,6 +630,50 @@ func TestDaemonSilentJoinerLostByLease(t *testing.T) {
 	}
 }
 
+// TestDaemonLeaseLossFreesTheRank: a joiner lost by its lease while its
+// sockets stay open (a stopped process) is cut off — its control
+// connection and its hub rank — so the next joiner for the slot
+// registers the rank at once instead of waiting out the hub's duplicate
+// check and being refused.
+func TestDaemonLeaseLossFreesTheRank(t *testing.T) {
+	const lease = 1200 * time.Millisecond
+	d := startElasticDaemon(t, t.TempDir(), 4, lease, 300*time.Millisecond)
+	defer d.Drain() //nolint:errcheck
+
+	ctl, rep, err := dialControl(d.Addr(), 0, ctlRequest{Cmd: "server-join", Addr: "stopped"})
+	if err != nil {
+		t.Fatalf("server-join: %v", err)
+	}
+	defer ctl.conn.Close()
+	ccfg := rep.coreConfig()
+	comm, err := mpi.DialComm(d.Addr(), ccfg.ServerRank(rep.Slot), ccfg.WorldSize())
+	if err != nil {
+		t.Fatalf("DialComm: %v", err)
+	}
+	defer mpi.CloseComm(comm) //nolint:errcheck
+	if _, err := ctl.call(ctlRequest{Cmd: "server-ready"}); err != nil {
+		t.Fatalf("server-ready: %v", err)
+	}
+	waitMemberState(t, d, rep.Slot, core.MemberLost, 5*lease)
+
+	lost := time.Now()
+	n, err := JoinIONode(IONodeConfig{Addr: d.Addr(), Name: "next", Logf: t.Logf})
+	took := time.Since(lost)
+	if err != nil {
+		t.Fatalf("JoinIONode %v after the loss: %v", took, err)
+	}
+	defer n.Close() //nolint:errcheck
+	if n.Slot() != rep.Slot {
+		t.Errorf("the next joiner took slot %d, want the lost slot %d", n.Slot(), rep.Slot)
+	}
+	if took > time.Second {
+		t.Errorf("the next joiner took %v to join the lost slot, want within 1s", took)
+	}
+	if _, err := ctl.call(ctlRequest{Cmd: "heartbeat"}); err == nil {
+		t.Error("the lost member's control connection still answers")
+	}
+}
+
 // TestDaemonMemberCommandsNeedTheirReservation: server-ready and
 // heartbeat act only on the slot the connection's own server-join
 // reserved. Sent on a session's connection, or on one that reserved

@@ -151,7 +151,7 @@ type collectiveOp struct {
 	gotBytes int64
 
 	// Its posted receive (postedReads), if any; placing and unposted are
-	// guarded by posted.mu, for the endpoint's reader shares them.
+	// guarded by posted.mu, for whoever places its frames shares them.
 	posted   *postedReads
 	placing  int  // placements of its frames in progress
 	unposted bool // it takes no new placement
@@ -425,12 +425,7 @@ func (c *Client) serveRequest(o *collectiveOp, server int, q subReq) error {
 		c.chargeContig(n)
 		c.sendVec(server, tagToServer(seq), encodeSubDataHeader(d, 0), buf[start:start+n])
 	} else {
-		pk0 := c.met.packStart()
-		frame := packedFrame(d, buf, chunk, spec.ElemSize)
-		c.met.packDone(pk0)
-		c.chargeReorg(seq, n)
-		c.cnt[cFramesCoalesced].Add(1)
-		c.send(server, tagToServer(seq), frame)
+		c.sendPacked(seq, server, tagToServer(seq), d, buf, chunk, spec.ElemSize)
 	}
 	if c.tr.Enabled() {
 		c.tr.Span(obs.CatNet, "serve piece", seq, t0, c.clk.Now(), n)
@@ -464,20 +459,24 @@ func (c *Client) absorbData(o *collectiveOp, d subData) error {
 	return nil
 }
 
-// postedReads is a dialed client's posted receives (mpi.Placer): the
-// reads running on it by sequence number. The endpoint's reader offers it
-// the head of every large frame; a natural piece of a posted read is read
-// from the socket straight into its place in the application's chunk,
-// where absorbData would have copied it out of a pooled frame. Anything
-// it cannot place — a frame of no posted read, a strided or malformed
-// piece — takes the pooled path, whose outcome is absorbData's.
+// postedReads is a client's posted receives (mpi.Placer): the reads
+// running on it by sequence number. Its endpoint offers it the head of
+// every data frame it could place — a dialed endpoint's reader the head
+// of every large frame, an in-process server every piece it sends — and
+// a piece of a posted read that lies contiguous in the application's
+// chunk is written straight into its place there, where absorbData
+// would have copied it out of a pooled frame. Anything it cannot place —
+// a frame of no posted read, a piece strided in the chunk, a malformed
+// one — takes the pooled path, whose outcome is absorbData's. In process
+// several servers place into one read at once, so Place and Placed work
+// under mu.
 type postedReads struct {
-	comm  mpi.Comm      // the dialed endpoint, cut when a placement stalls
-	wait  time.Duration // how long unpost waits out a placement: Config.OpTimeout
-	space regionSpace   // Place's region bounds: the reader calls it from one goroutine
+	comm mpi.Comm      // the endpoint, cut when a dialed placement stalls
+	wait time.Duration // how long unpost waits out a placement: Config.OpTimeout
 
 	mu    sync.Mutex
-	ended sync.Cond // a placement ended; L is &mu
+	ended sync.Cond   // a placement ended; L is &mu
+	space regionSpace // Place's region bounds
 	ops   map[int]*collectiveOp
 }
 
@@ -496,11 +495,12 @@ func (p *postedReads) post(o *collectiveOp) {
 
 // unpost is the fence: read o takes no new placement, and unpost returns
 // only once none of its placements is in progress, so no byte lands in
-// the application's array after the op hands it back. A frame stalled
-// mid-payload holds up every frame behind it on the stream anyway, so a
-// placement still in progress wait after the op ended gets the
-// endpoint's connection cut: the reader's read fails, which ends the
-// placement. With wait 0 it waits, as the op did.
+// the application's array after the op hands it back. An in-process
+// placement is a bounded copy on its sender's goroutine and is waited
+// out. A dialed frame stalled mid-payload holds up every frame behind it
+// on the stream anyway, so a placement still in progress wait after the
+// op ended gets the endpoint's connection cut: the reader's read fails,
+// which ends the placement. With wait 0 it waits, as the op did.
 func (p *postedReads) unpost(o *collectiveOp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -524,12 +524,12 @@ func (p *postedReads) Place(source, tag int, head []byte, n int) (int, []byte) {
 	if !ok || family != 1 || r.u8() != msgSubData {
 		return 0, nil
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	d, err := decodeSubData(&r, &p.space)
 	if err != nil || d.Region.IsEmpty() {
 		return 0, nil // a header past the head, or no bytes to place
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	o := p.ops[seq]
 	if o == nil || o.unposted || d.ArrayIdx >= len(o.specs) {
 		return 0, nil

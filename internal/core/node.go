@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"panda/internal/array"
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
@@ -73,6 +74,53 @@ func (n *node) sendVec(to, tag int, hdr, payload []byte) {
 		n.cnt[cFramesCoalesced].Add(1)
 	}
 	bufpool.Put(hdr)
+}
+
+// sendGathered sends piece d of operation seq, strided in src (a buffer
+// holding srcR), to rank `to` on tag, gathering it once: straight into
+// the receiver's posted receive when the transport can place it there
+// (mpi.PlaceRoute), as sendPacked does otherwise. The message is counted
+// exactly like send.
+func (n *node) sendGathered(seq, to, tag int, d subData, src []byte, srcR array.Region, elemSize int) {
+	pc := mpi.PlaceRoute(n.comm)
+	if pc == nil {
+		n.sendPacked(seq, to, tag, d, src, srcR, elemSize)
+		return
+	}
+	size := int(d.Region.NumElems()) * elemSize
+	hdr := encodeSubDataHeader(d, 0)
+	r := pc.Reserve(to, tag, hdr, size)
+	if r.Dst == nil {
+		bufpool.Put(hdr)
+		n.sendPacked(seq, to, tag, d, src, srcR, elemSize)
+		return
+	}
+	t0 := n.met.packStart()
+	array.CopyRegion(r.Dst, d.Region, src, srcR, d.Region, elemSize)
+	n.met.packDone(t0)
+	n.chargeGather(seq, size)
+	n.countSend(len(hdr) + size)
+	pc.Deliver(r, hdr)
+}
+
+// sendPacked sends piece d of operation seq, strided in src (a buffer
+// holding srcR), to rank `to` on tag, gathered into its own frame
+// (packedFrame).
+func (n *node) sendPacked(seq, to, tag int, d subData, src []byte, srcR array.Region, elemSize int) {
+	t0 := n.met.packStart()
+	frame := packedFrame(d, src, srcR, elemSize)
+	n.met.packDone(t0)
+	n.chargeGather(seq, int(d.Region.NumElems())*elemSize)
+	n.send(to, tag, frame)
+}
+
+// chargeGather accounts for a strided piece gathered straight to where
+// it leaves from: its copy is reorganization (timed at CopyRate before
+// the frame leaves), and the frame left without a copy made only to
+// frame it.
+func (n *node) chargeGather(seq, size int) {
+	n.chargeReorg(seq, int64(size))
+	n.cnt[cFramesCoalesced].Add(1)
 }
 
 // countSend counts one message of size bytes leaving this node: every

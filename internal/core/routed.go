@@ -37,3 +37,8 @@ func (rc *routedComm) SendVec(to, tag int, hdr, payload []byte) bool {
 // when the transport has none: a file frame goes straight to under, as
 // every send does.
 func (rc *routedComm) FileRoute() mpi.FileComm { return mpi.FileRoute(rc.under) }
+
+// PlaceRoute offers the transport's placing path (mpi.PlaceRoute), nil
+// when the transport has none: a placed frame is delivered by under, as
+// every send is.
+func (rc *routedComm) PlaceRoute() mpi.PlaceComm { return mpi.PlaceRoute(rc.under) }

@@ -672,12 +672,7 @@ func (s *Server) scatterSubchunks(spec ArraySpec, subs []subchunkJob, deadline t
 			to, tag := s.groupRank(pc.Client), tagToClient(s.opSeq)
 			off, contig := array.ContiguousIn(sj.Region, pc.Region)
 			if !contig {
-				t0 := s.met.packStart()
-				frame := packedFrame(d, buf, sj.Region, spec.ElemSize)
-				s.met.packDone(t0)
-				s.chargeReorg(s.opSeq, n)
-				s.cnt[cFramesCoalesced].Add(1)
-				s.send(to, tag, frame)
+				s.sendGathered(s.opSeq, to, tag, d, buf, sj.Region, spec.ElemSize)
 				continue
 			}
 			// Scatter-gather send: the header is built alone and the

@@ -151,7 +151,7 @@ func (c *Client) drainHandles() {
 type clientRouter struct {
 	c      *Client
 	frames *opFrames
-	posted *postedReads // nil unless the endpoint reads straight from a socket
+	posted *postedReads // nil unless the endpoint can place a payload (mpi.PostReceives)
 	pool   execPool[*collectiveOp]
 
 	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices

@@ -43,10 +43,11 @@ type Message struct {
 	Source int
 	Tag    int
 	Data   []byte
-	// Placed counts the payload bytes a dialed endpoint read straight
-	// into its owner's posted receive (Placer) instead of into Data,
-	// which then holds only the frame's header. Zero on every other
-	// path; it never goes on the wire.
+	// Placed counts the payload bytes that went straight into the
+	// receiver's posted receive (Placer) instead of into Data, which
+	// then holds only the frame's header: read there by a dialed
+	// endpoint, or written there by an in-process sender (PlaceComm).
+	// Zero on every other path; it never goes on the wire.
 	Placed int
 }
 

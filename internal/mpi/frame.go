@@ -260,35 +260,42 @@ func (fr *frameReader) readPlaced(p Placer, source, tag, n int) (hdr []byte, ok 
 	return hdr, true, nil
 }
 
-// Placer is a dialed endpoint owner's posted receives (PostReceives): the
+// Placer is an endpoint owner's posted receives (PostReceives): the
 // MPI_Irecv idiom, a receive whose buffer is named before the data
-// arrives. The endpoint's reader offers it the head of every data frame
-// whose payload it reads straight from the connection; a payload the
-// owner has a place for is read from the socket into that place, not
-// into a pooled frame the owner would copy out of. The frame is still
+// arrives. It is offered the head of a data frame before the payload is
+// copied anywhere, and a payload the owner has a place for is copied
+// there, not into a pooled frame the owner would copy out of: a dialed
+// endpoint's reader reads it from the socket into the place; an
+// in-process sender (PlaceComm) writes it there. The frame is still
 // delivered — as its header alone, with Message.Placed saying how many
-// bytes went where. The reader calls Place and Placed from its one
-// goroutine.
+// bytes went where. A dialed reader calls Place and Placed from its one
+// goroutine; in process every rank sending to the owner may call them,
+// concurrently.
 type Placer interface {
 	// Place is offered head, the first bytes of the n-byte payload of a
 	// frame from source on tag (at most 64; fewer only when the stream is
-	// failing). It returns how many leading bytes of the payload are the
-	// owner's header, at most len(head), and the destination of exactly
-	// the other n-hdr bytes — or a nil destination, leaving the frame to
-	// the pooled path.
+	// failing or the sender's header is shorter). It returns how many
+	// leading bytes of the payload are the owner's header, at most
+	// len(head), and the destination of exactly the other n-hdr bytes —
+	// or a nil destination, leaving the frame to the pooled path.
 	Place(source, tag int, head []byte, n int) (hdr int, dst []byte)
-	// Placed ends a placement Place granted, whether its read succeeded
-	// or failed: the reader writes dst no more.
+	// Placed ends a placement Place granted, whether its copy succeeded
+	// or failed: the transport writes dst no more.
 	Placed(tag int)
 }
 
 // PostReceives makes p the placement hook of c and reports whether c
-// has one: only a dialed endpoint (DialComm) reads payloads straight
-// from its own connection. A later call replaces the hook.
+// has one: a dialed endpoint (DialComm) reads payloads straight from its
+// own connection, and an in-process World endpoint's senders write them
+// (PlaceComm). A later call replaces the hook.
 func PostReceives(c Comm, p Placer) bool {
-	tc, ok := c.(*tcpComm)
-	if ok {
-		tc.in.place.Store(&p)
+	switch e := c.(type) {
+	case *tcpComm:
+		e.in.place.Store(&p)
+	case *inprocComm:
+		e.world.place[e.rank].Store(&p)
+	default:
+		return false
 	}
-	return ok
+	return true
 }

@@ -1,15 +1,20 @@
 package mpi
 
 import (
+	"sync/atomic"
+
 	"panda/internal/bufpool"
 	"panda/internal/queue"
 )
 
 // World is an in-process communicator running in real time: each rank is
-// an ordinary goroutine, and messages pass through per-rank queues.
+// an ordinary goroutine, and messages pass through per-rank queues. A
+// rank whose owner posted receives (PostReceives) has them in its place
+// slot, where every sender in the process finds them.
 type World struct {
 	size  int
 	boxes []*queue.Q[Message]
+	place []atomic.Pointer[Placer]
 }
 
 // NewWorld creates a communicator with the given number of ranks.
@@ -17,7 +22,7 @@ func NewWorld(size int) *World {
 	if size <= 0 {
 		panic("mpi: world size must be positive")
 	}
-	w := &World{size: size, boxes: make([]*queue.Q[Message], size)}
+	w := &World{size: size, boxes: make([]*queue.Q[Message], size), place: make([]atomic.Pointer[Placer], size)}
 	for i := range w.boxes {
 		w.boxes[i] = queue.New[Message](nil)
 	}
@@ -56,12 +61,20 @@ func (c *inprocComm) SendOwned(to, tag int, data []byte) {
 
 // SendVec implements VectorComm. In-process delivery parks messages in
 // a mailbox indefinitely, so the borrowed payload cannot be passed
-// through — it is concatenated with the header into one pooled frame
-// (the same single copy a flattened send pays, minus the intermediate
-// allocation). Reports false: the payload copy was not avoided.
+// through. When the receiver has a place for it (Reserve) the payload
+// is copied there and the header goes alone: the receiver copies
+// nothing, and SendVec reports true. Otherwise header and payload are
+// concatenated into one pooled frame (the same single copy a flattened
+// send pays, minus the intermediate allocation) and the receiver copies
+// the payload out of it: false, the payload copy was not avoided.
 func (c *inprocComm) SendVec(to, tag int, hdr, payload []byte) bool {
-	checkPeer(c, to)
-	checkTag(tag)
+	if r := c.Reserve(to, tag, hdr, len(payload)); r.Dst != nil {
+		copy(r.Dst, payload)
+		own := bufpool.GetRaw(len(hdr))
+		copy(own, hdr)
+		c.Deliver(r, own)
+		return true
+	}
 	frame := bufpool.GetRaw(len(hdr) + len(payload))
 	copy(frame, hdr)
 	copy(frame[len(hdr):], payload)
@@ -76,4 +89,79 @@ func (doneRequest) Wait() {}
 func (c *inprocComm) Isend(to, tag int, data []byte) Request {
 	c.Send(to, tag, data)
 	return doneRequest{}
+}
+
+// PlaceComm is implemented by communicators whose sender can write a
+// payload straight into the receiver's posted receive (Placer): both
+// ranks live in this process, so the place the receiver named is memory
+// the sender can reach. A send is then Reserve, the caller filling Dst,
+// and Deliver — no closure, no frame-sized buffer, one copy of the
+// payload, made by whoever produces it.
+type PlaceComm interface {
+	Comm
+	// Reserve offers the posted receives of rank `to` the frame whose
+	// payload is hdr followed by n more bytes. A Reservation with a nil
+	// Dst means no place was named: send the frame as usual. Otherwise
+	// Dst is exactly n bytes of the receiver's memory, and the caller
+	// must fill it and Deliver, which ends the placement; until then the
+	// receiver's owner waits before it takes the memory back.
+	Reserve(to, tag int, hdr []byte, n int) Reservation
+	// Deliver ends a placement Reserve granted and sends its frame as
+	// hdr alone, with Message.Placed saying that len(Dst) bytes went to
+	// their place. hdr must be a whole pooled buffer (SendOwned's rule);
+	// it belongs to the receiver afterwards.
+	Deliver(r Reservation, hdr []byte)
+}
+
+// Reservation is a placement Reserve granted, or, with a nil Dst, one it
+// did not.
+type Reservation struct {
+	Dst     []byte // where the payload goes
+	p       Placer
+	to, tag int
+}
+
+// PlaceRoute returns c's placing path, nil when it has none: only
+// in-process World endpoints have one. Simulated and socket transports,
+// FaultComm (whose plan must see every byte a frame carries) and a
+// wrapper that does not forward it answer nil. A view over a transport (a
+// router's per-operation endpoint) offers its transport's path through a
+// PlaceRoute method.
+func PlaceRoute(c Comm) PlaceComm {
+	if v, ok := c.(interface{ PlaceRoute() PlaceComm }); ok {
+		return v.PlaceRoute()
+	}
+	pc, _ := c.(PlaceComm)
+	return pc
+}
+
+// Reserve implements PlaceComm: it offers the receiver's Placer what a
+// dialed reader would — the head of the payload, here the sender's
+// header, capped as the reader caps it — and holds the placement the
+// Placer grants.
+func (c *inprocComm) Reserve(to, tag int, hdr []byte, n int) Reservation {
+	checkPeer(c, to)
+	checkTag(tag)
+	pp := c.world.place[to].Load()
+	if pp == nil {
+		return Reservation{}
+	}
+	h, dst := (*pp).Place(c.rank, tag, hdr[:min(len(hdr), placeHeadBytes)], len(hdr)+n)
+	if dst == nil {
+		return Reservation{}
+	}
+	if h != len(hdr) || len(dst) != n {
+		(*pp).Placed(tag)
+		panic("mpi: a placement that does not fit its frame")
+	}
+	return Reservation{Dst: dst, p: *pp, to: to, tag: tag}
+}
+
+// Deliver implements PlaceComm. The placement ends before the header is
+// queued, as a dialed reader ends it before it queues the header: the
+// frame that says the piece arrived is never received while its bytes
+// may still change.
+func (c *inprocComm) Deliver(r Reservation, hdr []byte) {
+	r.p.Placed(r.tag)
+	c.world.boxes[r.to].Put(Message{Source: c.rank, Tag: r.tag, Data: hdr, Placed: len(r.Dst)})
 }

@@ -424,6 +424,17 @@ func (h *Hub) deliver(source, to int, wireTag uint32, a, b []byte, owned bool) f
 	return dropped
 }
 
+// Sever closes the connection of the dialed endpoint holding rank, if
+// one does: its route ends, the rank is announced dead and freed, and a
+// new endpoint can register it at once. For a holder that is silent
+// with its socket open — stopped or wedged — which the hub cannot tell
+// from a quiet one; its owner's liveness (a lease) can.
+func (h *Hub) Sever(rank int) {
+	if _, conn, _ := h.holder(rank); conn != nil {
+		conn.Close()
+	}
+}
+
 // holder is who holds rank `to`: a local endpoint, a dialed
 // connection, or neither — and whether the rank was announced dead.
 func (h *Hub) holder(to int) (*localComm, net.Conn, bool) {
