@@ -48,9 +48,12 @@ race:
 # flake is the robustness gate: the queue, transport, protocol, storage
 # and daemon tests repeated under the race detector on two cores, where
 # scheduling is tight enough to expose teardown, registration and
-# closed-socket races that a single quiet run hides.
+# closed-socket races that a single quiet run hides. The protocol tests
+# run on one core as well (-cpu 1,2, hence twice the time budget), where
+# a test that asserts one schedule of its goroutines fails every time.
 flake:
-	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/queue ./internal/mpi ./internal/core ./internal/storage
+	GOMAXPROCS=2 $(GO) test -race -count=10 -timeout 30m ./internal/queue ./internal/mpi ./internal/storage
+	GOMAXPROCS=2 $(GO) test -race -count=10 -cpu 1,2 -timeout 60m ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -count=5 -timeout 30m -run 'TestDaemon' .
 
 # loc counts what ROADMAP states its deliverables in: non-test Go lines

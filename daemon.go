@@ -144,8 +144,6 @@ type Daemon struct {
 	hubDone chan error
 
 	rebalMu   sync.Mutex // serializes membership rebalances
-	joinMu    sync.Mutex
-	joiners   map[int]joinerConn // slot -> the control connection that reserved it
 	drainOnce sync.Once
 	drainErr  error
 }
@@ -307,7 +305,6 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 		events:  events,
 		logf:    logf,
 		hubDone: make(chan error, 1),
-		joiners: make(map[int]joinerConn),
 	}
 	members.SetNotify(d.onMemberEvent)
 	reg.Func("servers_active", func() int64 { return int64(members.ActiveCount()) })
@@ -619,15 +616,18 @@ func (d *Daemon) handleSession(conn net.Conn) {
 				rep = fail(errors.New("panda: connection already holds a session or a server slot"))
 				break
 			}
-			c, err := d.members.Reserve(req.Addr, d.svc.Clock().Now())
+			// The member, once gone, is cut off: its control connection
+			// ends and the hub drops its rank, so the slot's next joiner
+			// registers the rank at once.
+			c, err := d.members.Reserve(req.Addr, d.svc.Clock().Now(), func(slot int) {
+				conn.Close()
+				d.hub.Sever(d.ccfg.ServerRank(slot))
+			})
 			if err != nil {
 				rep = fail(err)
 				break
 			}
 			claim = c
-			d.joinMu.Lock()
-			d.joiners[c.Slot] = joinerConn{claim: c, conn: conn}
-			d.joinMu.Unlock()
 			rep = shapeReply(d.svc.Config())
 			rep.Slot = c.Slot
 			rep.HeartbeatNs, rep.LeaseNs = int64(d.members.HeartbeatEvery()), int64(d.members.LeaseTTL())
@@ -666,13 +666,6 @@ func okOrFail(err error) ctlReply {
 func (d *Daemon) endSession(sess core.SessionInfo, claim core.Claim) {
 	if claim.Epoch != 0 && !d.svc.Draining() {
 		d.members.Release(claim)
-	}
-	if claim.Epoch != 0 {
-		d.joinMu.Lock()
-		if d.joiners[claim.Slot].claim == claim {
-			delete(d.joiners, claim.Slot)
-		}
-		d.joinMu.Unlock()
 	}
 	if sess.ID == 0 {
 		return

@@ -674,6 +674,47 @@ func TestDaemonLeaseLossFreesTheRank(t *testing.T) {
 	}
 }
 
+// TestDaemonReclaimedJoinerFreesTheRank: a joiner that registered its
+// hub rank but never said server-ready has its reservation reclaimed by
+// the lease, and the reclaim cuts it off as a loss does — its control
+// connection and its hub rank — so the slot's next joiner registers the
+// rank at once.
+func TestDaemonReclaimedJoinerFreesTheRank(t *testing.T) {
+	const lease = 1200 * time.Millisecond
+	d := startElasticDaemon(t, t.TempDir(), 4, lease, 300*time.Millisecond)
+	defer d.Drain() //nolint:errcheck
+
+	ctl, rep, err := dialControl(d.Addr(), 0, ctlRequest{Cmd: "server-join", Addr: "unready"})
+	if err != nil {
+		t.Fatalf("server-join: %v", err)
+	}
+	defer ctl.conn.Close()
+	ccfg := rep.coreConfig()
+	comm, err := mpi.DialComm(d.Addr(), ccfg.ServerRank(rep.Slot), ccfg.WorldSize())
+	if err != nil {
+		t.Fatalf("DialComm: %v", err)
+	}
+	defer mpi.CloseComm(comm) //nolint:errcheck
+	waitMemberState(t, d, rep.Slot, core.MemberAbsent, 5*lease)
+
+	reclaimed := time.Now()
+	n, err := JoinIONode(IONodeConfig{Addr: d.Addr(), Name: "next", Logf: t.Logf})
+	took := time.Since(reclaimed)
+	if err != nil {
+		t.Fatalf("JoinIONode %v after the reclaim: %v", took, err)
+	}
+	defer n.Close() //nolint:errcheck
+	if n.Slot() != rep.Slot {
+		t.Errorf("the next joiner took slot %d, want the reclaimed slot %d", n.Slot(), rep.Slot)
+	}
+	if took > time.Second {
+		t.Errorf("the next joiner took %v to join the reclaimed slot, want within 1s", took)
+	}
+	if _, err := ctl.call(ctlRequest{Cmd: "server-ready"}); err == nil {
+		t.Error("the reclaimed joiner's control connection still answers")
+	}
+}
+
 // TestDaemonMemberCommandsNeedTheirReservation: server-ready and
 // heartbeat act only on the slot the connection's own server-join
 // reserved. Sent on a session's connection, or on one that reserved

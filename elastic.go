@@ -2,7 +2,6 @@ package panda
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -47,45 +46,21 @@ const migrateParallel = 2
 
 // onMemberEvent is the Membership notify hook: every membership change
 // lands in the event log, and a join triggers a background rebalance
-// that spreads committed data onto the new member. Runs on the goroutine
-// of the joiner's control connection (or the lease watchdog's), with
-// the membership lock released, so anything heavy is handed off.
+// that spreads committed data onto the new member. (A member that is
+// gone was already cut off by its reservation's cut, under Membership.)
+// Runs on the goroutine of the joiner's control connection (or the lease
+// watchdog's), with the membership lock released, so anything heavy is
+// handed off.
 func (d *Daemon) onMemberEvent(ev core.MemberEvent) {
 	d.events.Emit(ev.Kind, map[string]any{"slot": ev.Slot, "epoch": ev.Epoch, "addr": ev.Addr})
 	d.logf("membership: %s slot=%d epoch=%d addr=%q", ev.Kind, ev.Slot, ev.Epoch, ev.Addr)
-	switch ev.Kind {
-	case "server_join":
+	if ev.Kind == "server_join" {
 		go func() {
 			if err := d.Rebalance(fmt.Sprintf("join slot %d", ev.Slot)); err != nil {
 				d.logf("rebalance after join of slot %d: %v", ev.Slot, err)
 			}
 		}()
-	case "server_lost":
-		d.sever(ev)
 	}
-}
-
-// joinerConn is the control connection that reserved a slot, and the
-// reservation it holds.
-type joinerConn struct {
-	claim core.Claim
-	conn  net.Conn
-}
-
-// sever cuts a lost member off: its control connection ends and the hub
-// drops its rank, so the slot's next joiner can register the rank at
-// once. A member lost by its lease may still hold both open (stopped or
-// wedged); one lost because its control connection ended has already
-// let go of them, and cutting them again does nothing. A connection
-// whose reservation is newer than the loss belongs to the slot's next
-// joiner and is left alone.
-func (d *Daemon) sever(ev core.MemberEvent) {
-	d.joinMu.Lock()
-	if j, ok := d.joiners[ev.Slot]; ok && j.claim.Epoch < ev.Epoch {
-		j.conn.Close()
-	}
-	d.joinMu.Unlock()
-	d.hub.Sever(d.ccfg.ServerRank(ev.Slot))
 }
 
 // Servers returns the live membership table, one row per pool slot —

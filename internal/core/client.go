@@ -53,7 +53,7 @@ func NewClient(cfg Config, comm mpi.Comm, clk clock.Clock) *Client {
 	return &Client{
 		node: node{
 			cfg:  cfg,
-			comm: comm,
+			comm: asEndpoint(comm),
 			clk:  clk,
 			tr:   cfg.Trace.Track(fmt.Sprintf("client%d", comm.Rank())),
 			met:  newNodeMetrics(cfg.Metrics),

@@ -21,10 +21,7 @@ import (
 // transport saw it die, or the membership layer declared it gone
 // (its control connection ended or its lease lapsed) or removed it.
 func (s *Server) serverGone(i int) bool {
-	if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.ServerRank(i)) {
-		return true
-	}
-	return s.cfg.Members != nil && s.cfg.Members.Gone(i)
+	return s.comm.PeerLost(s.cfg.ServerRank(i)) || (s.cfg.Members != nil && s.cfg.Members.Gone(i))
 }
 
 // collect waits on the master for one status frame of type typ (Done,

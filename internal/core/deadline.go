@@ -9,24 +9,40 @@ import (
 	"panda/internal/mpi"
 )
 
+// endpoint is the receive contract core holds a transport to: receives
+// that can be bounded and that report a dead link instead of panicking
+// (mpi.DeadlineComm), and a transport's word on whether a peer is gone
+// (mpi.PeerChecker). Every mpi transport, FaultComm and routedComm meet
+// it; a node converts what it is handed once (asEndpoint).
+type endpoint interface {
+	mpi.DeadlineComm
+	mpi.PeerChecker
+}
+
+// asEndpoint holds comm to the receive contract; a transport that does
+// not meet it is a programming error.
+func asEndpoint(comm mpi.Comm) endpoint {
+	e, ok := comm.(endpoint)
+	if !ok {
+		panic(fmt.Sprintf("core: endpoint %T lacks RecvTimeout or PeerLost", comm))
+	}
+	return e
+}
+
 // recvBounded is Recv bounded by an absolute deadline on clk (0 = no
 // deadline: wait as long as the original protocol did, and read no
 // clock). Transport-level failures are translated to this package's
 // typed sentinels: mpi.ErrTimeout → ErrTimeout, mpi.ErrPeerLost →
 // ErrPeerLost — with or without a deadline, so a dead link fails the
 // wait instead of panicking.
-func recvBounded(comm mpi.Comm, clk clock.Clock, from, tag int, deadline time.Duration) (mpi.Message, error) {
-	dc, ok := comm.(mpi.DeadlineComm)
-	if !ok { // no support for a bound or a failure report: the blocking protocol
-		return comm.Recv(from, tag), nil
-	}
+func recvBounded(comm endpoint, clk clock.Clock, from, tag int, deadline time.Duration) (mpi.Message, error) {
 	var remaining time.Duration // 0: unbounded
 	if deadline > 0 {
 		if remaining = deadline - clk.Now(); remaining <= 0 {
 			return mpi.Message{}, ErrTimeout
 		}
 	}
-	m, err := dc.RecvTimeout(from, tag, remaining)
+	m, err := comm.RecvTimeout(from, tag, remaining)
 	if err != nil {
 		return mpi.Message{}, mapTransportErr(err)
 	}

@@ -28,12 +28,15 @@ import (
 // A remote (joined) member is bound to the reservation that made it: a
 // Claim, which its daemon control connection holds. Only that claim
 // admits the slot, renews its lease and — when the connection ends —
-// releases it. The lease is the backstop for a member that keeps its
-// connection open and goes silent: the claim's heartbeats renew it, and
-// a watchdog under the deployment clock expires it, with a
-// deterministic per-slot jitter so a herd of members never expires on
-// the same tick. Local members (the daemon's own in-process servers)
-// are pinned: they share the daemon's fate and carry no lease.
+// releases it. The reservation also carries its cut, which severs the
+// member's connections; Membership runs it when the member is gone, so
+// a departed member holds nothing the slot's next joiner needs. The
+// lease is the backstop for a member that keeps its connection open and
+// goes silent: the claim's heartbeats renew it, and a watchdog under the
+// deployment clock expires it, with a deterministic per-slot jitter so
+// a herd of members never expires on the same tick. Local members (the
+// daemon's own in-process servers) are pinned: they share the daemon's
+// fate and carry no lease.
 
 // MemberState is the lifecycle state of one server slot.
 type MemberState int
@@ -104,6 +107,9 @@ type member struct {
 	addr  string
 	epoch uint32 // epoch at last state change
 	claim uint32 // epoch of the reservation that holds the slot; 0 for locals
+	// cut severs the reservation's connections (Reserve's cut); gone
+	// runs it once, and a drained slot drops it unrun.
+	cut func(slot int)
 	// leaseExpiry is the deployment-clock time the lease dies; zero for
 	// pinned (local) members and unoccupied slots.
 	leaseExpiry time.Duration
@@ -287,8 +293,12 @@ type Claim struct {
 // or Lost slot above 0 (slot 0 is the master server, permanently
 // pinned) moves to Joining under a provisional lease. The joiner must
 // say it is ready (Admit) before the lease expires or the slot is
-// reclaimed.
-func (m *Membership) Reserve(addr string, now time.Duration) (Claim, error) {
+// reclaimed. cut (nil for none) severs the reservation's connections —
+// the daemon closes the control connection and drops the slot's hub
+// rank — and runs once, under the membership lock, when the member is
+// gone: reclaimed, lost by its lease or released. It must not call back
+// into Membership.
+func (m *Membership) Reserve(addr string, now time.Duration, cut func(slot int)) (Claim, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := 1; i < len(m.members); i++ {
@@ -299,6 +309,7 @@ func (m *Membership) Reserve(addr string, now time.Duration) (Claim, error) {
 				addr:        addr,
 				epoch:       m.epoch,
 				claim:       m.epoch,
+				cut:         cut,
 				leaseExpiry: now + m.leaseTTL + m.jitter(i),
 			}
 			return Claim{Slot: i, Epoch: m.epoch}, nil
@@ -383,7 +394,8 @@ func (m *Membership) StartDrain(slot int) (uint32, error) {
 // FinishDrain releases a drained member's slot: Draining → Absent, the
 // lease cleared, a server_left event. Called only after migration has
 // rewritten the member's chunks onto the survivors and its pre-drain
-// operations have quiesced.
+// operations have quiesced. It cuts nothing: the node's shutdown frame
+// goes out over its rank afterwards, and the node hangs up itself.
 func (m *Membership) FinishDrain(slot int) error {
 	m.mu.Lock()
 	if slot < 0 || slot >= len(m.members) || m.members[slot].state != MemberDraining {
@@ -436,23 +448,27 @@ func (m *Membership) ExpireLeases(now time.Duration) []int {
 }
 
 // gone is the one rule for a remote member that is no longer there,
-// whether its control connection ended or its lease lapsed: a Joining
-// slot is reclaimed to Absent silently (it never served); a serving or
-// draining one goes Lost, with its lease and claim cleared, an epoch
-// bump, and a server_lost event appended to evs. Pinned locals and
-// slots already Absent or Lost are left alone. Caller holds m.mu.
+// whether its control connection ended or its lease lapsed: its
+// reservation's cut runs, before the slot can be reserved again; a
+// Joining slot is then reclaimed to Absent silently (it never served); a
+// serving or draining one goes Lost, with its lease and claim cleared,
+// an epoch bump, and a server_lost event appended to evs. Pinned locals
+// and slots already Absent or Lost are left alone. Caller holds m.mu.
 func (m *Membership) gone(slot int, evs []MemberEvent) []MemberEvent {
-	switch mb := &m.members[slot]; {
-	case mb.local:
-	case mb.state == MemberJoining:
-		m.epoch++
-		*mb = member{state: MemberAbsent, epoch: m.epoch}
-	case mb.state == MemberActive || mb.state == MemberDraining:
-		m.epoch++
-		mb.state, mb.epoch, mb.leaseExpiry, mb.claim = MemberLost, m.epoch, 0, 0
-		evs = append(evs, MemberEvent{Kind: "server_lost", Slot: slot, Epoch: m.epoch, Addr: mb.addr})
+	mb := &m.members[slot]
+	if mb.local || (mb.state != MemberJoining && mb.state != MemberActive && mb.state != MemberDraining) {
+		return evs
 	}
-	return evs
+	if mb.cut != nil {
+		mb.cut(slot)
+	}
+	m.epoch++
+	if mb.state == MemberJoining {
+		*mb = member{state: MemberAbsent, epoch: m.epoch}
+		return evs
+	}
+	*mb = member{state: MemberLost, addr: mb.addr, epoch: m.epoch}
+	return append(evs, MemberEvent{Kind: "server_lost", Slot: slot, Epoch: m.epoch, Addr: mb.addr})
 }
 
 // unlockNotify lets go of m.mu, then hands evs to the notify hook (the

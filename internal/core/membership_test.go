@@ -32,7 +32,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 
 	// Reserve: lowest free slot above 0, provisionally leased.
-	c, err := m.Reserve("host9:/scratch", 0)
+	c, err := m.Reserve("host9:/scratch", 0, nil)
 	if err != nil || c.Slot != 2 || c.Epoch != m.Epoch() {
 		t.Fatalf("Reserve = %+v, %v; want slot 2 at epoch %d", c, err, m.Epoch())
 	}
@@ -122,7 +122,7 @@ func TestMembershipLifecycle(t *testing.T) {
 // further joiners with the typed busy error.
 func TestMembershipPoolFull(t *testing.T) {
 	m := NewMembership(2, 2, time.Second, 0)
-	if _, err := m.Reserve("x", 0); !errors.Is(err, ErrBusy) {
+	if _, err := m.Reserve("x", 0, nil); !errors.Is(err, ErrBusy) {
 		t.Fatalf("full pool Reserve error = %v, want ErrBusy", err)
 	}
 }
@@ -138,12 +138,12 @@ func TestMembershipLeaseExpiry(t *testing.T) {
 	m.SetNotify(func(ev MemberEvent) { events = append(events, ev) })
 
 	// Ghost joiner: reserved, never admitted.
-	ghost, err := m.Reserve("ghost", 0)
+	ghost, err := m.Reserve("ghost", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Live member: admitted and heartbeating.
-	live, err := m.Reserve("live", 0)
+	live, err := m.Reserve("live", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,10 @@ func TestMembershipLeaseExpiry(t *testing.T) {
 	}
 	// But both freed slots are reusable: the next joiners get the
 	// reclaimed ghost slot (lowest first) and then the lost one.
-	if c, err := m.Reserve("reborn", 5*ttl); err != nil || c.Slot != ghost.Slot {
+	if c, err := m.Reserve("reborn", 5*ttl, nil); err != nil || c.Slot != ghost.Slot {
 		t.Fatalf("Reserve after reclaim = %+v, %v; want slot %d", c, err, ghost.Slot)
 	}
-	if c, err := m.Reserve("reborn2", 5*ttl); err != nil || c.Slot != live.Slot {
+	if c, err := m.Reserve("reborn2", 5*ttl, nil); err != nil || c.Slot != live.Slot {
 		t.Fatalf("Reserve after loss = %+v, %v; want slot %d", c, err, live.Slot)
 	}
 }
@@ -221,14 +221,14 @@ func TestMembershipClaimBindsSlot(t *testing.T) {
 	m.SetNotify(func(ev MemberEvent) { events = append(events, fmt.Sprintf("%s:%d", ev.Kind, ev.Slot)) })
 
 	// A joiner that hangs up before it is ready leaves no trace.
-	ghost, _ := m.Reserve("ghost", 0)
+	ghost, _ := m.Reserve("ghost", 0, nil)
 	m.Release(ghost)
 	if st := m.State(ghost.Slot); st != MemberAbsent || m.Leases() != 0 || len(events) != 0 {
 		t.Fatalf("released reservation: state %s, %d leases, events %v", st, m.Leases(), events)
 	}
 
 	// A serving joiner that hangs up is lost at once.
-	a, _ := m.Reserve("a", 0)
+	a, _ := m.Reserve("a", 0, nil)
 	if err := m.Admit(ghost, 0); err == nil {
 		t.Fatal("a released claim admitted the slot")
 	}
@@ -241,7 +241,7 @@ func TestMembershipClaimBindsSlot(t *testing.T) {
 	}
 
 	// The lost slot is reserved again; the old claim is stale.
-	b, _ := m.Reserve("b", 0)
+	b, _ := m.Reserve("b", 0, nil)
 	if b.Slot != a.Slot {
 		t.Fatalf("reservation after loss took slot %d, want %d", b.Slot, a.Slot)
 	}

@@ -26,7 +26,7 @@ import (
 // block instrumentation points add to.
 type node struct {
 	cfg  Config
-	comm mpi.Comm
+	comm endpoint
 	clk  clock.Clock
 	tr   obs.Track
 	met  nodeMetrics

@@ -54,7 +54,7 @@ func TestOpFramesRetiredBound(t *testing.T) {
 		comm.Send(0, tagSchedDone, encodeSchedDone(6, false))
 		comm.Send(0, tagToClient(5), []byte{msgSubData})
 		comm.Send(0, tagRouterStop, nil)
-		r.run(comm)
+		r.run(asEndpoint(comm))
 		check("client", r.frames, live, tagToClient(5))
 	})
 

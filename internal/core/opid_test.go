@@ -167,7 +167,7 @@ func TestClientRouterFrameIsolation(t *testing.T) {
 	} {
 		comm.Send(0, tag, []byte{msgSubData, byte(tag)})
 	}
-	r.run(comm)
+	r.run(asEndpoint(comm))
 
 	if got := c.Stats().FramesRejected; got != 4 {
 		t.Errorf("FramesRejected = %d, want 4 (finished op, two wrong families, bogus tag)", got)

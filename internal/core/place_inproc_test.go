@@ -79,9 +79,14 @@ func (s *inprocStandIn) complete(seq int, err error) {
 // TestInprocReadsLandInPlace: over the in-process world both
 // directions of a reorganizing read, and a natural read, come back
 // bit-exact. A piece contiguous in the client's chunk is placed — the
-// server's gather or copy writes the application's array — so the
-// clients' zero_copy_bytes is every byte they read; a piece strided in
-// the client's chunk is deposited, as it always was.
+// server's gather or copy writes the application's array — if its read
+// was posted when the piece was sent; one that beat the post waits in
+// the stash and is deposited, as is a piece strided in the client's
+// chunk. So under any schedule every byte read is accounted once, placed
+// (zero_copy_bytes) or deposited (the rest of contig_bytes plus
+// reorg_bytes), and a strided read places nothing. Under the schedule in
+// which every client posts before the master client's request starts
+// the servers, a contiguous read places every byte.
 func TestInprocReadsLandInPlace(t *testing.T) {
 	shape := []int{256, 256}
 	rows := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
@@ -90,37 +95,59 @@ func TestInprocReadsLandInPlace(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		spec   ArraySpec
-		placed int64 // by all clients, over the one read
+		placed int64 // by all clients, over the one read, when all posted first
 	}{
 		{"*,BLOCK memory over BLOCK,* disk", ArraySpec{Name: "cols", ElemSize: 4, Mem: cols, Disk: rows}, arrayBytes},
 		{"BLOCK,* memory over *,BLOCK disk", ArraySpec{Name: "rows", ElemSize: 4, Mem: rows, Disk: cols}, 0},
 		{"natural", ArraySpec{Name: "nat", ElemSize: 4, Mem: rows, Disk: rows}, arrayBytes},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 32 << 10, OpTimeout: 10 * time.Second}
-			var placed, read atomic.Int64
-			specs := []ArraySpec{tc.spec}
-			err := RunReal(cfg, memDisks(2), func(cl *Client) error {
-				if err := cl.WriteArrays("", specs, makeBufs(cl, specs, true)); err != nil {
-					return err
+		for _, postFirst := range []bool{false, true} {
+			name := tc.name
+			if postFirst {
+				name += ", all posted first"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 32 << 10, OpTimeout: 10 * time.Second}
+				var placed, deposited, read atomic.Int64
+				posted := make(chan struct{}, cfg.NumClients)
+				specs := []ArraySpec{tc.spec}
+				err := RunReal(cfg, memDisks(2), func(cl *Client) error {
+					if err := cl.WriteArrays("", specs, makeBufs(cl, specs, true)); err != nil {
+						return err
+					}
+					before := cl.Stats()
+					got := makeBufs(cl, specs, false)
+					if postFirst && cl.IsMaster() {
+						for i := 1; i < cfg.NumClients; i++ {
+							<-posted // the other clients' reads are posted
+						}
+					}
+					h, err := cl.SubmitRead("", "", specs, got)
+					if err != nil {
+						return err
+					}
+					posted <- struct{}{}
+					if err := h.Await(); err != nil {
+						return err
+					}
+					after := cl.Stats()
+					zc := after.ZeroCopyBytes - before.ZeroCopyBytes
+					placed.Add(zc)
+					deposited.Add(after.ContigBytes - before.ContigBytes + after.ReorgBytes - before.ReorgBytes - zc)
+					read.Add(int64(len(got[0])))
+					return checkBufs(cl, specs, got)
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				before := cl.Stats()
-				got := makeBufs(cl, specs, false)
-				if err := cl.ReadArrays("", specs, got); err != nil {
-					return err
+				if read.Load() != arrayBytes || placed.Load()+deposited.Load() != read.Load() {
+					t.Errorf("%d bytes placed + %d deposited, want the %d of %d bytes read", placed.Load(), deposited.Load(), read.Load(), arrayBytes)
 				}
-				after := cl.Stats()
-				placed.Add(after.ZeroCopyBytes - before.ZeroCopyBytes)
-				read.Add(int64(len(got[0])))
-				return checkBufs(cl, specs, got)
+				if (postFirst || tc.placed == 0) && placed.Load() != tc.placed {
+					t.Errorf("%d of %d bytes read were placed, want %d", placed.Load(), read.Load(), tc.placed)
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if placed.Load() != tc.placed || read.Load() != arrayBytes {
-				t.Errorf("%d of %d bytes read were placed, want %d", placed.Load(), read.Load(), tc.placed)
-			}
-		})
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestPlanCacheInvalidatedOnMembershipEpoch(t *testing.T) {
 					// Only the leader's request starts an operation, and its
 					// step-1 call returned once every server was done: the
 					// next dispatch is the first under the new epoch.
-					_, errs[i] = members.Reserve("joiner", clk.Now())
+					_, errs[i] = members.Reserve("joiner", clk.Now(), nil)
 				}
 				if errs[i] == nil {
 					errs[i] = cl.WriteArrays(fmt.Sprintf(".t%d", step), specs, bufs)

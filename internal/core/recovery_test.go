@@ -336,18 +336,18 @@ func TestReassignmentCompletesDegraded(t *testing.T) {
 // tests: copies says how many copies of the n-th operation request it
 // sends (from 1) go out — 0 loses it.
 type requestTap struct {
-	mpi.DeadlineComm
+	endpoint
 	n      atomic.Int32
 	copies func(n int32) int
 }
 
 func (c *requestTap) SendOwned(to, tag int, data []byte) {
 	if tag != tagControl || len(data) == 0 || data[0] != msgOpRequest {
-		c.DeadlineComm.SendOwned(to, tag, data)
+		c.endpoint.SendOwned(to, tag, data)
 		return
 	}
 	for k := c.copies(c.n.Add(1)); k > 0; k-- {
-		c.DeadlineComm.Send(to, tag, data)
+		c.endpoint.Send(to, tag, data)
 	}
 }
 
@@ -360,7 +360,7 @@ func runRetried(t *testing.T, cfg Config, tap *requestTap, disks []storage.Disk,
 		t.Fatal(err)
 	}
 	comms := plainComms(cfg)
-	tap.DeadlineComm = comms[0].(mpi.DeadlineComm)
+	tap.endpoint = asEndpoint(comms[0])
 	comms[0] = tap
 	clk := clock.NewReal()
 	servers := make([]*Server, cfg.NumServers)

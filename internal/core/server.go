@@ -63,7 +63,7 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 	return &Server{
 		node: node{
 			cfg:  cfg,
-			comm: comm,
+			comm: asEndpoint(comm),
 			clk:  clk,
 			tr:   cfg.Trace.Track(fmt.Sprintf("server%d", idx)),
 			met:  newNodeMetrics(cfg.Metrics),
@@ -91,22 +91,16 @@ func (s *Server) IsMaster() bool { return s.comm.Rank() == s.cfg.MasterServer() 
 // once busy reports nothing in hand. (A resident service has no master
 // client whose death could orphan it; sessions come and go by design.)
 func (s *Server) recvIdle(busy func() bool) (mpi.Message, error) {
-	dc, bounded := s.comm.(mpi.DeadlineComm)
-	if !bounded {
-		return s.comm.Recv(mpi.AnySource, mpi.AnyTag), nil
-	}
 	for {
-		m, err := dc.RecvTimeout(mpi.AnySource, mpi.AnyTag, s.cfg.OpTimeout)
+		m, err := s.comm.RecvTimeout(mpi.AnySource, mpi.AnyTag, s.cfg.OpTimeout)
 		if err == nil {
 			return m, nil
 		}
 		if !errors.Is(err, mpi.ErrTimeout) {
 			return mpi.Message{}, mapTransportErr(err)
 		}
-		if !s.cfg.Service && !busy() {
-			if pc, ok := s.comm.(mpi.PeerChecker); ok && pc.PeerLost(s.cfg.MasterClient()) {
-				return mpi.Message{}, fmt.Errorf("master client gone while idle: %w", ErrPeerLost)
-			}
+		if !s.cfg.Service && !busy() && s.comm.PeerLost(s.cfg.MasterClient()) {
+			return mpi.Message{}, fmt.Errorf("master client gone while idle: %w", ErrPeerLost)
 		}
 	}
 }
@@ -715,11 +709,7 @@ func (s *Server) checkReadInterrupt(deadline time.Duration) error {
 		s.cnt[cTimeouts].Add(1)
 		return ErrTimeout
 	}
-	dc, ok := s.comm.(mpi.DeadlineComm)
-	if !ok {
-		return nil
-	}
-	m, err := dc.RecvTimeout(mpi.AnySource, tagToServer(s.opSeq), time.Nanosecond)
+	m, err := s.comm.RecvTimeout(mpi.AnySource, tagToServer(s.opSeq), time.Nanosecond)
 	if err != nil {
 		return nil // nothing queued; transport failures surface elsewhere
 	}

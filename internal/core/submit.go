@@ -184,7 +184,7 @@ func (c *Client) routeFrames() *clientRouter {
 		return r
 	}
 	c.clk.Go(fmt.Sprintf("client%d-router", c.Rank()), func(clk clock.Clock) {
-		r.run(mpi.RebindComm(c.comm, clk))
+		r.run(asEndpoint(mpi.RebindComm(c.comm, clk)))
 		r.exited.Put(struct{}{})
 	})
 	return r
@@ -213,13 +213,9 @@ func (r *clientRouter) fail() {
 	r.appDone.Wake()
 }
 
-func (r *clientRouter) run(comm mpi.Comm) {
-	recv := func() (mpi.Message, error) { return comm.Recv(mpi.AnySource, mpi.AnyTag), nil }
-	if dc, ok := comm.(mpi.DeadlineComm); ok { // a link failure comes back, not as a panic
-		recv = func() (mpi.Message, error) { return dc.RecvTimeout(mpi.AnySource, mpi.AnyTag, 0) }
-	}
+func (r *clientRouter) run(comm endpoint) {
 	for {
-		m, err := recv()
+		m, err := comm.RecvTimeout(mpi.AnySource, mpi.AnyTag, 0) // a link failure comes back, not as a panic
 		if err != nil {
 			r.fail()
 			return

@@ -158,6 +158,10 @@ func (c *fanoutSink) Isend(to, tag int, data []byte) mpi.Request {
 	return nil
 }
 func (c *fanoutSink) Recv(from, tag int) mpi.Message { return mpi.Message{} }
+func (c *fanoutSink) RecvTimeout(from, tag int, _ time.Duration) (mpi.Message, error) {
+	return mpi.Message{}, mpi.ErrTimeout
+}
+func (c *fanoutSink) PeerLost(rank int) bool { return false }
 
 func (c *fanoutSink) recycle() {
 	for _, b := range c.sent {

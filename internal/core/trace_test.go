@@ -360,7 +360,7 @@ func TestStatsSnapshotDuringOperation(t *testing.T) {
 // lagComm holds every outgoing sub-chunk data frame back for lag: a
 // network on which pulling a sub-chunk takes a known minimum.
 type lagComm struct {
-	mpi.Comm
+	endpoint
 	lag time.Duration
 }
 
@@ -368,18 +368,14 @@ func (c *lagComm) SendOwned(to, tag int, data []byte) {
 	if len(data) > 0 && data[0] == msgSubData {
 		time.Sleep(c.lag)
 	}
-	c.Comm.SendOwned(to, tag, data)
-}
-
-func (c *lagComm) RecvTimeout(from, tag int, timeout time.Duration) (mpi.Message, error) {
-	return c.Comm.(mpi.DeadlineComm).RecvTimeout(from, tag, timeout)
+	c.endpoint.SendOwned(to, tag, data)
 }
 
 // dropComm drops outgoing sub-chunk data frames: the first `first` per
 // source client when healAfter is positive, or all of them forever when
 // healAfter is zero. Everything else passes through.
 type dropComm struct {
-	mpi.Comm
+	endpoint
 	mu      sync.Mutex
 	remain  int
 	forever bool
@@ -405,25 +401,14 @@ func (c *dropComm) Send(to, tag int, data []byte) {
 	if c.drop(data) {
 		return
 	}
-	c.Comm.Send(to, tag, data)
+	c.endpoint.Send(to, tag, data)
 }
 
 func (c *dropComm) SendOwned(to, tag int, data []byte) {
 	if c.drop(data) {
 		return
 	}
-	c.Comm.SendOwned(to, tag, data)
-}
-
-func (c *dropComm) RecvTimeout(from, tag int, timeout time.Duration) (mpi.Message, error) {
-	return c.Comm.(mpi.DeadlineComm).RecvTimeout(from, tag, timeout)
-}
-
-func (c *dropComm) PeerLost(rank int) bool {
-	if pc, ok := c.Comm.(mpi.PeerChecker); ok {
-		return pc.PeerLost(rank)
-	}
-	return false
+	c.endpoint.SendOwned(to, tag, data)
 }
 
 // runOverTCP drives a full deployment over the TCP hub with per-rank
@@ -479,7 +464,7 @@ func TestRetriesSurfaceOverTCP(t *testing.T) {
 		if cfg.IsServer(rank) {
 			return c
 		}
-		return &dropComm{Comm: c, remain: 1}
+		return &dropComm{endpoint: asEndpoint(c), remain: 1}
 	}
 	errs, stats := runOverTCP(t, cfg, wrap, func(cl *Client) error {
 		bufs := makeBufs(cl, specs, true)
@@ -519,7 +504,7 @@ func TestTimeoutsAndAbortsSurfaceOverTCP(t *testing.T) {
 
 	wrap := func(rank int, c mpi.Comm) mpi.Comm {
 		if rank == 1 {
-			return &dropComm{Comm: c, forever: true}
+			return &dropComm{endpoint: asEndpoint(c), forever: true}
 		}
 		return c
 	}
@@ -582,7 +567,7 @@ func TestOverlapAndStallSurfaceOverTCP(t *testing.T) {
 	// included) stays positive on a host that hiccups for a millisecond.
 	slowNet := func(rank int, c mpi.Comm) mpi.Comm {
 		if rank < cfg.NumClients {
-			return &lagComm{Comm: c, lag: 5 * time.Millisecond}
+			return &lagComm{endpoint: asEndpoint(c), lag: 5 * time.Millisecond}
 		}
 		return c
 	}

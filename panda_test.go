@@ -57,21 +57,46 @@ func figure2Arrays(t *testing.T) (*Array, *Array, *Array, *Group) {
 
 func TestFigure2Workflow(t *testing.T) {
 	// The paper's Figure 2, condensed: three arrays in a group,
-	// repeated timesteps, one checkpoint, then a restart.
+	// repeated timesteps, one checkpoint, then a restart. Each timestep
+	// has its own contents, and every step comes back through
+	// ReadTimestep, as does a plain Write of the group through Read.
 	temperature, pressure, density, sim := figure2Arrays(t)
 	cluster, err := NewCluster(Config{ComputeNodes: 4, IONodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed := func(n *Node, step int) uint32 { return uint32(n.Rank()*1000 + step*100_000) }
 	err = cluster.Run(func(n *Node) error {
+		var bufs [][]byte
 		for _, a := range sim.Arrays() {
 			buf := make([]byte, n.ChunkBytes(a))
-			fillChunk(buf, uint32(n.Rank()*1000))
 			if err := n.Bind(a, buf); err != nil {
 				return err
 			}
+			bufs = append(bufs, buf)
+		}
+		fill := func(step int) {
+			for _, b := range bufs {
+				fillChunk(b, seed(n, step))
+			}
+		}
+		// check zeroes the buffers, runs read and wants step's contents.
+		check := func(what string, step int, read func() error) error {
+			for _, b := range bufs {
+				clear(b)
+			}
+			if err := read(); err != nil {
+				return fmt.Errorf("%s: %w", what, err)
+			}
+			for i, b := range bufs {
+				if err := checkChunk(b, seed(n, step)); err != nil {
+					return fmt.Errorf("node %d: %s of %s: %w", n.Rank(), what, sim.Arrays()[i].Name(), err)
+				}
+			}
+			return nil
 		}
 		for i := 0; i < 3; i++ {
+			fill(i)
 			if err := n.Timestep(sim); err != nil {
 				return err
 			}
@@ -84,14 +109,23 @@ func TestFigure2Workflow(t *testing.T) {
 		if n.TimestepCount(sim) != 3 {
 			return fmt.Errorf("timestep count %d", n.TimestepCount(sim))
 		}
-		return nil
+		for step := 0; step < 3; step++ {
+			if err := check(fmt.Sprintf("ReadTimestep %d", step), step, func() error { return n.ReadTimestep(sim, step) }); err != nil {
+				return err
+			}
+		}
+		fill(3)
+		if err := n.Write(sim); err != nil {
+			return err
+		}
+		return check("Read", 3, func() error { return n.Read(sim) })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart on the same cluster: fresh buffers restored from the
-	// checkpoint.
+	// checkpoint, which holds step 1.
 	err = cluster.Run(func(n *Node) error {
 		for _, a := range []*Array{temperature, pressure, density} {
 			if err := n.Bind(a, make([]byte, n.ChunkBytes(a))); err != nil {
@@ -103,7 +137,7 @@ func TestFigure2Workflow(t *testing.T) {
 		}
 		for _, a := range sim.Arrays() {
 			buf := make([]byte, n.ChunkBytes(a))
-			fillChunk(buf, uint32(n.Rank()*1000))
+			fillChunk(buf, seed(n, 1))
 			got, _, err := n.boundFor(a)
 			if err != nil {
 				return err
