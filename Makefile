@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check bench-sched sched-check bench-topo topo-check figures-check bench-pack alloc-check bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
+.PHONY: all build cross test race flake fmt vet staticcheck check fuzz loc bench-baseline bench-check figures-check bench-pack alloc-check bench-wall-quick trace-smoke cli-smoke recovery-smoke daemon-smoke churn-smoke ci clean
 
 all: build
 
@@ -96,9 +96,9 @@ fuzz:
 # 4:2:1, overlapped vs serialized dispatch) and the topology experiment
 # (flat vs synthesized schedules, 64 -> 1,024 compute nodes), plus the
 # host-dependent pack rows. Scale 3 shrinks arrays 8x so the snapshot
-# takes seconds. bench-sched and bench-topo are the same snapshot.
+# takes seconds.
 BENCH_SCALE ?= 3
-bench-baseline bench-sched bench-topo:
+bench-baseline:
 	$(GO) run ./cmd/pandabench -engine-json BENCH_engine.json -scale $(BENCH_SCALE)
 
 # bench-check re-measures the committed baseline and fails unless every
@@ -108,9 +108,8 @@ bench-baseline bench-sched bench-topo:
 # overlapped dispatch beats serialized, synthesized schedules beat flat
 # at >= 256 nodes by a margin that grows with the machine. A fresh
 # snapshot lands next to the baseline as BENCH_engine.json.new for
-# inspection (CI uploads it). sched-check and topo-check are the same
-# gate.
-bench-check sched-check topo-check:
+# inspection (CI uploads it).
+bench-check:
 	$(GO) run ./cmd/pandabench -engine-check BENCH_engine.json
 
 # figures-check is the second virtual-time oracle: the paper-sized

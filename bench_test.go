@@ -34,7 +34,7 @@ func benchFigureCell(b *testing.B, id string, sizeMB int64, ion int) {
 	opt := harness.Options{Scale: benchScale}
 	var last harness.Point
 	for i := 0; i < b.N; i++ {
-		p, err := harness.RunCell(f, sizeMB*harness.MB>>benchScale, ion, opt)
+		p, err := harness.RunCell(harness.Cell{Figure: f, SizeBytes: sizeMB * harness.MB >> benchScale, IONodes: ion}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkMultiArrayTimestep(b *testing.B) { benchFigure(b, "multi", 96) }
 // BenchmarkBaselineComparison — server-directed vs two-phase vs
 // client-directed on a reorganizing write (§4's argument).
 func BenchmarkBaselineComparison(b *testing.B) {
-	var rows []harness.CompareRow
+	var rows []harness.Point
 	var err error
 	for i := 0; i < b.N; i++ {
 		rows, err = harness.RunComparison(16*harness.MB, 8, 2, harness.Traditional, harness.Options{})

@@ -285,7 +285,7 @@ func measureEngine(opt harness.Options) []engineRow {
 			for _, eng := range engines {
 				o := opt
 				o.Pipeline, o.ReadAhead = eng.pipeline, eng.readahead
-				p, err := harness.RunCell(f, size, ion, o)
+				p, err := harness.RunCell(harness.Cell{Figure: f, SizeBytes: size, IONodes: ion}, o)
 				if err != nil {
 					log.Fatalf("%s ion %d %s: %v", figID, ion, eng.name, err)
 				}
@@ -365,11 +365,11 @@ func measurePlanCache(opt harness.Options) planCacheRow {
 		log.Fatal(err)
 	}
 	size := int64(64) * harness.MB >> opt.Scale
-	hits, misses, err := harness.RunPlanCacheProbe(f, size, ion, steps, opt)
+	p, err := harness.RunCell(harness.Cell{Figure: f, SizeBytes: size, IONodes: ion, Steps: steps}, opt)
 	if err != nil {
 		log.Fatalf("plan-cache probe: %v", err)
 	}
-	return planCacheRow{Steps: steps, IONodes: ion, Hits: hits, Misses: misses}
+	return planCacheRow{Steps: steps, IONodes: ion, Hits: p.PlanHits, Misses: p.PlanMisses}
 }
 
 // schedBenchION and schedBenchInflight fix the scheduler bench shape;

@@ -14,14 +14,9 @@ import (
 	"os"
 	"time"
 
-	"panda/internal/array"
-	"panda/internal/baseline"
-	"panda/internal/clock"
-	"panda/internal/core"
 	"panda/internal/harness"
 	"panda/internal/mpi"
 	"panda/internal/obs"
-	"panda/internal/storage"
 )
 
 func main() {
@@ -76,11 +71,26 @@ func main() {
 		opt.Trace = rec
 	}
 
-	if *strategy == "server-directed" {
-		p, err := harness.RunCell(f, *sizeMB*harness.MB, *ion, opt)
-		if err != nil {
-			log.Fatal(err)
+	strat := harness.Strategy(-1)
+	for _, st := range harness.Strategies() {
+		if st.String() == *strategy {
+			strat = st
 		}
+	}
+	if strat < 0 {
+		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
+		os.Exit(2)
+	}
+	if strat != harness.ServerDirected && rec != nil {
+		log.Fatal("-trace is only supported with -strategy server-directed")
+	}
+
+	p, err := harness.RunCell(harness.Cell{Figure: f, SizeBytes: *sizeMB * harness.MB, IONodes: *ion, Strategy: strat}, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	head := fmt.Sprintf("%s %d MB, %d compute nodes, %d i/o nodes, %s schema, %s disk", *op, *sizeMB, *cn, *ion, *schema, *disk)
+	if strat == harness.ServerDirected {
 		net := "uniform SP2 net"
 		if topo != nil {
 			net = "topology " + topo.String()
@@ -88,101 +98,37 @@ func main() {
 				net += " (flat schedules)"
 			}
 		}
-		fmt.Printf("%s %d MB, %d compute nodes, %d i/o nodes, %s schema, %s disk, %s\n",
-			*op, *sizeMB, *cn, *ion, *schema, *disk, net)
-		fmt.Printf("  elapsed      %v\n", p.Elapsed.Round(time.Microsecond))
-		fmt.Printf("  aggregate    %.2f MB/s\n", p.AggMBs)
+		fmt.Printf("%s, %s\n", head, net)
+	} else {
+		fmt.Printf("%s: %s\n", strat, head)
+	}
+	fmt.Printf("  elapsed      %v\n", p.Elapsed.Round(time.Microsecond))
+	fmt.Printf("  aggregate    %.2f MB/s\n", p.AggMBs)
+	if strat == harness.ServerDirected {
 		fmt.Printf("  normalized   %.3f (vs %.2f MB/s peak per i/o node)\n", p.Norm, f.NormPeak()/harness.MBps)
 		fmt.Printf("  messages     %d\n", p.Messages)
-		fmt.Printf("  reorg bytes  %d\n", p.ReorgBytes)
-		fmt.Printf("  disk seeks   %d\n", p.Seeks)
-		if p.OverlapNanos > 0 || p.StallNanos > 0 {
-			fmt.Printf("  overlap      %v hidden, %v stalled\n",
-				time.Duration(p.OverlapNanos).Round(time.Microsecond),
-				time.Duration(p.StallNanos).Round(time.Microsecond))
-		}
-		if rec != nil {
-			out, err := os.Create(*tracePath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := rec.WriteChromeTrace(out); err != nil {
-				log.Fatal(err)
-			}
-			if err := out.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("trace: wrote %d events to %s (load at https://ui.perfetto.dev)\n", len(rec.Events()), *tracePath)
-			fmt.Print(obs.RenderPhases(obs.Phases(rec)))
-		}
-		return
+	} else {
+		fmt.Printf("  requests     %d\n", p.Requests)
+	}
+	fmt.Printf("  reorg bytes  %d\n", p.ReorgBytes)
+	fmt.Printf("  disk seeks   %d\n", p.Seeks)
+	if p.OverlapNanos > 0 || p.StallNanos > 0 {
+		fmt.Printf("  overlap      %v hidden, %v stalled\n",
+			time.Duration(p.OverlapNanos).Round(time.Microsecond),
+			time.Duration(p.StallNanos).Round(time.Microsecond))
 	}
 	if rec != nil {
-		log.Fatal("-trace is only supported with -strategy server-directed")
-	}
-	if topo != nil {
-		log.Fatal("-topo is only supported with -strategy server-directed")
-	}
-
-	// Baseline strategies (writes only expose the interesting
-	// contrast; reads are symmetric).
-	var strat baseline.Strategy
-	switch *strategy {
-	case "two-phase":
-		strat = baseline.TwoPhase
-	case "client-directed":
-		strat = baseline.ClientDirected
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(2)
-	}
-	shape, err := harness.Shape3D(*sizeMB * harness.MB)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block, array.Block}, mesh)
-	dsk := mem
-	if f.Schema == harness.Traditional {
-		dsk = array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{*ion})
-	}
-	specs := []core.ArraySpec{{Name: "a0", ElemSize: harness.ElemSize, Mem: mem, Disk: dsk}}
-	cfg := core.Config{NumClients: *cn, NumServers: *ion,
-		SubchunkBytes: *subchunk, Pipeline: *pipeline,
-		StartupOverhead: harness.StartupOverhead, CopyRate: harness.CopyRate,
-		PlainWrites: true}
-	mk := func(i int, clk clock.Clock) storage.Disk {
-		if f.Disk == harness.FastDisk {
-			return storage.NewNullDisk()
+		out, err := os.Create(*tracePath)
+		if err != nil {
+			log.Fatal(err)
 		}
-		return storage.NewSimDisk(storage.NewNullDisk(), storage.SP2AIX(), clk)
-	}
-	res, err := baseline.RunSim(strat, cfg, mpi.SP2Link(), mk, func(cl *baseline.Client) error {
-		bufs := [][]byte{make([]byte, specs[0].MemChunkBytes(cl.Rank()))}
-		if *op == "read" {
-			// Baselines have no out-of-band way to fabricate files,
-			// so a read measurement writes first; LastElapsed then
-			// reflects the read (note: the simulated buffer cache is
-			// warm, so compare reads between baselines only).
-			if err := cl.WriteArrays("", specs, bufs); err != nil {
-				return err
-			}
-			return cl.ReadArrays("", specs, bufs)
+		if err := rec.WriteChromeTrace(out); err != nil {
+			log.Fatal(err)
 		}
-		return cl.WriteArrays("", specs, bufs)
-	})
-	if err != nil {
-		log.Fatal(err)
+		if err := out.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("trace: wrote %d events to %s (load at https://ui.perfetto.dev)\n", len(rec.Events()), *tracePath)
+		fmt.Print(obs.RenderPhases(obs.Phases(rec)))
 	}
-	el := res.MaxClientElapsed()
-	var seeks int64
-	for _, st := range res.DiskStats {
-		seeks += st.Seeks
-	}
-	fmt.Printf("%s: %s %d MB, %d compute nodes, %d i/o nodes, %s schema, %s disk\n",
-		strat, *op, *sizeMB, *cn, *ion, *schema, *disk)
-	fmt.Printf("  elapsed      %v\n", el.Round(time.Microsecond))
-	fmt.Printf("  aggregate    %.2f MB/s\n", float64(specs[0].TotalBytes())/harness.MBps/el.Seconds())
-	fmt.Printf("  requests     %d\n", res.Requests)
-	fmt.Printf("  reorg bytes  %d\n", res.ReorgBytes)
-	fmt.Printf("  disk seeks   %d\n", seeks)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 
 	"panda/internal/array"
@@ -106,7 +107,7 @@ func TestBaselinesProducePandaIdenticalFiles(t *testing.T) {
 
 	for _, strat := range []Strategy{ClientDirected, TwoPhase} {
 		disks := memDisks(cfg.NumServers)
-		if err := RunReal(strat, cfg, disks, func(cl *Client) error {
+		if err := runReal(strat, cfg, disks, func(cl *Client) error {
 			return cl.WriteArrays("", specs, makeBufs(cl.Rank(), specs, true))
 		}); err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -127,12 +128,12 @@ func TestBaselineRoundTrips(t *testing.T) {
 	cfg, specs := testSpecs()
 	for _, strat := range []Strategy{ClientDirected, TwoPhase} {
 		disks := memDisks(cfg.NumServers)
-		if err := RunReal(strat, cfg, disks, func(cl *Client) error {
+		if err := runReal(strat, cfg, disks, func(cl *Client) error {
 			return cl.WriteArrays("", specs, makeBufs(cl.Rank(), specs, true))
 		}); err != nil {
 			t.Fatalf("%v write: %v", strat, err)
 		}
-		if err := RunReal(strat, cfg, disks, func(cl *Client) error {
+		if err := runReal(strat, cfg, disks, func(cl *Client) error {
 			bufs := makeBufs(cl.Rank(), specs, false)
 			if err := cl.ReadArrays("", specs, bufs); err != nil {
 				return err
@@ -155,7 +156,7 @@ func TestCrossReadPandaReadsBaselineFiles(t *testing.T) {
 	// Interchangeability both ways: Panda reads what a baseline wrote.
 	cfg, specs := testSpecs()
 	disks := memDisks(cfg.NumServers)
-	if err := RunReal(TwoPhase, cfg, disks, func(cl *Client) error {
+	if err := runReal(TwoPhase, cfg, disks, func(cl *Client) error {
 		return cl.WriteArrays("", specs, makeBufs(cl.Rank(), specs, true))
 	}); err != nil {
 		t.Fatal(err)
@@ -316,4 +317,38 @@ func FuzzDecodePiece(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = decodePiece(data)
 	})
+}
+
+// runReal executes a baseline deployment in real time, for the
+// functional tests and the cross-checks against Panda's files.
+func runReal(strategy Strategy, cfg core.Config, disks []storage.Disk, app App) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	world := mpi.NewWorld(cfg.WorldSize())
+	clk := clock.NewReal()
+	errs := make([]error, cfg.WorldSize())
+	var wg sync.WaitGroup
+	for r := 0; r < cfg.NumClients; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			_, errs[r] = clientMain(strategy, cfg, world.Comm(r), clk, app)
+		}(r)
+	}
+	for i := 0; i < cfg.NumServers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rank := cfg.ServerRank(i)
+			errs[rank] = ServeFiles(cfg, world.Comm(rank), disks[i])
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

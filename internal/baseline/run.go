@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"panda/internal/array"
@@ -244,40 +243,6 @@ func clientMain(strategy Strategy, cfg core.Config, comm mpi.Comm, clk clock.Clo
 		comm.Send(cfg.ServerRank(i), bTagReq, encodeFileReq(bReqShutdown, "", 0, 0, nil))
 	}
 	return cl, err
-}
-
-// RunReal executes a baseline deployment in real time (functional
-// tests and cross-checks against Panda's files).
-func RunReal(strategy Strategy, cfg core.Config, disks []storage.Disk, app App) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	world := mpi.NewWorld(cfg.WorldSize())
-	clk := clock.NewReal()
-	errs := make([]error, cfg.WorldSize())
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.NumClients; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, errs[r] = clientMain(strategy, cfg, world.Comm(r), clk, app)
-		}(r)
-	}
-	for i := 0; i < cfg.NumServers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rank := cfg.ServerRank(i)
-			errs[rank] = ServeFiles(cfg, world.Comm(rank), disks[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SimResult reports a simulated baseline run.

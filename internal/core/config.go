@@ -157,6 +157,11 @@ type Config struct {
 	// server dispatches it, from the router goroutine. Test-only:
 	// unexported.
 	dispatchHook func(seq int)
+	// schedSeed, when nonzero, randomizes the master's dispatch order
+	// among tenants whose deficit already affords their next op —
+	// deterministically per seed. The interleave conformance suite
+	// sweeps it. Test-only: unexported; a Reconfig leaves it alone.
+	schedSeed int64
 	// crashHook, when non-nil, is consulted by servers at named points
 	// of a collective write (plan, pull, sync, prepare, commit); a
 	// non-nil return makes the server die at that point exactly as an
@@ -216,10 +221,6 @@ type SchedConfig struct {
 	// round, scaled by its weight (0 = 1 MiB). Smaller quanta
 	// interleave tenants more finely; larger quanta favor throughput.
 	Quantum int64
-	// Seed, when nonzero, randomizes the dispatch order among tenants
-	// whose deficit already affords their next op — deterministically
-	// per seed. The interleave conformance suite sweeps it.
-	Seed int64
 }
 
 // enabled reports whether operations may overlap, which opens their

@@ -484,7 +484,7 @@ func TestSimRoundTripAndDeterminism(t *testing.T) {
 	specs := []ArraySpec{{Name: "sim", ElemSize: 4, Mem: mem, Disk: disk}}
 
 	run := func() (SimResult, error) {
-		return RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+		return RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 			bufs := makeBufs(cl, specs, true)
 			if err := cl.WriteArrays("", specs, bufs); err != nil {
 				return err
@@ -552,7 +552,7 @@ func TestElapsedReportedPerClient(t *testing.T) {
 	cfg := Config{NumClients: 2, NumServers: 1}
 	sch := array.MustSchema([]int{8}, []array.Dist{array.Block}, []int{2})
 	specs := []ArraySpec{{Name: "e", ElemSize: 4, Mem: sch, Disk: sch}}
-	res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+	res, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
 	})
 	if err != nil {
@@ -678,7 +678,7 @@ func TestStatsCountersPopulated(t *testing.T) {
 	cfg := Config{NumClients: 4, NumServers: 2, SubchunkBytes: 1 << 10}
 	sch := array.MustSchema([]int{16, 16}, []array.Dist{array.Block, array.Block}, []int{2, 2})
 	specs := []ArraySpec{{Name: "st", ElemSize: 4, Mem: sch, Disk: sch}}
-	res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+	res, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
 	})
 	if err != nil {
@@ -713,7 +713,7 @@ func TestManySequentialOpsInSim(t *testing.T) {
 	sch := array.MustSchema([]int{8, 8}, []array.Dist{array.Block, array.Block}, []int{2, 2})
 	specs := []ArraySpec{{Name: "loop", ElemSize: 4, Mem: sch, Disk: sch}}
 	run := func() time.Duration {
-		res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+		res, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 			bufs := makeBufs(cl, specs, true)
 			for step := 0; step < 20; step++ {
 				if err := cl.WriteArrays(fmt.Sprintf(".t%d", step), specs, bufs); err != nil {
@@ -765,5 +765,13 @@ func TestElementSizesOneAndEight(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("elem %d: %v", elem, err)
 		}
+	}
+}
+
+// simDiskFactory is the disk of the paper's real-disk experiments: a
+// discarding MemDisk behind the given AIX cost model.
+func simDiskFactory(model storage.AIXModel) DiskFactory {
+	return func(i int, clk clock.Clock) storage.Disk {
+		return storage.NewSimDisk(storage.NewNullDisk(), model, clk)
 	}
 }

@@ -147,7 +147,7 @@ func overlapSpecs() (Config, []ArraySpec) {
 	return cfg, []ArraySpec{{Name: "ovl", ElemSize: 4, Mem: mem, Disk: disk}}
 }
 
-// retainingAIXDisk is SimDiskFactory's disk over a MemDisk that keeps
+// retainingAIXDisk is simDiskFactory's disk over a MemDisk that keeps
 // what it is given. A commit-mode deployment that touches a key twice
 // needs one: the discarding disk reads a decision record back as zeros,
 // which fails the second operation as ErrCorrupt.

@@ -115,7 +115,7 @@ func TestPlanCacheTimestepHits(t *testing.T) {
 	specs := []ArraySpec{{Name: "ts", ElemSize: 4, Mem: mem, Disk: disk}}
 
 	const steps = 4
-	res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+	res, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 		bufs := makeBufs(cl, specs, true)
 		for step := 0; step < steps; step++ {
 			if werr := cl.WriteArrays(fmt.Sprintf(".t%d", step), specs, bufs); werr != nil {

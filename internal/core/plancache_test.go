@@ -88,7 +88,7 @@ func TestPlanCacheHitsUnderScheduler(t *testing.T) {
 		log := &opLog{}
 		cfg := schedCfg(4, 2, 2)
 		cfg.OpLog = log.add
-		if _, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), timesteps); err != nil {
+		if _, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), timesteps); err != nil {
 			t.Fatal(err)
 		}
 		check(t, log)

@@ -590,8 +590,7 @@ func encodeShutdown() []byte { return []byte{msgShutdown} }
 // Values follow SchedConfig/Config zero-value conventions (0 Quantum =
 // 1 MiB, 0 QueueDepth = 16, ...), except Sched.MaxInflight, where 0
 // means "keep the current value" — a reconfig must never silently
-// serialize a running service onto a write window of zero. Sched.Seed
-// does not travel.
+// serialize a running service onto a write window of zero.
 type Reconfig struct {
 	Sched    SchedConfig
 	Pipeline int
@@ -603,7 +602,6 @@ func (c *Config) reconfigure(rc Reconfig) {
 	if rc.Sched.MaxInflight <= 0 {
 		rc.Sched.MaxInflight = c.Sched.MaxInflight
 	}
-	rc.Sched.Seed = c.Sched.Seed
 	c.Sched, c.Pipeline = rc.Sched, rc.Pipeline
 }
 

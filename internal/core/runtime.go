@@ -142,14 +142,6 @@ func (r SimResult) MaxClientElapsed() time.Duration {
 // virtual clock (SimDisk charges I/O time through it).
 type DiskFactory func(i int, clk clock.Clock) storage.Disk
 
-// SimDiskFactory is the standard factory for the paper's real-disk
-// experiments: a discarding MemDisk behind the Table 1 AIX cost model.
-func SimDiskFactory(model storage.AIXModel) DiskFactory {
-	return func(i int, clk clock.Clock) storage.Disk {
-		return storage.NewSimDisk(storage.NewNullDisk(), model, clk)
-	}
-}
-
 // SimHandle tracks one deployment spawned into a shared simulation.
 // Call Result only after the simulation's Run has returned.
 type SimHandle struct {

@@ -126,7 +126,7 @@ type schedCore struct {
 	rng      *rand.Rand
 }
 
-func newSchedCore(cfg *SchedConfig) *schedCore {
+func newSchedCore(cfg *SchedConfig, seed int64) *schedCore {
 	sc := &schedCore{
 		cfg:     cfg,
 		known:   make(map[string]bool),
@@ -134,8 +134,8 @@ func newSchedCore(cfg *SchedConfig) *schedCore {
 		deficit: make(map[string]int64),
 		busy:    make(map[uint64]int),
 	}
-	if cfg.Seed != 0 {
-		sc.rng = rand.New(rand.NewSource(cfg.Seed))
+	if seed != 0 {
+		sc.rng = rand.New(rand.NewSource(seed))
 	}
 	return sc
 }
@@ -159,7 +159,7 @@ func (sc *schedCore) admit(op *schedOp) bool {
 // visitOrder is the tenant order for one dispatch scan, as a ring and
 // the index to start walking it from: the tenant ring itself from the
 // rotation point by default, a seeded shuffle of it when
-// SchedConfig.Seed asks the conformance suite's randomized interleaves
+// Config.schedSeed asks the conformance suite's randomized interleaves
 // for.
 func (sc *schedCore) visitOrder() (ring []string, from int) {
 	if sc.rng == nil {
@@ -287,7 +287,7 @@ func (s *Server) Serve() error {
 	r := &schedRouter{s: s, ops: make(map[int]*schedOp), frames: newOpFrames()}
 	r.pool = execPool[*schedOp]{clk: s.clk, name: fmt.Sprintf("server%d", s.index), body: r.execute}
 	if s.IsMaster() {
-		r.core = newSchedCore(&s.cfg.Sched)
+		r.core = newSchedCore(&s.cfg.Sched, s.cfg.schedSeed)
 		r.table = s.cfg.dispatched
 		if r.table == nil {
 			r.table = new(dispatchTable)

@@ -117,7 +117,7 @@ func twoOpsBitExact(t *testing.T, cfg Config) {
 }
 
 // TestSchedRandomizedInterleaveChecker is the linearizability-style
-// checker: across randomized dispatch orders (SchedConfig.Seed shuffles
+// checker: across randomized dispatch orders (Config.schedSeed shuffles
 // the DRR visit order) three concurrent collectives must produce
 // bit-exact data, and each seed must replay deterministically under
 // virtual time.
@@ -131,7 +131,7 @@ func TestSchedRandomizedInterleaveChecker(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		run := func() (SimResult, error) {
 			cfg := schedCfg(4, 2, 3)
-			cfg.Sched.Seed = seed
+			cfg.schedSeed = seed
 			cfg.Sched.Weights = map[string]int{"t1": 3, "t2": 2, "t3": 1}
 			return RunSim(cfg, mpi.SP2Link(), func(i int, clk clock.Clock) storage.Disk {
 				return storage.NewSimDisk(storage.NewMemDisk(), storage.SP2AIX(), clk)
@@ -196,7 +196,7 @@ func TestSchedOverlapBeatsSerial(t *testing.T) {
 	run := func(inflight int) time.Duration {
 		cfg := schedCfg(4, 2, inflight)
 		cfg.StartupOverhead = 13 * time.Millisecond
-		res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+		res, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 			hs := make([]*OpHandle, len(specs))
 			for i := range specs {
 				h, err := cl.SubmitWrite("", "", specs[i], makeBufs(cl, specs[i], true))
@@ -244,7 +244,7 @@ func TestSchedFairnessConvergesToWeights(t *testing.T) {
 			Weights:     weights,
 			Quantum:     64 << 10,
 		}
-		sc := newSchedCore(&cfg)
+		sc := newSchedCore(&cfg, 0)
 		nextName := 0
 		refill := func() {
 			for _, tn := range tenants {
@@ -663,7 +663,7 @@ func TestSchedFrameRoutingIsolation(t *testing.T) {
 		s:      s,
 		ops:    make(map[int]*schedOp),
 		frames: newOpFrames(),
-		core:   newSchedCore(&cfg.Sched),
+		core:   newSchedCore(&cfg.Sched, 0),
 	}
 	r.frames.retire(3, 0)
 	rejected := func() int64 { return s.Stats().FramesRejected }
@@ -791,7 +791,7 @@ func TestSingleFileBatchNotMerged(t *testing.T) {
 // TestSchedCoreConflictBlocksOnlyThatTenant: a conflict at one tenant's
 // head must not starve other tenants.
 func TestSchedCoreConflictBlocksOnlyThatTenant(t *testing.T) {
-	sc := newSchedCore(&SchedConfig{MaxInflight: 4, QueueDepth: 16})
+	sc := newSchedCore(&SchedConfig{MaxInflight: 4, QueueDepth: 16}, 0)
 	mk := func(seq int, tenant, key string) *schedOp {
 		return &schedOp{seq: seq, tenant: tenant, cost: 100, keys: keyOf(key)}
 	}
@@ -820,7 +820,7 @@ func TestSchedCoreConflictBlocksOnlyThatTenant(t *testing.T) {
 // quanta large takes seventeen scans of the ring to afford, and a scan
 // must not copy the ring.
 func TestSchedCoreDispatchCostIndependentOfCreditRounds(t *testing.T) {
-	sc := newSchedCore(&SchedConfig{MaxInflight: 1, Quantum: 1 << 20})
+	sc := newSchedCore(&SchedConfig{MaxInflight: 1, Quantum: 1 << 20}, 0)
 	op := &schedOp{tenant: "a", cost: 16 << 20, keys: keyOf("k")}
 	allocs := testing.AllocsPerRun(100, func() {
 		if !sc.admit(op) || sc.next() != op {

@@ -130,7 +130,7 @@ func TestTracedStagedWriteVirtual(t *testing.T) {
 	cfg.Trace = rec
 	cfg.Metrics = reg
 
-	res, err := RunSim(cfg, mpi.SP2Link(), SimDiskFactory(storage.SP2AIX()), func(cl *Client) error {
+	res, err := RunSim(cfg, mpi.SP2Link(), simDiskFactory(storage.SP2AIX()), func(cl *Client) error {
 		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
 	})
 	if err != nil {

@@ -4,108 +4,46 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"panda/internal/array"
-	"panda/internal/baseline"
-	"panda/internal/core"
-	"panda/internal/mpi"
 )
 
-// CompareRow is one strategy's result on a fixed workload.
-type CompareRow struct {
-	Label      string
-	Elapsed    time.Duration
-	AggMBs     float64
-	Seeks      int64
-	Requests   int64 // file or sub-chunk requests
-	ReorgBytes int64
+// writeFigure is a one-array write on computeNodes clients, the
+// workload of every experiment outside the paper's figures.
+func writeFigure(computeNodes int, disk DiskMode, schema SchemaMode) Figure {
+	return Figure{ComputeNodes: computeNodes, Mesh: Meshes()[computeNodes],
+		Op: Write, Disk: disk, Schema: schema, Arrays: 1}
 }
 
 // RunComparison runs the same collective write through server-directed
 // I/O (Panda), two-phase I/O, and client-directed independent I/O on
-// the simulated SP2, supporting the paper's §4 argument. The workload
-// is a 3-D array in BLOCK³ memory layout written to a traditional-order
-// (BLOCK,*,*) disk layout — the reorganizing case where request
-// ordering matters most.
-func RunComparison(sizeBytes int64, computeNodes, ion int, schema SchemaMode, opt Options) ([]CompareRow, error) {
-	mesh, ok := Meshes()[computeNodes]
-	if !ok {
-		return nil, fmt.Errorf("harness: no mesh for %d compute nodes", computeNodes)
-	}
-	f := Figure{ComputeNodes: computeNodes, Mesh: mesh, Op: Write, Disk: RealDisk, Schema: schema, Arrays: 1}
-	specs, err := specsFor(f, sizeBytes, ion)
-	if err != nil {
-		return nil, err
-	}
-	cfg := configFor(f, ion, opt)
-	var total int64
-	for _, s := range specs {
-		total += s.TotalBytes()
-	}
-
-	var rows []CompareRow
-
-	// Server-directed (Panda).
-	pres, err := core.RunSim(cfg, mpi.SP2Link(), core.SimDiskFactory(sp2AIX()), func(cl *core.Client) error {
-		bufs := make([][]byte, len(specs))
-		for i, spec := range specs {
-			bufs[i] = make([]byte, spec.MemChunkBytes(cl.Rank()))
-		}
-		return cl.WriteArrays("", specs, bufs)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server-directed: %w", err)
-	}
-	row := CompareRow{Label: "server-directed (Panda)", Elapsed: pres.MaxClientElapsed()}
-	for _, st := range pres.DiskStats {
-		row.Seeks += st.Seeks
-	}
-	for _, st := range pres.ServerStats {
-		row.ReorgBytes += st.ReorgBytes
-		row.Requests += st.MsgsSent
-	}
-	for _, st := range pres.ClientStats {
-		row.ReorgBytes += st.ReorgBytes
-	}
-	row.AggMBs = float64(total) / MBps / row.Elapsed.Seconds()
-	rows = append(rows, row)
-
-	// Baselines.
-	for _, strat := range []baseline.Strategy{baseline.TwoPhase, baseline.ClientDirected} {
-		res, err := baseline.RunSim(strat, cfg, mpi.SP2Link(), core.SimDiskFactory(sp2AIX()), func(cl *baseline.Client) error {
-			bufs := make([][]byte, len(specs))
-			for i, spec := range specs {
-				bufs[i] = make([]byte, spec.MemChunkBytes(cl.Rank()))
-			}
-			return cl.WriteArrays("", specs, bufs)
-		})
+// the simulated SP2, supporting the paper's §4 argument: one cell per
+// strategy, in that order. With the traditional-order (BLOCK,*,*) disk
+// layout the write reorganizes a BLOCK³ memory layout — the case where
+// request ordering matters most.
+func RunComparison(sizeBytes int64, computeNodes, ion int, schema SchemaMode, opt Options) ([]Point, error) {
+	var rows []Point
+	for _, s := range Strategies() {
+		p, err := RunCell(Cell{Figure: writeFigure(computeNodes, RealDisk, schema), SizeBytes: sizeBytes, IONodes: ion, Strategy: s}, opt)
 		if err != nil {
-			return nil, fmt.Errorf("%v: %w", strat, err)
+			return nil, fmt.Errorf("%v: %w", s, err)
 		}
-		row := CompareRow{
-			Label:      strat.String(),
-			Elapsed:    res.MaxClientElapsed(),
-			Requests:   res.Requests,
-			ReorgBytes: res.ReorgBytes,
-		}
-		for _, st := range res.DiskStats {
-			row.Seeks += st.Seeks
-		}
-		row.AggMBs = float64(total) / MBps / row.Elapsed.Seconds()
-		rows = append(rows, row)
+		rows = append(rows, p)
 	}
 	return rows, nil
 }
 
 // RenderComparison renders comparison rows as a table.
-func RenderComparison(title string, rows []CompareRow) string {
+func RenderComparison(title string, rows []Point) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	fmt.Fprintf(&b, "%-26s %12s %10s %8s %10s %12s\n",
 		"strategy", "elapsed", "MB/s", "seeks", "requests", "reorg bytes")
 	for _, r := range rows {
+		label := r.Strategy.String()
+		if r.Strategy == ServerDirected {
+			label += " (Panda)"
+		}
 		fmt.Fprintf(&b, "%-26s %12v %10.2f %8d %10d %12d\n",
-			r.Label, r.Elapsed.Round(time.Millisecond), r.AggMBs, r.Seeks, r.Requests, r.ReorgBytes)
+			label, r.Elapsed.Round(time.Millisecond), r.AggMBs, r.Seeks, r.Requests, r.ReorgBytes)
 	}
 	return b.String()
 }
@@ -117,85 +55,57 @@ type AblationPoint struct {
 	AggMBs  float64
 }
 
+// ablate measures cell once per swept value, set applying the value
+// to the cell or its options.
+func ablate[T int | int64](cell Cell, opt Options, sweep []T, set func(T, *Cell, *Options)) ([]AblationPoint, error) {
+	var out []AblationPoint
+	for _, v := range sweep {
+		c, o := cell, opt
+		set(v, &c, &o)
+		p, err := RunCell(c, o)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, AblationPoint{Param: int64(v), Elapsed: p.Elapsed, AggMBs: p.AggMBs})
+	}
+	return out, nil
+}
+
 // RunSubchunkAblation sweeps the sub-chunk size limit on a natural
 // chunking write (the paper fixed 1 MB after experimentation; this
 // regenerates that experiment).
 func RunSubchunkAblation(sizeBytes int64, computeNodes, ion int, sweep []int64, opt Options) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, sc := range sweep {
-		o := opt
-		o.SubchunkBytes = sc
-		f := Figure{ComputeNodes: computeNodes, Mesh: Meshes()[computeNodes],
-			Op: Write, Disk: RealDisk, Schema: Natural, Arrays: 1}
-		p, err := RunCell(f, sizeBytes, ion, o)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, AblationPoint{Param: sc, Elapsed: p.Elapsed, AggMBs: p.AggMBs})
-	}
-	return out, nil
+	cell := Cell{Figure: writeFigure(computeNodes, RealDisk, Natural), SizeBytes: sizeBytes, IONodes: ion}
+	return ablate(cell, opt, sweep, func(sc int64, _ *Cell, o *Options) { o.SubchunkBytes = sc })
 }
 
 // RunPipelineAblation sweeps the write pipeline depth on a fast-disk
 // reorganizing write, where overlapping sub-chunk requests (the paper's
 // proposed non-blocking communication) pays off.
 func RunPipelineAblation(sizeBytes int64, computeNodes, ion int, sweep []int, opt Options) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, depth := range sweep {
-		o := opt
-		o.Pipeline = depth
-		f := Figure{ComputeNodes: computeNodes, Mesh: Meshes()[computeNodes],
-			Op: Write, Disk: FastDisk, Schema: Traditional, Arrays: 1}
-		p, err := RunCell(f, sizeBytes, ion, o)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, AblationPoint{Param: int64(depth), Elapsed: p.Elapsed, AggMBs: p.AggMBs})
-	}
-	return out, nil
+	cell := Cell{Figure: writeFigure(computeNodes, FastDisk, Traditional), SizeBytes: sizeBytes, IONodes: ion}
+	return ablate(cell, opt, sweep, func(depth int, _ *Cell, o *Options) { o.Pipeline = depth })
 }
 
 // RunGranularityAblation sweeps the disk-chunk striping granularity:
 // the disk schema's BLOCK,*,* mesh is set to k × (I/O nodes) so each
 // server owns k round-robin chunks. As k grows the layout approaches
 // block-level striping; the paper argues for coarse, chunk-level
-// striping.
+// striping. A k that would split dimension 0 finer than its extent is
+// skipped.
 func RunGranularityAblation(sizeBytes int64, computeNodes, ion int, sweep []int, opt Options) ([]AblationPoint, error) {
-	mesh := Meshes()[computeNodes]
 	shape, err := Shape3D(sizeBytes)
 	if err != nil {
 		return nil, err
 	}
-	mem, err := array.NewSchema(shape, []array.Dist{array.Block, array.Block, array.Block}, mesh)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationPoint
+	var ks []int
 	for _, k := range sweep {
-		nchunks := k * ion
-		if nchunks > shape[0] {
-			continue // cannot split dimension 0 that finely
+		if k*ion <= shape[0] {
+			ks = append(ks, k)
 		}
-		disk, err := array.NewSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{nchunks})
-		if err != nil {
-			return out, err
-		}
-		specs := []core.ArraySpec{{Name: "g", ElemSize: ElemSize, Mem: mem, Disk: disk}}
-		cfg := core.Config{NumClients: computeNodes, NumServers: ion,
-			SubchunkBytes: opt.SubchunkBytes, Pipeline: opt.Pipeline, ReadAhead: opt.ReadAhead,
-			StartupOverhead: StartupOverhead, CopyRate: CopyRate, PlainWrites: true}
-		res, err := core.RunSim(cfg, mpi.SP2Link(), core.SimDiskFactory(sp2AIX()), func(cl *core.Client) error {
-			bufs := [][]byte{make([]byte, specs[0].MemChunkBytes(cl.Rank()))}
-			return cl.WriteArrays("", specs, bufs)
-		})
-		if err != nil {
-			return out, err
-		}
-		el := res.MaxClientElapsed()
-		out = append(out, AblationPoint{Param: int64(k), Elapsed: el,
-			AggMBs: float64(specs[0].TotalBytes()) / MBps / el.Seconds()})
 	}
-	return out, nil
+	cell := Cell{Figure: writeFigure(computeNodes, RealDisk, Traditional), SizeBytes: sizeBytes, IONodes: ion}
+	return ablate(cell, opt, ks, func(k int, c *Cell, _ *Options) { c.ChunksPerION = k })
 }
 
 // RenderAblation renders a swept parameter table.

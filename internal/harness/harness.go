@@ -192,10 +192,11 @@ const StartupOverhead = 13 * time.Millisecond
 // strided element copies achieve far less).
 const CopyRate = 100e6
 
-// Point is one measurement: a (size, I/O nodes) cell of a figure.
+// Point is one measurement: what one Cell did.
 type Point struct {
 	ArrayBytes int64
 	IONodes    int
+	Strategy   Strategy
 	Elapsed    time.Duration
 	// AggMBs is aggregate throughput in MB/s (2^20 bytes per second).
 	AggMBs float64
@@ -205,6 +206,9 @@ type Point struct {
 	ReorgBytes int64
 	// Messages counts protocol messages cluster-wide.
 	Messages int64
+	// Requests counts the sub-chunk requests Panda's servers sent, or a
+	// baseline's file requests.
+	Requests int64
 	// Seeks counts non-sequential disk requests across servers.
 	Seeks int64
 	// Timeouts and Retries sum the robustness counters across all
@@ -223,8 +227,8 @@ type Point struct {
 	// nodes (the complement of ReorgBytes).
 	ContigBytes int64
 	// PlanHits and PlanMisses sum the servers' plan-cache counters.
-	// Single-operation cells miss once per array and never hit; the
-	// multi-step probe (RunPlanCacheProbe) is where hits appear.
+	// Single-operation cells miss once per array and never hit; a
+	// multi-step cell (Cell.Steps) is where hits appear.
 	PlanHits, PlanMisses int64
 }
 
@@ -269,14 +273,17 @@ func Meshes() map[int][]int {
 	}
 }
 
-// specsFor builds the array specs of one experiment cell.
-func specsFor(f Figure, sizeBytes int64, ion int) ([]core.ArraySpec, error) {
-	n := f.Arrays
-	if n <= 0 {
-		n = 1
+// specsFor builds the array specs of one cell: Figure.Arrays arrays
+// named a0, a1, … splitting the cell's size, or the granularity
+// ablation's one array "g". Names travel in the op request, so they
+// are part of every cell's virtual time.
+func specsFor(c Cell) ([]core.ArraySpec, error) {
+	f := c.Figure
+	if len(f.Mesh) == 0 {
+		return nil, fmt.Errorf("harness: no mesh for %d compute nodes", f.ComputeNodes)
 	}
-	per := sizeBytes / int64(n)
-	shape, err := Shape3D(per)
+	n := max(f.Arrays, 1)
+	shape, err := Shape3D(c.SizeBytes / int64(n))
 	if err != nil {
 		return nil, err
 	}
@@ -286,19 +293,19 @@ func specsFor(f Figure, sizeBytes int64, ion int) ([]core.ArraySpec, error) {
 	}
 	disk := mem
 	if f.Schema == Traditional {
-		disk, err = array.NewSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{ion})
+		chunks := c.IONodes * max(c.ChunksPerION, 1)
+		disk, err = array.NewSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{chunks})
 		if err != nil {
 			return nil, err
 		}
 	}
 	specs := make([]core.ArraySpec, n)
 	for i := range specs {
-		specs[i] = core.ArraySpec{
-			Name:     fmt.Sprintf("a%d", i),
-			ElemSize: ElemSize,
-			Mem:      mem,
-			Disk:     disk,
+		name := fmt.Sprintf("a%d", i)
+		if c.ChunksPerION > 0 {
+			name = "g"
 		}
+		specs[i] = core.ArraySpec{Name: name, ElemSize: ElemSize, Mem: mem, Disk: disk}
 	}
 	return specs, nil
 }

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"panda/internal/mpi"
 )
 
 func TestShape3D(t *testing.T) {
@@ -291,11 +293,11 @@ func TestRenderFigureAndCSV(t *testing.T) {
 
 func TestRunCellElapsedPositiveAndDeterministic(t *testing.T) {
 	f, _ := FigureByID("fig8")
-	a, err := RunCell(f, 4*MB, 4, Options{})
+	a, err := RunCell(Cell{Figure: f, SizeBytes: 4 * MB, IONodes: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCell(f, 4*MB, 4, Options{})
+	b, err := RunCell(Cell{Figure: f, SizeBytes: 4 * MB, IONodes: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,5 +391,61 @@ func TestFig7ReadShape(t *testing.T) {
 	}
 	if pts[0].Seeks != 0 {
 		t.Errorf("server-directed read produced %d seeks", pts[0].Seeks)
+	}
+}
+
+// TestBaselineCellMovesEveryArray: a baseline cell splits its size over
+// the figure's arrays as a server-directed one does, and moves each of
+// them: two arrays of S bytes cost exactly twice the requests and
+// reorganized bytes of one.
+func TestBaselineCellMovesEveryArray(t *testing.T) {
+	for _, s := range []Strategy{TwoPhase, ClientDirected} {
+		for _, op := range []Op{Write, Read} {
+			f := writeFigure(8, FastDisk, Traditional)
+			f.Op = op
+			one, err := RunCell(Cell{Figure: f, SizeBytes: 2 * MB, IONodes: 2, Strategy: s}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Arrays = 2
+			two, err := RunCell(Cell{Figure: f, SizeBytes: 4 * MB, IONodes: 2, Strategy: s}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Requests == 0 || two.ArrayBytes != 2*one.ArrayBytes ||
+				two.Requests != 2*one.Requests || two.ReorgBytes != 2*one.ReorgBytes {
+				t.Errorf("%v %v: two arrays %+v, one %+v", s, op, two, one)
+			}
+		}
+	}
+}
+
+// TestBaselineCellRefusesTopology: the baselines run on the uniform
+// net only, so a racked topology is refused rather than ignored.
+func TestBaselineCellRefusesTopology(t *testing.T) {
+	topo, err := mpi.ParseTopology("fat-tree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Cell{Figure: writeFigure(8, FastDisk, Natural), SizeBytes: MB, IONodes: 2, Strategy: TwoPhase}
+	if _, err := RunCell(c, Options{Topology: topo}); err == nil {
+		t.Fatal("a two-phase cell ran on a racked topology")
+	}
+}
+
+// TestStepsHitPlanCache: a multi-step cell runs its operation once per
+// step suffix through one deployment — reads too, on files populated
+// under every suffix — and every step after the first replans from the
+// cache.
+func TestStepsHitPlanCache(t *testing.T) {
+	for _, id := range []string{"fig4", "fig3"} {
+		f, _ := FigureByID(id)
+		p, err := RunCell(Cell{Figure: f, SizeBytes: 4 * MB, IONodes: 2, Steps: 3}, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if p.PlanHits == 0 || p.PlanMisses == 0 {
+			t.Errorf("%s: %d plan-cache hits, %d misses over 3 steps", id, p.PlanHits, p.PlanMisses)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"panda/internal/core"
 	"panda/internal/mpi"
-	"panda/internal/storage"
 )
 
 // The mixed-workload scheduler benchmark: three tenants of unequal
@@ -62,43 +61,26 @@ type SchedResult struct {
 	Speedup float64
 }
 
-// schedConfigFor assembles the bench deployment: fig4's nodes and cost
-// model plus the scheduler.
-func schedConfigFor(ion, inflight int, opt Options) core.Config {
-	weights := make(map[string]int, len(schedTenants))
-	for _, t := range schedTenants {
-		weights[t.Name] = t.Weight
-	}
-	return core.Config{
-		NumClients:      8,
-		NumServers:      ion,
-		SubchunkBytes:   opt.SubchunkBytes,
-		Pipeline:        opt.Pipeline,
-		ReadAhead:       opt.ReadAhead,
-		StartupOverhead: StartupOverhead,
-		CopyRate:        CopyRate,
-		Trace:           opt.Trace,
-		Metrics:         opt.Metrics,
-		PlainWrites:     true,
-		Sched: core.SchedConfig{
-			MaxInflight: inflight,
-			// Deep enough that the whole workload admits without
-			// ErrBusy: backpressure is exercised by the test battery,
-			// not the throughput bench.
-			QueueDepth: 4 * len(schedTenants) * schedOpsPerTenant,
-			Weights:    weights,
-		},
-	}
-}
-
 // RunSchedMixed measures the mixed workload at one in-flight window:
 // every tenant submits all its writes up front, the ranks await them,
 // then the reads run the same way. sizeBytes is the per-operation
 // array size.
 func RunSchedMixed(sizeBytes int64, ion, inflight int, opt Options) (SchedPoint, error) {
-	cfg := schedConfigFor(ion, inflight, opt)
-	f := Figure{ComputeNodes: cfg.NumClients, Mesh: Meshes()[cfg.NumClients],
-		Op: Write, Disk: RealDisk, Schema: Natural, Arrays: 1}
+	// fig4's nodes and cost model, plus the scheduler.
+	cell := Cell{Figure: writeFigure(8, RealDisk, Natural), SizeBytes: sizeBytes, IONodes: ion}
+	cfg := configFor(cell, opt)
+	weights := make(map[string]int, len(schedTenants))
+	for _, t := range schedTenants {
+		weights[t.Name] = t.Weight
+	}
+	cfg.Sched = core.SchedConfig{
+		MaxInflight: inflight,
+		// Deep enough that the whole workload admits without ErrBusy:
+		// backpressure is exercised by the test battery, not the
+		// throughput bench.
+		QueueDepth: 4 * len(schedTenants) * schedOpsPerTenant,
+		Weights:    weights,
+	}
 
 	// One single-array spec per operation, names disjoint across ops so
 	// nothing conflict-serializes: the bench measures scheduling, not
@@ -110,7 +92,7 @@ func RunSchedMixed(sizeBytes int64, ion, inflight int, opt Options) (SchedPoint,
 	var ops []opSpec
 	for _, t := range schedTenants {
 		for k := 0; k < schedOpsPerTenant; k++ {
-			specs, err := specsFor(f, sizeBytes, ion)
+			specs, err := specsFor(cell)
 			if err != nil {
 				return SchedPoint{}, err
 			}
@@ -158,7 +140,8 @@ func RunSchedMixed(sizeBytes int64, ion, inflight int, opt Options) (SchedPoint,
 		})
 	}
 
-	res, err := core.RunSim(cfg, mpi.SP2Link(), core.SimDiskFactory(storage.SP2AIX()), app)
+	_, mkDisk := disksFor(cell)
+	res, err := core.RunSim(cfg, mpi.SP2Link(), mkDisk, app)
 	if err != nil {
 		return SchedPoint{}, err
 	}

@@ -40,6 +40,12 @@ type SharingResult struct {
 // sizeBytes with natural chunking over ion I/O nodes.
 func RunSharing(sizeBytes int64, computeNodes, ion int, opt Options) (SharingResult, error) {
 	var out SharingResult
+	cell := Cell{Figure: writeFigure(computeNodes, RealDisk, Natural), SizeBytes: sizeBytes, IONodes: ion}
+	specs, err := specsFor(cell)
+	if err != nil {
+		return out, err
+	}
+	app := cell.app(specs)
 
 	run := func(shared bool) ([2]time.Duration, int64, error) {
 		sim := vtime.New()
@@ -50,15 +56,9 @@ func RunSharing(sizeBytes int64, computeNodes, ion int, opt Options) (SharingRes
 
 		for appIdx := 0; appIdx < 2; appIdx++ {
 			appIdx := appIdx
-			f := Figure{ComputeNodes: computeNodes, Mesh: Meshes()[computeNodes],
-				Op: Write, Disk: RealDisk, Schema: Natural, Arrays: 1}
-			specs, err := specsFor(f, sizeBytes, ion)
-			if err != nil {
-				return [2]time.Duration{}, 0, err
-			}
-			cfg := configFor(f, ion, opt)
+			_, disk := disksFor(cell)
 			mk := func(i int, clk clock.Clock) storage.Disk {
-				d := storage.NewSimDisk(storage.NewNullDisk(), sp2AIX(), clk)
+				d := disk(i, clk).(*storage.SimDisk)
 				if appIdx == 0 {
 					primary[i] = d
 				} else if shared {
@@ -66,13 +66,8 @@ func RunSharing(sizeBytes int64, computeNodes, ion int, opt Options) (SharingRes
 				}
 				return d
 			}
-			h, err := core.SpawnSim(sim, fmt.Sprintf("app%d-", appIdx), cfg, mpi.SP2Link(), mk, func(cl *core.Client) error {
-				bufs := make([][]byte, len(specs))
-				for i, spec := range specs {
-					bufs[i] = make([]byte, spec.MemChunkBytes(cl.Rank()))
-				}
-				return cl.WriteArrays("", specs, bufs)
-			})
+			h, err := core.SpawnSim(sim, fmt.Sprintf("app%d-", appIdx), configFor(cell, opt), mpi.SP2Link(), mk,
+				func(cl *core.Client) error { return app(cl) })
 			if err != nil {
 				return [2]time.Duration{}, 0, err
 			}
@@ -96,7 +91,6 @@ func RunSharing(sizeBytes int64, computeNodes, ion int, opt Options) (SharingRes
 		return elapsed, seeks, nil
 	}
 
-	var err error
 	if out.Dedicated, out.DedicatedSeeks, err = run(false); err != nil {
 		return out, err
 	}

@@ -48,35 +48,11 @@ type TopoPoint struct {
 	Speedup float64
 }
 
-// topoFigure builds the write figure of one topology cell.
-func topoFigure(nodes int) (Figure, error) {
-	mesh, ok := Meshes()[nodes]
-	if !ok {
-		return Figure{}, fmt.Errorf("harness: no mesh for %d compute nodes", nodes)
-	}
-	return Figure{
-		ID:           "topo",
-		Title:        "Write, natural chunking, racked network, flat vs synthesized schedules",
-		ComputeNodes: nodes,
-		Mesh:         mesh,
-		IONodes:      []int{TopoIONodes},
-		SizesMB:      []int64{TopoSizeMB},
-		Op:           Write,
-		Disk:         FastDisk,
-		Schema:       Natural,
-		Arrays:       1,
-	}, nil
-}
-
 // RunTopoCell measures one topology cell under one schedule family.
 func RunTopoCell(nodes int, topo *mpi.Topology, flat bool, opt Options) (Point, error) {
-	f, err := topoFigure(nodes)
-	if err != nil {
-		return Point{}, err
-	}
 	opt.Topology = topo
 	opt.FlatSchedules = flat
-	return RunCell(f, TopoSizeMB*MB>>opt.Scale, TopoIONodes, opt)
+	return RunCell(Cell{Figure: writeFigure(nodes, FastDisk, Natural), SizeBytes: TopoSizeMB * MB >> opt.Scale, IONodes: TopoIONodes}, opt)
 }
 
 // RunTopoPoint measures both arms of one cell.

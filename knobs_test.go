@@ -92,16 +92,17 @@ func parseRepo(t *testing.T) map[string]*ast.File {
 }
 
 // exportExempt lists the exported functions and methods under internal/
-// that need no caller by name: methods that satisfy a standard
-// interface (fmt, errors, sort call them), and the fault injectors and
-// read-only accessors tests use as oracles (DESIGN §16).
+// that need no caller by name, keyed as TestExportsHaveCallers keys
+// them: methods that satisfy a standard interface (fmt, errors, sort
+// call them), and the fault injectors and read-only accessors tests use
+// as oracles (DESIGN §16).
 var exportExempt = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "Len": true, "Less": true, "Swap": true,
 
 	"IsServer": true, "Leases": true, "ReadThroughput": true, "WriteThroughput": true,
 	"BytesMoved": true, "TrackNames": true, "Yield": true, "Extents": true, "ChunkIndex": true,
-	"IsTyped": true, "ArmTornSync": true, "TornSyncs": true, "Heal": true, "CrashRank": true,
-	"ReadEventLog": true,
+	"ArmTornSync": true, "TornSyncs": true, "Heal": true, "CrashRank": true,
+	"core.IsTyped": true, "obs.ReadEventLog": true, "bufpool.Stats": true,
 }
 
 // TestExportsHaveCallers: every exported function or method declared
@@ -109,36 +110,53 @@ var exportExempt = map[string]bool{
 // command, an example, bench/ — somewhere other than its own
 // declaration. One that only tests call is code the product carries for
 // nobody: it goes, or it is an oracle and joins exportExempt. Like the
-// knob matrix the walk is syntactic: a name counts wherever an
-// identifier spells it.
+// knob matrix the walk is syntactic. A package-level function is keyed
+// "pkg.Name" and counts as named by a selector pkg.Name in another
+// package or by a bare Name inside its own, so a method or a function
+// of another package that spells the same name does not hide it. A
+// method counts wherever an identifier spells its name.
 func TestExportsHaveCallers(t *testing.T) {
-	declared := map[string][]string{} // exported name under internal/ -> declaring files
+	declared := map[string][]string{} // key under internal/ -> declaring files
 	named := map[string]bool{}
 	for path, f := range parseRepo(t) {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
+		pkg := f.Name.Name
 		var own *ast.Ident // the name of the function being walked: not a use
+		selected := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.FuncDecl:
 				own = v.Name
 				if v.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-					declared[v.Name.Name] = append(declared[v.Name.Name], path)
+					key := v.Name.Name
+					if v.Recv == nil {
+						key = pkg + "." + key
+					}
+					declared[key] = append(declared[key], path)
 				}
+			case *ast.SelectorExpr:
+				if q, ok := v.X.(*ast.Ident); ok {
+					named[q.Name+"."+v.Sel.Name] = true
+				}
+				selected[v.Sel] = true
 			case *ast.Ident:
 				if v != own {
 					named[v.Name] = true
+					if !selected[v] {
+						named[pkg+"."+v.Name] = true
+					}
 				}
 			}
 			return true
 		})
 	}
 	var orphans []string
-	for name, paths := range declared {
-		if !named[name] && !exportExempt[name] {
+	for key, paths := range declared {
+		if !named[key] && !exportExempt[key] {
 			for _, path := range paths {
-				orphans = append(orphans, path+": "+name)
+				orphans = append(orphans, path+": "+key)
 			}
 		}
 	}
