@@ -158,14 +158,15 @@ trace-smoke:
 # cli-smoke starts the command-line tools no other gate starts, with
 # every flag off its default — the smoke column of the knob matrix
 # (TestKnobMatrix reads this file). Exit statuses are the gate, plus a
-# valid trace from the traced run.
+# valid trace from the traced run, and a misspelt schema must be
+# refused.
 cli-smoke:
 	$(GO) run ./cmd/pandasim -op read -size 8 -cn 16 -ion 2 -schema trad -disk fast -subchunk 524288 -readahead 2 -arrays 2
 	$(GO) run ./cmd/pandasim -size 8 -pipeline 4 -topo fat-tree:4 -flat-schedules -trace cli-smoke-trace.json
 	$(GO) run ./cmd/pandatrace -check cli-smoke-trace.json
 	$(GO) run ./cmd/pandasim -size 8 -strategy two-phase
-	$(GO) run ./cmd/pandapredict -size 8 -cn 16 -ion 2 -op read -schema trad -fast -pipeline 4 -topo oversub:4:2
-	$(GO) run ./cmd/pandapredict -candidates
+	$(GO) run ./cmd/pandasim -candidates
+	! $(GO) run ./cmd/pandasim -schema traditional
 	$(GO) run ./cmd/pandabench -fig fig5 -scale 6 -csv -subchunk 524288 -pipeline 2 -readahead 1 -v
 
 # recovery-smoke sweeps every crash point of the commit protocol plus a

@@ -51,7 +51,13 @@ func main() {
 		rec = obs.NewRecorder(0)
 		opt.Trace = rec
 	}
-	defer finishTrace(rec, *tracePath)
+	if rec != nil {
+		defer func() {
+			if err := rec.SaveTrace(*tracePath, os.Stdout); err != nil {
+				log.Fatalf("trace: %v", err)
+			}
+		}()
+	}
 
 	if *engineJSON != "" {
 		runEngineBaseline(*engineJSON, opt)
@@ -94,26 +100,6 @@ func main() {
 		}
 		runFigure(f, opt, *csv)
 	}
-}
-
-// finishTrace writes the recorded trace as Chrome trace-event JSON and
-// prints the per-operation phase breakdown reconstructed from it.
-func finishTrace(rec *obs.Recorder, path string) {
-	if rec == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatalf("trace: %v", err)
-	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		log.Fatalf("trace: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatalf("trace: %v", err)
-	}
-	fmt.Printf("trace: wrote %d events to %s (load at https://ui.perfetto.dev)\n", len(rec.Events()), path)
-	fmt.Print(obs.RenderPhases(obs.Phases(rec)))
 }
 
 func runTable1() {

@@ -499,18 +499,6 @@ func TestSchemaString(t *testing.T) {
 	}
 }
 
-func TestSameDecomposition(t *testing.T) {
-	a := MustSchema([]int{8, 8}, []Dist{Block, Block}, []int{2, 2})
-	b := MustSchema([]int{8, 8}, []Dist{Block, Block}, []int{2, 2})
-	c := MustSchema([]int{8, 8}, []Dist{Block, Star}, []int{4})
-	if !SameDecomposition(a, b) {
-		t.Fatal("identical schemas not recognized")
-	}
-	if SameDecomposition(a, c) {
-		t.Fatal("different schemas matched")
-	}
-}
-
 // TestChunkBytesMatchesChunk: ChunkBytes, which builds no region, sizes
 // every chunk of random schemas (empty ones included) as Chunk does,
 // and allocates nothing.

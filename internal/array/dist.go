@@ -227,22 +227,3 @@ func (s Schema) String() string {
 	}
 	return b.String()
 }
-
-// SameDecomposition reports whether two schemas produce identical chunk
-// lists (the "natural chunking" fast path precondition).
-func SameDecomposition(a, b Schema) bool {
-	if a.Rank() != b.Rank() || a.NumChunks() != b.NumChunks() {
-		return false
-	}
-	for d := 0; d < a.Rank(); d++ {
-		if a.Shape[d] != b.Shape[d] || a.Dist[d] != b.Dist[d] {
-			return false
-		}
-	}
-	for i := range a.Mesh {
-		if a.Mesh[i] != b.Mesh[i] {
-			return false
-		}
-	}
-	return true
-}

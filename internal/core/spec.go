@@ -86,10 +86,6 @@ func (a ArraySpec) MemChunkBytes(client int) int64 {
 // TotalBytes is the byte size of the whole array.
 func (a ArraySpec) TotalBytes() int64 { return a.Mem.TotalBytes(a.ElemSize) }
 
-// Natural reports whether the spec uses natural chunking (identical
-// memory and disk decompositions).
-func (a ArraySpec) Natural() bool { return array.SameDecomposition(a.Mem, a.Disk) }
-
 // FileName is the file this array stores on the given server index,
 // with the operation's name suffix (e.g. ".t3" for timestep 3, ".ckpt"
 // for checkpoints, "" for plain writes).

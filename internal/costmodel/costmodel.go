@@ -199,36 +199,3 @@ func Predict(in Inputs) Breakdown {
 	b.Elapsed = b.Startup + worst
 	return b
 }
-
-// Rank orders candidate disk schemas for an array by predicted write
-// time, best first — the schema-selection use case the paper motivates
-// the cost model with. It returns indices into candidates.
-func Rank(cfg core.Config, link mpi.LinkConfig, disk storage.AIXModel,
-	mem array.Schema, elemSize int, candidates []array.Schema, write bool) []int {
-	type scored struct {
-		idx int
-		t   time.Duration
-	}
-	out := make([]scored, len(candidates))
-	for i, cand := range candidates {
-		in := Inputs{
-			Cfg:   cfg,
-			Specs: []core.ArraySpec{{Name: "x", ElemSize: elemSize, Mem: mem, Disk: cand}},
-			Link:  link,
-			Disk:  disk,
-			Write: write,
-		}
-		out[i] = scored{idx: i, t: Predict(in).Elapsed}
-	}
-	// Insertion sort: candidate lists are short.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].t < out[j-1].t; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	idxs := make([]int, len(out))
-	for i, s := range out {
-		idxs[i] = s.idx
-	}
-	return idxs
-}

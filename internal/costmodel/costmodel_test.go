@@ -1,98 +1,72 @@
-package costmodel
+package costmodel_test
 
 import (
-	"fmt"
 	"math"
+	"strings"
 	"testing"
-	"time"
 
-	"panda/internal/array"
-	"panda/internal/clock"
-	"panda/internal/core"
 	"panda/internal/harness"
 	"panda/internal/mpi"
-	"panda/internal/storage"
 )
 
-// simulate runs the real protocol on the simulated SP2 and returns the
-// paper's elapsed metric.
-func simulate(t *testing.T, in Inputs) time.Duration {
-	t.Helper()
-	mk := func(i int, clk clock.Clock) storage.Disk {
-		if in.FastDisk {
-			return storage.NewNullDisk()
-		}
-		return storage.NewSimDisk(storage.NewNullDisk(), in.Disk, clk)
+// cell is one server-directed cell of a single array: sizeMB over nc
+// compute nodes (the paper's meshes) and ion I/O nodes. The model and
+// the simulation see it through the same harness builders.
+func cell(op harness.Op, schema harness.SchemaMode, disk harness.DiskMode, sizeMB int64, nc, ion int) harness.Cell {
+	return harness.Cell{
+		Figure: harness.Figure{ComputeNodes: nc, Mesh: harness.Meshes()[nc], Arrays: 1,
+			Op: op, Disk: disk, Schema: schema},
+		SizeBytes: sizeMB * harness.MB,
+		IONodes:   ion,
 	}
-	cfg := in.Cfg
-	res, err := core.RunSim(cfg, in.Link, mk, func(cl *core.Client) error {
-		bufs := make([][]byte, len(in.Specs))
-		for i, spec := range in.Specs {
-			bufs[i] = make([]byte, spec.MemChunkBytes(cl.Rank()))
-		}
-		if in.Write {
-			return cl.WriteArrays("", in.Specs, bufs)
-		}
-		// Fabricate files through a write first, then measure the
-		// read; LastElapsed reflects the final call.
-		if err := cl.WriteArrays("", in.Specs, bufs); err != nil {
-			return err
-		}
-		return cl.ReadArrays("", in.Specs, bufs)
-	})
+}
+
+// predicted is the model's elapsed for c.
+func predicted(t *testing.T, c harness.Cell, opt harness.Options) float64 {
+	t.Helper()
+	b, err := harness.PredictCell(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.MaxClientElapsed()
+	return b.Elapsed.Seconds()
 }
 
-func inputsFor(sizeMB int64, nc, ion int, trad, write, fast bool) Inputs {
-	shape, err := harness.Shape3D(sizeMB * harness.MB)
+// simulated is the paper's elapsed metric of c on the simulated SP2:
+// reads start cold, as RunCell fabricates their files.
+func simulated(t *testing.T, c harness.Cell) float64 {
+	t.Helper()
+	p, err := harness.RunCell(c, harness.Options{})
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	mesh := harness.Meshes()[nc]
-	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block, array.Block}, mesh)
-	disk := mem
-	if trad {
-		disk = array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{ion})
-	}
-	return Inputs{
-		Cfg: core.Config{NumClients: nc, NumServers: ion,
-			StartupOverhead: harness.StartupOverhead, CopyRate: harness.CopyRate,
-			// The model predicts the paper's plain protocol; simulate the same.
-			PlainWrites: true},
-		Specs:    []core.ArraySpec{{Name: "x", ElemSize: harness.ElemSize, Mem: mem, Disk: disk}},
-		Link:     mpi.SP2Link(),
-		Disk:     storage.SP2AIX(),
-		FastDisk: fast,
-		Write:    write,
-	}
+	return p.Elapsed.Seconds()
 }
 
 func TestPredictionTracksSimulation(t *testing.T) {
-	// Reads with real disks hit the (just-written) buffer cache in
-	// the simulate helper, so the comparison covers real-disk writes
-	// and fast-disk reads/writes — the configurations where the paper
-	// publishes figures for both.
+	const (
+		w, r      = harness.Write, harness.Read
+		nat, trad = harness.Natural, harness.Traditional
+		aix, fast = harness.RealDisk, harness.FastDisk
+	)
 	cases := []struct {
 		name string
-		in   Inputs
+		c    harness.Cell
 		tol  float64
 	}{
-		{"write-natural-8c2s-8MB", inputsFor(8, 8, 2, false, true, false), 0.15},
-		{"write-natural-8c4s-16MB", inputsFor(16, 8, 4, false, true, false), 0.15},
-		{"write-trad-16c4s-8MB", inputsFor(8, 16, 4, true, true, false), 0.15},
-		{"write-natural-fast-32c4s-16MB", inputsFor(16, 32, 4, false, true, true), 0.25},
-		{"write-trad-fast-16c4s-16MB", inputsFor(16, 16, 4, true, true, true), 0.30},
+		{"write-natural-8c2s-8MB", cell(w, nat, aix, 8, 8, 2), 0.15},
+		{"write-natural-8c4s-16MB", cell(w, nat, aix, 16, 8, 4), 0.15},
+		{"write-trad-16c4s-8MB", cell(w, trad, aix, 8, 16, 4), 0.15},
+		{"write-natural-fast-32c4s-16MB", cell(w, nat, fast, 16, 32, 4), 0.25},
+		{"write-trad-fast-16c4s-16MB", cell(w, trad, fast, 16, 16, 4), 0.30},
+		{"read-natural-8c4s-16MB", cell(r, nat, aix, 16, 8, 4), 0.15},
+		{"read-trad-16c4s-8MB", cell(r, trad, aix, 8, 16, 4), 0.15},
+		{"read-natural-fast-32c4s-16MB", cell(r, nat, fast, 16, 32, 4), 0.25},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := Predict(c.in).Elapsed
-			want := simulate(t, c.in)
-			err := math.Abs(got.Seconds()-want.Seconds()) / want.Seconds()
-			if err > c.tol {
-				t.Fatalf("predicted %v, simulated %v (relative error %.1f%% > %.0f%%)",
+			got, want := predicted(t, c.c, harness.Options{}), simulated(t, c.c)
+			if err := math.Abs(got-want) / want; err > c.tol {
+				t.Fatalf("predicted %.6fs, simulated %.6fs (relative error %.1f%% > %.0f%%)",
 					got, want, err*100, c.tol*100)
 			}
 		})
@@ -100,22 +74,22 @@ func TestPredictionTracksSimulation(t *testing.T) {
 }
 
 func TestPredictionScalesWithSizeAndServers(t *testing.T) {
-	small := Predict(inputsFor(8, 8, 2, false, true, false)).Elapsed
-	big := Predict(inputsFor(32, 8, 2, false, true, false)).Elapsed
-	ratio := big.Seconds() / small.Seconds()
-	if ratio < 3.5 || ratio > 4.5 {
+	at := func(sizeMB int64, ion int) float64 {
+		return predicted(t, cell(harness.Write, harness.Natural, harness.RealDisk, sizeMB, 8, ion), harness.Options{})
+	}
+	if ratio := at(32, 2) / at(8, 2); ratio < 3.5 || ratio > 4.5 {
 		t.Fatalf("4x data predicted %.2fx time", ratio)
 	}
-	two := Predict(inputsFor(32, 8, 2, false, true, false)).Elapsed
-	eight := Predict(inputsFor(32, 8, 8, false, true, false)).Elapsed
-	speedup := two.Seconds() / eight.Seconds()
-	if speedup < 3.0 || speedup > 4.5 {
+	if speedup := at(32, 2) / at(32, 8); speedup < 3.0 || speedup > 4.5 {
 		t.Fatalf("4x servers predicted %.2fx speedup", speedup)
 	}
 }
 
 func TestPredictionBreakdownConsistent(t *testing.T) {
-	b := Predict(inputsFor(16, 8, 4, true, true, false))
+	b, err := harness.PredictCell(cell(harness.Write, harness.Traditional, harness.RealDisk, 16, 8, 4), harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(b.PerServer) != 4 || len(b.PerClient) != 8 {
 		t.Fatalf("breakdown sizes: %d servers, %d clients", len(b.PerServer), len(b.PerClient))
 	}
@@ -136,57 +110,77 @@ func TestPredictionBreakdownConsistent(t *testing.T) {
 func TestPipelinePredictionOverlaps(t *testing.T) {
 	// Real disks: the pipeline hides sub-chunk gathering behind disk
 	// writes, so the overlapped prediction must be strictly smaller.
-	in := inputsFor(16, 16, 4, true, true, false)
-	serial := Predict(in).Elapsed
-	in.Cfg.Pipeline = 4
-	overlapped := Predict(in).Elapsed
-	if overlapped >= serial {
-		t.Fatalf("pipeline prediction %v not below serial %v", overlapped, serial)
+	c := cell(harness.Write, harness.Traditional, harness.RealDisk, 16, 16, 4)
+	serial := predicted(t, c, harness.Options{})
+	if overlapped := predicted(t, c, harness.Options{Pipeline: 4}); overlapped >= serial {
+		t.Fatalf("pipeline prediction %vs not below serial %vs", overlapped, serial)
 	}
 }
 
-func TestRankPrefersFewerSeeksAndRightSizedChunks(t *testing.T) {
-	// Candidate disk schemas for a 16 MB array on 4 I/O nodes: the
-	// 1-chunk-per-node traditional layout, a natural-chunking layout,
-	// and an absurdly fine-grained layout whose sub-1MB chunks fall
-	// down the request-size curve. The fine-grained one must rank
-	// last.
-	shape, _ := harness.Shape3D(16 * harness.MB)
-	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block, array.Block}, []int{2, 2, 2})
-	cands := []array.Schema{
-		array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{4}),
-		mem,
-		array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{128}),
+// rank returns the candidate ranking of c under opt.
+func rank(t *testing.T, c harness.Cell, opt harness.Options) []harness.Candidate {
+	t.Helper()
+	cands, err := harness.RankCandidates(c, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := core.Config{NumClients: 8, NumServers: 4,
-		StartupOverhead: harness.StartupOverhead, CopyRate: harness.CopyRate}
-	order := Rank(cfg, mpi.SP2Link(), storage.SP2AIX(), mem, harness.ElemSize, cands, true)
-	if order[len(order)-1] != 2 {
-		t.Fatalf("fine-grained schema not ranked last: %v", order)
+	if len(cands) != 5 {
+		t.Fatalf("%d candidates, want 5: %v", len(cands), cands)
+	}
+	return cands
+}
+
+func TestRankPrefersFewerSeeksAndRightSizedChunks(t *testing.T) {
+	// A 16 MB array on 4 I/O nodes: the fine-grained layout, whose
+	// 64 KB chunks fall down the request-size curve, must rank last.
+	cands := rank(t, cell(harness.Write, harness.Natural, harness.RealDisk, 16, 8, 4), harness.Options{})
+	if last := cands[len(cands)-1].Label; !strings.HasPrefix(last, "fine") {
+		t.Fatalf("fine-grained schema not ranked last: %v", cands)
+	}
+	for i := 1; i < len(cands); i++ {
+		if cands[i].Elapsed < cands[i-1].Elapsed {
+			t.Fatalf("ranking not best first: %v", cands)
+		}
+	}
+}
+
+func TestRankFollowsDiskModeAndNetwork(t *testing.T) {
+	// The ranking prices every candidate under the cell's disk mode and
+	// network: neither infinitely fast disks nor an oversubscribed rack
+	// fabric may leave the uniform-AIX times standing.
+	c := cell(harness.Write, harness.Natural, harness.RealDisk, 16, 16, 4)
+	aix := rank(t, c, harness.Options{})
+	topo, err := mpi.ParseTopology("oversub:4:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	racked := rank(t, c, harness.Options{Topology: topo})
+	c.Figure.Disk = harness.FastDisk
+	fast := rank(t, c, harness.Options{})
+	for i := range aix {
+		if aix[i] == racked[i] || aix[i] == fast[i] {
+			t.Fatalf("candidate %d priced alike under different machines:\naix    %v\nracked %v\nfast   %v", i, aix, racked, fast)
+		}
 	}
 }
 
 func TestRankAgreesWithSimulation(t *testing.T) {
 	// The model's ranking of coarse vs fine striping must match what
 	// the simulator measures.
-	shape, _ := harness.Shape3D(8 * harness.MB)
-	mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block, array.Block}, []int{2, 2, 2})
-	coarse := array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{2})
-	fine := array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{64})
-	cfg := core.Config{NumClients: 8, NumServers: 2,
-		StartupOverhead: harness.StartupOverhead, CopyRate: harness.CopyRate, PlainWrites: true}
-
-	var simTimes [2]time.Duration
-	for i, disk := range []array.Schema{coarse, fine} {
-		in := Inputs{Cfg: cfg, Link: mpi.SP2Link(), Disk: storage.SP2AIX(), Write: true,
-			Specs: []core.ArraySpec{{Name: fmt.Sprintf("v%d", i), ElemSize: harness.ElemSize, Mem: mem, Disk: disk}}}
-		simTimes[i] = simulate(t, in)
+	coarse := cell(harness.Write, harness.Traditional, harness.RealDisk, 8, 8, 2)
+	fine := coarse
+	fine.ChunksPerION = 32
+	modelSaysCoarseFirst := predicted(t, coarse, harness.Options{}) < predicted(t, fine, harness.Options{})
+	simCoarse, simFine := simulated(t, coarse), simulated(t, fine)
+	if modelSaysCoarseFirst != (simCoarse < simFine) {
+		t.Fatalf("model disagrees with simulation (coarse %.6fs vs fine %.6fs)", simCoarse, simFine)
 	}
-	order := Rank(cfg, mpi.SP2Link(), storage.SP2AIX(), mem, harness.ElemSize,
-		[]array.Schema{coarse, fine}, true)
-	simSaysCoarseFirst := simTimes[0] < simTimes[1]
-	modelSaysCoarseFirst := order[0] == 0
-	if simSaysCoarseFirst != modelSaysCoarseFirst {
-		t.Fatalf("model order %v disagrees with simulation (%v vs %v)", order, simTimes[0], simTimes[1])
+}
+
+func TestPredictionRefusesBaselines(t *testing.T) {
+	c := cell(harness.Write, harness.Traditional, harness.RealDisk, 8, 8, 2)
+	c.Strategy = harness.TwoPhase
+	if _, err := harness.PredictCell(c, harness.Options{}); err == nil {
+		t.Fatal("a two-phase cell was priced with the server-directed model")
 	}
 }

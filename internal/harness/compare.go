@@ -94,7 +94,7 @@ func RunPipelineAblation(sizeBytes int64, computeNodes, ion int, sweep []int, op
 // striping. A k that would split dimension 0 finer than its extent is
 // skipped.
 func RunGranularityAblation(sizeBytes int64, computeNodes, ion int, sweep []int, opt Options) ([]AblationPoint, error) {
-	shape, err := Shape3D(sizeBytes)
+	shape, err := shape3D(sizeBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -68,9 +68,9 @@ const MB = int64(1) << 20
 // (decimal, matching Table 1's 3.0 MB/s disk and 34 MB/s network).
 const MBps = 1e6
 
-// ElemSize is the element size used in all experiments. The paper's
+// elemSize is the element size used in all experiments. The paper's
 // 512 MB array of size 512x512x512 implies 4-byte elements.
-const ElemSize = 4
+const elemSize = 4
 
 // Figure describes one experiment family: a plot from the paper.
 type Figure struct {
@@ -163,8 +163,6 @@ type Options struct {
 	ReadAhead int
 	// Verbose makes Run print each point as it completes.
 	Verbose bool
-	// Printf receives verbose output; nil means fmt.Printf.
-	Printf func(format string, a ...interface{})
 	// Trace, when non-nil, records a structured trace of every
 	// operation in every cell (all cells share the recorder; each
 	// operation carries its own sequence number).
@@ -181,16 +179,16 @@ type Options struct {
 	FlatSchedules bool
 }
 
-// StartupOverhead is the paper's measured fixed Panda cost per
+// startupOverhead is the paper's measured fixed Panda cost per
 // collective operation (§3: "approximately .013 seconds").
-const StartupOverhead = 13 * time.Millisecond
+const startupOverhead = 13 * time.Millisecond
 
-// CopyRate models node memory bandwidth for strided reorganization
+// copyRate models node memory bandwidth for strided reorganization
 // copies. 100 MB/s is a conservative figure for a 1995 POWER2 node
 // doing small strided memcpy (Table 1 lists 342 GB/s aggregate peak
 // memory bandwidth across 160 nodes, i.e. ~2 GB/s streaming per node;
 // strided element copies achieve far less).
-const CopyRate = 100e6
+const copyRate = 100e6
 
 // Point is one measurement: what one Cell did.
 type Point struct {
@@ -232,11 +230,11 @@ type Point struct {
 	PlanHits, PlanMisses int64
 }
 
-// Shape3D factors totalBytes/ElemSize into a 3-D power-of-two shape as
+// shape3D factors totalBytes/elemSize into a 3-D power-of-two shape as
 // close to a cube as possible (the paper uses 3-D arrays, 512 MB =
-// 512x512x512 at 4 bytes). totalBytes/ElemSize must be a power of two.
-func Shape3D(totalBytes int64) ([]int, error) {
-	elems := totalBytes / ElemSize
+// 512x512x512 at 4 bytes). totalBytes/elemSize must be a power of two.
+func shape3D(totalBytes int64) ([]int, error) {
+	elems := totalBytes / elemSize
 	if elems <= 0 || elems&(elems-1) != 0 {
 		return nil, fmt.Errorf("harness: %d bytes is not a power-of-two element count", totalBytes)
 	}
@@ -283,7 +281,7 @@ func specsFor(c Cell) ([]core.ArraySpec, error) {
 		return nil, fmt.Errorf("harness: no mesh for %d compute nodes", f.ComputeNodes)
 	}
 	n := max(f.Arrays, 1)
-	shape, err := Shape3D(c.SizeBytes / int64(n))
+	shape, err := shape3D(c.SizeBytes / int64(n))
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +303,7 @@ func specsFor(c Cell) ([]core.ArraySpec, error) {
 		if c.ChunksPerION > 0 {
 			name = "g"
 		}
-		specs[i] = core.ArraySpec{Name: name, ElemSize: ElemSize, Mem: mem, Disk: disk}
+		specs[i] = core.ArraySpec{Name: name, ElemSize: elemSize, Mem: mem, Disk: disk}
 	}
 	return specs, nil
 }

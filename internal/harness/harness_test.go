@@ -17,10 +17,10 @@ func TestShape3D(t *testing.T) {
 		{64 * MB, []int{256, 256, 256}},
 		{128 * MB, []int{512, 256, 256}},
 		{512 * MB, []int{512, 512, 512}},
-		{4 * ElemSize, []int{2, 2, 1}},
+		{4 * elemSize, []int{2, 2, 1}},
 	}
 	for _, c := range cases {
-		got, err := Shape3D(c.bytes)
+		got, err := shape3D(c.bytes)
 		if err != nil {
 			t.Fatalf("%d bytes: %v", c.bytes, err)
 		}
@@ -31,11 +31,11 @@ func TestShape3D(t *testing.T) {
 			}
 			elems *= int64(g)
 		}
-		if elems*ElemSize != c.bytes {
-			t.Fatalf("%d bytes: shape %v covers %d bytes", c.bytes, got, elems*ElemSize)
+		if elems*elemSize != c.bytes {
+			t.Fatalf("%d bytes: shape %v covers %d bytes", c.bytes, got, elems*elemSize)
 		}
 	}
-	if _, err := Shape3D(12345); err == nil {
+	if _, err := shape3D(12345); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
 }
@@ -304,7 +304,7 @@ func TestRunCellElapsedPositiveAndDeterministic(t *testing.T) {
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
-	if a.Elapsed <= StartupOverhead {
+	if a.Elapsed <= startupOverhead {
 		t.Fatalf("elapsed %v too small", a.Elapsed)
 	}
 	if a.Seeks != 0 {

@@ -69,8 +69,8 @@ func configFor(c Cell, opt Options) core.Config {
 		SubchunkBytes:   opt.SubchunkBytes,
 		Pipeline:        opt.Pipeline,
 		ReadAhead:       opt.ReadAhead,
-		StartupOverhead: StartupOverhead,
-		CopyRate:        CopyRate,
+		StartupOverhead: startupOverhead,
+		CopyRate:        copyRate,
 		Trace:           opt.Trace,
 		Metrics:         opt.Metrics,
 		Topology:        opt.Topology,
@@ -237,10 +237,6 @@ func RunCell(c Cell, opt Options) (Point, error) {
 // RunFigure measures every cell of a figure, sizes scaled down by
 // 2^opt.Scale.
 func RunFigure(f Figure, opt Options) ([]Point, error) {
-	printf := opt.Printf
-	if printf == nil {
-		printf = func(format string, a ...interface{}) { fmt.Printf(format, a...) }
-	}
 	var points []Point
 	for _, mb := range f.SizesMB {
 		size := mb * MB >> opt.Scale
@@ -250,8 +246,8 @@ func RunFigure(f Figure, opt Options) ([]Point, error) {
 				return points, fmt.Errorf("%s size %d MB ion %d: %w", f.ID, mb, ion, err)
 			}
 			if opt.Verbose {
-				printf("%s: size=%4d MB ion=%d  %8.2f MB/s  norm=%.2f  (%v)\n",
-					f.ID, p.ArrayBytes/MB, ion, p.AggMBs, p.Norm, p.Elapsed.Round(StartupOverhead/13))
+				fmt.Printf("%s: size=%4d MB ion=%d  %8.2f MB/s  norm=%.2f  (%v)\n",
+					f.ID, p.ArrayBytes/MB, ion, p.AggMBs, p.Norm, p.Elapsed.Round(startupOverhead/13))
 			}
 			points = append(points, p)
 		}

@@ -91,10 +91,6 @@ func RunTopoFigure(counts []int, opt Options) ([]TopoPoint, error) {
 	if counts == nil {
 		counts = TopoNodeCounts()
 	}
-	printf := opt.Printf
-	if printf == nil {
-		printf = func(format string, a ...interface{}) { fmt.Printf(format, a...) }
-	}
 	var points []TopoPoint
 	for _, preset := range TopoPresets() {
 		for _, n := range counts {
@@ -103,7 +99,7 @@ func RunTopoFigure(counts []int, opt Options) ([]TopoPoint, error) {
 				return points, fmt.Errorf("%s at %d nodes: %w", preset, n, err)
 			}
 			if opt.Verbose {
-				printf("topo %-13s n=%4d  flat=%-12v tree=%-12v speedup=%.2fx\n",
+				fmt.Printf("topo %-13s n=%4d  flat=%-12v tree=%-12v speedup=%.2fx\n",
 					p.Preset, p.Nodes, p.Flat, p.Tree, p.Speedup)
 			}
 			points = append(points, p)

@@ -54,8 +54,8 @@ func TestSchemaSaveLoadRoundTrip(t *testing.T) {
 		if back[i].Name != specs[i].Name || back[i].ElemSize != specs[i].ElemSize {
 			t.Fatalf("spec %d: %+v", i, back[i])
 		}
-		if !array.SameDecomposition(back[i].Mem, specs[i].Mem) ||
-			!array.SameDecomposition(back[i].Disk, specs[i].Disk) {
+		if back[i].Mem.String() != specs[i].Mem.String() ||
+			back[i].Disk.String() != specs[i].Disk.String() {
 			t.Fatalf("spec %d schemas differ", i)
 		}
 	}

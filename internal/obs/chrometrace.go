@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -108,6 +109,26 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(ChromeTraceFrom(r))
+}
+
+// SaveTrace ends a traced run: it writes the recorded events to path as
+// Chrome trace-event JSON, then prints to w where they went and the
+// per-operation phase breakdown reconstructed from them.
+func (r *Recorder) SaveTrace(path string, w io.Writer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace: wrote %d events to %s (load at https://ui.perfetto.dev)\n", len(r.Events()), path)
+	fmt.Fprint(w, RenderPhases(Phases(r)))
+	return nil
 }
 
 // ParseChromeTrace parses and validates trace-event JSON: it must be
