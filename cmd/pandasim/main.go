@@ -135,8 +135,10 @@ func main() {
 	fmt.Printf("  reorg bytes  %d\n", p.ReorgBytes)
 	fmt.Printf("  disk seeks   %d\n", p.Seeks)
 	if p.OverlapNanos > 0 || p.StallNanos > 0 {
-		fmt.Printf("  overlap      %v hidden, %v stalled\n",
-			time.Duration(p.OverlapNanos).Round(time.Microsecond),
+		// Both are sums over the i/o nodes, so they may exceed elapsed.
+		fmt.Printf("  disk hidden  %v: disk time overlapped with the network (sum over i/o nodes)\n",
+			time.Duration(p.OverlapNanos).Round(time.Microsecond))
+		fmt.Printf("  disk stall   %v: mover time waiting on the disk (sum over i/o nodes)\n",
 			time.Duration(p.StallNanos).Round(time.Microsecond))
 	}
 	for s := range pred.PerServer {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"panda/internal/bufpool"
@@ -94,10 +95,50 @@ type abortedError struct{ cause error }
 func (e *abortedError) Error() string { return "aborted by master server: " + e.cause.Error() }
 func (e *abortedError) Unwrap() error { return e.cause }
 
-// preparedArray is one array's staged epoch on this server.
+// preparedArray is one array's staged epoch on this server. known
+// marks staged as vouched for by the retained record, so the commit
+// acts on it without probing the disk.
 type preparedArray struct {
-	base  string
-	epoch uint64
+	base   string
+	epoch  uint64
+	staged storage.Staged
+	known  bool
+}
+
+// retainedSet is a server's record of what its own commits left on its
+// disk: base → the epoch a CommitStaged of this process committed there
+// after moving a manifest-complete pair to ".prev". So the record also
+// says that base and its manifest exist and that no temp of that epoch
+// remains. The next staging of base consumes its entry, and only a
+// successful commit puts one back, so a failed commit, an abort or a
+// replan leaves none. The one writer of a key's files besides this
+// process's commits is Scrub, which rolls a key back (making ".prev"
+// the decided epoch) only at daemon start or offline — before any
+// entry exists — so an entry is never stale. Bound: one entry per key
+// with a retained pair on this disk. Executors of concurrent operations
+// share it (the scheduler serializes operations on one key), hence the
+// mutex.
+type retainedSet struct {
+	mu      sync.Mutex
+	entries map[string]uint64
+}
+
+// take consumes base's entry.
+func (r *retainedSet) take(base string) (uint64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[base]
+	delete(r.entries, base)
+	return e, ok
+}
+
+func (r *retainedSet) put(base string, epoch uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.entries == nil {
+		r.entries = make(map[string]uint64)
+	}
+	r.entries[base] = epoch
 }
 
 // manifestBuilder accumulates the per-sub-chunk CRCs of one array as
@@ -179,10 +220,18 @@ func (s *Server) stageEpochs(req opRequest, deadline time.Duration) ([]preparedA
 			return prepared, err
 		}
 
-		base := spec.FileName(req.Suffix, s.index)
+		p := preparedArray{base: spec.FileName(req.Suffix, s.index), epoch: epoch}
+		// When this server's own commit put epoch-1 on base, the pair it
+		// retained then (epoch-2) is needed by nobody: its file becomes
+		// this epoch's temp, and the commit need not probe.
+		if e, ok := s.retained.take(p.base); ok && e == epoch-1 {
+			p.known = true
+			p.staged = storage.Staged{Data: len(subs) > 0, Manifest: true, Retain: len(subs) > 0}
+		}
 		mb := &manifestBuilder{}
 		if len(subs) > 0 {
-			if err := s.writeArray(spec, storage.EpochName(base, epoch), subs, deadline, mb); err != nil {
+			reuse := p.known && storage.RecycleEpoch(s.disk, p.base, epoch) == nil
+			if err := s.writeArray(spec, storage.EpochName(p.base, epoch), reuse, subs, deadline, mb); err != nil {
 				return prepared, fmt.Errorf("core: server %d, array %s: %w", s.index, spec.Name, err)
 			}
 		}
@@ -190,10 +239,10 @@ func (s *Server) stageEpochs(req opRequest, deadline time.Duration) ([]preparedA
 			return prepared, err
 		}
 		m := buildManifest(spec, req, s.index, epoch, jobs, mb.subs)
-		if err := storage.WriteManifest(s.disk, storage.EpochManifestName(base, epoch), m); err != nil {
+		if err := storage.WriteManifest(s.disk, storage.EpochManifestName(p.base, epoch), m); err != nil {
 			return prepared, fmt.Errorf("core: server %d, array %s: writing manifest: %w", s.index, spec.Name, err)
 		}
-		prepared = append(prepared, preparedArray{base: base, epoch: epoch})
+		prepared = append(prepared, p)
 	}
 	if err := s.crashPoint("prepare"); err != nil {
 		return prepared, err
@@ -201,11 +250,19 @@ func (s *Server) stageEpochs(req opRequest, deadline time.Duration) ([]preparedA
 	return prepared, nil
 }
 
-// commitPrepared renames every staged array onto its committed names.
+// commitPrepared renames every staged array onto its committed names,
+// recording each pair it retains for the next write to recycle.
 func (s *Server) commitPrepared(prepared []preparedArray) error {
 	for _, p := range prepared {
-		if err := storage.CommitEpoch(s.disk, p.base, p.epoch); err != nil {
+		if !p.known {
+			p.staged = storage.ProbeStaged(s.disk, p.base, p.epoch)
+		}
+		retained, err := storage.CommitStaged(s.disk, p.base, p.epoch, p.staged)
+		if err != nil {
 			return fmt.Errorf("core: server %d: committing %s epoch %d: %w", s.index, p.base, p.epoch, err)
+		}
+		if retained {
+			s.retained.put(p.base, p.epoch)
 		}
 	}
 	return nil

@@ -36,6 +36,7 @@ const mergeCap = 8 << 20
 
 const (
 	dCreate = iota // name -> reply.f
+	dReuse         // name, want -> reply.f: name as it stands if it holds want bytes, else created
 	dOpen          // name, want -> reply.f (size-checked)
 	dWrite         // f, buf, off, recycle -> reply.err
 	dRead          // f, buf, off -> reply.buf (filled in place), reply.err
@@ -114,7 +115,7 @@ func (s *Server) runDiskBatch(d *diskSched, dd storage.Disk, clk clock.Clock, tr
 	d.files, d.rest = d.files[:0], d.rest[:0]
 	for _, req := range d.batch {
 		switch req.kind {
-		case dCreate, dOpen:
+		case dCreate, dReuse, dOpen:
 			s.serveDiskReq(dd, clk, tr, req)
 		case dWrite:
 			i := slices.Index(d.files, req.f)
@@ -152,6 +153,8 @@ func (s *Server) serveDiskReq(dd storage.Disk, clk clock.Clock, tr obs.Track, re
 	switch req.kind {
 	case dCreate:
 		rep.f, rep.err = dd.Create(req.name)
+	case dReuse:
+		rep.f, rep.err = reuseOrCreate(dd, req.name, req.want)
 	case dOpen:
 		rep.f, rep.err = s.openForRead(dd, req.name, req.want)
 	case dRead:
@@ -167,6 +170,21 @@ func (s *Server) serveDiskReq(dd storage.Disk, clk clock.Clock, tr obs.Track, re
 	}
 	rep.nanos = int64(t1 - t0)
 	req.reply.Put(rep)
+}
+
+// reuseOrCreate opens name to be overwritten in place when it holds
+// exactly want bytes, the whole of what the write will cover, and
+// creates (truncates) it otherwise — a degraded write or a new
+// deployment shape changes a server's share — so the file never ends
+// larger than its manifest's TotalBytes.
+func reuseOrCreate(d storage.Disk, name string, want int64) (storage.File, error) {
+	if f, err := d.Open(name); err == nil {
+		if sz, serr := f.Size(); serr == nil && sz == want {
+			return f, nil
+		}
+		f.Close()
+	}
+	return d.Create(name)
 }
 
 // flushWrites issues one file's writes from a batch in offset order,
@@ -285,16 +303,22 @@ type schedWriteSink struct {
 	err    error // first write error; sticky
 }
 
-// newWriteSink opens name through the storage stage. The window is zero
-// unless operations may overlap (so they batch and merge at the disk) or
-// the mover is asked to write behind.
-func (s *Server) newWriteSink(name string) (*schedWriteSink, error) {
+// newWriteSink opens name through the storage stage: created, or with
+// reuse a recycled file overwritten in place when it holds the want
+// bytes the write covers. The window is zero unless operations may
+// overlap (so they batch and merge at the disk) or the mover is asked
+// to write behind.
+func (s *Server) newWriteSink(name string, reuse bool, want int64) (*schedWriteSink, error) {
 	k := &schedWriteSink{stagePort: s.newStagePort()}
 	if s.cfg.Sched.enabled() || s.cfg.pipeline() >= 2 {
 		k.window = max(2, s.cfg.pipeline())
 	}
+	req := diskReq{kind: dCreate, name: name}
+	if reuse {
+		req.kind, req.want = dReuse, want
+	}
 	t0 := k.clk.Now()
-	rep := k.call(diskReq{kind: dCreate, name: name})
+	rep := k.call(req)
 	k.stalled(t0, "create", 0)
 	if rep.err != nil {
 		return nil, rep.err

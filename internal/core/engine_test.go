@@ -35,7 +35,7 @@ type traceEvent struct {
 	op   byte // 'r' ReadAt, 'w' WriteAt, 's' Sync, 'c' Create, 'o' Open, 'x' Remove, 'm' Rename, 'l' List
 	name string
 	off  int64
-	n    int
+	n    int // bytes; for a Rename, 1 when it replaced a file
 }
 
 func (tr *diskTrace) add(op byte, name string, off int64, n int) {
@@ -99,7 +99,11 @@ func (d *traceDisk) Remove(name string) error {
 	return d.inner.Remove(name)
 }
 func (d *traceDisk) Rename(oldName, newName string) error {
-	d.trace.add('m', newName, 0, 0)
+	replaced := 0
+	if storage.Exists(d.inner, newName) {
+		replaced = 1
+	}
+	d.trace.add('m', newName, 0, replaced)
 	return d.inner.Rename(oldName, newName)
 }
 func (d *traceDisk) List() ([]string, error) {
@@ -696,7 +700,7 @@ func TestWriteAbandonWithFullWindow(t *testing.T) {
 		for _, tc := range []struct{ pipeline, window int }{{1, 0}, {3, 3}} {
 			s.cfg.Pipeline = tc.pipeline
 			probe := poolWatch()
-			k, err := s.newWriteSink(fmt.Sprintf("abandoned%d", tc.window))
+			k, err := s.newWriteSink(fmt.Sprintf("abandoned%d", tc.window), false, 0)
 			if err != nil {
 				t.Error(err)
 				return

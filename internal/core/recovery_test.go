@@ -130,104 +130,129 @@ func dumpTrace(t *testing.T, dir, name string, rec *obs.Recorder) {
 // commit protocol — plan, pull, sync, prepare, decide, commit — on top
 // of a committed prior epoch, and asserts the invariant: the scrubber
 // passes, and a healed deployment reads back either the old epoch or
-// the new one bit-exact on every rank.
+// the new one bit-exact on every rank. The interrupted write is the
+// key's second epoch, which recycles nothing; the "recycled-" arm
+// writes epochs 1 and 2 in the same run as the interrupted epoch 3, so
+// every server holds its own commit's retained pair and the crash
+// interrupts a staging that overwrites it.
 func TestCrashPointSweep(t *testing.T) {
 	points := []string{"plan", "pull", "sync", "prepare", "decide", "commit"}
-	for victim := 0; victim < 2; victim++ {
-		for _, point := range points {
-			if point == "decide" && victim != 0 {
-				continue // only the master server decides
-			}
-			victim, point := victim, point
-			t.Run(fmt.Sprintf("server%d-%s", victim, point), func(t *testing.T) {
-				t.Parallel()
-				cfg, specs := recoverySpecs(3, 2)
-				disks := memDisks(cfg.NumServers)
-
-				const oldKey, newKey = 0x00, 0xFF
-				// Epoch 1: a clean committed checkpoint.
-				if _, err := RunWith(cfg, plainComms(cfg), disks, func(cl *Client) error {
-					return cl.WriteArrays(".ckpt", specs, xorFill(cl, specs, oldKey))
-				}); err != nil {
-					t.Fatalf("seed epoch: %v", err)
+	for _, arm := range []string{"", "recycled-"} {
+		for victim := 0; victim < 2; victim++ {
+			for _, point := range points {
+				if point == "decide" && victim != 0 {
+					continue // only the master server decides
 				}
-
-				// Epoch 2: the same checkpoint with new data, interrupted
-				// by a server death at the swept point.
-				rec := obs.NewRecorder(0)
-				crashCfg := cfg
-				crashCfg.Trace = rec
-				var fired atomic.Bool
-				crashCfg.crashHook = func(server int, p string) error {
-					if server == victim && p == point && fired.CompareAndSwap(false, true) {
-						return errors.New("injected crash")
-					}
-					return nil
-				}
-				werrs := make([]error, cfg.NumClients)
-				_, runErr := RunWith(crashCfg, plainComms(cfg), disks, func(cl *Client) error {
-					werrs[cl.Rank()] = cl.WriteArrays(".ckpt", specs, xorFill(cl, specs, newKey))
-					return nil
+				arm, victim, point := arm, victim, point
+				t.Run(fmt.Sprintf("%sserver%d-%s", arm, victim, point), func(t *testing.T) {
+					t.Parallel()
+					crashSweepCase(t, arm, victim, point)
 				})
-				if !fired.Load() {
-					t.Fatalf("crash point %q never fired on server %d", point, victim)
-				}
-				if runErr == nil {
-					t.Fatal("the killed server's Serve returned nil")
-				}
-				for rank, werr := range werrs {
-					typedOrNil(t, rank, "interrupted write", werr)
-				}
-
-				// The scrubber must judge the directory healthy (crash
-				// debris is warn-level), and repair must leave it spotless.
-				rep, err := storage.Scrub(disks, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.OK() {
-					t.Fatalf("scrub found unrecoverable damage: %+v", rep.Issues)
-				}
-				if dir := artifactDir(t, fmt.Sprintf("sweep-server%d-%s", victim, point)); dir != "" {
-					dumpManifests(t, dir, disks)
-					dumpTrace(t, dir, "crash-run.trace.json", rec)
-				}
-				if _, err := storage.Scrub(disks, true); err != nil {
-					t.Fatal(err)
-				}
-				again, err := storage.Scrub(disks, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(again.Issues) != 0 {
-					t.Fatalf("issues survived repair: %+v", again.Issues)
-				}
-
-				// A healed deployment must read one complete epoch.
-				epochs := make([]int, cfg.NumClients)
-				if _, err := RunWith(cfg, plainComms(cfg), disks, func(cl *Client) error {
-					got := makeBufs(cl, specs, false)
-					if rerr := cl.ReadArrays(".ckpt", specs, got); rerr != nil {
-						return fmt.Errorf("healed read: %w", rerr)
-					}
-					epochs[cl.Rank()] = matchEpoch(cl, specs, got, []byte{oldKey, newKey})
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				for rank, e := range epochs {
-					if e < 0 {
-						t.Fatalf("rank %d read a mix of epochs after a %s crash", rank, point)
-					}
-					if e != epochs[0] {
-						t.Fatalf("ranks disagree on the served epoch: %v", epochs)
-					}
-				}
-				t.Logf("server %d crash at %s: served the %s epoch", victim, point,
-					[]string{"old", "new"}[epochs[0]])
-			})
+			}
 		}
 	}
+}
+
+func crashSweepCase(t *testing.T, arm string, victim int, point string) {
+	recycled := arm != ""
+	cfg, specs := recoverySpecs(3, 2)
+	disks := memDisks(cfg.NumServers)
+
+	const oldKey, newKey = 0x00, 0xFF
+	if !recycled {
+		// Epoch 1: a clean committed checkpoint.
+		if _, err := RunWith(cfg, plainComms(cfg), disks, func(cl *Client) error {
+			return cl.WriteArrays(".ckpt", specs, xorFill(cl, specs, oldKey))
+		}); err != nil {
+			t.Fatalf("seed epoch: %v", err)
+		}
+	}
+
+	// The same checkpoint with new data, interrupted by a server death
+	// at the swept point: epoch 2, or with recycled epoch 3 after epochs
+	// 1 and 2 in the same run.
+	rec := obs.NewRecorder(0)
+	crashCfg := cfg
+	crashCfg.Trace = rec
+	var armed, fired atomic.Bool
+	armed.Store(!recycled)
+	crashCfg.crashHook = func(server int, p string) error {
+		if armed.Load() && server == victim && p == point && fired.CompareAndSwap(false, true) {
+			return errors.New("injected crash")
+		}
+		return nil
+	}
+	werrs := make([]error, cfg.NumClients)
+	_, runErr := RunWith(crashCfg, plainComms(cfg), disks, func(cl *Client) error {
+		if recycled {
+			for _, key := range []byte{0x11, oldKey} {
+				if err := cl.WriteArrays(".ckpt", specs, xorFill(cl, specs, key)); err != nil {
+					return fmt.Errorf("seed epoch %#x: %w", key, err)
+				}
+			}
+			if cl.Rank() == 0 {
+				armed.Store(true) // every server has committed epoch 2
+			}
+		}
+		werrs[cl.Rank()] = cl.WriteArrays(".ckpt", specs, xorFill(cl, specs, newKey))
+		return nil
+	})
+	if !fired.Load() {
+		t.Fatalf("crash point %q never fired on server %d", point, victim)
+	}
+	if runErr == nil {
+		t.Fatal("the killed server's Serve returned nil")
+	}
+	for rank, werr := range werrs {
+		typedOrNil(t, rank, "interrupted write", werr)
+	}
+
+	// The scrubber must judge the directory healthy (crash
+	// debris is warn-level), and repair must leave it spotless.
+	rep, err := storage.Scrub(disks, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("scrub found unrecoverable damage: %+v", rep.Issues)
+	}
+	if dir := artifactDir(t, fmt.Sprintf("sweep-%sserver%d-%s", arm, victim, point)); dir != "" {
+		dumpManifests(t, dir, disks)
+		dumpTrace(t, dir, "crash-run.trace.json", rec)
+	}
+	if _, err := storage.Scrub(disks, true); err != nil {
+		t.Fatal(err)
+	}
+	again, err := storage.Scrub(disks, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Issues) != 0 {
+		t.Fatalf("issues survived repair: %+v", again.Issues)
+	}
+
+	// A healed deployment must read one complete epoch.
+	epochs := make([]int, cfg.NumClients)
+	if _, err := RunWith(cfg, plainComms(cfg), disks, func(cl *Client) error {
+		got := makeBufs(cl, specs, false)
+		if rerr := cl.ReadArrays(".ckpt", specs, got); rerr != nil {
+			return fmt.Errorf("healed read: %w", rerr)
+		}
+		epochs[cl.Rank()] = matchEpoch(cl, specs, got, []byte{oldKey, newKey})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for rank, e := range epochs {
+		if e < 0 {
+			t.Fatalf("rank %d read a mix of epochs after a %s crash", rank, point)
+		}
+		if e != epochs[0] {
+			t.Fatalf("ranks disagree on the served epoch: %v", epochs)
+		}
+	}
+	t.Logf("server %d crash at %s: served the %s epoch", victim, point,
+		[]string{"old", "new"}[epochs[0]])
 }
 
 // plainComms builds one in-process world with no fault injection.

@@ -53,6 +53,9 @@ type Server struct {
 	// plans memoizes schema-derived sub-chunk plans (see planFor): one
 	// cache per node, shared with every executor built from this Server.
 	plans *planCache
+	// retained is the node's record of the keys whose ".prev" the next
+	// write may recycle (commit.go), shared like plans.
+	retained *retainedSet
 }
 
 // NewServer creates the server for one I/O node. disk is that node's
@@ -69,10 +72,11 @@ func NewServer(cfg Config, comm mpi.Comm, disk storage.Disk, clk clock.Clock) *S
 			met:  newNodeMetrics(cfg.Metrics),
 			cnt:  total,
 		},
-		disk:  disk,
-		index: idx,
-		total: total,
-		plans: &planCache{},
+		disk:     disk,
+		index:    idx,
+		total:    total,
+		plans:    &planCache{},
+		retained: &retainedSet{},
 	}
 }
 
@@ -321,7 +325,7 @@ func (s *Server) planManifest(ai int, spec ArraySpec, m *storage.Manifest) ([]su
 // straight to the final file name, no epoch, no manifest, no commit.
 func (s *Server) plainWriteArray(req opRequest, ai int, spec ArraySpec, deadline time.Duration) error {
 	_, subs := s.planArray(ai, spec, nil)
-	return s.writeArray(spec, spec.FileName(req.Suffix, s.index), subs, deadline, nil)
+	return s.writeArray(spec, spec.FileName(req.Suffix, s.index), false, subs, deadline, nil)
 }
 
 // readResolved serves one array of a collective read from whatever this
@@ -427,11 +431,11 @@ func (p *pending) mark(i int)     { p.got[i/64] |= 1 << (i % 64) }
 // map drops duplicates — so retries mask transient message loss
 // without corrupting the file. Stale replies (for sub-chunks already
 // retired, or already-seen pieces) are ignored, not errors.
-func (s *Server) writeArray(spec ArraySpec, name string, subs []subchunkJob, deadline time.Duration, mb *manifestBuilder) error {
+func (s *Server) writeArray(spec ArraySpec, name string, reuse bool, subs []subchunkJob, deadline time.Duration, mb *manifestBuilder) error {
 	if len(subs) == 0 {
 		return nil // this server owns no data of this array
 	}
-	sink, err := s.newWriteSink(name)
+	sink, err := s.newWriteSink(name, reuse, planBytes(subs))
 	if err != nil {
 		return err
 	}

@@ -94,31 +94,69 @@ func TestCommitPathListsNothing(t *testing.T) {
 
 // TestCommitPathBarriers pins where a 2PC write syncs and renames on one
 // server: data, then its manifest, then (master only) the decision, then
-// the promotion. Removing the directory listing moved none of them.
+// the promotion. Removing the directory listing moved none of them. The
+// third write of the key recycles the retained epoch's file: it removes
+// the retained manifest, renames the retained data onto its temp and
+// opens it instead of creating one, syncs where the first write did, and
+// its retention renames replace nothing.
 func TestCommitPathBarriers(t *testing.T) {
 	cfg := Config{NumClients: 2, NumServers: 1, SubchunkBytes: 1 << 10}
 	specs := []ArraySpec{naturalSpec("bar", 16)} // 4 KiB: four sub-chunks
 	tr, disks := tracedMemDisks(1)
+	var marks [3]int // trace length after each write
 	if err := RunReal(cfg, disks, func(cl *Client) error {
-		return cl.WriteArrays("", specs, makeBufs(cl, specs, true))
+		for k := range marks {
+			if err := cl.WriteArrays("", specs, makeBufs(cl, specs, true)); err != nil {
+				return err
+			}
+			if cl.Rank() == 0 {
+				marks[k] = tr.len()
+			}
+		}
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, e := range tr.events {
-		if strings.ContainsRune("wsm", rune(e.op)) {
-			got = append(got, fmt.Sprintf("%c %s", e.op, e.name))
+	// pinned lists the events of the kinds in ops but the master's read
+	// of its decision record, with "+" on a rename that replaced a file.
+	pinned := func(events []traceEvent, ops string) []string {
+		var got []string
+		for _, e := range events {
+			if strings.ContainsRune(ops, rune(e.op)) && !(e.op == 'o' && e.name == "bar.decision") {
+				replaced := ""
+				if e.op == 'm' && e.n == 1 {
+					replaced = "+"
+				}
+				got = append(got, fmt.Sprintf("%c%s %s", e.op, replaced, e.name))
+			}
+		}
+		return got
+	}
+	check := func(what string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, ", ") != strings.Join(want, ", ") {
+			t.Errorf("%s:\n got %v\nwant %v", what, got, want)
 		}
 	}
-	want := []string{
+	var first []string
+	for _, e := range tr.events[:marks[0]] {
+		if strings.ContainsRune("wsm", rune(e.op)) {
+			first = append(first, fmt.Sprintf("%c %s", e.op, e.name))
+		}
+	}
+	check("write path barriers", first, []string{
 		"w bar.0.e1", "w bar.0.e1", "w bar.0.e1", "w bar.0.e1", "s bar.0.e1",
 		"w bar.0.e1.mfst.tmp", "s bar.0.e1.mfst.tmp", "m bar.0.e1.mfst",
 		"w bar.decision.tmp", "s bar.decision.tmp", "m bar.decision",
 		"m bar.0", "m bar.0.mfst",
-	}
-	if strings.Join(got, ", ") != strings.Join(want, ", ") {
-		t.Errorf("write path barriers:\n got %v\nwant %v", got, want)
-	}
+	})
+	check("recycled write path", pinned(tr.events[marks[1]:marks[2]], "cowsmx"), []string{
+		"x bar.0.prev.mfst", "m bar.0.e3", "o bar.0.e3",
+		"w bar.0.e3", "w bar.0.e3", "w bar.0.e3", "w bar.0.e3", "s bar.0.e3",
+		"c bar.0.e3.mfst.tmp", "w bar.0.e3.mfst.tmp", "s bar.0.e3.mfst.tmp", "m bar.0.e3.mfst",
+		"c bar.decision.tmp", "w bar.decision.tmp", "s bar.decision.tmp", "m+ bar.decision",
+		"m bar.0.prev.mfst", "m bar.0.prev", "m bar.0", "m bar.0.mfst",
+	})
 }
 
 // TestSinksWriteIdenticalFilesOverOSDisk runs one 2PC collective through

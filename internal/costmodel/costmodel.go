@@ -15,7 +15,7 @@
 // the sequential request (zero for fast disks). Client-side egress and
 // reorganization copies give per-client lower bounds. The prediction is
 // the startup overhead plus the slowest node, with network/disk overlap
-// credited when the write pipeline is enabled.
+// credited when the write pipeline or read-ahead is enabled.
 //
 // Accuracy is validated against the discrete-event simulation in
 // costmodel_test.go (within ~15 % across the paper's configurations);
@@ -167,9 +167,10 @@ func Predict(in Inputs) Breakdown {
 		}
 		b.PerServerDisk[s] = disk
 		b.PerServerNet[s] = net
-		if cfg.Pipeline > 1 {
-			// Overlapped gathering and disk I/O: the slower side
-			// dominates, the faster hides behind it.
+		if cfg.Pipeline > 1 || !in.Write && cfg.ReadAhead >= 1 {
+			// Overlapped gathering and disk I/O — a write pipeline, or
+			// reads kept outstanding ahead of the scatter: the slower
+			// side dominates, the faster hides behind it.
 			if disk > net {
 				b.PerServer[s] = disk
 			} else {

@@ -35,7 +35,13 @@ func predicted(t *testing.T, c harness.Cell, opt harness.Options) float64 {
 // reads start cold, as RunCell fabricates their files.
 func simulated(t *testing.T, c harness.Cell) float64 {
 	t.Helper()
-	p, err := harness.RunCell(c, harness.Options{})
+	return simulatedWith(t, c, harness.Options{})
+}
+
+// simulatedWith is simulated under opt.
+func simulatedWith(t *testing.T, c harness.Cell, opt harness.Options) float64 {
+	t.Helper()
+	p, err := harness.RunCell(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +57,24 @@ func TestPredictionTracksSimulation(t *testing.T) {
 	cases := []struct {
 		name string
 		c    harness.Cell
+		opt  harness.Options
 		tol  float64
 	}{
-		{"write-natural-8c2s-8MB", cell(w, nat, aix, 8, 8, 2), 0.15},
-		{"write-natural-8c4s-16MB", cell(w, nat, aix, 16, 8, 4), 0.15},
-		{"write-trad-16c4s-8MB", cell(w, trad, aix, 8, 16, 4), 0.15},
-		{"write-natural-fast-32c4s-16MB", cell(w, nat, fast, 16, 32, 4), 0.25},
-		{"write-trad-fast-16c4s-16MB", cell(w, trad, fast, 16, 16, 4), 0.30},
-		{"read-natural-8c4s-16MB", cell(r, nat, aix, 16, 8, 4), 0.15},
-		{"read-trad-16c4s-8MB", cell(r, trad, aix, 8, 16, 4), 0.15},
-		{"read-natural-fast-32c4s-16MB", cell(r, nat, fast, 16, 32, 4), 0.25},
+		{"write-natural-8c2s-8MB", cell(w, nat, aix, 8, 8, 2), harness.Options{}, 0.15},
+		{"write-natural-8c4s-16MB", cell(w, nat, aix, 16, 8, 4), harness.Options{}, 0.15},
+		{"write-trad-16c4s-8MB", cell(w, trad, aix, 8, 16, 4), harness.Options{}, 0.15},
+		{"write-natural-fast-32c4s-16MB", cell(w, nat, fast, 16, 32, 4), harness.Options{}, 0.25},
+		{"write-trad-fast-16c4s-16MB", cell(w, trad, fast, 16, 16, 4), harness.Options{}, 0.30},
+		{"read-natural-8c4s-16MB", cell(r, nat, aix, 16, 8, 4), harness.Options{}, 0.15},
+		{"read-trad-16c4s-8MB", cell(r, trad, aix, 8, 16, 4), harness.Options{}, 0.15},
+		{"read-natural-fast-32c4s-16MB", cell(r, nat, fast, 16, 32, 4), harness.Options{}, 0.25},
+		// Reads kept outstanding hide the network behind the disk: the
+		// model must credit the overlap, or it is 6 % slow here.
+		{"read-natural-readahead2-8c4s-16MB", cell(r, nat, aix, 16, 8, 4), harness.Options{ReadAhead: 2}, 0.03},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, want := predicted(t, c.c, harness.Options{}), simulated(t, c.c)
+			got, want := predicted(t, c.c, c.opt), simulatedWith(t, c.c, c.opt)
 			if err := math.Abs(got-want) / want; err > c.tol {
 				t.Fatalf("predicted %.6fs, simulated %.6fs (relative error %.1f%% > %.0f%%)",
 					got, want, err*100, c.tol*100)

@@ -216,9 +216,12 @@ type Point struct {
 	Timeouts int64
 	Retries  int64
 	// OverlapNanos and StallNanos sum the storage-stage counters
-	// across servers: disk time hidden behind the network, and mover
-	// time spent blocked on the storage stage. Zero in the paper's
-	// serial configuration.
+	// (core.Stats) across servers. OverlapNanos is disk time hidden
+	// behind the network: zero in the paper's serial configuration,
+	// where the mover waits out every disk call. StallNanos is every
+	// mover wait on the storage stage — with a window of zero, every
+	// disk call's whole time — so it is never zero where a disk costs
+	// time.
 	OverlapNanos int64
 	StallNanos   int64
 	// ContigBytes sums the contiguous fast-path traffic across all

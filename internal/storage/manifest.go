@@ -19,10 +19,16 @@ import (
 // PREPARED; committing it is a pair of renames — data, then manifest —
 // so a crash at any instant leaves either the old committed epoch or
 // the new one, never a torn mix. The previously committed epoch is
-// retained one deep under a ".prev" suffix for Scrub: when the newest
-// epoch fails verification on any disk, repair rolls the key's decision
-// back to it. A read never falls back on its own — it serves ".prev"
-// only once the decision names that epoch.
+// retained one deep at rest under a ".prev" suffix for Scrub: when the
+// newest epoch fails verification on any disk, repair rolls the key's
+// decision back to it. A read never falls back on its own — it serves
+// ".prev" only once the decision names that epoch. The retained file is
+// also the next epoch's: a server that committed the newest epoch
+// itself stages the one after it in the retained file (RecycleEpoch),
+// overwriting blocks the file system already holds, so the commit's
+// retention rename frees nothing. While that write is in flight, and
+// after it aborts until the key's next successful write, the key has
+// no ".prev" on that disk.
 //
 // On-disk naming, for a base file name like "state.ckpt.0":
 //
@@ -314,6 +320,30 @@ func VerifyData(d Disk, name string, m *Manifest) error {
 
 // --- commit and rollback ------------------------------------------------
 
+// Staged is what committing one epoch of a data file acts on: which
+// of its names exist. CommitEpoch finds it by probing (ProbeStaged); a
+// server that committed the epoch before on this disk knows it without
+// a probe and passes it to CommitStaged.
+type Staged struct {
+	// Data and Manifest report the epoch's temp data and temp manifest.
+	Data, Manifest bool
+	// Retain reports a committed pair, data and manifest, for the
+	// commit to keep one deep under ".prev".
+	Retain bool
+	// Prior reports that a temp of the epoch before may remain, left by
+	// a server that missed that commit.
+	Prior bool
+}
+
+// ProbeStaged finds by looking what CommitStaged acts on. Epochs are
+// decided+1, so epoch 1 has no epoch before it to leave a temp.
+func ProbeStaged(d Disk, base string, epoch uint64) Staged {
+	st := Staged{Data: Exists(d, EpochName(base, epoch)), Manifest: Exists(d, EpochManifestName(base, epoch))}
+	st.Retain = st.Data && Exists(d, base) && Exists(d, ManifestName(base))
+	st.Prior = epoch > 1
+	return st
+}
+
 // CommitEpoch promotes a PREPARED epoch to committed: the current
 // committed data+manifest (if any) move one deep to ".prev", the epoch
 // temps rename onto the plain names, and whatever the epoch before it
@@ -322,38 +352,61 @@ func VerifyData(d Disk, name string, m *Manifest) error {
 // owned no chunks) has a manifest but may have no data file — only the
 // manifest promotes.
 func CommitEpoch(d Disk, base string, epoch uint64) error {
-	tmpData := EpochName(base, epoch)
-	tmpMfst := EpochManifestName(base, epoch)
-	hasTmpData := Exists(d, tmpData)
-	hasTmpMfst := Exists(d, tmpMfst)
-	if !hasTmpData && !hasTmpMfst {
-		return fmt.Errorf("storage: commit %s epoch %d: nothing prepared", base, epoch)
+	_, err := CommitStaged(d, base, epoch, ProbeStaged(d, base, epoch))
+	return err
+}
+
+// CommitStaged is CommitEpoch with st taken as what is on d instead of
+// probed. It reports whether the commit moved a committed pair to
+// ".prev": the pair a later staging of base may recycle (RecycleEpoch).
+func CommitStaged(d Disk, base string, epoch uint64, st Staged) (retained bool, err error) {
+	if !st.Data && !st.Manifest {
+		return false, fmt.Errorf("storage: commit %s epoch %d: nothing prepared", base, epoch)
 	}
 	// Retain the outgoing epoch one deep — manifest first, then data,
 	// so an interrupted retention never leaves a prev manifest claiming
 	// bytes that are not there yet... a stale prev pair is debris the
 	// scrubber clears, not a correctness hazard. Only a fully committed
-	// pair is worth retaining.
-	if hasTmpData && Exists(d, base) && Exists(d, ManifestName(base)) {
-		_ = d.Rename(ManifestName(base), ManifestName(PrevName(base)))
-		_ = d.Rename(base, PrevName(base))
+	// pair is worth retaining. Where the staging recycled ".prev", both
+	// renames land on empty slots and free nothing.
+	if st.Retain {
+		merr := d.Rename(ManifestName(base), ManifestName(PrevName(base)))
+		retained = d.Rename(base, PrevName(base)) == nil && merr == nil
 	}
-	if hasTmpData {
-		if err := d.Rename(tmpData, base); err != nil {
-			return err
+	if st.Data {
+		if err := d.Rename(EpochName(base, epoch), base); err != nil {
+			return false, err
 		}
 	}
-	if hasTmpMfst {
-		if err := d.Rename(tmpMfst, ManifestName(base)); err != nil {
-			return err
+	if st.Manifest {
+		if err := d.Rename(EpochManifestName(base, epoch), ManifestName(base)); err != nil {
+			return false, err
 		}
 	}
 	// Epochs are decided+1 and an aborted epoch N is re-staged as N
 	// (Create truncates it), so the one temp this commit can supersede
 	// is epoch-1's, left by a server that missed that commit. Any other
 	// stray is Scrub's to find: the commit path lists nothing.
-	RemoveEpoch(d, base, epoch-1)
-	return nil
+	if st.Prior {
+		RemoveEpoch(d, base, epoch-1)
+	}
+	return retained, nil
+}
+
+// RecycleEpoch hands the retained previous epoch's data file to epoch
+// as its temp, so staging the epoch overwrites blocks the file system
+// already holds and the commit's retention rename frees none. The
+// manifest goes first, as CommitStaged's retention orders it: a crash
+// between the two leaves ".prev" data with no manifest, and a crash
+// after them an undecided epoch temp — debris Scrub sweeps either way.
+// Until the epoch commits the key has no ".prev", so only a caller that
+// no longer needs it may recycle: never while it holds the decided
+// epoch (after a Scrub roll-back).
+func RecycleEpoch(d Disk, base string, epoch uint64) error {
+	if err := d.Remove(ManifestName(PrevName(base))); err != nil {
+		return err
+	}
+	return d.Rename(PrevName(base), EpochName(base, epoch))
 }
 
 // RemoveEpoch scraps a PREPARED epoch that will never commit.

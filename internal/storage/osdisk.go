@@ -75,16 +75,16 @@ func (f osFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// osWriter is the handle Create returns: an osFile that starts the
-// kernel writing each range back as soon as the next one arrives. On a
-// host file system WriteAt is a copy into the page cache and the media
-// time sits in Sync; a server writing sub-chunks in file order would
-// otherwise leave the disk idle for the whole pull and then wait for
-// all of it at once (DESIGN §6c). The hint trails the writes by one, so
-// a file written once never issues it and a file's last range is left
-// to the Sync that follows — durability is Sync's alone, exactly as on
-// osFile. Like the sinks that use it, a handle takes one WriteAt at a
-// time.
+// osWriter is the read/write handle Create and Open return: an osFile
+// that starts the kernel writing each range back as soon as the next
+// one arrives. On a host file system WriteAt is a copy into the page
+// cache and the media time sits in Sync; a server writing sub-chunks in
+// file order would otherwise leave the disk idle for the whole pull and
+// then wait for all of it at once (DESIGN §6c). The hint trails the
+// writes by one, so a file written once never issues it and a file's
+// last range is left to the Sync that follows — durability is Sync's
+// alone, exactly as on osFile. Like the sinks that use it, a handle
+// takes one WriteAt at a time.
 type osWriter struct {
 	osFile     // keeps the *os.File reachable, so fd cannot be finalised
 	fd     int // osFile's descriptor, fetched once
@@ -120,16 +120,23 @@ func (d *OSDisk) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &osWriter{osFile: osFile{f}, fd: int(f.Fd())}, nil
+	return newOSWriter(f), nil
 }
 
-// Open implements Disk.
+func newOSWriter(f *os.File) *osWriter { return &osWriter{osFile: osFile{f}, fd: int(f.Fd())} }
+
+// Open implements Disk. A file opened read/write gets Create's
+// write-behind handle, since a server overwrites a recycled epoch file
+// in place through it; a read-only data set still reads.
 func (d *OSDisk) Open(name string) (File, error) {
 	f, err := os.OpenFile(d.path(name), os.O_RDWR, 0o644)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		f, err = os.Open(d.path(name)) // a read-only data set still reads
+	if err == nil {
+		return newOSWriter(f), nil
 	}
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	if f, err = os.Open(d.path(name)); err != nil {
 		return nil, err
 	}
 	return osFile{f}, nil

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// osdisk_test.go pins the write-behind hint of OSDisk's Create handle:
-// it trails the writes by exactly one, so single-write files and every
-// file's last range never issue it, and it changes no byte on disk.
+// osdisk_test.go pins the write-behind hint of OSDisk's read/write
+// handle (Create's, and Open's): it trails the writes by exactly one, so
+// single-write files and every file's last range never issue it, and it
+// changes no byte on disk.
 
 type hintRange struct {
 	off int64
@@ -91,27 +92,36 @@ func TestSingleWriteFilesAreNeverHinted(t *testing.T) {
 	}
 }
 
-// Open returns the stateless handle: readers, Exists probes and
-// in-place writers of an existing file never hint.
+// Open's handle hints only when it is written: readers and Exists
+// probes of a file never hint.
 func TestOpenedHandleNeverHints(t *testing.T) {
 	d := newOSDisk(t)
 	f, err := d.Create("a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeRanges(t, f, []hintRange{{0, 4096}})
 	f.Close()
 	hints := recordHints(t)
 	f, err = d.Open("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.(osFile); !ok {
-		t.Fatalf("Open returned %T, want the value handle osFile", f)
+	buf := make([]byte, 1024)
+	for off := int64(0); off < 4096; off += int64(len(buf)) {
+		if _, err := f.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
 	}
-	writeRanges(t, f, []hintRange{{0, 4096}, {4096, 4096}, {8192, 4096}})
 	f.Close()
+	if !Exists(d, "a") {
+		t.Fatal("Exists misses a file")
+	}
+	if _, err := readFile(d, "a"); err != nil {
+		t.Fatal(err)
+	}
 	if len(*hints) != 0 {
-		t.Fatalf("Open handle issued hints %v", *hints)
+		t.Fatalf("reading through Open's handle issued hints %v", *hints)
 	}
 }
 
@@ -131,8 +141,10 @@ func TestStartWritebackSucceedsOnHostFile(t *testing.T) {
 	}
 }
 
-// The same writes through the hinting handle (Create) and the stateless
-// one (Open) must leave the same bytes, out-of-order range included.
+// The same writes through the hinting handles — Create's, and Open's
+// over an existing file, as a recycled epoch file is overwritten — and
+// through a stateless one must leave the same bytes, out-of-order
+// range included.
 func TestWritebackHintChangesNoBytes(t *testing.T) {
 	d := newOSDisk(t)
 	ranges := []hintRange{{0, 4096}, {4096, 8192}, {20000, 100}, {12288, 4096}}
@@ -157,15 +169,26 @@ func TestWritebackHintChangesNoBytes(t *testing.T) {
 	if len(*hints) != 3 {
 		t.Fatalf("%d hints from the Create handle, want 3", len(*hints))
 	}
-	if err := WriteFileAtomic(d, "plain", nil); err != nil { // Open needs the file to exist
+	// A file of the same size holding other bytes wherever the ranges
+	// write, overwritten in place.
+	old := bytes.Repeat([]byte{'z'}, 20100)
+	clear(old[16384:20000])
+	if err := WriteFileAtomic(d, "reused", old); err != nil {
 		t.Fatal(err)
 	}
-	plain := write("plain", d.Open)
-	if len(*hints) != 3 {
-		t.Fatalf("the Open handle hinted: %v", (*hints)[3:])
+	reused := write("reused", d.Open)
+	if len(*hints) != 6 {
+		t.Fatalf("%d hints from the Open handle, want 3 like Create's", len(*hints)-3)
 	}
-	if len(hinted) != 20100 || !bytes.Equal(hinted, plain) {
-		t.Fatalf("hinted file (%d bytes) differs from the plain one (%d bytes)", len(hinted), len(plain))
+	plain := write("plain", func(name string) (File, error) {
+		f, err := os.OpenFile(d.path(name), os.O_RDWR|os.O_CREATE, 0o644)
+		return osFile{f}, err
+	})
+	if len(*hints) != 6 {
+		t.Fatalf("the stateless handle hinted: %v", (*hints)[6:])
+	}
+	if len(hinted) != 20100 || !bytes.Equal(hinted, plain) || !bytes.Equal(reused, plain) {
+		t.Fatalf("hinted file (%d bytes) or reused file (%d bytes) differs from the plain one (%d bytes)", len(hinted), len(reused), len(plain))
 	}
 }
 

@@ -178,7 +178,42 @@ func (d *cutDisk) Open(name string) (File, error) {
 	if err := d.step(); err != nil {
 		return nil, err
 	}
-	return d.Disk.Open(name)
+	f, err := d.Disk.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &cutFile{File: f, d: d}, nil
+}
+
+func (d *cutDisk) Create(name string) (File, error) {
+	if err := d.step(); err != nil {
+		return nil, err
+	}
+	f, err := d.Disk.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &cutFile{File: f, d: d}, nil
+}
+
+// cutFile counts a handle's writes and syncs against its disk's cut.
+type cutFile struct {
+	File
+	d *cutDisk
+}
+
+func (f *cutFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.d.step(); err != nil {
+		return 0, err
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *cutFile) Sync() error {
+	if err := f.d.step(); err != nil {
+		return err
+	}
+	return f.File.Sync()
 }
 
 func (d *cutDisk) Rename(oldName, newName string) error {
@@ -228,7 +263,10 @@ func serve(disks []Disk, epoch uint64) []served {
 // is the resolver's reading made durable: a disk set whose every answer
 // holds up serves the same bytes after repair, one that does not either
 // holds up after repair (a roll-back) or still fails Scrub; no answer is
-// pending after repair; and a second repair repairs nothing.
+// pending after repair; and a second repair repairs nothing. The
+// "recycled" arm does the same to a key with a retained pair: it cuts
+// the staging of epoch 3 that recycles ".prev" (stageRecycled) and the
+// commit after it, under the decisions 2 and 3.
 func TestResolverAndScrubAgree(t *testing.T) {
 	// Count CommitEpoch's calls once, uncut.
 	counter := &cutDisk{Disk: NewMemDisk(), n: 1 << 30}
@@ -245,7 +283,33 @@ func TestResolverAndScrubAgree(t *testing.T) {
 				for _, torn := range []bool{false, true} {
 					name := fmt.Sprintf("disks=%d/cut=%d/decision=%d/torn=%v", ndisks, cut, decided, torn)
 					t.Run(name, func(t *testing.T) {
-						agree(t, ndisks, cut, decided, torn)
+						agree(t, ndisks, cut, decided, torn, false)
+					})
+				}
+			}
+		}
+	}
+
+	// Count the recycled staging's and its commit's calls, uncut.
+	counter = &cutDisk{Disk: NewMemDisk(), n: 1 << 30}
+	disks := []Disk{counter.Disk}
+	commitKey(t, disks, 1, func(int) []byte { return epochBytes(1, 0) })
+	commitKey(t, disks, 2, func(int) []byte { return epochBytes(2, 0) })
+	if err := stageRecycled(counter, "state.ckpt.0", 3, epochBytes(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CommitStaged(counter, "state.ckpt.0", 3, recycledStaged); err != nil {
+		t.Fatal(err)
+	}
+	calls = 1<<30 - counter.n
+
+	for ndisks := 1; ndisks <= 2; ndisks++ {
+		for cut := 0; cut <= calls; cut++ {
+			for _, decided := range []uint64{2, 3} {
+				for _, torn := range []bool{false, true} {
+					name := fmt.Sprintf("recycled/disks=%d/cut=%d/decision=%d/torn=%v", ndisks, cut, decided, torn)
+					t.Run(name, func(t *testing.T) {
+						agree(t, ndisks, cut, decided, torn, true)
 					})
 				}
 			}
@@ -253,17 +317,67 @@ func TestResolverAndScrubAgree(t *testing.T) {
 	}
 }
 
-func agree(t *testing.T, ndisks, cut int, decided uint64, torn bool) {
+// epochBytes is server i's payload of an epoch; every epoch's is the
+// same length, so a recycled file is overwritten end to end.
+func epochBytes(epoch uint64, i int) []byte {
+	return []byte(fmt.Sprintf("epoch %d of server %d", epoch, i))
+}
+
+// recycledStaged is what a server whose own commit put the epoch before
+// on a base knows of a staging that recycled ".prev".
+var recycledStaged = Staged{Data: true, Manifest: true, Retain: true}
+
+// stageRecycled stages epoch of base the way such a server does: the
+// retained file becomes the epoch's temp (RecycleEpoch) and is
+// overwritten in place, then synced and described by its manifest.
+func stageRecycled(d Disk, base string, epoch uint64, data []byte) error {
+	if err := RecycleEpoch(d, base, epoch); err != nil {
+		return err
+	}
+	f, err := d.Open(EpochName(base, epoch))
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return WriteManifest(d, EpochManifestName(base, epoch), mkManifest(0, epoch, data, 4))
+}
+
+func agree(t *testing.T, ndisks, cut int, decided uint64, torn, recycled bool) {
 	disks := make([]Disk, ndisks)
 	for i := range disks {
 		disks[i] = NewMemDisk()
 	}
-	commitKey(t, disks, 1, func(i int) []byte { return []byte(fmt.Sprintf("epoch one of server %d", i)) })
+	if recycled {
+		commitKey(t, disks, 1, func(i int) []byte { return epochBytes(1, i) })
+		commitKey(t, disks, 2, func(i int) []byte { return epochBytes(2, i) })
+	} else {
+		commitKey(t, disks, 1, func(i int) []byte { return []byte(fmt.Sprintf("epoch one of server %d", i)) })
+	}
 	for i, d := range disks {
 		base := fmt.Sprintf("state.ckpt.%d", i)
 		fd := &FaultDisk{Inner: d}
 		if torn && i == 0 {
 			fd.ArmTornSync()
+		}
+		if recycled {
+			var cd Disk = fd
+			if i == ndisks-1 {
+				cd = &cutDisk{Disk: fd, n: cut}
+			}
+			if stageRecycled(cd, base, 3, epochBytes(3, i)) == nil {
+				_, _ = CommitStaged(cd, base, 3, recycledStaged)
+			}
+			continue
 		}
 		writeEpochFiles(t, fd, base, 2, []byte(fmt.Sprintf("epoch TWO of server %d", i)))
 		var cd Disk = d
