@@ -5,16 +5,16 @@
 // its protocol header), so a steady-state server moves arbitrarily much
 // data with a bounded, constant set of live buffers.
 //
-// Only Get/GetRaw buffers come from the pool, but Put accepts any slice:
+// Only GetRaw buffers come from the pool, but Put accepts any slice:
 // a slice whose capacity is not exactly a class size is silently
 // dropped. This makes ownership mistakes safe — handing back a subslice
 // of a pooled buffer (or a buffer that never came from the pool) cannot
 // poison a class with short capacities; it merely forfeits reuse.
 //
 // A sync.Pool stores pointers, so each class holds *[]byte boxes. The
-// boxes are recycled too: Get empties the box it took a buffer out of
+// boxes are recycled too: GetRaw empties the box it took a buffer out of
 // and parks it, and Put fills a parked box instead of making one — a
-// steady-state Get/Put pair allocates nothing, not even a slice header.
+// steady-state GetRaw/Put pair allocates nothing, not even a slice header.
 //
 // All operations are lock-free (sync.Pool plus atomic counters), so the
 // pool is safe to use from vtime simulated processes: nothing parks.
@@ -82,8 +82,9 @@ func classOf(c int) int {
 }
 
 // GetRaw returns a buffer of length n whose contents are arbitrary
-// (recycled bytes). Use it when every byte will be overwritten —
-// ReadAt staging, wire frames about to be encoded into.
+// (recycled bytes): every user overwrites every byte before it reads
+// one — ReadAt staging, wire frames about to be encoded into, a
+// sub-chunk the plan's pieces tile. The pool zeroes nothing.
 func GetRaw(n int) []byte {
 	gets.Add(1)
 	i := classFor(n)
@@ -98,17 +99,6 @@ func GetRaw(n int) []byte {
 	*box = nil
 	boxes.Put(box)
 	return b[:n]
-}
-
-// Get returns a zeroed buffer of length n. Use it when the caller may
-// leave gaps (e.g. a sub-chunk assembled from strided pieces), so a
-// recycled buffer cannot leak stale bytes into fresh data.
-func Get(n int) []byte {
-	b := GetRaw(n)
-	for i := range b {
-		b[i] = 0
-	}
-	return b
 }
 
 // Put returns a dead buffer to its class. Slices whose capacity is not
@@ -126,8 +116,8 @@ func Put(b []byte) {
 	pools[i].Put(box)
 }
 
-// Stats reports cumulative Get (both flavours), Put, and dropped-Put
-// counts since process start.
+// Stats reports cumulative GetRaw, Put, and dropped-Put counts since
+// process start.
 func Stats() (got, put, dropped int64) {
 	return gets.Load(), puts.Load(), drops.Load()
 }

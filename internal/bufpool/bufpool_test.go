@@ -35,21 +35,6 @@ func TestOversizeFallsBack(t *testing.T) {
 	}
 }
 
-func TestGetZeroesRecycledBytes(t *testing.T) {
-	b := GetRaw(512)
-	for i := range b {
-		b[i] = 0xAA
-	}
-	Put(b)
-	z := Get(512)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("Get returned dirty byte %#x at %d", v, i)
-		}
-	}
-	Put(z)
-}
-
 func TestSubslicePutIsDropped(t *testing.T) {
 	b := GetRaw(1024)
 	_, _, droppedBefore := Stats()
@@ -95,7 +80,7 @@ func TestBufpoolPutAllocatesNothing(t *testing.T) {
 }
 
 // TestForeignPutIsNeverParked: a sub-slice or a buffer of no class is
-// dropped by Put — counted, and never handed out by a later Get.
+// dropped by Put — counted, and never handed out by a later GetRaw.
 func TestForeignPutIsNeverParked(t *testing.T) {
 	pooled := GetRaw(4096)
 	foreign := make([]byte, 1000)

@@ -150,9 +150,9 @@ type collectiveOp struct {
 	seen     map[pieceID]bool
 	gotBytes int64
 
-	// Its posted receive (postedReads), if any; placing and unposted are
+	// Its posted op (postedOps), if any; placing and unposted are
 	// guarded by posted.mu, for whoever places its frames shares them.
-	posted   *postedReads
+	posted   *postedOps
 	placing  int  // placements of its frames in progress
 	unposted bool // it takes no new placement
 
@@ -459,20 +459,29 @@ func (c *Client) absorbData(o *collectiveOp, d subData) error {
 	return nil
 }
 
-// postedReads is a client's posted receives (mpi.Placer): the reads
-// running on it by sequence number. Its endpoint offers it the head of
-// every data frame it could place — a dialed endpoint's reader the head
-// of every large frame, an in-process server every piece it sends — and
-// a piece of a posted read that lies contiguous in the application's
-// chunk is written straight into its place there, where absorbData
-// would have copied it out of a pooled frame. Anything it cannot place —
-// a frame of no posted read, a piece strided in the chunk, a malformed
-// one — takes the pooled path, whose outcome is absorbData's. In process
-// several servers place into one read at once, so Place and Placed work
-// under mu.
-type postedReads struct {
+// postedOps is a client's posted operations (mpi.Placer), reads and
+// writes alike, by sequence number: the one table, fence and set of
+// checks for both directions. Its endpoint offers it the head of every
+// frame it could place — a dialed endpoint's reader the head of every
+// large frame, an in-process server every piece it sends and every pull
+// it would send. A piece of a posted read that lies contiguous in the
+// application's chunk is written straight into its place there, where
+// absorbData would have copied it out of a pooled frame. A pull of a
+// posted write for a piece contiguous in the chunk is answered by the
+// piece's window there, which the in-process server copies straight into
+// its sub-chunk: the pull and the reply serveRequest would have framed
+// are never sent. Anything it cannot place — a frame of no posted op, a
+// piece strided in the chunk, a malformed one — takes the pooled path,
+// whose outcome is absorbData's or serveRequest's. In process several
+// servers place into, or copy out of, one op at once, so Place and
+// Placed work under mu.
+type postedOps struct {
 	comm mpi.Comm      // the endpoint, cut when a dialed placement stalls
 	wait time.Duration // how long unpost waits out a placement: Config.OpTimeout
+	// lends is set on an in-process endpoint, whose senders copy a pull's
+	// answer out of the window they are granted. A dialed reader writes
+	// every window it is granted, so a write's chunk is never one there.
+	lends bool
 
 	mu    sync.Mutex
 	ended sync.Cond   // a placement ended; L is &mu
@@ -480,9 +489,9 @@ type postedReads struct {
 	ops   map[int]*collectiveOp
 }
 
-// post makes read o placeable; start calls it right after binding the
-// op's mailbox, so every frame it places has an op to go to.
-func (p *postedReads) post(o *collectiveOp) {
+// post makes op o placeable; start calls it right after binding the op's
+// mailbox, so every frame it places has an op to go to.
+func (p *postedOps) post(o *collectiveOp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.ops == nil {
@@ -493,15 +502,16 @@ func (p *postedReads) post(o *collectiveOp) {
 	o.posted = p
 }
 
-// unpost is the fence: read o takes no new placement, and unpost returns
+// unpost is the fence: op o takes no new placement, and unpost returns
 // only once none of its placements is in progress, so no byte lands in
-// the application's array after the op hands it back. An in-process
-// placement is a bounded copy on its sender's goroutine and is waited
-// out. A dialed frame stalled mid-payload holds up every frame behind it
-// on the stream anyway, so a placement still in progress wait after the
-// op ended gets the endpoint's connection cut: the reader's read fails,
-// which ends the placement. With wait 0 it waits, as the op did.
-func (p *postedReads) unpost(o *collectiveOp) {
+// the application's array after a read hands it back, and no server
+// reads it after a write does. An in-process placement is a bounded copy
+// on its sender's goroutine and is waited out. A dialed frame stalled
+// mid-payload holds up every frame behind it on the stream anyway, so a
+// placement still in progress wait after the op ended gets the
+// endpoint's connection cut: the reader's read fails, which ends the
+// placement. With wait 0 it waits, as the op did.
+func (p *postedOps) unpost(o *collectiveOp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	o.unposted = true
@@ -515,31 +525,42 @@ func (p *postedReads) unpost(o *collectiveOp) {
 	delete(p.ops, o.seq)
 }
 
-// Place implements mpi.Placer: the destination of a sub-data frame's
-// payload in a posted read's chunk, when the frame names a piece that
-// absorbData would accept and that lies contiguous in the chunk.
-func (p *postedReads) Place(source, tag int, head []byte, n int) (int, []byte) {
+// Place implements mpi.Placer. A sub-data head of a posted read is
+// granted its payload's place in the chunk; a pull head of a posted
+// write, offered with n counting the pull and the piece's bytes, is
+// granted the piece's window in the chunk (in process only). Either way
+// the piece is one absorbData or serveRequest would accept, and lies
+// contiguous in the chunk.
+func (p *postedOps) Place(source, tag int, head []byte, n int) (int, []byte) {
 	seq, family, ok := tagOpSeq(tag)
 	r := rbuf{b: head}
-	if !ok || family != 1 || r.u8() != msgSubData {
+	if !ok || family != 1 {
+		return 0, nil
+	}
+	op := opRead
+	switch kind := r.u8(); {
+	case kind == msgSubReq && p.lends:
+		op = opWrite
+	case kind != msgSubData:
 		return 0, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	d, err := decodeSubData(&r, &p.space)
-	if err != nil || d.Region.IsEmpty() {
+	q, err := decodeSubReq(&r, &p.space) // a sub-data header is a pull's under another type
+	reg := q.Region
+	if err != nil || reg.IsEmpty() {
 		return 0, nil // a header past the head, or no bytes to place
 	}
 	o := p.ops[seq]
-	if o == nil || o.unposted || d.ArrayIdx >= len(o.specs) {
+	if o == nil || o.op != op || o.unposted || q.ArrayIdx >= len(o.specs) {
 		return 0, nil
 	}
-	spec, chunk, buf := o.specs[d.ArrayIdx], o.chunks[d.ArrayIdx], o.bufs[d.ArrayIdx]
-	want := d.Region.NumElems() * int64(spec.ElemSize)
-	if !chunk.Contains(d.Region) || int64(n-r.off) != want {
+	spec, chunk, buf := o.specs[q.ArrayIdx], o.chunks[q.ArrayIdx], o.bufs[q.ArrayIdx]
+	want := reg.NumElems() * int64(spec.ElemSize)
+	if !chunk.Contains(reg) || int64(n-r.off) != want {
 		return 0, nil
 	}
-	off, contig := array.ContiguousIn(chunk, d.Region)
+	off, contig := array.ContiguousIn(chunk, reg)
 	if !contig {
 		return 0, nil
 	}
@@ -549,7 +570,7 @@ func (p *postedReads) Place(source, tag int, head []byte, n int) (int, []byte) {
 }
 
 // Placed implements mpi.Placer.
-func (p *postedReads) Placed(tag int) {
+func (p *postedOps) Placed(tag int) {
 	seq, _, _ := tagOpSeq(tag)
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -710,7 +710,7 @@ func TestWriteAbandonWithFullWindow(t *testing.T) {
 			}
 			const n = 64 << 10
 			for i := 0; i < max(k.window, 1); i++ {
-				buf := bufpool.Get(n)
+				buf := bufpool.GetRaw(n)
 				if err := k.write(buf, int64(i)*n, buf); err != nil {
 					t.Error(err)
 				}

@@ -256,12 +256,9 @@ func TestDepositPieceSteadyStateAllocs(t *testing.T) {
 		job: subchunkJob{Region: sub, Bytes: sub.NumElems() * 4},
 		buf: make([]byte, sub.NumElems()*4),
 	}
-	d := subData{
-		Region:  array.Region{Lo: []int{0, 0}, Hi: []int{8, 32}},
-		Payload: make([]byte, 8*32*4),
-	}
+	reg, payload := array.Region{Lo: []int{0, 0}, Hi: []int{8, 32}}, make([]byte, 8*32*4)
 	allocs := testing.AllocsPerRun(100, func() {
-		s.depositPiece(spec, pend, d)
+		s.depositPiece(spec, pend, reg, payload)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state depositPiece allocates %.1f per run, want 0", allocs)

@@ -14,6 +14,7 @@ import (
 	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/mpi"
+	"panda/internal/obs"
 )
 
 // The in-process twins of place_test.go: in a World the server's gather
@@ -321,31 +322,27 @@ func TestInprocFrameBeforePostIsAbsorbed(t *testing.T) {
 
 // TestInprocFaultCommKeepsThePooledPath: a world behind FaultComm
 // offers no placing path — its plan must see every frame whole — so a
-// read that would place everything in a bare world places nothing, and
-// the chaos tests' outcomes do not move.
+// write whose pulls would all be borrowed and a read that would place
+// everything in a bare world borrow and place nothing, and the chaos
+// tests' outcomes do not move.
 func TestInprocFaultCommKeepsThePooledPath(t *testing.T) {
 	shape := []int{256, 256}
 	rows := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{2})
 	cols := array.MustSchema(shape, []array.Dist{array.Star, array.Block}, []int{2})
 	specs := []ArraySpec{{Name: "cols", ElemSize: 4, Mem: cols, Disk: rows}}
-	cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 32 << 10, OpTimeout: 10 * time.Second}
+	reg := obs.NewRegistry()
+	cfg := Config{NumClients: 2, NumServers: 2, SubchunkBytes: 32 << 10, OpTimeout: 10 * time.Second, Metrics: reg}
 	comms := wrapWorld(cfg, mpi.NewFaultPlan(1))
 	for r, c := range comms {
 		if mpi.PlaceRoute(c) != nil {
 			t.Fatalf("rank %d: FaultComm offers a placing path", r)
 		}
 	}
-	var placed atomic.Int64
-	_, err := RunWith(cfg, comms, memDisks(2), func(cl *Client) error {
-		err := writeReadBack(specs)(cl)
-		placed.Add(cl.Stats().ZeroCopyBytes)
-		return err
-	})
-	if err != nil {
+	if _, err := RunWith(cfg, comms, memDisks(2), writeReadBack(specs)); err != nil {
 		t.Fatal(err)
 	}
-	if placed.Load() != 0 {
-		t.Errorf("%d bytes placed behind FaultComm, want 0", placed.Load())
+	if zc := reg.Counter("zero_copy_bytes").Value(); zc != 0 {
+		t.Errorf("%d bytes borrowed or placed behind FaultComm, want 0", zc)
 	}
 }
 

@@ -375,43 +375,68 @@ func TestPlacedFrameZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzPlace feeds the posted reads arbitrary frame heads: whatever the
-// table places lies inside the posted op's chunk buffer and is exactly
-// as long as the payload past the header it claims; a placement holds
-// the op until Placed ends it.
+// FuzzPlace feeds the posted ops, a read and a write, arbitrary frame
+// heads: a read's window goes only to a sub-data head, a write's only to
+// a pull head offered with n = the pull's header + the piece's bytes;
+// whatever the table grants lies inside that op's chunk buffer and is
+// exactly as long as the bytes past the header it claims; a placement
+// holds the op until Placed ends it.
 func FuzzPlace(f *testing.F) {
 	shape := []int{16, 8, 4}
 	specs := []ArraySpec{
 		{Name: "a", ElemSize: 4, Mem: array.MustSchema(shape, []array.Dist{array.Block, array.Star, array.Star}, []int{2})},
 		{Name: "b", ElemSize: 8, Mem: array.MustSchema(shape, []array.Dist{array.Star, array.Block, array.Star}, []int{2})},
 	}
-	o := &collectiveOp{seq: 5, specs: specs}
-	for _, spec := range specs {
-		chunk := spec.MemChunk(1)
-		o.chunks = append(o.chunks, chunk)
-		o.bufs = append(o.bufs, make([]byte, chunk.NumElems()*int64(spec.ElemSize)))
+	p := &postedOps{lends: true}
+	ops := map[int]*collectiveOp{}
+	for _, o := range []*collectiveOp{{op: opRead, seq: 5}, {op: opWrite, seq: 6}} {
+		o.specs = specs
+		for _, spec := range specs {
+			chunk := spec.MemChunk(1)
+			o.chunks = append(o.chunks, chunk)
+			o.bufs = append(o.bufs, make([]byte, chunk.NumElems()*int64(spec.ElemSize)))
+		}
+		p.post(o)
+		ops[o.seq] = o
 	}
-	p := &postedReads{}
-	p.post(o)
-	head := func(ai int, reg array.Region) []byte {
+	data := func(ai int, reg array.Region) []byte {
 		return encodeSubDataHeader(subData{ArrayIdx: ai, Region: reg}, 0)
 	}
-	whole := o.chunks[0]
-	f.Add(head(0, whole), uint32(len(head(0, whole)))+uint32(len(o.bufs[0])), uint8(5))
+	pull := func(ai int, reg array.Region) []byte { return encodeSubReq(subReq{ArrayIdx: ai, Region: reg}) }
+	whole := ops[5].chunks[0]
 	rows := array.Region{Lo: []int{9, 0, 0}, Hi: []int{11, 8, 4}}
-	f.Add(head(0, rows), uint32(len(head(0, rows))+2*8*4*4), uint8(5))
-	f.Add(head(0, rows), uint32(len(head(0, rows))+2*8*4*4), uint8(4)) // not posted
 	strided := array.Region{Lo: []int{0, 4, 0}, Hi: []int{4, 6, 4}}
-	f.Add(head(1, strided), uint32(len(head(1, strided))+4*2*4*8), uint8(5))
+	for _, h := range []func(int, array.Region) []byte{data, pull} {
+		f.Add(h(0, whole), uint32(len(h(0, whole))+len(ops[5].bufs[0])), uint8(5))
+		f.Add(h(0, whole), uint32(len(h(0, whole))+len(ops[6].bufs[0])), uint8(6))
+		f.Add(h(0, rows), uint32(len(h(0, rows))+2*8*4*4), uint8(5))
+		f.Add(h(0, rows), uint32(len(h(0, rows))+2*8*4*4), uint8(6))
+		f.Add(h(0, rows), uint32(len(h(0, rows))), uint8(6))         // a pull as it crosses a socket
+		f.Add(h(0, rows), uint32(len(h(0, rows))+2*8*4*4), uint8(4)) // not posted
+		f.Add(h(1, strided), uint32(len(h(1, strided))+4*2*4*8), uint8(6))
+	}
 	f.Fuzz(func(t *testing.T, h []byte, n uint32, seq uint8) {
 		h = h[:min(len(h), 64)]
 		tag := tagToClient(int(seq % 8))
-		hdr, dst := p.Place(1, tag, h, int(n%(mpi.MaxFrameBytes+1)))
+		size := int(n % (mpi.MaxFrameBytes + 1))
+		hdr, dst := p.Place(1, tag, h, size)
 		if dst == nil {
 			return
 		}
-		if int(seq%8) != o.seq || hdr < 0 || hdr > len(h) || hdr+len(dst) != int(n%(mpi.MaxFrameBytes+1)) {
-			t.Fatalf("placed %d bytes behind a %d-byte header of %d for seq %d", len(dst), hdr, n, seq%8)
+		o := ops[int(seq%8)]
+		if o == nil || hdr < 0 || hdr > len(h) || hdr+len(dst) != size {
+			t.Fatalf("placed %d bytes behind a %d-byte header of %d for seq %d", len(dst), hdr, size, seq%8)
+		}
+		r := rbuf{b: h}
+		switch kind := r.u8(); {
+		case kind == msgSubData && o.op == opRead:
+		case kind == msgSubReq && o.op == opWrite:
+			q, err := decodeSubReq(&r, &regionSpace{})
+			if err != nil || r.off != hdr || int64(len(dst)) != q.Region.NumElems()*int64(o.specs[q.ArrayIdx].ElemSize) {
+				t.Fatalf("a %d-byte window for pull %+v (%v) behind a %d-byte header", len(dst), q, err, hdr)
+			}
+		default:
+			t.Fatalf("message type %d granted a window of op %d's %s", kind, o.seq, opName(o.op))
 		}
 		inside := false
 		for _, buf := range o.bufs {
@@ -420,7 +445,7 @@ func FuzzPlace(f *testing.F) {
 			inside = inside || first >= lo && last <= hi
 		}
 		if !inside {
-			t.Fatalf("placed %d bytes outside every chunk buffer", len(dst))
+			t.Fatalf("placed %d bytes outside every chunk buffer of op %d", len(dst), o.seq)
 		}
 		if o.placing != 1 {
 			t.Fatalf("%d placements in progress, want 1", o.placing)

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"panda/internal/array"
@@ -282,5 +283,59 @@ func TestNaturalChunkingSinglePieceSubchunks(t *testing.T) {
 				t.Fatalf("piece %v != sub-chunk %v", sj.Pieces[0].Region, sj.Region)
 			}
 		}
+	}
+}
+
+// TestPlanPiecesTileSubchunk is the proof the write mover's unzeroed
+// sub-chunk buffer rests on (bufpool.GetRaw in depositPiece): in every
+// plan the shapes above make — random 2-D and 3-D reorganisations,
+// natural chunking, and failover placement with servers dead — a
+// sub-chunk's pieces are pairwise disjoint and their bytes sum to the
+// sub-chunk's, so once every piece is in (remaining == 0, the only way
+// a sub-chunk reaches the sink) no byte of the buffer is left unwritten.
+func TestPlanPiecesTileSubchunk(t *testing.T) {
+	tile := func(t *testing.T, spec ArraySpec, ns int, dead map[int]bool, limit int64) {
+		t.Helper()
+		layout := PlaceChunks(spec, ns, dead)
+		for s := 0; s < ns; s++ {
+			for _, sj := range planSubchunks(0, spec, shareOf(slices.Clone(layout), s), limit) {
+				var bytes int64
+				for i, a := range sj.Pieces {
+					bytes += a.Region.NumElems() * int64(spec.ElemSize)
+					for _, b := range sj.Pieces[i+1:] {
+						if sect, ok := array.Intersect(a.Region, b.Region); ok && !sect.IsEmpty() {
+							t.Fatalf("server %d (dead %v): pieces %v and %v of sub-chunk %v overlap", s, dead, a.Region, b.Region, sj.Region)
+						}
+					}
+				}
+				if bytes != sj.Bytes {
+					t.Fatalf("server %d (dead %v): pieces of sub-chunk %v hold %d bytes of %d", s, dead, sj.Region, bytes, sj.Bytes)
+				}
+			}
+		}
+	}
+	rnd := rand.New(rand.NewSource(29))
+	for iter := 0; iter < 60; iter++ {
+		shape := []int{2 + rnd.Intn(16), 2 + rnd.Intn(16)}
+		nc := []int{2, 4, 8}[rnd.Intn(3)]
+		mem := array.MustSchema(shape, []array.Dist{array.Block, array.Block}, []int{nc / 2, 2})
+		disk := array.MustSchema(shape, []array.Dist{array.Block, array.Star}, []int{1 + rnd.Intn(4)})
+		spec := ArraySpec{Name: "p", ElemSize: 4, Mem: mem, Disk: disk}
+		ns := 1 + rnd.Intn(3)
+		tile(t, spec, ns, nil, 256)
+		if ns > 1 {
+			tile(t, spec, ns, map[int]bool{rnd.Intn(ns): true}, 256)
+		}
+	}
+	cube := ArraySpec{
+		Name:     "a",
+		ElemSize: 8,
+		Mem:      array.MustSchema([]int{64, 64, 64}, []array.Dist{array.Block, array.Block, array.Block}, []int{2, 2, 2}),
+		Disk:     array.MustSchema([]int{64, 64, 64}, []array.Dist{array.Block, array.Star, array.Star}, []int{4}),
+	}
+	natural := array.MustSchema([]int{32, 32}, []array.Dist{array.Block, array.Block}, []int{2, 2})
+	for _, spec := range append(packOnceSpecs(), cube, ArraySpec{Name: "n", ElemSize: 8, Mem: natural, Disk: natural}) {
+		tile(t, spec, 2, nil, 32<<10)
+		tile(t, spec, 3, map[int]bool{1: true}, 4<<10)
 	}
 }

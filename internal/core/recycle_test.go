@@ -315,3 +315,66 @@ func TestDoubleFaultLeavesNoRollBackTarget(t *testing.T) {
 		}
 	}
 }
+
+// A plain overwrite (Config.PlainWrites) of the same share opens its
+// file and overwrites it in place, as a recycled staging does — it
+// frees no blocks the write then allocates again — and reads back
+// bit-exact; a write whose share changed truncates the file with Create,
+// so it ends exactly as large as the new share.
+func TestPlainOverwriteReusesTheFile(t *testing.T) {
+	cfg, specs := recoverySpecs(3, 2)
+	cfg.PlainWrites = true
+	small := specs[0]
+	small.Mem = array.MustSchema([]int{16, 8}, small.Mem.Dist, small.Mem.Mesh)
+	small.Disk = array.MustSchema([]int{16, 8}, small.Disk.Dist, small.Disk.Mesh)
+	tr, disks := tracedMemDisks(cfg.NumServers)
+	// phase runs app over the disks and returns how each server opened
+	// its file meanwhile: an open that found it ("o"), one that fell back
+	// to a create ("oc"), or not at all.
+	phase := func(app App) []string {
+		t.Helper()
+		from := tr.len()
+		if err := RunReal(cfg, disks, app); err != nil {
+			t.Fatal(err)
+		}
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		opens := make([]string, cfg.NumServers)
+		for i := range opens {
+			for _, e := range tr.events[from:] {
+				if e.name == specs[0].FileName(".ckpt", i) && (e.op == 'o' || e.op == 'c') {
+					opens[i] += string(e.op)
+				}
+			}
+		}
+		return opens
+	}
+	for _, step := range []struct {
+		what  string
+		specs []ArraySpec
+		key   byte
+		opens string
+	}{
+		{"first write", specs, 0x01, "oc"},
+		{"overwrite", specs, 0x02, "o"},
+		{"smaller overwrite", []ArraySpec{small}, 0x03, "oc"},
+	} {
+		for i, got := range phase(func(cl *Client) error { return writeKey(cl, step.specs, step.key) }) {
+			if got != step.opens {
+				t.Errorf("%s: server %d opened its file as %q, want %q", step.what, i, got, step.opens)
+			}
+		}
+		phase(func(cl *Client) error { return readKey(cl, step.specs, step.key) })
+	}
+	for i, d := range disks {
+		f, err := d.Open(small.FileName(".ckpt", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sz, _ := f.Size()
+		f.Close()
+		if sz != 16*8*4/2 {
+			t.Errorf("server %d: file holds %d bytes after the smaller overwrite, want %d", i, sz, 16*8*4/2)
+		}
+	}
+}

@@ -322,10 +322,13 @@ func (s *Server) planManifest(ai int, spec ArraySpec, m *storage.Manifest) ([]su
 }
 
 // plainWriteArray is the pre-manifest write path (Config.PlainWrites):
-// straight to the final file name, no epoch, no manifest, no commit.
+// straight to the final file name, no epoch, no manifest, no commit. An
+// overwrite of the same share opens the file and overwrites it in place
+// (reuseOrCreate), so it frees no blocks the next write would allocate
+// again; a changed share truncates it.
 func (s *Server) plainWriteArray(req opRequest, ai int, spec ArraySpec, deadline time.Duration) error {
 	_, subs := s.planArray(ai, spec, nil)
-	return s.writeArray(spec, spec.FileName(req.Suffix, s.index), false, subs, deadline, nil)
+	return s.writeArray(spec, spec.FileName(req.Suffix, s.index), true, subs, deadline, nil)
 }
 
 // readResolved serves one array of a collective read from whatever this
@@ -474,8 +477,35 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 		quiet = s.cfg.OpTimeout / time.Duration(s.cfg.PullRetries+1)
 	}
 	retriesLeft := s.cfg.PullRetries
+	place := mpi.PlaceRoute(s.comm)
 
-	for written < len(subs) {
+	for {
+		// Retire completed sub-chunks strictly in plan order.
+		for written < next && slots[written%window].remaining == 0 {
+			pend := &slots[written%window]
+			if measured {
+				end := s.clk.Now()
+				s.tr.Span(obs.CatNet, "pull sub-chunk", s.opSeq, pend.start, end, pend.job.Bytes)
+				s.met.subLatency.Observe(int64(end - pend.start))
+			}
+			if mb != nil {
+				mb.addSub(pend.job.FileOffset, pend.job.Bytes, storage.CRC32C(pend.buf))
+			}
+			if werr := sink.write(pend.buf, pend.job.FileOffset, pend.recycle); werr != nil {
+				return werr
+			}
+			pend.buf, pend.recycle = nil, nil // the sink's now
+			written++
+			if written == 1 {
+				if cerr := s.crashPoint("pull"); cerr != nil {
+					return cerr
+				}
+			}
+		}
+		if written == len(subs) {
+			return nil
+		}
+
 		for next < len(subs) && next-written < window {
 			k := next % window
 			sj := subs[next]
@@ -486,9 +516,12 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if measured {
 				pend.start = s.clk.Now()
 			}
-			for _, pc := range sj.Pieces {
-				s.pull(sj.ArrayIdx, pend.id, pc)
+			for i := range sj.Pieces {
+				s.pull(spec, pend, i, place)
 			}
+		}
+		if slots[written%window].remaining == 0 {
+			continue // every piece of the oldest was borrowed: nothing to wait for
 		}
 
 		wait := deadline // the quiet period, when it ends first
@@ -503,10 +536,10 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 				retriesLeft--
 				for k := written; k < next; k++ {
 					pend := &slots[k%window]
-					for i, pc := range pend.job.Pieces {
+					for i := range pend.job.Pieces {
 						if !pend.has(i) {
 							s.cnt[cRetries].Add(1)
-							s.pull(pend.job.ArrayIdx, pend.id, pc)
+							s.pull(spec, pend, i, place)
 						}
 					}
 				}
@@ -547,9 +580,13 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 			if want := d.Region.NumElems() * int64(spec.ElemSize); int64(len(d.Payload)) != want {
 				return fmt.Errorf("piece %v carries %d bytes, want %d", d.Region, len(d.Payload), want)
 			}
-			if adopted := s.depositPiece(spec, pend, d); adopted {
-				pend.recycle = m.Data // the sink recycles the frame after the write
+			if pend.buf == nil && len(pend.job.Pieces) == 1 && d.Region.Equal(pend.job.Region) {
+				// The whole sub-chunk came from one client in traditional
+				// order already: adopt the payload, no copy at all.
+				pend.buf, pend.recycle = d.Payload, m.Data // the sink recycles the frame after the write
+				s.chargeContig(int64(len(d.Payload)))
 			} else {
+				s.depositPiece(spec, pend, d.Region, d.Payload)
 				bufpool.Put(m.Data) // payload copied out; recycle the frame
 			}
 			pend.mark(i)
@@ -557,66 +594,52 @@ func (s *Server) pullSubchunks(spec ArraySpec, subs []subchunkJob, deadline time
 		default:
 			return fmt.Errorf("expected sub-chunk data, got message type %d", t)
 		}
+	}
+}
 
-		// Retire completed sub-chunks strictly in plan order.
-		for written < next && slots[written%window].remaining == 0 {
-			pend := &slots[written%window]
-			if measured {
-				end := s.clk.Now()
-				s.tr.Span(obs.CatNet, "pull sub-chunk", s.opSeq, pend.start, end, pend.job.Bytes)
-				s.met.subLatency.Observe(int64(end - pend.start))
-			}
-			if mb != nil {
-				mb.addSub(pend.job.FileOffset, pend.job.Bytes, storage.CRC32C(pend.buf))
-			}
-			if werr := sink.write(pend.buf, pend.job.FileOffset, pend.recycle); werr != nil {
-				return werr
-			}
-			pend.buf, pend.recycle = nil, nil // the sink's now
-			written++
-			if written == 1 {
-				if cerr := s.crashPoint("pull"); cerr != nil {
-					return cerr
-				}
-			}
+// pull asks the client holding piece i of pend for it. In process
+// (place, from mpi.PlaceRoute) it first offers the pull to the client's
+// posted write: when that names the piece's window in the client's chunk,
+// the piece is copied straight out of it into the sub-chunk — borrowed:
+// marked, and neither the pull nor its reply is sent.
+func (s *Server) pull(spec ArraySpec, pend *pending, i int, place mpi.PlaceComm) {
+	pc := pend.job.Pieces[i]
+	to, tag := s.groupRank(pc.Client), tagToClient(s.opSeq)
+	hdr := encodeSubReq(subReq{ArrayIdx: pend.job.ArrayIdx, ReqID: pend.id, Region: pc.Region})
+	if place != nil {
+		if r := place.Reserve(to, tag, hdr, int(pc.Region.NumElems())*spec.ElemSize); r.Dst != nil {
+			bufpool.Put(hdr)
+			s.depositPiece(spec, pend, pc.Region, r.Dst)
+			place.Release(r)
+			s.cnt[cZeroCopyBytes].Add(int64(len(r.Dst)))
+			pend.mark(i)
+			pend.remaining--
+			return
 		}
 	}
-	return nil
+	s.send(to, tag, hdr)
 }
 
-// pull asks the client holding pc for it, as part of request id.
-func (s *Server) pull(arrayIdx int, id uint32, pc piece) {
-	q := subReq{ArrayIdx: arrayIdx, ReqID: id, Region: pc.Region}
-	s.send(s.groupRank(pc.Client), tagToClient(s.opSeq), encodeSubReq(q))
-}
-
-// depositPiece places one received piece into the sub-chunk under
-// assembly, charging reorganization cost for non-contiguous layouts.
-// It reports whether the piece's wire frame was adopted as the
-// sub-chunk buffer (in which case the frame lives until the write).
-func (s *Server) depositPiece(spec ArraySpec, pend *pending, d subData) (adopted bool) {
+// depositPiece copies one piece, region reg of payload, into the
+// sub-chunk under assembly, charging reorganization cost for
+// non-contiguous layouts. The sub-chunk's buffer is not zeroed: the
+// plan's pieces tile it, and it reaches the sink only once every piece
+// is in.
+func (s *Server) depositPiece(spec ArraySpec, pend *pending, reg array.Region, payload []byte) {
 	sub := pend.job.Region
-	if pend.buf == nil && len(pend.job.Pieces) == 1 && d.Region.Equal(sub) {
-		// The whole sub-chunk came from one client in traditional
-		// order already: adopt the payload, no copy at all.
-		pend.buf = d.Payload
-		s.chargeContig(int64(len(d.Payload)))
-		return true
-	}
 	if pend.buf == nil {
-		pend.buf = bufpool.Get(int(pend.job.Bytes))
+		pend.buf = bufpool.GetRaw(int(pend.job.Bytes))
 		pend.recycle = pend.buf
 	}
-	_, contig := array.ContiguousIn(sub, d.Region)
+	_, contig := array.ContiguousIn(sub, reg)
 	t0 := s.met.packStart()
-	array.CopyRegion(pend.buf, sub, d.Payload, d.Region, d.Region, spec.ElemSize)
+	array.CopyRegion(pend.buf, sub, payload, reg, reg, spec.ElemSize)
 	s.met.packDone(t0)
 	if contig {
-		s.chargeContig(int64(len(d.Payload)))
+		s.chargeContig(int64(len(payload)))
 	} else {
-		s.chargeReorg(s.opSeq, int64(len(d.Payload)))
+		s.chargeReorg(s.opSeq, int64(len(payload)))
 	}
-	return false
 }
 
 // readArray reads this server's sub-chunks of one array sequentially

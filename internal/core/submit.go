@@ -91,7 +91,7 @@ func (c *Client) start(op byte, suffix string, specs []ArraySpec, bufs [][]byte,
 	}
 	c.running[o.seq] = e
 	r.frames.bind(o.seq, e.box)
-	if op == opRead && r.posted != nil {
+	if r.posted != nil {
 		r.posted.post(o)
 	}
 	o.lane, o.tr = c.lanes.take(c.cfg.Trace, "client", c.comm.Rank())
@@ -151,7 +151,7 @@ func (c *Client) drainHandles() {
 type clientRouter struct {
 	c      *Client
 	frames *opFrames
-	posted *postedReads // nil unless the endpoint can place a payload (mpi.PostReceives)
+	posted *postedOps // nil unless the endpoint can place a payload (mpi.PostReceives)
 	pool   execPool[*collectiveOp]
 
 	appDone *queue.Q[mpi.Message] // master: peers' end-of-app notices
@@ -173,7 +173,8 @@ func (c *Client) routeFrames() *clientRouter {
 			appDone: queue.New[mpi.Message](c.clk),
 			exited:  queue.New[struct{}](c.clk),
 		}
-		if p := (&postedReads{comm: c.comm, wait: c.cfg.OpTimeout}); mpi.PostReceives(c.comm, p) {
+		p := &postedOps{comm: c.comm, wait: c.cfg.OpTimeout, lends: mpi.PlaceRoute(c.comm) != nil}
+		if mpi.PostReceives(c.comm, p) {
 			r.posted = p
 		}
 		c.router = r

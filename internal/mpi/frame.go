@@ -260,34 +260,42 @@ func (fr *frameReader) readPlaced(p Placer, source, tag, n int) (hdr []byte, ok 
 	return hdr, true, nil
 }
 
-// Placer is an endpoint owner's posted receives (PostReceives): the
-// MPI_Irecv idiom, a receive whose buffer is named before the data
-// arrives. It is offered the head of a data frame before the payload is
-// copied anywhere, and a payload the owner has a place for is copied
-// there, not into a pooled frame the owner would copy out of: a dialed
-// endpoint's reader reads it from the socket into the place; an
-// in-process sender (PlaceComm) writes it there. The frame is still
-// delivered — as its header alone, with Message.Placed saying how many
-// bytes went where. A dialed reader calls Place and Placed from its one
-// goroutine; in process every rank sending to the owner may call them,
-// concurrently.
+// Placer is an endpoint owner's posted operations (PostReceives): the
+// MPI_Irecv idiom, a buffer named before the data moves. It is offered
+// the head of a frame before the frame's payload is copied anywhere.
+// When the owner has a place for the payload — a piece its posted read
+// awaits — the payload is copied there, not into a pooled frame the
+// owner would copy out of: a dialed endpoint's reader reads it from the
+// socket into the place; an in-process sender (PlaceComm) writes it
+// there. The frame is still delivered, as its header alone, with
+// Message.Placed saying how many bytes went where. In process the head
+// may also be a request for data, offered with n counting the bytes its
+// answer would carry: when the owner's posted send holds that answer,
+// the place is where it lies, the sender copies it out and releases the
+// placement, and neither frame is sent. Which of the two a head asks for
+// is the owner's protocol; a dialed reader only offers frames that
+// arrived, so it never meets a request with an answer to read. A dialed
+// reader calls Place and Placed from its one goroutine; in process every
+// rank sending to the owner may call them, concurrently.
 type Placer interface {
 	// Place is offered head, the first bytes of the n-byte payload of a
 	// frame from source on tag (at most 64; fewer only when the stream is
 	// failing or the sender's header is shorter). It returns how many
 	// leading bytes of the payload are the owner's header, at most
-	// len(head), and the destination of exactly the other n-hdr bytes —
-	// or a nil destination, leaving the frame to the pooled path.
+	// len(head), and exactly the other n-hdr bytes of the owner's memory
+	// — the destination of the payload, or the answer to a request — or
+	// nil, leaving the frame to the pooled path.
 	Place(source, tag int, head []byte, n int) (hdr int, dst []byte)
 	// Placed ends a placement Place granted, whether its copy succeeded
-	// or failed: the transport writes dst no more.
+	// or failed: the transport touches dst no more.
 	Placed(tag int)
 }
 
 // PostReceives makes p the placement hook of c and reports whether c
 // has one: a dialed endpoint (DialComm) reads payloads straight from its
-// own connection, and an in-process World endpoint's senders write them
-// (PlaceComm). A later call replaces the hook.
+// own connection, and an in-process World endpoint's senders write them,
+// or read the answers to their requests (PlaceComm). A later call
+// replaces the hook.
 func PostReceives(c Comm, p Placer) bool {
 	switch e := c.(type) {
 	case *tcpComm:

@@ -91,32 +91,38 @@ func (c *inprocComm) Isend(to, tag int, data []byte) Request {
 	return doneRequest{}
 }
 
-// PlaceComm is implemented by communicators whose sender can write a
-// payload straight into the receiver's posted receive (Placer): both
-// ranks live in this process, so the place the receiver named is memory
-// the sender can reach. A send is then Reserve, the caller filling Dst,
-// and Deliver — no closure, no frame-sized buffer, one copy of the
-// payload, made by whoever produces it.
+// PlaceComm is implemented by communicators whose sender can reach the
+// memory a receiver's posted operation names (Placer): both ranks live in
+// this process. A placement runs either way. A data frame's sender
+// Reserves, fills Dst and Delivers: the payload is written straight into
+// the receiver's posted receive, no closure, no frame-sized buffer. A
+// pull's sender Reserves, copies what it asked for out of Dst and
+// Releases: the answer is read straight out of the receiver's posted
+// send, and neither the pull nor its reply is ever framed. Either way
+// each byte is copied once, by the rank that holds the plan.
 type PlaceComm interface {
 	Comm
-	// Reserve offers the posted receives of rank `to` the frame whose
+	// Reserve offers the posted operations of rank `to` the frame whose
 	// payload is hdr followed by n more bytes. A Reservation with a nil
 	// Dst means no place was named: send the frame as usual. Otherwise
 	// Dst is exactly n bytes of the receiver's memory, and the caller
-	// must fill it and Deliver, which ends the placement; until then the
+	// must end the placement, by Deliver or Release; until then the
 	// receiver's owner waits before it takes the memory back.
 	Reserve(to, tag int, hdr []byte, n int) Reservation
-	// Deliver ends a placement Reserve granted and sends its frame as
-	// hdr alone, with Message.Placed saying that len(Dst) bytes went to
-	// their place. hdr must be a whole pooled buffer (SendOwned's rule);
-	// it belongs to the receiver afterwards.
+	// Deliver ends a placement Reserve granted, after the caller filled
+	// Dst, and sends its frame as hdr alone, with Message.Placed saying
+	// that len(Dst) bytes went to their place. hdr must be a whole pooled
+	// buffer (SendOwned's rule); it belongs to the receiver afterwards.
 	Deliver(r Reservation, hdr []byte)
+	// Release ends a placement Reserve granted and sends nothing: the
+	// caller read Dst, which answered the frame it offered in full.
+	Release(r Reservation)
 }
 
 // Reservation is a placement Reserve granted, or, with a nil Dst, one it
 // did not.
 type Reservation struct {
-	Dst     []byte // where the payload goes
+	Dst     []byte // where the payload goes, or where the answer to a pull lies
 	p       Placer
 	to, tag int
 }
@@ -162,6 +168,9 @@ func (c *inprocComm) Reserve(to, tag int, hdr []byte, n int) Reservation {
 // frame that says the piece arrived is never received while its bytes
 // may still change.
 func (c *inprocComm) Deliver(r Reservation, hdr []byte) {
-	r.p.Placed(r.tag)
+	c.Release(r)
 	c.world.boxes[r.to].Put(Message{Source: c.rank, Tag: r.tag, Data: hdr, Placed: len(r.Dst)})
 }
+
+// Release implements PlaceComm.
+func (c *inprocComm) Release(r Reservation) { r.p.Placed(r.tag) }
