@@ -137,9 +137,11 @@ bench-pack:
 # written to a socket, a file range sent to one, a frame read from one
 # into its place in the application's array, a piece an in-process
 # server writes into that place and a pull an in-process server answers
-# by copying its piece out of the client's posted write allocate nothing.
+# by copying its piece out of the client's posted write allocate nothing,
+# and neither does finding a fast path through a wrapper (the capability
+# walk).
 alloc-check:
-	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc|TestPlacedFrameZeroAlloc|TestInprocPlacedFrameZeroAlloc|TestInprocBorrowedPullZeroAlloc' -count=3 ./internal/...
+	$(GO) test -run 'TestCollectiveAllocBudget|TestBufpoolPutAllocatesNothing|TestRecvZeroAllocSteadyState|TestWriterZeroAlloc|TestFileFrameZeroAlloc|TestPlacedFrameZeroAlloc|TestInprocPlacedFrameZeroAlloc|TestInprocBorrowedPullZeroAlloc|TestCapabilityWalkZeroAlloc' -count=3 ./internal/...
 
 # bench-wall-quick builds and runs the wall-clock benchmark (bench/, its
 # own module, which BENCHMARK.json declares) at its smallest setting:

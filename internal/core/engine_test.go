@@ -70,7 +70,9 @@ func (tr *diskTrace) assertSequential(t *testing.T, server int) {
 
 // traceDisk wraps a Disk and logs accesses into a shared trace. It
 // implements storage.Rebinder so the storage activity keeps both the
-// trace and the inner disk's clock accounting.
+// trace and the inner disk's clock accounting. Its files are
+// interposers: every read must reach the trace, so traceFile has no
+// Unwrap and hides the host file.
 type traceDisk struct {
 	inner storage.Disk
 	trace *diskTrace

@@ -44,6 +44,8 @@ func (d *callDisk) Remove(name string) error {
 	return d.Disk.Remove(name)
 }
 
+// callFile is an interposer: the ReadAt calls are what the tests pin,
+// so it has no Unwrap and hides the host file.
 type callFile struct {
 	storage.File
 	disk *callDisk

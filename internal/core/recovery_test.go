@@ -359,7 +359,8 @@ func TestReassignmentCompletesDegraded(t *testing.T) {
 
 // requestTap is the master client's endpoint in the whole-op retry
 // tests: copies says how many copies of the n-th operation request it
-// sends (from 1) go out — 0 loses it.
+// sends (from 1) go out — 0 loses it. An interposer: it must see every
+// request, so it has no Unwrap.
 type requestTap struct {
 	endpoint
 	n      atomic.Int32

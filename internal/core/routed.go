@@ -10,7 +10,8 @@ import (
 // straight to the underlying transport (rebound to the executor's own
 // clock); the receive half is the one every Comm has (mpi.Endpoint),
 // over a per-op queue fed by the node's router, so the single-op
-// protocol still calls Recv/RecvTimeout on "the network".
+// protocol still calls Recv/RecvTimeout on "the network". It is an
+// observer: every fast path of the transport is found through Unwrap.
 type routedComm struct {
 	mpi.Endpoint
 	under mpi.Comm
@@ -27,18 +28,7 @@ func (rc *routedComm) Isend(to, tag int, data []byte) mpi.Request {
 	return rc.under.Isend(to, tag, data)
 }
 
-// SendVec implements mpi.VectorComm, so gather-send call sites behave
-// identically whether or not the op runs under a router.
-func (rc *routedComm) SendVec(to, tag int, hdr, payload []byte) bool {
-	return mpi.SendSegments(rc.under, to, tag, hdr, payload)
-}
-
-// FileRoute offers the transport's file-range path (mpi.FileRoute), nil
-// when the transport has none: a file frame goes straight to under, as
-// every send does.
-func (rc *routedComm) FileRoute() mpi.FileComm { return mpi.FileRoute(rc.under) }
-
-// PlaceRoute offers the transport's placing path (mpi.PlaceRoute), nil
-// when the transport has none: a placed frame is delivered by under, as
-// every send is.
-func (rc *routedComm) PlaceRoute() mpi.PlaceComm { return mpi.PlaceRoute(rc.under) }
+// Unwrap is the transport under the view: the capability probes
+// (mpi.FileRoute, PlaceRoute, PostReceives, SendSegments) find its fast
+// paths there.
+func (rc *routedComm) Unwrap() mpi.Comm { return rc.under }

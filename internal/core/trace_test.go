@@ -212,6 +212,8 @@ func (d *slowDisk) Open(name string) (storage.File, error) {
 	return &slowFile{File: f, d: d}, nil
 }
 
+// slowFile is an interposer: every read and write must take the delay,
+// so it has no Unwrap and hides the host file.
 type slowFile struct {
 	storage.File
 	d *slowDisk
@@ -358,7 +360,9 @@ func TestStatsSnapshotDuringOperation(t *testing.T) {
 // --- failure counters over the TCP hub transport ------------------------
 
 // lagComm holds every outgoing sub-chunk data frame back for lag: a
-// network on which pulling a sub-chunk takes a known minimum.
+// network on which pulling a sub-chunk takes a known minimum. An
+// interposer (mpi's comm.go): it must see every frame, so it has no
+// Unwrap.
 type lagComm struct {
 	endpoint
 	lag time.Duration
@@ -373,7 +377,8 @@ func (c *lagComm) SendOwned(to, tag int, data []byte) {
 
 // dropComm drops outgoing sub-chunk data frames: the first `first` per
 // source client when healAfter is positive, or all of them forever when
-// healAfter is zero. Everything else passes through.
+// healAfter is zero. Everything else passes through. An interposer: it
+// must see every frame, so it has no Unwrap.
 type dropComm struct {
 	endpoint
 	mu      sync.Mutex

@@ -3,11 +3,16 @@
 // point-to-point messages with wildcard receives. Panda's own
 // broadcasts are forwarded hop by hop over TreeChildren (topology.go).
 //
-// Two interchangeable implementations exist:
+// Its transports are interchangeable behind Comm:
 //
 //   - World (inproc.go): every rank is a goroutine in this process and
-//     messages move through in-memory queues in real time. Used for
-//     functional tests and the runnable examples.
+//     messages move through in-memory queues in real time. Used by
+//     core.Run, the functional tests and the runnable examples.
+//   - Hub (tcp.go): a TCP relay every frame goes through. A rank attaches
+//     from another process by DialComm, or from the hub's own process by
+//     Hub.Local (local.go), which opens no socket. The daemon's transport.
+//   - Mesh (mesh.go): every pair of ranks talks over its own TCP
+//     connection once a Registry has rendezvoused them (JoinMesh).
 //   - SimWorld (simnet.go): every rank is a vtime process and each
 //     message is charged latency and bandwidth according to a LinkConfig
 //     calibrated from the paper's Table 1 (IBM SP2: 43 µs, 34 MB/s),
@@ -102,6 +107,32 @@ type DeadlineComm interface {
 type PeerChecker interface {
 	// PeerLost reports whether the transport knows rank is gone.
 	PeerLost(rank int) bool
+}
+
+// A wrapper around a Comm is one of two kinds, and says which at its
+// type. An observer (a router's per-operation view, a tracer) must not
+// change what the program does: it has an Unwrap() Comm method, and the
+// capability probes (FileRoute, PlaceRoute, PostReceives, SendSegments,
+// and the link error a routed view fails with) look through it to the
+// endpoint it wraps, as errors.As looks through a wrapped error. An
+// interposer (FaultComm, or a test wrapper that delays or drops frames)
+// must see every byte, so it has no Unwrap and hides every fast path
+// behind it on purpose.
+
+// capable returns the first Comm in c's chain of observers that has
+// capability T: c itself, else what its Unwrap returns, and so on. The
+// walk stops at the first Comm that has neither T nor Unwrap.
+func capable[T any](c Comm) (t T, ok bool) {
+	for {
+		if t, ok = c.(T); ok {
+			return t, true
+		}
+		w, observer := c.(interface{ Unwrap() Comm })
+		if !observer {
+			return t, false
+		}
+		c = w.Unwrap()
+	}
 }
 
 func matches(m Message, from, tag int) bool {

@@ -88,10 +88,11 @@ func (e *Endpoint) linkErr() error {
 	return e.link.err
 }
 
-// linkErrOf is c's link failure, nil for a link that is up or for an
-// endpoint that cannot tell.
+// linkErrOf is c's link failure, read from the first Comm down its
+// chain of observers that records one (capable); nil for a link that is
+// up or for an endpoint that cannot tell.
 func linkErrOf(c Comm) error {
-	if l, ok := c.(interface{ linkErr() error }); ok {
+	if l, ok := capable[interface{ linkErr() error }](c); ok {
 		return l.linkErr()
 	}
 	return nil

@@ -151,6 +151,8 @@ type sendVerdict struct {
 // must support deadlines. Like every Comm, a FaultComm is driven by one
 // activity: another activity of the same rank takes its own view
 // (RebindComm), which shares the plan and holds back its own reorders.
+// It is an interposer (comm.go): the plan must see every frame whole,
+// so it has no Unwrap and hides its endpoint's fast paths.
 type FaultComm struct {
 	inner DeadlineComm
 	plan  *FaultPlan

@@ -291,19 +291,17 @@ type Placer interface {
 	Placed(tag int)
 }
 
-// PostReceives makes p the placement hook of c and reports whether c
-// has one: a dialed endpoint (DialComm) reads payloads straight from its
+// PostReceives makes p the placement hook of the first endpoint down c's
+// chain of observers that takes one (capable), and reports whether there
+// was one: a dialed endpoint (DialComm) reads payloads straight from its
 // own connection, and an in-process World endpoint's senders write them,
-// or read the answers to their requests (PlaceComm). A later call
-// replaces the hook.
+// or read the answers to their requests (PlaceComm). Hub-local, mesh and
+// simulated endpoints take none, and interposers hide their endpoint's.
+// A later call replaces the hook.
 func PostReceives(c Comm, p Placer) bool {
-	switch e := c.(type) {
-	case *tcpComm:
-		e.in.place.Store(&p)
-	case *inprocComm:
-		e.world.place[e.rank].Store(&p)
-	default:
-		return false
+	pc, ok := capable[interface{ post(Placer) }](c)
+	if ok {
+		pc.post(p)
 	}
-	return true
+	return ok
 }

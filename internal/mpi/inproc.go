@@ -127,17 +127,13 @@ type Reservation struct {
 	to, tag int
 }
 
-// PlaceRoute returns c's placing path, nil when it has none: only
-// in-process World endpoints have one. Simulated and socket transports,
-// FaultComm (whose plan must see every byte a frame carries) and a
-// wrapper that does not forward it answer nil. A view over a transport (a
-// router's per-operation endpoint) offers its transport's path through a
-// PlaceRoute method.
+// PlaceRoute returns c's placing path, nil when it has none. It is the
+// first PlaceComm down c's chain of observers (capable): only in-process
+// World endpoints are one. Simulated and socket transports have none,
+// and FaultComm (whose plan must see every byte a frame carries) and
+// every other interposer hide their endpoint's.
 func PlaceRoute(c Comm) PlaceComm {
-	if v, ok := c.(interface{ PlaceRoute() PlaceComm }); ok {
-		return v.PlaceRoute()
-	}
-	pc, _ := c.(PlaceComm)
+	pc, _ := capable[PlaceComm](c)
 	return pc
 }
 
@@ -174,3 +170,6 @@ func (c *inprocComm) Deliver(r Reservation, hdr []byte) {
 
 // Release implements PlaceComm.
 func (c *inprocComm) Release(r Reservation) { r.p.Placed(r.tag) }
+
+// post puts p in the rank's place slot (PostReceives).
+func (c *inprocComm) post(p Placer) { c.world.place[c.rank].Store(&p) }

@@ -39,18 +39,15 @@ type FileComm interface {
 }
 
 // FileRoute returns c's file-range path, or nil when it has none on this
-// system: in-process and simulated transports, FaultComm (whose plan
-// must see every frame), a wrapper that does not forward it, and every
-// transport off Linux. A view over a transport (a router's per-operation
-// endpoint) offers its transport's path through a FileRoute method.
+// system. It is the first FileComm down c's chain of observers
+// (capable): a hub endpoint, dialed or local, on Linux. In-process,
+// mesh and simulated transports have none, FaultComm and every other
+// interposer hide their endpoint's, and off Linux no transport has one.
 func FileRoute(c Comm) FileComm {
 	if !zeroCopyFiles {
 		return nil
 	}
-	if v, ok := c.(interface{ FileRoute() FileComm }); ok {
-		return v.FileRoute()
-	}
-	fc, _ := c.(FileComm)
+	fc, _ := capable[FileComm](c)
 	return fc
 }
 

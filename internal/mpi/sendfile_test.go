@@ -8,13 +8,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"panda/internal/bufpool"
-	"panda/internal/clock"
 )
 
 // fileLink is one kind of socket writer a file frame leaves through:
@@ -316,27 +314,4 @@ func TestFileFrameIntoAMailboxIsOnePooledCopy(t *testing.T) {
 		t.Fatalf("received %d bytes, %v", len(m.Data), err)
 	}
 	bufpool.Put(m.Data)
-}
-
-// TestFileRoute: the hub's endpoints, dialed and hub-local, offer a
-// file-range path on Linux and nowhere else; mesh, in-process,
-// simulated and fault-injecting endpoints never do.
-func TestFileRoute(t *testing.T) {
-	_, comms := startHubWorld(t, worldShape{true, false})
-	mesh, closeMesh := startMeshWorld(t, 1)
-	defer closeMesh()
-	for _, c := range []Comm{comms[0], comms[1]} {
-		if got := FileRoute(c) != nil; got != (runtime.GOOS == "linux") {
-			t.Errorf("FileRoute(%T) offered = %v on %s", c, got, runtime.GOOS)
-		}
-	}
-	for _, c := range []Comm{
-		mesh[0],
-		NewWorld(1).Comm(0),
-		WrapFault(comms[0], NewFaultPlan(1), clock.NewReal()),
-	} {
-		if FileRoute(c) != nil {
-			t.Errorf("FileRoute(%T) offered a path", c)
-		}
-	}
 }

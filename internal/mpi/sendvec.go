@@ -27,12 +27,12 @@ type VectorComm interface {
 	SendVec(to, tag int, hdr, payload []byte) bool
 }
 
-// SendSegments delivers hdr|payload as one message through c's
-// scatter-gather path when the transport has one, otherwise by
-// concatenating into a pooled frame. It reports whether the payload
+// SendSegments delivers hdr|payload as one message through the first
+// scatter-gather path down c's chain of observers (capable), otherwise
+// by concatenating into a pooled frame. It reports whether the payload
 // copy was avoided.
 func SendSegments(c Comm, to, tag int, hdr, payload []byte) bool {
-	if vc, ok := c.(VectorComm); ok {
+	if vc, ok := capable[VectorComm](c); ok {
 		return vc.SendVec(to, tag, hdr, payload)
 	}
 	frame := bufpool.GetRaw(len(hdr) + len(payload))

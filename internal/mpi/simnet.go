@@ -3,7 +3,6 @@ package mpi
 import (
 	"time"
 
-	"panda/internal/bufpool"
 	"panda/internal/clock"
 	"panda/internal/queue"
 	"panda/internal/vtime"
@@ -206,22 +205,13 @@ func (c *simComm) Send(to, tag int, data []byte) {
 	c.SendOwned(to, tag, cp)
 }
 
+// SendOwned charges the wire for all of data. A simulated rank has no
+// scatter-gather path: SendSegments flattens hdr|payload into one pooled
+// frame and sends it here, so a vector send costs what a flattened one
+// does and virtual-time results cannot depend on which was taken.
 func (c *simComm) SendOwned(to, tag int, data []byte) {
 	done := c.transmit(to, tag, data)
 	c.proc.SleepUntil(done)
-}
-
-// SendVec implements VectorComm. Delivery is deferred to the simulated
-// arrival time, so the borrowed payload is concatenated with the header
-// into one pooled frame; the wire is charged the full hdr+payload
-// length, keeping simulated timings identical to a flattened send.
-// Reports false: the payload copy was not avoided.
-func (c *simComm) SendVec(to, tag int, hdr, payload []byte) bool {
-	frame := bufpool.GetRaw(len(hdr) + len(payload))
-	copy(frame, hdr)
-	copy(frame[len(hdr):], payload)
-	c.SendOwned(to, tag, frame)
-	return false
 }
 
 type simRequest struct {

@@ -540,6 +540,9 @@ func CloseComm(c Comm) error {
 	return fmt.Errorf("mpi: not a hub endpoint")
 }
 
+// post makes p the reader's placement hook (PostReceives).
+func (c *tcpComm) post(p Placer) { c.in.place.Store(&p) }
+
 func (c *tcpComm) reader() {
 	for {
 		_, source, wireTag, payload, err := c.in.next()

@@ -100,6 +100,8 @@ func (d *FaultDisk) List() ([]string, error) { return d.Inner.List() }
 // FlushCache implements Disk.
 func (d *FaultDisk) FlushCache() { d.Inner.FlushCache() }
 
+// faultFile is an interposer: every write must meet the plan, so it has
+// no Unwrap and HostFile answers nil for it.
 type faultFile struct {
 	disk  *FaultDisk
 	inner File

@@ -53,18 +53,25 @@ func (d *OSDisk) path(name string) string {
 
 type osFile struct{ *os.File }
 
-// HostFile returns the host file behind a handle OSDisk opened, and nil
-// for every other handle — MemDisk's, SimDisk's, FaultDisk's or any
-// wrapper's — which has no file the kernel could send from itself. A
+// HostFile returns the host file behind a handle OSDisk opened, looking
+// through every observer that wraps it (a File with an Unwrap() File
+// method, as errors.Unwrap looks through an error), and nil for every
+// other handle — MemDisk's, or an interposer's such as SimDisk's and
+// FaultDisk's — which has no file the kernel could send from itself. A
 // caller borrows the file only while it holds the handle open.
 func HostFile(f File) *os.File {
-	switch h := f.(type) {
-	case osFile:
-		return h.File
-	case *osWriter:
-		return h.File
+	for {
+		switch h := f.(type) {
+		case osFile:
+			return h.File
+		case *osWriter:
+			return h.File
+		case interface{ Unwrap() File }:
+			f = h.Unwrap()
+		default:
+			return nil
+		}
 	}
-	return nil
 }
 
 func (f osFile) Size() (int64, error) {

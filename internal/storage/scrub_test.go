@@ -158,7 +158,8 @@ func TestScrubReportOrderIsStable(t *testing.T) {
 }
 
 // cutDisk applies the first n calls made on it and fails every call
-// after them: a crash at that point.
+// after them: a crash at that point. Its files are interposers: every
+// write and sync must meet the cut, so cutFile has no Unwrap.
 type cutDisk struct {
 	Disk
 	n int

@@ -159,6 +159,9 @@ func (d *SimDisk) FlushCache() {
 	d.inner.FlushCache()
 }
 
+// simFile is an interposer: its ReadAt charges the AIX model's time, so
+// it has no Unwrap — a file range sent from the host file underneath
+// would skip the charge.
 type simFile struct {
 	disk  *SimDisk
 	name  string
