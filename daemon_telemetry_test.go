@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -374,6 +375,11 @@ func TestDaemonHTTPPlane(t *testing.T) {
 	st := eventsOf(t, dir, "startup")[0]
 	if st["addr"] != d.Addr() || st["http_addr"] != d.HTTPAddr() {
 		t.Fatalf("startup event wrong: %v", st)
+	}
+	for k, v := range structFields(d.StartupInfo()) {
+		if !reflect.DeepEqual(st[k], v) {
+			t.Fatalf("StartupInfo().%s = %v, the startup event says %v", k, v, st[k])
+		}
 	}
 }
 

@@ -53,9 +53,9 @@ func (f observerFile) Unwrap() storage.File { return f.File }
 type capPlacer struct{ buf []byte }
 
 const (
-	tagVec, tagIsend = 3, 4
-	capHdr           = 16
-	capPayload       = 8 << 10 // past a dialed reader's buffer, so it is offered to the placer
+	tagVec, tagIsend, tagSend = 3, 4, 5
+	capHdr                    = 16
+	capPayload                = 8 << 10 // past a dialed reader's buffer, so it is offered to the placer
 )
 
 func (p *capPlacer) Place(source, tag int, head []byte, n int) (int, []byte) {
@@ -190,8 +190,8 @@ func capWrappers() []capWrapper {
 // PostReceives and SendSegments answer as on the bare endpoint, and a
 // posted receive through it is where the payload lands. Through an
 // interposer each answers nil or false and the payload goes out
-// flattened, unplaced. Either way a segmented send and an Isend + Wait
-// deliver bit-exact.
+// flattened, unplaced. Either way a segmented send, an Isend + Wait and
+// a plain Send deliver bit-exact.
 func TestCapabilitiesThroughWrappers(t *testing.T) {
 	hdr := make([]byte, capHdr)
 	payload := make([]byte, capPayload)
@@ -235,6 +235,7 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 						t.Errorf("SendSegments avoided the copy = %v, want %v", got, exp.vec)
 					}
 					wc.Isend(1, tagIsend, isend).Wait()
+					wc.Send(1, tagSend, isend)
 				}
 				recv := func(c mpi.Comm, _ clock.Clock) {
 					dc := c.(mpi.DeadlineComm)
@@ -251,6 +252,9 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 					}
 					if m, err = dc.RecvTimeout(0, tagIsend, 10*time.Second); err != nil || !bytes.Equal(m.Data, isend) {
 						t.Errorf("Isend arrived as %d bytes, %v; want %d bit-exact", len(m.Data), err, len(isend))
+					}
+					if m, err = dc.RecvTimeout(0, tagSend, 10*time.Second); err != nil || !bytes.Equal(m.Data, isend) {
+						t.Errorf("Send arrived as %d bytes, %v; want %d bit-exact", len(m.Data), err, len(isend))
 					}
 				}
 				tr.run(t, post, send, recv)

@@ -75,10 +75,7 @@ func (c *inprocComm) SendVec(to, tag int, hdr, payload []byte) bool {
 		c.Deliver(r, own)
 		return true
 	}
-	frame := bufpool.GetRaw(len(hdr) + len(payload))
-	copy(frame, hdr)
-	copy(frame[len(hdr):], payload)
-	c.world.boxes[to].Put(Message{Source: c.rank, Tag: tag, Data: frame})
+	c.world.boxes[to].Put(Message{Source: c.rank, Tag: tag, Data: pooledCopy(hdr, payload)})
 	return false
 }
 

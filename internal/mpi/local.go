@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"os"
-	"sync"
 )
 
 // errDetached is the link error of a local endpoint that was closed, or
@@ -16,8 +15,7 @@ var errDetached = errors.New("detached from hub")
 // and why the unbounded mailbox needs no flow control.
 type localComm struct {
 	Endpoint
-	hub    *Hub
-	closed sync.Once
+	hub *Hub
 }
 
 // emit sends a|b to rank `to`. A detached endpoint (or one whose hub has
@@ -43,14 +41,31 @@ func (c *localComm) SendVec(to, tag int, hdr, payload []byte) bool {
 	return c.emit(to, tag, hdr, payload, false) == written
 }
 
-// SendFile implements FileComm through Hub.deliverFile: sendfile onto a
-// dialed destination's socket, one pooled copy into a local mailbox.
+// SendFile implements FileComm: it is Hub.deliver for a file frame, hdr
+// followed by n bytes of f from off. A dialed destination gets the
+// headers in one writev and the range by sendfile
+// (frameWriter.writeFile); a local one gets one ReadAt into a pooled
+// frame, which its mailbox owns. It reports whether the range went by
+// sendfile, and the file's error — the frame went out whole regardless.
+// A frame for an absent or dead rank is dropped unread.
 func (c *localComm) SendFile(to, tag int, hdr []byte, f *os.File, off int64, n int) (bool, error) {
 	checkFrame(c, to, tag, len(hdr)+n)
 	if c.linkErr() != nil {
 		return false, nil
 	}
-	return c.hub.deliverFile(c.rank, to, uint32(tag)+1, hdr, f, off, n)
+	switch d := c.hub.dest(to); {
+	case d.local != nil:
+		frame, err := fileFrame(hdr, f, off, n)
+		d.local.accept(c.rank, uint32(tag)+1, frame)
+		return false, err
+	case d.conn != nil:
+		zc, fileErr, linkErr := c.hub.out[to].writeFile(d.conn, to, c.rank, uint32(tag)+1, hdr, f, off, n)
+		if linkErr != nil {
+			c.hub.apply(event{kind: evWriteFailed, rank: to, who: d}) // as deliver does
+		}
+		return zc, fileErr
+	}
+	return false, nil
 }
 
 func (c *localComm) Isend(to, tag int, data []byte) Request {
@@ -58,15 +73,10 @@ func (c *localComm) Isend(to, tag int, data []byte) Request {
 	return doneRequest{}
 }
 
-// detach is CloseComm for a local endpoint: its receives fail, the hub
-// announces the rank dead, and the rank is freed for re-registration —
-// in that order, so no new holder can be taken for the one that died.
+// detach is CloseComm for a local endpoint: the hub fails its receives,
+// announces the rank dead and frees it, in that order, so no new holder
+// can be taken for the one that died. A second detach finds the rank no
+// longer this endpoint's and does nothing (step).
 func (c *localComm) detach() {
-	c.closed.Do(func() {
-		c.failReads(errDetached)
-		c.hub.announceDeath(c.rank)
-		c.hub.mu.Lock()
-		delete(c.hub.locals, c.rank)
-		c.hub.mu.Unlock()
-	})
+	c.hub.apply(event{kind: evEnd, rank: c.rank, who: holder{local: c}})
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"panda/internal/bufpool"
 )
 
 // Mesh TCP transport: unlike the Hub (tcp.go), which routes every frame
@@ -262,10 +260,7 @@ func (c *meshComm) peerFor(rank int) (*meshPeer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hello [8]byte
-	binary.BigEndian.PutUint32(hello[0:], tcpMagic)
-	binary.BigEndian.PutUint32(hello[4:], uint32(c.rank))
-	if _, err := conn.Write(hello[:]); err != nil {
+	if err := writeWords(conn, tcpMagic, uint32(c.rank)); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -318,10 +313,7 @@ func (c *meshComm) markPeerDead(peer int) {
 func (c *meshComm) emit(to, tag int, a, b []byte) bool {
 	checkFrame(c, to, tag, len(a)+len(b))
 	if to == c.rank {
-		frame := bufpool.GetRaw(len(a) + len(b))
-		copy(frame, a)
-		copy(frame[len(a):], b)
-		c.box.Put(Message{Source: c.rank, Tag: tag, Data: frame})
+		c.box.Put(Message{Source: c.rank, Tag: tag, Data: pooledCopy(a, b)})
 		return false
 	}
 	p, err := c.peerFor(to)

@@ -49,8 +49,7 @@ func fileLinks(t *testing.T) []fileLink {
 	hubWire := rawRank(t, hub, 1, 2)
 	local.Send(1, 1, []byte("hi"))
 	hubLocal := hi(fileLink{name: "hub-local", send: local.(FileComm), wire: hubWire, sock: func() *net.TCPConn {
-		_, conn, _ := hub.holder(1)
-		return conn.(*net.TCPConn)
+		return hub.dest(1).conn.(*net.TCPConn)
 	}})
 
 	// A socket whose far end the test holds, for the endpoint that dials.

@@ -35,9 +35,12 @@ func SendSegments(c Comm, to, tag int, hdr, payload []byte) bool {
 	if vc, ok := capable[VectorComm](c); ok {
 		return vc.SendVec(to, tag, hdr, payload)
 	}
-	frame := bufpool.GetRaw(len(hdr) + len(payload))
-	copy(frame, hdr)
-	copy(frame[len(hdr):], payload)
-	c.SendOwned(to, tag, frame)
+	c.SendOwned(to, tag, pooledCopy(hdr, payload))
 	return false
+}
+
+// pooledCopy is a|b copied into one pooled buffer: the frame a sender
+// hands over when it cannot ship the segments, or must not lend them.
+func pooledCopy(a, b []byte) []byte {
+	return append(append(bufpool.GetRaw(len(a) + len(b))[:0], a...), b...)
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -28,24 +29,35 @@ import (
 //	hello:  u32 magic | u32 rank | u32 size
 //	ack:    u32 magic                       (hub → rank, once registered)
 //
+// Who holds each rank is the rank table (ranks.go): one slot per rank,
+// changed only by its transition function step, whose actions
+// Hub.apply carries out. A hello, a local attach, a route's end, a
+// local detach, Sever, a failed write and Close are its events; ack,
+// refuse, wait, announce a death or a revival, and close are its
+// actions. A frame's route only reads the table.
+//
 // The hub acknowledges a hello only after it has recorded the
 // connection, and DialComm returns only after reading the ack: a frame
 // sent to a rank whose DialComm has returned is never dropped for want
 // of a registration. A hello with a foreign magic or world size, an
-// out-of-range rank, or a rank another endpoint holds gets no ack: that
-// connection is closed and the hub serves on. A hello that opens with
-// the session magic instead hands the connection to the session handler
-// (HandleSessions).
+// out-of-range rank, or a rank a local endpoint holds gets no ack: that
+// connection is closed and the hub serves on. A hello for a rank a
+// dialed endpoint holds waits for that holder's release, which acks it
+// in the same step, for predecessorWait at most: a freed rank can be
+// re-dialed before the hub has read its old connection's end. A hello
+// that opens with the session magic instead hands the connection to the
+// session handler (HandleSessions).
 //
 // A wire tag of zero (impossible for data, whose tags are stored +1)
-// marks a control frame. When a rank's connection drops, the hub
-// broadcasts `u32 to | u32 deadRank | u32 0 | u32 0` (no payload) to
-// every surviving rank, whose endpoint records the death so bounded
-// receives can fail fast with ErrPeerLost instead of waiting out their
-// timeout. A control frame with a one-byte payload of 1 is the inverse
-// — a revival: the hub broadcasts it when a freed rank is re-registered
-// by a new endpoint, clearing the stale death mark on every surviving
-// endpoint. Endpoints read control payloads by the length field.
+// marks a control frame. When a rank's holder ends, the hub broadcasts
+// `u32 to | u32 deadRank | u32 0 | u32 0` (no payload) to every
+// surviving rank, whose endpoint records the death so bounded receives
+// can fail fast with ErrPeerLost instead of waiting out their timeout;
+// only then is the rank released. A control frame with a one-byte
+// payload of 1 is the inverse — a revival: the hub broadcasts it when a
+// released rank is registered by a new endpoint, clearing the stale
+// death mark on every surviving endpoint. Endpoints read control
+// payloads by the length field.
 //
 // Sends are reliable and ordered per (source, destination) pair,
 // matching the in-process transports. A frame for a rank that is absent,
@@ -60,8 +72,9 @@ import (
 // file range it sends (FileComm) one writev of the headers and a
 // sendfile from the page cache onto that socket; local to local is one
 // pooled copy, and a file range one ReadAt into a pooled frame. Deaths
-// and revivals reach local endpoints as direct marks on their dead-peer
-// sets, and a rank is held by one endpoint of either kind at a time. The
+// and revivals reach local endpoints as the same control frames, which
+// mark their dead-peer sets as they are taken, and a rank is held by one
+// endpoint of either kind at a time. The
 // wire format is unchanged and dialed peers cannot tell which kind of
 // endpoint they talk to.
 //
@@ -87,13 +100,28 @@ const sessionMagic = 0x50534553 // "PSES"
 
 // SessionHello writes the session-control hello on conn, marking it as
 // an out-of-band dialog connection rather than a mesh rank.
-func SessionHello(conn net.Conn) error {
-	var hello [12]byte
-	binary.BigEndian.PutUint32(hello[0:], sessionMagic)
-	binary.BigEndian.PutUint32(hello[4:], 1) // version
-	_, err := conn.Write(hello[:])
+func SessionHello(conn net.Conn) error { return writeWords(conn, sessionMagic, 1, 0) } // version 1
+
+// writeAck tells a freshly recorded rank connection that the hub will
+// now route to it.
+func writeAck(conn net.Conn) error { return writeWords(conn, tcpMagic) }
+
+// writeWords writes words on conn, big-endian: a hello or the ack.
+func writeWords(conn net.Conn, words ...uint32) error {
+	var b [12]byte
+	for i, w := range words {
+		binary.BigEndian.PutUint32(b[4*i:], w)
+	}
+	_, err := conn.Write(b[:4*len(words)])
 	return err
 }
+
+// predecessorWait bounds how long a registration waits for the release
+// of a rank's dialed holder. A freed rank can be re-issued while its old
+// connection's FIN is still in flight, so a successor waits for that
+// holder's release instead of being refused; a holder that is still
+// connected when the bound passes is a live duplicate.
+const predecessorWait = 2 * time.Second
 
 // tagControlWire is the on-wire tag value (tag field zero) reserved for
 // hub control frames.
@@ -104,14 +132,12 @@ const tagControlWire = 0
 type Hub struct {
 	ln        net.Listener
 	size      int
-	onSession func(net.Conn) // HandleSessions; nil closes session conns
+	onSession func(net.Conn)  // HandleSessions; nil closes session conns
+	closing   context.Context // done at Close: every accepted conn is severed
+	close     context.CancelFunc
 	mu        sync.Mutex
-	open      map[net.Conn]bool  // every accepted conn until its handler returns
-	conns     map[int]net.Conn   // dialed ranks
-	locals    map[int]*localComm // in-process ranks (Local)
-	dead      map[int]bool
+	ranks     table         // who holds each rank (ranks.go); changed only by apply
 	out       []frameWriter // per-rank socket write state
-	closed    bool          // Close was called; accept-loop exit is orderly
 }
 
 // ListenHub starts a hub for a world of the given size on addr (e.g.
@@ -124,11 +150,9 @@ func ListenHub(addr string, size int) (*Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hub{
-		ln: ln, size: size, open: make(map[net.Conn]bool),
-		conns: make(map[int]net.Conn), locals: make(map[int]*localComm),
-		dead: make(map[int]bool), out: make([]frameWriter, size),
-	}, nil
+	h := &Hub{ln: ln, size: size, ranks: table{slots: make([]slot, size)}, out: make([]frameWriter, size)}
+	h.closing, h.close = context.WithCancel(context.Background())
+	return h, nil
 }
 
 // Addr returns the hub's listen address.
@@ -153,29 +177,18 @@ func (h *Hub) Serve() error {
 	defer wg.Wait()
 	for {
 		conn, err := h.ln.Accept()
-		h.mu.Lock()
-		closed := h.closed
-		if err == nil && !closed {
-			h.open[conn] = true
-		}
-		h.mu.Unlock()
 		if err != nil {
-			if closed {
+			if h.closing.Err() != nil {
 				return nil
 			}
 			return err
 		}
-		if closed {
-			conn.Close()
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Close severs conn until its handler returns (the deferred stop).
+			defer context.AfterFunc(h.closing, func() { conn.Close() })()
 			h.serveConn(conn)
-			h.mu.Lock()
-			delete(h.open, conn)
-			h.mu.Unlock()
 			conn.Close()
 		}()
 	}
@@ -190,74 +203,64 @@ func (h *Hub) serveConn(conn net.Conn) {
 	if _, err := io.ReadFull(conn, buf[:]); err != nil {
 		return
 	}
-	switch binary.BigEndian.Uint32(buf[0:]) {
-	case sessionMagic:
-		if h.onSession != nil {
-			h.onSession(conn)
-		}
-		return
-	case tcpMagic:
-	default:
-		return
+	word := func(i int) uint32 { return binary.BigEndian.Uint32(buf[4*i:]) }
+	magic, rank, size := word(0), int(word(1)), int(word(2))
+	if magic == sessionMagic && h.onSession != nil {
+		h.onSession(conn)
 	}
-	rank := int(binary.BigEndian.Uint32(buf[4:]))
-	size := int(binary.BigEndian.Uint32(buf[8:]))
-	if size != h.size || rank < 0 || rank >= h.size {
+	who := holder{conn: conn}
+	if magic != tcpMagic || size != h.size || rank < 0 || rank >= h.size || !h.register(rank, who) {
 		return
-	}
-	revived, err := h.register(rank, conn, nil)
-	if err != nil {
-		return
-	}
-	if revived {
-		h.announceRevival(rank)
 	}
 	h.route(rank, conn)
-	h.announceDeath(rank)
-	h.mu.Lock()
-	if h.conns[rank] == conn {
-		delete(h.conns, rank)
-	}
-	h.mu.Unlock()
+	h.apply(event{kind: evEnd, rank: rank, who: who})
 }
 
-// register makes conn (a dialed rank, acknowledged here) or l (a local
-// one) the holder of rank, and reports whether the rank had been
-// announced dead — the caller then owes the survivors a revival. A rank
-// is held by one endpoint at a time. A dialed holder gets a moment to
-// finish disconnecting (a freed rank can be re-issued while its old
-// connection's FIN is still in flight); a local holder detaches
-// synchronously, so finding one is a true duplicate and is refused at
-// once. The rank's write lock is held from registration through the
-// ack, so no routed frame can reach a new connection ahead of it.
-func (h *Hub) register(rank int, conn net.Conn, l *localComm) (revived bool, err error) {
-	for attempt := 0; ; attempt++ {
-		h.out[rank].mu.Lock()
-		h.mu.Lock()
-		_, dialed := h.conns[rank]
-		switch {
-		case h.closed:
-			err = fmt.Errorf("mpi: hub closed")
-		case h.locals[rank] != nil, dialed && attempt > 100: // ~2 s: the predecessor is wedged
-			err = fmt.Errorf("mpi: duplicate rank %d", rank)
-		case !dialed:
-			revived = h.dead[rank]
-			delete(h.dead, rank)
-			if l != nil {
-				h.locals[rank] = l
+// register asks for rank on behalf of who, a dialed connection (whose
+// hello is acknowledged here) or a local endpoint, and reports whether
+// who holds it now. A dialed holder has up to predecessorWait to
+// release the rank; a local holder detaches synchronously, so finding
+// one is a true duplicate and is refused at once (step).
+func (h *Hub) register(rank int, who holder) bool {
+	reply := make(chan bool, 1)
+	h.apply(event{kind: evRegister, rank: rank, who: who, reply: reply})
+	return <-reply
+}
+
+// apply steps the rank table by ev and carries out the actions the step
+// calls for. An ack is written under the table's lock, so no frame
+// routed by the new table can overtake it; it is the first write on a
+// fresh socket, so it does not block. The other actions run unlocked
+// and in order: a death is announced before its rank is released, a
+// revival before a local registrant hears its answer.
+func (h *Hub) apply(ev event) {
+	h.mu.Lock()
+	var acts []action
+	h.ranks, acts = step(h.ranks, ev)
+	for _, a := range acts {
+		if a.kind == actAck && a.ev.who.conn != nil {
+			writeAck(a.ev.who.conn) //nolint:errcheck // a broken conn fails its first routed read
+		}
+	}
+	h.mu.Unlock()
+	for _, a := range acts {
+		switch ev := a.ev; a.kind {
+		case actAck, actRefuse:
+			ev.reply <- a.kind == actAck
+		case actWait:
+			time.AfterFunc(predecessorWait, func() { h.apply(event{kind: evExpire, rank: ev.rank, who: ev.who}) })
+		case actDeath:
+			h.announce(ev.rank, nil)
+			h.apply(event{kind: evRelease, rank: ev.rank, who: ev.who})
+		case actRevival:
+			h.announce(ev.rank, []byte{1})
+		case actClose:
+			if ev.who.conn != nil {
+				ev.who.conn.Close()
 			} else {
-				h.conns[rank] = conn
+				ev.who.local.failReads(errDetached)
 			}
 		}
-		h.mu.Unlock()
-		if err == nil && !dialed && conn != nil {
-			writeAck(conn) //nolint:errcheck // a broken conn fails its first routed read
-		}
-		h.out[rank].mu.Unlock()
-		if err != nil || !dialed {
-			return revived, err
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -274,12 +277,8 @@ func (h *Hub) Local(rank int) (Comm, error) {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, h.size)
 	}
 	l := &localComm{Endpoint: newEndpoint(rank, h.size), hub: h}
-	revived, err := h.register(rank, nil, l)
-	if err != nil {
-		return nil, err
-	}
-	if revived {
-		h.announceRevival(rank)
+	if !h.register(rank, holder{local: l}) {
+		return nil, fmt.Errorf("mpi: rank %d is held, or the hub is closed", rank)
 	}
 	return l, nil
 }
@@ -294,90 +293,26 @@ func (h *Hub) Inject(to, tag int, data []byte) {
 	}
 }
 
-// Close shuts the hub down: the listener closes (ending Serve's accept
-// loop), every accepted connection is severed — rank, session, or one
-// still owing its hello — and every local endpoint's receives fail as a
-// dialed endpoint's do when its connection drops.
+// Close shuts the hub down: registrations are refused from then on,
+// waiting ones included, every accepted connection is severed — rank,
+// session, or one still owing its hello — every local endpoint's
+// receives fail as a dialed endpoint's do when its connection drops,
+// and the listener closes, ending Serve's accept loop.
 func (h *Hub) Close() error {
-	h.mu.Lock()
-	h.closed = true
-	conns := make([]net.Conn, 0, len(h.open))
-	for c := range h.open {
-		conns = append(conns, c)
-	}
-	locals := make([]*localComm, 0, len(h.locals))
-	for _, l := range h.locals {
-		locals = append(locals, l)
-	}
-	h.mu.Unlock()
-	err := h.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	for _, l := range locals {
-		l.failReads(errDetached)
-	}
-	return err
+	h.apply(event{kind: evClose})
+	h.close()
+	return h.ln.Close()
 }
 
-// writeAck tells a freshly recorded rank connection that the hub will
-// now route to it.
-func writeAck(conn net.Conn) error {
-	var ack [4]byte
-	binary.BigEndian.PutUint32(ack[:], tcpMagic)
-	_, err := conn.Write(ack[:])
-	return err
-}
-
-// announceDeath marks a rank dead and tells every surviving rank.
-func (h *Hub) announceDeath(rank int) { h.announce(rank, false) }
-
-// announceRevival tells every surviving rank that a freed rank is back
-// (its registration already cleared the death mark here).
-func (h *Hub) announceRevival(rank int) { h.announce(rank, true) }
-
-// announce tells every other live rank about rank: a death (recorded
-// here first, announced once) or a revival. Dialed ranks get a hub
-// control frame — payload-less for a death, payload {1} for a revival;
-// local endpoints have their dead-peer set marked directly. Write
-// failures are ignored: a survivor that is itself dying needs no
-// notification.
-func (h *Hub) announce(rank int, revival bool) {
-	h.mu.Lock()
-	if !revival {
-		if h.dead[rank] {
-			h.mu.Unlock()
-			return
+// announce tells every other rank that rank is dead (payload nil) or
+// back (payload {1}), by a hub control frame: a local endpoint marks its
+// dead-peer set as it takes the frame. A survivor the frame cannot
+// reach is itself dying and needs no notification.
+func (h *Hub) announce(rank int, payload []byte) {
+	for r := range h.out {
+		if r != rank {
+			h.deliver(rank, r, tagControlWire, payload, nil, false)
 		}
-		h.dead[rank] = true
-	}
-	type target struct {
-		rank int
-		conn net.Conn
-	}
-	var targets []target
-	for r, c := range h.conns {
-		if r != rank && !h.dead[r] {
-			targets = append(targets, target{r, c})
-		}
-	}
-	var locals []*localComm
-	for r, l := range h.locals {
-		if r != rank && !h.dead[r] {
-			locals = append(locals, l)
-		}
-	}
-	h.mu.Unlock()
-
-	for _, l := range locals {
-		l.markPeer(rank, revival)
-	}
-	var payload []byte
-	if revival {
-		payload = []byte{1}
-	}
-	for _, t := range targets {
-		h.out[t.rank].write(t.conn, t.rank, rank, tagControlWire, payload, nil) //nolint:errcheck // best effort
 	}
 }
 
@@ -400,72 +335,45 @@ const (
 // unless the frame was queued with owned set. Frames for an absent or
 // dead rank are dropped; the sender learns via the death announcement.
 func (h *Hub) deliver(source, to int, wireTag uint32, a, b []byte, owned bool) fate {
-	l, dst, gone := h.holder(to)
+	d := h.dest(to)
 	switch {
-	case gone:
-	case l != nil:
+	case d.local != nil:
 		if !owned {
-			frame := bufpool.GetRaw(len(a) + len(b))
-			copy(frame, a)
-			copy(frame[len(a):], b)
-			a = frame
+			a = pooledCopy(a, b)
 		}
-		l.accept(source, wireTag, a)
+		d.local.accept(source, wireTag, a)
 		return queued
-	case dst != nil:
-		if h.out[to].write(dst, to, source, wireTag, a, b) == nil {
+	case d.conn != nil:
+		if h.out[to].write(d.conn, to, source, wireTag, a, b) == nil {
 			return written
 		}
-		// The destination's connection broke mid-write: treat it as
-		// dead rather than failing the whole hub, so the remaining
-		// ranks keep communicating and learn of the loss.
-		h.announceDeath(to)
+		// The destination's connection broke mid-write: cut it rather
+		// than failing the whole hub. Its route's end announces the
+		// death, so the remaining ranks keep communicating and learn of
+		// the loss.
+		h.apply(event{kind: evWriteFailed, rank: to, who: d})
 	}
 	return dropped
 }
 
-// Sever closes the connection of the dialed endpoint holding rank, if
-// one does: its route ends, the rank is announced dead and freed, and a
-// new endpoint can register it at once. For a holder that is silent
+// Sever cuts the dialed endpoint holding rank, if one does: no frame
+// reaches it from then on, its connection closes, its route ends, and
+// the rank is announced dead and freed, to a registration already
+// waiting for it in that same step. For a holder that is silent
 // with its socket open — stopped or wedged — which the hub cannot tell
 // from a quiet one; its owner's liveness (a lease) can.
 func (h *Hub) Sever(rank int) {
-	if _, conn, _ := h.holder(rank); conn != nil {
-		conn.Close()
+	if rank >= 0 && rank < h.size {
+		h.apply(event{kind: evSever, rank: rank})
 	}
 }
 
-// holder is who holds rank `to`: a local endpoint, a dialed
-// connection, or neither — and whether the rank was announced dead.
-func (h *Hub) holder(to int) (*localComm, net.Conn, bool) {
+// dest is where a frame for rank `to` goes now (table.dest): the one
+// read of the rank table a frame makes.
+func (h *Hub) dest(to int) holder {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.locals[to], h.conns[to], h.dead[to]
-}
-
-// deliverFile is deliver for a local endpoint's file frame: hdr followed
-// by n bytes of f from off. A dialed destination gets the headers in one
-// writev and the range by sendfile (frameWriter.writeFile); a local one
-// gets one ReadAt into a pooled frame, which its mailbox owns. It
-// reports whether the range went by sendfile, and the file's error — the
-// frame went out whole regardless. A frame for an absent or dead rank is
-// dropped unread.
-func (h *Hub) deliverFile(source, to int, wireTag uint32, hdr []byte, f *os.File, off int64, n int) (bool, error) {
-	l, dst, gone := h.holder(to)
-	switch {
-	case gone:
-	case l != nil:
-		frame, err := fileFrame(hdr, f, off, n)
-		l.accept(source, wireTag, frame)
-		return false, err
-	case dst != nil:
-		zc, fileErr, linkErr := h.out[to].writeFile(dst, to, source, wireTag, hdr, f, off, n)
-		if linkErr != nil {
-			h.announceDeath(to) // as deliver does: the destination, not the hub, is lost
-		}
-		return zc, fileErr
-	}
-	return false, nil
+	return h.ranks.dest(to)
 }
 
 // route forwards frames from one source connection until it disconnects
@@ -507,11 +415,7 @@ func DialComm(addr string, rank, size int) (Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hello [12]byte
-	binary.BigEndian.PutUint32(hello[0:], tcpMagic)
-	binary.BigEndian.PutUint32(hello[4:], uint32(rank))
-	binary.BigEndian.PutUint32(hello[8:], uint32(size))
-	if _, err := conn.Write(hello[:]); err != nil {
+	if err := writeWords(conn, tcpMagic, uint32(rank), uint32(size)); err != nil {
 		conn.Close()
 		return nil, err
 	}

@@ -576,8 +576,13 @@ func waitVacant(t *testing.T, hub *Hub) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		held := 0
 		hub.mu.Lock()
-		held := len(hub.conns) + len(hub.locals)
+		for _, s := range hub.ranks.slots {
+			if s.holder != (holder{}) {
+				held++
+			}
+		}
 		hub.mu.Unlock()
 		if held == 0 {
 			return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -239,7 +240,7 @@ func TreeChildren(members []int, root, self int, topo *Topology) []int {
 	if n <= 1 {
 		return nil
 	}
-	ri, si := indexOf(members, root), indexOf(members, self)
+	ri, si := slices.Index(members, root), slices.Index(members, self)
 	if ri < 0 || si < 0 {
 		return nil
 	}
@@ -247,15 +248,6 @@ func TreeChildren(members []int, root, self int, topo *Topology) []int {
 		return binomialChildren(members, ri, si)
 	}
 	return rackChildren(members, ri, si, topo)
-}
-
-func indexOf(members []int, rank int) int {
-	for i, m := range members {
-		if m == rank {
-			return i
-		}
-	}
-	return -1
 }
 
 // binomialChildren computes the standard binomial broadcast tree over
@@ -344,10 +336,10 @@ func rackChildren(members []int, ri, si int, topo *Topology) []int {
 	var out []int
 	if si == p.leaderOf(rk) {
 		leaders := p.leaders(members)
-		out = append(out, binomialChildren(leaders, indexOf(leaders, members[ri]), indexOf(leaders, self))...)
+		out = append(out, binomialChildren(leaders, slices.Index(leaders, members[ri]), slices.Index(leaders, self))...)
 	}
 	local := p.rackMembers(members, rk)
 	lead := members[p.leaderOf(rk)]
-	out = append(out, binomialChildren(local, indexOf(local, lead), indexOf(local, self))...)
+	out = append(out, binomialChildren(local, slices.Index(local, lead), slices.Index(local, self))...)
 	return out
 }

@@ -186,9 +186,6 @@ func (s *Session) rpc(req ctlRequest) (ctlReply, error) {
 // ID returns the daemon-assigned session identifier.
 func (s *Session) ID() int { return s.id }
 
-// Ranks returns the world ranks assigned to the session's nodes.
-func (s *Session) Ranks() []int { return append([]int(nil), s.ranks...) }
-
 // Create registers a (or validates, if the name already exists) in the
 // daemon's catalog under a's schema. Creating an existing array with a
 // different schema fails with ErrSchemaMismatch.
